@@ -3,7 +3,7 @@ PY ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test verify sweep conformance bench-gate verify-cluster verify-rebalance verify-archive verify-service policy-lint profile
+.PHONY: test verify sweep conformance bench-gate bench-smoke verify-cluster verify-rebalance verify-archive verify-service policy-lint profile
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -16,9 +16,10 @@ policy-lint:
 
 # The PR gate: tier-1, ruleset lint, a bounded crash-consistency sweep +
 # differential conformance + detection equivalence, the E2/E8/E9
-# regression gates, the online-rebalance (E6b) gate, the tiered
-# cold-archive (E7b) gate, and the wire-service (E11) gate.
-verify: test policy-lint bench-gate verify-rebalance verify-archive verify-service
+# regression gates, the committed benchmark's smoke run, the
+# online-rebalance (E6b) gate, the tiered cold-archive (E7b) gate, and
+# the wire-service (E11) gate.
+verify: test policy-lint bench-gate bench-smoke verify-rebalance verify-archive verify-service
 	$(PY) -m repro verify --limit 12
 
 # The exhaustive sweep: every write boundary, clean + torn.  ~30s.
@@ -33,6 +34,13 @@ bench-gate:
 	$(PY) -m pytest benchmarks/bench_e8_audit_scaling.py::test_e8_incremental_fast_path -q
 	$(PY) -m pytest benchmarks/bench_e9_cluster_scaling.py::test_e9_cluster_scaling -q
 	$(PY) benchmarks/check_regression.py
+
+# The committed benchmark (bench/, BENCHMARK.json) at 1/50 scale, traced
+# and untraced: every workload runs correct, and every boundary callable
+# named in bench/layers.py still resolves — a renamed one fails here
+# instead of in the next traced run.
+bench-smoke:
+	$(PY) -m pytest bench -q
 
 # cProfile of the E2 hot write path (the profile that drives the
 # raw-speed work).  ARGS passes extra flags, e.g.

@@ -2401,6 +2401,10 @@ class CuratorStore(StorageModel):
         return self._worm
 
     @property
+    def index(self) -> SecureDeletionIndex:
+        return self._index
+
+    @property
     def custody(self) -> CustodyRegistry:
         return self._custody
 

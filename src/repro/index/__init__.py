@@ -13,12 +13,14 @@ Two indexes are provided:
   its device.
 * :class:`~repro.index.trustworthy.TrustworthyIndex` — the compliant
   index: terms are replaced by HMAC trapdoors (keyed, so the adversary
-  cannot enumerate the dictionary), posting lists are AEAD-encrypted
-  and padded to bucket sizes (so list *lengths* leak little), and every
-  posting-list update is MACed (tamper-evident).
+  cannot enumerate the dictionary), posting lists are chains of
+  bounded AEAD-encrypted chunks padded to bucket sizes (so list
+  *lengths* leak little and an add re-encrypts one tail chunk, not the
+  list), and every chunk is MACed to its trapdoor, position and version
+  (tamper-evident).
 * :mod:`repro.index.secure_deletion` — removal of a document from
   posting lists with *verifiable* absence afterwards (Mitra & Winslett,
-  StorageSS'06 motivated), via re-encryption of affected lists.
+  StorageSS'06 motivated), via re-encryption of the affected chunks.
 """
 
 from repro.index.epochs import EpochedIndex

@@ -9,11 +9,12 @@ vocabulary ("the record said Cancer") long after the record is gone.
 :class:`~repro.index.trustworthy.TrustworthyIndex` and makes deletion a
 two-step, verifiable operation:
 
-1. **rewrite** — every posting list containing the document is
-   re-encrypted without it (fresh nonce, bumped version);
+1. **rewrite** — every posting-list chunk containing the document is
+   re-encrypted without it (fresh nonce, bumped chunk version); chunks
+   that never held it are left alone;
 2. **scrub** — the superseded ciphertext versions' device extents are
    physically overwritten with zeros, so even the adversary who later
-   obtains the index key cannot decrypt a stale list and learn the
+   obtains the index key cannot decrypt a stale chunk and learn the
    deleted document's terms.
 
 :meth:`SecureDeletionIndex.forensic_residue` is the auditor's check:
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import IndexError_
-from repro.index.trustworthy import TrustworthyIndex
+from repro.errors import CuratorError, IndexError_
+from repro.index.trustworthy import ChunkExtent, TrustworthyIndex
 
 
 @dataclass(frozen=True)
@@ -67,63 +68,46 @@ class SecureDeletionIndex:
             raise IndexError_("document id must not be empty")
         affected = self._index.rewrite_lists_without(document_id)
         superseded = self._index.clear_superseded(affected)
-        bytes_scrubbed = 0
-        device = self._index.device
-        for meta in superseded:
-            device.raw_write(meta.device_offset, bytes(meta.size))
-            bytes_scrubbed += meta.size
         return DeletionCertificate(
             document_id=document_id,
             lists_rewritten=len(affected),
             versions_scrubbed=len(superseded),
-            bytes_scrubbed=bytes_scrubbed,
+            bytes_scrubbed=self._scrub(superseded),
         )
 
     def scrub_all_superseded(self) -> int:
         """Housekeeping: scrub every superseded version (e.g. after bulk
         updates), returning bytes overwritten.  Keeps the device free of
-        decryptable stale lists even outside deletions."""
+        decryptable stale chunks even outside deletions."""
         all_trapdoors = list(self._index.superseded_versions())
-        superseded = self._index.clear_superseded(all_trapdoors)
+        return self._scrub(self._index.clear_superseded(all_trapdoors))
+
+    def _scrub(self, extents: list[ChunkExtent]) -> int:
+        """Zero the device bytes of *extents*; returns bytes overwritten."""
         device = self._index.device
-        total = 0
-        for meta in superseded:
-            device.raw_write(meta.device_offset, bytes(meta.size))
-            total += meta.size
-        return total
+        for extent in extents:
+            device.raw_write(extent.device_offset, bytes(extent.size))
+        return sum(extent.size for extent in extents)
 
     def forensic_residue(self, document_id: str) -> list[str]:
         """Worst-case forensic check: with the index keys in hand,
-        decrypt every *current* and every *stale-but-unscrubbed* posting
-        list version and report the terms' trapdoors still naming the
+        decrypt every *current* and every *stale-but-unscrubbed* chunk
+        version and report the terms' trapdoors still naming the
         document.  Empty list == the index has verifiably forgotten it.
         """
-        residue: list[str] = []
-        # Current lists (should have been rewritten).
-        for trapdoor in self._index.current_versions():
-            if document_id in self._index._read_list(trapdoor):  # noqa: SLF001
-                residue.append(trapdoor)
+        residue: set[str] = set()
+        # Current chunks (should have been rewritten).
+        for trapdoor, extents in self._index.chunk_extents().items():
+            for extent in extents:
+                if document_id in self._index.open_extent(trapdoor, extent):
+                    residue.add(trapdoor)
         # Stale versions: anything unscrubbed and still decryptable.
-        device = self._index.device
-        for trapdoor, metas in self._index.superseded_versions().items():
-            for meta in metas:
-                blob = device.raw_read(meta.device_offset, meta.size)
-                if not any(blob):
-                    continue  # scrubbed
+        for trapdoor, extents in self._index.superseded_versions().items():
+            for extent in extents:
                 try:
-                    from repro.crypto.aead import AeadCiphertext
-                    from repro.util.encoding import canonical_loads
-
-                    stored = canonical_loads(blob)
-                    box = AeadCiphertext.from_bytes(stored["box"])
-                    plaintext = self._index._cipher_for(trapdoor).decrypt(  # noqa: SLF001
-                        box,
-                        associated_data=self._index._associated_data(  # noqa: SLF001
-                            trapdoor, stored["v"]
-                        ),
-                    )
-                    if document_id in canonical_loads(plaintext):
-                        residue.append(trapdoor)
-                except Exception:
-                    continue  # undecodable residue carries no posting info
-        return sorted(set(residue))
+                    documents = self._index.open_extent(trapdoor, extent)
+                except CuratorError:
+                    continue  # scrubbed or undecodable: no posting info left
+                if document_id in documents:
+                    residue.add(trapdoor)
+        return sorted(residue)

@@ -34,7 +34,7 @@ from repro.access.sessions import Authenticator
 from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog
 from repro.cluster.router import CuratorCluster
-from repro.errors import AccessDeniedError, CuratorError
+from repro.errors import AccessDeniedError, AuditError, CuratorError
 from repro.policy.compiler import compile_default_ruleset, default_purpose_for
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import PolicyContext
@@ -162,8 +162,16 @@ class CuratorService:
             return self._audit.events()
 
     def verify_service_audit(self) -> None:
+        """Replay the service chain from its device; raises
+        :class:`~repro.errors.AuditError` naming the first bad event if
+        it does not verify."""
         with self._audit_lock:
-            self._audit.verify_chain()
+            chain = self._audit.verify_chain()
+        if not chain.ok:
+            raise AuditError(
+                f"service audit chain broken at sequence "
+                f"{chain.first_bad_sequence}: {chain.problem}"
+            )
 
     def routes(self) -> tuple[Route, ...]:
         return tuple(route for route, _handler in self._routes)

@@ -48,6 +48,7 @@ from repro.core.engine import CuratorStore
 from repro.crypto.kdf import derive_key
 from repro.crypto.rsa import generate_keypair
 from repro.errors import CrashError, IntegrityError, MigrationError
+from repro.index.trustworthy import CHUNK_CAPACITY
 from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.clock import SimulatedClock
 from repro.util.encoding import canonical_bytes, canonical_loads
@@ -491,6 +492,58 @@ def _cold_manifest_rot(sub: _Substrate) -> str | None:
     return None
 
 
+# -- index tampers -----------------------------------------------------------
+#
+# The trustworthy index keeps a posting list as a chain of encrypted
+# chunks on its own device.  Two attacks only a chunked layout admits:
+# rot inside a *sealed* chunk that no later add will ever rewrite, and
+# replaying a superseded version of the tail chunk so the list silently
+# loses its newest entries.  Blame must be ``<index>`` on the attacked
+# engine and nothing else.
+
+
+def _index_chunk_rot(sub: _Substrate) -> bool:
+    """Grow one posting list past a chunk boundary, then flip a
+    ciphertext byte in its sealed first chunk (checksum recomputed)."""
+    notes = [
+        _seed_note(f"rec-chunk-{n}", sub.dirty_patient, sub.clock, n)
+        for n in range(CHUNK_CAPACITY)
+    ]
+    sub.surface.store_many(notes, "dr-eq")
+    index = sub.target.index.index
+    chain = index.chunk_extents()[index.trapdoor("distinctive")]
+    if len(chain) < 2:
+        return False  # nothing sealed: the tamper below would hit the tail
+    sealed = chain[0]
+    payload = bytearray(index.device.raw_read(sealed.device_offset, sealed.size))
+    payload[-1] ^= 0x5A
+    Journal.forge_frame(
+        index.device, sealed.device_offset - HEADER_SIZE, bytes(payload)
+    )
+    return True
+
+
+def _index_tail_rollback(sub: _Substrate) -> bool:
+    """Keep a copy of a tail-chunk frame, let the list move on, then
+    write the copy back over the current tail frame.  A correction
+    re-indexes the same record id, so the list advances two versions
+    (entry removed, entry re-added) to a frame of identical length —
+    the stale copy fits exactly, checksum and MAC intact."""
+    index = sub.target.index.index
+    trapdoor = index.trapdoor("distinctive")  # every seeded note has it
+    stale = index.current_versions()[trapdoor]
+    copy = index.device.raw_read(
+        stale.device_offset - HEADER_SIZE, HEADER_SIZE + stale.size
+    )
+    record = sub.surface.read(sub.records[0], actor_id="dr-eq")
+    sub.surface.correct(record, "dr-eq", "re-index")
+    current = index.current_versions()[trapdoor]
+    if current.size != stale.size or current.version != stale.version + 2:
+        return False
+    index.device.raw_write(current.device_offset - HEADER_SIZE, copy)
+    return True
+
+
 _BATCH_SIZE = 5
 _BATCH_VICTIM = 2
 
@@ -670,6 +723,31 @@ def _batch_integrity_case(
     )
 
 
+def _index_case(name: str, tamper, build: Callable[[], _Substrate]) -> EquivalenceCase:
+    """Index tampers.  The index is verified whole on every pass, so the
+    bounded policy is one incremental pass; exact blame means that pass
+    and the full pass both implicate ``<index>`` — on a cluster, under
+    the attacked shard's label only — and nothing else."""
+    sub = build()
+    tampered = tamper(sub)
+    expected = "<index>"
+    if sub.surface is not sub.target:
+        owner = sub.surface.shard_ids[sub.surface.shards.index(sub.target)]
+        expected = f"{owner}:<index>"
+    incremental = sub.surface.verify_integrity(incremental=True)
+    full = sub.surface.verify_integrity()
+    return EquivalenceCase(
+        name=name,
+        tampered=tampered,
+        incremental_detects=not incremental.ok,
+        full_detects=not full.ok,
+        caught_by="none" if incremental.ok else "incremental",
+        attempts=1,
+        expected_flag=expected,
+        flagged=tuple(sorted({*incremental.violations, *full.violations})),
+    )
+
+
 def _control_case(build: Callable[[], _Substrate], name: str) -> EquivalenceCase:
     sub = build()
     _append_delta(sub)
@@ -708,12 +786,15 @@ _TAMPER_CASES: tuple[tuple[str, str, Callable[[_Substrate], bool]], ...] = (
     ("batch", "cold_segment_body_rot", _cold_body_rot),
     ("batch", "cold_manifest_rot", _cold_manifest_rot),
     ("batch", "cold_recall_truncation", _cold_recall_truncation),
+    ("index", "index_chunk_rot", _index_chunk_rot),
+    ("index", "index_tail_rollback", _index_tail_rollback),
 )
 
 _CASE_RUNNERS = {
     "audit": _audit_case,
     "integrity": _integrity_case,
     "batch": _batch_integrity_case,
+    "index": _index_case,
 }
 
 

@@ -13,7 +13,7 @@ def test_cluster_detection_equivalence_holds():
     report = run_cluster_detection_equivalence(shards=2)
     assert report.ok, report.summary()
     # one clean control + every tamper case against each target shard
-    assert len(report.cases) == 1 + 2 * 12
+    assert len(report.cases) == 1 + 2 * 14
     control = next(c for c in report.cases if c.name.endswith("no_tamper_control"))
     assert not control.tampered
     shard_names = {case.name.split(":")[0] for case in report.cases}
@@ -32,6 +32,13 @@ def test_cluster_detection_equivalence_holds():
             # member on the attacked shard — no sibling smear across shards
             assert case.tampered
             assert case.flagged == (case.expected_flag,)
+    for suffix in ("index_chunk_rot", "index_tail_rollback"):
+        for case in (c for c in report.cases if c.name.endswith(suffix)):
+            # blame carries the shard label: the attacked shard's index,
+            # and no other shard's, from the incremental and the full pass
+            attacked = case.name.split(":")[0]
+            assert case.tampered and case.caught_by == "incremental"
+            assert case.flagged == (f"{attacked}:<index>",)
 
 
 def test_rebalance_detection_equivalence_holds():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.index.secure_deletion import SecureDeletionIndex
-from repro.index.trustworthy import TrustworthyIndex
+from repro.index.trustworthy import CHUNK_CAPACITY, TrustworthyIndex
 
 MASTER = bytes(range(32))
 
@@ -83,3 +83,28 @@ def test_deleted_doc_unrecoverable_even_with_keys():
     index.add_document("doc-other", "cancer")
     index.delete_document("doc-secret")
     assert index.forensic_residue("doc-secret") == []
+
+
+def test_delete_from_sealed_chunk_scrubs_only_that_chunk():
+    index = make_index()
+    raw = index.index
+    total = 3 * CHUNK_CAPACITY + 5
+    index.add_documents([(f"doc-{i:04d}", "cancer") for i in range(total)])
+    trapdoor = raw.trapdoor("cancer")
+    before = raw.chunk_extents()[trapdoor]
+    victim = raw.open_extent(trapdoor, before[1])[7]  # lives in sealed chunk 1
+    stale = raw.superseded_versions().get(trapdoor, []) + [before[1]]
+
+    certificate = index.delete_document(victim)
+
+    assert certificate.lists_rewritten == 1
+    assert certificate.versions_scrubbed == len(stale)
+    assert index.forensic_residue(victim) == []
+    for extent in stale:
+        assert not any(raw.device.raw_read(extent.device_offset, extent.size))
+    after = raw.chunk_extents()[trapdoor]
+    assert after[0] == before[0] and after[2:] == before[2:]  # untouched chunks
+    assert (after[1].version, after[1].fill) == (1, CHUNK_CAPACITY - 1)
+    expected = [f"doc-{i:04d}" for i in range(total) if f"doc-{i:04d}" != victim]
+    assert index.search("cancer") == expected  # the chunk's neighbours survive
+    assert raw.verify() == []

@@ -7,8 +7,12 @@ fails here automatically.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.audit.events import AuditAction
+from repro.errors import AuditError
 from repro.service.service import Request
+from repro.storage.journal import Journal
 
 from tests.service.conftest import note_body, store_note, wire_login
 
@@ -150,3 +154,23 @@ def test_service_chain_survives_verification_after_traffic(service, actors):
         service.handle_request(Request("GET", "/v1/healthz"))
         service.handle_request(Request("GET", "/v1/audit", bearer=bearer))
     service.verify_service_audit()
+
+
+def test_tampered_service_chain_fails_verification(service, actors):
+    """A frame of the service chain rewritten on its device (checksum
+    recomputed, as a raw-media insider would) must make
+    ``verify_service_audit`` raise, naming where the chain broke."""
+    user, secret = actors["physician"]
+    wire_login(service, user.user_id, secret)
+    service.handle_request(Request("GET", "/v1/healthz"))
+    service.verify_service_audit()
+    device = service._audit.device  # noqa: SLF001 — the adversary's reach
+    victim = user.user_id.encode()
+    offset, payload = next(
+        (offset, payload)
+        for offset, payload in Journal.iter_device_frames(device)
+        if victim in payload
+    )
+    Journal.forge_frame(device, offset, payload.replace(victim, b"dr-999"))
+    with pytest.raises(AuditError, match=r"sequence \d+"):
+        service.verify_service_audit()

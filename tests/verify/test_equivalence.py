@@ -20,6 +20,8 @@ EXPECTED_CASES = {
     "cold_segment_body_rot",
     "cold_manifest_rot",
     "cold_recall_truncation",
+    "index_chunk_rot",
+    "index_tail_rollback",
     "migration_source_rot_blocks_refresh",
     "migration_post_refresh_rot",
 }
@@ -103,5 +105,11 @@ def test_suite_runs_clean_end_to_end():
                  "cold_recall_truncation"):
         case = next(c for c in report.cases if c.name == name)
         assert case.flagged == (case.expected_flag,)
+    # index tampers: the first incremental pass and the full pass both
+    # blamed the index and nothing else
+    for name in ("index_chunk_rot", "index_tail_rollback"):
+        case = next(c for c in report.cases if c.name == name)
+        assert case.caught_by == "incremental" and case.attempts == 1
+        assert case.flagged == ("<index>",)
     summary = report.summary()
-    assert "15 cases, 0 violations" in summary
+    assert "17 cases, 0 violations" in summary
