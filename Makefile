@@ -24,7 +24,7 @@ verify: test policy-lint bench-gate bench-smoke verify-rebalance verify-archive 
 
 # The exhaustive sweep: every write boundary, clean + torn.  ~30s.
 sweep:
-	$(PY) -m repro verify --skip-conformance
+	$(PY) -m repro verify --skip-conformance --skip-equivalence
 
 conformance:
 	$(PY) -m repro verify --skip-sweep

@@ -9,7 +9,7 @@ throughput moved, this tells you *where* the time went.
 Usage::
 
     make profile                                   # curator, batched arm
-    python benchmarks/profile_e2.py --arm single   # looped store()
+    python benchmarks/profile_e2.py --arm single   # N batches of one: store() per record
     python benchmarks/profile_e2.py --sort tottime --limit 40
     python benchmarks/profile_e2.py --records 600  # heavier batch
 
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         "--arm",
         default="batched",
         choices=("batched", "single"),
-        help="store_many fast path or the looped store() baseline",
+        help="one store_many batch, or one store() per record (batches of one)",
     )
     parser.add_argument(
         "--records",

@@ -17,8 +17,8 @@ Commands:
 * ``thirty-years`` — the OSHA retention simulation with media refresh.
 * ``audit-ops`` — build a small deployment, drift it, and print the
   operational-findings report.
-* ``metrics`` — ingest a small workload both ways (looped vs batched)
-  and print the performance counters.
+* ``metrics`` — ingest a small workload as 16 batches of one and as one
+  batch of 16, and print the performance counters side by side.
 * ``verify`` — crash-consistency sweep, differential conformance
   across all six models, and the incremental-vs-full detection-
   equivalence oracle; ``--incremental``/``--deep`` demo the
@@ -341,18 +341,18 @@ def _metrics(_args) -> int:
     for record_id in store.record_ids()[:4]:
         store.read(record_id, actor_id="system")
         store.read(record_id, actor_id="system")  # second read hits the LRU
-    looped = METRICS.snapshot()
+    singles = METRICS.snapshot()
 
     METRICS.reset()
     store, batch = build()
     store.store_many([g.record for g in batch], batch[0].author_id)
     batched = METRICS.snapshot()
 
-    names = sorted(set(looped) | set(batched))
+    names = sorted(set(singles) | set(batched))
     width = max(len(n) for n in names)
-    print(f"{'counter':<{width}}  {'looped':>12}  {'batched':>12}")
+    print(f"{'counter':<{width}}  {'16 x store':>12}  {'store_many':>12}")
     for name in names:
-        print(f"{name:<{width}}  {looped.get(name, 0):>12}  {batched.get(name, 0):>12}")
+        print(f"{name:<{width}}  {singles.get(name, 0):>12}  {batched.get(name, 0):>12}")
 
     # tier traffic: age the batch, demote it cold, then serve reads
     # from each tier so the counters and ratios have something to say
@@ -784,7 +784,7 @@ def main(argv: list[str] | None = None) -> int:
         "audit-ops", help="operational compliance findings on a drifted deployment"
     ).set_defaults(func=_audit_ops)
     sub.add_parser(
-        "metrics", help="performance counters for looped vs batched ingest"
+        "metrics", help="performance counters for batches of one vs one batch"
     ).set_defaults(func=_metrics)
     verify = sub.add_parser(
         "verify", help="crash-consistency sweep + differential conformance"

@@ -464,22 +464,12 @@ class CuratorStore(StorageModel):
     # version persistence plumbing
     # ------------------------------------------------------------------
 
-    def _seal_version(self, version: RecordVersion, handle: KeyHandle) -> bytes:
-        object_id = _version_object_id(version.record.record_id, version.version_number)
-        cipher = self._keystore.cipher_for(handle)
-        box = cipher.encrypt(
-            canonical_bytes(version.to_dict()),
-            associated_data=object_id.encode("utf-8"),
-        )
-        return box.to_bytes()
-
     def _seal_versions(
         self, pairs: list[tuple[RecordVersion, KeyHandle]]
     ) -> list[bytes]:
-        """Seal many versions in one vectorized AEAD pass — each under
-        its own data key, with byte-format identical to
-        :meth:`_seal_version` (fresh random nonce, same associated
-        data)."""
+        """Seal versions in one vectorized AEAD pass — each under its
+        own data key and a fresh random nonce, with its WORM object id
+        as the associated data."""
         items = []
         for version, handle in pairs:
             object_id = _version_object_id(
@@ -510,32 +500,52 @@ class CuratorStore(StorageModel):
         )
         return RecordVersion.from_dict(canonical_loads(plaintext))
 
-    def _put_version(self, version: RecordVersion, handle: KeyHandle) -> None:
-        record = version.record
-        object_id = _version_object_id(record.record_id, version.version_number)
-        term = self._config.retention_policy.term_for(
-            record.record_type, self._clock.now()
+    def _write_versions(self, pairs: list[tuple[RecordVersion, KeyHandle]]) -> None:
+        """The one write path for record versions — one or many: seal,
+        ONE WORM frame, ONE custody signature per distinct reason, then
+        the disposition and provenance entries.
+
+        A crash that tears the frame drops every version in it at
+        recovery (no surviving prefix), and each origin event carries
+        the shared batch-root signature plus its own inclusion proof, so
+        tampering is still detected per record.
+        """
+        now = self._clock.now()
+        metas = self._worm.put_many(
+            [
+                (
+                    _version_object_id(
+                        version.record.record_id, version.version_number
+                    ),
+                    blob,
+                    self._config.retention_policy.term_for(
+                        version.record.record_type, now
+                    ),
+                )
+                for (version, _), blob in zip(pairs, self._seal_versions(pairs))
+            ]
         )
-        meta = self._worm.put(object_id, self._seal_version(version, handle), retention=term)
-        self._disposition.register_key_handle(object_id, handle)
-        self._provenance.add_object(object_id)
-        self._provenance.record_custody(
-            object_id, self._config.site_id, start=self._clock.now()
-        )
-        if version.version_number > 0:
-            self._provenance.record_derivation(
-                object_id,
-                _version_object_id(record.record_id, version.version_number - 1),
-                reason=version.reason,
+        origins: dict[str, list[tuple[str, bytes]]] = {}
+        for (version, _), meta in zip(pairs, metas):
+            origins.setdefault(version.reason, []).append(
+                (meta.object_id, meta.content_digest)
             )
-        self._custody.record_origin(
-            object_id,
-            self._signer,
-            meta.content_digest,
-            self._clock.now(),
-            reason=version.reason,
-        )
-        self._maybe_anchor()
+        for reason, entries in origins.items():
+            self._custody.record_origins(entries, self._signer, now, reason=reason)
+        for (version, handle), meta in zip(pairs, metas):
+            self._disposition.register_key_handle(meta.object_id, handle)
+            self._provenance.add_object(meta.object_id)
+            self._provenance.record_custody(
+                meta.object_id, self._config.site_id, start=now
+            )
+            if version.version_number > 0:
+                self._provenance.record_derivation(
+                    meta.object_id,
+                    _version_object_id(
+                        version.record.record_id, version.version_number - 1
+                    ),
+                    reason=version.reason,
+                )
 
     def _maybe_anchor(self) -> None:
         latest = self._witness.latest()
@@ -621,11 +631,11 @@ class CuratorStore(StorageModel):
     def _recall(self, record_id: str, *, actor_id: str = "system") -> None:
         """Repatriate a cold record to the warm tier: verified member
         read (sealed digest + inclusion proof + chain re-link), then
-        each version re-sealed into the WORM store under its original
-        retention term.  The RECORD_RECALLED marker lands *after* the
-        warm write: a crash between leaves the cold member
-        authoritative and recovery simply re-expatriates the partial
-        warm copy."""
+        every version re-sealed into ONE WORM frame under its original
+        retention term — a torn recall leaves nothing warm.  The
+        RECORD_RECALLED marker lands *after* the warm write: a crash
+        between leaves the cold member authoritative and recovery
+        simply re-expatriates the warm copy."""
         with METRICS.timer("tier_recall_ns"):
             segment = self._cold.segment_of(record_id)
             # never recall from the plaintext cache: what repatriates to
@@ -635,10 +645,18 @@ class CuratorStore(StorageModel):
             VersionChain.from_versions(record_id, versions)
             handle = self._keys[record_id]
             sealed = self._seal_versions([(v, handle) for v in versions])
-            for version, blob in zip(versions, sealed):
-                object_id = _version_object_id(record_id, version.version_number)
-                self._worm.put(object_id, blob, retention=self._version_term(version))
-                self._disposition.register_key_handle(object_id, handle)
+            metas = self._worm.put_many(
+                [
+                    (
+                        _version_object_id(record_id, version.version_number),
+                        blob,
+                        self._version_term(version),
+                    )
+                    for version, blob in zip(versions, sealed)
+                ]
+            )
+            for meta in metas:
+                self._disposition.register_key_handle(meta.object_id, handle)
             self._cold_records.discard(record_id)
             self._cold.mark_repatriated(record_id)
             # fresh device bytes: re-verify on the next incremental pass
@@ -800,35 +818,20 @@ class CuratorStore(StorageModel):
     # ------------------------------------------------------------------
 
     def store(self, record: HealthRecord, author_id: str) -> None:
-        if record.record_id in self._chains:
-            raise RecordError(f"record {record.record_id} already exists")
-        self._auto_register_author(author_id, record.patient_id)
-        handle = self._keystore.create_key(label=record.record_id)
-        self._keys[record.record_id] = handle
-        chain = VersionChain(record.record_id)
-        version = chain.append_initial(record, author_id, self._clock.now())
-        self._put_version(version, handle)
-        self._chains[record.record_id] = chain
-        self._dirty_records.add(record.record_id)
-        self._last_access[record.record_id] = self._clock.now()
-        self._index.add_document(record.record_id, record.searchable_text())
-        self._audit.append(
-            AuditAction.RECORD_CREATED, author_id, record.record_id,
-            {"type": record.record_type.value, "patient": record.patient_id},
-        )
+        """Store one new record: a batch of one."""
+        self.store_many([record], author_id)
 
     def store_many(self, records: list[HealthRecord], author_id: str) -> int:
-        """Batched ingest: same records, same audit chain, same index
-        state as N :meth:`store` calls — but journal writes and index
-        posting-list commits are amortized over the batch.
+        """Store new records — the only ingest path; returns how many.
 
-        Per record the chain digest, Merkle leaf, custody signature,
-        and anchor cadence are computed exactly as in the single path
-        (RECORD_CREATED events are byte-identical); what is batched is
-        purely I/O: the audit journal flushes once (``begin_batch`` /
-        ``commit``) and the index re-encrypts each affected posting
-        list once for the whole batch.  Validation is all-or-nothing
-        before any state changes.
+        A batch costs four device writes however many records it holds:
+        one escrow flush (a frame per wrapped key), one WORM frame, one
+        index flush (a frame per touched posting-list chunk) and one
+        audit flush (``begin_batch`` / ``commit``, a frame per event).
+        Per record the chain digest, Merkle leaf and anchor cadence are
+        computed one event at a time, so N batches of one and one batch
+        of N leave byte-identical audit chains.  Validation is
+        all-or-nothing before any state changes.
         """
         seen: set[str] = set()
         for record in records:
@@ -839,67 +842,33 @@ class CuratorStore(StorageModel):
             seen.add(record.record_id)
         if not records:
             return 0
-        documents: list[tuple[str, str]] = []
         self._audit.begin_batch()
         try:
-            staged = []
             handles = self._keystore.create_keys(
                 [record.record_id for record in records]
             )
+            chains = []
             for record, handle in zip(records, handles):
                 self._auto_register_author(author_id, record.patient_id)
                 self._keys[record.record_id] = handle
                 chain = VersionChain(record.record_id)
-                version = chain.append_initial(record, author_id, self._clock.now())
-                staged.append((record, chain, version, handle))
-            sealed = self._seal_versions(
-                [(version, handle) for _, _, version, handle in staged]
+                chain.append_initial(record, author_id, self._clock.now())
+                chains.append(chain)
+            self._write_versions(
+                [(chain.latest(), handle) for chain, handle in zip(chains, handles)]
             )
-            items: list[tuple[str, bytes, Any]] = [
-                (
-                    _version_object_id(record.record_id, 0),
-                    blob,
-                    self._config.retention_policy.term_for(
-                        record.record_type, self._clock.now()
-                    ),
-                )
-                for (record, _, _, _), blob in zip(staged, sealed)
-            ]
-            # ONE journal frame for the whole batch: a crash that tears
-            # this write drops every record in the batch at recovery —
-            # there is no surviving prefix, so the acknowledgement below
-            # is all-or-nothing at the durability layer too.
-            metas = self._worm.put_many(items)
-            # ONE aggregated custody signature for the batch: each
-            # origin event carries the shared batch-root signature plus
-            # its own inclusion proof, so per-record tamper detection is
-            # exactly what N record_origin calls would give.
-            origin_groups: dict[str, list[tuple[str, bytes]]] = {}
-            for (record, chain, version, handle), meta in zip(staged, metas):
-                origin_groups.setdefault(version.reason, []).append(
-                    (meta.object_id, meta.content_digest)
-                )
-            for reason, entries in origin_groups.items():
-                self._custody.record_origins(
-                    entries, self._signer, self._clock.now(), reason=reason
-                )
-            for (record, chain, version, handle), meta in zip(staged, metas):
-                object_id = meta.object_id
-                self._disposition.register_key_handle(object_id, handle)
-                self._provenance.add_object(object_id)
-                self._provenance.record_custody(
-                    object_id, self._config.site_id, start=self._clock.now()
-                )
+            for record, chain in zip(records, chains):
                 self._maybe_anchor()
                 self._chains[record.record_id] = chain
                 self._dirty_records.add(record.record_id)
                 self._last_access[record.record_id] = self._clock.now()
-                documents.append((record.record_id, record.searchable_text()))
                 self._audit.append(
                     AuditAction.RECORD_CREATED, author_id, record.record_id,
                     {"type": record.record_type.value, "patient": record.patient_id},
                 )
-            self._index.add_documents(documents)
+            self._index.add_documents(
+                [(record.record_id, record.searchable_text()) for record in records]
+            )
         finally:
             self._audit.commit()
         METRICS.incr("store_many_batches")
@@ -1004,7 +973,8 @@ class CuratorStore(StorageModel):
             # so every version lives in one tier
             self._recall(corrected.record_id)
         version = chain.append_correction(corrected, author_id, reason, self._clock.now())
-        self._put_version(version, self._keys[corrected.record_id])
+        self._write_versions([(version, self._keys[corrected.record_id])])
+        self._maybe_anchor()
         self._dirty_records.add(corrected.record_id)
         self._last_access[corrected.record_id] = self._clock.now()
         # The cached entry is now a superseded version — purge it.

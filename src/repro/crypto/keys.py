@@ -113,37 +113,15 @@ class KeyStore:
         in-memory entry exists: a crash mid-escrow loses an unused key,
         never a used-but-unrecoverable one.
         """
-        self._counter += 1
-        key_id = f"key-{self._counter:08d}"
-        data_key = secrets.token_bytes(KEY_SIZE)
-        created_at = self._clock.now()
-        wrapped = self._wrapper.encrypt(data_key, associated_data=key_id.encode())
-        if self._escrow is not None:
-            payload = canonical_bytes(
-                {
-                    "kind": "key",
-                    "key_id": key_id,
-                    "label": label,
-                    "created_at": created_at,
-                    "wrapped": wrapped.to_bytes(),
-                }
-            )
-            entry = self._escrow.append(payload)
-            self._escrow_extents[key_id] = (entry.offset + HEADER_SIZE, len(payload))
-        self._entries[key_id] = _KeyEntry(
-            wrapped=wrapped, created_at=created_at, label=label
-        )
-        return KeyHandle(key_id=key_id)
+        return self.create_keys([label])[0]
 
     def create_keys(self, labels: list[str]) -> list[KeyHandle]:
-        """Mint many fresh data keys at once (the ``store_many`` path).
+        """Mint fresh data keys, one per label — the only minting path.
 
-        Semantically N :meth:`create_key` calls — same ids, same escrow
-        frame bytes per key — but all the wraps run through one
-        vectorized AEAD pass and all the escrow frames land in one
-        batched journal flush.  Crash safety is unchanged: the whole
-        batch of wrapped keys is journaled *before* any in-memory entry
-        exists, so a crash mid-escrow loses unused keys, never a
+        All the wraps run through one vectorized AEAD pass and the
+        escrow frames (one per key) land in one journal flush.  The
+        whole batch of wrapped keys is journaled *before* any in-memory
+        entry exists, so a crash mid-escrow loses unused keys, never a
         used-but-unrecoverable one.
         """
         if not labels:
@@ -175,11 +153,10 @@ class KeyStore:
                 )
                 for key_id, label, wrapped in zip(key_ids, labels, wrapped_boxes)
             ]
-            entries = self._escrow.append_many(payloads)
-            for key_id, entry, payload in zip(key_ids, entries, payloads):
+            for key_id, entry in zip(key_ids, self._escrow.append_many(payloads)):
                 self._escrow_extents[key_id] = (
                     entry.offset + HEADER_SIZE,
-                    len(payload),
+                    entry.length,
                 )
         for key_id, label, wrapped in zip(key_ids, labels, wrapped_boxes):
             self._entries[key_id] = _KeyEntry(
@@ -347,15 +324,10 @@ class KeyStore:
         either way.
         """
         store = cls(master_key, clock=clock)
-        store._escrow = Journal.__new__(Journal)
-        store._escrow._device = device
-        store._escrow._entries = []
-        store._escrow._flush_count = 0
-        end = 0
+        extents: list[tuple[int, int]] = []
         highest = 0
         for offset, payload, checksum_ok in Journal.walk_frames(device):
-            end = offset + HEADER_SIZE + len(payload)
-            store._escrow._entries.append((offset, len(payload)))
+            extents.append((offset, len(payload)))
             if not checksum_ok:
                 continue
             try:
@@ -391,7 +363,7 @@ class KeyStore:
         store._counter = highest
         # Future appends continue after the last intact frame; the torn
         # tail (if any) is dead space the allocator reclaims.
-        device.truncate_to(end)
+        store._escrow = Journal.adopt(device, extents)
         return store
 
     def shredded_handles(self) -> list[KeyHandle]:

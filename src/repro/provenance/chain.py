@@ -178,25 +178,11 @@ class CustodyRegistry:
         timestamp: float,
         reason: str = "created",
     ) -> CustodyEvent:
-        if object_id in self._chains:
-            raise ProvenanceError(f"object {object_id} already has a custody chain")
-        payload = CustodyEvent.payload(
-            object_id, "origin", "", custodian.signer_id, object_digest, timestamp, reason
-        )
-        event = CustodyEvent(
-            object_id=object_id,
-            event_type="origin",
-            from_custodian="",
-            to_custodian=custodian.signer_id,
-            object_digest=object_digest,
-            timestamp=timestamp,
-            reason=reason,
-            signed=custodian.sign(payload),
-        )
-        chain = CustodyChain(object_id)
-        chain.append(event)
-        self._chains[object_id] = chain
-        return event
+        """Open one object's custody chain — a batch of one: the origin
+        is an aggregate-signed payload with ``leaf_count == 1``."""
+        return self.record_origins(
+            [(object_id, object_digest)], custodian, timestamp, reason
+        )[0]
 
     def expatriate(self, object_id: str) -> None:
         """Drop the chain of an object whose custody left this store.
@@ -216,24 +202,24 @@ class CustodyRegistry:
         timestamp: float,
         reason: str = "created",
     ) -> list[CustodyEvent]:
-        """Record origin events for many ``(object_id, digest)`` pairs
-        with ONE aggregated signature over the batch's Merkle root.
+        """Record origin events for ``(object_id, digest)`` pairs — one
+        or many — with ONE signature over the batch's Merkle root.
 
         Each event's :class:`~repro.crypto.signatures.AggregateSignedPayload`
         carries its own inclusion proof, so :meth:`CustodyChain.verify`
-        still detects tampering with any single record — the custody
-        trust model is unchanged, only the private-key cost is amortized
-        (the hot path of the engine's ``store_many``).
+        detects tampering with any single record however large the
+        batch; only the private-key cost is shared.  All-or-nothing:
+        an id that already has a chain, or appears twice, rejects the
+        batch before anything is signed.
         """
         if not entries:
             return []
+        seen: set[str] = set()
         for object_id, _ in entries:
             if object_id in self._chains:
                 raise ProvenanceError(
                     f"object {object_id} already has a custody chain"
                 )
-        seen: set[str] = set()
-        for object_id, _ in entries:
             if object_id in seen:
                 raise ProvenanceError(
                     f"object {object_id} appears twice in one origin batch"

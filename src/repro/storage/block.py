@@ -192,7 +192,7 @@ class BlockDevice:
         self._check_attached()
         if self._write_protected:
             raise DeviceError(f"device {self.device_id} is write-protected")
-        total = sum(len(buffer) for buffer in buffers)
+        total = sum(map(len, buffers))
         self._check_bounds(offset, total)
         if self._write_hook is not None:
             stored = self._commit(offset, b"".join(buffers))

@@ -10,6 +10,13 @@ Entry framing::
 
     magic(4) | length(4, big-endian) | crc: sha256[:8] | payload
 
+There is one append (:meth:`Journal._commit`): a list of frames, each a
+list of payload chunks, packed and checksummed in one place and sent to
+the device in one ``writev``.  ``append``, ``append_many`` and
+``append_scattered`` are its three shapes — one frame of one chunk, N
+frames of one chunk, one frame of N chunks — and there is one parser
+(:meth:`Journal.walk_frames`).
+
 Recovery: :meth:`Journal.recover` rescans the device from offset 0 and
 stops at the first entry whose magic/length/checksum is invalid — a
 crash-truncated tail is dropped cleanly, entries before it survive.
@@ -17,11 +24,12 @@ crash-truncated tail is dropped cleanly, entries before it survive.
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.crypto.hashing import hash_chunks, sha256
-from repro.errors import IntegrityError, StorageError
+from repro.crypto.hashing import sha256
+from repro.errors import DeviceError, IntegrityError, StorageError
 from repro.storage.block import BlockDevice
 from repro.util.metrics import METRICS
 
@@ -33,23 +41,10 @@ HEADER_SIZE = _HEADER.size
 that need to compute device offsets of payload content)."""
 
 
-@dataclass(frozen=True)
-class JournalEntry:
-    """One committed journal entry."""
-
-    sequence: int
-    offset: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class ScatteredEntry:
-    """Metadata for an entry committed from scattered chunks.
-
-    Unlike :class:`JournalEntry` it does not carry the payload bytes —
-    materializing them would reintroduce exactly the copy
-    :meth:`Journal.append_scattered` exists to avoid.
-    """
+class JournalEntry(NamedTuple):
+    """Where one committed frame landed.  It does not carry the payload
+    bytes: the caller already holds them, and a copy here would undo the
+    scattered write."""
 
     sequence: int
     offset: int
@@ -79,87 +74,59 @@ class Journal:
 
     def append(self, payload: bytes) -> JournalEntry:
         """Append one entry; returns its metadata."""
-        if not isinstance(payload, (bytes, bytearray)):
-            raise StorageError("journal payload must be bytes")
-        payload = bytes(payload)
-        header = _HEADER.pack(_MAGIC, len(payload), sha256(payload)[:8])
-        offset = self._device.allocate(_HEADER.size + len(payload))
-        self._device.write(offset, header + payload)
-        self._entries.append((offset, len(payload)))
-        self._flush_count += 1
-        METRICS.incr("journal_flush_count")
-        METRICS.incr("journal_entries_appended")
-        return JournalEntry(
-            sequence=len(self._entries) - 1, offset=offset, payload=payload
-        )
+        return self._commit([[payload]])[0]
 
     def append_many(self, payloads: list[bytes]) -> list[JournalEntry]:
-        """Append several entries under ONE device write.
+        """Append several entries, one frame each, under ONE device
+        write.  The device bytes are those of the same sequence of
+        :meth:`append` calls; only the number of writes differs."""
+        return self._commit([[payload] for payload in payloads])
 
-        Framing is byte-identical to the same sequence of single
-        :meth:`append` calls — recovery, verification, and the
-        adversary's frame walk cannot tell the difference; only the
-        number of device writes (and their cost) changes.
-        """
-        if not payloads:
-            return []
+    def append_scattered(self, chunks: list[bytes]) -> JournalEntry:
+        """Append ONE entry whose payload is the concatenation of
+        *chunks*, without ever joining them.  The device bytes are those
+        of ``append(b"".join(chunks))``."""
+        return self._commit([chunks])[0]
+
+    def _commit(self, frames: list[list[bytes]]) -> list[JournalEntry]:
+        """The one append: each frame is a list of chunks that make up
+        its payload.  Every frame gets its own header and checksum
+        (hashed chunk by chunk), and the whole run goes to the device by
+        reference in ONE ``writev`` — so a torn write can only lose a
+        suffix of the run, and recovery drops each torn frame whole."""
         buffers: list[bytes] = []
-        staged: list[tuple[int, bytes]] = []  # (relative offset, payload)
-        total = 0
-        for payload in payloads:
-            if not isinstance(payload, (bytes, bytearray)):
-                raise StorageError("journal payload must be bytes")
-            payload = bytes(payload)
-            staged.append((total, payload))
-            buffers.append(_HEADER.pack(_MAGIC, len(payload), sha256(payload)[:8]))
-            buffers.append(payload)
-            total += _HEADER.size + len(payload)
-        base = self._device.allocate(total)
-        # One writev-style flush: each preassembled frame buffer goes to
-        # the device by reference — the frame run is never joined into a
-        # single intermediate bytes object.
-        self._device.writev(base, buffers)
+        lengths = []
+        for chunks in frames:
+            checksum = hashlib.sha256()
+            length = 0
+            for chunk in chunks:
+                if not isinstance(chunk, (bytes, bytearray)):
+                    raise StorageError("journal payload must be bytes")
+                checksum.update(chunk)
+                length += len(chunk)
+            buffers.append(_HEADER.pack(_MAGIC, length, checksum.digest()[:8]))
+            buffers.extend(chunks)
+            lengths.append(length)
+        if not lengths:
+            return []
+        offset = self._device.allocate(sum(lengths) + _HEADER.size * len(lengths))
+        try:
+            self._device.writev(offset, buffers)
+        except DeviceError:
+            # Refused (write-protected, detached) or torn: no frame was
+            # committed, so give the space back — a dead gap here would
+            # hide every later frame from recovery's prefix walk.
+            self._device.truncate_to(offset)
+            raise
         self._flush_count += 1
         METRICS.incr("journal_flush_count")
-        METRICS.incr("journal_entries_appended", len(staged))
+        METRICS.incr("journal_entries_appended", len(lengths))
         entries = []
-        for relative, payload in staged:
-            self._entries.append((base + relative, len(payload)))
-            entries.append(
-                JournalEntry(
-                    sequence=len(self._entries) - 1,
-                    offset=base + relative,
-                    payload=payload,
-                )
-            )
+        for length in lengths:
+            self._entries.append((offset, length))
+            entries.append(JournalEntry(len(self._entries) - 1, offset, length))
+            offset += _HEADER.size + length
         return entries
-
-    def append_scattered(self, chunks: list[bytes]) -> ScatteredEntry:
-        """Append ONE frame whose payload is the concatenation of
-        *chunks*, committed without ever joining them.
-
-        Framing is byte-identical to ``append(b"".join(chunks))`` — one
-        header, one checksum over the whole payload (computed
-        incrementally), one atomic flush — so recovery and the
-        adversary's frame walk see the same bytes; only the Python-side
-        copies disappear.  This is how the WORM store commits a
-        ``put_many`` batch: header chunk plus each object's sealed bytes,
-        straight to the device.
-        """
-        for chunk in chunks:
-            if not isinstance(chunk, (bytes, bytearray)):
-                raise StorageError("journal payload must be bytes")
-        total = sum(len(chunk) for chunk in chunks)
-        header = _HEADER.pack(_MAGIC, total, hash_chunks(chunks)[:8])
-        offset = self._device.allocate(_HEADER.size + total)
-        self._device.writev(offset, [header, *chunks])
-        self._entries.append((offset, total))
-        self._flush_count += 1
-        METRICS.incr("journal_flush_count")
-        METRICS.incr("journal_entries_appended")
-        return ScatteredEntry(
-            sequence=len(self._entries) - 1, offset=offset, length=total
-        )
 
     def read(self, sequence: int) -> bytes:
         """Read one entry's payload, verifying its checksum."""
@@ -238,37 +205,21 @@ class Journal:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def iter_device_frames(device: BlockDevice):
-        """Yield ``(offset, payload)`` for each frame on the raw device,
-        stopping at the first invalid frame (adversary's scan)."""
-        offset = 0
-        end = device.used
-        while offset + _HEADER.size <= end:
-            header = device.raw_read(offset, _HEADER.size)
-            magic, length, checksum = _HEADER.unpack(header)
-            if magic != _MAGIC or offset + _HEADER.size + length > end:
-                return
-            payload = device.raw_read(offset + _HEADER.size, length)
-            yield offset, payload
-            offset += _HEADER.size + length
+    def walk_frames(device: BlockDevice):
+        """The one frame parser: yield ``(offset, payload, checksum_ok)``
+        for every frame on the raw device whose header (magic +
+        in-bounds length) is intact, *continuing past* frames whose
+        payload fails its checksum, and stopping at the first
+        unparseable header — a crash-torn tail or the unwritten region.
 
-    @staticmethod
-    def walk_frames(device: BlockDevice, end: int | None = None):
-        """Lenient raw-device frame walk: yield ``(offset, payload,
-        checksum_ok)`` for every frame whose header (magic + in-bounds
-        length) is intact, *continuing past* frames whose payload fails
-        its checksum.
-
-        This is the recovery primitive for journals that legitimately
-        contain destroyed frames mid-log (e.g. the key-escrow journal
-        after a shred physically overwrites a wrapped key): a strict
-        prefix scan (:meth:`recover`) would declare everything after the
-        first hole dead, while this walk skips the hole and keeps going.
-        The walk stops at the first unparseable header — a crash-torn
-        tail or the unwritten region.
+        Every reader of the on-disk format is a policy over this walk:
+        :meth:`recover` stops at the first false flag (strict prefix);
+        the WORM and key-escrow recoveries skip or salvage flagged
+        frames, because a shred legitimately leaves destroyed frames
+        mid-log; the adversary's scan ignores the flag altogether.
         """
         offset = 0
-        limit = device.used if end is None else end
+        limit = device.used
         while offset + _HEADER.size <= limit:
             header = device.raw_read(offset, _HEADER.size)
             magic, length, checksum = _HEADER.unpack(header)
@@ -294,28 +245,33 @@ class Journal:
         device.raw_write(offset, new_header + payload)
 
     @classmethod
+    def adopt(
+        cls, device: BlockDevice, extents: list[tuple[int, int]]
+    ) -> "Journal":
+        """A journal over *device* whose entry table is *extents* —
+        ``(frame offset, payload length)`` per surviving frame, in log
+        order, as a recovery walk selected them.  The device's allocator
+        is reset to the end of the last one, so appends continue there
+        and whatever lay beyond (a torn tail) is dead space."""
+        journal = cls(device)
+        journal._entries = list(extents)
+        end = 0
+        if extents:
+            offset, length = extents[-1]
+            end = offset + _HEADER.size + length
+        device.truncate_to(end)
+        return journal
+
+    @classmethod
     def recover(cls, device: BlockDevice) -> "Journal":
         """Rebuild the entry table by scanning the device from offset 0.
 
-        Stops at the first frame that fails validation (crash tail).
-        The device's allocator is reset to the end of the last valid
-        entry so subsequent appends continue from there.
+        Stops at the first frame that fails validation (crash tail);
+        subsequent appends continue from the end of the last valid one.
         """
-        journal = cls.__new__(cls)
-        journal._device = device
-        journal._entries = []
-        journal._flush_count = 0
-        offset = 0
-        end = device.used
-        while offset + _HEADER.size <= end:
-            header = device.read(offset, _HEADER.size)
-            magic, length, checksum = _HEADER.unpack(header)
-            if magic != _MAGIC or offset + _HEADER.size + length > end:
+        extents = []
+        for offset, payload, checksum_ok in cls.walk_frames(device):
+            if not checksum_ok:
                 break
-            payload = device.read(offset + _HEADER.size, length)
-            if sha256(payload)[:8] != checksum:
-                break
-            journal._entries.append((offset, length))
-            offset += _HEADER.size + length
-        device.truncate_to(offset)
-        return journal
+            extents.append((offset, len(payload)))
+        return cls.adopt(device, extents)

@@ -92,7 +92,7 @@ def tamper_record(
     )
     mutated = False
     for device in model.devices():
-        for offset, payload in Journal.iter_device_frames(device):
+        for offset, payload, _ok in Journal.walk_frames(device):
             plain = payload
             if store_key is not None and len(payload) > 12:
                 nonce = payload[:12]
@@ -112,7 +112,7 @@ def tamper_record(
     if not mutated:
         # Blind corruption: flip a byte in every frame, fixing checksums.
         for device in model.devices():
-            for offset, payload in Journal.iter_device_frames(device):
+            for offset, payload, _ok in Journal.walk_frames(device):
                 if not payload:
                     continue
                 middle = len(payload) // 2
@@ -158,7 +158,7 @@ def erase_audit_trail(model: StorageModel, actor_to_hide: str) -> AttackResult:
     blanked = b"_" * len(actor_bytes)
     rewrote = 0
     for device in audit_devices:
-        for offset, payload in Journal.iter_device_frames(device):
+        for offset, payload, _ok in Journal.walk_frames(device):
             if actor_bytes in payload:
                 Journal.forge_frame(
                     device, offset, payload.replace(actor_bytes, blanked)
@@ -213,7 +213,7 @@ def steal_media_and_scan(
         views = [dump]
         if store_key is not None:
             key = derive_key(store_key, "row-encryption")
-            for _, payload in Journal.iter_device_frames(device):
+            for _, payload, _ok in Journal.walk_frames(device):
                 if len(payload) > 12:
                     views.append(chacha20_xor(key, payload[:12], payload[12:]))
         for view in views:

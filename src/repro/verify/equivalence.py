@@ -246,8 +246,8 @@ def _checkpoint_key(sub: _Substrate) -> bytes:
 
 def _tamper_audit_frame(sub: _Substrate, index: int, mutate) -> bool:
     device = sub.target.audit_log.device
-    for position, (offset, payload) in enumerate(
-        Journal.iter_device_frames(device)
+    for position, (offset, payload, _ok) in enumerate(
+        Journal.walk_frames(device)
     ):
         if position != index:
             continue
@@ -297,7 +297,7 @@ def _truncate_tail(sub: _Substrate) -> bool:
     _append_delta(sub)
     device = sub.target.audit_log.device
     last_offset = None
-    for offset, _payload in Journal.iter_device_frames(device):
+    for offset, _payload, _ok in Journal.walk_frames(device):
         last_offset = offset
     if last_offset is None:
         return False
@@ -352,35 +352,18 @@ def _forge_watermark(sub: _Substrate) -> bool:
     return ok
 
 
-def _rot_worm_object(sub: _Substrate, object_id: str) -> bool:
-    device = sub.target.worm.device
-    marker = object_id.encode("utf-8")
-    for offset, payload in Journal.iter_device_frames(device):
-        if marker not in payload:
-            continue
-        forged = payload[:-1] + bytes([payload[-1] ^ 0x5A])
-        Journal.forge_frame(device, offset, forged)
-        return True
-    return False
+def _rot_dirty_object(sub: _Substrate) -> str | None:
+    """Rot a record ``store()`` wrote after the last full sweep."""
+    victim = "rec-dirty"
+    sub.surface.store(_seed_note(victim, sub.dirty_patient, sub.clock, 0), "dr-eq")
+    return victim if _rot_extent(sub.target, f"{victim}@v0") else None
 
 
-def _rot_dirty_object(sub: _Substrate) -> bool:
-    sub.surface.store(
-        ClinicalNote.create(
-            record_id="rec-dirty",
-            patient_id=sub.dirty_patient,
-            created_at=sub.clock.now(),
-            author="dr-eq",
-            specialty="cardiology",
-            text="written after the last full sweep",
-        ),
-        "dr-eq",
-    )
-    return _rot_worm_object(sub, "rec-dirty@v0")
-
-
-def _rot_clean_object(sub: _Substrate) -> bool:
-    return _rot_worm_object(sub, f"{sub.records[0]}@v0")
+def _rot_clean_object(sub: _Substrate) -> str | None:
+    """Rot a seeded record (written by ``store()``) the system has
+    already swept and believes clean."""
+    victim = sub.records[0]
+    return victim if _rot_extent(sub.target, f"{victim}@v0") else None
 
 
 # -- cold-tier tampers -------------------------------------------------------
@@ -548,37 +531,6 @@ _BATCH_SIZE = 5
 _BATCH_VICTIM = 2
 
 
-def _rot_batch_extent(sub: _Substrate, object_id: str) -> bool:
-    """Flip one byte inside *object_id*'s extent of a batched WORM frame.
-
-    ``put_many`` writes the whole batch as one scattered frame: a
-    manifest header, a NUL separator, then every member's bytes
-    back-to-back.  A raw-media adversary who knows the layout can target
-    one member's bytes exactly; the manifest locates the extent.
-    """
-    device = sub.target.worm.device
-    for offset, payload in Journal.iter_device_frames(device):
-        separator = payload.find(b"\x00")
-        if separator < 0:
-            continue
-        try:
-            header = canonical_loads(payload[:separator])
-        except Exception:
-            continue
-        if not isinstance(header, dict) or "batch" not in header:
-            continue
-        start = separator + 1
-        for entry in header["batch"]:
-            if entry["object_id"] == object_id:
-                target = start + entry["size"] // 2
-                forged = bytearray(payload)
-                forged[target] ^= 0x5A
-                Journal.forge_frame(device, offset, bytes(forged))
-                return True
-            start += entry["size"]
-    return False
-
-
 def _tamper_batch_member(sub: _Substrate) -> str | None:
     """Rot exactly one member of a ``store_many`` batch.
 
@@ -602,32 +554,28 @@ def _tamper_batch_member(sub: _Substrate) -> str | None:
     ]
     sub.surface.store_many(notes, "dr-eq")
     victim = f"rec-batch-{_BATCH_VICTIM}"
-    return victim if _rot_batch_extent(sub, f"{victim}@v0") else None
+    return victim if _rot_extent(sub.target, f"{victim}@v0") else None
 
 
 def _rot_extent(engine, object_id: str) -> bool:
-    """Flip one byte inside *object_id*'s extent wherever it lives — a
-    single-object frame or one member of a batched flush.  Every frame
-    carrying the id is rotted (a migration round trip can leave several;
-    recovery is last-frame-wins, so only rotting all of them guarantees
-    the live extent is hit)."""
+    """Flip one byte inside *object_id*'s extent of its WORM frame.
+
+    Every WORM frame has one layout — a manifest header, a NUL, then
+    the members' bytes back to back — so a raw-media adversary who knows
+    it can target one member exactly; the manifest locates the extent.
+    Every frame carrying the id is rotted (a migration round trip can
+    leave several; recovery is last-frame-wins, so only rotting all of
+    them guarantees the live extent is hit)."""
     device = engine.worm.device
     landed = False
-    for offset, payload in Journal.iter_device_frames(device):
+    for offset, payload, _ok in Journal.walk_frames(device):
         separator = payload.find(b"\x00")
-        if separator < 0:
-            continue
         try:
-            header = canonical_loads(payload[:separator])
+            manifest = canonical_loads(payload[:separator])["batch"]
         except Exception:  # noqa: BLE001 — foreign frame
             continue
-        if not isinstance(header, dict):
-            continue
-        entries = header["batch"] if "batch" in header else [header]
         start = separator + 1
-        for entry in entries:
-            if not isinstance(entry, dict) or "object_id" not in entry:
-                break
+        for entry in manifest:
             if entry["object_id"] == object_id:
                 forged = bytearray(payload)
                 forged[start + entry["size"] // 2] ^= 0x5A
@@ -678,27 +626,8 @@ def _audit_case(name: str, tamper, build: Callable[[], _Substrate]) -> Equivalen
 def _integrity_case(
     name: str, tamper, build: Callable[[], _Substrate]
 ) -> EquivalenceCase:
-    sub = build()
-    tampered = tamper(sub)
-    detected, caught_by, attempts = _run_policy(
-        lambda: not sub.surface.verify_integrity(incremental=True).ok,
-        lambda: not sub.surface.verify_integrity().ok,
-    )
-    full_detects = not sub.surface.verify_integrity().ok
-    return EquivalenceCase(
-        name=name,
-        tampered=tampered,
-        incremental_detects=detected,
-        full_detects=full_detects or detected,
-        caught_by=caught_by if tampered else "n/a",
-        attempts=attempts,
-    )
-
-
-def _batch_integrity_case(
-    name: str, tamper, build: Callable[[], _Substrate]
-) -> EquivalenceCase:
-    """Like :func:`_integrity_case`, but also demands exact blame.
+    """A WORM or cold-tier tamper (returns the victim record id, or
+    ``None`` if it did not land), judged on detection *and* exact blame.
 
     ``flagged`` records what the terminal full pass implicated (cluster
     shard labels stripped); the case is a violation unless that is
@@ -773,7 +702,9 @@ def _control_case(build: Callable[[], _Substrate], name: str) -> EquivalenceCase
     )
 
 
-_TAMPER_CASES: tuple[tuple[str, str, Callable[[_Substrate], bool]], ...] = (
+# (runner kind, case name, tamper).  Audit and index tampers return
+# whether they landed; integrity tampers return the victim's record id.
+_TAMPER_CASES: tuple[tuple[str, str, Callable[[_Substrate], object]], ...] = (
     ("audit", "audit_prefix_rewrite", _tamper_prefix),
     ("audit", "audit_suffix_rewrite", _tamper_suffix),
     ("audit", "audit_chain_field_edit", _tamper_chain_field),
@@ -782,10 +713,10 @@ _TAMPER_CASES: tuple[tuple[str, str, Callable[[_Substrate], bool]], ...] = (
     ("audit", "watermark_forgery", _forge_watermark),
     ("integrity", "worm_dirty_object_rot", _rot_dirty_object),
     ("integrity", "worm_clean_object_rot", _rot_clean_object),
-    ("batch", "worm_batch_member_rot", _tamper_batch_member),
-    ("batch", "cold_segment_body_rot", _cold_body_rot),
-    ("batch", "cold_manifest_rot", _cold_manifest_rot),
-    ("batch", "cold_recall_truncation", _cold_recall_truncation),
+    ("integrity", "worm_batch_member_rot", _tamper_batch_member),
+    ("integrity", "cold_segment_body_rot", _cold_body_rot),
+    ("integrity", "cold_manifest_rot", _cold_manifest_rot),
+    ("integrity", "cold_recall_truncation", _cold_recall_truncation),
     ("index", "index_chunk_rot", _index_chunk_rot),
     ("index", "index_tail_rollback", _index_tail_rollback),
 )
@@ -793,7 +724,6 @@ _TAMPER_CASES: tuple[tuple[str, str, Callable[[_Substrate], bool]], ...] = (
 _CASE_RUNNERS = {
     "audit": _audit_case,
     "integrity": _integrity_case,
-    "batch": _batch_integrity_case,
     "index": _index_case,
 }
 

@@ -15,7 +15,13 @@ Objects are opaque byte strings keyed by caller-chosen ids.  Semantics:
   which device range held the object so the shredder can overwrite it.
 
 The store persists through a :class:`~repro.storage.journal.Journal`,
-so everything an insider could tamper with is on the device.
+so everything an insider could tamper with is on the device.  There is
+one write (``put_many``; ``put`` is a batch of one) and so one frame
+format::
+
+    {"batch":[{object_id, size, digest, written_at}, …]} | NUL | bytes…
+
+— the members' bytes back to back, located by the manifest's sizes.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ class StoredObject:
     written_at: float
     journal_sequence: int
     payload_offset: int  # device offset of the object bytes (for shredding)
-    data_start: int = 0  # offset of the object bytes within the frame payload
+    data_start: int  # offset of the object bytes within the frame payload
     deleted: bool = False
 
 
@@ -98,54 +104,27 @@ class WormStore:
         attached — the object is immediately past retention (but still
         write-once: WORM immutability and retention are independent).
         """
-        if object_id in self._objects:
-            if object_id in self._expatriated:
-                self._readmit(object_id)
-            else:
-                raise WormViolationError(
-                    f"object {object_id} already written (WORM is write-once)"
-                )
-        written_at = self._clock.now()
-        header = canonical_bytes(
-            {
-                "object_id": object_id,
-                "size": len(data),
-                "digest": sha256(data),
-                "written_at": written_at,
-            }
-        )
-        entry = self._journal.append(header + b"\x00" + data)
-        meta = StoredObject(
-            object_id=object_id,
-            size=len(data),
-            content_digest=sha256(data),
-            written_at=written_at,
-            journal_sequence=entry.sequence,
-            payload_offset=entry.offset + HEADER_SIZE + len(header) + 1,
-            data_start=len(header) + 1,
-        )
-        self._objects[object_id] = meta
-        self._dirty.add(object_id)
-        term = retention or RetentionTerm(start=written_at, duration_seconds=0.0)
-        self.retention.set_term(object_id, term)
-        return meta
+        return self.put_many([(object_id, data, retention)])[0]
 
     def put_many(
         self,
         items: list[tuple[str, bytes, RetentionTerm | None]],
     ) -> list[StoredObject]:
-        """Write a batch of objects as ONE journal frame.
+        """Write a batch of objects — one or many — as ONE journal frame.
 
-        The batch is all-or-nothing at the durability layer: a single
-        frame carries a single checksum, so a crash that tears the write
-        drops the *entire* batch at recovery — there is no prefix of a
-        batch that survives.  This is what gives the engine's
-        ``store_many`` its atomic acknowledgement semantics.
+        This is the only write: the frame is a manifest header naming
+        every member, a NUL, then the members' bytes back to back.  The
+        batch is all-or-nothing at the durability layer: a single frame
+        carries a single checksum, so a crash that tears the write drops
+        the *entire* batch at recovery — there is no prefix of a batch
+        that survives.  This is what gives the engine's ``store_many``
+        its atomic acknowledgement semantics.  Validation is
+        all-or-nothing too, and nothing in the object table changes
+        until the frame is on the device.
         """
         if not items:
             return []
         seen: set[str] = set()
-        readmit: list[str] = []
         for object_id, _, _ in items:
             if object_id in seen or (
                 object_id in self._objects
@@ -154,11 +133,7 @@ class WormStore:
                 raise WormViolationError(
                     f"object {object_id} already written (WORM is write-once)"
                 )
-            if object_id in self._objects:
-                readmit.append(object_id)
             seen.add(object_id)
-        for object_id in readmit:
-            self._readmit(object_id)
         written_at = self._clock.now()
         digests = [sha256(data) for _, data, _ in items]
         manifest = [
@@ -170,14 +145,14 @@ class WormStore:
             }
             for (object_id, data, _), digest in zip(items, digests)
         ]
-        header = canonical_bytes({"batch": manifest})
+        header = canonical_bytes({"batch": manifest}) + b"\x00"
         # One scattered frame: the header chunk plus each object's bytes
         # go to the device by reference — the batch blob is never
         # materialized, and the single frame checksum still makes the
         # whole batch all-or-nothing at recovery.
-        chunks: list[bytes] = [header, b"\x00"]
+        chunks: list[bytes] = [header]
         starts = []
-        data_start = len(header) + 1
+        data_start = len(header)
         for _, data, _ in items:
             starts.append(data_start)
             chunks.append(data)
@@ -187,6 +162,11 @@ class WormStore:
         for (object_id, data, retention), data_start, digest in zip(
             items, starts, digests
         ):
+            if object_id in self._expatriated:
+                # Only now that the frame is durable: a refused write
+                # must leave the tombstone (and the extent the shredder
+                # needs) exactly as it found them.
+                self._readmit(object_id)
             meta = StoredObject(
                 object_id=object_id,
                 size=len(data),
@@ -230,15 +210,9 @@ class WormStore:
 
     @staticmethod
     def _extract_data(payload: bytes, meta: StoredObject) -> bytes:
-        # Objects are sliced by extent: a frame may hold one object or a
-        # whole batch, and concatenated object bytes may contain NULs, so
-        # the first-NUL heuristic only locates the header boundary.
-        start = meta.data_start
-        if start == 0:
-            # Legacy metadata (no recorded extent): the canonical-JSON
-            # header contains no NUL byte, so the first NUL separates it.
-            start = payload.index(b"\x00") + 1
-        data = payload[start : start + meta.size]
+        # Objects are sliced by recorded extent: a frame holds a whole
+        # batch, and the members' bytes may themselves contain NULs.
+        data = payload[meta.data_start : meta.data_start + meta.size]
         if len(data) != meta.size:
             raise IntegrityError(
                 f"object {meta.object_id}: stored size {len(data)} != {meta.size}"
@@ -432,37 +406,23 @@ class WormStore:
         the recorded write time; the layer that granted longer terms
         re-extends them (see ``CuratorStore.recover_from_devices``).
         """
-        store = cls.__new__(cls)
-        store._clock = clock or WallClock()
-        store._objects = {}
-        store.retention = RetentionLock()
-        journal = Journal.__new__(Journal)
-        journal._device = device
-        journal._entries = []
-        journal._flush_count = 0
-        store._journal = journal
-        end = 0
+        store = cls(device, clock)
+        extents: list[tuple[int, int]] = []
         for frame_offset, payload, checksum_ok in Journal.walk_frames(device):
             separator = payload.find(b"\x00")
-            manifest = None
-            if separator != -1:
-                try:
-                    header = canonical_loads(payload[:separator])
-                    manifest = header["batch"] if "batch" in header else [header]
-                except Exception:  # noqa: BLE001 — damaged or foreign header
-                    manifest = None
-            if manifest is None:
-                continue  # torn/foreign frame: never registered
-            if not checksum_ok:
+            try:
+                manifest = canonical_loads(payload[:separator])["batch"]
                 ids = [item["object_id"] for item in manifest]
+            except Exception:  # noqa: BLE001 — torn, damaged or foreign frame
+                continue  # never registered
+            if not checksum_ok:
                 if salvage_check is None or not salvage_check(ids):
                     continue  # torn write: drop the frame whole
                 # A shred was interrupted before its reseal — finish it,
                 # so the frame's surviving neighbours stay readable.
                 Journal.forge_frame(device, frame_offset, payload)
-            sequence = len(journal._entries)
-            journal._entries.append((frame_offset, len(payload)))
-            end = frame_offset + HEADER_SIZE + len(payload)
+            sequence = len(extents)
+            extents.append((frame_offset, len(payload)))
             data_start = separator + 1
             for item in manifest:
                 meta = StoredObject(
@@ -485,12 +445,10 @@ class WormStore:
                     RetentionTerm(start=meta.written_at, duration_seconds=0.0),
                 )
                 data_start += meta.size
-        device.truncate_to(end)
+        store._journal = Journal.adopt(device, extents)
         # Post-crash the device is maximally untrusted: every recovered
         # object is dirty until a digest check clears it.
         store._dirty = set(store._objects)
-        store._clean_cursor = 0
-        store._expatriated = set()
         return store
 
     def attempt_overwrite(self, object_id: str, data: bytes) -> None:

@@ -71,8 +71,8 @@ def test_bitrotted_seal_falls_back_to_older_one():
     store = make_store()
     store.seal(make_watermark(size=5))
     store.seal(make_watermark(size=9))
-    frames = list(Journal.iter_device_frames(store.device))
-    offset, payload = frames[-1]
+    frames = list(Journal.walk_frames(store.device))
+    offset, payload, _ok = frames[-1]
     Journal.forge_frame(
         store.device, offset, payload[:-1] + bytes([payload[-1] ^ 0xFF])
     )

@@ -47,8 +47,8 @@ def append_delta(log, n=4):
 
 def forge(log, index, mutate):
     """In-place raw-device tamper of the index-th journal frame."""
-    for position, (offset, payload) in enumerate(
-        Journal.iter_device_frames(log.device)
+    for position, (offset, payload, _ok) in enumerate(
+        Journal.walk_frames(log.device)
     ):
         if position == index:
             Journal.forge_frame(log.device, offset, mutate(payload))
@@ -194,7 +194,7 @@ def test_truncated_tail_fails_the_incremental_head_comparison():
     log = grown_log(n=10)
     assert log.verify_chain().ok
     append_delta(log, 3)
-    frames = list(Journal.iter_device_frames(log.device))
+    frames = list(Journal.walk_frames(log.device))
     log.device.raw_write(frames[-1][0], b"\x00" * 8)
     result = log.verify_chain(incremental=True)
     assert not result.ok and result.mode == "incremental"

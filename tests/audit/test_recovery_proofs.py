@@ -54,8 +54,8 @@ def test_recover_rejects_midlog_tampering():
     clock, log = grown_log(10)
     from repro.storage.journal import Journal
 
-    frames = list(Journal.iter_device_frames(log.device))
-    offset, payload = frames[4]
+    frames = list(Journal.walk_frames(log.device))
+    offset, payload, _ok = frames[4]
     Journal.forge_frame(log.device, offset, payload[:-6] + b"FORGED")
     with pytest.raises(AuditError, match="recovery failed"):
         AuditLog.recover(log.device, clock=clock)

@@ -196,7 +196,7 @@ def test_objectstore_detects_tampering_by_address():
     device = model.devices()[0]
     from repro.storage.journal import Journal
 
-    for offset, payload in Journal.iter_device_frames(device):
+    for offset, payload, _ok in Journal.walk_frames(device):
         forged = payload.replace(b"carcinoma", b"xarcinoma")
         if forged != payload:
             Journal.forge_frame(device, offset, forged)

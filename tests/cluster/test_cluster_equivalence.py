@@ -19,6 +19,8 @@ def test_cluster_detection_equivalence_holds():
     shard_names = {case.name.split(":")[0] for case in report.cases}
     assert {"shard-00", "shard-01"} <= shard_names
     exact_blame_suffixes = (
+        "worm_dirty_object_rot",  # written alone by store()
+        "worm_clean_object_rot",  # likewise, and already swept clean
         "worm_batch_member_rot",
         "cold_segment_body_rot",
         "cold_manifest_rot",

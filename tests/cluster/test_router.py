@@ -152,7 +152,7 @@ def test_merged_verification_localizes_tamper(cluster, clock):
 
     device = engine.worm.device
     marker = f"{victim}@v0".encode()
-    for offset, payload in Journal.iter_device_frames(device):
+    for offset, payload, _ok in Journal.walk_frames(device):
         if marker in payload:
             Journal.forge_frame(
                 device, offset, payload[:-1] + bytes([payload[-1] ^ 0x5A])

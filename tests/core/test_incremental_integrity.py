@@ -50,7 +50,7 @@ def rot_object(store, object_id):
     """Raw-device bit-rot of the WORM object holding *object_id*."""
     device = store.worm.device
     marker = object_id.encode("utf-8")
-    for offset, payload in Journal.iter_device_frames(device):
+    for offset, payload, _ok in Journal.walk_frames(device):
         if marker in payload:
             Journal.forge_frame(
                 device, offset, payload[:-1] + bytes([payload[-1] ^ 0x5A])
@@ -173,8 +173,8 @@ def test_verification_reports_refuse_ambient_truthiness():
 def test_verify_audit_trail_reports_violations_on_tampering():
     store, _clock = seeded_store(n=2)
     device = store.audit_log.device
-    frames = list(Journal.iter_device_frames(device))
-    offset, payload = frames[1]
+    frames = list(Journal.walk_frames(device))
+    offset, payload, _ok = frames[1]
     assert b"dr-a" in payload
     Journal.forge_frame(device, offset, payload.replace(b"dr-a", b"dr-x", 1))
     result = store.verify_audit_trail()

@@ -1,10 +1,11 @@
 """The fast write path: batched ingest, read LRU, cache-vs-shred.
 
 The performance machinery must be *invisible* to every security
-property: batched ingest has to produce the same audit chain (to the
-byte) as the looped path, the read cache must never serve a disposed or
-superseded version, and no cache may outlive a shredded key.  These
-tests attack exactly those seams.
+property: there is one write path (``store(r)`` is ``store_many([r])``),
+so N batches of one and one batch of N must leave the same audit chain
+(to the byte); the read cache must never serve a disposed or superseded
+version, and no cache may outlive a shredded key.  These tests attack
+exactly those seams.
 """
 
 import pytest
@@ -70,8 +71,8 @@ def test_store_many_matches_looped_audit_chain_exactly():
     assert [e.to_dict() for e in looped.audit_log.events()] == [
         e.to_dict() for e in batched.audit_log.events()
     ]
-    # Even the *persisted* audit bytes are identical: append_many frames
-    # entries exactly as N single appends would.
+    # Even the *persisted* audit bytes are identical: 70 commits of one
+    # frame and one commit of 70 frames put the same bytes on the device.
     assert looped.audit_log.device.raw_dump() == batched.audit_log.device.raw_dump()
     assert any(
         e.action == AuditAction.ANCHOR_PUBLISHED for e in batched.audit_log.events()
@@ -158,6 +159,93 @@ def test_audit_batch_cannot_nest():
     with pytest.raises(AuditError, match="already open"):
         store.audit_log.begin_batch()
     assert store.audit_log.commit() == 0
+
+
+# ---------------------------------------------------------------------------
+# store(r) IS store_many([r]): one write path, four device writes
+# ---------------------------------------------------------------------------
+
+
+def _device_writes(store):
+    return {device.device_id: device.stats.writes for device in store.devices()}
+
+
+def test_store_and_store_many_of_one_are_the_same_write():
+    note = make_note()
+    single, _ = make_store()
+    batched, _ = make_store()
+    single.store(note, "dr-a")
+    assert batched.store_many([note], "dr-a") == 1
+
+    assert single.audit_log.head_digest == batched.audit_log.head_digest
+    assert single.audit_log.device.raw_dump() == batched.audit_log.device.raw_dump()
+    assert _device_writes(single) == _device_writes(batched)
+    # nonces are random, so index and WORM bytes differ — their shape may not
+    extents = [
+        {
+            trapdoor: [(e.journal_sequence, e.device_offset, e.size, e.chunk,
+                        e.version, e.fill) for e in chain]
+            for trapdoor, chain in store.index.index.chunk_extents().items()
+        }
+        for store in (single, batched)
+    ]
+    assert extents[0] == extents[1]
+    object_id = "rec-1@v0"
+    assert single.worm.physical_extent(object_id) == batched.worm.physical_extent(
+        object_id
+    )
+    for store in (single, batched):
+        origin = store.custody.chain_for(object_id).events()[0]
+        assert origin.signed.leaf_count == 1
+        assert store.read("rec-1", actor_id="dr-a") == note
+        assert store.verify_integrity().ok and store.verify_audit_trail().ok
+
+
+def test_every_store_is_exactly_four_device_writes():
+    """Escrow, WORM, index, audit — a count, not a timing.  Even a store
+    that falls on an anchor: nothing is pending when the anchor is cut
+    (every earlier event is already durable), and its ANCHOR_PUBLISHED
+    frame rides the same audit flush as the RECORD_CREATED behind it."""
+    store, _ = make_store()
+    expected = {
+        store.worm.device.device_id: 1,
+        store.index.index.device.device_id: 1,
+        store.audit_log.device.device_id: 1,
+        store._keystore.device.device_id: 1,  # noqa: SLF001
+    }
+    for record in _workload(200):
+        before = _device_writes(store)
+        store.store(record, "dr-batch")
+        after = _device_writes(store)
+        delta = {name: after[name] - before[name] for name in after}
+        assert {name: n for name, n in delta.items() if n} == expected, record.record_id
+    anchors = sum(
+        e.action == AuditAction.ANCHOR_PUBLISHED for e in store.audit_log.events()
+    )
+    assert anchors == 200 // 64
+    assert store.verify_audit_trail().ok
+
+
+def test_a_tampered_single_store_origin_is_the_only_custody_finding():
+    import dataclasses
+
+    from repro.compliance.operations import operational_findings
+
+    store, _ = make_store()
+    for n in range(3):
+        store.store(make_note(f"rec-{n}"), "dr-a")
+    assert store.custody.verify_all() == {}
+    chain = store.custody.chain_for("rec-1@v0")
+    origin = chain._events[0]  # noqa: SLF001
+    chain._events[0] = dataclasses.replace(  # noqa: SLF001
+        origin,
+        signed=dataclasses.replace(
+            origin.signed, payload={**origin.signed.payload, "reason": "edited"}
+        ),
+    )
+    assert list(store.custody.verify_all()) == ["rec-1@v0"]
+    findings = [f for f in operational_findings(store) if f.area == "provenance"]
+    assert len(findings) == 1 and "['rec-1@v0']" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.crypto.keys import KeyStore, ShreddedKeyError
-from repro.errors import KeyManagementError
+from repro.errors import DeviceError, KeyManagementError
+from repro.storage.block import MemoryDevice
+from repro.storage.journal import Journal
 from repro.util.clock import SimulatedClock
+from repro.util.metrics import METRICS
 
 MASTER = bytes(range(32))
 
@@ -107,3 +110,49 @@ def test_shredded_handles_listed():
 def test_bad_master_key_rejected():
     with pytest.raises(KeyManagementError):
         KeyStore(b"short")
+
+
+# -- one minting path: create_key is create_keys of one -------------------------
+
+
+def _escrowed_store():
+    device = MemoryDevice("escrow", 1 << 16)
+    return KeyStore(MASTER, clock=SimulatedClock(start=1000.0), device=device)
+
+
+def test_create_key_and_create_keys_of_one_leave_the_same_escrow_and_table():
+    """The wrapped key and nonce are random, so the device bytes differ;
+    everything that is not random must not: key id, frame size, extent,
+    table state, one device write, and the warm cipher memo."""
+    single, batched = _escrowed_store(), _escrowed_store()
+    handle = single.create_key(label="rec-1")
+    assert batched.create_keys(["rec-1"]) == [handle]
+    assert handle.key_id == "key-00000001"
+    for store in (single, batched):
+        assert store.device.stats.writes == 1
+        assert store.labelled_handles() == {"rec-1": handle}
+        assert not store.is_shredded(handle)
+    assert single.device.used == batched.device.used
+    assert single._escrow_extents == batched._escrow_extents
+    frames = [list(Journal.walk_frames(s.device)) for s in (single, batched)]
+    assert [len(f) for f in frames] == [1, 1]
+    assert len(frames[0][0][1]) == len(frames[1][0][1])
+    hits = METRICS.get("kdf_cache_hits")
+    for store in (single, batched):
+        cipher = store.cipher_for(handle)
+        assert cipher.decrypt(cipher.encrypt(b"phi")) == b"phi"
+    assert METRICS.get("kdf_cache_hits") == hits + 2  # never unwrapped
+    # both recover to the same table from their own devices
+    for store in (single, batched):
+        recovered = KeyStore.recover(MASTER, store.device)
+        assert recovered.labelled_handles() == {"rec-1": handle}
+        assert recovered.create_key().key_id == "key-00000002"
+
+
+def test_escrow_precedes_use_for_a_single_key():
+    """A key whose escrow write is refused never enters the table."""
+    store = _escrowed_store()
+    store.device.set_write_protected(True)
+    with pytest.raises(DeviceError):
+        store.create_key(label="rec-1")
+    assert len(store) == 0 and store.labelled_handles() == {}

@@ -192,7 +192,7 @@ def test_single_add_is_a_batch_of_one():
     assert looped.chunk_extents() == batched.chunk_extents()
     assert looped.superseded_versions() == batched.superseded_versions()
     frames = [
-        len(list(Journal.iter_device_frames(index.device)))
+        len(list(Journal.walk_frames(index.device)))
         for index in (looped, batched)
     ]
     assert frames[0] == frames[1]

@@ -77,8 +77,8 @@ def test_forensics_refuse_tampered_trail(hospital):
     from repro.storage.journal import Journal
 
     device = store.audit_log.device
-    frames = list(Journal.iter_device_frames(device))
-    offset, payload = frames[len(frames) // 2]
+    frames = list(Journal.walk_frames(device))
+    offset, payload, _ok = frames[len(frames) // 2]
     Journal.forge_frame(device, offset, payload[:-4] + b"XXXX")
     from repro.errors import AuditError
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.crypto.hashing import sha256
 from repro.crypto.rsa import generate_keypair
-from repro.crypto.signatures import Signer, TrustStore
+from repro.crypto.signatures import AggregateSignedPayload, Signer, TrustStore
 from repro.errors import ProvenanceError
 from repro.provenance.chain import CustodyRegistry
 
@@ -137,3 +137,76 @@ def test_empty_chain_has_no_custodian():
     with pytest.raises(ProvenanceError):
         CustodyChain("x").current_custodian()
     assert CustodyChain("x").custodians() == []
+
+
+# -- record_origin is record_origins of one -------------------------------------
+
+
+def _two_single_origins():
+    registry, site_a, _, _ = setup()
+    registry.record_origin("obj-1", site_a, DIGEST, 100.0)
+    registry.record_origin("obj-2", site_a, sha256(b"other bytes"), 100.0)
+    return registry
+
+
+def _reforge_origin(registry, object_id, **signed_fields):
+    chain = registry.chain_for(object_id)
+    origin = chain._events[0]
+    chain._events[0] = dataclasses.replace(
+        origin, signed=dataclasses.replace(origin.signed, **signed_fields)
+    )
+
+
+def test_single_origin_is_a_one_leaf_aggregate_that_verifies():
+    registry, site_a, _, _ = setup()
+    single = registry.record_origin("obj-1", site_a, DIGEST, 100.0)
+    (batched,) = registry.record_origins([("obj-2", DIGEST)], site_a, 100.0)
+    for event in (single, batched):
+        assert isinstance(event.signed, AggregateSignedPayload)
+        assert event.signed.leaf_count == 1
+        assert event.reason == "created"
+    assert registry.verify_all() == {}
+    with pytest.raises(ProvenanceError, match="already has a custody chain"):
+        registry.record_origin("obj-1", site_a, DIGEST, 100.0)
+
+
+def test_one_leaf_origin_with_edited_payload_fails():
+    registry = _two_single_origins()
+    signed = registry.chain_for("obj-1").events()[0].signed
+    _reforge_origin(
+        registry, "obj-1", payload={**signed.payload, "digest": sha256(b"forged")}
+    )
+    with pytest.raises(ProvenanceError, match="signature invalid"):
+        registry.chain_for("obj-1").verify(registry.trust)
+    assert list(registry.verify_all()) == ["obj-1"]
+
+
+def test_one_leaf_origin_with_edited_batch_root_fails():
+    registry = _two_single_origins()
+    _reforge_origin(registry, "obj-1", batch_root=sha256(b"another root"))
+    with pytest.raises(ProvenanceError, match="signature invalid"):
+        registry.chain_for("obj-1").verify(registry.trust)
+    assert list(registry.verify_all()) == ["obj-1"]
+
+
+def test_one_leaf_proof_swapped_in_from_another_record_fails():
+    """obj-2's origin is genuinely signed by the same custodian, with the
+    same leaf count and the same (empty) audit path — it still cannot
+    stand in for obj-1's."""
+    registry = _two_single_origins()
+    other = registry.chain_for("obj-2").events()[0].signed
+    # the whole signed payload transplanted: valid signature, wrong object
+    chain = registry.chain_for("obj-1")
+    chain._events[0] = dataclasses.replace(chain._events[0], signed=other)
+    with pytest.raises(ProvenanceError, match="payload mismatch"):
+        chain.verify(registry.trust)
+    # only the root + signature transplanted under obj-1's own payload
+    registry = _two_single_origins()
+    other = registry.chain_for("obj-2").events()[0].signed
+    _reforge_origin(
+        registry, "obj-1", batch_root=other.batch_root, signature=other.signature,
+        proof=other.proof,
+    )
+    with pytest.raises(ProvenanceError, match="signature invalid"):
+        registry.chain_for("obj-1").verify(registry.trust)
+    assert list(registry.verify_all()) == ["obj-1"]

@@ -168,7 +168,7 @@ def test_tampered_service_chain_fails_verification(service, actors):
     victim = user.user_id.encode()
     offset, payload = next(
         (offset, payload)
-        for offset, payload in Journal.iter_device_frames(device)
+        for offset, payload, _ok in Journal.walk_frames(device)
         if victim in payload
     )
     Journal.forge_frame(device, offset, payload.replace(victim, b"dr-999"))

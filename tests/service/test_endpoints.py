@@ -205,7 +205,7 @@ def test_verify_endpoint_reports_tamper(service, physician_bearer, officer_beare
     tampered = False
     for engine in service.cluster.shards:
         device = engine.worm.device
-        for offset, payload in Journal.iter_device_frames(device):
+        for offset, payload, _ok in Journal.walk_frames(device):
             if marker in payload:
                 Journal.forge_frame(
                     device, offset, payload[:-1] + bytes([payload[-1] ^ 0x5A])

@@ -35,7 +35,7 @@ def test_walk_frames_flags_a_corrupted_frame_but_walks_past_it(items, data):
     entry = entries[victim]
     # flip a payload byte in place (frames with empty payloads are
     # header-only: corrupt the checksum field instead)
-    if len(entry.payload):
+    if entry.length:
         start = entry.offset + HEADER_SIZE
         byte = journal.device.raw_read(start, 1)[0]
         journal.device.raw_write(start, bytes([byte ^ 0xFF]))
@@ -62,7 +62,7 @@ def test_tail_truncation_loses_only_frames_past_the_cut(items, data):
     device.raw_write(cut, bytes(total - cut))
     device.truncate_to(cut)
     survivors = sum(
-        1 for entry in entries if entry.offset + HEADER_SIZE + len(entry.payload) <= cut
+        1 for entry in entries if entry.offset + HEADER_SIZE + entry.length <= cut
     )
     recovered = Journal.recover(device)
     assert recovered.read_all() == items[:survivors]

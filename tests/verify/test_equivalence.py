@@ -97,9 +97,15 @@ def test_suite_runs_clean_end_to_end():
             assert case.caught_by in (
                 "incremental", "escalation", "migration-verify"
             )
-    batch = next(c for c in report.cases if c.name == "worm_batch_member_rot")
-    # the batched-ingest tamper implicated exactly the rotten member
-    assert batch.flagged == (batch.expected_flag,)
+    # every WORM rot implicated exactly the rotten record, whether
+    # store() wrote it alone (dirty, clean) or store_many beside others
+    for name, victim in (
+        ("worm_dirty_object_rot", "rec-dirty"),
+        ("worm_clean_object_rot", "rec-0"),
+        ("worm_batch_member_rot", "rec-batch-2"),
+    ):
+        case = next(c for c in report.cases if c.name == name)
+        assert case.expected_flag == victim and case.flagged == (victim,)
     # the cold-tier tampers likewise blamed exactly the forged member
     for name in ("cold_segment_body_rot", "cold_manifest_rot",
                  "cold_recall_truncation"):

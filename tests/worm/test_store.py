@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import (
+    DeviceError,
     IntegrityError,
     RecordNotFoundError,
     RetentionError,
@@ -147,3 +148,78 @@ def test_default_retention_is_zero_duration():
     store.put("obj-1", b"data")
     term = store.retention.term_for("obj-1")
     assert term.expires_at == clock.now()
+
+
+# -- one write path: put is put_many of one ------------------------------------
+
+
+def test_put_and_put_many_of_one_write_identical_device_bytes():
+    single, _ = make_store()
+    batched, _ = make_store()
+    term = RetentionTerm(start=1000.0, duration_seconds=60.0)
+    meta = single.put("obj-1", b"record \x00 bytes", retention=term)
+    assert batched.put_many([("obj-1", b"record \x00 bytes", term)]) == [meta]
+    assert single.device.raw_dump() == batched.device.raw_dump()
+    assert single.device.stats.writes == batched.device.stats.writes == 1
+    assert single.physical_extent("obj-1") == batched.physical_extent("obj-1")
+    assert single.retention.term_for("obj-1") == batched.retention.term_for("obj-1")
+
+
+def test_recovery_skips_a_frame_that_does_not_parse():
+    from repro.storage.journal import Journal
+
+    store, clock = make_store()
+    store.put("obj-1", b"first")
+    # frames no put_many wrote: no NUL, not JSON, and a header without
+    # a batch manifest
+    journal = Journal.recover(store.device)
+    journal.append(b"no separator here")
+    journal.append(b"not json\x00payload")
+    journal.append(b'{"object_id":"obj-x","size":1}\x00x')
+    recovered = WormStore.recover(store.device, clock=clock)
+    assert recovered.object_ids() == ["obj-1"]
+    recovered.put("obj-2", b"second")
+    assert recovered.get("obj-1") == b"first"
+    assert recovered.get("obj-2") == b"second"
+
+
+@pytest.mark.parametrize("refuse", ["write_protect", "detach", "fill"])
+def test_a_refused_write_leaves_an_expatriated_tombstone_untouched(refuse):
+    store, _ = make_store()
+    term = RetentionTerm(start=1000.0, duration_seconds=3600.0)
+    store.put("obj-1", b"moved away", retention=term)
+    store.put("obj-2", b"stays")
+    store.expatriate("obj-1")
+    device = store.device
+    if refuse == "write_protect":
+        device.set_write_protected(True)
+    elif refuse == "detach":
+        device.detach()
+    else:
+        device.allocate(device.free)
+
+    def state():
+        return (
+            store.metadata("obj-1"),
+            store.physical_extent("obj-1"),
+            store.retention.term_for("obj-1"),
+            device.used,
+        )
+
+    before = state()
+    with pytest.raises(DeviceError):
+        store.put("obj-1", b"coming home")
+    assert store.metadata("obj-1").deleted
+    assert state() == before
+    # a batch that would re-admit it among new ids is refused the same way
+    with pytest.raises(DeviceError):
+        store.put_many([("obj-3", b"new", None), ("obj-1", b"coming home", None)])
+    assert "obj-3" not in store and state() == before
+    if refuse != "write_protect":
+        return  # a detached or full device stays that way
+    device.set_write_protected(False)
+    readmitted = store.put("obj-1", b"coming home")
+    assert not readmitted.deleted
+    assert store.get("obj-1") == b"coming home"
+    assert store.physical_extent("obj-1") != before[1]
+    assert store.get("obj-2") == b"stays"
