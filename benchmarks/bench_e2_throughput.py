@@ -9,6 +9,7 @@ interactive range; reads are much closer together than writes.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from repro.workload.generator import WorkloadGenerator
 N_RECORDS = 60
 N_READS = 120
 N_BATCH = 150  # batched-ingest arm; amortization grows with batch size
+REPEATS = 5    # runs per arm of the gated table; the arm is their median
 
 BENCH_JSON = Path(__file__).parent / "BENCH_e2.json"
 
@@ -141,31 +143,42 @@ def test_e2_batched_ingest(benchmark):
     property still holds.
     """
     build = _fresh_stream()
+    # Each arm is the median of REPEATS runs on fresh models.  One window
+    # is ~10 ms for a baseline and this VM stalls for longer than that, so
+    # a single shot used to fail the gate on a different model each time;
+    # the repetitions are the outer loop so that one stall costs each
+    # model at most one of its five runs.
+    single_runs = {name: [] for name in MODEL_FACTORIES}
+    batched_runs = {name: [] for name in MODEL_FACTORIES}
+    for _ in range(REPEATS):
+        for name in MODEL_FACTORIES:
+            model, records = build(name)
+            start = time.perf_counter()
+            for record in records:
+                model.store(record, "batch-loader")
+            single_runs[name].append(time.perf_counter() - start)
+
+            model, records = build(name)
+            start = time.perf_counter()
+            stored = model.store_many(records, "batch-loader")
+            batched_runs[name].append(time.perf_counter() - start)
+            assert stored == len(records)
+
+            # Security properties survive the fast path, every run.
+            assert sorted(model.record_ids()) == sorted(r.record_id for r in records)
+            audit = model.verify_audit_trail()
+            if audit is not None:
+                assert audit.ok
+            assert model.verify_integrity().ok
     results = {}
     for name in MODEL_FACTORIES:
-        model, records = build(name)
-        start = time.perf_counter()
-        for record in records:
-            model.store(record, "batch-loader")
-        single_s = time.perf_counter() - start
-
-        model, records = build(name)
-        start = time.perf_counter()
-        stored = model.store_many(records, "batch-loader")
-        batched_s = time.perf_counter() - start
-        assert stored == len(records)
-
+        single_s = statistics.median(single_runs[name])
+        batched_s = statistics.median(batched_runs[name])
         results[name] = {
             "single_rps": round(N_BATCH / single_s, 1),
             "batched_rps": round(N_BATCH / batched_s, 1),
             "speedup": round(single_s / batched_s, 2),
         }
-        # Security properties survive the fast path.
-        assert sorted(model.record_ids()) == sorted(r.record_id for r in records)
-        audit = model.verify_audit_trail()
-        if audit is not None:
-            assert audit.ok
-        assert model.verify_integrity().ok
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print_table(
@@ -177,7 +190,10 @@ def test_e2_batched_ingest(benchmark):
         ],
     )
     BENCH_JSON.write_text(
-        json.dumps({"n_records": N_BATCH, "models": results}, indent=2) + "\n"
+        json.dumps(
+            {"n_records": N_BATCH, "repeats": REPEATS, "models": results}, indent=2
+        )
+        + "\n"
     )
     # The acceptance bar: batched Curator ingest at >= 2x single-record.
     assert results["curator"]["speedup"] >= 2.0, results["curator"]

@@ -25,7 +25,10 @@ it must not give up:
   (``workers=8``): per-shard state shrinks to an eighth — every read
   is a cache hit, every disclosure accounting verifies an eighth of
   the site-wide log — at the price of a pickled pipe round-trip per
-  op.  Bar: >= 5x the single engine, gated by ``check_regression.py``.
+  op.  Bars: >= 2.75x the single engine and >= 1,610 ops/s absolute,
+  both gated by ``check_regression.py`` (the ratio was 5x while the
+  single engine paid an interpreted cipher on every cache miss; see
+  ``MIN_E9_WORKER_SPEEDUP`` there for the re-derivation).
 * **Detection.**  The speedup is only admissible with **zero**
   cluster detection-equivalence violations: every raw-device tamper
   planted on any single shard must surface through the cluster's
@@ -37,11 +40,17 @@ All numbers land in ``BENCH_e9.json``.
 """
 
 import json
+import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from benchmarks.check_regression import (
+    MIN_E9_SPEEDUP,
+    MIN_E9_WORKER_OPS,
+    MIN_E9_WORKER_SPEEDUP,
+)
 from benchmarks.common import MASTER_KEY, new_clock, print_table
 from repro.cluster import CuratorCluster, HashRing
 from repro.core.config import CuratorConfig
@@ -58,6 +67,7 @@ WARM_PASSES = 3        # archive-shaped audit logs before timing starts
 CLIENT_THREADS = 4
 TIMED_OPS = 320
 INGEST_EVERY = 160     # rare batched store_many (archives are read-mostly)
+REPEATS = 5            # fresh clusters per arm; the arm is their median
 
 KEYPAIR = generate_keypair(768)  # one HSM-held site identity for every arm
 
@@ -205,42 +215,48 @@ def _run_mixed_workload(
     return best
 
 
+def _measure_arm(shards: int, workers: int = 0) -> dict:
+    """One arm: the median ops/sec of :data:`REPEATS` fresh clusters.
+
+    A single ~0.2-1 s window moves 10-20 % with this VM's scheduler, and
+    the bars are ratios of two such windows.  Every repetition builds
+    its own cluster (so the five are independent, not one log growing
+    under five passes), must serve the same records and must stay
+    verifiable through the fan-out; the cache counters are the last
+    repetition's (worker-mode counters live in the workers and read 0).
+    """
+    rates = []
+    for _ in range(REPEATS):
+        METRICS.reset()
+        cluster, record_ids, patients, clock = _build_cluster(shards, workers)
+        try:
+            rates.append(_run_mixed_workload(cluster, record_ids, patients, clock))
+            served = cluster.record_ids()
+            assert cluster.verify_integrity().ok
+            assert cluster.verify_audit_trail().ok
+        finally:
+            cluster.close()
+    return {
+        "ops": statistics.median(rates),
+        "runs": [round(rate, 1) for rate in rates],
+        "record_ids": served,
+        "hits": METRICS.get("read_cache_hits"),
+        "misses": METRICS.get("read_cache_misses"),
+        "per_shard_reads": METRICS.labelled("cluster_reads"),
+    }
+
+
 def test_e9_cluster_scaling(benchmark):
     """The headline cluster measurement, written to ``BENCH_e9.json``."""
-    METRICS.reset()
-    single, single_ids, single_patients, single_clock = _build_cluster(1)
-    single_ops = _run_mixed_workload(
-        single, single_ids, single_patients, single_clock
-    )
-    single_hits = METRICS.get("read_cache_hits")
-    single_misses = METRICS.get("read_cache_misses")
-
-    METRICS.reset()
-    cluster, cluster_ids, cluster_patients, cluster_clock = _build_cluster(SHARDS)
-    cluster_ops = _run_mixed_workload(
-        cluster, cluster_ids, cluster_patients, cluster_clock
-    )
-    cluster_hits = METRICS.get("read_cache_hits")
-    cluster_misses = METRICS.get("read_cache_misses")
-    per_shard_reads = METRICS.labelled("cluster_reads")
-
-    # the process-pool arm: 8 engines in 8 worker processes (per-shard
-    # cache hits and read-cache metrics live in the workers, so only the
-    # parent-side ops/sec is collected here)
-    workers, worker_ids, worker_patients, worker_clock = _build_cluster(
-        WORKER_SHARDS, workers=WORKER_SHARDS
-    )
-    try:
-        worker_ops = _run_mixed_workload(
-            workers, worker_ids, worker_patients, worker_clock
-        )
-        # the worker arm must serve the same records and stay verifiable
-        # through the fan-out (verification runs inside the workers)
-        assert workers.record_ids() == single.record_ids()
-        assert workers.verify_integrity().ok
-        assert workers.verify_audit_trail().ok
-    finally:
-        workers.close()
+    single = _measure_arm(1)
+    cluster = _measure_arm(SHARDS)
+    # the process-pool arm: 8 engines in 8 worker processes
+    workers = _measure_arm(WORKER_SHARDS, workers=WORKER_SHARDS)
+    # every arm served the same records (each repetition also verified
+    # integrity and the audit trail through its own fan-out)
+    assert cluster["record_ids"] == single["record_ids"]
+    assert workers["record_ids"] == single["record_ids"]
+    single_ops, cluster_ops, worker_ops = single["ops"], cluster["ops"], workers["ops"]
 
     speedup = cluster_ops / single_ops
     worker_speedup = worker_ops / single_ops
@@ -248,27 +264,26 @@ def test_e9_cluster_scaling(benchmark):
     # scaled, but did it still catch every single-shard tamper?
     equivalence = run_cluster_detection_equivalence(shards=2)
 
-    # both in-process arms must serve the same records and stay verifiable
-    assert cluster.record_ids() == single.record_ids()
-    assert cluster.verify_integrity().ok
-    assert cluster.verify_audit_trail().ok
-
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print_table(
         f"E9b cluster scaling ({RECORDS} records, cache {READ_CACHE}/node, "
         f"{CLIENT_THREADS} client threads)",
         ["arm", "ops/s", "cache hits", "cache misses"],
         [
-            ["1 shard", f"{single_ops:8.1f}", single_hits, single_misses],
-            [f"{SHARDS} shards", f"{cluster_ops:8.1f}", cluster_hits,
-             cluster_misses],
+            ["1 shard", f"{single_ops:8.1f}", single["hits"], single["misses"]],
+            [f"{SHARDS} shards", f"{cluster_ops:8.1f}", cluster["hits"],
+             cluster["misses"]],
             [f"{WORKER_SHARDS} worker procs", f"{worker_ops:8.1f}",
              "(in workers)", "(in workers)"],
             ["speedup", f"{speedup:7.2f}x", "", ""],
             ["worker speedup", f"{worker_speedup:7.2f}x", "", ""],
         ],
     )
-    print("per-shard routed reads:", per_shard_reads)
+    print(f"ops/s per repetition (median of {REPEATS} is the arm):")
+    for name, arm in (("1 shard", single), (f"{SHARDS} shards", cluster),
+                      (f"{WORKER_SHARDS} worker procs", workers)):
+        print(f"  {name}: {arm['runs']}")
+    print("per-shard routed reads:", cluster["per_shard_reads"])
     print(equivalence.summary())
 
     BENCH_JSON.write_text(
@@ -280,6 +295,7 @@ def test_e9_cluster_scaling(benchmark):
                 "read_cache_size": READ_CACHE,
                 "client_threads": CLIENT_THREADS,
                 "timed_ops": TIMED_OPS,
+                "repeats": REPEATS,
                 "single_shard_ops_per_sec": round(single_ops, 1),
                 "cluster_ops_per_sec": round(cluster_ops, 1),
                 "worker_cluster_ops_per_sec": round(worker_ops, 1),
@@ -293,7 +309,14 @@ def test_e9_cluster_scaling(benchmark):
         + "\n"
     )
     assert equivalence.ok, equivalence.summary()
-    assert speedup >= 2.5, f"cluster speedup {speedup:.2f}x below the 2.5x bar"
-    assert worker_speedup >= 5.0, (
-        f"{WORKER_SHARDS}-worker speedup {worker_speedup:.2f}x below the 5x bar"
+    assert speedup >= MIN_E9_SPEEDUP, (
+        f"cluster speedup {speedup:.2f}x below the {MIN_E9_SPEEDUP}x bar"
+    )
+    assert worker_speedup >= MIN_E9_WORKER_SPEEDUP, (
+        f"{WORKER_SHARDS}-worker speedup {worker_speedup:.2f}x below the "
+        f"{MIN_E9_WORKER_SPEEDUP}x bar"
+    )
+    assert worker_ops >= MIN_E9_WORKER_OPS, (
+        f"{WORKER_SHARDS}-worker arm {worker_ops:.0f} ops/s below the "
+        f"{MIN_E9_WORKER_OPS:.0f} ops/s floor"
     )

@@ -22,7 +22,8 @@ regression no matter how fast it got.
 ``pytest benchmarks/bench_e9_cluster_scaling.py``) is gated the same
 way: the 4-shard cluster must sustain at least 2.5x the single-engine
 throughput on the mixed workload — and the 8-shard process-pool arm
-at least 5x — with **zero** cluster detection-equivalence violations;
+at least 2.75x and 1,610 ops/s (see :data:`MIN_E9_WORKER_SPEEDUP`) —
+with **zero** cluster detection-equivalence violations;
 scale bought by skipping verification does not count.
 
 ``BENCH_e7.json`` (run
@@ -98,7 +99,28 @@ MIN_E8_SPEEDUP = 5.0
 MIN_E9_SPEEDUP = 2.5
 #: The 8-shard process-pool arm answers from per-shard state an eighth
 #: the size; it must clear a higher bar than the in-process cluster.
-MIN_E9_WORKER_SPEEDUP = 5.0
+#: The bar is a ratio over a single engine that thrashes its read cache
+#: and so decrypts on every read, and the native ChaCha20 kernel (PR 14)
+#: made exactly that denominator ~1.45x faster while the cluster arms,
+#: which mostly hit their caches, gained ~10 %.  Every arm the median of
+#: 5 fresh clusters, parent -> change, runs alternated over two hours:
+#: single engine 409 / 402 / 424 / 401 / 429 -> 533-609 (eleven runs,
+#: median 588); 8-worker arm 2,056 / 2,195 / 2,077 / 1,853 / 1,877 ->
+#: 1,642-2,402 (median 2,083); so worker_speedup 5.03 / 5.45 / 4.90 /
+#: 4.63 / 4.37 -> 3.85 3.66 3.95 3.71 2.95 2.85 3.14 3.21 3.91 3.48 3.08
+#: (median 3.48).  The old 5.0 bar failed three of the parent's own five
+#: runs.  The worker arm is 8 processes and 4 client threads on 2 vCPUs
+#: and follows what the hypervisor gives it from one half hour to the
+#: next (the single arm does not), so the bar sits under the lowest run
+#: seen, not 15 % under the median: 2.75 is cleared by the median with
+#: 27 % to spare and by the worst of eleven runs with 4 %.
+MIN_E9_WORKER_SPEEDUP = 2.75
+#: A ratio bar alone would let the worker arm itself slow down as long
+#: as the single engine slowed with it, so the arm also carries an
+#: absolute floor: the 1,610 ops/s committed before PR 14 (that figure
+#: was one first-touch run; eleven medians on this build read
+#: 1,642-2,402, the two lowest inside `make verify`).
+MIN_E9_WORKER_OPS = 1610.0
 #: Online rebalance impact bound: p99 read latency during the move
 #: window may be at most this multiple of the steady-state p99.
 MAX_E6_P99_RATIO = 2.0
@@ -227,7 +249,14 @@ def check_e9(
         problems.append(
             f"e9.worker_speedup: {results.get('worker_shards', '?')}-shard "
             f"process-pool cluster only {worker_speedup:.2f}x the single "
-            f"engine (bar: {min_worker_speedup:.1f}x on the mixed workload)"
+            f"engine (bar: {min_worker_speedup:.2f}x on the mixed workload)"
+        )
+    worker_ops = results.get("worker_cluster_ops_per_sec", 0)
+    if worker_ops < MIN_E9_WORKER_OPS:
+        problems.append(
+            f"e9.worker_cluster_ops_per_sec: process-pool cluster at "
+            f"{worker_ops:.0f} ops/s, below the absolute "
+            f"{MIN_E9_WORKER_OPS:.0f} ops/s floor"
         )
     violations = results.get("equivalence_violations")
     if violations != 0:
@@ -424,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=MIN_E9_WORKER_SPEEDUP,
         help="required process-pool cluster speedup over the single engine "
-        "(default 5.0)",
+        f"(default {MIN_E9_WORKER_SPEEDUP})",
     )
     parser.add_argument(
         "--skip-e9",
@@ -573,7 +602,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(
                 f"ok: cluster >= {args.min_e9_speedup:.1f}x single engine "
-                f"(process-pool arm >= {args.min_e9_worker_speedup:.1f}x), "
+                f"(process-pool arm >= {args.min_e9_worker_speedup:.2f}x and "
+                f">= {MIN_E9_WORKER_OPS:.0f} ops/s), "
                 f"0 cluster detection-equivalence violations"
             )
 

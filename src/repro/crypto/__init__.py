@@ -1,13 +1,16 @@
-"""Pure-Python cryptographic substrate.
+"""Cryptographic substrate.
 
-No third-party crypto libraries are available in this environment, so
-every primitive the compliant store needs is implemented here on top of
-:mod:`hashlib`/:mod:`hmac`:
+No crypto package is a declared dependency, so every primitive the
+compliant store needs is implemented here on top of :mod:`hashlib`/
+:mod:`hmac` — and, for the stream cipher alone, the libcrypto those
+modules already link:
 
 * SHA-256 hashing helpers and digest chaining (:mod:`repro.crypto.hashing`)
 * HMAC + constant-time comparison (:mod:`repro.crypto.hmac_utils`)
 * Merkle trees with inclusion and consistency proofs (:mod:`repro.crypto.merkle`)
-* ChaCha20 stream cipher, RFC 8439 (:mod:`repro.crypto.chacha20`)
+* ChaCha20 stream cipher, RFC 8439: OpenSSL's kernel through
+  :mod:`ctypes`, a pure-Python reference as fallback
+  (:mod:`repro.crypto.chacha20`)
 * Encrypt-then-MAC AEAD over ChaCha20+HMAC (:mod:`repro.crypto.aead`)
 * HKDF key derivation (:mod:`repro.crypto.kdf`)
 * RSA signatures with Miller-Rabin keygen (:mod:`repro.crypto.rsa`)

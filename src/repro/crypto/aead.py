@@ -25,7 +25,6 @@ from repro.crypto.chacha20 import (
     NONCE_SIZE,
     chacha20_xor,
     chacha20_xor_many,
-    purge_keystream_for_key,
 )
 from repro.crypto.hmac_utils import constant_time_equal, hmac_sha256
 from repro.crypto.kdf import derive_key
@@ -94,12 +93,6 @@ class AeadCipher:
         tag = hmac_sha256(self._mac_key, self._mac_input(nonce, associated_data, ciphertext))
         return AeadCiphertext(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
-    def purge_keystream(self) -> int:
-        """Drop all cached keystream generated under this cipher's
-        encryption key (called when the owning data key is shredded, so
-        no key-equivalent material outlives the key in process memory)."""
-        return purge_keystream_for_key(self._enc_key)
-
     def decrypt(self, box: AeadCiphertext, associated_data: bytes = b"") -> bytes:
         """Open a sealed box; raises :class:`AuthenticationError` if the
         tag (and therefore the data or associated data) was altered."""
@@ -117,11 +110,9 @@ def encrypt_many(
     """Seal many ``(cipher, plaintext, associated_data)`` items at once.
 
     Byte-for-byte equivalent to calling :meth:`AeadCipher.encrypt` per
-    item, but every ChaCha20 keystream block across the whole batch —
-    each item typically under a *different* data key — is generated in a
-    single vectorized pass.  This is the hot path of the engine's
-    ``store_many``: version sealing and key wrapping both funnel
-    through it.
+    item, each typically under a *different* data key.  This is the hot
+    path of the engine's ``store_many``: version sealing and key
+    wrapping both funnel through it.
     """
     nonces = [secrets.token_bytes(NONCE_SIZE) for _ in items]
     ciphertexts = chacha20_xor_many(
@@ -147,10 +138,9 @@ def decrypt_many(
     """Open many ``(cipher, box, associated_data)`` items at once.
 
     Every tag is verified (constant-time, per item) *before* any
-    keystream is generated — the encrypt-then-MAC discipline of
+    ciphertext is decrypted — the encrypt-then-MAC discipline of
     :meth:`AeadCipher.decrypt` holds for the whole batch, and a single
     forged box fails the batch exactly as the scalar call would fail.
-    Only then do all the XOR keystreams run through one vectorized pass.
     """
     for cipher, box, associated_data in items:
         expected = hmac_sha256(

@@ -13,7 +13,7 @@ SHA-512 and a base-point multiplication, so expansions are memoized per
 seed in an LRU.  The memo holds key-equivalent material and is
 registered with the shredder purge path
 (:func:`purge_ed25519_memo` / ``purge_decisions``), the same contract
-the ChaCha20 keystream cache honours.
+the keystore's cipher memo honours.
 """
 
 from __future__ import annotations

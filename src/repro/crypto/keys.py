@@ -196,22 +196,23 @@ class KeyStore:
         return cipher
 
     def invalidate_cached(self, handle: KeyHandle) -> None:
-        """Drop any memoized cipher (and its cached keystream) for
-        *handle*.  The shredder calls this; :meth:`shred` also calls it
-        internally, so destroyed keys can never be served from a cache.
+        """Drop the memoized cipher for *handle* — the only derived
+        material the keystore holds.  The shredder calls this;
+        :meth:`shred` also calls it internally, so destroyed keys can
+        never be served from a cache.
         """
-        cached = self._cipher_cache.pop(handle.key_id, None)
-        if cached is not None:
-            cached.purge_keystream()
+        if self._cipher_cache.pop(handle.key_id, None) is not None:
             METRICS.incr("kdf_cache_invalidations")
 
     def shred(self, handle: KeyHandle) -> float:
         """Destroy the wrapped key material; returns the shred timestamp.
 
         Idempotent: shredding an already-shredded key returns the
-        original timestamp.  Every derived-material cache (cipher memo,
-        keystream prefixes) is purged first — after this returns, no
-        path through the keystore can decrypt the key's ciphertexts.
+        original timestamp.  The cipher memo is purged first — after
+        this returns, no path through the keystore can decrypt the key's
+        ciphertexts.  The wrapped key is never unwrapped on the way: a
+        key whose escrowed blob no longer authenticates (altered on the
+        device) is destroyed like any other.
         """
         entry = self._entries.get(handle.key_id)
         if entry is None:
@@ -219,14 +220,6 @@ class KeyStore:
         if entry.wrapped is None:
             assert entry.shredded_at is not None
             return entry.shredded_at
-        # Purge caches while the key still unwraps (the keystream cache
-        # is keyed by the derived encryption key, which we can only
-        # recompute before the wrapped material is destroyed).
-        if handle.key_id not in self._cipher_cache:
-            data_key = self._wrapper.decrypt(
-                entry.wrapped, associated_data=handle.key_id.encode()
-            )
-            self._cipher_cache[handle.key_id] = AeadCipher(data_key)
         self.invalidate_cached(handle)
         entry.wrapped = None
         entry.shredded_at = self._clock.now()

@@ -161,8 +161,7 @@ class TrustworthyIndex:
         Per chunk: journal checksum, then the frame header must be the
         one the extent expects (trapdoor, chunk number, version), then
         the MAC over that header and the ciphertext.  Every MAC is
-        verified before any keystream is generated, and all the
-        decrypts share one vectorized keystream pass.
+        verified before anything is decrypted (one ``decrypt_many``).
         """
         boxes = []
         for trapdoor, extent in items:

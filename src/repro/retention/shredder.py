@@ -66,9 +66,9 @@ class SecureShredder:
 
         Every memo that holds (or can regenerate) material derived from
         destroyed data — aggregated-signature root memos, ed25519 key
-        expansions, keystream prefixes — must be registered here, so a
-        shred empties them all without any call site having to remember
-        each cache individually."""
+        expansions — must be registered here, so a shred empties them
+        all without any call site having to remember each cache
+        individually."""
         self._cache_purges.append(purge)
 
     def shred(
@@ -92,9 +92,9 @@ class SecureShredder:
         shredded_at = None
         if key_handle is not None:
             shredded_at = self._keystore.shred(key_handle)
-            # Belt and braces: shred() already purges the cipher memo
-            # and cached keystream, but destruction must never depend on
-            # one call site remembering to — invalidate explicitly.
+            # Belt and braces: shred() already purges the cipher memo,
+            # but destruction must never depend on one call site
+            # remembering to — invalidate explicitly.
             self._keystore.invalidate_cached(key_handle)
         bytes_overwritten = 0
         for device, offset, size in extents:

@@ -1,6 +1,6 @@
 """Cheap process-wide performance counters and timers.
 
-The write-path pipeline (batched ingest, keystream/KDF caching,
+The write-path pipeline (batched ingest, KDF caching,
 amortized journal flushes) needs observability to prove its caches hit
 and its flushes coalesce — and later PRs need the same hooks to chase
 regressions.  This module is the first such hook: named monotonic
@@ -12,7 +12,7 @@ Design constraints:
 
 * **Cheap.**  ``incr`` is a dict ``get`` + add; no locks, no logging,
   no allocation beyond the first touch of a name.  Hot loops (the
-  ChaCha20 keystream cache, the journal) call it per operation.
+  keystore's cipher memo, the journal) call it per operation.
 * **No dependencies.**  This module imports nothing from ``repro`` so
   every layer — crypto, storage, index, engine — can use it without
   import cycles.

