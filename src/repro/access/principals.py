@@ -72,3 +72,41 @@ class User:
 
 SYSTEM_USER = User.make("system", "Curator System", [Role.SYSTEM_ADMIN])
 """The implicit principal for internally-initiated operations."""
+
+
+class Workforce:
+    """The principals enrolled with one engine."""
+
+    def __init__(self, auto_register_authors: bool = True) -> None:
+        self._users: dict[str, User] = {}
+        self._auto_register_authors = auto_register_authors
+
+    def register(self, user: User) -> None:
+        """Enroll a workforce member."""
+        self._users[user.user_id] = user
+
+    def resolve(self, actor_id: str) -> User | None:
+        """The principal behind *actor_id* (``None`` if unknown)."""
+        if actor_id == "system":
+            return SYSTEM_USER
+        return self._users.get(actor_id)
+
+    def note_author(self, author_id: str, patient_id: str) -> None:
+        """Documenting care establishes the treating relationship: the
+        application layer enrolls the author as a clinician treating the
+        record's patient (config-gated)."""
+        if not self._auto_register_authors:
+            return
+        existing = self._users.get(author_id)
+        if existing is None:
+            self._users[author_id] = User.make(
+                author_id, author_id, [Role.PHYSICIAN], treating=[patient_id]
+            )
+        elif patient_id not in existing.treating:
+            self._users[author_id] = User.make(
+                author_id,
+                existing.name,
+                set(existing.roles),
+                existing.department,
+                set(existing.treating) | {patient_id},
+            )

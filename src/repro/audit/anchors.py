@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.audit.events import AuditAction
 from repro.audit.log import AuditLog
 from repro.crypto.merkle import verify_consistency
 from repro.crypto.signatures import SignedPayload, Signer, Verifier
 from repro.errors import AuditError
+from repro.util.clock import Clock
 
 
 @dataclass(frozen=True)
@@ -200,3 +202,65 @@ def publish_anchor(log: AuditLog, signer: Signer, timestamp: float) -> AuditAnch
     return AuditAnchor(
         log_size=size, merkle_root=root, published_at=timestamp, signed=signed
     )
+
+
+class AnchorSchedule:
+    """One log's anchoring: publishes an anchor every *every* events —
+    to the single witness, or to a majority quorum when there are
+    several — and checks the log against what they hold."""
+
+    def __init__(
+        self,
+        log: AuditLog,
+        signer: Signer,
+        clock: Clock,
+        witnesses: list[AnchorWitness],
+        every: int,
+    ) -> None:
+        self._log = log
+        self._signer = signer
+        self._clock = clock
+        self._every = every
+        self.witnesses = list(witnesses)
+        self._quorum = (
+            WitnessQuorum(self.witnesses, threshold=len(self.witnesses) // 2 + 1)
+            if len(self.witnesses) > 1
+            else None
+        )
+
+    @property
+    def witness(self) -> AnchorWitness:
+        return self.witnesses[0]
+
+    def maybe_anchor(self) -> None:
+        """Publish an anchor once *every* events have accrued since the
+        last one."""
+        latest = self.witness.latest()
+        unanchored = len(self._log) - (latest.log_size if latest else 0)
+        if unanchored < self._every:
+            return
+        # The anchor commits every event under its Merkle root to an
+        # external witness, so events buffered in an open audit batch
+        # must hit the device first — otherwise a crash would leave
+        # the witness attesting to events storage never saw, and an
+        # honest recovery would read as truncation.
+        self._log.flush_batch()
+        if self._quorum is not None:
+            anchor = self._quorum.publish(self._log, self._signer, self._clock.now())
+        else:
+            anchor = self.publish()
+        self._log.append(
+            AuditAction.ANCHOR_PUBLISHED, "system", "audit-log",
+            {"size": anchor.log_size, "witnesses": len(self.witnesses)},
+        )
+
+    def publish(self) -> AuditAnchor:
+        """Publish a fresh anchor to the first witness."""
+        anchor = publish_anchor(self._log, self._signer, self._clock.now())
+        self.witness.receive(anchor, self._log)
+        return anchor
+
+    def check_log(self) -> None:
+        """Raises :class:`AuditError` unless the witness (or a quorum of
+        them) vouches for the log."""
+        (self._quorum or self.witness).check_log(self._log)

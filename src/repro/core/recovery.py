@@ -1,0 +1,377 @@
+"""Recovery: everything that rebuilds or replaces the WORM archive.
+
+* :func:`recover_devices` turns surviving device images back into the
+  collaborators an engine is wired from (key escrow, WORM store, audit
+  log, checkpoints, cold store);
+* :meth:`Recovery.replay` rebuilds the record directory from them;
+* :meth:`Recovery.create_backup` / :meth:`Recovery.restore_from_backup`
+  / :meth:`Recovery.refresh_media` snapshot the archive, rebuild it from
+  a snapshot, and move it to fresh media.
+
+Restore, refresh and replay all end the same way: the (new or
+recovered) store becomes home through
+:meth:`~repro.core.home.RecordHome.install` /
+:meth:`~repro.core.home.RecordHome.adopt` — one swap, one adopt path —
+so they cannot disagree about key handles, retention terms, the cold
+tier's verdict or the read cache.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any
+
+from repro.archive import ColdStore
+from repro.audit.checkpoint import CheckpointStore
+from repro.audit.events import AuditAction
+from repro.audit.log import AuditLog
+from repro.backup.manager import BackupManager, RestoreReport
+from repro.core.config import CuratorConfig
+from repro.core.home import RecordHome
+from repro.core.tiering import Tiering
+from repro.core.transfer import PatientTransfer
+from repro.crypto.kdf import derive_key
+from repro.crypto.keys import KeyHandle, KeyStore
+from repro.crypto.signatures import TrustStore
+from repro.errors import IntegrityError, ValidationError
+from repro.migration.engine import MigrationEngine
+from repro.records.ids import Kind, parse
+from repro.records.versioning import VersionChain
+from repro.storage.block import BlockDevice
+from repro.storage.media import MediaPool, Medium
+from repro.util.encoding import canonical_loads
+from repro.worm.store import WormStore
+
+
+@dataclass(frozen=True)
+class RecoveryReport:
+    """What :meth:`CuratorStore.recover_from_devices` rebuilt.
+
+    ``disposed`` are records whose data key was shredded before the
+    crash — cryptographically deleted, correctly unrecoverable.
+    ``damaged`` are records whose key survives but whose versions no
+    longer decrypt/verify (torn or tampered data).  ``orphaned`` are
+    WORM objects the directory cannot serve: version objects with no
+    escrowed key, and attachment chunks whose in-memory manifest died
+    with the process (their bytes stay disposition-managed)."""
+
+    records_recovered: int
+    versions_recovered: int
+    audit_events: int
+    disposed: tuple[str, ...] = ()
+    damaged: tuple[str, ...] = ()
+    orphaned: tuple[str, ...] = ()
+    #: Records whose audit log carries a migration export marker with no
+    #: later import: their custody moved to another shard, so the
+    #: recovered bytes stay tombstoned rather than resurrecting a second
+    #: home for the patient.
+    migrated: tuple[str, ...] = ()
+    #: Records whose demotion marker says the cold tier is authoritative
+    #: and whose cold member verified at recovery.
+    cold_records: tuple[str, ...] = ()
+
+
+def recover_devices(
+    config: CuratorConfig,
+    *,
+    worm_device: BlockDevice,
+    key_device: BlockDevice,
+    audit_device: BlockDevice,
+    checkpoint_device: BlockDevice | None,
+    cold_device: BlockDevice | None,
+) -> dict[str, Any]:
+    """The device-backed collaborators, rebuilt from surviving images
+    (``None`` for one whose image did not survive: the engine wiring
+    starts that one fresh)."""
+    clock = config.clock
+    # keys: replay the escrow under the HSM-held master key
+    keystore = KeyStore.recover(config.master_key, key_device, clock=clock)
+    # The key escrow knows which records were lawfully destroyed; a
+    # broken WORM frame containing one of their objects is a shred
+    # interrupted before its reseal (a certified hole), not a torn
+    # write — worm recovery completes the reseal and keeps the
+    # frame's surviving neighbours instead of dropping the batch.
+    labels = keystore.labelled_handles()
+
+    def certified_hole(object_ids: list[str]) -> bool:
+        for object_id in object_ids:
+            try:
+                handle = labels.get(parse(object_id).owner)
+            except ValidationError:
+                continue
+            if handle is not None and keystore.is_shredded(handle):
+                return True
+        return False
+
+    return {
+        "keystore": keystore,
+        "worm": WormStore.recover(
+            worm_device, clock=clock, salvage_check=certified_hole
+        ),
+        # audit: replay + verify the hash chain
+        "audit": AuditLog.recover(
+            audit_device,
+            clock=clock,
+            spot_checks=config.audit_spot_checks,
+            full_rescan_every=config.audit_full_rescan_every,
+        ),
+        # verified watermarks: recover the MAC-sealed checkpoint journal
+        # (a seal torn by the crash is dropped whole, so verification
+        # falls back to an older watermark or a full rescan — never a
+        # torn one)
+        "checkpoints": None
+        if checkpoint_device is None
+        else CheckpointStore.recover(
+            checkpoint_device,
+            key=derive_key(config.master_key, "curator/audit-checkpoint"),
+            clock=clock,
+        ),
+        "cold": None
+        if cold_device is None
+        else ColdStore.recover(
+            cold_device, clock=clock, cache_size=config.cold_cache_size
+        ),
+    }
+
+
+@dataclass(eq=False, repr=False, kw_only=True)
+class Recovery:
+    """Backup, restore, media refresh, and the device-recovery replay."""
+
+    home: RecordHome
+    tiering: Tiering
+    transfer: PatientTransfer
+    keystore: KeyStore
+    audit: AuditLog
+    media_pool: MediaPool
+    backup: BackupManager
+    trust: TrustStore
+
+    # -- backup / restore / refresh ----------------------------------------------
+
+    def create_backup(self, *, incremental: bool, actor_id: str):
+        """Snapshot the WORM store + wrapped keys to the off-site vault.
+        Objects no record owns (imported audit-segment archives) carry
+        no data key and are backed up without one."""
+        create = (
+            self.backup.create_incremental if incremental else self.backup.create_full
+        )
+        snapshot = create(self.home.worm, self.keystore, self.home.handles())
+        self.audit.append(
+            AuditAction.BACKUP_CREATED, actor_id, snapshot.snapshot_id,
+            {"objects": len(snapshot.objects), "kind": snapshot.kind},
+        )
+        return snapshot
+
+    def restore_from_backup(self, snapshot_id: str, *, actor_id: str) -> RestoreReport:
+        """Rebuild the WORM store from the vault onto a fresh medium and
+        make it home.  Restore writes zero-duration terms; the install
+        rebuilds the real ones (extend-only) from the surviving
+        controller metadata."""
+        medium = self.media_pool.provision()
+        worm = WormStore(device=medium.device, clock=self.home.clock)
+        report = self.backup.restore(snapshot_id, worm, None)
+        if not report.verified:
+            raise IntegrityError(
+                f"restore failed verification: {report.mismatched}"
+            )
+        self.home.install(worm, medium)
+        self.audit.append(
+            AuditAction.BACKUP_RESTORED, actor_id, snapshot_id,
+            {"objects": report.objects_restored},
+        )
+        return report
+
+    def refresh_media(self) -> Medium:
+        """Migrate the archive to a fresh medium (aging hardware), with
+        manifest verification, then sanitize and retire the old one."""
+        old_medium = self.home.medium
+        new_medium = self.media_pool.provision()
+        destination = WormStore(device=new_medium.device, clock=self.home.clock)
+        engine = MigrationEngine(self.trust, clock=self.home.clock, custody=None)
+        result = engine.migrate(
+            self.home.worm, destination, self.home.signer, self.home.site_id
+        )
+        if not result.ok:
+            self.audit.append(
+                AuditAction.MIGRATION_FAILED, "system", new_medium.medium_id,
+                {"missing": list(result.missing), "corrupted": list(result.corrupted)},
+            )
+            raise IntegrityError(
+                f"media refresh failed verification: missing={result.missing} "
+                f"corrupted={result.corrupted}"
+            )
+        self.home.install(destination, new_medium)
+        old_medium.dispose(sanitize_first=True)
+        self.audit.append(
+            AuditAction.MIGRATION_COMPLETED, "system", new_medium.medium_id,
+            {"from": old_medium.medium_id, "objects": result.copied},
+        )
+        self.audit.append(
+            AuditAction.MEDIA_DISPOSED, "system", old_medium.medium_id, {}
+        )
+        return new_medium
+
+    # -- device recovery ---------------------------------------------------------
+
+    def _replay_markers(self) -> tuple[set[str], set[str], set[str]]:
+        """What the recovered audit log says about custody and tier.
+
+        Migration markers, replayed in sequence order, yield the records
+        (and patients) this shard no longer owns — a CUSTODY_TRANSFERRED
+        export with no later MIGRATION_COMPLETED import — whose
+        recovered bytes must stay tombstoned, because WORM tombstones
+        are process memory and a naive replay would resurrect a second
+        home for every migrated patient.  Demotion markers replay the
+        same way: a RECORD_DEMOTED with no later RECORD_RECALLED means
+        the cold member is authoritative."""
+        moved_records: set[str] = set()
+        moved_patients: set[str] = set()
+        demoted: set[str] = set()
+        for event in self.audit.events():
+            detail = event.detail or {}
+            migration = detail.get("migration")
+            if event.action is AuditAction.CUSTODY_TRANSFERRED and migration == "export":
+                moved_records.update(detail.get("records") or [])
+                moved_patients.add(detail.get("patient") or event.subject_id)
+            elif event.action is AuditAction.MIGRATION_COMPLETED and migration == "import":
+                moved_records.difference_update(detail.get("records") or [])
+                moved_patients.discard(detail.get("patient") or event.subject_id)
+            elif event.action is AuditAction.RECORD_DEMOTED:
+                demoted.add(event.subject_id)
+            elif event.action is AuditAction.RECORD_RECALLED:
+                demoted.discard(event.subject_id)
+        return moved_records, moved_patients, demoted
+
+    def replay(self) -> RecoveryReport:
+        """Rebuild the record directory from recovered devices: versions
+        decrypt under the recovered keys and re-chain, attachment chunks
+        stay owned (their manifests were process memory), imported audit
+        segments are re-adopted, and each cold member is placed by the
+        audit trail's verdict.  Everything adopted came off an untrusted
+        device, so it is dirty until the next integrity pass."""
+        directory, home, worm = self.home.directory, self.home, self.home.worm
+        labels = self.keystore.labelled_handles()
+        moved_records, moved_patients, demoted = self._replay_markers()
+        versions: dict[str, dict[int, str]] = {}
+        segments: list[str] = []
+        orphaned: list[str] = []
+        migrated: set[str] = set()
+        for object_id in worm.object_ids():
+            try:
+                kind, owner, tail = parse(object_id)
+            except ValidationError:
+                orphaned.append(object_id)
+                continue
+            if kind is Kind.SEGMENT:
+                segments.append(object_id)
+            elif owner in moved_records:
+                # custody moved to another shard: keep the extents
+                # tombstoned, never serve them from here again
+                worm.expatriate(object_id)
+                migrated.add(owner)
+            elif kind is Kind.VERSION:
+                versions.setdefault(owner, {})[tail] = object_id
+            else:
+                # bytes + keys survive but the manifests did not: keep
+                # the chunk owned (retained and destroyed with its
+                # record), report the loss
+                directory.orphan_chunks.setdefault(owner, []).append(object_id)
+                orphaned.append(object_id)
+        disposed: list[str] = []
+        damaged: list[str] = []
+        recovered: list[tuple[VersionChain, KeyHandle]] = []
+        for record_id in sorted(versions):
+            handle = labels.get(record_id)
+            if handle is None:
+                orphaned.extend(versions[record_id].values())
+                continue
+            directory.keys[record_id] = handle
+            if self.keystore.is_shredded(handle):
+                # Cryptographic deletion did its job: the ciphertext may
+                # survive but the record is gone — record the disposal
+                # and restore the tombstones (the shredder zeroed the
+                # extents, so these objects must never be served again).
+                directory.disposed.add(record_id)
+                disposed.append(record_id)
+                for object_id in versions[record_id].values():
+                    try:
+                        worm.delete(object_id)
+                    except Exception:  # noqa: BLE001 — hold/missing: leave as-is
+                        pass
+                continue
+            try:
+                chain = VersionChain.from_versions(
+                    record_id, [home.open(record_id, n) for n in versions[record_id]]
+                )
+            except Exception:  # noqa: BLE001 — torn/tampered data
+                damaged.append(record_id)
+                continue
+            recovered.append((chain, handle))
+        home.adopt(recovered, rederive=True)
+        # imported audit segments: the durable WORM archives written at
+        # import time restore the accounting-of-disclosures history of
+        # migrated-in patients; segments of patients who have since
+        # moved on stay tombstoned with their records
+        for object_id in segments:
+            try:
+                payload = canonical_loads(worm.get(object_id))
+                patient_id = payload["patient"]
+            except Exception:  # noqa: BLE001 — torn/tampered archive
+                orphaned.append(object_id)
+                continue
+            if patient_id in moved_patients:
+                worm.expatriate(object_id)
+            else:
+                self.transfer.restore_segment(object_id, payload)
+        # cold tier: demoted and not since recalled means cold is
+        # authoritative (warm copies re-tombstoned), anything else was
+        # repatriated before the crash, and a shredded key marks
+        # certified scrub holes.  Without a surviving cold device,
+        # demoted records honestly recover warm from their surviving
+        # (pre-demotion) extents.
+        cold_only: list[tuple[VersionChain, KeyHandle]] = []
+        for record_id in self.tiering.cold.record_ids():
+            if record_id in directory.disposed:
+                self.tiering.cold.mark_scrubbed(record_id)
+                continue
+            if record_id not in demoted or record_id in moved_records:
+                self.tiering.cold.mark_repatriated(record_id)
+                continue
+            handle = labels.get(record_id)
+            if handle is None:
+                orphaned.append(record_id)
+                self.tiering.cold.mark_repatriated(record_id)
+                continue
+            directory.keys.setdefault(record_id, handle)
+            try:
+                chain = VersionChain.from_versions(
+                    record_id, self.tiering.open_cold_versions(record_id)
+                )
+            except Exception:  # noqa: BLE001 — torn/tampered cold member
+                if record_id not in directory.chains and record_id not in damaged:
+                    damaged.append(record_id)
+                # with an intact warm copy the record falls back warm
+                self.tiering.cold.mark_repatriated(record_id)
+                continue
+            directory.set_cold(record_id, True)
+            if record_id in directory.chains:
+                # re-adopting re-tombstones the surviving warm copy
+                home.adopt([(directory.chains[record_id], handle)], index=False)
+            else:
+                # the warm copy died with the crash; the cold member
+                # alone restores the record
+                cold_only.append((chain, handle))
+                if record_id in damaged:
+                    damaged.remove(record_id)
+        home.adopt(cold_only)
+        return RecoveryReport(
+            records_recovered=len(directory.chains),
+            versions_recovered=sum(len(chain) for chain in directory.chains.values()),
+            audit_events=len(self.audit),
+            disposed=tuple(disposed),
+            damaged=tuple(damaged),
+            orphaned=tuple(orphaned),
+            migrated=tuple(sorted(migrated)),
+            cold_records=tuple(sorted(directory.cold)),
+        )

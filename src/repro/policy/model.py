@@ -57,6 +57,7 @@ from repro.errors import (
     DispositionError,
     RetentionError,
 )
+from repro.records.ids import is_attachment
 
 WILDCARD = "*"
 
@@ -322,7 +323,7 @@ def resource_class(resource: str) -> str:
         return "disclosures"
     if resource.startswith("sess-"):
         return "session"
-    if "#att/" in resource:
+    if is_attachment(resource):
         return "attachment"
     return "record"
 

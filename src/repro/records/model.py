@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ValidationError
+from repro.records.ids import check_id
 from repro.util.validation import require, require_non_empty, require_type
 
 
@@ -47,6 +48,7 @@ class HealthRecord:
 
     def __post_init__(self) -> None:
         require_non_empty(self.record_id, "record_id")
+        check_id(self.record_id, "record_id")
         require_type(self.record_type, RecordType, "record_type")
         require_non_empty(self.patient_id, "patient_id")
         require(self.created_at >= 0, "created_at must be non-negative")

@@ -52,6 +52,7 @@ from repro.index.trustworthy import CHUNK_CAPACITY
 from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.clock import SimulatedClock
 from repro.util.encoding import canonical_bytes, canonical_loads
+from repro.records.ids import version_id
 from repro.records.model import ClinicalNote
 
 _FULL_RESCAN_EVERY = 4
@@ -356,14 +357,14 @@ def _rot_dirty_object(sub: _Substrate) -> str | None:
     """Rot a record ``store()`` wrote after the last full sweep."""
     victim = "rec-dirty"
     sub.surface.store(_seed_note(victim, sub.dirty_patient, sub.clock, 0), "dr-eq")
-    return victim if _rot_extent(sub.target, f"{victim}@v0") else None
+    return victim if _rot_extent(sub.target, version_id(victim, 0)) else None
 
 
 def _rot_clean_object(sub: _Substrate) -> str | None:
     """Rot a seeded record (written by ``store()``) the system has
     already swept and believes clean."""
     victim = sub.records[0]
-    return victim if _rot_extent(sub.target, f"{victim}@v0") else None
+    return victim if _rot_extent(sub.target, version_id(victim, 0)) else None
 
 
 # -- cold-tier tampers -------------------------------------------------------
@@ -554,7 +555,7 @@ def _tamper_batch_member(sub: _Substrate) -> str | None:
     ]
     sub.surface.store_many(notes, "dr-eq")
     victim = f"rec-batch-{_BATCH_VICTIM}"
-    return victim if _rot_extent(sub.target, f"{victim}@v0") else None
+    return victim if _rot_extent(sub.target, version_id(victim, 0)) else None
 
 
 def _rot_extent(engine, object_id: str) -> bool:
@@ -754,7 +755,7 @@ def _migration_blocks_refresh_case() -> EquivalenceCase:
     and the terminal full pass must blame exactly the rotted record."""
     sub = _build_single()
     victim = sub.records[0]
-    tampered = _rot_extent(sub.target, f"{victim}@v0")
+    tampered = _rot_extent(sub.target, version_id(victim, 0))
     blocked = False
     try:
         sub.target.refresh_media()
@@ -783,7 +784,7 @@ def _migration_post_refresh_case() -> EquivalenceCase:
     sub = _build_single()
     victim = sub.records[1]
     sub.target.refresh_media()
-    tampered = _rot_extent(sub.target, f"{victim}@v0")
+    tampered = _rot_extent(sub.target, version_id(victim, 0))
     detected, caught_by, attempts = _run_policy(
         lambda: not sub.surface.verify_integrity(incremental=True).ok,
         lambda: not sub.surface.verify_integrity().ok,
@@ -945,7 +946,7 @@ def _rebalance_mid_move_source_rot_case() -> EquivalenceCase:
     except CrashError:
         crashed = True
     tampered = crashed and _rot_extent(
-        sub.cluster.shards[sub.cluster.shard_for(victim)], f"{record_id}@v0"
+        sub.cluster.shards[sub.cluster.shard_for(victim)], version_id(record_id, 0)
     )
     sub.cluster.recover_interrupted_moves(actor_id="oracle")
     detected, caught_by, attempts = sub.policy()
@@ -971,7 +972,7 @@ def _rebalance_post_move_dest_rot_case() -> EquivalenceCase:
     report = sub.cluster.rebalance(target_shards=4, actor_id="oracle")
     assert any(proof.patient_id == victim for proof in report.proofs)
     tampered = _rot_extent(
-        sub.cluster.shards[sub.cluster.shard_for(victim)], f"{record_id}@v0"
+        sub.cluster.shards[sub.cluster.shard_for(victim)], version_id(record_id, 0)
     )
     detected, caught_by, attempts = sub.policy()
     full = sub.cluster.verify_integrity()
@@ -999,7 +1000,7 @@ def _rebalance_stale_source_rot_case() -> EquivalenceCase:
     sub.cluster.rebalance(target_shards=4, actor_id="oracle")
     assert sub.home_shard_id(victim) != source_id
     source = sub.cluster.shards[sub.cluster.shard_ids.index(source_id)]
-    landed = _rot_extent(source, f"{record_id}@v0")
+    landed = _rot_extent(source, version_id(record_id, 0))
     false_positive = any(
         not sub.cluster.verify_integrity(incremental=True).ok
         for _ in range(_FULL_RESCAN_EVERY)
@@ -1030,7 +1031,7 @@ def _rebalance_mid_move_dest_tamper_case() -> EquivalenceCase:
         ticket = sub.cluster._moves.get(patient_id)  # noqa: SLF001
         if ticket is not None:
             tampered["landed"] = _rot_extent(
-                sub.cluster.shards[ticket.dest_slot], f"{record_id}@v0"
+                sub.cluster.shards[ticket.dest_slot], version_id(record_id, 0)
             )
 
     aborted = False

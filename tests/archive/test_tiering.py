@@ -7,8 +7,9 @@ import pytest
 
 from repro.archive import DemotionPolicy
 from repro.core.config import CuratorConfig
-from repro.core.engine import CuratorStore, _version_object_id
+from repro.core.engine import CuratorStore
 from repro.errors import CrashError
+from repro.records.ids import version_id
 from repro.records.model import ClinicalNote, HealthRecord
 from repro.util.clock import SimulatedClock
 from repro.verify.crashpoint import CrashController, surviving_image
@@ -84,7 +85,7 @@ def test_demote_then_recall_round_trips_every_version():
     }
     warm_digests = {
         rid: [
-            store._worm.metadata(_version_object_id(rid, n)).content_digest
+            store._worm.metadata(version_id(rid, n)).content_digest
             for n in range(store.version_count(rid))
         ]
         for rid in IDS

@@ -1,0 +1,150 @@
+"""How many device writes each engine operation costs — counts, not
+timings.  ``store()`` = exactly four is pinned in
+``test_write_pipeline.py``; these rows pin the rest of the write
+surface, so a part that starts writing twice (or stops writing at all)
+fails here rather than in a benchmark."""
+
+import pytest
+
+from repro.access.principals import Role, User
+from repro.core import CuratorConfig, CuratorStore
+from repro.records.model import ClinicalNote, HealthRecord
+from repro.util.clock import SimulatedClock
+
+MASTER = bytes(range(32))
+#: long enough that no operation below falls on an anchor
+NO_ANCHOR = 10_000
+
+
+def make_store(site_id="hospital-A"):
+    clock = SimulatedClock(start=1.17e9)
+    store = CuratorStore(
+        CuratorConfig(
+            master_key=MASTER, clock=clock, site_id=site_id,
+            anchor_every_events=NO_ANCHOR, device_capacity=1 << 22,
+        )
+    )
+    store.register_user(User.make("admin", "Admin", [Role.SYSTEM_ADMIN]))
+    for i in range(3):
+        store.store(
+            ClinicalNote.create(
+                record_id=f"rec-{i}", patient_id="pat-1", created_at=clock.now(),
+                author="dr-a", specialty="cardiology", text=f"entry {i} followup",
+            ),
+            "dr-a",
+        )
+    return store, clock
+
+
+def writes(store):
+    worm, index, audit, keys, checkpoints, cold = store.devices()
+    return {
+        "worm": worm.stats.writes, "index": index.stats.writes,
+        "audit": audit.stats.writes, "keys": keys.stats.writes,
+        "checkpoints": checkpoints.stats.writes, "cold": cold.stats.writes,
+    }
+
+
+def delta(store, operation):
+    before = writes(store)
+    operation()
+    after = writes(store)
+    return {name: after[name] - before[name] for name in after if after[name] != before[name]}
+
+
+def corrected(store, clock, record_id):
+    current = store.read(record_id, actor_id="system")
+    return HealthRecord(
+        record_id=record_id, record_type=current.record_type,
+        patient_id=current.patient_id, created_at=clock.now(),
+        body={**current.body, "text": "amended"},
+    )
+
+
+def test_correct_is_one_frame_an_index_rewrite_and_two_audit_events():
+    store, clock = make_store()
+    amendment = corrected(store, clock, "rec-0")
+    # WORM: the new version.  Index: scrub the old postings, post the
+    # new text.  Audit: ACCESS_GRANTED + RECORD_CORRECTED.
+    cost = delta(store, lambda: store.correct(amendment, "dr-a", "amend"))
+    assert cost.pop("index") >= 2
+    assert cost == {"worm": 1, "audit": 2}
+
+
+@pytest.mark.parametrize("size", [10, 200_000])
+def test_attach_is_one_worm_frame_however_many_chunks(size):
+    store, _ = make_store()
+    cost = delta(
+        store, lambda: store.attach("rec-0", "scan", b"z" * size, actor_id="dr-a")
+    )
+    assert cost == {"worm": 1, "audit": 1}
+    assert store.read_attachment("rec-0", "scan", actor_id="dr-a") == b"z" * size
+
+
+def test_a_torn_attach_leaves_nothing():
+    from repro.errors import CrashError
+    from repro.verify.crashpoint import CrashController, surviving_image
+
+    store, clock = make_store()
+    controller = CrashController()
+    controller.attach(store.devices())
+    controller.arm(1, torn=True)
+    with pytest.raises(CrashError):
+        store.attach("rec-0", "scan", b"z" * 200_000, actor_id="dr-a")
+    worm, _index, audit, keys, checkpoints, cold = store.devices()
+    recovered = CuratorStore.recover_from_devices(
+        CuratorConfig(master_key=MASTER, clock=clock, device_capacity=1 << 22),
+        worm_device=surviving_image(worm), key_device=surviving_image(keys),
+        audit_device=surviving_image(audit),
+        checkpoint_device=surviving_image(checkpoints),
+        cold_device=surviving_image(cold),
+    )
+    assert recovered.recovery_report.orphaned == ()
+    assert recovered.record_ids() == ["rec-0", "rec-1", "rec-2"]
+    assert recovered.verify_integrity().ok
+
+
+def test_demote_is_one_segment_and_one_marker_per_record():
+    store, _ = make_store()
+    cost = delta(store, lambda: store.demote_records(["rec-0", "rec-1"]))
+    assert cost == {"cold": 1, "audit": 2}
+
+
+def test_read_through_recall_is_one_worm_frame():
+    store, clock = make_store()
+    store.correct(corrected(store, clock, "rec-0"), "dr-a", "amend")
+    store.demote_records(["rec-0"])
+    # both versions ride ONE frame; audit: ACCESS_GRANTED,
+    # RECORD_RECALLED, RECORD_READ
+    cost = delta(store, lambda: store.read("rec-0", actor_id="dr-a"))
+    assert cost == {"worm": 1, "audit": 3}
+
+
+def test_dispose_writes_only_the_shred_the_index_scrub_and_one_event():
+    store, clock = make_store()
+    clock.advance_years(40)
+    cost = delta(store, lambda: store.dispose("rec-0", actor_id="admin"))
+    assert cost.pop("index") >= 1  # scrubbed postings
+    # the key escrow journals a shred tombstone; nothing is *appended*
+    # to the WORM device — destruction there is raw overwrites of the
+    # object's extent, not a journal write
+    assert cost == {"keys": 1, "audit": 1}
+    assert store.worm.device.stats.raw_writes > 0
+
+
+def test_import_patient_history_is_one_worm_frame_for_the_whole_patient():
+    source, clock = make_store()
+    source.correct(corrected(source, clock, "rec-0"), "dr-a", "amend")
+    source.attach("rec-1", "scan", b"q" * 200_000, actor_id="dr-a")
+    bundle = source.export_patient_history("pat-1")
+    destination = CuratorStore(
+        CuratorConfig(
+            master_key=bytes(32), clock=clock, site_id="hospital-B",
+            anchor_every_events=NO_ANCHOR, device_capacity=1 << 22,
+        )
+    )
+    # 4 versions + 4 chunks + the segment archive: ONE frame; one escrow
+    # flush for 3 keys, one index flush for 3 documents, one audit flush
+    cost = delta(destination, lambda: destination.import_patient_history(bundle))
+    assert cost == {"worm": 1, "keys": 1, "index": 1, "audit": 1}
+    assert len(destination.worm.object_ids()) == 4 + 4 + 1

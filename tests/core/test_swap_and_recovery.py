@@ -1,0 +1,162 @@
+"""Restore, media refresh and device recovery share one swap and one
+adopt path; these are the cases where the three hand-written copies
+used to disagree."""
+
+import pytest
+
+from repro.access.principals import Role, User
+from repro.core import CuratorConfig, CuratorStore
+from repro.errors import RecordNotFoundError
+from repro.records.model import ClinicalNote, HealthRecord
+from repro.storage.block import MemoryDevice
+from repro.util.clock import SimulatedClock
+from repro.verify.crashpoint import surviving_image
+
+MASTER = bytes(range(32))
+
+
+def make_store():
+    clock = SimulatedClock(start=1.17e9)
+    config = CuratorConfig(master_key=MASTER, clock=clock, device_capacity=1 << 22)
+    store = CuratorStore(config)
+    store.register_user(User.make("admin", "Admin", [Role.SYSTEM_ADMIN]))
+    return store, clock, config
+
+
+def note(record_id, patient_id, clock, text="routine followup"):
+    return ClinicalNote.create(
+        record_id=record_id,
+        patient_id=patient_id,
+        created_at=clock.now(),
+        author="dr-a",
+        specialty="cardiology",
+        text=text,
+    )
+
+
+def recover(store, config, *, worm_device=None):
+    worm, _index, audit, keys, checkpoints, cold = store.devices()
+    return CuratorStore.recover_from_devices(
+        config,
+        worm_device=worm_device or surviving_image(worm),
+        key_device=surviving_image(keys),
+        audit_device=surviving_image(audit),
+        checkpoint_device=surviving_image(checkpoints),
+        cold_device=surviving_image(cold),
+        witnesses=[store.witness],
+        signer=store.signer,
+    )
+
+
+def test_backup_of_an_engine_that_imported_a_patient():
+    """Imported audit-segment archives are WORM objects no record owns:
+    they carry no data key and are backed up without one."""
+    source, clock, _ = make_store()
+    destination = CuratorStore(
+        CuratorConfig(master_key=bytes(32), clock=clock, site_id="hospital-B")
+    )
+    destination.register_user(User.make("admin", "Admin", [Role.SYSTEM_ADMIN]))
+    source.store(note("rec-1", "pat-1", clock), "dr-a")
+    destination.import_patient_history(source.export_patient_history("pat-1"))
+    snapshot = destination.create_backup(actor_id="admin")
+    assert sorted(snapshot.objects) == sorted(destination.worm.object_ids())
+    assert any(object_id.startswith("~segment/") for object_id in snapshot.objects)
+    assert len(snapshot.wrapped_keys) == 1
+
+
+def test_restore_leaves_records_demoted_since_the_snapshot_cold():
+    store, clock, _ = make_store()
+    for i in range(3):
+        store.store(note(f"rec-{i}", "pat-1", clock, f"entry {i}"), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    store.read("rec-0", actor_id="dr-a")  # pin plaintext in the read cache
+    store.demote_records(["rec-0", "rec-1"])
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    # the restored warm copies of cold-authoritative records are
+    # tombstoned again, and nothing is served from the old cache
+    assert store.cold_record_ids() == ["rec-0", "rec-1"]
+    assert store.tier_stats()["hot_records"] == 0
+    assert store.read("rec-0", actor_id="dr-a").body["text"] == "entry 0"
+    assert store.cold_record_ids() == ["rec-1"]
+    assert store.read("rec-2", actor_id="dr-a").body["text"] == "entry 2"
+    assert store.verify_integrity().ok
+    assert store.verify_audit_trail().ok
+
+
+def test_restore_keeps_disposal_working():
+    """The restored store's disposition workflow knows every key handle
+    (the old restore registered them with the workflow it then
+    replaced)."""
+    store, clock, _ = make_store()
+    store.store(note("rec-0", "pat-1", clock), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    clock.advance_years(40)
+    (certificate,) = store.dispose("rec-0", actor_id="admin")
+    assert certificate.shred_report.key_shredded
+    with pytest.raises(RecordNotFoundError):
+        store.read("rec-0", actor_id="dr-a")
+
+
+@pytest.mark.parametrize("swap", ["refresh", "restore"])
+def test_litigation_holds_survive_the_swap(swap):
+    from repro.errors import RetentionError
+
+    store, clock, _ = make_store()
+    store.store(note("rec-0", "pat-1", clock), "dr-a")
+    store.place_hold("rec-0", "case-11", actor_id="admin")
+    if swap == "refresh":
+        store.refresh_media()
+    else:
+        snapshot = store.create_backup(actor_id="admin")
+        store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    clock.advance_years(40)
+    with pytest.raises(RetentionError):
+        store.dispose("rec-0", actor_id="admin")
+    store.release_hold("rec-0", "case-11", actor_id="admin")
+    assert store.dispose("rec-0", actor_id="admin")
+
+
+def test_dispose_on_a_recovered_engine_empties_the_policy_decision_cache():
+    """One construction wiring: the recovered engine's shredder is bound
+    to its policy engine, so a shredded record's cached allows die with
+    it."""
+    store, clock, config = make_store()
+    store.store(note("rec-0", "pat-1", clock), "dr-a")
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    recovered = recover(store, config)
+    recovered.register_user(User.make("admin", "Admin", [Role.SYSTEM_ADMIN]))
+    recovered.register_user(User.make("dr-a", "A", [Role.PHYSICIAN]))
+    recovered.search("followup", actor_id="dr-a")  # a cacheable allow
+    assert recovered.policy.cache_info()["entries"] > 0
+    clock.advance_years(40)
+    recovered.dispose("rec-0", actor_id="admin")
+    assert recovered.policy.cache_info()["entries"] == 0
+
+
+def test_a_record_recovered_from_the_cold_tier_alone_can_be_corrected():
+    """Recall after a cold-only recovery enters the warm objects into
+    the provenance graph, so the correction's derivation edge has a
+    parent to hang from."""
+    store, clock, config = make_store()
+    store.store(note("rec-0", "pat-1", clock), "dr-a")
+    store.demote_records(["rec-0"])
+    recovered = recover(
+        store, config, worm_device=MemoryDevice("lost-worm", 1 << 22)
+    )
+    assert recovered.recovery_report.cold_records == ("rec-0",)
+    current = recovered.read("rec-0", actor_id="system")
+    recovered.correct(
+        HealthRecord(
+            record_id="rec-0",
+            record_type=current.record_type,
+            patient_id=current.patient_id,
+            created_at=clock.now(),
+            body={**current.body, "text": "amended"},
+        ),
+        author_id="system",
+        reason="amendment",
+    )
+    assert recovered.version_count("rec-0") == 2
+    assert recovered.provenance.ancestry("rec-0@v1") == ["rec-0@v0"]
+    assert recovered.verify_integrity().ok

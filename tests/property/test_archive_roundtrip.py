@@ -6,7 +6,8 @@ cold member proves against its segment root."""
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import CuratorConfig
-from repro.core.engine import CuratorStore, _version_object_id
+from repro.core.engine import CuratorStore
+from repro.records.ids import version_id
 from repro.records.model import ClinicalNote, HealthRecord
 from repro.util.clock import SimulatedClock
 
@@ -79,7 +80,7 @@ def test_demote_recall_is_the_identity_on_version_chains(history):
     }
     warm_digests = {
         rid: [
-            store._worm.metadata(_version_object_id(rid, n)).content_digest
+            store._worm.metadata(version_id(rid, n)).content_digest
             for n in range(store.version_count(rid))
         ]
         for rid in record_ids
