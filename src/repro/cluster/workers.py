@@ -7,16 +7,19 @@ whole engine into a dedicated worker process and speaks a compact
 command protocol over a pipe:
 
 * **request** — ``(method_name, args, kwargs)``, pickled once; the
-  worker resolves ``method_name`` against its private
-  :class:`~repro.core.engine.CuratorStore` and invokes it.
+  worker invokes ``method_name`` — which must be one of
+  :data:`ENGINE_CALLS` — on its private
+  :class:`~repro.core.engine.CuratorStore`.
 * **response** — ``(True, result)`` on success or ``(False, exception)``
   on failure; the proxy re-raises the exception in the caller, so error
   semantics match the in-process engine call for every picklable error
   (all of :mod:`repro.errors` is).
 
-The proxy duck-types the engine surface — the router's routing/locking
-code does not know whether a shard is local or a process — with two
-deliberate exceptions that fail fast instead of pretending:
+The proxy carries exactly the engine calls the cluster makes
+(:data:`ENGINE_CALLS`) — the routing/locking code does not know whether
+a shard is local or a process; anything else is an ``AttributeError``
+at the call site — with two deliberate exceptions that fail fast
+instead of pretending:
 
 * raw **device access** (``devices``/``audit_devices``/attribute reads
   like ``_clock``) cannot cross the pipe: a
@@ -45,6 +48,25 @@ from repro.errors import ClusterError
 
 _SHUTDOWN = "__shutdown__"
 
+#: The engine calls that cross the pipe: what the router, the rebalancer
+#: and migration-proof verification invoke on a shard, and nothing else.
+ENGINE_CALLS = frozenset({
+    "accounting_of_disclosures", "adopt_access_state", "adopt_audit_delta",
+    "attach", "attachments_of", "audit_events", "break_glass",
+    "cold_record_ids", "correct", "create_backup", "declared_features",
+    "demote_records", "demotion_sweep", "dispose", "export_access_state",
+    "export_audit_delta", "export_deidentified", "export_patient_history",
+    "import_patient_history", "imported_segment_snapshot",
+    "patient_history_digests", "patient_ids", "place_hold",
+    "prepare_access_probe", "principal", "read", "read_attachment",
+    "read_version", "read_view", "record_ids", "records_in_window",
+    "records_of_patient", "register_user", "release_hold",
+    "restore_from_backup", "retention_sweep", "retire_patient",
+    "revoke_break_glass", "search", "segment_attestation", "store",
+    "store_many", "tier_stats", "verify_audit_trail", "verify_integrity",
+    "version_count",
+})
+
 
 def _serve(conn, config: CuratorConfig) -> None:
     """Worker-process main loop: build the shard engine, answer commands."""
@@ -61,6 +83,8 @@ def _serve(conn, config: CuratorConfig) -> None:
             break
         method, args, kwargs = message
         try:
+            if method not in ENGINE_CALLS:
+                raise ClusterError(f"{method!r} is not a call a shard worker serves")
             result = getattr(engine, method)(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 — every error crosses the pipe
             try:
@@ -95,13 +119,11 @@ def worker_shard_config(config: CuratorConfig) -> CuratorConfig:
 
 
 class ShardWorkerProxy:
-    """One shard engine hosted in a worker process, behind the engine API.
-
-    Unknown public attribute lookups resolve to remote method calls
-    (memoized per name); private attributes raise ``AttributeError`` so
-    code that reaches into engine internals fails loudly instead of
-    operating on a phantom.
-    """
+    """One shard engine hosted in a worker process, behind the
+    :data:`ENGINE_CALLS` slice of the engine API.  Engine internals are
+    plain missing attributes, so code that reaches for them fails loudly
+    instead of operating on a phantom (run the cluster with ``workers=0``
+    for that)."""
 
     def __init__(self, config: CuratorConfig, shard_id: str) -> None:
         context = multiprocessing.get_context()
@@ -116,6 +138,8 @@ class ShardWorkerProxy:
         child.close()
         self._shard_id = shard_id
         self._closed = False
+        for name in ENGINE_CALLS:
+            setattr(self, name, partial(self._call, name))
 
     # -- command protocol ------------------------------------------------
 
@@ -132,16 +156,6 @@ class ShardWorkerProxy:
         if not ok:
             raise payload
         return payload
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(
-                f"{name!r}: engine internals are not reachable on a "
-                f"process-backed shard (run the cluster with workers=0)"
-            )
-        caller = partial(self._call, name)
-        self.__dict__[name] = caller  # memoize; __getattr__ won't fire again
-        return caller
 
     # -- the deliberately unsupported surface ----------------------------
 

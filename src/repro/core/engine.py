@@ -267,6 +267,7 @@ class CuratorStore(StorageModel):
             keystore=self._keystore,
             audit=self._audit,
             consent=self._consent,
+            breakglass=self._breakglass,
             workforce=self._workforce,
         )
         self._recovery = Recovery(
@@ -1064,13 +1065,14 @@ class CuratorStore(StorageModel):
         segment = self._transfer.segments.get(patient_id)
         return None if segment is None else segment.attestation
 
-    def export_consent_directives(self, patient_id: str) -> tuple:
-        """The patient's consent directives, for transfer at cutover."""
-        return self._transfer.export_consent_directives(patient_id)
+    def export_access_state(self, patient_id: str) -> tuple[tuple, tuple]:
+        """The patient's consent directives and live break-glass grants,
+        for transfer at cutover."""
+        return self._transfer.export_access_state(patient_id)
 
-    def adopt_consent_directives(self, patient_id: str, directives) -> int:
-        """Adopt consent directives migrated in with a patient."""
-        return self._transfer.adopt_consent_directives(patient_id, directives)
+    def adopt_access_state(self, patient_id: str, state: tuple[tuple, tuple]) -> None:
+        """Adopt the access state migrated in with a patient."""
+        self._transfer.adopt_access_state(patient_id, state)
 
     def retire_patient(
         self,

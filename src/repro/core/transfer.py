@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.access.breakglass import BreakGlassController
 from repro.access.policies import ConsentRegistry
 from repro.access.principals import Workforce
 from repro.audit.events import AuditAction
@@ -65,6 +66,7 @@ class PatientTransfer:
     keystore: KeyStore
     audit: AuditLog
     consent: ConsentRegistry
+    breakglass: BreakGlassController
     workforce: Workforce
     #: patient id -> the segment that migrated in with them
     segments: dict[str, ImportedSegment] = field(default_factory=dict)
@@ -232,11 +234,14 @@ class PatientTransfer:
             manifest=manifest,
         )
 
-    def export_consent_directives(self, patient_id: str) -> tuple:
-        """The patient's consent directives, for transfer at cutover
-        (consent must give one answer no matter where the patient
-        lives)."""
-        return tuple(self.consent.directives_for(patient_id))
+    def export_access_state(self, patient_id: str) -> tuple[tuple, tuple]:
+        """``(consent directives, live break-glass grants)`` of the
+        patient, for transfer at cutover: authorization must give one
+        answer no matter where the patient lives."""
+        return (
+            tuple(self.consent.directives_for(patient_id)),
+            self.breakglass.active_grants(patient_id),
+        )
 
     # -- import ------------------------------------------------------------------
 
@@ -387,20 +392,18 @@ class PatientTransfer:
             segment.delta.extend(payload["events"])
         segment.objects.append(object_id)
 
-    def adopt_consent_directives(self, patient_id: str, directives) -> int:
-        """Adopt consent directives migrated in with a patient; skips
-        directive ids this registry already knows."""
+    def adopt_access_state(self, patient_id: str, state: tuple[tuple, tuple]) -> None:
+        """Adopt the access state that migrated in with a patient
+        (skipping directive ids this registry already knows)."""
+        directives, grants = state
         known = {
             directive.directive_id
             for directive in self.consent.directives_for(patient_id)
         }
-        adopted = 0
         for directive in directives:
-            if directive.directive_id in known:
-                continue
-            self.consent.add_directive(patient_id, directive)
-            adopted += 1
-        return adopted
+            if directive.directive_id not in known:
+                self.consent.add_directive(patient_id, directive)
+        self.breakglass.adopt(grants)
 
     # -- retire ------------------------------------------------------------------
 
@@ -443,5 +446,6 @@ class PatientTransfer:
         segment = self.segments.pop(patient_id, None)
         for object_id in segment.objects if segment else ():
             worm.expatriate(object_id)
+        self.breakglass.release(patient_id)
         METRICS.incr("patient_retires")
         return tuple(record_ids)

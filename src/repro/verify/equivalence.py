@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.audit.checkpoint import CheckpointStore
-from repro.cluster.ring import HashRing
+from repro.cluster.ring import sample_patients
 from repro.cluster.router import CuratorCluster
 from repro.core.config import CuratorConfig
 from repro.core.engine import CuratorStore
@@ -177,18 +177,6 @@ def _build_single() -> _Substrate:
     )
 
 
-def _patients_on_shard(ring: HashRing, shard: int, count: int, tag: str) -> list[str]:
-    """Deterministic patient ids the ring places on *shard*."""
-    found: list[str] = []
-    candidate = 0
-    while len(found) < count:
-        patient_id = f"pat-{tag}-{candidate}"
-        if ring.shard_for(patient_id) == shard:
-            found.append(patient_id)
-        candidate += 1
-    return found
-
-
 def _build_cluster(shards: int, target_shard: int) -> _Substrate:
     global _CLUSTER_KEYPAIR
     if _CLUSTER_KEYPAIR is None:
@@ -209,8 +197,8 @@ def _build_cluster(shards: int, target_shard: int) -> _Substrate:
     # three resident records per shard, stored and read through the
     # cluster so every shard's audit log grows past the prefix-tamper
     # minimum before its watermark seals
-    for shard in range(shards):
-        for patient_id in _patients_on_shard(cluster.ring, shard, 3, f"s{shard}"):
+    for shard, patients in sample_patients(cluster.ring, 3, "pat-s").items():
+        for patient_id in patients:
             record_id = f"rec-{shard}-{n}"
             cluster.store(_seed_note(record_id, patient_id, clock, n), "dr-eq")
             cluster.read(record_id, actor_id="dr-eq")
@@ -223,9 +211,7 @@ def _build_cluster(shards: int, target_shard: int) -> _Substrate:
         surface=cluster,
         target=cluster.shards[target_shard],
         records=tuple(target_records),
-        dirty_patient=_patients_on_shard(
-            cluster.ring, target_shard, 1, "dirty"
-        )[0],
+        dirty_patient=sample_patients(cluster.ring, 1, "pat-dirty-")[target_shard][0],
         clock=clock,
     )
 
@@ -836,7 +822,6 @@ def run_cluster_detection_equivalence(shards: int = 2) -> EquivalenceReport:
 
 # -- rebalance-aware oracle ------------------------------------------------
 
-_REBALANCE_VNODES = 32
 _REBALANCE_PATIENTS = 10
 
 
@@ -881,7 +866,7 @@ def _build_rebalance() -> _RebalanceSub:
         integrity_clean_sample=_CLEAN_SAMPLE,
         signing_keypair=_CLUSTER_KEYPAIR,
     )
-    cluster = CuratorCluster(config, shards=2, vnodes=_REBALANCE_VNODES)
+    cluster = CuratorCluster(config, shards=2)
     patients, record_of = [], {}
     for n in range(_REBALANCE_PATIENTS):
         patient_id, record_id = f"pat-rb-{n}", f"rec-rb-{n}"
@@ -1028,11 +1013,12 @@ def _rebalance_mid_move_dest_tamper_case() -> EquivalenceCase:
     def rot_dest_copy(stage: str, patient_id: str) -> None:
         if stage != "verify" or patient_id != victim:
             return
-        ticket = sub.cluster._moves.get(patient_id)  # noqa: SLF001
-        if ticket is not None:
-            tampered["landed"] = _rot_extent(
-                sub.cluster.shards[ticket.dest_slot], version_id(record_id, 0)
-            )
+        # mid-transition the ring is already final: its answer is the
+        # move's destination
+        destination = sub.cluster.ring.shard_for(patient_id)
+        tampered["landed"] = _rot_extent(
+            sub.cluster.shards[destination], version_id(record_id, 0)
+        )
 
     aborted = False
     try:

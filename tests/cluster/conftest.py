@@ -7,7 +7,7 @@ mirroring the production setup where shards share the signing HSM.
 
 import pytest
 
-from repro.cluster import CuratorCluster, HashRing
+from repro.cluster import CuratorCluster
 from repro.core.config import CuratorConfig
 from repro.crypto.rsa import generate_keypair
 from repro.records.model import ClinicalNote
@@ -48,18 +48,3 @@ def make_note(record_id: str, patient_id: str, created_at: float,
         specialty="cardiology",
         text=text,
     )
-
-
-def patients_per_shard(shards: int, per_shard: int) -> dict[int, list[str]]:
-    """Deterministic patient ids grouped by the shard the ring puts
-    them on — lets tests target a specific shard on purpose."""
-    ring = HashRing(shards)
-    groups: dict[int, list[str]] = {shard: [] for shard in range(shards)}
-    candidate = 0
-    while any(len(group) < per_shard for group in groups.values()):
-        patient_id = f"pat-{candidate:03d}"
-        shard = ring.shard_for(patient_id)
-        if len(groups[shard]) < per_shard:
-            groups[shard].append(patient_id)
-        candidate += 1
-    return groups

@@ -9,7 +9,7 @@ from tests.cluster.conftest import make_note
 
 
 def test_create_backup_after_a_rebalance(config, clock):
-    cluster = CuratorCluster(config, shards=2, vnodes=32)
+    cluster = CuratorCluster(config, shards=2)
     cluster.register_user(User.make("ops", "Ops", [Role.SYSTEM_ADMIN]))
     for n in range(12):
         cluster.store(make_note(f"rec-{n:03d}", f"pat-{n}", clock.now()), "dr-cluster")

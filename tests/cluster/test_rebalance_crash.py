@@ -33,7 +33,7 @@ PATIENTS = [f"pat-{n:03d}" for n in range(8)]
 
 
 def build(config, clock):
-    cluster = CuratorCluster(config, shards=2, vnodes=32)
+    cluster = CuratorCluster(config, shards=2)
     for n, patient_id in enumerate(PATIENTS):
         cluster.store(
             make_note(f"rec-{n:03d}", patient_id, clock.now()), "dr-cluster"

@@ -14,16 +14,21 @@ import pytest
 from repro.access.policies import ConsentDirective
 from repro.access.principals import Role, User
 from repro.cluster import CuratorCluster, MigrationProof
-from repro.errors import ClusterError, CuratorError, RetentionError
-from repro.errors import ConsentError
+from repro.errors import (
+    AccessDeniedError,
+    ConsentError,
+    CuratorError,
+    RecordError,
+    RetentionError,
+)
 
 from tests.cluster.conftest import make_note
 
 PATIENTS = [f"pat-{n:03d}" for n in range(10)]
 
 
-def build(config, clock, shards=2, vnodes=32):
-    cluster = CuratorCluster(config, shards=shards, vnodes=vnodes)
+def build(config, clock, shards=2):
+    cluster = CuratorCluster(config, shards=shards)
     cluster.register_user(
         User.make("po-1", "Privacy Officer", [Role.PRIVACY_OFFICER])
     )
@@ -43,12 +48,6 @@ def displaced_by_grow(cluster, target_shards=4):
         final = final.with_added(f"shard-{candidate:02d}")
         candidate += 1
     return ring.diff(final).moves(PATIENTS)
-
-
-def test_rebalance_requires_a_vnode_ring(config):
-    cluster = CuratorCluster(config, shards=2)
-    with pytest.raises(ClusterError, match="virtual-node ring"):
-        cluster.rebalance(target_shards=4)
 
 
 def test_grow_moves_exactly_the_displaced_patients(config, clock):
@@ -164,6 +163,62 @@ def test_consent_directives_survive_the_move(config, clock):
     with pytest.raises(ConsentError):
         cluster.read(record_id, actor_id="po-1")
     assert cluster.read(record_id, actor_id="dr-cluster")
+
+
+def test_a_live_break_glass_grant_follows_its_patient(config, clock):
+    """The grant is the patient's, not the shard's: it keeps authorizing
+    after a grow displaces the patient, keeps its id, expiry and review
+    deadline, and can still be revoked after a shrink has dropped the
+    shard that issued it."""
+    cluster = build(config, clock)
+    cluster.register_user(User.make("dr-er", "ER Doc", [Role.PHYSICIAN]))
+    patient_id = next(iter(displaced_by_grow(cluster)))
+    record_id = f"rec-{PATIENTS.index(patient_id):03d}"
+    grant = cluster.break_glass("dr-er", patient_id, "unresponsive arrival")
+    assert cluster.read(record_id, actor_id="dr-er")
+
+    cluster.rebalance(target_shards=4, actor_id="ops")
+    assert cluster.read(record_id, actor_id="dr-er")
+    home = cluster.shards[cluster.shard_for(patient_id)]
+    assert grant in home.breakglass.grants()
+    # ... and no longer on the books of the shard it left
+    assert sum(grant in shard.breakglass.grants() for shard in cluster.shards) == 1
+
+    clock.advance(5.0)
+    cluster.rebalance(target_shards=1, actor_id="ops")
+    assert cluster.read(record_id, actor_id="dr-er")
+    assert cluster.revoke_break_glass(grant.grant_id).grant_id == grant.grant_id
+    with pytest.raises(AccessDeniedError):
+        cluster.read(record_id, actor_id="dr-er")
+
+
+def test_grants_issued_on_different_shards_never_share_an_id(config, clock):
+    cluster = build(config, clock)
+    cluster.register_user(User.make("dr-er", "ER Doc", [Role.PHYSICIAN]))
+    by_shard = {cluster.shard_for(p): p for p in PATIENTS}
+    assert len(by_shard) == 2
+    grants = [
+        cluster.break_glass("dr-er", patient_id, "unresponsive arrival")
+        for patient_id in by_shard.values()
+    ]
+    assert len({grant.grant_id for grant in grants}) == 2
+    # each revocation reaches its own patient's grant
+    for grant in grants:
+        assert cluster.revoke_break_glass(grant.grant_id).patient_id == grant.patient_id
+
+
+def test_a_record_id_names_one_patient_for_good(config, clock):
+    """One engine refuses a second store under a used record id; across
+    shards only the router's record table can."""
+    cluster = build(config, clock)
+    other = next(
+        p for p in PATIENTS if cluster.shard_for(p) != cluster.shard_for(PATIENTS[0])
+    )
+    with pytest.raises(RecordError):
+        cluster.store(make_note("rec-000", other, clock.now()), "dr-cluster")
+    with pytest.raises(RecordError):
+        cluster.store_many([make_note("rec-000", other, clock.now())], "dr-cluster")
+    assert cluster.shard_of_record("rec-000") == cluster.shard_for(PATIENTS[0])
 
 
 def test_explicit_add_and_remove_shards(config, clock):

@@ -5,14 +5,15 @@ import dataclasses
 import pytest
 
 from repro.cluster import ClusterManifest, CuratorCluster
+from repro.cluster.ring import sample_patients
 from repro.errors import ClusterError
 
-from tests.cluster.conftest import make_note, patients_per_shard
+from tests.cluster.conftest import make_note
 
 
 def _populated(config, clock, shards=3):
     cluster = CuratorCluster(config, shards=shards)
-    groups = patients_per_shard(shards, 2)
+    groups = sample_patients(cluster.ring, 2)
     n = 0
     for patients in groups.values():
         for patient_id in patients:
@@ -78,3 +79,15 @@ def test_unsealed_manifest_refuses_recovery(config, clock):
     )
     with pytest.raises(ClusterError):
         CuratorCluster.recover_from_devices(config, bare, cluster.device_sets())
+
+
+def test_a_modulo_ring_manifest_is_refused_typed(config, clock):
+    """``sha256-ring`` named the retired ``hash % shards`` placement;
+    routing its shards by the vnode ring would send patients to shards
+    that do not hold them, so recovery refuses before touching a device."""
+    cluster = _populated(config, clock)
+    legacy = dataclasses.replace(
+        cluster.manifest, algorithm="sha256-ring"
+    ).sealed(config.master_key)
+    with pytest.raises(ClusterError, match="sha256-ring"):
+        CuratorCluster.recover_from_devices(config, legacy, cluster.device_sets())

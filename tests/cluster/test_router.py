@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.cluster.ring import sample_patients
 from repro.errors import ClusterError, RecordNotFoundError
 from repro.util.metrics import METRICS
 
-from tests.cluster.conftest import make_note, patients_per_shard
+from tests.cluster.conftest import make_note
 
 
 def _populate(cluster, clock, per_shard=2):
     """Two records on every shard; returns {shard_index: [record_ids]}."""
-    groups = patients_per_shard(cluster.shard_count, per_shard)
+    groups = sample_patients(cluster.ring, per_shard)
     placed: dict[int, list[str]] = {}
     n = 0
     for shard, patients in groups.items():
@@ -58,7 +59,7 @@ def test_search_merges_and_dedupes_across_shards(cluster, clock):
 
 
 def test_store_many_groups_by_shard_atomically(cluster, clock):
-    groups = patients_per_shard(cluster.shard_count, 2)
+    groups = sample_patients(cluster.ring, 2)
     records = [
         make_note(f"bulk-{shard}-{n}", patient_id, clock.now())
         for shard, patients in groups.items()
@@ -74,7 +75,7 @@ def test_author_enrollment_replicates_cluster_wide(cluster, clock):
     """Storing one record must make the author a known principal on
     every shard (as it would engine-wide on a monolith) — otherwise a
     fan-out search dies on the shards the author never wrote to."""
-    groups = patients_per_shard(cluster.shard_count, 1)
+    groups = sample_patients(cluster.ring, 1)
     patient_id = groups[0][0]  # lands on shard 0 only
     cluster.store(make_note("rec-solo", patient_id, clock.now()), "dr-new")
     assert cluster.search("cardiology", actor_id="dr-new") == ["rec-solo"]

@@ -1,16 +1,21 @@
 """Process-backed shard workers: protocol, equivalence, and the
 deliberately unsupported device surface."""
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.cluster import CuratorCluster
+from repro.cluster.ring import sample_patients
 from repro.cluster.workers import ShardWorkerProxy, worker_shard_config
 from repro.core.config import CuratorConfig
 from repro.crypto.ed25519 import generate_ed25519_keypair
 from repro.errors import AccessDeniedError, ClusterError, RecordNotFoundError
 from repro.util import SimulatedClock
 
-from tests.cluster.conftest import MASTER_KEY, make_note, patients_per_shard
+from tests.cluster.conftest import MASTER_KEY, make_note
 
 ED_KEYPAIR = generate_ed25519_keypair(seed=bytes(range(32)))
 
@@ -49,7 +54,7 @@ def test_store_read_search_round_trip_through_workers(worker_cluster):
 
 
 def test_records_land_on_ring_assigned_worker(worker_cluster):
-    groups = patients_per_shard(3, 2)
+    groups = sample_patients(worker_cluster.ring, 2)
     placed = {}
     n = 0
     for shard, patients in groups.items():
@@ -92,6 +97,30 @@ def test_device_surface_refuses_in_worker_mode(worker_cluster):
 def test_engine_internals_unreachable_through_proxy(worker_cluster):
     with pytest.raises(AttributeError):
         worker_cluster.shards[0]._clock
+
+
+def test_a_name_outside_the_call_table_is_refused_on_both_sides(worker_cluster):
+    proxy = worker_cluster.shards[0]
+    with pytest.raises(AttributeError):
+        proxy.insider_keys  # a real engine name the cluster never calls
+    with pytest.raises(ClusterError, match="insider_keys"):
+        proxy._call("insider_keys")
+    assert proxy.record_ids() == []  # the pipe is still in step
+
+
+def test_a_killed_worker_is_a_typed_error_not_a_hang(worker_cluster):
+    worker_cluster.store(make_note("rec-1", "pat-1", 1.17e9), "dr-cluster")
+    victim = worker_cluster.shards[worker_cluster.shard_of_record("rec-1")]
+    os.kill(victim._process.pid, signal.SIGKILL)
+    victim._process.join(timeout=10)
+    assert not victim._process.is_alive()
+
+    started = time.monotonic()
+    with pytest.raises(ClusterError, match="died"):
+        worker_cluster.read("rec-1", actor_id="dr-cluster")
+    worker_cluster.close()
+    assert time.monotonic() - started < 10
+    assert not any(shard._process.is_alive() for shard in worker_cluster.shards)
 
 
 def test_close_is_idempotent_and_blocks_further_calls(worker_cluster):

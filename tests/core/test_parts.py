@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.access.breakglass import BreakGlassController
 from repro.access.policies import ConsentRegistry
 from repro.access.principals import Workforce
 from repro.archive import ColdStore
@@ -85,6 +86,7 @@ def build_parts(site_id, clock, keypair):
         keystore=keystore,
         audit=audit,
         consent=ConsentRegistry(),
+        breakglass=BreakGlassController(clock=clock),
         workforce=Workforce(),
     )
     return SimpleNamespace(
