@@ -14,18 +14,20 @@ test:
 policy-lint:
 	$(PY) -m repro policy lint
 
-# The PR gate: tier-1, ruleset lint, a bounded crash-consistency sweep +
-# differential conformance + detection equivalence, the E2/E8/E9
-# regression gates, the committed benchmark's smoke run, the
-# online-rebalance (E6b) gate, the tiered cold-archive (E7b) gate, and
-# the wire-service (E11) gate.
+# The PR gate: tier-1 (which runs the whole detection-equivalence
+# scenario table once), ruleset lint, a bounded crash-consistency sweep +
+# differential conformance, the E2/E8/E9 regression gates, the committed
+# benchmark's smoke run, the online-rebalance (E6b) gate, the tiered
+# cold-archive (E7b) gate, and the wire-service (E11) gate.
 verify: test policy-lint bench-gate bench-smoke verify-rebalance verify-archive verify-service
-	$(PY) -m repro verify --limit 12
+	$(PY) -m repro verify --limit 12 --skip-equivalence
 
 # The exhaustive sweep: every write boundary, clean + torn.  ~30s.
 sweep:
 	$(PY) -m repro verify --skip-conformance --skip-equivalence
 
+# Six-model conformance + the whole scenario table (engine, cluster and
+# rebalance rows alike) through the CLI.
 conformance:
 	$(PY) -m repro verify --skip-sweep
 
@@ -50,11 +52,11 @@ profile:
 
 # Elastic-resharding gate: the ring's pinned cases and property suite,
 # the rebalancer's functional, crash-sweep and writers-under-reshape
-# tests, the rebalance detection-equivalence oracle, and the E6b
-# online-rebalance arm (p99-under-fire + proof re-verification) gated
-# by check_regression.
+# tests, and the E6b online-rebalance arm (p99-under-fire + proof
+# re-verification + the rebalance rows of the scenario table) gated by
+# check_regression.
 verify-rebalance:
-	$(PY) -m pytest tests/cluster/test_ring.py tests/cluster/test_vnode_ring.py tests/cluster/test_rebalancer.py tests/cluster/test_rebalance_crash.py tests/cluster/test_rebalance_concurrency.py tests/cluster/test_cluster_equivalence.py -q
+	$(PY) -m pytest tests/cluster/test_ring.py tests/cluster/test_vnode_ring.py tests/cluster/test_rebalancer.py tests/cluster/test_rebalance_crash.py tests/cluster/test_rebalance_concurrency.py -q
 	$(PY) -m pytest benchmarks/bench_e6_migration.py::test_e6b_online_rebalance -q
 	$(PY) benchmarks/check_regression.py --skip-e8 --skip-e9
 
@@ -76,11 +78,10 @@ verify-service:
 	$(PY) -m pytest benchmarks/bench_e11_service.py -q
 	$(PY) benchmarks/check_regression.py --skip-e8 --skip-e9 --skip-e6 --skip-e7
 
-# Cluster-only gate: the cluster suite with the cluster/ layout ratchet
-# (module sizes, pinned surface, one-of-each rules), the cross-shard
-# detection-equivalence oracle, and the E9 scaling bar.
+# Cluster-only gate: the cluster suite (its cross-shard and rebalance
+# oracle selections included) with the layout ratchet (module sizes,
+# pinned surfaces, one-of-each rules), and the E9 scaling bar.
 verify-cluster:
 	$(PY) -m pytest tests/cluster tests/test_layout.py -q
-	$(PY) -m repro verify --skip-sweep --skip-conformance --shards 2
 	$(PY) -m pytest benchmarks/bench_e9_cluster_scaling.py::test_e9_cluster_scaling -q
 	$(PY) benchmarks/check_regression.py --skip-e8

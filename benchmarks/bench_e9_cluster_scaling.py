@@ -249,7 +249,7 @@ def test_e9_cluster_scaling(benchmark):
     worker_speedup = worker_ops / single_ops
 
     # scaled, but did it still catch every single-shard tamper?
-    equivalence = run_cluster_detection_equivalence(shards=2)
+    equivalence = run_cluster_detection_equivalence()
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print_table(

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from repro.crypto.hmac_utils import constant_time_equal, hmac_sha256
 from repro.errors import AccessDeniedError
 from repro.policy.model import PolicyContext
+from repro.records.ids import SESSION
 from repro.util.clock import Clock, WallClock
 
 DEFAULT_SESSION_SECONDS = 8 * 3600.0
@@ -178,7 +179,7 @@ class Authenticator:
         self._failures.pop(user_id, None)
         self._counter += 1
         now = self._clock.now()
-        session_id = f"sess-{self._counter:08d}"
+        session_id = f"{SESSION}{self._counter:08d}"
         expires_at = now + self._session_seconds
         token = self._token_for(session_id, user_id, now, expires_at)
         return Session(
@@ -216,7 +217,7 @@ class Authenticator:
         """
         self._counter += 1
         now = self._clock.now()
-        session_id = f"sess-{self._counter:08d}"
+        session_id = f"{SESSION}{self._counter:08d}"
         expires_at = now + self._session_seconds
         token = self._token_for(session_id, session.user_id, now, expires_at)
         return Session(

@@ -51,6 +51,12 @@ from repro.util.clock import Clock, WallClock
 from repro.util.metrics import METRICS
 
 
+#: Verified member plaintexts the recall fast path may keep.  The working
+#: set of a cold tier is small by definition (an idle record that is read
+#: again is recalled warm), so a handful of entries is all it ever holds.
+MEMBER_CACHE_SIZE = 16
+
+
 @dataclass
 class ColdSegment:
     """Directory entry for one compacted segment."""
@@ -75,7 +81,6 @@ class ColdStore:
         self,
         device: BlockDevice | None = None,
         clock: Clock | None = None,
-        cache_size: int = 16,
     ) -> None:
         self._journal = Journal(device or MemoryDevice("curator-cold", 1 << 24))
         self._clock = clock or WallClock()
@@ -93,7 +98,6 @@ class ColdStore:
         # by the shredder's bind_cache hook: a disposed record's
         # decrypted cold bytes must not survive it in memory.
         self._cache: OrderedDict[str, bytes] = OrderedDict()
-        self._cache_size = cache_size
 
     @property
     def device(self) -> BlockDevice:
@@ -217,11 +221,9 @@ class ColdStore:
         return cached
 
     def cache_plaintext(self, record_id: str, plaintext: bytes) -> None:
-        if self._cache_size <= 0:
-            return
         self._cache[record_id] = plaintext
         self._cache.move_to_end(record_id)
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > MEMBER_CACHE_SIZE:
             self._cache.popitem(last=False)
 
     def purge_cache(self) -> None:
@@ -343,7 +345,9 @@ class ColdStore:
         sample of clean members and one clean segment's manifest —
         silent bit-rot (and manifest rewrites) in already-verified
         segments are revisited on a bounded cycle without re-reading
-        the whole cold tier."""
+        the whole cold tier.  The engine runs it at the default sample:
+        every clean member is revisited within ``ceil(members / 8)``
+        incremental passes."""
         failures: set[str] = set()
         for segment_id in sorted(self._dirty):
             segment = self._segments[segment_id]
@@ -391,7 +395,6 @@ class ColdStore:
         cls,
         device: BlockDevice,
         clock: Clock | None = None,
-        cache_size: int = 16,
     ) -> "ColdStore":
         """Rebuild the directory from a surviving cold device.
 
@@ -415,7 +418,6 @@ class ColdStore:
         store._member_cursor = 0
         store._segment_cursor = 0
         store._cache = OrderedDict()
-        store._cache_size = cache_size
         for sequence in range(len(store._journal)):
             try:
                 payload = store._journal.read(sequence)

@@ -56,8 +56,10 @@ class BackupManager:
         return self._vault
 
     def _next_id(self, kind: str) -> str:
+        # vault-qualified: a cluster indexes every shard's snapshots by
+        # id, and each shard's manager counts from one
         self._counter += 1
-        return f"snap-{kind}-{self._counter:05d}"
+        return f"{self._vault.site_id}/snap-{kind}-{self._counter:05d}"
 
     def _collect(
         self,

@@ -20,11 +20,11 @@ Commands:
 * ``metrics`` — ingest a small workload as 16 batches of one and as one
   batch of 16, and print the performance counters side by side.
 * ``verify`` — crash-consistency sweep, differential conformance
-  across all six models, and the incremental-vs-full detection-
-  equivalence oracle; ``--incremental``/``--deep`` demo the
-  watermarked verification fast path; ``--shards N`` additionally
-  runs the cross-shard detection-equivalence oracle against an
-  N-shard cluster; non-zero exit on any violation/divergence.
+  across all six models, and the whole detection-equivalence scenario
+  table (engine, cluster and rebalance rows alike: deployment x history
+  x raw-device tamper -> exact blame); ``--incremental``/``--deep`` demo
+  the watermarked verification fast path; non-zero exit on any
+  violation/divergence.
 * ``cluster-demo`` — build a sharded :class:`CuratorCluster`, route a
   workload across it, and print per-shard counters and the merged
   verification reports.
@@ -552,7 +552,7 @@ def _verify(args) -> int:
         render_conformance,
         run_conformance,
         run_crash_sweep,
-        run_detection_equivalence,
+        run_scenario_table,
     )
 
     status = 0
@@ -584,21 +584,10 @@ def _verify(args) -> int:
         print()
 
     if not args.skip_equivalence:
-        print("detection equivalence (incremental vs full verification)...")
-        equivalence = run_detection_equivalence()
+        print("detection equivalence (deployment x history x tamper -> exact blame)...")
+        equivalence = run_scenario_table()
         print(equivalence.summary())
         if not equivalence.ok:
-            status = 1
-
-    if args.shards:
-        from repro.verify import run_cluster_detection_equivalence
-
-        print()
-        print(f"cluster detection equivalence ({args.shards} shards, "
-              f"tamper re-run per shard)...")
-        cluster_eq = run_cluster_detection_equivalence(shards=args.shards)
-        print(cluster_eq.summary())
-        if not cluster_eq.ok:
             status = 1
 
     print()
@@ -802,7 +791,7 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument(
         "--skip-equivalence",
         action="store_true",
-        help="skip the incremental-vs-full detection-equivalence oracle",
+        help="skip the detection-equivalence scenario table",
     )
     verify.add_argument(
         "--incremental",
@@ -813,13 +802,6 @@ def main(argv: list[str] | None = None) -> int:
         "--deep",
         action="store_true",
         help="force a full rescan through the incremental entry point",
-    )
-    verify.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="also run the cross-shard detection-equivalence oracle "
-        "against an N-shard cluster (0 = skip)",
     )
     verify.set_defaults(func=_verify)
     cluster_demo = sub.add_parser(

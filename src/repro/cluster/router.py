@@ -609,17 +609,10 @@ class CuratorCluster(StorageModel):
     def device_sets(self) -> dict[str, dict[str, Any]]:
         """Each shard's recovery-relevant devices, keyed by shard id —
         the hand-off format :meth:`recover_from_devices` expects."""
-        sets: dict[str, dict[str, Any]] = {}
-        for shard_id, engine in self._topology.current.engines.items():
-            worm, _index_dev, audit, keys, checkpoints, cold = engine.devices()
-            sets[shard_id] = {
-                "worm_device": worm,
-                "key_device": keys,
-                "audit_device": audit,
-                "checkpoint_device": checkpoints,
-                "cold_device": cold,
-            }
-        return sets
+        return {
+            shard_id: engine.device_set()
+            for shard_id, engine in self._topology.current.engines.items()
+        }
 
     @classmethod
     def recover_from_devices(

@@ -21,8 +21,8 @@ a shard is local or a process; anything else is an ``AttributeError``
 at the call site — with two deliberate exceptions that fail fast
 instead of pretending:
 
-* raw **device access** (``devices``/``audit_devices``/attribute reads
-  like ``_clock``) cannot cross the pipe: a
+* raw **device access** (``devices``/``device_set``/``audit_devices``/
+  attribute reads like ``_clock``) cannot cross the pipe: a
   :class:`~repro.storage.block.BlockDevice` proxy would be a copy, and
   tampering with a copy proves nothing.  Harnesses that need raw media
   (the detection-equivalence oracle, crash sweeps) must run the cluster
@@ -164,6 +164,8 @@ class ShardWorkerProxy:
             "raw device access is not available on a process-backed shard; "
             "run the cluster with workers=0 for device-level harnesses"
         )
+
+    device_set = devices
 
     def audit_devices(self):
         raise ClusterError(

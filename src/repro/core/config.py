@@ -36,12 +36,8 @@ class CuratorConfig:
     audit_spot_checks: int = 16
     audit_full_rescan_every: int = 64
     integrity_clean_sample: int = 8
-    # Cold-tier knobs: capacity of the dedicated cold device, how many
-    # verified member plaintexts the ColdStore may cache (0 disables),
-    # and the rotating clean-member sample per incremental cold verify.
+    # Capacity of the dedicated cold-tier device.
     cold_device_capacity: int = 1 << 24
-    cold_cache_size: int = 16
-    cold_clean_sample: int = 8
     # An HSM-held anchor-signing keypair shared across engines.  None
     # means each engine generates its own (the single-site default); a
     # cluster passes one keypair so all shards sign anchors under the
@@ -73,7 +69,3 @@ class CuratorConfig:
             raise ConfigurationError("integrity_clean_sample must be >= 0")
         if self.cold_device_capacity < 1:
             raise ConfigurationError("cold_device_capacity must be >= 1")
-        if self.cold_cache_size < 0:
-            raise ConfigurationError("cold_cache_size must be >= 0")
-        if self.cold_clean_sample < 0:
-            raise ConfigurationError("cold_clean_sample must be >= 0")

@@ -82,7 +82,7 @@ from repro.policy import Decision, PolicyContext, PolicyEngine, PolicyEnv
 from repro.policy.compiler import compile_default_ruleset, default_purpose_for
 from repro.provenance.chain import CustodyRegistry
 from repro.provenance.graph import ProvenanceGraph
-from repro.records.ids import attachment_object_id
+from repro.records.ids import DISCLOSURES, SEARCH, attachment_object_id
 from repro.records.model import HealthRecord
 from repro.records.phi import deidentify
 from repro.records.versioning import VersionChain
@@ -218,7 +218,6 @@ class CuratorStore(StorageModel):
         self._cold = cold if cold is not None else ColdStore(
             device=MemoryDevice("curator-cold", config.cold_device_capacity),
             clock=self._clock,
-            cache_size=config.cold_cache_size,
         )
         # retention / disposal — destruction decisions purge the policy
         # decision cache (a shredded record's cached allows must die
@@ -679,7 +678,7 @@ class CuratorStore(StorageModel):
         # exactly the "Cancer" leak the trustworthy index closes.  The
         # privacy officer can recompute the trapdoor to match queries.
         commitment = self._index.index.trapdoor(term)[:16]
-        subject = f"search:{commitment}"
+        subject = f"{SEARCH}{commitment}"
         self._authorize(
             actor_id, Permission.SEARCH_RECORDS, "", Purpose.TREATMENT, subject
         )
@@ -775,6 +774,18 @@ class CuratorStore(StorageModel):
         devices.append(self._cold.device)
         return devices
 
+    def device_set(self) -> dict[str, BlockDevice]:
+        """The devices a restart recovers from, under the keyword names
+        :meth:`recover_from_devices` takes (the index is derived data,
+        rebuilt on a fresh device)."""
+        return {
+            "worm_device": self._worm.device,
+            "key_device": self._keystore.device,
+            "audit_device": self._audit.device,
+            "checkpoint_device": self._checkpoints.device,
+            "cold_device": self._cold.device,
+        }
+
     def _check_record_chain(self, record_id: str) -> bool:
         """Decrypt + re-chain every version of one record, from whichever
         tier holds it (cold members are checked in place, not recalled)."""
@@ -813,11 +824,7 @@ class CuratorStore(StorageModel):
                         clean_sample=self._config.integrity_clean_sample
                     )
                 )
-                failures.update(
-                    self._cold.verify_dirty(
-                        clean_sample=self._config.cold_clean_sample
-                    )
-                )
+                failures.update(self._cold.verify_dirty())
                 live = self.record_ids()
                 dirty = [r for r in live if r in dirty_records]
                 clean = [r for r in live if r not in dirty_records]
@@ -976,7 +983,7 @@ class CuratorStore(StorageModel):
             Permission.READ_AUDIT_TRAIL,
             patient_id,
             self._default_purpose(actor_id),
-            f"disclosures:{patient_id}",
+            f"{DISCLOSURES}{patient_id}",
         )
         record_ids = self.records_of_patient(patient_id)
         local = self.audit_query().disclosure_accounting(record_ids)

@@ -18,7 +18,7 @@ tier's verdict or the read cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.archive import ColdStore
@@ -35,7 +35,7 @@ from repro.crypto.keys import KeyHandle, KeyStore
 from repro.crypto.signatures import TrustStore
 from repro.errors import IntegrityError, ValidationError
 from repro.migration.engine import MigrationEngine
-from repro.records.ids import Kind, parse
+from repro.records.ids import Kind, cold_member, cold_member_id, parse, version_id
 from repro.records.versioning import VersionChain
 from repro.storage.block import BlockDevice
 from repro.storage.media import MediaPool, Medium
@@ -128,10 +128,46 @@ def recover_devices(
         ),
         "cold": None
         if cold_device is None
-        else ColdStore.recover(
-            cold_device, clock=clock, cache_size=config.cold_cache_size
-        ),
+        else ColdStore.recover(cold_device, clock=clock),
     }
+
+
+@dataclass(eq=False, repr=False)
+class _Archive:
+    """The store a snapshot covers and a restore refills: the WORM
+    store's live objects plus, named by
+    :func:`~repro.records.ids.cold_member_id`, the sealed members the
+    cold tier is authoritative for — one digest and Merkle cover for
+    both tiers.  A restored member is kept in :attr:`members` for the
+    engine to repatriate."""
+
+    worm: WormStore
+    cold: ColdStore
+    members: dict[str, bytes] = field(default_factory=dict)
+
+    def member_ids(self) -> dict[str, str]:
+        """``snapshot object id -> record`` for every live cold member."""
+        return {
+            cold_member_id(self.cold.segment_of(record_id).segment_id, record_id): record_id
+            for record_id in self.cold.record_ids()
+        }
+
+    def object_ids(self) -> list[str]:
+        return self.worm.object_ids() + list(self.member_ids())
+
+    def get(self, object_id: str) -> bytes:
+        member = cold_member(object_id)
+        if member is None:
+            return self.worm.get(object_id)
+        # digest-checked against the trusted manifest: a snapshot never
+        # launders a rotten member
+        return self.members.get(object_id) or self.cold.read_sealed(member[1])
+
+    def put(self, object_id: str, data: bytes, retention=None) -> None:
+        if cold_member(object_id) is None:
+            self.worm.put(object_id, data, retention=retention)
+        else:
+            self.members[object_id] = data
 
 
 @dataclass(eq=False, repr=False, kw_only=True)
@@ -150,13 +186,17 @@ class Recovery:
     # -- backup / restore / refresh ----------------------------------------------
 
     def create_backup(self, *, incremental: bool, actor_id: str):
-        """Snapshot the WORM store + wrapped keys to the off-site vault.
+        """Snapshot both tiers + wrapped keys to the off-site vault.
         Objects no record owns (imported audit-segment archives) carry
         no data key and are backed up without one."""
         create = (
             self.backup.create_incremental if incremental else self.backup.create_full
         )
-        snapshot = create(self.home.worm, self.keystore, self.home.handles())
+        archive = _Archive(self.home.worm, self.tiering.cold)
+        handles = self.home.handles()
+        for object_id, record_id in archive.member_ids().items():
+            handles[object_id] = self.home.directory.keys[record_id]
+        snapshot = create(archive, self.keystore, handles)
         self.audit.append(
             AuditAction.BACKUP_CREATED, actor_id, snapshot.snapshot_id,
             {"objects": len(snapshot.objects), "kind": snapshot.kind},
@@ -167,15 +207,31 @@ class Recovery:
         """Rebuild the WORM store from the vault onto a fresh medium and
         make it home.  Restore writes zero-duration terms; the install
         rebuilds the real ones (extend-only) from the surviving
-        controller metadata."""
+        controller metadata.  A record the snapshot found cold comes
+        back warm, repatriated from its snapshot member — the cold
+        device may have been lost with the medium — unless it has since
+        been destroyed, moved away, or recalled onto objects the
+        snapshot lineage also holds."""
         medium = self.media_pool.provision()
-        worm = WormStore(device=medium.device, clock=self.home.clock)
-        report = self.backup.restore(snapshot_id, worm, None)
+        archive = _Archive(
+            WormStore(device=medium.device, clock=self.home.clock), self.tiering.cold
+        )
+        report = self.backup.restore(snapshot_id, archive, None)
         if not report.verified:
             raise IntegrityError(
                 f"restore failed verification: {report.mismatched}"
             )
-        self.home.install(worm, medium)
+        self.home.install(archive.worm, medium)
+        live = set(self.home.directory.record_ids())
+        for object_id, sealed in archive.members.items():
+            cold_segment, record_id = cold_member(object_id)
+            if record_id in live and (
+                record_id in self.home.directory.cold
+                or version_id(record_id, 0) not in archive.worm
+            ):
+                self.tiering.recall(
+                    record_id, actor_id=actor_id, member=(cold_segment, sealed)
+                )
         self.audit.append(
             AuditAction.BACKUP_RESTORED, actor_id, snapshot_id,
             {"objects": report.objects_restored},

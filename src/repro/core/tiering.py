@@ -45,22 +45,30 @@ class Tiering:
     # -- reading stored versions ---------------------------------------------
 
     def open_cold_versions(
-        self, record_id: str, *, use_cache: bool = True
+        self,
+        record_id: str,
+        *,
+        use_cache: bool = True,
+        member: tuple[str, bytes] | None = None,
     ) -> list[RecordVersion]:
         """Decrypt, decompress, and proof-check a cold member WITHOUT
-        repatriating it (verification must not recall the archive)."""
+        repatriating it (verification must not recall the archive).
+        *member* — ``(cold segment id, sealed bytes)`` — opens a copy a
+        backup snapshot vouches for instead of the cold device's."""
         plaintext = self.cold.cached_plaintext(record_id) if use_cache else None
         if plaintext is None:
-            segment = self.cold.segment_of(record_id)
-            sealed = self.cold.read_sealed(record_id)
-            # the sealed bytes must chain back to the trusted Merkle
-            # root before any of them are decrypted
-            self.cold.verify_sealed(record_id, sealed)
+            if member is None:
+                sealed = self.cold.read_sealed(record_id)
+                # the sealed bytes must chain back to the trusted Merkle
+                # root before any of them are decrypted
+                self.cold.verify_sealed(record_id, sealed)
+                member = self.cold.segment_of(record_id).segment_id, sealed
+            segment_id, sealed = member
             plaintext = decompress_member(
                 self.home.sealer.open(
                     self.home.directory.keys[record_id],
                     sealed,
-                    cold_associated_data(segment.segment_id, record_id),
+                    cold_associated_data(segment_id, record_id),
                 )
             )
             self.cold.cache_plaintext(record_id, plaintext)
@@ -92,20 +100,30 @@ class Tiering:
 
     # -- recall ----------------------------------------------------------------
 
-    def recall(self, record_id: str, *, actor_id: str = "system") -> None:
+    def recall(
+        self,
+        record_id: str,
+        *,
+        actor_id: str = "system",
+        member: tuple[str, bytes] | None = None,
+    ) -> None:
         """Repatriate a cold record to the warm tier: verified member
         read (sealed digest + inclusion proof + chain re-link), then
         every version re-sealed into ONE WORM frame under its original
         retention term — a torn recall leaves nothing warm.  The
         RECORD_RECALLED marker lands *after* the warm write: a crash
         between leaves the cold member authoritative and recovery
-        simply re-expatriates the warm copy."""
+        simply re-expatriates the warm copy.  A restore passes the
+        snapshot's digest-checked *member* (see
+        :meth:`open_cold_versions`): the cold device may be gone."""
         with METRICS.timer("tier_recall_ns"):
-            segment = self.cold.segment_of(record_id)
+            segment_id = member[0] if member else self.cold.segment_of(record_id).segment_id
             # never recall from the plaintext cache: what repatriates to
             # the warm tier must be the device bytes, freshly verified
             # against the trusted manifest and Merkle root
-            versions = self.open_cold_versions(record_id, use_cache=False)
+            versions = self.open_cold_versions(
+                record_id, use_cache=False, member=member
+            )
             VersionChain.from_versions(record_id, versions)
             handle = self.home.directory.keys[record_id]
             self.home.write([(v, handle) for v in versions], origin=None)
@@ -116,7 +134,7 @@ class Tiering:
             self.home.adopt([(self.home.directory.chains[record_id], handle)], index=False)
             self.audit.append(
                 AuditAction.RECORD_RECALLED, actor_id, record_id,
-                {"segment": segment.segment_id, "versions": len(versions)},
+                {"segment": segment_id, "versions": len(versions)},
             )
             self.anchors.maybe_anchor()
         METRICS.incr("tier_cold_recalls")

@@ -57,7 +57,7 @@ from repro.errors import (
     DispositionError,
     RetentionError,
 )
-from repro.records.ids import is_attachment
+from repro.records.ids import policy_class
 
 WILDCARD = "*"
 
@@ -315,17 +315,7 @@ def resource_class(resource: str) -> str:
     """The coarse class of a resource id, used for rule matching and as
     the decision-cache key component (record ids vary per call; their
     class does not)."""
-    if not resource:
-        return WILDCARD
-    if resource.startswith("search:"):
-        return "search"
-    if resource.startswith("disclosures:"):
-        return "disclosures"
-    if resource.startswith("sess-"):
-        return "session"
-    if is_attachment(resource):
-        return "attachment"
-    return "record"
+    return policy_class(resource) if resource else WILDCARD
 
 
 def ensure_destruction_authorized(authorization: Any, object_id: str) -> Decision:

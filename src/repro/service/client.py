@@ -17,6 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 from typing import Any, Mapping
+from urllib.parse import quote, urlencode
 
 from repro.access.sessions import Authenticator, Challenge
 from repro.service import api
@@ -33,6 +34,15 @@ class ServiceClientError(Exception):
         self.rule_id = error.rule_id
         self.trace = error.trace
         self.retry_after = retry_after
+
+
+def _path(template: str, *params: Any, **query: Any) -> str:
+    """A request target: each path parameter percent-encoded whole (an
+    id may hold ``/``, ``?``, spaces, non-ASCII), the non-empty query
+    parameters form-encoded."""
+    path = template.format(*(quote(str(param), safe="") for param in params))
+    query = {key: value for key, value in query.items() if value != ""}
+    return f"{path}?{urlencode(query)}" if query else path
 
 
 class ServiceClient:
@@ -143,43 +153,43 @@ class ServiceClient:
         )
 
     def read(self, record_id: str, purpose: str = "") -> api.RecordEnvelope:
-        path = f"/v1/records/{record_id}"
-        if purpose:
-            path += f"?purpose={purpose}"
-        return api.RecordEnvelope.from_wire(self.request("GET", path))
+        return api.RecordEnvelope.from_wire(
+            self.request("GET", _path("/v1/records/{}", record_id, purpose=purpose))
+        )
 
     def read_version(self, record_id: str, version: int) -> api.RecordEnvelope:
         return api.RecordEnvelope.from_wire(
-            self.request("GET", f"/v1/records/{record_id}/versions/{version}")
+            self.request("GET", _path("/v1/records/{}/versions/{}", record_id, version))
         )
 
     def patient_records(self, patient_id: str) -> api.PatientRecordsResponse:
         return api.PatientRecordsResponse.from_wire(
-            self.request("GET", f"/v1/patients/{patient_id}/records")
+            self.request("GET", _path("/v1/patients/{}/records", patient_id))
         )
 
     def search(self, term: str) -> api.SearchResponse:
-        return api.SearchResponse.from_wire(self.request("GET", f"/v1/search?term={term}"))
+        return api.SearchResponse.from_wire(
+            self.request("GET", _path("/v1/search", term=term))
+        )
 
     # -- audit / verify / break-glass ---------------------------------------
 
     def audit_query(
         self, actor_id: str = "", action: str = "", subject_id: str = "", limit: int = 100
     ) -> api.AuditEventsResponse:
-        params = [f"limit={limit}"]
-        if actor_id:
-            params.append(f"actor_id={actor_id}")
-        if action:
-            params.append(f"action={action}")
-        if subject_id:
-            params.append(f"subject_id={subject_id}")
         return api.AuditEventsResponse.from_wire(
-            self.request("GET", "/v1/audit?" + "&".join(params))
+            self.request(
+                "GET",
+                _path(
+                    "/v1/audit", limit=limit, actor_id=actor_id, action=action,
+                    subject_id=subject_id,
+                ),
+            )
         )
 
     def disclosures(self, patient_id: str) -> api.AuditEventsResponse:
         return api.AuditEventsResponse.from_wire(
-            self.request("GET", f"/v1/audit/disclosures/{patient_id}")
+            self.request("GET", _path("/v1/audit/disclosures/{}", patient_id))
         )
 
     def verify(self, incremental: bool = False) -> api.VerifyResponse:

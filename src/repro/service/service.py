@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
+from urllib.parse import unquote
 
 from repro.access.principals import User
 from repro.access.rbac import Permission, Purpose
@@ -259,7 +260,8 @@ class CuratorService:
             params: dict[str, str] = {}
             for expected, got in zip(pattern, parts):
                 if expected.startswith("{") and expected.endswith("}"):
-                    params[expected[1:-1]] = got
+                    # split first, decode second: an id may hold "/"
+                    params[expected[1:-1]] = unquote(got)
                 elif expected != got:
                     break
             else:

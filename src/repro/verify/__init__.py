@@ -1,8 +1,9 @@
 """The verification substrate: crash-consistency sweeps and differential
 conformance for every storage model.
 
-Two harnesses live here, both consumed by ``python -m repro verify``
-and by the tier-1 tests:
+Three harnesses live here, all on one deployment substrate
+(:mod:`repro.verify.substrate`) and all consumed by ``python -m repro
+verify`` and by the tier-1 tests:
 
 * :mod:`repro.verify.crashpoint` / :mod:`repro.verify.oracle` — arm a
   deterministic crash at the K-th device write of a seeded workload
@@ -12,10 +13,11 @@ and by the tier-1 tests:
   replay one scripted workload through the curator and all five
   baselines, diffing each model's observable behaviour against a pure-
   python reference parameterized by the model's declared features;
-* :mod:`repro.verify.equivalence` — plant raw-device tampering and
-  assert the incremental verification fast path (watermarks, dirty
-  sets, spot-checks, escalation) loses no detection power against a
-  full rescan.
+* :mod:`repro.verify.equivalence` — one scenario table (deployment x
+  history x raw-device tamper): the incremental verification fast path
+  (watermarks, dirty sets, spot-checks, escalation) must lose no
+  detection power against a full rescan, and blame exactly what was
+  damaged, after any history of the store.
 """
 
 from repro.verify.conformance import (
@@ -31,6 +33,7 @@ from repro.verify.equivalence import (
     run_cluster_detection_equivalence,
     run_detection_equivalence,
     run_rebalance_detection_equivalence,
+    run_scenario_table,
 )
 from repro.verify.oracle import CrashSweepReport, Violation, run_crash_sweep
 from repro.verify.reference import ReferenceModel
@@ -52,6 +55,7 @@ __all__ = [
     "run_crash_sweep",
     "run_detection_equivalence",
     "run_rebalance_detection_equivalence",
+    "run_scenario_table",
     "run_seeded_workload",
     "surviving_image",
 ]

@@ -28,9 +28,10 @@ from repro.errors import (
     RecordNotFoundError,
     RetentionError,
 )
-from repro.records.model import ClinicalNote, HealthRecord
+from repro.records.model import HealthRecord
 from repro.util.clock import SimulatedClock
 from repro.verify.reference import Observation, ReferenceModel
+from repro.verify.substrate import deploy, note
 
 _EPOCH = 1.17e9
 
@@ -103,16 +104,10 @@ class ConformanceReport:
 # ---------------------------------------------------------------------------
 
 
-def _note(record_id: str, clock: SimulatedClock | None) -> HealthRecord:
-    patient_id, text = _RECORDS[record_id]
-    return ClinicalNote.create(
-        record_id=record_id,
-        patient_id=patient_id,
-        created_at=clock.now() if clock is not None else _EPOCH,
-        author="dr-a",
-        specialty="dermatology",
-        text=text,
-    )
+def _note(record_id: str, clock: SimulatedClock | None, text: str = "") -> HealthRecord:
+    patient_id, original = _RECORDS[record_id]
+    now = clock.now() if clock is not None else _EPOCH
+    return note(record_id, patient_id, now, text or original, "dr-a")
 
 
 def _observe(label: str, fn: Callable[[], str]) -> Observation:
@@ -156,14 +151,7 @@ def _execute(
             ).body.get("text", ""),
         )
     if kind == "correct":
-        original = _note(args["record_id"], clock)
-        corrected = HealthRecord(
-            record_id=original.record_id,
-            record_type=original.record_type,
-            patient_id=original.patient_id,
-            created_at=original.created_at,
-            body={**original.body, "text": args["text"]},
-        )
+        corrected = _note(args["record_id"], clock, args["text"])
         return _observe(
             label, lambda: (model.correct(corrected, "dr-a", "amended"), "")[1]
         )
@@ -284,14 +272,10 @@ def default_model_factories() -> dict[str, ModelFactory]:
         PlainWormStore,
         RelationalStore,
     )
-    from repro.core.config import CuratorConfig
-    from repro.core.engine import CuratorStore
-
-    master = bytes(range(32))
 
     def curator() -> tuple[StorageModel, SimulatedClock]:
-        clock = SimulatedClock(start=_EPOCH)
-        return CuratorStore(CuratorConfig(master_key=master, clock=clock)), clock
+        deployment = deploy()
+        return deployment.surface, deployment.clock
 
     def plainworm() -> tuple[StorageModel, SimulatedClock]:
         clock = SimulatedClock(start=_EPOCH)

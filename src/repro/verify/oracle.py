@@ -31,12 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.audit.events import AuditAction
-from repro.core.config import CuratorConfig
 from repro.core.engine import CuratorStore
 from repro.errors import RecordNotFoundError
-from repro.records.model import ClinicalNote
-from repro.util.clock import SimulatedClock
-from repro.verify.crashpoint import CrashController, surviving_image
+from repro.verify.crashpoint import CrashController
+from repro.verify.substrate import deploy, note, restarted
 from repro.verify.workload import WorkloadRun, run_seeded_workload
 
 
@@ -77,15 +75,18 @@ class CrashSweepReport:
         return "\n".join(lines)
 
 
-def _build(master_key: bytes) -> tuple[CuratorStore, SimulatedClock, CuratorConfig]:
-    clock = SimulatedClock(start=1.17e9)
-    config = CuratorConfig(
-        master_key=master_key,
-        clock=clock,
-        device_capacity=1 << 20,
-        anchor_every_events=8,  # small threshold: crash points inside
-    )                           # the anchor/flush path, not around it
-    return CuratorStore(config), clock, config
+def _armed(crash_at: int | None = None, torn: bool = False):
+    """A fresh engine with a crash controller on its devices, and the
+    seeded workload run on it (to the crash, when one is armed)."""
+    # small anchor threshold: crash points inside the anchor/flush
+    # path, not around it
+    deployment = deploy(anchor_every_events=8)
+    controller = CrashController()
+    controller.attach(deployment.surface.devices())
+    if crash_at is not None:
+        controller.arm(crash_at, torn=torn)
+    run = run_seeded_workload(deployment.surface, deployment.clock)
+    return deployment, controller, run
 
 
 def _check_recovery(
@@ -210,14 +211,8 @@ def _check_recovery(
         fail(f"recovery surfaced unexpected records {sorted(unexpected)}")
 
     # clause 4: the recovered engine accepts new work
-    probe = ClinicalNote.create(
-        record_id="probe-post-crash",
-        patient_id="pat-probe",
-        created_at=recovered._clock.now(),  # noqa: SLF001 — test substrate
-        author="dr-probe",
-        specialty="cardiology",
-        text="probe after recovery",
-    )
+    now = recovered._clock.now()  # noqa: SLF001 — test substrate
+    probe = note("probe-post-crash", "pat-probe", now, "probe after recovery", "dr-probe")
     try:
         recovered.store(probe, "dr-probe")
         stored = recovered.read("probe-post-crash", actor_id="system")
@@ -227,57 +222,27 @@ def _check_recovery(
         fail(f"recovered engine rejected a fresh write: {exc!r}")
 
 
-def _run_case(
-    master_key: bytes, crash_at: int, torn: bool
-) -> list[Violation]:
+def _run_case(crash_at: int, torn: bool) -> list[Violation]:
     """One crash point: run, crash, recover from images, check."""
     violations: list[Violation] = []
 
     def fail(description: str) -> None:
         violations.append(Violation(crash_at, torn, description))
 
-    store, clock, config = _build(master_key)
-    controller = CrashController()
-    controller.attach(store.devices())
-    controller.arm(crash_at, torn=torn)
-    run = run_seeded_workload(store, clock)
+    deployment, _controller, run = _armed(crash_at, torn)
     if not run.crashed:
         fail("armed crash point was never reached")
         return violations
-    (
-        worm_device,
-        _index_device,
-        audit_device,
-        key_device,
-        checkpoint_device,
-        cold_device,
-    ) = store.devices()
-    recovery_config = CuratorConfig(
-        master_key=master_key,
-        clock=clock,
-        device_capacity=config.device_capacity,
-        anchor_every_events=config.anchor_every_events,
-    )
     try:
-        recovered = CuratorStore.recover_from_devices(
-            recovery_config,
-            worm_device=surviving_image(worm_device),
-            key_device=surviving_image(key_device),
-            audit_device=surviving_image(audit_device),
-            checkpoint_device=surviving_image(checkpoint_device),
-            cold_device=surviving_image(cold_device),
-            witnesses=[store.witness],
-            signer=store.signer,
-        )
+        restarted(deployment)
     except Exception as exc:  # noqa: BLE001 — recovery must never die
         fail(f"recovery raised {exc!r}")
         return violations
-    _check_recovery(recovered, run, fail)
+    _check_recovery(deployment.surface, run, fail)
     return violations
 
 
 def run_crash_sweep(
-    master_key: bytes | None = None,
     limit: int | None = None,
     torn: bool = True,
     progress=None,
@@ -290,11 +255,7 @@ def run_crash_sweep(
     adds the torn-prefix variant at each point.  ``progress`` (crash_at,
     torn, violations_so_far) is called after each case.
     """
-    master_key = master_key if master_key is not None else bytes(range(32))
-    store, clock, _config = _build(master_key)
-    controller = CrashController()
-    controller.attach(store.devices())
-    baseline = run_seeded_workload(store, clock)
+    _deployment, controller, baseline = _armed()
     if baseline.crashed:
         raise RuntimeError("dry run crashed without an armed crash point")
     boundaries = controller.writes_observed
@@ -311,7 +272,7 @@ def run_crash_sweep(
     for crash_at in points:
         for torn_flag in (False, True) if torn else (False,):
             cases += 1
-            violations.extend(_run_case(master_key, crash_at, torn_flag))
+            violations.extend(_run_case(crash_at, torn_flag))
             if progress is not None:
                 progress(crash_at, torn_flag, len(violations))
     return CrashSweepReport(

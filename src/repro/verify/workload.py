@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.errors import CrashError
-from repro.records.model import ClinicalNote, HealthRecord
+from repro.records.model import HealthRecord
 from repro.util.clock import SimulatedClock
+from repro.verify.substrate import note
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,9 @@ _TEXTS = {
 _CORRECTED_TEXT = "alpha palpitations resolved amended"
 
 
-def _note(record_id: str, clock: SimulatedClock) -> HealthRecord:
-    return ClinicalNote.create(
-        record_id=record_id,
-        patient_id=_PATIENTS[record_id],
-        created_at=clock.now(),
-        author="dr-sweep",
-        specialty="cardiology",
-        text=_TEXTS[record_id],
-    )
+def _note(record_id: str, clock: SimulatedClock, text: str = "") -> HealthRecord:
+    text = text or _TEXTS[record_id]
+    return note(record_id, _PATIENTS[record_id], clock.now(), text, "dr-sweep")
 
 
 def run_seeded_workload(store, clock: SimulatedClock) -> WorkloadRun:
@@ -128,15 +123,7 @@ def run_seeded_workload(store, clock: SimulatedClock) -> WorkloadRun:
             "correct:rec-0", "correct", ["rec-0"],
             {"rec-0": ExpectedRecord(text=_CORRECTED_TEXT, versions=2, term="amended")},
             lambda: store.correct(
-                HealthRecord(
-                    record_id="rec-0",
-                    record_type=_note("rec-0", clock).record_type,
-                    patient_id=_PATIENTS["rec-0"],
-                    created_at=clock.now(),
-                    body={**_note("rec-0", clock).body, "text": _CORRECTED_TEXT},
-                ),
-                "dr-sweep",
-                "symptom resolved",
+                _note("rec-0", clock, _CORRECTED_TEXT), "dr-sweep", "symptom resolved"
             ),
         ),
         (

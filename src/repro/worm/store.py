@@ -377,6 +377,26 @@ class WormStore:
 
     # -- recovery ----------------------------------------------------------
 
+    @staticmethod
+    def walk_frames(device: BlockDevice):
+        """Every WORM frame on *device*, parsed the one way the format
+        is parsed: ``(frame offset, payload, checksum ok, members)``,
+        each member ``(object id, start of its bytes within the payload,
+        size, manifest entry)``.  Torn, damaged and foreign frames are
+        skipped."""
+        for frame_offset, payload, checksum_ok in Journal.walk_frames(device):
+            separator = payload.find(b"\x00")
+            try:
+                manifest = canonical_loads(payload[:separator])["batch"]
+                data_start = separator + 1
+                members = []
+                for item in manifest:
+                    members.append((item["object_id"], data_start, item["size"], item))
+                    data_start += item["size"]
+            except Exception:  # noqa: BLE001 — torn, damaged or foreign frame
+                continue
+            yield frame_offset, payload, checksum_ok, members
+
     @classmethod
     def recover(
         cls,
@@ -408,26 +428,21 @@ class WormStore:
         """
         store = cls(device, clock)
         extents: list[tuple[int, int]] = []
-        for frame_offset, payload, checksum_ok in Journal.walk_frames(device):
-            separator = payload.find(b"\x00")
-            try:
-                manifest = canonical_loads(payload[:separator])["batch"]
-                ids = [item["object_id"] for item in manifest]
-            except Exception:  # noqa: BLE001 — torn, damaged or foreign frame
-                continue  # never registered
+        for frame_offset, payload, checksum_ok, members in cls.walk_frames(device):
             if not checksum_ok:
-                if salvage_check is None or not salvage_check(ids):
+                if salvage_check is None or not salvage_check(
+                    [object_id for object_id, *_ in members]
+                ):
                     continue  # torn write: drop the frame whole
                 # A shred was interrupted before its reseal — finish it,
                 # so the frame's surviving neighbours stay readable.
                 Journal.forge_frame(device, frame_offset, payload)
             sequence = len(extents)
             extents.append((frame_offset, len(payload)))
-            data_start = separator + 1
-            for item in manifest:
+            for object_id, data_start, size, item in members:
                 meta = StoredObject(
-                    object_id=item["object_id"],
-                    size=item["size"],
+                    object_id=object_id,
+                    size=size,
                     content_digest=item["digest"],
                     written_at=item.get("written_at", 0.0),
                     journal_sequence=sequence,
@@ -444,7 +459,6 @@ class WormStore:
                     meta.object_id,
                     RetentionTerm(start=meta.written_at, duration_seconds=0.0),
                 )
-                data_start += meta.size
         store._journal = Journal.adopt(device, extents)
         # Post-crash the device is maximally untrusted: every recovered
         # object is dirty until a digest check clears it.

@@ -3,7 +3,7 @@ dirty/clean verification rotation, scrubbing, and device recovery."""
 
 import pytest
 
-from repro.archive.cold import ColdStore
+from repro.archive.cold import MEMBER_CACHE_SIZE, ColdStore
 from repro.errors import IntegrityError
 from repro.storage.block import MemoryDevice
 from repro.util.clock import SimulatedClock
@@ -125,13 +125,13 @@ def test_repatriated_member_draws_no_blame_when_overwritten():
 
 def test_plaintext_cache_caps_purges_and_forgets():
     store, _clock = make_store()
-    store._cache_size = 2
-    for i in range(3):
+    last = MEMBER_CACHE_SIZE
+    for i in range(last + 1):
         store.cache_plaintext(f"rec-{i}", f"plain-{i}".encode())
     assert store.cached_plaintext("rec-0") is None  # LRU evicted
-    assert store.cached_plaintext("rec-2") == b"plain-2"
+    assert store.cached_plaintext(f"rec-{last}") == f"plain-{last}".encode()
     store.purge_cache()
-    assert store.cached_plaintext("rec-2") is None
+    assert store.cached_plaintext(f"rec-{last}") is None
 
 
 def test_recover_rebuilds_directory_and_stays_verifiable():

@@ -58,17 +58,12 @@ def seeded():
 
 
 def recover(store):
-    worm, _index, audit, keys, checkpoint, cold = store.devices()
     config = CuratorConfig(
         master_key=MASTER, clock=store._clock, device_capacity=1 << 20
     )
     return CuratorStore.recover_from_devices(
         config,
-        worm_device=surviving_image(worm),
-        key_device=surviving_image(keys),
-        audit_device=surviving_image(audit),
-        checkpoint_device=surviving_image(checkpoint),
-        cold_device=surviving_image(cold),
+        **{name: surviving_image(device) for name, device in store.device_set().items()},
         witnesses=[store.witness],
         signer=store.signer,
     )

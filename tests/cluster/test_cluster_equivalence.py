@@ -10,7 +10,7 @@ from repro.verify import (
 
 
 def test_cluster_detection_equivalence_holds():
-    report = run_cluster_detection_equivalence(shards=2)
+    report = run_cluster_detection_equivalence()
     assert report.ok, report.summary()
     # one clean control + every tamper case against each target shard
     assert len(report.cases) == 1 + 2 * 14

@@ -196,8 +196,13 @@ def test_backup_round_trip_routes_to_owning_shard(cluster, clock):
     placed = _populate(cluster, clock)
     snapshots = cluster.create_backup(actor_id="backup-operator")
     assert set(snapshots) == set(cluster.shard_ids)
-    some_snapshot = next(iter(snapshots.values()))
-    cluster.restore_from_backup(some_snapshot.snapshot_id, actor_id="backup-operator")
+    # every shard's manager counts its snapshots from one: the ids must
+    # still tell the shards apart, or a restore lands on the wrong one
+    for snapshot in snapshots.values():
+        cluster.restore_from_backup(snapshot.snapshot_id, actor_id="backup-operator")
+    for engine in cluster.shards:
+        events = [e["action"] for e in engine.audit_events()]
+        assert events.count("backup_restored") == 1
     with pytest.raises(ClusterError):
         cluster.restore_from_backup("snap-unknown", actor_id="backup-operator")
 

@@ -40,9 +40,6 @@ def note(record_id, clock, text):
 
 
 def recover(store, read_cache_size=128):
-    worm_device, _index_device, audit_device, key_device, ckpt_device, cold_device = (
-        store.devices()
-    )
     config = CuratorConfig(
         master_key=MASTER,
         clock=store._clock,
@@ -51,11 +48,7 @@ def recover(store, read_cache_size=128):
     )
     return CuratorStore.recover_from_devices(
         config,
-        worm_device=surviving_image(worm_device),
-        key_device=surviving_image(key_device),
-        audit_device=surviving_image(audit_device),
-        checkpoint_device=surviving_image(ckpt_device),
-        cold_device=surviving_image(cold_device),
+        **{name: surviving_image(device) for name, device in store.device_set().items()},
         witnesses=[store.witness],
         signer=store.signer,
     )

@@ -37,11 +37,14 @@ def make_store(site_id="hospital-A"):
 
 
 def writes(store):
-    worm, index, audit, keys, checkpoints, cold = store.devices()
+    devices = store.device_set()
     return {
-        "worm": worm.stats.writes, "index": index.stats.writes,
-        "audit": audit.stats.writes, "keys": keys.stats.writes,
-        "checkpoints": checkpoints.stats.writes, "cold": cold.stats.writes,
+        "worm": devices["worm_device"].stats.writes,
+        "index": store.index.index.device.stats.writes,
+        "audit": devices["audit_device"].stats.writes,
+        "keys": devices["key_device"].stats.writes,
+        "checkpoints": devices["checkpoint_device"].stats.writes,
+        "cold": devices["cold_device"].stats.writes,
     }
 
 
@@ -91,13 +94,9 @@ def test_a_torn_attach_leaves_nothing():
     controller.arm(1, torn=True)
     with pytest.raises(CrashError):
         store.attach("rec-0", "scan", b"z" * 200_000, actor_id="dr-a")
-    worm, _index, audit, keys, checkpoints, cold = store.devices()
     recovered = CuratorStore.recover_from_devices(
         CuratorConfig(master_key=MASTER, clock=clock, device_capacity=1 << 22),
-        worm_device=surviving_image(worm), key_device=surviving_image(keys),
-        audit_device=surviving_image(audit),
-        checkpoint_device=surviving_image(checkpoints),
-        cold_device=surviving_image(cold),
+        **{name: surviving_image(device) for name, device in store.device_set().items()},
     )
     assert recovered.recovery_report.orphaned == ()
     assert recovered.record_ids() == ["rec-0", "rec-1", "rec-2"]

@@ -101,14 +101,9 @@ def test_chunks_orphaned_by_a_restart_are_still_destroyed_with_their_record():
     store.store(note("rec-1", "pat-1", clock), "dr-a")
     store.store(note("rec-10", "pat-2", clock), "dr-b")
     manifest = store.attach("rec-1", "scan", b"y" * 100, actor_id="dr-a")
-    worm, _index, audit, keys, checkpoints, cold = store.devices()
     recovered = CuratorStore.recover_from_devices(
         config,
-        worm_device=surviving_image(worm),
-        key_device=surviving_image(keys),
-        audit_device=surviving_image(audit),
-        checkpoint_device=surviving_image(checkpoints),
-        cold_device=surviving_image(cold),
+        **{name: surviving_image(device) for name, device in store.device_set().items()},
     )
     chunk = attachment_object_id("rec-1", manifest.chunk_ids[0])
     assert chunk in recovered.recovery_report.orphaned

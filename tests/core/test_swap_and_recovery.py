@@ -35,16 +35,13 @@ def note(record_id, patient_id, clock, text="routine followup"):
 
 
 def recover(store, config, *, worm_device=None):
-    worm, _index, audit, keys, checkpoints, cold = store.devices()
+    images = {
+        name: surviving_image(device) for name, device in store.device_set().items()
+    }
+    if worm_device is not None:
+        images["worm_device"] = worm_device
     return CuratorStore.recover_from_devices(
-        config,
-        worm_device=worm_device or surviving_image(worm),
-        key_device=surviving_image(keys),
-        audit_device=surviving_image(audit),
-        checkpoint_device=surviving_image(checkpoints),
-        cold_device=surviving_image(cold),
-        witnesses=[store.witness],
-        signer=store.signer,
+        config, **images, witnesses=[store.witness], signer=store.signer
     )
 
 

@@ -1,20 +1,23 @@
-"""Layout ratchets: file sizes under ``src/repro/core/`` and
-``src/repro/cluster/``, the public surfaces of ``CuratorStore`` and
-``CuratorCluster``, and the cluster's one-of-each rules.  Parts may move
-between modules; neither a size nor a surface may drift without this
-file changing in the same diff."""
+"""Layout ratchets: file sizes under ``src/repro/core/``,
+``src/repro/cluster/`` and ``src/repro/verify/``, the public surfaces of
+``CuratorStore`` and ``CuratorCluster``, the names the detection-
+equivalence oracles report, and the cluster's and the oracles'
+one-of-each rules.  Parts may move between modules; neither a size nor
+a surface may drift without this file changing in the same diff."""
 
 import re
 from pathlib import Path
 
 import repro.cluster
 import repro.core
+import repro.verify
 from repro.cluster.router import CuratorCluster
 from repro.cluster.workers import ENGINE_CALLS
 from repro.core.engine import CuratorStore
 
 CORE_LINE_LIMIT = 1_300
 CLUSTER_LINE_LIMIT = 800
+VERIFY_LINE_LIMIT = 800
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
@@ -42,6 +45,7 @@ CURATOR_STORE_PUBLIC_NAMES = [
     "demote_records",
     "demotion_candidates",
     "demotion_sweep",
+    "device_set",
     "devices",
     "dirty_record_ids",
     "dispose",
@@ -160,6 +164,41 @@ CURATOR_CLUSTER_PUBLIC_NAMES = [
 ]
 
 
+#: E6b, E8, E9 and the oracle tests look cases up by these names.
+_TAMPER_NAMES = [
+    "audit_chain_field_edit",
+    "audit_prefix_rewrite",
+    "audit_suffix_rewrite",
+    "audit_truncation",
+    "cold_manifest_rot",
+    "cold_recall_truncation",
+    "cold_segment_body_rot",
+    "index_chunk_rot",
+    "index_tail_rollback",
+    "watermark_destruction",
+    "watermark_forgery",
+    "worm_batch_member_rot",
+    "worm_clean_object_rot",
+    "worm_dirty_object_rot",
+]
+LEGACY_CASE_NAMES = sorted(
+    [
+        "no_tamper_control",
+        "migration_source_rot_blocks_refresh",
+        "migration_post_refresh_rot",
+        "cluster:no_tamper_control",
+        "rebalance:no_tamper_control",
+        "rebalance:mid_move_source_rot",
+        "rebalance:post_move_dest_rot",
+        "rebalance:stale_source_rot",
+        "rebalance:mid_move_dest_tamper_aborts",
+        *_TAMPER_NAMES,
+        *(f"shard-00:{name}" for name in _TAMPER_NAMES),
+        *(f"shard-01:{name}" for name in _TAMPER_NAMES),
+    ]
+)
+
+
 def _sources(package) -> dict[str, str]:
     return {
         path.name: path.read_text()
@@ -219,3 +258,47 @@ def test_the_cluster_keeps_one_of_each():
     assert sites(r"not ticket\.held\(\)") == ["dispatch.py", "router.py"]
     assert "__getattr__" not in sources["workers.py"]
     assert not re.search(r"cluster\._|_cluster\b", sources["rebalancer.py"])
+
+
+def test_no_verify_module_outgrows_the_limit():
+    assert "equivalence.py" in _sources(repro.verify)
+    oversized = _oversized(repro.verify, VERIFY_LINE_LIMIT)
+    assert not oversized, f"over {VERIFY_LINE_LIMIT} lines: {oversized}"
+
+
+def test_the_oracles_keep_their_names():
+    from repro.verify import equivalence
+
+    assert len(LEGACY_CASE_NAMES) == 51
+    assert sorted(equivalence.LEGACY_NAMES) == LEGACY_CASE_NAMES
+    for runner in (
+        "run_detection_equivalence",
+        "run_cluster_detection_equivalence",
+        "run_rebalance_detection_equivalence",
+    ):
+        assert callable(getattr(repro.verify, runner))
+
+
+def test_the_oracles_keep_one_of_each():
+    """One substrate: one config, one verdict, one place the bounded
+    policy runs, no per-case functions and no module state."""
+    sources = _sources(repro.verify)
+    oracles = "\n".join(
+        sources[name] for name in ("substrate.py", "equivalence.py", "oracle.py")
+    )
+    assert len(re.findall(r"\bCuratorConfig\(", oracles)) == 1
+    assert len(re.findall(r"\bEquivalenceCase\(", oracles)) == 1
+    assert len(re.findall(r"<= FULL_RESCAN_EVERY", oracles)) == 2  # one loop
+    assert not re.search(r"^\s*global\b|_RebalanceSub", oracles, re.M)
+    assert not re.search(r"def _\w+_case\b", sources["equivalence.py"])
+    # one WORM frame walk, one device hand-off
+    everything = "\n".join(
+        path.read_text() for path in Path(repro.__file__).parent.rglob("*.py")
+    )
+    assert len(re.findall(r'canonical_loads\(payload\[:separator\]\)\["batch"\]', everything)) == 1
+    tests = "\n".join(
+        path.read_text()
+        for path in Path(__file__).parent.rglob("*.py")
+        if path != Path(__file__)
+    )
+    assert not re.search(r"= \(?\s*(store|engine)\.devices\(\)", everything + tests)

@@ -28,7 +28,7 @@ def test_single_point_sweep_hits_the_last_boundary():
 
 
 def test_unreached_crash_point_is_reported_not_silently_passed():
-    violations = _run_case(bytes(range(32)), crash_at=10_000, torn=False)
+    violations = _run_case(crash_at=10_000, torn=False)
     assert violations
     assert "never reached" in violations[0].description
 

@@ -60,6 +60,7 @@ def test_no_violation_when_neither_path_detects():
 def test_control_case_flags_any_false_positive():
     clean = make_case(
         name="control",
+        control=True,
         tampered=False,
         incremental_detects=False,
         full_detects=False,
@@ -67,7 +68,14 @@ def test_control_case_flags_any_false_positive():
     )
     assert not clean.violation
     assert make_case(
-        name="control", tampered=False, full_detects=False, caught_by="n/a"
+        name="control", control=True, tampered=False, full_detects=False,
+        caught_by="n/a",
+    ).violation
+
+
+def test_a_tamper_that_never_landed_is_a_violation_not_a_control():
+    assert make_case(
+        tampered=False, incremental_detects=False, full_detects=False, caught_by="n/a"
     ).violation
 
 
