@@ -4,7 +4,8 @@ Paper claim: all access must be logged "in a trustworthy manner" and
 regulations require extensive logging — so verification must stay
 affordable as the log grows.  Expected shape: full-chain verification
 is linear in log size; Merkle-anchored truncation checking is
-logarithmic-ish per anchor; a bare hash chain misses truncation while
+logarithmic per anchor (a historical root is O(log n) hashes out of the
+tree's level table); a bare hash chain misses truncation while
 the anchored log catches it (the headline ablation); and the
 watermarked incremental fast path re-verifies a small delta at a small
 fraction of the full-rescan cost without losing detection power
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.check_regression import MIN_E8_SPEEDUP
 from benchmarks.common import new_clock, print_table
 from repro.audit.anchors import AnchorWitness, publish_anchor
 from repro.audit.checkpoint import CheckpointStore
@@ -96,9 +98,10 @@ def test_e8_incremental_fast_path(benchmark):
 
     A full verification of a 10k-event log seals a watermark; the next
     verification after a 100-event delta replays only the suffix, ties
-    it to the sealed prefix with a Merkle consistency proof, and
-    spot-checks a random prefix sample — and must come in at >= 5x the
-    full rescan.  The speedup is only admissible alongside **zero**
+    it to the sealed prefix with a Merkle consistency proof (O(log n)
+    hashes), and spot-checks a random prefix sample — and must come in
+    at >= ``MIN_E8_SPEEDUP`` (37x, half the measured ~75x) the full
+    rescan.  The speedup is only admissible alongside **zero**
     detection-equivalence violations, so the tamper oracle runs here
     too and both numbers land in the same JSON.
     """
@@ -161,7 +164,9 @@ def test_e8_incremental_fast_path(benchmark):
         + "\n"
     )
     assert equivalence.ok, equivalence.summary()
-    assert speedup >= 5.0, f"incremental speedup {speedup:.1f}x below 5x bar"
+    assert speedup >= MIN_E8_SPEEDUP, (
+        f"incremental speedup {speedup:.1f}x below the {MIN_E8_SPEEDUP:.0f}x bar"
+    )
 
 
 def test_e8_ablation_truncation_detection(benchmark):

@@ -13,8 +13,8 @@ write path.
 When ``BENCH_e8.json`` is present (run
 ``pytest benchmarks/bench_e8_audit_scaling.py::test_e8_incremental_fast_path``)
 it is gated on absolute bars, not a baseline ratio: incremental audit
-verification must be at least 5x faster than the full rescan at 10k
-events, and the detection-equivalence oracle must report **zero**
+verification must be at least 37x faster than the full rescan at 10k
+events (see :data:`MIN_E8_SPEEDUP`), and the detection-equivalence oracle must report **zero**
 violations.  A fast path that trades away detection is a security
 regression no matter how fast it got.
 
@@ -95,7 +95,12 @@ CURATOR_TOLERANCE = 0.10
 #: Absolute floor for the curator's batched ingest: 5x the write path
 #: as it stood before the raw-speed rebuild (~490 records/sec).
 MIN_CURATOR_BATCHED_RPS = 2450.0
-MIN_E8_SPEEDUP = 5.0
+#: Half the measured speed-up, so the bar can fail.  Twelve runs on the
+#: level-table Merkle tree (PR 19) read 62.5-89.4x, median 74.5x (full
+#: ~230 ms, incremental ~3.1 ms: 100 replayed events, 16 spot checks and
+#: O(log n) hashes); the parent's O(n) leaf folds read 9.9-11.2x, which
+#: this bar refuses.  The old 5x bar sat under a sixth of the measurement.
+MIN_E8_SPEEDUP = 37.0
 MIN_E9_SPEEDUP = 2.5
 #: The 8-shard process-pool arm answers from per-shard state an eighth
 #: the size; it must clear a higher bar than the in-process cluster.
@@ -430,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=MIN_E8_SPEEDUP,
         help="required incremental-verify speedup over a full rescan "
-        "(default 5.0)",
+        f"(default {MIN_E8_SPEEDUP})",
     )
     parser.add_argument(
         "--skip-e8",

@@ -16,6 +16,14 @@ against its witness:
   root (else: history rewriting);
 * consecutive anchors must be Merkle-consistent (else: the site forked
   its history between publications).
+
+None of it grows with the log: :class:`~repro.crypto.merkle.MerkleTree`
+keeps every perfect-subtree root, so the consistency proof a witness
+demands on :meth:`AnchorWitness.receive` is O(log^2 n) hashes at worst
+and each historical root :meth:`AnchorWitness.check_log` recomputes is
+O(log n) — publishing an anchor every *k* events costs the same at event
+one million as at event sixty-four, and a full check is
+O(anchors x log n).
 """
 
 from __future__ import annotations
@@ -46,11 +54,6 @@ class AnchorWitness:
     def __init__(self, site_verifier: Verifier) -> None:
         self._verifier = site_verifier
         self._anchors: list[AuditAnchor] = []
-        # (size, root) of the highest anchor a past check_log validated.
-        # Purely a cache: check_log revalidates it against the live tree
-        # before skipping anything, so a tree that forked since simply
-        # misses the cache and every anchor is rechecked.
-        self._verified_prefix: tuple[int, bytes] | None = None
 
     @property
     def anchors(self) -> list[AuditAnchor]:
@@ -89,36 +92,22 @@ class AnchorWitness:
         """Audit a log against everything this witness has seen.
 
         Raises :class:`AuditError` on truncation or history rewriting.
-
-        Anchors at or below the memoized verified prefix are skipped
-        once the live tree still reproduces that prefix's root — one
-        ``root_at`` instead of one per historical anchor, so repeated
-        checks over a long witness history cost O(tree), not
-        O(anchors x tree).
+        Every anchor ever received is rechecked on every call, at
+        O(log n) hashes apiece.
         """
         tree = log.merkle_tree()
-        skip_at_or_below = 0
-        if self._verified_prefix is not None:
-            size, root = self._verified_prefix
-            if size <= len(log) and tree.root_at(size) == root:
-                skip_at_or_below = size
         for anchor in self._anchors:
             if len(log) < anchor.log_size:
                 raise AuditError(
                     f"log truncated: witness holds an anchor at size "
                     f"{anchor.log_size}, log has only {len(log)} events"
                 )
-            if anchor.log_size <= skip_at_or_below:
-                continue
             root_then = tree.root_at(anchor.log_size)
             if root_then != anchor.merkle_root:
                 raise AuditError(
                     f"log history rewritten: root at size {anchor.log_size} "
                     "does not match the witnessed anchor"
                 )
-        if self._anchors:
-            newest = self._anchors[-1]
-            self._verified_prefix = (newest.log_size, newest.merkle_root)
 
 
 class WitnessQuorum:

@@ -458,13 +458,14 @@ class AuditLog:
             else []
         )
         for sequence in sorted(sampled):
-            problem = self._spot_check_frame(sequence)
-            if problem is not None:
+            try:
+                self._pinned_frame(sequence)
+            except AuditError as exc:
                 return ChainVerification(
                     ok=False,
                     events_checked=replayed,
                     first_bad_sequence=sequence,
-                    problem=problem,
+                    problem=str(exc),
                     mode="incremental",
                     spot_checked=sample_size,
                 )
@@ -476,9 +477,11 @@ class AuditLog:
             spot_checked=sample_size,
         )
 
-    def _spot_check_frame(self, sequence: int) -> str | None:
-        """Verify one sealed-prefix frame in isolation; returns a
-        problem string or None."""
+    def _pinned_frame(self, sequence: int) -> dict:
+        """Re-read one journaled frame in isolation and pin it to the
+        trusted in-memory leaf digest (which fixes its event + prev
+        bytes) and to its stored chain digest; returns the decoded
+        frame, or raises :class:`AuditError` naming what is wrong."""
         try:
             payload = self._journal.read(sequence)
             entry = canonical_loads(payload)
@@ -486,15 +489,15 @@ class AuditLog:
                 {"event": entry["event"], "prev": entry["prev"]}
             )
         except Exception as exc:  # noqa: BLE001
-            return f"sealed event {sequence} unreadable: {exc}"
+            raise AuditError(f"sealed event {sequence} unreadable: {exc}") from exc
         if leaf_hash(encoded) != self._tree.leaf_digest(sequence):
-            return (
+            raise AuditError(
                 f"sealed event {sequence} does not match its trusted "
                 "Merkle leaf (prefix tampering)"
             )
         if entry["chain"] != chain_digest(entry["prev"], encoded):
-            return f"stored chain digest wrong at sealed event {sequence}"
-        return None
+            raise AuditError(f"stored chain digest wrong at sealed event {sequence}")
+        return entry
 
     def _seal_watermark(self, incremental_runs: int) -> None:
         """Record (and persist, when a checkpoint store is attached)
@@ -576,7 +579,11 @@ class AuditLog:
         belongs to the witnessed log, without revealing any other event.
         *at_size* selects the anchored log size the proof must match
         (default: the current size).  Returns ``(event, chain_prev,
-        proof)``; verify with :func:`verify_event_proof`.
+        proof)``; verify with :func:`verify_event_proof`.  *chain_prev*
+        comes from the event's own journaled frame, pinned to the
+        trusted Merkle leaf first — one frame read, not a replay of
+        every earlier event; a frame tampered with on the device raises
+        :class:`AuditError`.
         """
         event = self.event(sequence)
         size = at_size if at_size is not None else len(self._events)
@@ -584,9 +591,9 @@ class AuditLog:
             raise AuditError(
                 f"event {sequence} is not covered by an anchor at size {size}"
             )
-        chain_prev = self.expected_head_for(self._events[:sequence])
-        proof = self._tree.prove_inclusion_at(sequence, size)
-        return event, chain_prev, proof
+        self.flush_batch()  # the frame must be on the device to be re-read
+        chain_prev = self._pinned_frame(sequence)["prev"]
+        return event, chain_prev, self._tree.prove_inclusion_at(sequence, size)
 
     def expected_head_for(self, events: list[AuditEvent]) -> bytes:
         """Recompute the chain head a given event list should produce.

@@ -1,15 +1,13 @@
 """Merkle trees with inclusion and consistency proofs.
 
-Used in three places:
-
 * **Audit anchoring** — the audit log periodically commits its entries'
   Merkle root to an external witness; consistency proofs show a later
   root extends an earlier one (no history rewriting).
-* **Migration manifests** — the source store publishes the Merkle root
-  of all record digests; the destination proves completeness by
-  recomputing it, and any single lost/altered record changes the root.
-* **Backup verification** — restored data is checked against the
-  backed-up root.
+* **Manifests** (migration, backup, cold segments) — the publisher signs
+  the root over every member's digest; recomputing it proves
+  completeness, and any single lost or altered member changes it.
+* **Aggregated signatures** (batch custody events, move proofs) — one
+  signed root, one inclusion path per member.
 
 The construction follows RFC 6962 (Certificate Transparency) in shape —
 an unbalanced tree recurses on the largest power of two smaller than n —
@@ -17,9 +15,13 @@ but is instantiated over BLAKE2b-256 with *personalization*-based
 leaf/node domain separation instead of SHA-256 with prefix bytes.
 BLAKE2b's lower per-call overhead wins on the 32–64 byte node inputs
 these trees hash in their update loops, and personalization means the
-forest-merge loop streams child digests straight into the hasher with
-no ``prefix + left + right`` concatenation.  Leaves may be any buffer
+append carry streams child digests straight into the hasher with no
+``prefix + left + right`` concatenation.  Leaves may be any buffer
 (``bytes``, ``bytearray``, ``memoryview``).
+
+:class:`MerkleTree` keeps every perfect-subtree root its appends compute,
+so a root or historical root costs O(log n) hashes and an inclusion path
+or consistency proof O(log^2 n), however long the anchored log has grown.
 """
 
 from __future__ import annotations
@@ -41,12 +43,9 @@ def _leaf_hash(data: bytes) -> bytes:
 
 
 def leaf_hash(data: bytes) -> bytes:
-    """The domain-separated leaf hash of *data*.
-
-    Public so verifiers can compare independently derived bytes against
-    a tree's stored leaf digests (see :meth:`MerkleTree.leaf_digest`)
-    without rebuilding any tree structure.
-    """
+    """The domain-separated leaf hash of *data*: public so verifiers can
+    compare independently derived bytes against a tree's stored leaf
+    digests (:meth:`MerkleTree.leaf_digest`) without building a tree."""
     return _leaf_hash(data)
 
 
@@ -59,25 +58,22 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
 
 def _largest_power_of_two_below(n: int) -> int:
     """Largest power of two strictly less than n (n >= 2)."""
-    k = 1
-    while k * 2 < n:
-        k *= 2
-    return k
+    return 1 << ((n - 1).bit_length() - 1)
 
 
-def _subtree_root(leaves: list[bytes]) -> bytes:
-    if len(leaves) == 1:
-        return leaves[0]
-    split = _largest_power_of_two_below(len(leaves))
-    return _node_hash(_subtree_root(leaves[:split]), _subtree_root(leaves[split:]))
+def _reference_root(hashes: list[bytes]) -> bytes:
+    """RFC 6962 MTH by plain recursion over leaf hashes, O(n) hashes a
+    call: what the differential tests hold :class:`MerkleTree` to."""
+    if len(hashes) == 1:
+        return hashes[0]
+    split = _largest_power_of_two_below(len(hashes))
+    return _node_hash(_reference_root(hashes[:split]), _reference_root(hashes[split:]))
 
 
 @dataclass(frozen=True)
 class MerkleProof:
-    """Inclusion proof: the path of sibling hashes from a leaf to the root.
-
-    ``path`` entries are ``(sibling_digest, sibling_is_left)``.
-    """
+    """Inclusion proof: the path of sibling hashes from a leaf to the
+    root, as ``(sibling_digest, sibling_is_left)`` entries."""
 
     leaf_index: int
     tree_size: int
@@ -103,33 +99,34 @@ class MerkleProof:
 class MerkleTree:
     """An append-only Merkle tree over byte-string leaves.
 
-    Appends maintain an incremental *forest* of perfect-subtree roots
-    (the binary-counter construction used by CT log servers), so
-    :meth:`root` is O(log n) hashing instead of a full O(n) rebuild —
-    the audit log reads the root on every anchor, and the engine's
-    batch commits read it once per batch.
+    ``_levels[k][i]`` is the root of the perfect subtree over leaves
+    ``[i << k, (i + 1) << k)``; row 0 holds the leaf hashes.  Appends
+    fill the rows with the binary-counter carry CT log servers use
+    (n - popcount(n) node hashes for n leaves, each computed once), and
+    :meth:`_range_root` answers every root and proof out of them.
     """
 
     def __init__(self, leaves: list[bytes] | None = None) -> None:
-        self._leaf_hashes: list[bytes] = []
-        # (size, subtree_root) with sizes strictly decreasing powers of
-        # two; together they cover all leaves left to right.
-        self._forest: list[tuple[int, bytes]] = []
+        self._levels: list[list[bytes]] = [[]]
         for leaf in leaves or []:
             self.append(leaf)
 
     def __len__(self) -> int:
-        return len(self._leaf_hashes)
+        return len(self._levels[0])
 
     def _push_leaf(self, leaf_hash: bytes) -> int:
-        self._leaf_hashes.append(leaf_hash)
-        self._forest.append((1, leaf_hash))
-        # Merge equal-size perfect subtrees (binary-counter carry).
-        while len(self._forest) >= 2 and self._forest[-1][0] == self._forest[-2][0]:
-            right_size, right = self._forest.pop()
-            left_size, left = self._forest.pop()
-            self._forest.append((left_size + right_size, _node_hash(left, right)))
-        return len(self._leaf_hashes) - 1
+        levels = self._levels
+        levels[0].append(leaf_hash)
+        # Binary-counter carry: a row that just reached an even length
+        # completed a pair, whose parent joins the row above.
+        k, count = 0, len(levels[0])
+        while count & 1 == 0:
+            parent = _node_hash(levels[k][-2], levels[k][-1])
+            k, count = k + 1, count >> 1
+            if k == len(levels):
+                levels.append([])
+            levels[k].append(parent)
+        return len(levels[0]) - 1
 
     def append(self, leaf: bytes) -> int:
         """Append a leaf; returns its index."""
@@ -143,131 +140,74 @@ class MerkleTree:
             raise ValidationError("leaf hash must be 32 bytes")
         return self._push_leaf(bytes(leaf_hash))
 
-    def root(self) -> bytes:
-        """Current root digest (EMPTY_ROOT for the empty tree).
+    def _range_root(self, lo: int, hi: int) -> bytes:
+        """RFC 6962 MTH over leaves ``[lo, hi)``, ``lo < hi``: a look-up
+        when the range is perfect, else its perfect left part hashed
+        with the rest — at most log2(hi - lo) node hashes, no slice.
+        *lo* must be a multiple of the range's largest power of two, as
+        it is for every range the recursions below split off ``[0,
+        size)``: a left child keeps its parent's start, a right child
+        starts one split further on and is no longer than the split."""
+        k = (hi - lo).bit_length() - 1
+        left = self._levels[k][lo >> k]
+        if lo + (1 << k) == hi:
+            return left
+        return _node_hash(left, self._range_root(lo + (1 << k), hi))
 
-        Folds the incremental forest right-to-left, which reproduces
-        the RFC 6962 recursion: the split point is always the largest
-        power of two below the range size, i.e. the leftmost forest
-        entry at every level.
-        """
-        if not self._forest:
-            return EMPTY_ROOT
-        acc = self._forest[-1][1]
-        for _, subtree in reversed(self._forest[:-1]):
-            acc = _node_hash(subtree, acc)
-        return acc
+    def root(self) -> bytes:
+        """Current root digest (EMPTY_ROOT for the empty tree)."""
+        return self.root_at(len(self))
 
     def root_at(self, size: int) -> bytes:
         """Root of the historical tree containing only the first *size* leaves."""
-        if size < 0 or size > len(self._leaf_hashes):
-            raise ValidationError(f"size {size} out of range 0..{len(self._leaf_hashes)}")
-        if size == 0:
-            return EMPTY_ROOT
-        if size == len(self._leaf_hashes):
-            return self.root()  # O(log n) forest fold, not an O(n) rebuild
-        return _subtree_root(self._leaf_hashes[:size])
+        if size < 0 or size > len(self):
+            raise ValidationError(f"size {size} out of range 0..{len(self)}")
+        return self._range_root(0, size) if size else EMPTY_ROOT
 
     def leaf_digest(self, index: int) -> bytes:
-        """The stored leaf hash at *index* (already leaf-hashed).
-
-        Incremental audit verification compares device-derived bytes
-        against these trusted in-memory digests: a sealed-prefix frame
-        whose re-derived :func:`leaf_hash` disagrees has been tampered
-        with on the raw device.
-        """
-        if index < 0 or index >= len(self._leaf_hashes):
-            raise ValidationError(
-                f"leaf index {index} out of range 0..{len(self._leaf_hashes) - 1}"
-            )
-        return self._leaf_hashes[index]
+        """The stored leaf hash at *index* (already leaf-hashed).  Audit
+        verification holds device-derived bytes to these trusted
+        in-memory digests: a journaled frame whose re-derived
+        :func:`leaf_hash` disagrees was tampered with on the raw device."""
+        if index < 0 or index >= len(self):
+            raise ValidationError(f"leaf index {index} out of range 0..{len(self) - 1}")
+        return self._levels[0][index]
 
     def prove_inclusion(self, index: int) -> MerkleProof:
         """Produce an inclusion proof for the leaf at *index*."""
-        n = len(self._leaf_hashes)
-        if index < 0 or index >= n:
-            raise ValidationError(f"leaf index {index} out of range 0..{n - 1}")
-        path: list[tuple[bytes, bool]] = []
-
-        def walk(lo: int, hi: int, target: int) -> None:
-            if hi - lo == 1:
-                return
-            split = lo + _largest_power_of_two_below(hi - lo)
-            if target < split:
-                walk(lo, split, target)
-                path.append((_subtree_root(self._leaf_hashes[split:hi]), False))
-            else:
-                walk(split, hi, target)
-                path.append((_subtree_root(self._leaf_hashes[lo:split]), True))
-
-        walk(0, n, index)
-        return MerkleProof(leaf_index=index, tree_size=n, path=tuple(path))
+        return self.prove_inclusion_at(index, len(self))
 
     def prove_inclusion_all(self) -> list[MerkleProof]:
-        """Inclusion proofs for every leaf against the current root.
-
-        Computes each recursion range's subtree root exactly once (O(n)
-        hashing for the whole batch) instead of re-deriving sibling
-        ranges per proof — :meth:`prove_inclusion` in a loop would cost
-        O(n^2).  Aggregated batch signing attaches one of these proofs
-        to every record in the batch.
-        """
-        n = len(self._leaf_hashes)
-        if n == 0:
-            return []
-        memo: dict[tuple[int, int], bytes] = {}
-
-        def build(lo: int, hi: int) -> bytes:
-            if hi - lo == 1:
-                digest = self._leaf_hashes[lo]
-            else:
-                split = lo + _largest_power_of_two_below(hi - lo)
-                digest = _node_hash(build(lo, split), build(split, hi))
-            memo[(lo, hi)] = digest
-            return digest
-
-        build(0, n)
-        proofs = []
-        for index in range(n):
-            path: list[tuple[bytes, bool]] = []
-            lo, hi = 0, n
-            spans: list[tuple[int, int]] = []
-            while hi - lo > 1:
-                spans.append((lo, hi))
-                split = lo + _largest_power_of_two_below(hi - lo)
-                if index < split:
-                    hi = split
-                else:
-                    lo = split
-            for span_lo, span_hi in reversed(spans):
-                split = span_lo + _largest_power_of_two_below(span_hi - span_lo)
-                if index < split:
-                    path.append((memo[(split, span_hi)], False))
-                else:
-                    path.append((memo[(span_lo, split)], True))
-            proofs.append(MerkleProof(leaf_index=index, tree_size=n, path=tuple(path)))
-        return proofs
+        """Inclusion proofs for every leaf against the current root
+        (aggregated batch signing attaches one to every record)."""
+        return [self.prove_inclusion(index) for index in range(len(self))]
 
     def prove_inclusion_at(self, index: int, size: int) -> MerkleProof:
         """Inclusion proof against the *historical* tree of the first
         ``size`` leaves (proofs must match the root they verify against,
         e.g. a previously published anchor)."""
-        if size < 1 or size > len(self._leaf_hashes):
-            raise ValidationError(f"size {size} out of range 1..{len(self._leaf_hashes)}")
-        historical = MerkleTree.__new__(MerkleTree)
-        historical._leaf_hashes = self._leaf_hashes[:size]
-        historical._forest = []  # proofs recurse over leaf hashes only
-        return historical.prove_inclusion(index)
+        if not 0 <= index < size <= len(self):
+            raise ValidationError(f"no leaf {index} in the first {size} of {len(self)}")
+        path: list[tuple[bytes, bool]] = []
+        lo, hi = 0, size
+        while hi - lo > 1:  # walks root to leaf; the path reads leaf to root
+            split = lo + _largest_power_of_two_below(hi - lo)
+            if index < split:
+                path.append((self._range_root(split, hi), False))
+                hi = split
+            else:
+                path.append((self._range_root(lo, split), True))
+                lo = split
+        return MerkleProof(leaf_index=index, tree_size=size, path=tuple(reversed(path)))
 
     def prove_consistency(self, old_size: int) -> list[bytes]:
         """Consistency proof that the current tree extends the tree of
         *old_size* leaves (RFC 6962 §2.1.2, simplified recursive form)."""
-        n = len(self._leaf_hashes)
+        n = len(self)
         if old_size < 0 or old_size > n:
             raise ValidationError(f"old_size {old_size} out of range 0..{n}")
         if old_size == 0 or old_size == n:
             return []
-
         proof: list[bytes] = []
 
         def subproof(lo: int, hi: int, m: int, complete: bool) -> None:
@@ -276,15 +216,15 @@ class MerkleTree:
             # equals the whole [lo, split) range at some ancestor.
             if m == hi:
                 if not complete:
-                    proof.append(_subtree_root(self._leaf_hashes[lo:hi]))
+                    proof.append(self._range_root(lo, hi))
                 return
             split = lo + _largest_power_of_two_below(hi - lo)
             if m <= split:
                 subproof(lo, split, m, complete)
-                proof.append(_subtree_root(self._leaf_hashes[split:hi]))
+                proof.append(self._range_root(split, hi))
             else:
                 subproof(split, hi, m, False)
-                proof.append(_subtree_root(self._leaf_hashes[lo:split]))
+                proof.append(self._range_root(lo, split))
 
         subproof(0, n, old_size, True)
         return proof

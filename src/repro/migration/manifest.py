@@ -114,8 +114,8 @@ def entry_inclusion_proofs(manifest: MigrationManifest) -> dict[str, object]:
     for object_id, digest in manifest.entries:
         tree.append(entry_leaf(object_id, digest))
     return {
-        object_id: tree.prove_inclusion(index)
-        for index, (object_id, _) in enumerate(manifest.entries)
+        object_id: proof
+        for (object_id, _), proof in zip(manifest.entries, tree.prove_inclusion_all())
     }
 
 

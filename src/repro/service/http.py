@@ -124,6 +124,8 @@ class ServiceServer:
             )
         except (asyncio.TimeoutError, ConnectionError):
             return None, "closed"
+        except ValueError:  # a line past the StreamReader's own limit
+            return None, "oversize"
         if not first:
             return None, "closed"
 
@@ -144,6 +146,8 @@ class ServiceServer:
                 line = await asyncio.wait_for(reader.readline(), timeout=remaining)
             except (asyncio.TimeoutError, ConnectionError):
                 return None, "slow"
+            except ValueError:  # a line past the StreamReader's own limit
+                return None, "oversize"
             if not line:
                 return None, "closed"
             total += len(line)
@@ -160,6 +164,8 @@ class ServiceServer:
         try:
             content_length = int(length)
         except ValueError:
+            return None, "bad"
+        if content_length < 0:
             return None, "bad"
         if content_length > MAX_BODY_BYTES:
             return None, "oversize"

@@ -90,6 +90,49 @@ def test_event_proof_after_log_grows_past_anchor():
     verify_event_proof(event, chain_prev, proof, anchor.merkle_root)
 
 
+def test_event_proof_reads_one_frame_however_long_the_log(monkeypatch):
+    from repro.audit import log as audit_log
+
+    clock, log = grown_log(2000)
+    signer = Signer("hospital-A", keypair=KEYPAIR)
+    anchor = publish_anchor(log, signer, clock.now())
+    encodes = [0]
+    real = audit_log.canonical_bytes
+
+    def counting(value):
+        encodes[0] += 1
+        return real(value)
+
+    monkeypatch.setattr(audit_log, "canonical_bytes", counting)
+    for sequence in (0, 1, 1000, 1999):
+        encodes[0] = 0
+        event, chain_prev, proof = log.prove_event(sequence, at_size=anchor.log_size)
+        assert encodes[0] == 1  # the event's own frame, not every earlier event
+        assert chain_prev == log.expected_head_for(log.events()[:sequence])
+        verify_event_proof(event, chain_prev, proof, anchor.merkle_root)
+
+
+def test_event_proof_refuses_a_frame_tampered_on_the_device():
+    from repro.storage.journal import Journal
+
+    clock, log = grown_log(12)
+    offset, payload, _ok = list(Journal.walk_frames(log.device))[7]
+    assert b"actor-1" in payload  # a well-formed frame naming somebody else
+    Journal.forge_frame(log.device, offset, payload.replace(b"actor-1", b"actor-2"))
+    with pytest.raises(AuditError, match="trusted Merkle leaf"):
+        log.prove_event(7)
+    log.prove_event(6)  # the neighbours still prove
+
+
+def test_event_proof_inside_an_open_batch_flushes_first():
+    clock, log = grown_log(4)
+    log.begin_batch()
+    log.append(AuditAction.RECORD_READ, "actor-z", "rec-buffered")
+    event, chain_prev, proof = log.prove_event(4)
+    verify_event_proof(event, chain_prev, proof, log.merkle_root())
+    assert log.in_batch and log.commit() == 0  # flushed, batch still open
+
+
 def test_event_proof_rejects_forged_event():
     import dataclasses
 

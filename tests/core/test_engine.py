@@ -6,6 +6,7 @@ from repro.access.policies import ConsentDirective
 from repro.access.principals import Role, User
 from repro.access.rbac import Purpose
 from repro.core import CuratorConfig, CuratorStore
+from repro.crypto.merkle import MerkleTree
 from repro.errors import (
     AccessDeniedError,
     ConfigurationError,
@@ -222,7 +223,10 @@ def test_audit_truncation_detected_via_witness():
     assert store.witness.anchors, "anchor should have been published"
     # Simulate history loss beneath the last anchor.
     store._audit._events = store._audit._events[:10]
-    store._audit._tree._leaf_hashes = store._audit._tree._leaf_hashes[:10]
+    full, short = store._audit.merkle_tree(), MerkleTree()
+    for index in range(10):
+        short.append_hash(full.leaf_digest(index))
+    store._audit._tree = short
     assert not store.verify_audit_trail().ok
 
 

@@ -11,6 +11,7 @@ import pytest
 from repro.access.principals import Role, User
 from repro.access.sessions import Authenticator
 from repro.core import CuratorConfig, CuratorStore
+from repro.crypto.merkle import MerkleTree
 from repro.errors import RecordNotFoundError, RetentionError
 from repro.records.model import ClinicalNote, HealthRecord
 from repro.util.clock import SimulatedClock
@@ -141,5 +142,8 @@ def test_quorum_store_detects_truncation_with_one_wiped_witness(world):
     assert store.verify_audit_trail().ok  # majority still vouches
     # truncate beneath the anchors
     store._audit._events = store._audit._events[:5]
-    store._audit._tree._leaf_hashes = store._audit._tree._leaf_hashes[:5]
+    full, short = store._audit.merkle_tree(), MerkleTree()
+    for index in range(5):
+        short.append_hash(full.leaf_digest(index))
+    store._audit._tree = short
     assert not store.verify_audit_trail().ok

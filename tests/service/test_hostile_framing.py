@@ -1,0 +1,50 @@
+"""Hostile request framing: every unparseable request gets the structured
+400 and exactly one audit event — none kills the connection task."""
+
+from __future__ import annotations
+
+import socket
+
+import pytest
+
+from repro.service import CuratorService, ServiceConfig, ServiceServer
+
+_GET = b"GET /v1/healthz HTTP/1.1\r\n"
+_POST = b"POST /v1/auth/challenge HTTP/1.1\r\n"
+
+HOSTILE = {
+    "request_line_70kB": b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    "header_line_70kB": _GET + b"X-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+    "negative_content_length": _POST + b"Content-Length: -5\r\n\r\n",
+    "non_numeric_content_length": _POST + b"Content-Length: five\r\n\r\n",
+    "headers_33kB": _GET + b"".join(
+        b"X-Pad-%d: %s\r\n" % (i, b"a" * 1000) for i in range(33)
+    ) + b"\r\n",
+    "bad_json": _POST + b"Content-Length: 7\r\n\r\n{\"user_",
+    "content_length_5MB": _POST + b"Content-Length: 5242880\r\n\r\n",
+    "non_ascii_request_line": "GET /v1/récords HTTP/1.1\r\n\r\n".encode("utf-8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_framing_answered_400_and_audited_once(cluster, name):
+    service = CuratorService(cluster, ServiceConfig(port=0))
+    server = ServiceServer(service).start()
+    try:
+        before = len(service.audit_events())
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as raw:
+            raw.sendall(HOSTILE[name])
+            reply = b""
+            try:
+                while chunk := raw.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass  # closed on bytes the server never read; the reply came first
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"malformed_request" in reply
+        events = service.audit_events()
+        assert len(events) == before + 1
+        assert events[-1].action.value == "api_rejected"
+        assert events[-1].detail["code"] == "malformed_request"
+    finally:
+        server.stop()
