@@ -15,11 +15,10 @@ policy-lint:
 	$(PY) -m repro policy lint
 
 # The PR gate: tier-1 (which runs the whole detection-equivalence
-# scenario table once), ruleset lint, a bounded crash-consistency sweep +
-# differential conformance, the E2/E8/E9 regression gates, the committed
-# benchmark's smoke run, the online-rebalance (E6b) gate, the tiered
-# cold-archive (E7b) gate, and the wire-service (E11) gate.
-verify: test policy-lint bench-gate bench-smoke verify-rebalance verify-archive verify-service
+# scenario table once), ruleset lint, every E-experiment once (each bar
+# asserted where it is measured), the committed benchmark's smoke run,
+# and a bounded crash-consistency sweep + differential conformance.
+verify: test policy-lint bench-gate bench-smoke
 	$(PY) -m repro verify --limit 12 --skip-equivalence
 
 # The exhaustive sweep: every write boundary, clean + torn.  ~30s.
@@ -31,11 +30,11 @@ sweep:
 conformance:
 	$(PY) -m repro verify --skip-sweep
 
+# All 38 experiment tests, E1-E12.  The bars live in benchmarks/bars.py
+# and nowhere else: an experiment that carries one ends in gate(), which
+# writes benchmarks/out/<experiment>.json (untracked) and asserts it.
 bench-gate:
-	$(PY) -m pytest benchmarks/bench_e2_throughput.py::test_e2_batched_ingest -q
-	$(PY) -m pytest benchmarks/bench_e8_audit_scaling.py::test_e8_incremental_fast_path -q
-	$(PY) -m pytest benchmarks/bench_e9_cluster_scaling.py::test_e9_cluster_scaling -q
-	$(PY) benchmarks/check_regression.py
+	$(PY) -m pytest benchmarks -q
 
 # The committed benchmark (bench/, BENCHMARK.json) at 1/50 scale, traced
 # and untraced: every workload runs correct, and every boundary callable
@@ -50,38 +49,36 @@ bench-smoke:
 profile:
 	$(PY) benchmarks/profile_e2.py $(ARGS)
 
-# Elastic-resharding gate: the ring's pinned cases and property suite,
-# the rebalancer's functional, crash-sweep and writers-under-reshape
-# tests, and the E6b online-rebalance arm (p99-under-fire + proof
-# re-verification + the rebalance rows of the scenario table) gated by
-# check_regression.
+# The targets below are focused selections of what `verify` already
+# runs, for working on one subsystem; none is a prerequisite of `verify`.
+
+# Elastic resharding: the ring's pinned cases and property suite, the
+# rebalancer's functional, crash-sweep and writers-under-reshape tests,
+# and the E6b online-rebalance arm (p99-under-fire + proof
+# re-verification + the rebalance rows of the scenario table).
 verify-rebalance:
 	$(PY) -m pytest tests/cluster/test_ring.py tests/cluster/test_vnode_ring.py tests/cluster/test_rebalancer.py tests/cluster/test_rebalance_crash.py tests/cluster/test_rebalance_concurrency.py -q
 	$(PY) -m pytest benchmarks/bench_e6_migration.py::test_e6b_online_rebalance -q
-	$(PY) benchmarks/check_regression.py --skip-e8 --skip-e9
 
-# Tiered-archive gate: the segment/cold-store/tiering suites (incl.
-# the demotion crash sweep), the demote→recall round-trip properties,
-# the cold-residue threat tests, and the E7b arm (footprint, recall
-# p99, incremental-verify bars) gated by check_regression.
+# Tiered archive: the segment/cold-store/tiering suites (incl. the
+# demotion crash sweep), the demote→recall round-trip properties, the
+# cold-residue threat tests, and the E7b arm (footprint, recall p99,
+# incremental-verify bars).
 verify-archive:
 	$(PY) -m pytest tests/archive tests/property/test_archive_roundtrip.py tests/threats/test_cold_residue.py -q
 	$(PY) -m pytest benchmarks/bench_e7_retention_30yr.py -q
-	$(PY) benchmarks/check_regression.py --skip-e8 --skip-e9 --skip-e6
 
-# Wire-service gate: the service suite (wire schema, session
-# lifecycle, admission control, the audit oracle) and the E11
-# closed-loop load arm (200 concurrent sessions, sustained-RPS floor,
-# p99 ceiling, full audit coverage) gated by check_regression.
+# Wire service: the service suite (wire schema, session lifecycle,
+# admission control, the audit oracle) and the E11 closed-loop load arm
+# (concurrent sessions, sustained-RPS floor, p99 ceiling, full audit
+# coverage).
 verify-service:
 	$(PY) -m pytest tests/service -q
 	$(PY) -m pytest benchmarks/bench_e11_service.py -q
-	$(PY) benchmarks/check_regression.py --skip-e8 --skip-e9 --skip-e6 --skip-e7
 
-# Cluster-only gate: the cluster suite (its cross-shard and rebalance
-# oracle selections included) with the layout ratchet (module sizes,
-# pinned surfaces, one-of-each rules), and the E9 scaling bar.
+# Cluster: the cluster suite (its cross-shard and rebalance oracle
+# selections included) with the layout ratchet (module sizes, pinned
+# surfaces, one-of-each rules), and the E9b scaling arm.
 verify-cluster:
 	$(PY) -m pytest tests/cluster tests/test_layout.py -q
 	$(PY) -m pytest benchmarks/bench_e9_cluster_scaling.py::test_e9_cluster_scaling -q
-	$(PY) benchmarks/check_regression.py --skip-e8

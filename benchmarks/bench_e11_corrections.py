@@ -85,6 +85,6 @@ def test_e11_version_chain_survives_many_amendments(benchmark):
     benchmark.pedantic(amend, rounds=1, iterations=1)
     assert model.version_count(record.record_id) == 6
     assert model.verify_integrity().ok
-    v0 = model.read_version(record.record_id, 0, actor_id="dr-bench")
+    v0 = model.read_version(record.record_id, 0, actor_id=target.author_id)
     assert "amendment" not in v0.body
     print(f"\nE11b: {model.version_count(record.record_id)} versions, chain verifies")

@@ -18,17 +18,16 @@ it must not give up:
   Merkle-anchors) an audit log a quarter of the monolith's length;
   likewise a HIPAA accounting-of-disclosures verifies the chain it
   answers from, so the monolith re-verifies the whole site's log per
-  query while the cluster touches only the owning shard's.  Bar:
-  >= 2.5x, gated by ``check_regression.py``.
+  query while the cluster touches only the owning shard's.
 * **Process-pool workers.**  A third arm runs the same workload
   against an 8-shard cluster whose engines live in worker *processes*
   (``workers=8``): per-shard state shrinks to an eighth — every read
   is a cache hit, every disclosure accounting verifies an eighth of
   the site-wide log — at the price of a pickled pipe round-trip per
-  op.  Bars: >= 2.75x the single engine and >= 1,610 ops/s absolute,
-  both gated by ``check_regression.py`` (the ratio was 5x while the
-  single engine paid an interpreted cipher on every cache miss; see
-  ``MIN_E9_WORKER_SPEEDUP`` there for the re-derivation).
+  op.  It carries a ratio bar over the single engine and an absolute
+  ops/s floor (the ratio was 5x while the single engine paid an
+  interpreted cipher on every cache miss; see the ``worker_speedup`` row
+  of ``benchmarks/bars.py`` for the re-derivation).
 * **Detection.**  The speedup is only admissible with **zero**
   cluster detection-equivalence violations: every raw-device tamper
   planted on any single shard must surface through the cluster's
@@ -36,21 +35,15 @@ it must not give up:
   (The oracle needs raw device access, so it runs against in-process
   shards — ``workers=0`` — by construction.)
 
-All numbers land in ``BENCH_e9.json``.
+The bars are the ``e9_cluster`` rows of ``benchmarks/bars.py``.
 """
 
-import json
 import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
-from benchmarks.check_regression import (
-    MIN_E9_SPEEDUP,
-    MIN_E9_WORKER_OPS,
-    MIN_E9_WORKER_SPEEDUP,
-)
+from benchmarks.bars import gate
 from benchmarks.common import MASTER_KEY, new_clock, print_table
 from repro.cluster import CuratorCluster, VNodeRing
 from repro.cluster.ring import sample_patients
@@ -71,8 +64,6 @@ INGEST_EVERY = 160     # rare batched store_many (archives are read-mostly)
 REPEATS = 5            # fresh clusters per arm; the arm is their median
 
 KEYPAIR = generate_keypair(768)  # one HSM-held site identity for every arm
-
-BENCH_JSON = Path(__file__).parent / "BENCH_e9.json"
 
 
 # Archive-shaped documents: real clinical narratives run to kilobytes,
@@ -234,7 +225,7 @@ def _measure_arm(shards: int, workers: int = 0) -> dict:
 
 
 def test_e9_cluster_scaling(benchmark):
-    """The headline cluster measurement, written to ``BENCH_e9.json``."""
+    """The headline cluster measurement."""
     single = _measure_arm(1)
     cluster = _measure_arm(SHARDS)
     # the process-pool arm: 8 engines in 8 worker processes
@@ -273,37 +264,24 @@ def test_e9_cluster_scaling(benchmark):
     print("per-shard routed reads:", cluster["per_shard_reads"])
     print(equivalence.summary())
 
-    BENCH_JSON.write_text(
-        json.dumps(
-            {
-                "shards": SHARDS,
-                "worker_shards": WORKER_SHARDS,
-                "records": RECORDS,
-                "read_cache_size": READ_CACHE,
-                "client_threads": CLIENT_THREADS,
-                "timed_ops": TIMED_OPS,
-                "repeats": REPEATS,
-                "single_shard_ops_per_sec": round(single_ops, 1),
-                "cluster_ops_per_sec": round(cluster_ops, 1),
-                "worker_cluster_ops_per_sec": round(worker_ops, 1),
-                "speedup": round(speedup, 2),
-                "worker_speedup": round(worker_speedup, 2),
-                "equivalence_cases": len(equivalence.cases),
-                "equivalence_violations": len(equivalence.violations),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    assert equivalence.ok, equivalence.summary()
-    assert speedup >= MIN_E9_SPEEDUP, (
-        f"cluster speedup {speedup:.2f}x below the {MIN_E9_SPEEDUP}x bar"
-    )
-    assert worker_speedup >= MIN_E9_WORKER_SPEEDUP, (
-        f"{WORKER_SHARDS}-worker speedup {worker_speedup:.2f}x below the "
-        f"{MIN_E9_WORKER_SPEEDUP}x bar"
-    )
-    assert worker_ops >= MIN_E9_WORKER_OPS, (
-        f"{WORKER_SHARDS}-worker arm {worker_ops:.0f} ops/s below the "
-        f"{MIN_E9_WORKER_OPS:.0f} ops/s floor"
+    gate(
+        "e9_cluster",
+        {
+            "single_shard_ops_per_sec": round(single_ops, 1),
+            "cluster_ops_per_sec": round(cluster_ops, 1),
+            "worker_cluster_ops_per_sec": round(worker_ops, 1),
+            "speedup": round(speedup, 2),
+            "worker_speedup": round(worker_speedup, 2),
+            "equivalence_cases": len(equivalence.cases),
+            "equivalence_violations": len(equivalence.violations),
+        },
+        {
+            "shards": SHARDS,
+            "worker_shards": WORKER_SHARDS,
+            "records": RECORDS,
+            "read_cache_size": READ_CACHE,
+            "client_threads": CLIENT_THREADS,
+            "timed_ops": TIMED_OPS,
+            "repeats": REPEATS,
+        },
     )

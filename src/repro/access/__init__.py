@@ -5,9 +5,11 @@ properly authorized individuals and protected against non-permitted
 disclosures.  This package implements the workforce-facing half:
 
 * :mod:`repro.access.principals` — users and HIPAA workforce roles.
-* :mod:`repro.access.rbac` — role → permission policy engine with
-  purpose-of-use evaluation, treating-relationship checks, and
-  explainable decisions (every denial states its rule).
+* :mod:`repro.access.rbac` — the permission and purpose vocabulary and
+  the role → capability tables that :mod:`repro.policy.compiler` turns
+  into the default ruleset (the decisions are made by
+  :class:`~repro.policy.engine.PolicyEngine`; every denial states its
+  rule).
 * :mod:`repro.access.policies` — patient consent directives and the
   minimum-necessary field filter (billing staff see billing fields, not
   the clinical narrative).
@@ -24,7 +26,7 @@ logging requirement.
 from repro.access.breakglass import BreakGlassController, BreakGlassGrant
 from repro.access.policies import ConsentDirective, ConsentRegistry, minimum_necessary_view
 from repro.access.principals import Role, User
-from repro.access.rbac import AccessContext, AccessDecision, Permission, RbacEngine, Purpose
+from repro.access.rbac import Permission, Purpose
 from repro.access.sessions import Authenticator, Challenge, Session
 
 __all__ = [
@@ -38,9 +40,6 @@ __all__ = [
     "minimum_necessary_view",
     "Role",
     "User",
-    "AccessContext",
-    "AccessDecision",
     "Permission",
     "Purpose",
-    "RbacEngine",
 ]

@@ -77,9 +77,8 @@ SYSTEM_USER = User.make("system", "Curator System", [Role.SYSTEM_ADMIN])
 class Workforce:
     """The principals enrolled with one engine."""
 
-    def __init__(self, auto_register_authors: bool = True) -> None:
+    def __init__(self) -> None:
         self._users: dict[str, User] = {}
-        self._auto_register_authors = auto_register_authors
 
     def register(self, user: User) -> None:
         """Enroll a workforce member."""
@@ -94,9 +93,7 @@ class Workforce:
     def note_author(self, author_id: str, patient_id: str) -> None:
         """Documenting care establishes the treating relationship: the
         application layer enrolls the author as a clinician treating the
-        record's patient (config-gated)."""
-        if not self._auto_register_authors:
-            return
+        record's patient."""
         existing = self._users.get(author_id)
         if existing is None:
             self._users[author_id] = User.make(

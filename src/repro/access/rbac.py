@@ -5,22 +5,16 @@ role → capability table, the (role, permission) → purpose restrictions,
 and which roles/permissions require a treating relationship.  The
 *decision logic* lives in :mod:`repro.policy` — the tables here are
 compiled into the declarative default ruleset by
-:func:`repro.policy.compiler.compile_rbac_rules`, and the
-:class:`RbacEngine` below is a thin facade over a
-:class:`~repro.policy.engine.PolicyEngine` kept for callers that want
-pure role decisions (no consent, no break-glass) with the legacy
-:class:`AccessDecision` shape.
-
-Every decision is returned with the deciding rule spelled out, because
-HIPAA audits ask *why* access was granted, not just whether.
+:func:`repro.policy.compiler.compile_rbac_rules`; a
+:class:`~repro.policy.engine.PolicyEngine` over those rules alone gives
+pure role decisions (no consent, no break-glass).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from repro.access.principals import Role, User
+from repro.access.principals import Role
 
 
 class Permission(enum.Enum):
@@ -98,91 +92,3 @@ _PURPOSE_RULES: dict[tuple[Role, Permission], frozenset[Purpose]] = {
 _CLINICAL_ROLES = frozenset({Role.PHYSICIAN, Role.NURSE})
 
 _TREATING_REQUIRED = frozenset({Permission.READ_RECORD, Permission.CORRECT_RECORD})
-
-
-@dataclass(frozen=True)
-class AccessContext:
-    """The circumstances of a request."""
-
-    purpose: Purpose
-    patient_id: str = ""
-    own_record: bool = False  # patient reading their own chart
-
-
-@dataclass(frozen=True)
-class AccessDecision:
-    """An explainable allow/deny."""
-
-    allowed: bool
-    rule: str
-    role_used: Role | None = None
-
-    def __bool__(self) -> bool:
-        return self.allowed
-
-
-class RbacEngine:
-    """Pure-RBAC facade over the declarative policy engine.
-
-    Evaluates only the compiled role-tier rules (capability, purpose,
-    own-record, treating relationship) — no consent binding, no
-    break-glass fallback, no system override — and answers in the
-    legacy :class:`AccessDecision` shape.  Composite callers (the
-    storage engine) hold a full :class:`~repro.policy.engine.
-    PolicyEngine` over :func:`~repro.policy.compiler.
-    compile_default_ruleset` instead.
-    """
-
-    def __init__(self) -> None:
-        # Imported lazily: repro.policy.compiler imports this module's
-        # tables at import time, so the edge must point one way only.
-        from repro.policy.compiler import compile_rbac_rules
-        from repro.policy.engine import PolicyEngine
-
-        self._policy = PolicyEngine(compile_rbac_rules())
-
-    @property
-    def policy(self):
-        """The underlying :class:`~repro.policy.engine.PolicyEngine`
-        (role-tier rules only)."""
-        return self._policy
-
-    def decide(
-        self, user: User, permission: Permission, context: AccessContext
-    ) -> AccessDecision:
-        """Evaluate one request; returns the first ALLOW any role earns,
-        or the most specific denial encountered."""
-        from repro.policy.model import PolicyContext
-
-        decision = self._policy.decide(
-            user,
-            permission,
-            context.patient_id,
-            PolicyContext(
-                purpose=context.purpose,
-                patient_id=context.patient_id,
-                own_record=context.own_record,
-            ),
-        )
-        return AccessDecision(
-            allowed=decision.allowed,
-            rule=decision.reason,
-            role_used=decision.role_used,
-        )
-
-    def explain(
-        self, user: User, permission: Permission, context: AccessContext
-    ) -> str:
-        """The full decision path (trace included) for one request."""
-        from repro.policy.model import PolicyContext
-
-        return self._policy.explain(
-            user,
-            permission,
-            context.patient_id,
-            PolicyContext(
-                purpose=context.purpose,
-                patient_id=context.patient_id,
-                own_record=context.own_record,
-            ),
-        )

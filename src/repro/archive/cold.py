@@ -123,12 +123,6 @@ class ColdStore:
     def next_segment_id(self) -> str:
         return f"cs-{len(self._order):06d}"
 
-    def segment(self, segment_id: str) -> ColdSegment:
-        segment = self._segments.get(segment_id)
-        if segment is None:
-            raise RecordNotFoundError(f"no cold segment {segment_id}")
-        return segment
-
     def segment_of(self, record_id: str) -> ColdSegment:
         segment_id = self._live.get(record_id)
         if segment_id is None:

@@ -131,10 +131,6 @@ class WitnessQuorum:
         self._witnesses = list(witnesses)
         self._threshold = threshold
 
-    @property
-    def witnesses(self) -> list[AnchorWitness]:
-        return list(self._witnesses)
-
     def publish(self, log: AuditLog, signer: Signer, timestamp: float) -> AuditAnchor:
         """Publish one anchor to every reachable witness."""
         anchor = publish_anchor(log, signer, timestamp)

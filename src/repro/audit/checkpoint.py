@@ -105,9 +105,6 @@ class CheckpointStore:
     def device(self) -> BlockDevice:
         return self._journal.device
 
-    def __len__(self) -> int:
-        return len(self._journal)
-
     def seal(self, watermark: VerifiedWatermark) -> None:
         """Persist one watermark as a single journal frame."""
         payload = canonical_bytes(watermark.to_dict())

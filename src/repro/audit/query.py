@@ -70,12 +70,6 @@ class AuditQuery:
                 self._verified_size = size
         return self._log.events()
 
-    @property
-    def verification(self) -> ChainVerification | None:
-        """The verification this session's answers rest on (None until
-        the first verified query runs)."""
-        return self._verification
-
     def evidence(self) -> dict:
         """What backs this session's conclusions: the verification mode
         and coverage, plus the chain head and Merkle root the verified

@@ -51,10 +51,6 @@ class BackupManager:
         self._last_snapshot_objects: set[str] = set()
         self._last_snapshot_id: str | None = None
 
-    @property
-    def vault(self) -> BackupVault:
-        return self._vault
-
     def _next_id(self, kind: str) -> str:
         # vault-qualified: a cluster indexes every shard's snapshots by
         # id, and each shard's manager counts from one

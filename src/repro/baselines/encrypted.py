@@ -47,13 +47,6 @@ class EncryptedStore(StorageModel):
         self._index = InvertedIndex(MemoryDevice("encrypted-idx", capacity))
         self._nonce_counter = 0
 
-    @property
-    def store_key(self) -> bytes:
-        """The store-wide key.  The insider adversary gets this —
-        modelling a DBA or application operator, exactly the threat the
-        paper says these products ignore."""
-        return self._key
-
     def _seal(self, record: HealthRecord) -> bytes:
         self._nonce_counter += 1
         nonce = self._nonce_counter.to_bytes(12, "big")

@@ -92,7 +92,3 @@ class PlainWormStore(StorageModel):
     def declared_features(self) -> frozenset[str]:
         return frozenset({"dispose", "search", "integrity", "retention"})
 
-    # exposed for the retention experiments
-    @property
-    def worm(self) -> WormStore:
-        return self._worm

@@ -71,7 +71,7 @@ from repro.cluster.rebalancer import (
 from repro.cluster.ring import VNodeRing
 from repro.cluster.topology import Topology, ring_from_tag, shard_config
 from repro.core.config import CuratorConfig
-from repro.core.engine import CuratorStore
+from repro.core.engine import SIGNATURE_BITS, CuratorStore
 from repro.crypto.rsa import generate_keypair
 from repro.errors import ClusterError
 from repro.records.model import HealthRecord
@@ -82,9 +82,7 @@ def _cluster_config(config: CuratorConfig) -> CuratorConfig:
     """*config* with the two things every shard shares pinned: one
     signing identity and one compiled ruleset."""
     if config.signing_keypair is None:
-        config = replace(
-            config, signing_keypair=generate_keypair(config.signature_bits)
-        )
+        config = replace(config, signing_keypair=generate_keypair(SIGNATURE_BITS))
     if config.policy_rules is None:
         from repro.policy.compiler import compile_default_ruleset
 
@@ -139,11 +137,6 @@ class CuratorCluster(StorageModel):
     @property
     def shard_ids(self) -> tuple[str, ...]:
         return tuple(self._topology.current.engines)
-
-    @property
-    def policy_ruleset(self) -> tuple:
-        """The compiled declarative ruleset every shard shares."""
-        return self._config.policy_rules
 
     @property
     def config(self):
@@ -213,9 +206,6 @@ class CuratorCluster(StorageModel):
         give one answer no matter where the patient hashed."""
         self._topology.principals[user.user_id] = user
         self._dispatch.each(lambda engine: engine.register_user(user))
-
-    def prepare_access_probe(self, actor_id: str) -> None:
-        self._dispatch.each(lambda engine: engine.prepare_access_probe(actor_id))
 
     def break_glass(self, actor_id: str, patient_id: str, justification: str):
         """Emergency access on whichever shard holds the patient; the
@@ -381,12 +371,6 @@ class CuratorCluster(StorageModel):
     def records_in_window(self, start: float, end: float) -> list[str]:
         return self._union(lambda engine: engine.records_in_window(start, end))
 
-    def export_deidentified(self, record_id: str, *, actor_id: str) -> HealthRecord:
-        return self._read_record(
-            record_id,
-            lambda engine: engine.export_deidentified(record_id, actor_id=actor_id),
-        )
-
     def accounting_of_disclosures(self, patient_id: str, *, actor_id: str):
         """The whole-patient disclosure accounting; single-shard by
         construction, because placement is by patient (and a move
@@ -496,12 +480,6 @@ class CuratorCluster(StorageModel):
         return merge.concat(
             self._dispatch.fan_out(lambda engine: engine.devices()).values()
         )
-
-    def compliance_findings(self) -> dict[str, list]:
-        """Operational compliance findings, per shard."""
-        from repro.compliance.operations import operational_findings
-
-        return self._dispatch.fan_out(operational_findings)
 
     def declared_features(self) -> frozenset[str]:
         return self.shards[0].declared_features()

@@ -55,11 +55,11 @@ ENGINE_CALLS = frozenset({
     "attach", "attachments_of", "audit_events", "break_glass",
     "cold_record_ids", "correct", "create_backup", "declared_features",
     "demote_records", "demotion_sweep", "dispose", "export_access_state",
-    "export_audit_delta", "export_deidentified", "export_patient_history",
+    "export_audit_delta", "export_patient_history",
     "import_patient_history", "imported_segment_snapshot",
-    "patient_history_digests", "patient_ids", "place_hold",
-    "prepare_access_probe", "principal", "read", "read_attachment",
-    "read_version", "read_view", "record_ids", "records_in_window",
+    "patient_history_digests", "patient_ids", "place_hold", "principal",
+    "read", "read_attachment", "read_version", "read_view", "record_ids",
+    "records_in_window",
     "records_of_patient", "register_user", "release_hold",
     "restore_from_backup", "retention_sweep", "retire_patient",
     "revoke_break_glass", "search", "segment_attestation", "store",

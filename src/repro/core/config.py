@@ -23,11 +23,8 @@ class CuratorConfig:
     clock: Clock = field(default_factory=WallClock)
     retention_policy: RetentionPolicy = field(default_factory=lambda: STANDARD_POLICY)
     device_capacity: int = 1 << 24
-    shredder_passes: int = 3
     anchor_every_events: int = 64
     witness_count: int = 1  # >1 builds a witness quorum (majority threshold)
-    signature_bits: int = 768  # simulation-scale; see crypto.rsa docs
-    auto_register_authors: bool = True
     read_cache_size: int = 128  # decrypted-read LRU entries; 0 disables
     # Incremental-verification knobs (see DESIGN.md "Verification cost
     # model"): sealed-prefix spot-check sample per incremental audit

@@ -93,6 +93,9 @@ from repro.storage.media import MediaPool, Medium
 from repro.util.metrics import METRICS
 from repro.worm.store import WormStore
 
+SIGNATURE_BITS = 768  # simulation-scale; see crypto.rsa docs
+SHREDDER_PASSES = 3   # zero-overwrites behind every key shredding
+
 
 class Sealer:
     """AEAD under per-record data keys: the one place record bytes are
@@ -158,7 +161,7 @@ class CuratorStore(StorageModel):
         self._signer = signer if signer is not None else Signer(
             config.site_id,
             keypair=config.signing_keypair,
-            bits=config.signature_bits,
+            bits=SIGNATURE_BITS,
         )
         self._trust = TrustStore()
         self._trust.add(self._signer.verifier())
@@ -198,7 +201,7 @@ class CuratorStore(StorageModel):
         # allow-or-deny (RBAC, consent, treating relationship, break-
         # glass) with an explainable trace; the registries below only
         # answer facts for its conditions
-        self._workforce = Workforce(config.auto_register_authors)
+        self._workforce = Workforce()
         self._consent = ConsentRegistry()
         self._breakglass = BreakGlassController(clock=self._clock)
         self._policy = PolicyEngine(
@@ -222,7 +225,7 @@ class CuratorStore(StorageModel):
         # retention / disposal — destruction decisions purge the policy
         # decision cache (a shredded record's cached allows must die
         # with it)
-        self._shredder = SecureShredder(self._keystore, config.shredder_passes)
+        self._shredder = SecureShredder(self._keystore, SHREDDER_PASSES)
         self._shredder.bind_policy(self._policy)
         # Derived-material memos die with every shred too: the verifier's
         # aggregated-signature root memo, the ed25519 key-expansion memo
@@ -722,9 +725,7 @@ class CuratorStore(StorageModel):
         # cold residue: the key shredding above already killed any
         # sealed member cryptographically; zero the extents too (and the
         # bind_cache hook purged the decrypted member cache with it)
-        cold_extents = self._cold.scrub_record(
-            record_id, passes=self._config.shredder_passes
-        )
+        cold_extents = self._cold.scrub_record(record_id, passes=SHREDDER_PASSES)
         # ... and so must the read cache: a disposed record served from
         # memory would defeat the key shredding above.
         self._dir.mark_disposed(record_id)

@@ -50,9 +50,6 @@ class KeyHandle:
 
     key_id: str
 
-    def __str__(self) -> str:
-        return self.key_id
-
 
 @dataclass
 class _KeyEntry:
@@ -279,12 +276,6 @@ class KeyStore:
     def handles(self) -> list[KeyHandle]:
         """All handles ever minted (shredded ones included)."""
         return [KeyHandle(key_id=key_id) for key_id in sorted(self._entries)]
-
-    def label_of(self, handle: KeyHandle) -> str:
-        entry = self._entries.get(handle.key_id)
-        if entry is None:
-            raise KeyManagementError(f"unknown key {handle.key_id}")
-        return entry.label
 
     def labelled_handles(self) -> dict[str, KeyHandle]:
         """label -> handle for every labelled entry (shredded included;

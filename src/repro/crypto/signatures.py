@@ -164,10 +164,6 @@ class Signer:
         """The signing backend, from the keypair's metadata."""
         return getattr(self._keypair, "algorithm", "rsa")
 
-    @property
-    def public_key(self) -> RsaPublicKey | Ed25519PublicKey:
-        return self._keypair.public
-
     def verifier(self) -> "Verifier":
         """The verification half for this signer."""
         return Verifier(self.signer_id, self._keypair.public)

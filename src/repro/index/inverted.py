@@ -28,9 +28,6 @@ class InvertedIndex:
     def device(self) -> BlockDevice:
         return self._journal.device
 
-    def __len__(self) -> int:
-        return len(self._documents)
-
     @property
     def vocabulary_size(self) -> int:
         return len(self._postings)

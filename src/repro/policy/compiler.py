@@ -2,10 +2,10 @@
 
 The point of the compiler is *provable equivalence*: the default
 ruleset is generated from the very same ``_ROLE_PERMISSIONS`` /
-``_PURPOSE_RULES`` tables the old :class:`~repro.access.rbac.RbacEngine`
-interpreted, plus one rule each for the composite behaviors the old
-engine special-cased inline (the ``system`` principal, consent binding,
-break-glass fallback).  The hypothesis suite in
+``_PURPOSE_RULES`` tables of :mod:`repro.access.rbac` that a table
+interpreter used to read, plus one rule each for the composite
+behaviors the old engine special-cased inline (the ``system``
+principal, consent binding, break-glass fallback).  The hypothesis suite in
 ``tests/policy/test_equivalence.py`` drives randomized tuples through
 both the compiled ruleset and a verbatim copy of the legacy logic and
 asserts identical decisions, reasons included.

@@ -98,10 +98,6 @@ class PolicyEngine:
     # -- introspection -----------------------------------------------------
 
     @property
-    def rules(self) -> tuple[PolicyRule, ...]:
-        return self._rules
-
-    @property
     def env(self) -> PolicyEnv:
         return self._env
 

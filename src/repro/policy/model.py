@@ -100,11 +100,10 @@ _ERROR_CLASSES: dict[str, type[CuratorError]] = {
 class PolicyContext:
     """The circumstances of one request, as facts.
 
-    ``purpose``/``patient_id``/``own_record`` mirror the legacy
-    :class:`~repro.access.rbac.AccessContext`; ``facts`` carries
-    caller-computed booleans/values for domains where the mechanism
-    layer measures and the policy layer decides (session token
-    validity, disposition ticket state, ...).  Decisions made under a
+    ``purpose``/``patient_id``/``own_record`` are what the role-tier
+    rules read; ``facts`` carries caller-computed booleans/values for
+    domains where the mechanism layer measures and the policy layer
+    decides (session token validity, disposition ticket state, ...).  Decisions made under a
     non-empty ``facts`` mapping are never cached.
     """
 

@@ -129,17 +129,6 @@ class ServiceClient:
         self.user_id = envelope.user_id
         return envelope
 
-    def refresh(self) -> api.SessionEnvelope:
-        envelope = api.SessionEnvelope.from_wire(
-            self.request("POST", "/v1/auth/refresh", {})
-        )
-        self.bearer = envelope.token
-        return envelope
-
-    def logout(self) -> None:
-        self.request("POST", "/v1/auth/logout", {})
-        self.bearer = ""
-
     # -- records ------------------------------------------------------------
 
     def store(self, record: Mapping[str, Any]) -> api.StoreRecordResponse:
@@ -185,11 +174,6 @@ class ServiceClient:
                     subject_id=subject_id,
                 ),
             )
-        )
-
-    def disclosures(self, patient_id: str) -> api.AuditEventsResponse:
-        return api.AuditEventsResponse.from_wire(
-            self.request("GET", _path("/v1/audit/disclosures/{}", patient_id))
         )
 
     def verify(self, incremental: bool = False) -> api.VerifyResponse:

@@ -63,10 +63,6 @@ class BlockDevice:
 
     # -- state flags ---------------------------------------------------
 
-    @property
-    def write_protected(self) -> bool:
-        return self._write_protected
-
     def set_write_protected(self, value: bool) -> None:
         """Software write-protect latch (honored by write(), not raw_write())."""
         self._write_protected = bool(value)
@@ -299,10 +295,6 @@ class FileBackedDevice(BlockDevice):
                 raise DeviceError(
                     f"backing file {path} is {actual} bytes, expected {capacity}"
                 )
-
-    @property
-    def path(self) -> str:
-        return self._path
 
     def _store(self, offset: int, data: bytes) -> None:
         with open(self._path, "r+b") as handle:

@@ -106,13 +106,6 @@ class Medium:
 
     # -- lifecycle transitions --------------------------------------------
 
-    def require_active(self) -> None:
-        """Raise unless the medium is writable/active."""
-        if self._state is not MediaState.ACTIVE:
-            raise MediaLifecycleError(
-                f"medium {self.medium_id} is {self._state.value}, not active"
-            )
-
     def retire(self, reason: str = "") -> None:
         """Take the medium out of active service (no more writes)."""
         if self._state is not MediaState.ACTIVE:

@@ -120,9 +120,6 @@ class IdentityMemo:
         self.capacity = capacity
         self._entries: OrderedDict[int, tuple[Any, bytes]] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, carrier: Any, compute: Callable[[Any], bytes]) -> bytes:
         """Bytes for *carrier*, computing via ``compute(carrier)`` once."""
         key = id(carrier)
@@ -137,9 +134,6 @@ class IdentityMemo:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return data
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 def to_hex(data: bytes) -> str:

@@ -23,10 +23,6 @@ class DeterministicRng:
         self._rng = random.Random(seed)
         self._seed = seed
 
-    @property
-    def seed(self) -> int | str:
-        return self._seed
-
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in [low, high]."""
         return self._rng.uniform(low, high)
@@ -34,10 +30,6 @@ class DeterministicRng:
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] inclusive."""
         return self._rng.randint(low, high)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._rng.random()
 
     def bernoulli(self, probability: float) -> bool:
         """True with the given probability."""

@@ -114,10 +114,6 @@ class WorkloadGenerator:
     def _pick_provider(self) -> str:
         return self._rng.choice(self._providers)
 
-    @property
-    def providers(self) -> list[str]:
-        return list(self._providers)
-
     # -- record streams ---------------------------------------------------------
 
     def demographics_record(self, patient: PatientProfile) -> GeneratedRecord:

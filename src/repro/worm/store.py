@@ -245,10 +245,6 @@ class WormStore:
         self._clean_cursor = 0
         return failures
 
-    def dirty_ids(self) -> list[str]:
-        """Objects written (or found failing) since the last full sweep."""
-        return sorted(self._dirty)
-
     def verify_dirty(self, clean_sample: int = 8) -> list[str]:
         """Digest-check only dirty objects plus a rotating sample of
         clean ones; returns ids that fail.

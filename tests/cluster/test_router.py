@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.ring import sample_patients
+from repro.core.engine import CuratorStore
 from repro.errors import ClusterError, RecordNotFoundError
 from repro.util.metrics import METRICS
 
@@ -229,3 +230,47 @@ def test_phi_methods_require_keyword_actor_id(cluster, clock):
         cluster.accounting_of_disclosures("pat-000")
     with pytest.raises(TypeError):
         cluster.create_backup()
+
+
+# -- mirrors: one answer whether the records sit on one engine or three shards
+
+def _demoted(model):
+    return sorted(model.demotion_sweep(actor_id="ops"))
+
+
+def _cold_after_sweep(model):
+    model.demotion_sweep(actor_id="ops")
+    return model.cold_record_ids()
+
+
+def _tier_counts_after_sweep(model):
+    model.demotion_sweep(actor_id="ops")
+    stats = model.tier_stats()
+    # bytes and segment counts depend on how many devices the records
+    # are spread over; the record counts do not
+    return stats["warm_records"], stats["cold_records"]
+
+
+MIRRORS = {
+    "read_view": lambda model: model.read_view("rec-000", "dr-cluster"),
+    "attachments_of": lambda model: model.attachments_of("rec-000"),
+    "declared_features": lambda model: model.declared_features(),
+    "retention_sweep": lambda model: model.retention_sweep(),
+    "demotion_sweep": _demoted,
+    "cold_record_ids": _cold_after_sweep,
+    "tier_stats": _tier_counts_after_sweep,
+}
+
+
+@pytest.mark.parametrize("name", MIRRORS)
+def test_a_cluster_mirror_answers_as_one_engine_would(name, cluster, config, clock):
+    engine = CuratorStore(config)
+    patients = [p for group in sample_patients(cluster.ring, 2).values() for p in group]
+    for model in (engine, cluster):
+        for n, patient_id in enumerate(patients):
+            model.store(make_note(f"rec-{n:03d}", patient_id, clock.now()), "dr-cluster")
+        model.attach("rec-000", "scan-1", b"dicom", actor_id="dr-cluster")
+    clock.advance_years(8)  # past retention, and idle long enough to demote
+    answer = MIRRORS[name](cluster)
+    assert answer == MIRRORS[name](engine)
+    assert answer  # a mirror that returned nothing would agree trivially
