@@ -68,12 +68,14 @@ verify-archive:
 	$(PY) -m pytest tests/archive tests/property/test_archive_roundtrip.py tests/threats/test_cold_residue.py -q
 	$(PY) -m pytest benchmarks/bench_e7_retention_30yr.py -q
 
-# Wire service: the service suite (wire schema, session lifecycle,
-# admission control, the audit oracle) and the E11 closed-loop load arm
+# Wire service: the service suite (wire schema and its golden vectors,
+# the wire fuzz, hostile framing, session lifecycle, admission control,
+# the audit oracle), the session broker's own tests and session-
+# authenticated engine access, and the E11 closed-loop load arm
 # (concurrent sessions, sustained-RPS floor, p99 ceiling, full audit
 # coverage).
 verify-service:
-	$(PY) -m pytest tests/service -q
+	$(PY) -m pytest tests/service tests/access/test_sessions.py tests/core/test_engine_sessions.py -q
 	$(PY) -m pytest benchmarks/bench_e11_service.py -q
 
 # Cluster: the cluster suite (its cross-shard and rebalance oracle

@@ -50,7 +50,6 @@ N_SESSIONS = 200       #: concurrent authenticated clinician sessions
 WARMUP_SECONDS = 1.0   #: closed-loop ramp excluded from the window
 MEASURE_SECONDS = 5.0  #: the measurement window itself
 SHARDS = 4
-EXECUTOR_WORKERS = 16
 
 #: Closed-loop op mix per 10 iterations: read-heavy interactive use
 #: with an occasional panel listing and a new note (paper §2: reads
@@ -95,7 +94,7 @@ def _service_under_load() -> tuple[CuratorService, ServiceServer, list[tuple[str
             )
         )
         credentials.append((user_id, secret))
-    server = ServiceServer(service, executor_workers=EXECUTOR_WORKERS).start()
+    server = ServiceServer(service).start()
     return service, server, credentials
 
 
@@ -288,7 +287,6 @@ def test_e11_service_closed_loop_load(benchmark):
         },
         {
             "shards": SHARDS,
-            "executor_workers": EXECUTOR_WORKERS,
             "measure_seconds": MEASURE_SECONDS,
         },
     )

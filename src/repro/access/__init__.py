@@ -27,12 +27,8 @@ from repro.access.breakglass import BreakGlassController, BreakGlassGrant
 from repro.access.policies import ConsentDirective, ConsentRegistry, minimum_necessary_view
 from repro.access.principals import Role, User
 from repro.access.rbac import Permission, Purpose
-from repro.access.sessions import Authenticator, Challenge, Session
 
 __all__ = [
-    "Authenticator",
-    "Challenge",
-    "Session",
     "BreakGlassController",
     "BreakGlassGrant",
     "ConsentDirective",

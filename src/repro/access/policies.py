@@ -59,6 +59,12 @@ class ConsentRegistry:
             )
         self._directives[patient_id] = remaining
 
+    def release(self, patient_id: str) -> None:
+        """Forget *patient_id*'s directives: custody moved away and the
+        new home adopted them, so a copy kept here could only resurrect
+        a directive revoked there if the patient ever returns."""
+        self._directives.pop(patient_id, None)
+
     def directives_for(self, patient_id: str) -> list[ConsentDirective]:
         return list(self._directives.get(patient_id, []))
 

@@ -212,7 +212,6 @@ class CuratorStore(StorageModel):
                 clock=self._clock,
             ),
         )
-        self._authenticator = None
         # provenance
         self._custody = CustodyRegistry(self._trust)
         self._provenance = ProvenanceGraph()
@@ -419,36 +418,6 @@ class CuratorStore(StorageModel):
                 own_record=(user.user_id == patient_id and patient_id != ""),
             ),
         )
-
-    @property
-    def authenticator(self):
-        """The deployment's authentication broker (lazily created)."""
-        if self._authenticator is None:
-            from repro.access.sessions import Authenticator
-
-            self._authenticator = Authenticator(clock=self._clock)
-        return self._authenticator
-
-    def enroll_user(self, user: User) -> bytes:
-        """Register a workforce member AND enroll them for
-        challenge-response authentication; returns their token secret."""
-        self.register_user(user)
-        return self.authenticator.enroll(user.user_id)
-
-    def read_with_session(self, session, record_id: str) -> HealthRecord:
-        """Session-authenticated read: validate the presented session
-        (auditing failures), then read as the authenticated user."""
-        try:
-            user_id = self.authenticator.validate(session)
-        except AccessDeniedError as exc:
-            self._audit.append(
-                AuditAction.ACCESS_DENIED,
-                getattr(session, "user_id", "unknown"),
-                record_id,
-                {"reason": f"session rejected: {exc}"},
-            )
-            raise
-        return self.read(record_id, actor_id=user_id)
 
     def break_glass(self, actor_id: str, patient_id: str, justification: str):
         """Emergency access: grant + mandatory audit event."""

@@ -446,6 +446,7 @@ class PatientTransfer:
         segment = self.segments.pop(patient_id, None)
         for object_id in segment.objects if segment else ():
             worm.expatriate(object_id)
+        self.consent.release(patient_id)
         self.breakglass.release(patient_id)
         METRICS.incr("patient_retires")
         return tuple(record_ids)

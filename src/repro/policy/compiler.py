@@ -102,9 +102,9 @@ def compile_default_ruleset() -> tuple[PolicyRule, ...]:
 
 
 def session_ruleset() -> tuple[PolicyRule, ...]:
-    """Session lifecycle policy over authenticator-measured facts.
+    """Session lifecycle policy over broker-measured facts.
 
-    The Authenticator measures (token signature, expiry clock, lockout
+    The session broker measures (token signature, expiry clock, lockout
     counter, challenge freshness) and hands the measurements in as
     context facts; these GLOBAL denies decide, in the exact order the
     legacy guard clauses checked them.  The trailing fallback allow is

@@ -8,8 +8,8 @@ This package is that boundary:
 
 * :mod:`repro.service.api` — the ``/v1`` wire schema and the stable
   error-code table;
-* :mod:`repro.service.auth` — bearer-token sessions (login, refresh
-  rotation, revocation) over the challenge-response authenticator;
+* :mod:`repro.service.auth` — challenge-response authentication and
+  bearer-token sessions (login, lockout, refresh rotation, revocation);
 * :mod:`repro.service.admission` — per-actor token buckets and the
   bounded admission queue, decided by policy;
 * :mod:`repro.service.service` — the transport-independent dispatcher

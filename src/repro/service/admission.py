@@ -149,6 +149,12 @@ class AdmissionController:
             return self._draining
 
     @property
+    def policy(self) -> PolicyEngine:
+        """The service ruleset's engine; the session broker decides with
+        this same one (decisions over facts never touch its cache)."""
+        return self._policy
+
+    @property
     def in_flight(self) -> int:
         with self._lock:
             return self._in_flight

@@ -1,8 +1,9 @@
 """The versioned wire schema: typed requests, responses, error codes.
 
 Everything that crosses the service boundary is declared here — the
-``/v1`` request and response dataclasses with ``to_wire()`` /
-``from_wire()`` round-trip codecs, and the single :data:`ERROR_CODES`
+``/v1`` request and response dataclasses, whose fields *are* the schema
+(one codec reads them: ``to_wire()`` / ``from_wire()``, a field's wire
+name in its metadata when it differs), and the single :data:`ERROR_CODES`
 table mapping every public exception in :mod:`repro.errors` to a stable
 HTTP status plus a machine-readable code.  Nothing else is allowed on
 the wire: no raw tracebacks, no ad-hoc dicts, no internal reprs.
@@ -19,8 +20,9 @@ the dispatcher turns that into a structured 400 without ever seeing a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
+from typing import Any, Callable, Mapping, TypeVar, get_type_hints
 
 from repro.errors import (
     AccessDeniedError,
@@ -136,33 +138,118 @@ def code_for_exception(exc: BaseException) -> ErrorCode:
 
 
 # ---------------------------------------------------------------------------
-# wire codec plumbing
+# the one codec
 # ---------------------------------------------------------------------------
 
+#: JSON shapes beyond the scalars: field annotation -> (JSON type,
+#: element type of a list).
+_SHAPES: Mapping[Any, tuple[type, type | None]] = {
+    Mapping[str, Any]: (dict, None),
+    tuple[str, ...]: (list, str),
+    tuple[Mapping[str, Any], ...]: (list, Mapping),
+}
 
-def _take(payload: Mapping[str, Any], name: str, kind: type, *, optional: bool = False, default: Any = None) -> Any:
-    if not isinstance(payload, Mapping):
-        raise WireError(f"expected a JSON object, got {type(payload).__name__}")
-    if name not in payload:
-        if optional:
-            return default
-        raise WireError(f"missing required field {name!r}")
-    value = payload[name]
+
+@dataclass(frozen=True)
+class _Field:
+    """How one dataclass field travels: its wire name (``metadata
+    ["wire"]`` when it differs from the attribute), the JSON type its
+    value must have and a list's element type, its default when absent
+    (``MISSING``: required), and an optional ``(predicate, message)``
+    value check (``metadata["check"]``)."""
+
+    attr: str
+    name: str
+    kind: type
+    items: type | None
+    default: Any
+    check: tuple[Callable[[Any], Any], str] | None
+
+
+@lru_cache(maxsize=None)
+def _spec(cls: type) -> tuple[tuple[_Field, ...], tuple[_Field, ...]]:
+    """*cls*'s fields in encode order (declaration order) and decode
+    order (value-checked fields first, so a request that fails a check
+    hears about that before anything else), computed once per class."""
+    hints = get_type_hints(cls)
+    specs = []
+    for f in fields(cls):
+        kind, items = _SHAPES.get(hints[f.name], (hints[f.name], None))
+        if f.default is not MISSING:
+            default = f.default
+        elif f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:  # a list of strings may be left out: it reads as empty
+            default = () if items is str else MISSING
+        specs.append(
+            _Field(
+                f.name, f.metadata.get("wire", f.name), kind, items, default,
+                f.metadata.get("check"),
+            )
+        )
+    return tuple(specs), tuple(sorted(specs, key=lambda spec: spec.check is None))
+
+
+def _take(spec: _Field, value: Any) -> Any:
+    kind, name = spec.kind, spec.name
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise WireError(f"field {name!r} is out of range for a float") from None
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise WireError(
             f"field {name!r} must be {kind.__name__}, got {type(value).__name__}"
         )
+    if spec.items is not None:
+        if not all(isinstance(item, spec.items) for item in value):
+            items = "strings" if spec.items is str else "objects"
+            raise WireError(f"field {name!r} must be a list of {items}")
+        value = tuple(dict(item) if spec.items is Mapping else item for item in value)
+    if spec.check is not None and not spec.check[0](value):
+        raise WireError(f"field {name!r} {spec.check[1]}")
     return value
 
 
-def _take_str_list(payload: Mapping[str, Any], name: str) -> tuple[str, ...]:
-    value = _take(payload, name, list, optional=True, default=[])
-    for item in value:
-        if not isinstance(item, str):
-            raise WireError(f"field {name!r} must be a list of strings")
-    return tuple(value)
+def _decode(specs: tuple[_Field, ...], payload: Any) -> dict[str, Any]:
+    if not isinstance(payload, Mapping):
+        raise WireError(f"expected a JSON object, got {type(payload).__name__}")
+    values = {}
+    for spec in specs:
+        if spec.name in payload:
+            values[spec.attr] = _take(spec, payload[spec.name])
+        elif spec.default is not MISSING:
+            values[spec.attr] = spec.default
+        else:
+            raise WireError(f"missing required field {spec.name!r}")
+    return values
+
+
+def _encode(spec: _Field, value: Any) -> Any:
+    if spec.items is Mapping:
+        return [dict(item) for item in value]
+    if spec.kind is list:
+        return list(value)
+    if spec.kind is dict:
+        return dict(value)
+    return value
+
+
+_W = TypeVar("_W", bound="_Wire")
+
+
+class _Wire:
+    """Every wire type: a frozen dataclass whose fields are its schema."""
+
+    def to_wire(self) -> dict[str, Any]:
+        return {
+            spec.name: _encode(spec, getattr(self, spec.attr))
+            for spec in _spec(type(self))[0]
+        }
+
+    @classmethod
+    def from_wire(cls: type[_W], payload: Any) -> _W:
+        return cls(**_decode(_spec(cls)[1], payload))
 
 
 # ---------------------------------------------------------------------------
@@ -171,63 +258,31 @@ def _take_str_list(payload: Mapping[str, Any], name: str) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ChallengeRequest:
+class ChallengeRequest(_Wire):
     """POST /v1/auth/challenge — step 1 of the login protocol."""
 
     user_id: str
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"user_id": self.user_id}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "ChallengeRequest":
-        return cls(user_id=_take(payload, "user_id", str))
-
 
 @dataclass(frozen=True)
-class ChallengeResponse:
+class ChallengeResponse(_Wire):
     """The nonce the client must HMAC with its enrollment secret."""
 
     user_id: str
-    nonce_hex: str
+    nonce_hex: str = field(metadata={"wire": "nonce"})
     issued_at: float
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "nonce": self.nonce_hex,
-            "issued_at": self.issued_at,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "ChallengeResponse":
-        return cls(
-            user_id=_take(payload, "user_id", str),
-            nonce_hex=_take(payload, "nonce", str),
-            issued_at=_take(payload, "issued_at", float),
-        )
 
 
 @dataclass(frozen=True)
-class LoginRequest:
+class LoginRequest(_Wire):
     """POST /v1/auth/login — step 2: prove possession of the secret."""
 
     user_id: str
-    response_hex: str
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"user_id": self.user_id, "response": self.response_hex}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "LoginRequest":
-        return cls(
-            user_id=_take(payload, "user_id", str),
-            response_hex=_take(payload, "response", str),
-        )
+    response_hex: str = field(metadata={"wire": "response"})
 
 
 @dataclass(frozen=True)
-class SessionEnvelope:
+class SessionEnvelope(_Wire):
     """A live session: the bearer token plus its public fields."""
 
     token: str
@@ -236,25 +291,6 @@ class SessionEnvelope:
     issued_at: float
     expires_at: float
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "token": self.token,
-            "session_id": self.session_id,
-            "user_id": self.user_id,
-            "issued_at": self.issued_at,
-            "expires_at": self.expires_at,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "SessionEnvelope":
-        return cls(
-            token=_take(payload, "token", str),
-            session_id=_take(payload, "session_id", str),
-            user_id=_take(payload, "user_id", str),
-            issued_at=_take(payload, "issued_at", float),
-            expires_at=_take(payload, "expires_at", float),
-        )
-
 
 # ---------------------------------------------------------------------------
 # records
@@ -262,7 +298,7 @@ class SessionEnvelope:
 
 
 @dataclass(frozen=True)
-class StoreRecordRequest:
+class StoreRecordRequest(_Wire):
     """POST /v1/records — create one record, attributed to the session
     actor (there is no author field on the wire: the author is whoever
     authenticated — that is the point of the front door)."""
@@ -273,50 +309,16 @@ class StoreRecordRequest:
     created_at: float
     body: Mapping[str, Any]
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "record_id": self.record_id,
-            "patient_id": self.patient_id,
-            "record_type": self.record_type,
-            "created_at": self.created_at,
-            "body": dict(self.body),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "StoreRecordRequest":
-        return cls(
-            record_id=_take(payload, "record_id", str),
-            patient_id=_take(payload, "patient_id", str),
-            record_type=_take(payload, "record_type", str),
-            created_at=_take(payload, "created_at", float),
-            body=_take(payload, "body", dict),
-        )
-
 
 @dataclass(frozen=True)
-class StoreRecordResponse:
+class StoreRecordResponse(_Wire):
     record_id: str
     patient_id: str
     versions: int
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "record_id": self.record_id,
-            "patient_id": self.patient_id,
-            "versions": self.versions,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "StoreRecordResponse":
-        return cls(
-            record_id=_take(payload, "record_id", str),
-            patient_id=_take(payload, "patient_id", str),
-            versions=_take(payload, "versions", int),
-        )
-
 
 @dataclass(frozen=True)
-class RecordEnvelope:
+class RecordEnvelope(_Wire):
     """GET /v1/records/{id} — one decrypted, verified record."""
 
     record_id: str
@@ -326,58 +328,17 @@ class RecordEnvelope:
     body: Mapping[str, Any]
     version: int
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "record_id": self.record_id,
-            "patient_id": self.patient_id,
-            "record_type": self.record_type,
-            "created_at": self.created_at,
-            "body": dict(self.body),
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "RecordEnvelope":
-        return cls(
-            record_id=_take(payload, "record_id", str),
-            patient_id=_take(payload, "patient_id", str),
-            record_type=_take(payload, "record_type", str),
-            created_at=_take(payload, "created_at", float),
-            body=_take(payload, "body", dict),
-            version=_take(payload, "version", int),
-        )
-
 
 @dataclass(frozen=True)
-class SearchResponse:
+class SearchResponse(_Wire):
     term: str
     record_ids: tuple[str, ...]
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"term": self.term, "record_ids": list(self.record_ids)}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "SearchResponse":
-        return cls(
-            term=_take(payload, "term", str),
-            record_ids=_take_str_list(payload, "record_ids"),
-        )
-
 
 @dataclass(frozen=True)
-class PatientRecordsResponse:
+class PatientRecordsResponse(_Wire):
     patient_id: str
     record_ids: tuple[str, ...]
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"patient_id": self.patient_id, "record_ids": list(self.record_ids)}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "PatientRecordsResponse":
-        return cls(
-            patient_id=_take(payload, "patient_id", str),
-            record_ids=_take_str_list(payload, "record_ids"),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -386,125 +347,48 @@ class PatientRecordsResponse:
 
 
 @dataclass(frozen=True)
-class AuditQueryRequest:
+class AuditQueryRequest(_Wire):
     """GET /v1/audit — filtered slice of the merged audit stream."""
 
     actor_id: str = ""
     action: str = ""
     subject_id: str = ""
-    limit: int = 100
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "actor_id": self.actor_id,
-            "action": self.action,
-            "subject_id": self.subject_id,
-            "limit": self.limit,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "AuditQueryRequest":
-        limit = _take(payload, "limit", int, optional=True, default=100)
-        if limit < 1:
-            raise WireError("field 'limit' must be >= 1")
-        return cls(
-            actor_id=_take(payload, "actor_id", str, optional=True, default=""),
-            action=_take(payload, "action", str, optional=True, default=""),
-            subject_id=_take(payload, "subject_id", str, optional=True, default=""),
-            limit=limit,
-        )
+    limit: int = field(
+        default=100, metadata={"check": (lambda limit: limit >= 1, "must be >= 1")}
+    )
 
 
 @dataclass(frozen=True)
-class AuditEventsResponse:
+class AuditEventsResponse(_Wire):
     events: tuple[Mapping[str, Any], ...]
     total: int
 
-    def to_wire(self) -> dict[str, Any]:
-        return {"events": [dict(e) for e in self.events], "total": self.total}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "AuditEventsResponse":
-        events = _take(payload, "events", list)
-        for item in events:
-            if not isinstance(item, Mapping):
-                raise WireError("field 'events' must be a list of objects")
-        return cls(
-            events=tuple(dict(e) for e in events),
-            total=_take(payload, "total", int),
-        )
-
 
 @dataclass(frozen=True)
-class VerifyResponse:
+class VerifyResponse(_Wire):
     """POST /v1/verify — merged integrity + audit verification."""
 
     ok: bool
-    integrity_summary: str
-    audit_summary: str
+    integrity_summary: str = field(metadata={"wire": "integrity"})
+    audit_summary: str = field(metadata={"wire": "audit"})
     violations: tuple[str, ...] = ()
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "integrity": self.integrity_summary,
-            "audit": self.audit_summary,
-            "violations": list(self.violations),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "VerifyResponse":
-        return cls(
-            ok=_take(payload, "ok", bool),
-            integrity_summary=_take(payload, "integrity", str),
-            audit_summary=_take(payload, "audit", str),
-            violations=_take_str_list(payload, "violations"),
-        )
-
 
 @dataclass(frozen=True)
-class BreakGlassRequest:
+class BreakGlassRequest(_Wire):
     patient_id: str
-    justification: str
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"patient_id": self.patient_id, "justification": self.justification}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "BreakGlassRequest":
-        justification = _take(payload, "justification", str)
-        if not justification.strip():
-            raise WireError("field 'justification' must not be blank")
-        return cls(
-            patient_id=_take(payload, "patient_id", str),
-            justification=justification,
-        )
+    justification: str = field(metadata={"check": (str.strip, "must not be blank")})
 
 
 @dataclass(frozen=True)
-class BreakGlassResponse:
+class BreakGlassResponse(_Wire):
     grant_id: str
     patient_id: str
     user_id: str
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "grant_id": self.grant_id,
-            "patient_id": self.patient_id,
-            "user_id": self.user_id,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "BreakGlassResponse":
-        return cls(
-            grant_id=_take(payload, "grant_id", str),
-            patient_id=_take(payload, "patient_id", str),
-            user_id=_take(payload, "user_id", str),
-        )
-
 
 @dataclass(frozen=True)
-class HealthzResponse:
+class HealthzResponse(_Wire):
     """GET /v1/healthz — liveness plus shard and queue status."""
 
     status: str
@@ -514,69 +398,40 @@ class HealthzResponse:
     active_sessions: int
     draining: bool
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "shards": list(self.shards),
-            "queue_depth": self.queue_depth,
-            "queue_limit": self.queue_limit,
-            "active_sessions": self.active_sessions,
-            "draining": self.draining,
-        }
 
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "HealthzResponse":
-        return cls(
-            status=_take(payload, "status", str),
-            shards=_take_str_list(payload, "shards"),
-            queue_depth=_take(payload, "queue_depth", int),
-            queue_limit=_take(payload, "queue_limit", int),
-            active_sessions=_take(payload, "active_sessions", int),
-            draining=_take(payload, "draining", bool),
-        )
+_ENVELOPE = (_Field("error", "error", dict, None, MISSING, None),)
 
 
 @dataclass(frozen=True)
-class ErrorBody:
+class ErrorBody(_Wire):
     """Every non-2xx body: status, stable code, human message, and —
     when the rejection was a policy decision — the deciding rule id and
-    full consultation trace (HIPAA audits ask *why*)."""
+    full consultation trace (HIPAA audits ask *why*).  Travels inside an
+    ``error`` envelope that omits an empty rule id and trace."""
 
     status: int
     code: str
     message: str
     rule_id: str = ""
-    trace: tuple[Mapping[str, Any], ...] = field(default_factory=tuple)
+    trace: tuple[Mapping[str, Any], ...] = ()
 
     def to_wire(self) -> dict[str, Any]:
-        body: dict[str, Any] = {
-            "error": {
-                "status": self.status,
-                "code": self.code,
-                "message": self.message,
-            }
-        }
-        if self.rule_id:
-            body["error"]["rule_id"] = self.rule_id
-        if self.trace:
-            body["error"]["trace"] = [dict(t) for t in self.trace]
-        return body
+        error = super().to_wire()
+        if not self.rule_id:
+            del error["rule_id"]
+        if not self.trace:
+            del error["trace"]
+        return {"error": error}
 
     @classmethod
-    def from_wire(cls, payload: Mapping[str, Any]) -> "ErrorBody":
-        error = _take(payload, "error", dict)
+    def from_wire(cls, payload: Any) -> "ErrorBody":
+        error = _decode(_ENVELOPE, payload)["error"]
         trace = error.get("trace", [])
         if not isinstance(trace, list) or any(
             not isinstance(t, Mapping) for t in trace
         ):
             raise WireError("field 'error.trace' must be a list of objects")
-        return cls(
-            status=_take(error, "status", int),
-            code=_take(error, "code", str),
-            message=_take(error, "message", str),
-            rule_id=_take(error, "rule_id", str, optional=True, default=""),
-            trace=tuple(dict(t) for t in trace),
-        )
+        return super().from_wire(error)
 
 
 #: Every wire type, for the round-trip test to enumerate.

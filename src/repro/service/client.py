@@ -19,8 +19,8 @@ import json
 from typing import Any, Mapping
 from urllib.parse import quote, urlencode
 
-from repro.access.sessions import Authenticator, Challenge
 from repro.service import api
+from repro.service.auth import Challenge, respond
 
 
 class ServiceClientError(Exception):
@@ -111,7 +111,7 @@ class ServiceClient:
             "POST", "/v1/auth/challenge", api.ChallengeRequest(user_id).to_wire()
         )
         challenge = api.ChallengeResponse.from_wire(challenge_wire)
-        proof = Authenticator.respond(
+        proof = respond(
             secret,
             Challenge(
                 user_id=challenge.user_id,

@@ -28,6 +28,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import unquote_plus
 
 from repro.service import api
 from repro.service.service import CuratorService, Request, Response, _Deny
@@ -35,6 +36,16 @@ from repro.service.service import CuratorService, Request, Response, _Deny
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
 IDLE_KEEPALIVE_SECONDS = 30.0
+#: Threads that run ``handle_request`` off the event loop.
+EXECUTOR_WORKERS = 16
+
+#: Why a request could not be read -> the wire code and message it is
+#: rejected with (``"closed"`` is not here: a vanished peer gets nothing).
+_TRANSPORT_FAILURES = {
+    "slow": ("slow_client", "client did not complete the request in time"),
+    "oversize": ("malformed_request", "request exceeds the size limits"),
+    "bad": ("malformed_request", "request could not be parsed"),
+}
 
 
 def _parse_query(raw: str) -> dict[str, str]:
@@ -43,14 +54,8 @@ def _parse_query(raw: str) -> dict[str, str]:
         if not pair:
             continue
         key, _, value = pair.partition("=")
-        query[_unquote(key)] = _unquote(value)
+        query[unquote_plus(key)] = unquote_plus(value)
     return query
-
-
-def _unquote(text: str) -> str:
-    from urllib.parse import unquote_plus
-
-    return unquote_plus(text)
 
 
 def _render(response: Response, *, keep_alive: bool) -> bytes:
@@ -92,10 +97,10 @@ class ServiceServer:
     background thread (tests, benchmarks, the in-process demo).
     """
 
-    def __init__(self, service: CuratorService, executor_workers: int = 16) -> None:
+    def __init__(self, service: CuratorService) -> None:
         self.service = service
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="svc"
+            max_workers=EXECUTOR_WORKERS, thread_name_prefix="svc"
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -184,7 +189,7 @@ class ServiceServer:
         if body_raw:
             try:
                 body = json.loads(body_raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
+            except (ValueError, UnicodeDecodeError, RecursionError):
                 return None, "bad"
 
         path, _, raw_query = target.partition("?")
@@ -203,16 +208,6 @@ class ServiceServer:
             "",
         )
 
-    def _transport_reject(self, reason: str) -> Response:
-        code_name = "slow_client" if reason == "slow" else "malformed_request"
-        message = {
-            "slow": "client did not complete the request in time",
-            "oversize": "request exceeds the size limits",
-            "bad": "request could not be parsed",
-        }[reason]
-        deny = _Deny(api.SERVICE_CODES[code_name], message)
-        return self.service._reject(Request(method="?", path="/"), None, deny)
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -222,8 +217,13 @@ class ServiceServer:
                 request, reason = await self._read_request(reader)
                 if request is None:
                     if reason != "closed":
+                        code_name, message = _TRANSPORT_FAILURES[reason]
                         rejection = await loop.run_in_executor(
-                            self._executor, self._transport_reject, reason
+                            self._executor,
+                            self.service._reject,
+                            Request(method="?", path="/"),
+                            "",
+                            _Deny(api.SERVICE_CODES[code_name], message),
                         )
                         writer.write(_render(rejection, keep_alive=False))
                         await writer.drain()

@@ -24,14 +24,15 @@ Invariants the test suite pins:
 
 from __future__ import annotations
 
+import logging
 import threading
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 from urllib.parse import unquote
 
 from repro.access.principals import User
 from repro.access.rbac import Permission, Purpose
-from repro.access.sessions import Authenticator
 from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog
 from repro.cluster.router import CuratorCluster
@@ -43,8 +44,9 @@ from repro.records.model import HealthRecord
 from repro.service import api
 from repro.service.admission import AdmissionController
 from repro.service.auth import MalformedTokenError, SessionBroker
-from repro.util.clock import Clock
 from repro.util.metrics import METRICS
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,6 @@ class Route:
     method: str
     pattern: str  # "/v1/records/{record_id}"
     auth_required: bool
-    audited: bool
     handler_name: str
 
 
@@ -100,30 +101,30 @@ class _Deny(Exception):
         self.decision = decision
         self.retry_after = retry_after
 
+    @classmethod
+    def of(cls, decision, fallback: str, retry_after: float = 0.0) -> "_Deny":
+        """A policy denial, coded by its rule (else by *fallback*)."""
+        code = api.SERVICE_CODES[api.RULE_CODES.get(decision.rule_id, fallback)]
+        return cls(code, decision.reason, decision, retry_after)
+
 
 class CuratorService:
     """The v1 API over one cluster.  Thread-safe: handlers may run on
     any executor thread; shared state (audit chain, broker, admission)
     is internally locked."""
 
-    def __init__(
-        self,
-        cluster: CuratorCluster,
-        config: ServiceConfig | None = None,
-        clock: Clock | None = None,
-    ) -> None:
+    def __init__(self, cluster: CuratorCluster, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.cluster = cluster
-        self._clock = clock or cluster.config.clock
-        self.broker = SessionBroker(
-            Authenticator(clock=self._clock)
-        )
+        self._clock = cluster.config.clock
         self.admission = AdmissionController(
             self._clock,
             queue_limit=self.config.queue_limit,
             rate_capacity=self.config.rate_capacity,
             rate_refill_per_second=self.config.rate_refill_per_second,
         )
+        # one compiled service ruleset decides sessions and admission
+        self.broker = SessionBroker(self._clock, self.admission.policy)
         self._policy = PolicyEngine(compile_default_ruleset())
         self._users: dict[str, User] = {}
         self._audit = AuditLog(clock=self._clock)
@@ -186,55 +187,99 @@ class CuratorService:
         METRICS.incr("service_requests")
         route, handler, params = self._match(request.method, request.path)
         if route is None:
-            return self._reject(request, None, _Deny(*self._route_miss(request, handler)))
+            return self._reject(request, "", _Deny(*self._route_miss(request, handler)))
 
         actor_id = ""
+        admitted = False
         try:
             if route.auth_required:
                 actor_id = self._authenticate(request.bearer)
                 decision, retry_after = self.admission.admit(actor_id)
                 if not decision.allowed:
-                    code_name = api.RULE_CODES.get(decision.rule_id, "queue_full")
-                    raise _Deny(
-                        api.SERVICE_CODES[code_name],
-                        decision.reason,
-                        decision=decision,
-                        retry_after=retry_after,
-                    )
-            else:
-                if self.admission.draining and route.handler_name != "healthz":
-                    raise _Deny(
-                        api.SERVICE_CODES["service_draining"],
-                        "service is draining for shutdown",
-                    )
-        except _Deny as deny:
-            return self._reject(request, actor_id or None, deny, route=route)
-        except CuratorError as exc:
-            return self._reject_exception(request, actor_id or None, exc, route=route)
-
-        try:
+                    raise _Deny.of(decision, "queue_full", retry_after)
+                admitted = True
+            elif self.admission.draining and route.handler_name != "healthz":
+                raise _Deny(
+                    api.SERVICE_CODES["service_draining"],
+                    "service is draining for shutdown",
+                )
             response = handler(request, params, actor_id)
-        except _Deny as deny:
-            return self._reject(request, actor_id or None, deny, route=route)
-        except CuratorError as exc:
-            return self._reject_exception(request, actor_id or None, exc, route=route)
+        except Exception as failure:  # every failure is answered and audited
+            return self._reject(request, actor_id, failure, route)
         finally:
-            if route.auth_required:
+            if admitted:
                 self.admission.release()
 
-        if route.audited:
-            self._append_audit(
-                AuditAction.API_REQUEST,
-                actor_id or "anonymous",
-                request.path,
-                {
-                    "method": request.method,
-                    "status": response.status,
-                    "handler": route.handler_name,
-                },
-            )
+        self._append_audit(
+            AuditAction.API_REQUEST,
+            actor_id or "anonymous",
+            request.path,
+            {
+                "method": request.method,
+                "status": response.status,
+                "handler": route.handler_name,
+            },
+        )
         METRICS.incr_labelled("service_responses", str(response.status))
         return response
+
+    def _reject(
+        self,
+        request: Request,
+        actor_id: str,
+        failure: Exception,
+        route: Route | None = None,
+    ) -> Response:
+        """The one way a request fails: map *failure* to its wire code,
+        build the :class:`~repro.service.api.ErrorBody`, append the
+        single ``API_REJECTED`` event and count it.  A service-boundary
+        :class:`_Deny` carries its own code; a library exception maps
+        through :data:`~repro.service.api.ERROR_CODES`; a request nested
+        past the interpreter's recursion limit is malformed; anything
+        else is the opaque 500 ``internal_error``."""
+        retry_after = 0.0
+        if isinstance(failure, _Deny):
+            code, message, retry_after = failure.code, str(failure), failure.retry_after
+        elif isinstance(failure, RecursionError):
+            code = api.SERVICE_CODES["malformed_request"]
+            message = "request is nested too deeply"
+        elif isinstance(failure, CuratorError):
+            code, message = api.code_for_exception(failure), str(failure)
+        else:  # a defect: the operator learns where, not the text (it may hold PHI)
+            code, message = api.code_for_exception(failure), "internal error"
+            _LOG.error(
+                "%s escaped a handler:\n%s", type(failure).__name__,
+                "".join(traceback.format_tb(failure.__traceback__)),
+            )
+        # NB: Decision.__bool__ is .allowed — a denial is falsy, so the
+        # presence check must be `is not None`.
+        decision = getattr(failure, "decision", None)
+        body = api.ErrorBody(
+            status=code.status,
+            code=code.code,
+            message=message,
+            rule_id=decision.rule_id if decision is not None else "",
+            trace=tuple(decision.trace_dicts()) if decision is not None else (),
+        )
+        detail: dict[str, Any] = {
+            "method": request.method,
+            "status": body.status,
+            "code": body.code,
+            "message": body.message,
+        }
+        if body.rule_id:
+            detail["rule"] = body.rule_id
+        if route is not None:
+            detail["handler"] = route.handler_name
+        self._append_audit(
+            AuditAction.API_REJECTED, actor_id or "anonymous", request.path or "/", detail
+        )
+        METRICS.incr_labelled("service_denials", body.code)
+        METRICS.incr_labelled("service_responses", str(body.status))
+        headers = {}
+        if retry_after > 0:
+            headers["Retry-After"] = str(max(1, int(retry_after + 0.999)))
+        return Response(status=code.status, body=body.to_wire(), headers=headers)
 
     # -- helpers ------------------------------------------------------------
 
@@ -277,18 +322,11 @@ class CuratorService:
                 "missing Authorization: Bearer token",
             )
         try:
-            user_id, _decision = self.broker.validate_bearer(bearer)
+            return self.broker.validate_bearer(bearer)[0]
         except MalformedTokenError as exc:
             raise _Deny(api.SERVICE_CODES["malformed_token"], str(exc)) from None
         except AccessDeniedError as exc:
-            decision = getattr(exc, "decision", None)
-            code_name = "unauthorized"
-            if decision is not None:
-                code_name = api.RULE_CODES.get(decision.rule_id, "unauthorized")
-            raise _Deny(
-                api.SERVICE_CODES[code_name], str(exc), decision=decision
-            ) from None
-        return user_id
+            raise _Deny.of(exc.decision, "unauthorized") from None
 
     def _user(self, actor_id: str) -> User:
         user = self._users.get(actor_id)
@@ -322,72 +360,6 @@ class CuratorService:
         with self._audit_lock:
             self._audit.append(action, actor_id, subject_id, detail)
 
-    def _reject(
-        self, request: Request, actor_id: str | None, deny: _Deny, route: Route | None = None
-    ) -> Response:
-        # NB: Decision.__bool__ is .allowed — a denial is falsy, so
-        # presence checks here must be `is not None`.
-        decision = deny.decision
-        body = api.ErrorBody(
-            status=deny.code.status,
-            code=deny.code.code,
-            message=str(deny),
-            rule_id=decision.rule_id if decision is not None else "",
-            trace=tuple(decision.trace_dicts()) if decision is not None else (),
-        )
-        headers = {}
-        if deny.retry_after > 0:
-            headers["Retry-After"] = str(max(1, int(deny.retry_after + 0.999)))
-        self._audit_rejection(request, actor_id, body, route)
-        METRICS.incr_labelled("service_denials", body.code)
-        METRICS.incr_labelled("service_responses", str(body.status))
-        return Response(status=deny.code.status, body=body.to_wire(), headers=headers)
-
-    def _reject_exception(
-        self,
-        request: Request,
-        actor_id: str | None,
-        exc: CuratorError,
-        route: Route | None = None,
-    ) -> Response:
-        code = api.code_for_exception(exc)
-        decision = getattr(exc, "decision", None)
-        body = api.ErrorBody(
-            status=code.status,
-            code=code.code,
-            message=str(exc),
-            rule_id=decision.rule_id if decision is not None else "",
-            trace=tuple(decision.trace_dicts()) if decision is not None else (),
-        )
-        self._audit_rejection(request, actor_id, body, route)
-        METRICS.incr_labelled("service_denials", body.code)
-        METRICS.incr_labelled("service_responses", str(body.status))
-        return Response(status=code.status, body=body.to_wire(), headers={})
-
-    def _audit_rejection(
-        self,
-        request: Request,
-        actor_id: str | None,
-        body: api.ErrorBody,
-        route: Route | None,
-    ) -> None:
-        detail: dict[str, Any] = {
-            "method": request.method,
-            "status": body.status,
-            "code": body.code,
-            "message": body.message,
-        }
-        if body.rule_id:
-            detail["rule"] = body.rule_id
-        if route is not None:
-            detail["handler"] = route.handler_name
-        self._append_audit(
-            AuditAction.API_REJECTED,
-            actor_id or "anonymous",
-            request.path or "/",
-            detail,
-        )
-
     @staticmethod
     def _payload(request: Request) -> Mapping[str, Any]:
         if not isinstance(request.body, Mapping):
@@ -399,9 +371,9 @@ class CuratorService:
     # ------------------------------------------------------------------
 
     def _build_routes(self):
-        def route(method, pattern, handler, *, auth=True, audited=True):
+        def route(method, pattern, handler, *, auth=True):
             return (
-                Route(method, pattern, auth, audited, handler.__name__.lstrip("_")),
+                Route(method, pattern, auth, handler.__name__.lstrip("_")),
                 handler,
             )
 
@@ -450,20 +422,13 @@ class CuratorService:
             proof = bytes.fromhex(req.response_hex)
         except ValueError:
             raise api.WireError("field 'response' must be hex") from None
-        session, bearer = self.broker.login(req.user_id, proof)
-        return Response(
-            200,
-            api.SessionEnvelope(
-                token=bearer,
-                session_id=session.session_id,
-                user_id=session.user_id,
-                issued_at=session.issued_at,
-                expires_at=session.expires_at,
-            ).to_wire(),
-        )
+        return self._session_response(*self.broker.login(req.user_id, proof))
 
     def _refresh(self, request: Request, params, actor_id) -> Response:
-        session, bearer = self.broker.refresh(request.bearer)
+        return self._session_response(*self.broker.refresh(request.bearer))
+
+    @staticmethod
+    def _session_response(session, bearer: str) -> Response:
         return Response(
             200,
             api.SessionEnvelope(

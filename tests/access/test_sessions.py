@@ -1,137 +1,159 @@
-"""Authentication broker: challenge-response, lockout, session tokens."""
+"""Session broker: challenge-response, lockout, session tokens."""
 
 import dataclasses
 
 import pytest
 
-from repro.access.sessions import Authenticator, Session
 from repro.errors import AccessDeniedError
+from repro.policy.compiler import service_ruleset
+from repro.policy.engine import PolicyEngine
+from repro.service.auth import (
+    CHALLENGE_TTL_SECONDS,
+    DEFAULT_SESSION_SECONDS,
+    LOCKOUT_THRESHOLD,
+    Session,
+    SessionBroker,
+    decode_token,
+    encode_token,
+    respond,
+)
 from repro.util.clock import SimulatedClock
 
 
-def make_auth(**kwargs):
+def make_broker():
     clock = SimulatedClock(start=0.0)
-    return Authenticator(clock=clock, **kwargs), clock
+    return SessionBroker(clock, PolicyEngine(service_ruleset())), clock
 
 
-def login(auth, user_id, secret):
-    challenge = auth.request_challenge(user_id)
-    return auth.login(user_id, Authenticator.respond(secret, challenge))
+def login(broker, user_id, secret) -> str:
+    """The whole protocol; returns the bearer token."""
+    challenge = broker.request_challenge(user_id)
+    return broker.login(user_id, respond(secret, challenge))[1]
+
+
+def fail_login(broker, user_id):
+    broker.request_challenge(user_id)
+    with pytest.raises(AccessDeniedError, match="authentication failed"):
+        broker.login(user_id, b"wrong" * 8)
+
+
+def forge(bearer, **changes) -> str:
+    return encode_token(dataclasses.replace(decode_token(bearer), **changes))
 
 
 def test_happy_path_login_and_validate():
-    auth, _ = make_auth()
-    secret = auth.enroll("dr-a")
-    session = login(auth, "dr-a", secret)
-    assert auth.validate(session) == "dr-a"
+    broker, _ = make_broker()
+    secret = broker.enroll("dr-a")
+    user_id, decision = broker.validate_bearer(login(broker, "dr-a", secret))
+    assert user_id == "dr-a"
+    assert decision.rule_id == "allow:session:clean"
 
 
 def test_duplicate_enrollment_rejected():
-    auth, _ = make_auth()
-    auth.enroll("dr-a")
+    broker, _ = make_broker()
+    broker.enroll("dr-a")
     with pytest.raises(AccessDeniedError):
-        auth.enroll("dr-a")
+        broker.enroll("dr-a")
     with pytest.raises(AccessDeniedError):
-        auth.enroll("")
+        broker.enroll("")
 
 
 def test_unknown_user_cannot_request_challenge():
-    auth, _ = make_auth()
-    with pytest.raises(AccessDeniedError):
-        auth.request_challenge("ghost")
+    broker, _ = make_broker()
+    with pytest.raises(AccessDeniedError, match="unknown user"):
+        broker.request_challenge("ghost")
 
 
 def test_wrong_secret_fails():
-    auth, _ = make_auth()
-    auth.enroll("dr-a")
-    challenge = auth.request_challenge("dr-a")
+    broker, _ = make_broker()
+    broker.enroll("dr-a")
+    challenge = broker.request_challenge("dr-a")
     with pytest.raises(AccessDeniedError, match="authentication failed"):
-        auth.login("dr-a", Authenticator.respond(bytes(32), challenge))
+        broker.login("dr-a", respond(bytes(32), challenge))
 
 
 def test_login_without_challenge_fails():
-    auth, _ = make_auth()
-    auth.enroll("dr-a")
+    broker, _ = make_broker()
+    broker.enroll("dr-a")
     with pytest.raises(AccessDeniedError, match="no pending challenge"):
-        auth.login("dr-a", b"x" * 32)
+        broker.login("dr-a", b"x" * 32)
 
 
 def test_challenge_expires():
-    auth, clock = make_auth(challenge_ttl_seconds=60.0)
-    secret = auth.enroll("dr-a")
-    challenge = auth.request_challenge("dr-a")
-    clock.advance(120.0)
+    broker, clock = make_broker()
+    secret = broker.enroll("dr-a")
+    challenge = broker.request_challenge("dr-a")
+    clock.advance(CHALLENGE_TTL_SECONDS + 1)
     with pytest.raises(AccessDeniedError, match="expired"):
-        auth.login("dr-a", Authenticator.respond(secret, challenge))
+        broker.login("dr-a", respond(secret, challenge))
+    # the stale challenge was consumed: the same proof cannot retry
+    with pytest.raises(AccessDeniedError, match="no pending challenge"):
+        broker.login("dr-a", respond(secret, challenge))
 
 
 def test_challenge_is_single_use():
-    auth, _ = make_auth()
-    secret = auth.enroll("dr-a")
-    challenge = auth.request_challenge("dr-a")
-    response = Authenticator.respond(secret, challenge)
-    auth.login("dr-a", response)
-    with pytest.raises(AccessDeniedError):
-        auth.login("dr-a", response)  # replay
+    broker, _ = make_broker()
+    secret = broker.enroll("dr-a")
+    challenge = broker.request_challenge("dr-a")
+    response = respond(secret, challenge)
+    broker.login("dr-a", response)
+    with pytest.raises(AccessDeniedError, match="no pending challenge"):
+        broker.login("dr-a", response)  # replay
 
 
 def test_lockout_after_repeated_failures():
-    auth, _ = make_auth(lockout_threshold=3)
-    secret = auth.enroll("dr-a")
-    for _ in range(3):
-        challenge = auth.request_challenge("dr-a")
-        with pytest.raises(AccessDeniedError):
-            auth.login("dr-a", b"wrong" * 8)
-    assert auth.is_locked("dr-a")
+    broker, _ = make_broker()
+    secret = broker.enroll("dr-a")
+    for _ in range(LOCKOUT_THRESHOLD - 1):
+        fail_login(broker, "dr-a")
+    challenge = broker.request_challenge("dr-a")  # still allowed
+    with pytest.raises(AccessDeniedError, match="authentication failed"):
+        broker.login("dr-a", b"wrong" * 8)
     with pytest.raises(AccessDeniedError, match="locked"):
-        auth.request_challenge("dr-a")
-    # even a valid session is refused while locked
-    auth.unlock("dr-a")
-    session = login(auth, "dr-a", secret)
-    assert auth.validate(session) == "dr-a"
+        broker.request_challenge("dr-a")
+    # even the right secret is refused while locked
+    with pytest.raises(AccessDeniedError, match="locked"):
+        broker.login("dr-a", respond(secret, challenge))
 
 
 def test_successful_login_resets_failure_count():
-    auth, _ = make_auth(lockout_threshold=3)
-    secret = auth.enroll("dr-a")
-    challenge = auth.request_challenge("dr-a")
-    with pytest.raises(AccessDeniedError):
-        auth.login("dr-a", b"wrong" * 8)
-    assert auth.failed_attempts("dr-a") == 1
-    login(auth, "dr-a", secret)
-    assert auth.failed_attempts("dr-a") == 0
+    broker, _ = make_broker()
+    secret = broker.enroll("dr-a")
+    for _ in range(LOCKOUT_THRESHOLD - 1):
+        fail_login(broker, "dr-a")
+    login(broker, "dr-a", secret)
+    # a fresh budget: as many failures again still do not lock
+    for _ in range(LOCKOUT_THRESHOLD - 1):
+        fail_login(broker, "dr-a")
+    assert broker.validate_bearer(login(broker, "dr-a", secret))[0] == "dr-a"
 
 
 def test_session_expires():
-    auth, clock = make_auth(session_seconds=3600.0)
-    secret = auth.enroll("dr-a")
-    session = login(auth, "dr-a", secret)
-    clock.advance(3601.0)
+    broker, clock = make_broker()
+    bearer = login(broker, "dr-a", broker.enroll("dr-a"))
+    clock.advance(DEFAULT_SESSION_SECONDS + 1)
     with pytest.raises(AccessDeniedError, match="session expired"):
-        auth.validate(session)
+        broker.validate_bearer(bearer)
 
 
 def test_forged_token_rejected():
-    auth, _ = make_auth()
-    secret = auth.enroll("dr-a")
-    session = login(auth, "dr-a", secret)
-    forged = dataclasses.replace(session, user_id="dr-evil")
+    broker, _ = make_broker()
+    bearer = login(broker, "dr-a", broker.enroll("dr-a"))
     with pytest.raises(AccessDeniedError, match="token invalid"):
-        auth.validate(forged)
+        broker.validate_bearer(forge(bearer, user_id="dr-evil"))
 
 
 def test_extended_expiry_rejected():
-    auth, _ = make_auth()
-    secret = auth.enroll("dr-a")
-    session = login(auth, "dr-a", secret)
-    forged = dataclasses.replace(session, expires_at=session.expires_at + 1e6)
+    broker, _ = make_broker()
+    bearer = login(broker, "dr-a", broker.enroll("dr-a"))
+    session = decode_token(bearer)
     with pytest.raises(AccessDeniedError, match="token invalid"):
-        auth.validate(forged)
+        broker.validate_bearer(forge(bearer, expires_at=session.expires_at + 1e6))
 
 
 def test_fabricated_session_rejected():
-    auth, _ = make_auth()
-    auth.enroll("dr-a")
+    broker, _ = make_broker()
+    broker.enroll("dr-a")
     fake = Session(
         session_id="sess-00000001",
         user_id="dr-a",
@@ -139,17 +161,16 @@ def test_fabricated_session_rejected():
         expires_at=1e9,
         token=bytes(32),
     )
-    with pytest.raises(AccessDeniedError):
-        auth.validate(fake)
+    with pytest.raises(AccessDeniedError, match="token invalid"):
+        broker.validate_bearer(encode_token(fake))
 
 
 def test_locked_account_invalidates_live_sessions():
-    auth, _ = make_auth(lockout_threshold=1)
-    secret = auth.enroll("dr-a")
-    session = login(auth, "dr-a", secret)
-    challenge = auth.request_challenge("dr-a")
-    with pytest.raises(AccessDeniedError):
-        auth.login("dr-a", b"wrong" * 8)
-    assert auth.is_locked("dr-a")
+    broker, _ = make_broker()
+    bearer = login(broker, "dr-a", broker.enroll("dr-a"))
+    for _ in range(LOCKOUT_THRESHOLD):
+        fail_login(broker, "dr-a")
     with pytest.raises(AccessDeniedError, match="locked"):
-        auth.validate(session)
+        broker.validate_bearer(bearer)
+    with pytest.raises(AccessDeniedError, match="locked"):
+        broker.refresh(bearer)

@@ -165,6 +165,35 @@ def test_consent_directives_survive_the_move(config, clock):
     assert cluster.read(record_id, actor_id="dr-cluster")
 
 
+def test_the_source_keeps_no_consent_directive_of_a_moved_patient(config, clock):
+    cluster = build(config, clock)
+    patient_id = next(iter(displaced_by_grow(cluster)))
+    source = cluster.shards[cluster.shard_for(patient_id)]
+    source.consent.add_directive(patient_id, ConsentDirective("d-left"))
+    cluster.rebalance(target_shards=4, actor_id="ops")
+    assert cluster.shards[cluster.shard_for(patient_id)] is not source
+    assert source.consent.directives_for(patient_id) == []
+
+
+def test_a_directive_revoked_after_a_move_stays_revoked_on_return(config, clock):
+    cluster = build(config, clock)
+    patient_id = next(iter(displaced_by_grow(cluster)))
+    record_id = f"rec-{PATIENTS.index(patient_id):03d}"
+    source = cluster.shards[cluster.shard_for(patient_id)]
+    source.consent.add_directive(
+        patient_id,
+        ConsentDirective("d-rb", blocked_roles=frozenset({Role.PRIVACY_OFFICER})),
+    )
+    cluster.rebalance(target_shards=4, actor_id="ops")
+    cluster.shards[cluster.shard_for(patient_id)].consent.revoke_directive(
+        patient_id, "d-rb"
+    )
+    clock.advance(5.0)
+    cluster.rebalance(target_shards=2, actor_id="ops")
+    assert cluster.shards[cluster.shard_for(patient_id)] is source
+    assert cluster.read(record_id, actor_id="po-1")
+
+
 def test_a_live_break_glass_grant_follows_its_patient(config, clock):
     """The grant is the patient's, not the shard's: it keeps authorizing
     after a grow displaces the patient, keeps its id, expiry and review

@@ -9,35 +9,45 @@ confirmation that nothing recoverable remains.
 import pytest
 
 from repro.access.principals import Role, User
-from repro.access.sessions import Authenticator
+from repro.cluster import CuratorCluster
 from repro.core import CuratorConfig, CuratorStore
 from repro.crypto.merkle import MerkleTree
 from repro.errors import RecordNotFoundError, RetentionError
 from repro.records.model import ClinicalNote, HealthRecord
+from repro.service import CuratorService
+from repro.service.service import Request
 from repro.util.clock import SimulatedClock
 from repro.util.rng import DeterministicRng
 
+from tests.service.conftest import wire_login
+
 MASTER = bytes(range(32))
+
+
+def _config(clock):
+    return CuratorConfig(
+        master_key=MASTER, clock=clock, witness_count=3, anchor_every_events=16
+    )
 
 
 @pytest.fixture()
 def world():
     clock = SimulatedClock(start=1.17e9)
-    store = CuratorStore(
-        CuratorConfig(
-            master_key=MASTER,
-            clock=clock,
-            witness_count=3,
-            anchor_every_events=16,
-        )
+    return CuratorStore(_config(clock)), clock
+
+
+def test_record_lifetime_story():
+    clock = SimulatedClock(start=1.17e9)
+    cluster = CuratorCluster(_config(clock), shards=1)
+    service = CuratorService(cluster)
+    store = cluster.shards[0]  # the one engine behind the front door
+
+    # Act 1 — authenticated documentation, through the wire service.
+    secret = service.enroll(
+        User.make("dr-house", "Dr House", [Role.PHYSICIAN], "oncology",
+                  treating={"pat-grace"})
     )
-    return store, clock
-
-
-def test_record_lifetime_story(world):
-    store, clock = world
-
-    # Act 1 — authenticated documentation.
+    bearer = wire_login(service, "dr-house", secret)
     note = ClinicalNote.create(
         record_id="rec-1",
         patient_id="pat-grace",
@@ -46,13 +56,12 @@ def test_record_lifetime_story(world):
         specialty="oncology",
         text="biopsy confirms carcinoma, staging pending",
     )
-    store.store(note, author_id="dr-house")
-    secret = store.authenticator.enroll("dr-house")
-    challenge = store.authenticator.request_challenge("dr-house")
-    session = store.authenticator.login(
-        "dr-house", Authenticator.respond(secret, challenge)
+    stored = service.handle_request(
+        Request("POST", "/v1/records", body=note.to_dict(), bearer=bearer)
     )
-    assert store.read_with_session(session, "rec-1") == note
+    assert stored.status == 201, stored.body
+    read = service.handle_request(Request("GET", "/v1/records/rec-1", bearer=bearer))
+    assert HealthRecord.from_dict(read.body) == note
 
     # Imaging attached, encrypted, chunked.
     scan = DeterministicRng(42).bytes(90_000)
@@ -115,6 +124,8 @@ def test_record_lifetime_story(world):
         "retention_hold_released", "record_disposed", "anchor_published",
     ):
         assert expected in actions, expected
+    service.verify_service_audit()
+    cluster.close()
 
 
 def test_quorum_config_validation():

@@ -11,11 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.access.principals import Role, User
-from repro.access.sessions import Authenticator, Challenge
 from repro.cluster import CuratorCluster
 from repro.core.config import CuratorConfig
 from repro.crypto.rsa import generate_keypair
 from repro.service import CuratorService, ServiceConfig
+from repro.service.auth import Challenge, respond
 from repro.service.service import Request
 from repro.util import SimulatedClock
 
@@ -72,7 +72,7 @@ def wire_login(service: CuratorService, user_id: str, secret: bytes) -> str:
         Request("POST", "/v1/auth/challenge", body={"user_id": user_id})
     )
     assert challenged.status == 200, challenged.body
-    proof = Authenticator.respond(
+    proof = respond(
         secret,
         Challenge(
             user_id=user_id,

@@ -7,10 +7,25 @@ import socket
 
 import pytest
 
-from repro.service import CuratorService, ServiceConfig, ServiceServer
+from repro.access.principals import Role, User
+from repro.service import CuratorService, ServiceClient, ServiceConfig, ServiceServer
 
 _GET = b"GET /v1/healthz HTTP/1.1\r\n"
 _POST = b"POST /v1/auth/challenge HTTP/1.1\r\n"
+_NOTE = (
+    b'{"record_id": "rec-h", "patient_id": "pat-h", "record_type": "clinical_note", '
+    b'"created_at": %s, "body": %s}'
+)
+
+
+def _store(body: bytes) -> bytes:
+    """A record store from a logged-in client (the test fills in
+    ``{bearer}``)."""
+    return (
+        b"POST /v1/records HTTP/1.1\r\nAuthorization: Bearer {bearer}\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+
 
 HOSTILE = {
     "request_line_70kB": b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
@@ -23,6 +38,12 @@ HOSTILE = {
     "bad_json": _POST + b"Content-Length: 7\r\n\r\n{\"user_",
     "content_length_5MB": _POST + b"Content-Length: 5242880\r\n\r\n",
     "non_ascii_request_line": "GET /v1/récords HTTP/1.1\r\n\r\n".encode("utf-8"),
+    "json_nested_3000_deep": _POST + b"Content-Length: 6000\r\n\r\n"
+    + b"[" * 3000 + b"]" * 3000,
+    "record_body_nested_600_deep": _store(
+        _NOTE % (b"1.17e9", b'{"x": ' + b"[" * 600 + b"]" * 600 + b"}")
+    ),
+    "created_at_10_pow_400": _store(_NOTE % (b"1" + b"0" * 400, b"{}")),
 }
 
 
@@ -31,9 +52,17 @@ def test_hostile_framing_answered_400_and_audited_once(cluster, name):
     service = CuratorService(cluster, ServiceConfig(port=0))
     server = ServiceServer(service).start()
     try:
+        payload = HOSTILE[name]
+        if b"{bearer}" in payload:
+            client = ServiceClient(server.host, server.port)
+            user = User.make("dr-h", "Dr H", [Role.PHYSICIAN], treating={"pat-h"})
+            client.login(user.user_id, service.enroll(user))
+            client.close()
+            payload = payload.replace(b"{bearer}", client.bearer.encode())
         before = len(service.audit_events())
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as raw:
-            raw.sendall(HOSTILE[name])
+            raw.sendall(payload)
+            raw.shutdown(socket.SHUT_WR)  # all sent: a 400 need not close
             reply = b""
             try:
                 while chunk := raw.recv(65536):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.access.sessions import DEFAULT_SESSION_SECONDS
+from repro.service.auth import DEFAULT_SESSION_SECONDS
 from repro.service.service import Request
 
 from tests.service.conftest import store_note, wire_login
