@@ -9,8 +9,8 @@ export PYTHONPATH
 test:
 	$(PY) -m pytest -x -q
 
-# Static analysis of the declarative policy rulesets (dead rules,
-# coverage gaps); non-zero exit on any error-severity finding.
+# Every tuple of every shipped ruleset's decision space: dead rules and
+# broken invariants; non-zero exit on any finding.
 policy-lint:
 	$(PY) -m repro policy lint
 

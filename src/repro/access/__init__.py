@@ -5,11 +5,10 @@ properly authorized individuals and protected against non-permitted
 disclosures.  This package implements the workforce-facing half:
 
 * :mod:`repro.access.principals` — users and HIPAA workforce roles.
-* :mod:`repro.access.rbac` — the permission and purpose vocabulary and
-  the role → capability tables that :mod:`repro.policy.compiler` turns
-  into the default ruleset (the decisions are made by
-  :class:`~repro.policy.engine.PolicyEngine`; every denial states its
-  rule).
+* :mod:`repro.access.rbac` — the permission and purpose vocabulary
+  (which role holds what is declared in :mod:`repro.policy.rules`, and
+  :class:`~repro.policy.engine.PolicyEngine` makes the decisions; every
+  denial states its rule).
 * :mod:`repro.access.policies` — patient consent directives and the
   minimum-necessary field filter (billing staff see billing fields, not
   the clinical narrative).

@@ -20,7 +20,7 @@ from typing import Iterable
 from repro.access.principals import User
 from repro.crypto.hashing import sha256
 from repro.errors import AccessDeniedError
-from repro.policy.model import PolicyContext
+from repro.policy.model import BREAK_GLASS_ACTION, PolicyContext
 from repro.util.clock import Clock, WallClock
 from repro.util.validation import require_non_empty
 
@@ -53,10 +53,10 @@ class BreakGlassController:
         self._grants: dict[str, BreakGlassGrant] = {}
         self._reviewed: dict[str, str] = {}  # grant_id -> reviewer
         self._counter = 0
-        from repro.policy.compiler import breakglass_ruleset
         from repro.policy.engine import PolicyEngine
+        from repro.policy.rules import BREAKGLASS_RULES
 
-        self._policy = PolicyEngine(breakglass_ruleset())
+        self._policy = PolicyEngine(BREAKGLASS_RULES)
 
     def invoke(self, user: User, patient_id: str, justification: str) -> BreakGlassGrant:
         """Break the glass: grant emergency access to one patient.
@@ -67,7 +67,7 @@ class BreakGlassController:
         require_non_empty(patient_id, "patient_id")
         self._policy.decide(
             user,
-            "invoke_break_glass",
+            BREAK_GLASS_ACTION,
             patient_id,
             PolicyContext(
                 facts={

@@ -1,6 +1,6 @@
 """Consent directives and the minimum-necessary standard.
 
-Two Privacy-Rule mechanisms the RBAC tables alone cannot express:
+Two Privacy-Rule mechanisms role capabilities alone cannot express:
 
 * **Consent** — a patient may restrict disclosure of their records to
   specific roles or purposes (e.g. "no researcher access, ever" or

@@ -44,10 +44,9 @@ back together by :mod:`repro.cluster.merge`.  The design commitments:
 Attribution: every PHI-touching method requires ``actor_id`` as a
 keyword, matching the engine's fully-attributed surface.
 
-Policy: the default declarative ruleset is compiled **once** at cluster
-construction and shared by every shard engine via
-``config.policy_rules`` — authorization must give one answer no matter
-where the patient hashed, and N shards should not pay N compilations.
+Policy: every shard engine decides with the one declared
+:data:`~repro.policy.rules.DEFAULT_RULES`, so authorization gives one
+answer no matter where the patient hashed.
 """
 
 from __future__ import annotations
@@ -79,14 +78,9 @@ from repro.util.metrics import METRICS
 
 
 def _cluster_config(config: CuratorConfig) -> CuratorConfig:
-    """*config* with the two things every shard shares pinned: one
-    signing identity and one compiled ruleset."""
+    """*config* with the signing identity every shard shares pinned."""
     if config.signing_keypair is None:
         config = replace(config, signing_keypair=generate_keypair(SIGNATURE_BITS))
-    if config.policy_rules is None:
-        from repro.policy.compiler import compile_default_ruleset
-
-        config = replace(config, policy_rules=compile_default_ruleset())
     return config
 
 

@@ -18,18 +18,12 @@ command protocol over a pipe:
 The proxy carries exactly the engine calls the cluster makes
 (:data:`ENGINE_CALLS`) — the routing/locking code does not know whether
 a shard is local or a process; anything else is an ``AttributeError``
-at the call site — with two deliberate exceptions that fail fast
-instead of pretending:
-
-* raw **device access** (``devices``/``device_set``/``audit_devices``/
-  attribute reads like ``_clock``) cannot cross the pipe: a
-  :class:`~repro.storage.block.BlockDevice` proxy would be a copy, and
-  tampering with a copy proves nothing.  Harnesses that need raw media
-  (the detection-equivalence oracle, crash sweeps) must run the cluster
-  with ``workers=0``.
-* the worker compiles its **own policy ruleset**: compiled rules may
-  close over non-picklable condition callables, so the shard spec ships
-  with ``policy_rules=None`` and each worker pays one compilation.
+at the call site.  Raw **device access** (``devices``/``device_set``/
+``audit_devices``/attribute reads like ``_clock``) deliberately fails
+fast instead of pretending: a :class:`~repro.storage.block.BlockDevice`
+proxy would be a copy, and tampering with a copy proves nothing.
+Harnesses that need raw media (the detection-equivalence oracle, crash
+sweeps) must run the cluster with ``workers=0``.
 
 Worker processes are daemons: an abandoned cluster cannot wedge
 interpreter shutdown, but call :meth:`ShardWorkerProxy.close` (via
@@ -39,7 +33,6 @@ interpreter shutdown, but call :meth:`ShardWorkerProxy.close` (via
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import replace
 from functools import partial
 from typing import Any
 
@@ -107,17 +100,6 @@ def _serve(conn, config: CuratorConfig) -> None:
     conn.close()
 
 
-def worker_shard_config(config: CuratorConfig) -> CuratorConfig:
-    """The picklable shard spec shipped to a worker process.
-
-    Identical to the in-process shard config except ``policy_rules`` is
-    stripped: compiled rules may hold non-picklable condition callables,
-    and authorization stays equivalent because the worker recompiles the
-    same default ruleset from the same RBAC tables.
-    """
-    return replace(config, policy_rules=None)
-
-
 class ShardWorkerProxy:
     """One shard engine hosted in a worker process, behind the
     :data:`ENGINE_CALLS` slice of the engine API.  Engine internals are
@@ -130,7 +112,7 @@ class ShardWorkerProxy:
         self._conn, child = context.Pipe()
         self._process = context.Process(
             target=_serve,
-            args=(child, worker_shard_config(config)),
+            args=(child, config),
             name=f"curator-shard-{shard_id}",
             daemon=True,
         )

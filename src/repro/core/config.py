@@ -40,12 +40,6 @@ class CuratorConfig:
     # cluster passes one keypair so all shards sign anchors under the
     # same site identity without paying N keygens.
     signing_keypair: object | None = None
-    # The compiled policy ruleset the engine decides with.  None means
-    # compile the default ruleset from the RBAC tables at engine
-    # construction; a cluster compiles once and shares the tuple across
-    # every shard (rules are immutable — each engine binds its own
-    # consent/break-glass registries as the environment).
-    policy_rules: tuple | None = None
 
     def __post_init__(self) -> None:
         if len(self.master_key) != 32:

@@ -79,7 +79,7 @@ from repro.index.secure_deletion import SecureDeletionIndex
 from repro.index.trustworthy import TrustworthyIndex
 from repro.migration.bundle import PatientBundle
 from repro.policy import Decision, PolicyContext, PolicyEngine, PolicyEnv
-from repro.policy.compiler import compile_default_ruleset, default_purpose_for
+from repro.policy.rules import DEFAULT_RULES, default_purpose_for
 from repro.provenance.chain import CustodyRegistry
 from repro.provenance.graph import ProvenanceGraph
 from repro.records.ids import DISCLOSURES, SEARCH, attachment_object_id
@@ -205,7 +205,7 @@ class CuratorStore(StorageModel):
         self._consent = ConsentRegistry()
         self._breakglass = BreakGlassController(clock=self._clock)
         self._policy = PolicyEngine(
-            config.policy_rules or compile_default_ruleset(),
+            DEFAULT_RULES,
             env=PolicyEnv(
                 consent=self._consent,
                 breakglass=self._breakglass,
@@ -559,8 +559,8 @@ class CuratorStore(StorageModel):
 
     def _default_purpose(self, actor_id: str) -> Purpose:
         """Infer the purpose of use from the actor's primary role when
-        the caller does not state one (the table lives beside the rule
-        compiler in :mod:`repro.policy.compiler`)."""
+        the caller does not state one (the table lives beside the
+        declared rules in :mod:`repro.policy.rules`)."""
         user = self._workforce.resolve(actor_id)
         if user is None:
             return Purpose.TREATMENT

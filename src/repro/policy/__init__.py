@@ -2,10 +2,10 @@
 
 One explainable decision path for RBAC, consent, treating
 relationships, break-glass, sessions, and disposition: rules are
-declared (:mod:`~repro.policy.model`), compiled from the legacy tables
-(:mod:`~repro.policy.compiler`), evaluated with deny-overrides and a
-full consultation trace (:mod:`~repro.policy.engine`), and statically
-checked (:mod:`~repro.policy.lint`).
+modelled (:mod:`~repro.policy.model`), declared as the shipped rulesets
+(:mod:`~repro.policy.rules`), evaluated with deny-overrides and a full
+consultation trace (:mod:`~repro.policy.engine`), and checked over
+every tuple of their decision space (:mod:`~repro.policy.lint`).
 """
 
 from repro.policy.engine import PolicyEngine, PolicyEnv

@@ -11,9 +11,9 @@ key.  Anything that consulted per-actor or mutable-registry state
 facts) reports ``cacheable=False`` so the decision cache never serves a
 stale answer for it.
 
-The predicates deliberately avoid importing the RBAC tables: purposes
-are compared by their ``.value`` strings so this module stays below
-:mod:`repro.access` in the import graph.
+The predicates deliberately avoid importing the RBAC vocabulary:
+purposes are compared by their ``.value`` strings so this module stays
+below :mod:`repro.access` in the import graph.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ def consent_blocks() -> Condition:
 
 def break_glass_active() -> Condition:
     """Matches when an unexpired break-glass grant covers (actor,
-    patient) right now.  Fallback-tier: rescues a role-pass denial but
-    never overrides a binding (consent) or global deny."""
+    patient) right now.  Fallback-tier: rescues a role-pass denial —
+    even one a consent directive covers, as consent binds only a role
+    that won — but never a global deny."""
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
         controller = getattr(env, "breakglass", None)
@@ -144,34 +145,21 @@ def break_glass_active() -> Condition:
     return Condition("break_glass_active", check)
 
 
-def retention_clear() -> Condition:
-    """Matches when the environment's retention lock permits deletion
-    of the resource right now; the failure detail is the retention
-    lock's own message (term unexpired, litigation hold)."""
+def retention_blocked() -> Condition:
+    """Matches when the environment's retention lock forbids deleting
+    the resource right now; the detail is the lock's own message (term
+    unexpired, litigation hold)."""
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
         retention = getattr(env, "retention", None)
         clock = getattr(env, "clock", None)
         if retention is None or clock is None:
-            return CheckResult(True, "", False)
+            return CheckResult(False, "", False)
         try:
             retention.check_deletable(resource, clock.now())
         except RetentionError as exc:
-            return CheckResult(False, str(exc), False)
-        return CheckResult(True, "", False)
-
-    return Condition("retention_clear", check)
-
-
-def retention_blocked() -> Condition:
-    """The deny-side complement of :func:`retention_clear` (matches when
-    deletion is unlawful now)."""
-
-    clear = retention_clear()
-
-    def check(actor, role, action, resource, context, env) -> CheckResult:
-        result = clear.check(actor, role, action, resource, context, env)
-        return CheckResult(not result.ok, result.detail, result.cacheable)
+            return CheckResult(True, str(exc), False)
+        return CheckResult(False, "", False)
 
     return Condition("retention_blocked", check)
 

@@ -15,7 +15,7 @@ Skipping a step raises :class:`~repro.errors.DispositionError`.  The
 engine layer audits each transition.
 
 Whether a step may proceed is decided by the disposition ruleset
-(:func:`repro.policy.compiler.disposition_ruleset`): the workflow
+(:data:`repro.policy.rules.DISPOSITION_RULES`): the workflow
 measures ticket facts, the policy engine decides, and the *allow
 decision itself* is the destruction authorization handed to the
 shredder and the WORM tombstone — a forgeable boolean no longer exists
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 from repro.crypto.keys import KeyHandle
 from repro.errors import DispositionError
-from repro.policy.compiler import disposition_ruleset
 from repro.policy.engine import PolicyEngine, PolicyEnv
 from repro.policy.model import DESTRUCTION_ACTION, Decision, PolicyContext
+from repro.policy.rules import DISPOSITION_RULES
 from repro.retention.shredder import SecureShredder, ShredReport
 from repro.util.clock import Clock, WallClock
 from repro.worm.store import WormStore
@@ -81,7 +81,7 @@ class DispositionWorkflow:
         self._tickets: dict[str, _Ticket] = {}
         self._certificates: dict[str, DispositionCertificate] = {}
         self._policy = PolicyEngine(
-            disposition_ruleset(),
+            DISPOSITION_RULES,
             env=PolicyEnv(retention=store.retention, clock=self._clock),
         )
 

@@ -4,7 +4,7 @@ A hospital records service degrades *predictably* or it becomes a
 clinical hazard: an unbounded backlog turns every read into a timeout
 right when an emergency department is hammering the API.  So the front
 door admits work through two gates, both expressed as policy decisions
-over measured facts (``service_ruleset``):
+over measured facts (``SERVICE_RULES``):
 
 * **rate** — each authenticated actor owns a token bucket
   (``capacity`` burst, ``refill_per_second`` sustained).  An empty
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import threading
 
-from repro.policy.compiler import service_ruleset
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import Decision, PolicyContext
+from repro.policy.rules import SERVICE_RULES
 from repro.util.clock import Clock
 from repro.util.metrics import METRICS
 
@@ -78,7 +78,7 @@ class AdmissionController:
         self._queue_limit = queue_limit
         self._rate_capacity = rate_capacity
         self._rate_refill = rate_refill_per_second
-        self._policy = PolicyEngine(service_ruleset())
+        self._policy = PolicyEngine(SERVICE_RULES)
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}
         self._in_flight = 0

@@ -37,7 +37,7 @@ from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog
 from repro.cluster.router import CuratorCluster
 from repro.errors import AccessDeniedError, AuditError, CuratorError
-from repro.policy.compiler import compile_default_ruleset, default_purpose_for
+from repro.policy.rules import DEFAULT_RULES, default_purpose_for
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import PolicyContext
 from repro.records.model import HealthRecord
@@ -123,9 +123,9 @@ class CuratorService:
             rate_capacity=self.config.rate_capacity,
             rate_refill_per_second=self.config.rate_refill_per_second,
         )
-        # one compiled service ruleset decides sessions and admission
+        # one service-ruleset engine decides sessions and admission
         self.broker = SessionBroker(self._clock, self.admission.policy)
-        self._policy = PolicyEngine(compile_default_ruleset())
+        self._policy = PolicyEngine(DEFAULT_RULES)
         self._users: dict[str, User] = {}
         self._audit = AuditLog(clock=self._clock)
         self._audit_lock = threading.Lock()

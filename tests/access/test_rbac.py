@@ -5,11 +5,11 @@ import pytest
 
 from repro.access.principals import Role, User
 from repro.access.rbac import Permission, Purpose
-from repro.policy.compiler import compile_rbac_rules
 from repro.policy.engine import PolicyEngine
-from repro.policy.model import PolicyContext
+from repro.policy.model import PolicyContext, Tier
+from repro.policy.rules import DEFAULT_RULES
 
-ENGINE = PolicyEngine(compile_rbac_rules())
+ENGINE = PolicyEngine([rule for rule in DEFAULT_RULES if rule.tier is Tier.ROLE])
 
 
 def physician(treating=("pat-1",)):

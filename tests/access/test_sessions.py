@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.errors import AccessDeniedError
-from repro.policy.compiler import service_ruleset
 from repro.policy.engine import PolicyEngine
+from repro.policy.rules import SERVICE_RULES
 from repro.service.auth import (
     CHALLENGE_TTL_SECONDS,
     DEFAULT_SESSION_SECONDS,
@@ -22,7 +22,7 @@ from repro.util.clock import SimulatedClock
 
 def make_broker():
     clock = SimulatedClock(start=0.0)
-    return SessionBroker(clock, PolicyEngine(service_ruleset())), clock
+    return SessionBroker(clock, PolicyEngine(SERVICE_RULES)), clock
 
 
 def login(broker, user_id, secret) -> str:

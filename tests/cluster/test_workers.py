@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import CuratorCluster
 from repro.cluster.ring import sample_patients
-from repro.cluster.workers import ShardWorkerProxy, worker_shard_config
+from repro.cluster.workers import ShardWorkerProxy
 from repro.core.config import CuratorConfig
 from repro.crypto.ed25519 import generate_ed25519_keypair
 from repro.errors import AccessDeniedError, ClusterError, RecordNotFoundError
@@ -128,17 +128,6 @@ def test_close_is_idempotent_and_blocks_further_calls(worker_cluster):
     worker_cluster.close()
     with pytest.raises(ClusterError):
         worker_cluster.shards[0].record_ids()
-
-
-def test_worker_shard_config_strips_policy_rules():
-    from repro.policy.compiler import compile_default_ruleset
-
-    config = CuratorConfig(
-        master_key=MASTER_KEY,
-        signing_keypair=ED_KEYPAIR,
-        policy_rules=compile_default_ruleset(),
-    )
-    assert worker_shard_config(config).policy_rules is None
 
 
 def test_in_process_cluster_close_is_safe(worker_cluster):

@@ -1,12 +1,27 @@
 """The ``repro policy`` CLI surface."""
 
 from repro.cli import main
+from repro.policy.model import BREAK_GLASS_ACTION
+from repro.policy.rules import BREAKGLASS_RULES, RULESETS, permit
 
 
 def test_policy_lint_is_clean(capsys):
     assert main(["policy", "lint"]) == 0
     out = capsys.readouterr().out
-    assert "0 error(s)" in out
+    assert out == (
+        "policy lint: 0 finding(s), 0 error(s) "
+        "across default/session/disposition/break-glass rulesets\n"
+    )
+
+
+def test_policy_lint_names_a_seeded_dead_rule(capsys, monkeypatch):
+    # A second fallback allow for the same action is never consulted.
+    dead = permit("allow:break-glass:again", {BREAK_GLASS_ACTION}, reason="again")
+    monkeypatch.setitem(RULESETS, "break-glass", BREAKGLASS_RULES + (dead,))
+    assert main(["policy", "lint"]) == 1
+    out = capsys.readouterr().out
+    assert "dead: allow:break-glass:again: matches on none of the 2 tuples" in out
+    assert "1 finding(s), 1 error(s)" in out
 
 
 def test_policy_explain_allow_exits_zero(capsys):

@@ -1,47 +1,36 @@
-"""The table compiler: the default ruleset mirrors the legacy access
-tables, and the fact-based rulesets mirror the legacy guard clauses."""
+"""The declared rulesets: the default ruleset's role capabilities and
+composite rules, and the fact-based rulesets' guard order."""
 
 import pytest
 
 from repro.access.principals import Role, User
-from repro.access.rbac import _ROLE_PERMISSIONS, Permission, Purpose
+from repro.access.rbac import Permission, Purpose
 from repro.errors import DispositionError
-from repro.policy.compiler import (
-    breakglass_ruleset,
-    compile_default_ruleset,
-    compile_rbac_rules,
-    default_purpose_for,
-    disposition_ruleset,
-    session_ruleset,
-)
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import Effect, PolicyContext, Tier
-
-
-def test_one_rule_per_capability_pair():
-    rules = compile_rbac_rules()
-    expected = {
-        f"allow:{role.value}:{permission.value}"
-        for role, permissions in _ROLE_PERMISSIONS.items()
-        for permission in permissions
-    }
-    assert {r.rule_id for r in rules} == expected
-    assert all(r.tier is Tier.ROLE and r.effect is Effect.ALLOW for r in rules)
+from repro.policy.rules import (
+    BREAKGLASS_RULES,
+    DEFAULT_RULES,
+    DISPOSITION_RULES,
+    SESSION_RULES,
+    default_purpose_for,
+)
 
 
 def test_default_ruleset_wraps_rbac_with_composite_rules():
-    rules = compile_default_ruleset()
-    by_id = {r.rule_id: r for r in rules}
+    by_id = {r.rule_id: r for r in DEFAULT_RULES}
     assert by_id["allow:system"].tier is Tier.OVERRIDE
     assert by_id["deny:consent"].tier is Tier.BINDING
     assert by_id["deny:consent"].error == "consent"
     assert by_id["allow:break-glass"].tier is Tier.FALLBACK
     assert by_id["allow:break-glass"].emergency
-    assert len(rules) == len(compile_rbac_rules()) + 3
+    capabilities = [r for r in DEFAULT_RULES if r.tier is Tier.ROLE]
+    assert all(r.effect is Effect.ALLOW for r in capabilities)
+    assert len(capabilities) == len(DEFAULT_RULES) - 3 == len(by_id) - 3
 
 
 def test_compiled_ruleset_grants_the_capability_table():
-    engine = PolicyEngine(compile_default_ruleset())
+    engine = PolicyEngine(DEFAULT_RULES)
     nurse = User.make("amy", "amy", [Role.NURSE], treating=["pat-1"])
     ctx = PolicyContext(purpose=Purpose.TREATMENT, patient_id="pat-1")
     assert engine.decide(nurse, Permission.READ_RECORD, "rec-1", ctx).allowed
@@ -51,7 +40,7 @@ def test_compiled_ruleset_grants_the_capability_table():
 
 
 def test_compiled_purpose_restrictions():
-    engine = PolicyEngine(compile_default_ruleset())
+    engine = PolicyEngine(DEFAULT_RULES)
     billing = User.make("bob", "bob", [Role.BILLING])
     payment = engine.decide(
         billing, Permission.READ_RECORD, "rec-1", PolicyContext(purpose=Purpose.PAYMENT)
@@ -68,7 +57,7 @@ def test_compiled_purpose_restrictions():
 
 
 def test_session_ruleset_orders_denies_like_the_legacy_guards():
-    engine = PolicyEngine(session_ruleset())
+    engine = PolicyEngine(SESSION_RULES)
     # Locked accounts fail even with a forged token reported first for
     # use_session — the forged-token deny is consulted before locked.
     decision = engine.decide(
@@ -101,7 +90,7 @@ def test_session_ruleset_orders_denies_like_the_legacy_guards():
 
 
 def test_disposition_ruleset_blocks_shortcuts():
-    engine = PolicyEngine(disposition_ruleset())
+    engine = PolicyEngine(DISPOSITION_RULES)
     decision = engine.decide(
         "manager",
         "execute_disposition",
@@ -122,7 +111,7 @@ def test_disposition_ruleset_blocks_shortcuts():
 
 
 def test_breakglass_ruleset_gates_on_justification():
-    engine = PolicyEngine(breakglass_ruleset())
+    engine = PolicyEngine(BREAKGLASS_RULES)
     thin = engine.decide(
         "dr-a",
         "invoke_break_glass",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.access.principals import Role, User
 from repro.errors import ConfigurationError
-from repro.policy.engine import PolicyEngine, PolicyEnv
+from repro.policy.engine import CACHE_SIZE, PolicyEngine, PolicyEnv
 from repro.policy.model import (
     CheckResult,
     Condition,
@@ -212,14 +212,16 @@ def test_purge_decisions_empties_the_cache():
 
 
 def test_cache_evicts_least_recently_used():
-    engine = PolicyEngine([allow("allow:anything")], cache_size=2)
-    engine.decide(physician("dr-a"), "a")
-    engine.decide(physician("dr-a"), "b")
-    engine.decide(physician("dr-a"), "a")  # refresh a
-    engine.decide(physician("dr-a"), "c")  # evicts b
-    assert engine.cache_info() == {"entries": 2, "capacity": 2}
+    engine = PolicyEngine([allow("allow:anything")])
+    for n in range(CACHE_SIZE):  # fill the cache: action-0 is the oldest
+        engine.decide(physician("dr-a"), f"action-{n}")
+    engine.decide(physician("dr-a"), "action-0")  # refresh action-0
+    engine.decide(physician("dr-a"), "one-more")  # evicts action-1
+    assert engine.cache_info() == {"entries": CACHE_SIZE, "capacity": CACHE_SIZE}
     before = METRICS.get("policy_cache_misses")
-    engine.decide(physician("dr-a"), "b")
+    engine.decide(physician("dr-a"), "action-0")
+    assert METRICS.get("policy_cache_misses") == before
+    engine.decide(physician("dr-a"), "action-1")
     assert METRICS.get("policy_cache_misses") == before + 1
 
 
