@@ -20,6 +20,25 @@ from repro.records.ids import check_id
 from repro.util.validation import require, require_non_empty, require_type
 
 
+#: The deepest container nesting a body may have (the body is level 1).
+#: A read decodes the stored body recursively, two interpreter frames
+#: per level on CPython 3.11, so under the default 1,000-frame recursion
+#: limit a deep body stores but never reads back: over the wire, a body
+#: 490 dicts deep round-trips store -> read -> verify_integrity and one
+#: 492 deep does not, and verification then reports a false tamper.  64
+#: keeps every read far from that edge; generated bodies are one level.
+MAX_BODY_DEPTH = 64
+
+
+def _check_depth(value: Any, depth: int = 1) -> None:
+    if depth > MAX_BODY_DEPTH:
+        raise ValidationError(f"record body nests deeper than {MAX_BODY_DEPTH} levels")
+    children = value.values() if isinstance(value, dict) else value
+    for child in children:
+        if isinstance(child, (dict, list, tuple)):
+            _check_depth(child, depth + 1)
+
+
 class RecordType(enum.Enum):
     """The record classes the retention schedules distinguish."""
 
@@ -53,7 +72,8 @@ class HealthRecord:
         require_non_empty(self.patient_id, "patient_id")
         require(self.created_at >= 0, "created_at must be non-negative")
         require_type(self.body, dict, "body")
-        # Fail fast on non-canonical bodies.
+        # Fail fast on bodies too deep to read back, or non-canonical.
+        _check_depth(self.body)
         from repro.util.encoding import canonical_bytes
 
         canonical_bytes(self.body)

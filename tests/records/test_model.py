@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.records.model import (
+    MAX_BODY_DEPTH,
     ClinicalNote,
     Encounter,
     HealthRecord,
@@ -11,6 +12,47 @@ from repro.records.model import (
     Patient,
     RecordType,
 )
+from repro.util import SimulatedClock
+from repro.workload.generator import WorkloadGenerator
+
+
+def nested(depth: int) -> dict:
+    """A body *depth* dicts deep (the body itself is the first)."""
+    body: dict = {"text": "leaf"}
+    for _ in range(depth - 1):
+        body = {"x": body}
+    return body
+
+
+def depth_of(value) -> int:
+    children = value.values() if isinstance(value, dict) else value
+    return 1 + max(
+        (depth_of(child) for child in children if isinstance(child, (dict, list))),
+        default=0,
+    )
+
+
+def test_a_body_nested_past_the_bound_is_refused():
+    for depth in (MAX_BODY_DEPTH + 1, 700):
+        with pytest.raises(ValidationError, match="nests deeper"):
+            HealthRecord("rec-1", RecordType.CLINICAL_NOTE, "pat-1", 0.0, nested(depth))
+    deep_list: list = []
+    for _ in range(MAX_BODY_DEPTH):
+        deep_list = [deep_list]
+    with pytest.raises(ValidationError, match="nests deeper"):
+        HealthRecord("rec-1", RecordType.CLINICAL_NOTE, "pat-1", 0.0, {"x": deep_list})
+    record = HealthRecord("rec-1", RecordType.CLINICAL_NOTE, "pat-1", 0.0, nested(MAX_BODY_DEPTH))
+    assert depth_of(record.body) == MAX_BODY_DEPTH
+
+
+def test_every_generated_body_is_under_the_bound():
+    generator = WorkloadGenerator(2007, SimulatedClock(start=1.17e9))
+    for patient in generator.create_population(40):
+        generator.demographics_record(patient)
+    generator.mixed_stream(400)
+    bodies = [generated.record.body for generated in generator.emitted]
+    assert len(bodies) == 440
+    assert max(depth_of(body) for body in bodies) < MAX_BODY_DEPTH
 
 
 def test_patient_record_construction():
