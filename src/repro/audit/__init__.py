@@ -27,22 +27,3 @@ The design layers three mechanisms:
    whole archive (with randomized sealed-prefix spot-checks and a forced
    periodic full rescan preserving tamper detection).
 """
-
-from repro.audit.anchors import AnchorWitness, AuditAnchor, WitnessQuorum
-from repro.audit.checkpoint import CheckpointStore, VerifiedWatermark
-from repro.audit.events import AuditAction, AuditEvent
-from repro.audit.log import AuditLog, ChainVerification
-from repro.audit.query import AuditQuery
-
-__all__ = [
-    "AnchorWitness",
-    "AuditAnchor",
-    "WitnessQuorum",
-    "AuditAction",
-    "AuditEvent",
-    "AuditLog",
-    "ChainVerification",
-    "AuditQuery",
-    "CheckpointStore",
-    "VerifiedWatermark",
-]

@@ -18,8 +18,3 @@ ciphertext and wrapped key.  Cryptographic deletion therefore must be
 in every snapshot, after which restores reproduce the record's
 ciphertext but can never decrypt it.
 """
-
-from repro.backup.manager import BackupManager, RestoreReport
-from repro.backup.vault import BackupSnapshot, BackupVault
-
-__all__ = ["BackupManager", "RestoreReport", "BackupSnapshot", "BackupVault"]

@@ -347,11 +347,12 @@ def _metrics(_args) -> int:
     store.store_many([g.record for g in batch], batch[0].author_id)
     batched = METRICS.snapshot()
 
-    from repro.crypto import chacha20
+    from repro.crypto import chacha20, rsa
 
     names = sorted(set(singles) | set(batched))
     width = max(len(n) for n in names)
     print(f"chacha20 backend: {chacha20.BACKEND}")
+    print(f"rsa backend: {rsa.BACKEND}")
     print(f"{'counter':<{width}}  {'16 x store':>12}  {'store_many':>12}")
     for name in names:
         print(f"{name:<{width}}  {singles.get(name, 0):>12}  {batched.get(name, 0):>12}")

@@ -1,10 +1,1 @@
 """Cost modelling for compliant storage (the paper's §3 Cost requirement)."""
-
-from repro.cost.model import (
-    CostModel,
-    CostReport,
-    MediaCost,
-    STANDARD_COSTS,
-)
-
-__all__ = ["CostModel", "CostReport", "MediaCost", "STANDARD_COSTS"]

@@ -20,12 +20,7 @@ import secrets
 import struct
 from dataclasses import dataclass
 
-from repro.crypto.chacha20 import (
-    KEY_SIZE,
-    NONCE_SIZE,
-    chacha20_xor,
-    chacha20_xor_many,
-)
+from repro.crypto.chacha20 import KEY_SIZE, NONCE_SIZE, chacha20_xor
 from repro.crypto.hmac_utils import constant_time_equal, hmac_sha256
 from repro.crypto.kdf import derive_key
 from repro.errors import AuthenticationError, CryptoError
@@ -115,12 +110,10 @@ def encrypt_many(
     wrapping both funnel through it.
     """
     nonces = [secrets.token_bytes(NONCE_SIZE) for _ in items]
-    ciphertexts = chacha20_xor_many(
-        [
-            (cipher._enc_key, nonce, plaintext)
-            for (cipher, plaintext, _), nonce in zip(items, nonces)
-        ]
-    )
+    ciphertexts = [
+        chacha20_xor(cipher._enc_key, nonce, plaintext)
+        for (cipher, plaintext, _), nonce in zip(items, nonces)
+    ]
     boxes = []
     for (cipher, _, associated_data), nonce, ciphertext in zip(
         items, nonces, ciphertexts
@@ -148,6 +141,4 @@ def decrypt_many(
         )
         if not constant_time_equal(expected, box.tag):
             raise AuthenticationError("AEAD tag verification failed")
-    return chacha20_xor_many(
-        [(cipher._enc_key, box.nonce, box.ciphertext) for cipher, box, _ in items]
-    )
+    return [chacha20_xor(cipher._enc_key, box.nonce, box.ciphertext) for cipher, box, _ in items]

@@ -1,23 +1,14 @@
 """ChaCha20 stream cipher (RFC 8439): a native kernel and a reference.
 
-Encryption at rest runs on OpenSSL's ``EVP_chacha20``, bound with
-:mod:`ctypes` from the libcrypto that CPython's own ``_hashlib`` and
-``ssl`` modules already link — no new dependency.  One call is one EVP
+Encryption at rest runs on OpenSSL's ``EVP_chacha20`` from the shared
+libcrypto binding (:mod:`repro.crypto.libcrypto`).  One call is one EVP
 init plus one update; the XOR happens in C, at ~3 us for one block and
 ~5 us for 128.
 
-The backend is chosen once, at import, from what the code can observe:
-the library loads, every symbol resolves, and the RFC 8439 section 2.4.2
-vector reproduces.  There is no option, config field or environment
-variable that selects it.  When any of the three fails, the pure-Python
-block function below runs instead and one :class:`RuntimeWarning` says
-why; :data:`BACKEND` names what is running either way.
-
-The pure-Python path stays for two reasons: it is the only fallback on
-a host without a usable libcrypto, and it is the reference the tests
-compare the native kernel against (``tests/crypto/test_chacha20.py``
-checks both against the RFC vectors and against each other over random
-keys, nonces, counters and lengths).
+The kernel is trusted once it reproduces the RFC 8439 section 2.4.2
+vector; otherwise the pure-Python block function below runs, which
+``tests/crypto/test_chacha20.py`` also holds the kernel to over random
+keys, nonces, counters and lengths.
 
 Both paths sit behind the same parameter and counter-overflow checks.
 OpenSSL wraps the 32-bit block counter silently; RFC 8439 gives no
@@ -30,11 +21,10 @@ shredded key leaves nothing derived from it in this module.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import struct
-import warnings
 from collections.abc import Callable
 
+from repro.crypto import libcrypto
 from repro.errors import CryptoError
 
 KEY_SIZE = 32
@@ -149,52 +139,15 @@ def _reference_xor(key: bytes, nonce: bytes, data: bytes, counter: int) -> bytes
     return xored.to_bytes(len(data), "little")
 
 
-class _NativeUnavailable(Exception):
-    """Why the OpenSSL kernel cannot be used on this host."""
-
-
-def _bind_openssl() -> tuple[Callable[[bytes, bytes, bytes, int], bytes], str]:
-    """Bind ``EVP_chacha20`` and return ``(xor, OpenSSL version string)``.
-
-    Raises :class:`_NativeUnavailable` naming the reason when the
-    library is not found, a symbol is missing, or the bound kernel does
-    not reproduce the RFC 8439 vector.
-    """
-    path = ctypes.util.find_library("crypto")
-    if path is None:
-        raise _NativeUnavailable("libcrypto not found")
-    # PyDLL keeps the GIL across each call, CDLL drops and retakes it.
-    # For a 3 us call the drop buys no overlap and costs a handoff: on
-    # wire_clinic (the one multi-threaded workload; 5 alternating runs
-    # each) PyDLL had store_p50 5.6 vs 6.1 ms, store_p99 10.2 vs 12.7 ms
-    # and verify_s 0.59 vs 0.68, lower in 5 of 5 pairs; ops_per_s tied
-    # (711 vs 709).  The context is per call either way.
-    try:
-        lib = ctypes.PyDLL(path)
-    except OSError as exc:
-        raise _NativeUnavailable(f"libcrypto not found: {exc}") from exc
-    c_int, c_char_p, c_void_p = ctypes.c_int, ctypes.c_char_p, ctypes.c_void_p
-    try:
-        evp_chacha20 = lib.EVP_chacha20
-        ctx_new = lib.EVP_CIPHER_CTX_new
-        ctx_free = lib.EVP_CIPHER_CTX_free
-        init = lib.EVP_EncryptInit_ex
-        update = lib.EVP_EncryptUpdate
-        openssl_version = lib.OpenSSL_version
-    except AttributeError as exc:
-        raise _NativeUnavailable(f"libcrypto symbol missing: {exc}") from exc
-    evp_chacha20.restype, evp_chacha20.argtypes = c_void_p, []
-    ctx_new.restype, ctx_new.argtypes = c_void_p, []
-    ctx_free.restype, ctx_free.argtypes = None, [c_void_p]
-    init.restype = c_int
-    init.argtypes = [c_void_p, c_void_p, c_void_p, c_char_p, c_char_p]
-    update.restype = c_int
-    update.argtypes = [c_void_p, c_void_p, ctypes.POINTER(c_int), c_char_p, c_int]
-    openssl_version.restype, openssl_version.argtypes = c_char_p, [c_int]
-
+def _native(
+    evp_chacha20, ctx_new, ctx_free, init, update
+) -> Callable[[bytes, bytes, bytes, int], bytes]:
+    """The ``EVP_chacha20`` kernel over the bound functions; raises
+    :class:`~repro.crypto.libcrypto.NativeUnavailable` unless it
+    reproduces the RFC 8439 vector."""
     cipher = evp_chacha20()
     if not cipher:
-        raise _NativeUnavailable("libcrypto symbol missing: EVP_chacha20() returned NULL")
+        raise libcrypto.NativeUnavailable("libcrypto symbol missing: EVP_chacha20() returned NULL")
     pack_counter = struct.Struct("<I").pack
     byref, create_buffer = ctypes.byref, ctypes.create_string_buffer
 
@@ -204,7 +157,7 @@ def _bind_openssl() -> tuple[Callable[[bytes, bytes, bytes, int], bytes], str]:
         # one-block call either way).
         data = bytes(data)  # c_char_p takes only bytes; a no-op when it already is
         out = create_buffer(len(data))
-        written = c_int(0)
+        written = ctypes.c_int(0)
         ctx = ctx_new()
         if not ctx:
             raise CryptoError("EVP_CIPHER_CTX_new failed")
@@ -225,24 +178,27 @@ def _bind_openssl() -> tuple[Callable[[bytes, bytes, bytes, int], bytes], str]:
 
     sealed = native_xor(bytes(range(KEY_SIZE)), _SELF_TEST_NONCE, _SELF_TEST_PLAINTEXT, 1)
     if sealed != _SELF_TEST_CIPHERTEXT:
-        raise _NativeUnavailable("libcrypto self-test mismatch on the RFC 8439 vector")
-    return native_xor, openssl_version(0).decode("ascii", "replace")
+        raise libcrypto.NativeUnavailable("libcrypto self-test mismatch on the RFC 8439 vector")
+    return native_xor
 
 
 def _select_backend() -> tuple[Callable[[bytes, bytes, bytes, int], bytes], str]:
     """``(xor, name)`` for this process: the native kernel when it binds
     and passes its self-test, else the reference with one warning."""
-    try:
-        xor, version = _bind_openssl()
-    except _NativeUnavailable as exc:
-        warnings.warn(
-            f"ChaCha20 is running on the pure-Python reference ({exc}); "
-            "expect ~70 us per 64-byte block instead of ~3 us per call",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _reference_xor, "reference"
-    return xor, f"openssl {version}"
+    c_int, c_char_p, c_void_p = ctypes.c_int, ctypes.c_char_p, ctypes.c_void_p
+    return libcrypto.select(
+        "ChaCha20",
+        {
+            "EVP_chacha20": (c_void_p, []),
+            "EVP_CIPHER_CTX_new": (c_void_p, []),
+            "EVP_CIPHER_CTX_free": (None, [c_void_p]),
+            "EVP_EncryptInit_ex": (c_int, [c_void_p, c_void_p, c_void_p, c_char_p, c_char_p]),
+            "EVP_EncryptUpdate": (c_int, [c_void_p, c_void_p, ctypes.POINTER(c_int), c_char_p, c_int]),
+        },
+        _native,
+        _reference_xor,
+        "~70 us per 64-byte block instead of ~3 us per call",
+    )
 
 
 _xor, BACKEND = _select_backend()
@@ -256,11 +212,6 @@ def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 1) -> byt
     if not data:
         return b""
     return _xor(key, nonce, data, counter)
-
-
-def chacha20_xor_many(items: list[tuple[bytes, bytes, bytes]]) -> list[bytes]:
-    """Encrypt/decrypt many ``(key, nonce, data)`` items (counter 1)."""
-    return [chacha20_xor(key, nonce, data) for key, nonce, data in items]
 
 
 def chacha20_keystream(key: bytes, nonce: bytes, length: int, counter: int = 1) -> bytes:

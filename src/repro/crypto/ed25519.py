@@ -37,7 +37,6 @@ SIGNATURE_SIZE = 64
 _IDENTITY = (0, 1, 1, 0)
 
 _BASE_Y = (4 * pow(5, P - 2, P)) % P
-_BASE_X = None  # filled in below once _recover_x exists
 
 
 def _recover_x(y: int, sign: int) -> int:
@@ -165,8 +164,6 @@ class Ed25519PublicKey:
 
     key_bytes: bytes
 
-    algorithm = "ed25519"
-
     def fingerprint(self) -> str:
         return hashlib.sha256(b"ed25519" + self.key_bytes).hexdigest()[:32]
 
@@ -200,8 +197,6 @@ class Ed25519KeyPair:
     """
 
     seed: bytes
-
-    algorithm = "ed25519"
 
     def __post_init__(self) -> None:
         if len(self.seed) != SEED_SIZE:

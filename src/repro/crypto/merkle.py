@@ -38,15 +38,11 @@ EMPTY_ROOT = hashlib.blake2b(b"", digest_size=32).digest()
 """Root of the empty tree (hash of the empty string, as in RFC 6962)."""
 
 
-def _leaf_hash(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=32, person=_LEAF_PERSON).digest()
-
-
 def leaf_hash(data: bytes) -> bytes:
     """The domain-separated leaf hash of *data*: public so verifiers can
     compare independently derived bytes against a tree's stored leaf
     digests (:meth:`MerkleTree.leaf_digest`) without building a tree."""
-    return _leaf_hash(data)
+    return hashlib.blake2b(data, digest_size=32, person=_LEAF_PERSON).digest()
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
@@ -132,7 +128,7 @@ class MerkleTree:
         """Append a leaf; returns its index."""
         if not isinstance(leaf, (bytes, bytearray, memoryview)):
             raise ValidationError("Merkle leaves must be bytes")
-        return self._push_leaf(_leaf_hash(leaf))
+        return self._push_leaf(leaf_hash(leaf))
 
     def append_hash(self, leaf_hash: bytes) -> int:
         """Append a pre-hashed leaf (32 bytes, already leaf-hashed)."""
@@ -232,7 +228,7 @@ class MerkleTree:
 
 def verify_inclusion(leaf: bytes, proof: MerkleProof, root: bytes) -> None:
     """Verify an inclusion proof; raises :class:`IntegrityError` on failure."""
-    digest = _leaf_hash(leaf)
+    digest = leaf_hash(leaf)
     for sibling, sibling_is_left in proof.path:
         if sibling_is_left:
             digest = _node_hash(sibling, digest)

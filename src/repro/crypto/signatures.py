@@ -142,9 +142,8 @@ class AggregateSignedPayload(SignedPayload):
 class Signer:
     """An identity (e.g. a storage site, a custodian) that can sign payloads.
 
-    The backend is selected by the keypair's ``algorithm`` metadata:
-    :class:`~repro.crypto.rsa.RsaKeyPair` (``"rsa"``, the default) or
-    :class:`~repro.crypto.ed25519.Ed25519KeyPair` (``"ed25519"``).  Both
+    The keypair is an :class:`~repro.crypto.rsa.RsaKeyPair` (the
+    default) or an :class:`~repro.crypto.ed25519.Ed25519KeyPair`.  Both
     expose the same ``sign``/``public``/``fingerprint`` surface, so
     everything downstream — payload wrapping, custody chains, trust
     stores — is backend-agnostic.
@@ -158,11 +157,6 @@ class Signer:
     ) -> None:
         self.signer_id = signer_id
         self._keypair = keypair or generate_keypair(bits)
-
-    @property
-    def algorithm(self) -> str:
-        """The signing backend, from the keypair's metadata."""
-        return getattr(self._keypair, "algorithm", "rsa")
 
     def verifier(self) -> "Verifier":
         """The verification half for this signer."""

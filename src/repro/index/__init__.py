@@ -22,17 +22,3 @@ Two indexes are provided:
   posting lists with *verifiable* absence afterwards (Mitra & Winslett,
   StorageSS'06 motivated), via re-encryption of the affected chunks.
 """
-
-from repro.index.epochs import EpochedIndex
-from repro.index.inverted import InvertedIndex
-from repro.index.secure_deletion import SecureDeletionIndex
-from repro.index.tokenizer import tokenize
-from repro.index.trustworthy import TrustworthyIndex
-
-__all__ = [
-    "EpochedIndex",
-    "InvertedIndex",
-    "SecureDeletionIndex",
-    "tokenize",
-    "TrustworthyIndex",
-]

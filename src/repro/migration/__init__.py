@@ -20,8 +20,3 @@ is "trustworthy, and verifiable".  Protocol implemented here:
 Failure injection in E6 demonstrates that dropped, altered, and
 injected objects are all caught before custody transfers.
 """
-
-from repro.migration.engine import MigrationEngine, MigrationResult
-from repro.migration.manifest import MigrationManifest, build_manifest
-
-__all__ = ["MigrationEngine", "MigrationResult", "MigrationManifest", "build_manifest"]

@@ -16,8 +16,3 @@ repeatedly.
   questions ("which source objects fed this record?", "every system
   that ever held it").
 """
-
-from repro.provenance.chain import CustodyChain, CustodyEvent, CustodyRegistry
-from repro.provenance.graph import ProvenanceGraph
-
-__all__ = ["CustodyChain", "CustodyEvent", "CustodyRegistry", "ProvenanceGraph"]

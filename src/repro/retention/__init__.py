@@ -16,17 +16,3 @@ then must be *disposed of trustworthily*.
   record's data key (cryptographic deletion) *and* overwrite its device
   extents (defense in depth on media that will be reused/disposed).
 """
-
-from repro.retention.disposition import DispositionCertificate, DispositionWorkflow
-from repro.retention.policy import RetentionPolicy, RetentionRule, STANDARD_POLICY
-from repro.retention.shredder import SecureShredder, ShredReport
-
-__all__ = [
-    "DispositionCertificate",
-    "DispositionWorkflow",
-    "RetentionPolicy",
-    "RetentionRule",
-    "STANDARD_POLICY",
-    "SecureShredder",
-    "ShredReport",
-]

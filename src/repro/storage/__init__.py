@@ -20,21 +20,3 @@ to adversaries: the insider threat model gets the same bytes the
 software stack stores, which is how the experiments show that
 access-control-only solutions fail the paper's insider requirement.
 """
-
-from repro.storage.block import BlockDevice, DeviceStats, FileBackedDevice, MemoryDevice
-from repro.storage.failures import FaultInjector
-from repro.storage.journal import Journal, JournalEntry
-from repro.storage.media import MediaState, Medium, MediaPool
-
-__all__ = [
-    "BlockDevice",
-    "DeviceStats",
-    "FileBackedDevice",
-    "MemoryDevice",
-    "FaultInjector",
-    "Journal",
-    "JournalEntry",
-    "MediaState",
-    "Medium",
-    "MediaPool",
-]

@@ -17,8 +17,3 @@ store without the index/audit/provenance layers on top, reproducing the
 paper's observation that WORM alone lacks corrections, trustworthy
 indexing, and provenance.
 """
-
-from repro.worm.retention_lock import RetentionLock, RetentionTerm
-from repro.worm.store import StoredObject, WormStore
-
-__all__ = ["RetentionLock", "RetentionTerm", "StoredObject", "WormStore"]
