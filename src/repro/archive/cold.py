@@ -49,6 +49,7 @@ from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.clock import Clock, WallClock
 from repro.util.metrics import METRICS
+from repro.util.rotation import Rotation
 
 
 #: Verified member plaintexts the recall fast path may keep.  The working
@@ -92,8 +93,8 @@ class ColdStore:
         self._extents: dict[str, list[tuple[str, int, int]]] = {}
         # Segments written (or failed) since the last clean check.
         self._dirty: set[str] = set()
-        self._member_cursor = 0
-        self._segment_cursor = 0
+        self._clean_members = Rotation()
+        self._clean_segments = Rotation()
         # Verified member plaintexts (recall fast path).  Purged whole
         # by the shredder's bind_cache hook: a disposed record's
         # decrypted cold bytes must not survive it in memory.
@@ -279,6 +280,7 @@ class ColdStore:
     def _verify_member(self, segment: ColdSegment, member: MemberManifest) -> bool:
         offset, length = segment.extent_of(member)
         data = self.device.raw_read(offset, length)
+        METRICS.incr("tier_cold_members_checked")
         return leaf_hash(data) == member.leaf_digest
 
     def _verify_manifest(self, segment: ColdSegment) -> set[str]:
@@ -317,44 +319,33 @@ class ColdStore:
             member = segment.manifest.member(record_id)
             if not self._verify_member(segment, member):
                 failures.add(record_id)
-        METRICS.incr("tier_cold_members_checked", len(segment.live))
         return failures
 
     def verify_all(self) -> list[str]:
-        """Full sweep: every segment's manifest + every live member.
-        Clean segments leave the dirty set; failing ones stay."""
-        failures: set[str] = set()
-        for segment_id in self._order:
-            segment = self._segments[segment_id]
-            segment_failures = self._verify_segment(segment)
-            failures |= segment_failures
-            if segment_failures:
-                self._dirty.add(segment_id)
-            else:
-                self._dirty.discard(segment_id)
-        return sorted(failures)
+        """Full sweep: every segment's manifest + every live member —
+        :meth:`verify_dirty` with every segment dirty and no clean
+        sample.  Clean segments leave the dirty set; failing ones stay."""
+        self._dirty = set(self._order)
+        return self.verify_dirty(clean_sample=0)
 
     def verify_dirty(self, clean_sample: int = 8) -> list[str]:
         """Incremental sweep: dirty segments fully, plus a rotating
-        sample of clean members and one clean segment's manifest —
-        silent bit-rot (and manifest rewrites) in already-verified
-        segments are revisited on a bounded cycle without re-reading
-        the whole cold tier.  The engine runs it at the default sample:
-        every clean member is revisited within ``ceil(members / 8)``
-        incremental passes."""
+        sample of *clean_sample* clean members and one clean segment's
+        manifest — silent bit-rot (and manifest rewrites) in
+        already-verified segments are revisited on a bounded cycle
+        without re-reading the whole cold tier: every clean member
+        within ``ceil(members / clean_sample)`` passes.  A sample of 0
+        checks the dirty segments only."""
         failures: set[str] = set()
         for segment_id in sorted(self._dirty):
-            segment = self._segments[segment_id]
-            segment_failures = self._verify_segment(segment)
+            segment_failures = self._verify_segment(self._segments[segment_id])
             failures |= segment_failures
             if not segment_failures:
                 self._dirty.discard(segment_id)
         clean_segments = [s for s in self._order if s not in self._dirty]
-        if clean_segments:
-            segment_id = clean_segments[self._segment_cursor % len(clean_segments)]
-            self._segment_cursor = (self._segment_cursor + 1) % max(
-                1, len(clean_segments)
-            )
+        for segment_id in self._clean_segments.take(
+            clean_segments, min(clean_sample, 1)
+        ):
             manifest_failures = self._verify_manifest(self._segments[segment_id])
             if manifest_failures:
                 failures |= manifest_failures
@@ -365,18 +356,10 @@ class ColdStore:
             if segment_id not in self._dirty
             for record_id in sorted(self._segments[segment_id].live)
         ]
-        if clean_members and clean_sample > 0:
-            count = min(clean_sample, len(clean_members))
-            for step in range(count):
-                segment, record_id = clean_members[
-                    (self._member_cursor + step) % len(clean_members)
-                ]
-                member = segment.manifest.member(record_id)
-                if not self._verify_member(segment, member):
-                    failures.add(record_id)
-                    self._dirty.add(segment.segment_id)
-            self._member_cursor = (self._member_cursor + count) % len(clean_members)
-            METRICS.incr("tier_cold_members_checked", count)
+        for segment, record_id in self._clean_members.take(clean_members, clean_sample):
+            if not self._verify_member(segment, segment.manifest.member(record_id)):
+                failures.add(record_id)
+                self._dirty.add(segment.segment_id)
         return sorted(failures)
 
     def dirty_segment_ids(self) -> list[str]:
@@ -409,8 +392,8 @@ class ColdStore:
         store._live = {}
         store._extents = {}
         store._dirty = set()
-        store._member_cursor = 0
-        store._segment_cursor = 0
+        store._clean_members = Rotation()
+        store._clean_segments = Rotation()
         store._cache = OrderedDict()
         for sequence in range(len(store._journal)):
             try:

@@ -12,21 +12,23 @@ saying "something is wrong".
 
 Verification modes:
 
-* :meth:`AuditLog.verify_chain` — full rescan from storage; detects
-  in-place edits, deletions, insertions, and reordering.
+* :meth:`AuditLog.verify_chain` — full rescan from storage: one replay
+  from genesis; detects in-place edits, deletions, insertions, and
+  reordering.
 * :meth:`AuditLog.verify_chain` with ``incremental=True`` — O(delta)
-  fast path: replay only events past the sealed verified watermark
-  (see :mod:`repro.audit.checkpoint`), tie them to the sealed prefix
-  with Merkle consistency proofs, and spot-check a randomized sample
-  of sealed-prefix frames; escalates to a forced full rescan on a
-  configurable cadence so silent prefix tampering stays caught.
+  fast path: the same replay, from the sealed verified watermark (see
+  :mod:`repro.audit.checkpoint`) instead of genesis, tied to the sealed
+  prefix with a Merkle consistency proof, plus a spot-check of a
+  randomized sample of sealed-prefix frames; escalates to a forced full
+  rescan on a configurable cadence so silent prefix tampering stays
+  caught.
 * combined with :mod:`repro.audit.anchors` — detects truncation too.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.audit.checkpoint import CheckpointStore, VerifiedWatermark
@@ -244,146 +246,110 @@ class AuditLog:
         self._checkpoints = checkpoints
         self._watermark = checkpoints.latest() if checkpoints is not None else None
 
-    def verify_chain(
-        self, incremental: bool = False, deep: bool = False
-    ) -> ChainVerification:
+    def verify_chain(self, incremental: bool = False) -> ChainVerification:
         """Re-derive the chain from persistent storage.
 
-        Default (and ``deep=True``): full rescan — read every journaled
-        entry back from the device (so raw-device tampering is caught),
-        recompute each link, and compare with the stored chain digests
-        and the in-memory head.  A successful pass seals a verified
-        watermark.
+        Default: full rescan — :meth:`_replay` every journaled entry
+        from genesis, reading each back from the device (so raw-device
+        tampering is caught), recomputing each link, and comparing with
+        the stored chain digests and the in-memory head.
 
-        ``incremental=True``: replay only events past the watermark,
-        verify the suffix chains from the sealed head to the in-memory
-        head, tie the in-memory Merkle tree to the sealed root with a
-        consistency proof, and spot-check a random sample of sealed-
-        prefix frames against the trusted leaf digests.  Falls back to
-        (``escalated``) full verification when no valid watermark
+        ``incremental=True`` is the same replay with the sealed prefix
+        trusted: tie the in-memory Merkle tree to the sealed root with a
+        consistency proof, replay only the events past the watermark
+        from the sealed head, and spot-check a random sample of sealed-
+        prefix frames against the trusted leaf digests.  It is served by
+        the full replay instead (``escalated``) when no valid watermark
         exists or the forced-rescan cadence is due, so sealed-prefix
         tampering that dodges the sample is still caught within
         ``full_rescan_every`` incremental runs.
+
+        A successful pass of either kind seals a verified watermark.
         """
-        if incremental and not deep:
-            return self._verify_incremental()
-        with METRICS.timer("audit_verify_full_ns"):
-            result = self._verify_full()
-        METRICS.incr("audit_verify_full_runs")
+        watermark = self._watermark if incremental else None
+        if watermark is not None:
+            # Stale or foreign (sealed before a tail the journal no
+            # longer has): never trusted.
+            stale = watermark.size > min(len(self._events), len(self._journal))
+            if stale:
+                self._watermark = None
+            # Forced periodic rescan: probabilistic spot-checking alone
+            # would let a patient adversary wait out the sampler.
+            if stale or watermark.incremental_runs + 1 >= self._full_rescan_every:
+                METRICS.incr("audit_verify_escalations")
+                watermark = None
+        if watermark is None:
+            with METRICS.timer("audit_verify_full_ns"):
+                result = self._replay(0, GENESIS_DIGEST, len(self._journal))
+            METRICS.incr("audit_verify_full_runs")
+            result = replace(result, escalated=incremental)
+            incremental_runs = 0
+        else:
+            with METRICS.timer("audit_verify_incremental_ns"):
+                result = self._verify_past(watermark)
+            METRICS.incr("audit_verify_incremental_runs")
+            incremental_runs = watermark.incremental_runs + 1
         if result.ok:
-            self._seal_watermark(incremental_runs=0)
+            self._seal_watermark(incremental_runs=incremental_runs)
         return result
 
-    def _verify_full(self, escalated: bool = False) -> ChainVerification:
-        head = GENESIS_DIGEST
-        try:
-            payloads = self._journal.read_all()
-        except Exception as exc:  # journal checksum failures included
+    def _replay(self, start: int, head: bytes, end: int) -> ChainVerification:
+        """The one replay: read frames ``start..end-1`` back from the
+        device, chain each onto *head*, and require the result to be the
+        in-memory head.  ``events_checked`` counts the frames replayed
+        before any failure."""
+
+        def bad(sequence: int, problem: str) -> ChainVerification:
             return ChainVerification(
                 ok=False,
-                events_checked=0,
-                first_bad_sequence=self._first_journal_corruption(),
-                problem=f"journal unreadable: {exc}",
-                escalated=escalated,
+                events_checked=sequence - start,
+                first_bad_sequence=sequence,
+                problem=problem,
             )
-        for sequence, payload in enumerate(payloads):
-            failure, head = self._check_frame(sequence, payload, head, escalated)
-            if failure is not None:
-                return failure
+
+        for sequence in range(start, end):
+            try:
+                payload = self._journal.read(sequence)
+            except Exception as exc:  # noqa: BLE001 — checksum/torn tail
+                return bad(sequence, f"event {sequence} unreadable: {exc}")
+            try:
+                _, _, head = self._check_frame(sequence, payload, head)
+            except AuditError as exc:
+                return bad(sequence, str(exc))
         if head != self._head:
-            return ChainVerification(
-                ok=False,
-                events_checked=len(payloads),
-                first_bad_sequence=len(payloads),
-                problem="storage does not reproduce the in-memory chain head "
+            return bad(
+                end,
+                "storage does not reproduce the in-memory chain head "
                 "(possible truncation or appended forgery)",
-                escalated=escalated,
             )
-        return ChainVerification(
-            ok=True, events_checked=len(payloads), escalated=escalated
-        )
+        return ChainVerification(ok=True, events_checked=end - start)
 
+    @staticmethod
     def _check_frame(
-        self, sequence: int, payload: bytes, head: bytes, escalated: bool = False
-    ) -> tuple[ChainVerification | None, bytes]:
+        sequence: int, payload: bytes, head: bytes
+    ) -> tuple[AuditEvent, bytes, bytes]:
         """Verify one journaled frame given the chain head before it;
-        returns ``(failure, new_head)`` with ``failure=None`` on success."""
-
-        def bad(problem: str) -> tuple[ChainVerification, bytes]:
-            return (
-                ChainVerification(
-                    ok=False,
-                    events_checked=sequence,
-                    first_bad_sequence=sequence,
-                    problem=problem,
-                    escalated=escalated,
-                ),
-                head,
-            )
-
+        returns ``(event, chain input, new head)`` or raises
+        :class:`AuditError` naming what is wrong."""
         try:
             entry = canonical_loads(payload)
             event = AuditEvent.from_dict(entry["event"])
         except Exception as exc:  # noqa: BLE001 — any decode failure is a finding
-            return bad(f"event {sequence} undecodable: {exc}")
+            raise AuditError(f"event {sequence} undecodable: {exc}") from exc
         if event.sequence != sequence:
-            return bad(f"event {sequence} carries sequence {event.sequence}")
+            raise AuditError(f"event {sequence} carries sequence {event.sequence}")
         if entry["prev"] != head:
-            return bad(f"chain link broken before event {sequence}")
+            raise AuditError(f"chain link broken before event {sequence}")
         encoded = canonical_bytes({"event": entry["event"], "prev": head})
         new_head = chain_digest(head, encoded)
         if entry["chain"] != new_head:
-            return bad(f"stored chain digest wrong at event {sequence}")
-        return None, new_head
+            raise AuditError(f"stored chain digest wrong at event {sequence}")
+        return event, encoded, new_head
 
-    def _verify_incremental(self) -> ChainVerification:
-        """The O(delta) fast path (see :meth:`verify_chain`)."""
-        watermark = self._watermark
+    def _verify_past(self, watermark: VerifiedWatermark) -> ChainVerification:
+        """The incremental pass: :meth:`_replay` from the watermark,
+        between the consistency proof and the spot checks."""
         size = len(self._events)
-        if watermark is None:
-            result = self.verify_chain(deep=True)
-            return ChainVerification(
-                ok=result.ok,
-                events_checked=result.events_checked,
-                first_bad_sequence=result.first_bad_sequence,
-                problem=result.problem,
-                escalated=True,
-            )
-        if watermark.incremental_runs + 1 >= self._full_rescan_every:
-            # Forced periodic rescan: probabilistic spot-checking alone
-            # would let a patient adversary wait out the sampler.
-            METRICS.incr("audit_verify_escalations")
-            result = self.verify_chain(deep=True)
-            return ChainVerification(
-                ok=result.ok,
-                events_checked=result.events_checked,
-                first_bad_sequence=result.first_bad_sequence,
-                problem=result.problem,
-                escalated=True,
-            )
-        if watermark.size > size or watermark.size > len(self._journal):
-            # Stale or foreign watermark (e.g. sealed before a tail the
-            # journal no longer has): never trusted — full rescan.
-            self._watermark = None
-            METRICS.incr("audit_verify_escalations")
-            result = self.verify_chain(deep=True)
-            return ChainVerification(
-                ok=result.ok,
-                events_checked=result.events_checked,
-                first_bad_sequence=result.first_bad_sequence,
-                problem=result.problem,
-                escalated=True,
-            )
-        with METRICS.timer("audit_verify_incremental_ns"):
-            result = self._verify_suffix_and_spot_check(watermark, size)
-        METRICS.incr("audit_verify_incremental_runs")
-        if result.ok:
-            self._seal_watermark(incremental_runs=watermark.incremental_runs + 1)
-        return result
-
-    def _verify_suffix_and_spot_check(
-        self, watermark: VerifiedWatermark, size: int
-    ) -> ChainVerification:
         # 1. The sealed root must still describe the in-memory tree's
         # prefix, and the current tree must extend it (consistency
         # proof) — any in-memory fork from the sealed history fails.
@@ -413,69 +379,28 @@ class AuditLog:
                 mode="incremental",
             )
         # 2. Replay only the suffix from the sealed head.
-        head = watermark.head
-        replayed = 0
-        for sequence in range(watermark.size, size):
-            try:
-                payload = self._journal.read(sequence)
-            except Exception as exc:  # noqa: BLE001 — checksum/torn tail
-                return ChainVerification(
-                    ok=False,
-                    events_checked=replayed,
-                    first_bad_sequence=sequence,
-                    problem=f"event {sequence} unreadable: {exc}",
-                    mode="incremental",
-                )
-            failure, head = self._check_frame(sequence, payload, head)
-            if failure is not None:
-                return ChainVerification(
-                    ok=False,
-                    events_checked=replayed,
-                    first_bad_sequence=failure.first_bad_sequence,
-                    problem=failure.problem,
-                    mode="incremental",
-                )
-            replayed += 1
-        METRICS.incr("audit_verify_events_replayed", replayed)
-        if head != self._head:
-            return ChainVerification(
-                ok=False,
-                events_checked=replayed,
-                first_bad_sequence=size,
-                problem="storage does not reproduce the in-memory chain head "
-                "(possible truncation or appended forgery)",
-                mode="incremental",
-            )
+        result = replace(
+            self._replay(watermark.size, watermark.head, size), mode="incremental"
+        )
+        METRICS.incr("audit_verify_events_replayed", result.events_checked)
+        if not result.ok:
+            return result
         # 3. Randomized spot-check of the sealed prefix: each sampled
         # frame is re-read from the device and must reproduce both the
         # trusted in-memory leaf digest (pins event + prev bytes) and
         # its stored chain digest (pinned by those bytes in turn) — a
         # complete per-frame check without replaying the whole prefix.
         sample_size = min(self._spot_checks, watermark.size)
-        sampled = (
-            self._rng.sample(range(watermark.size), sample_size)
-            if sample_size
-            else []
-        )
-        for sequence in sorted(sampled):
+        result = replace(result, spot_checked=sample_size)
+        for sequence in sorted(self._rng.sample(range(watermark.size), sample_size)):
             try:
                 self._pinned_frame(sequence)
             except AuditError as exc:
-                return ChainVerification(
-                    ok=False,
-                    events_checked=replayed,
-                    first_bad_sequence=sequence,
-                    problem=str(exc),
-                    mode="incremental",
-                    spot_checked=sample_size,
+                return replace(
+                    result, ok=False, first_bad_sequence=sequence, problem=str(exc)
                 )
         METRICS.incr("audit_verify_spot_checks", sample_size)
-        return ChainVerification(
-            ok=True,
-            events_checked=replayed,
-            mode="incremental",
-            spot_checked=sample_size,
-        )
+        return result
 
     def _pinned_frame(self, sequence: int) -> dict:
         """Re-read one journaled frame in isolation and pin it to the
@@ -512,10 +437,6 @@ class AuditLog:
         if self._checkpoints is not None:
             self._checkpoints.seal(self._watermark)
 
-    def _first_journal_corruption(self) -> int | None:
-        corrupted = self._journal.scan_corruption()
-        return corrupted[0] if corrupted else None
-
     # -- recovery ----------------------------------------------------------
 
     @classmethod
@@ -548,22 +469,11 @@ class AuditLog:
         log._rng = random.Random()
         for sequence, payload in enumerate(log._journal.read_all()):
             try:
-                entry = canonical_loads(payload)
-                event = AuditEvent.from_dict(entry["event"])
-            except Exception as exc:
-                raise AuditError(
-                    f"recovery failed: event {sequence} undecodable: {exc}"
-                ) from exc
-            if event.sequence != sequence or entry["prev"] != log._head:
-                raise AuditError(
-                    f"recovery failed: chain inconsistent at event {sequence}"
+                event, encoded, log._head = cls._check_frame(
+                    sequence, payload, log._head
                 )
-            encoded = canonical_bytes({"event": entry["event"], "prev": log._head})
-            log._head = chain_digest(log._head, encoded)
-            if entry["chain"] != log._head:
-                raise AuditError(
-                    f"recovery failed: stored chain digest wrong at event {sequence}"
-                )
+            except AuditError as exc:
+                raise AuditError(f"recovery failed: {exc}") from exc
             log._tree.append(encoded)
             log._events.append(event)
         return log

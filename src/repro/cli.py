@@ -22,8 +22,8 @@ Commands:
 * ``verify`` — crash-consistency sweep, differential conformance
   across all six models, and the whole detection-equivalence scenario
   table (engine, cluster and rebalance rows alike: deployment x history
-  x raw-device tamper -> exact blame); ``--incremental``/``--deep`` demo
-  the watermarked verification fast path; non-zero exit on any
+  x raw-device tamper -> exact blame); ``--incremental`` demos the
+  watermarked verification fast path; non-zero exit on any
   violation/divergence.
 * ``cluster-demo`` — build a sharded :class:`CuratorCluster`, route a
   workload across it, and print per-shard counters and the merged
@@ -558,12 +558,10 @@ def _verify(args) -> int:
 
     status = 0
 
-    if args.incremental or args.deep:
+    if args.incremental:
         # A live verification pass on a demo engine showing the two
-        # modes side by side; --deep forces the full rescan through the
-        # incremental entry point (the escape hatch operators use when
-        # they stop trusting the watermark).
-        status = max(status, _verify_modes(deep=args.deep))
+        # modes side by side.
+        status = max(status, _verify_modes())
         print()
 
     if not args.skip_sweep:
@@ -596,7 +594,7 @@ def _verify(args) -> int:
     return status
 
 
-def _verify_modes(deep: bool) -> int:
+def _verify_modes() -> int:
     from repro import CuratorConfig, CuratorStore
     from repro.records import ClinicalNote
     from repro.util import SimulatedClock
@@ -622,10 +620,9 @@ def _verify_modes(deep: bool) -> int:
     full = store.audit_log.verify_chain()  # seals the watermark
     for n in range(4):
         store.read(f"rec-{n}", actor_id="dr-verify")
-    result = store.audit_log.verify_chain(incremental=True, deep=deep)
-    label = "deep (forced full rescan)" if deep else "incremental"
+    result = store.audit_log.verify_chain(incremental=True)
     print(
-        f"audit verification [{label}]: mode={result.mode} "
+        f"audit verification [incremental]: mode={result.mode} "
         f"ok={result.ok} events_checked={result.events_checked} "
         f"spot_checked={result.spot_checked} escalated={result.escalated}"
     )
@@ -634,7 +631,7 @@ def _verify_modes(deep: bool) -> int:
         f"full={METRICS.ms('audit_verify_full_ns'):.2f}ms "
         f"incremental={METRICS.ms('audit_verify_incremental_ns'):.2f}ms"
     )
-    integrity = store.verify_integrity(incremental=not deep)
+    integrity = store.verify_integrity(incremental=True)
     print(f"  integrity: {integrity.summary()}")
     return 0 if (full.ok and result.ok and integrity.ok) else 1
 
@@ -798,11 +795,6 @@ def main(argv: list[str] | None = None) -> int:
         "--incremental",
         action="store_true",
         help="also demo the watermarked incremental verification fast path",
-    )
-    verify.add_argument(
-        "--deep",
-        action="store_true",
-        help="force a full rescan through the incremental entry point",
     )
     verify.set_defaults(func=_verify)
     cluster_demo = sub.add_parser(

@@ -91,6 +91,7 @@ from repro.retention.shredder import SecureShredder
 from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.media import MediaPool, Medium
 from repro.util.metrics import METRICS
+from repro.util.rotation import Rotation
 from repro.worm.store import WormStore
 
 SIGNATURE_BITS = 768  # simulation-scale; see crypto.rsa docs
@@ -281,7 +282,7 @@ class CuratorStore(StorageModel):
             backup=BackupManager(self._vault, clock=self._clock),
             trust=self._trust,
         )
-        self._integrity_cursor = 0
+        self._clean_records = Rotation()
         # Populated only on engines built by recover_from_devices().
         self.recovery_report: RecoveryReport | None = None
 
@@ -777,66 +778,48 @@ class CuratorStore(StorageModel):
         ids implicated by any failure (plus ``"<index>"`` when the
         posting lists fail authentication).
 
-        Full mode digest-checks every version object, verifies every
-        chain's hash linkage, and authenticates every posting list.
-        ``incremental=True`` checks only objects/records touched since
-        the last full pass, plus a rotating sample of clean ones
-        (``config.integrity_clean_sample`` per pass) so silent bit-rot
-        in already-verified data is still revisited on a bounded cycle.
+        ``incremental=True`` checks only the WORM objects, cold segments
+        and records touched since the last full pass, plus a rotating
+        sample of clean ones (``config.integrity_clean_sample`` per pass
+        in each of the three) so silent bit-rot in already-verified data
+        is still revisited on a bounded cycle.  The full pass is the same
+        sweep with nothing trusted: every live entry dirty and no clean
+        sample, so it digest-checks every version object and cold
+        member, re-chains every record, and authenticates every posting
+        list.
         """
-        failures: set[str] = set()
-        coverage = ""
-        dirty_records = self._dir.dirty
-        if incremental:
-            with METRICS.timer("engine_integrity_incremental_ns"):
-                failures |= self._blamed(
-                    self._worm.verify_dirty(
-                        clean_sample=self._config.integrity_clean_sample
-                    )
-                )
-                failures.update(self._cold.verify_dirty())
-                live = self.record_ids()
-                dirty = [r for r in live if r in dirty_records]
-                clean = [r for r in live if r not in dirty_records]
-                to_check = list(dirty)
-                if clean and self._config.integrity_clean_sample > 0:
-                    count = min(self._config.integrity_clean_sample, len(clean))
-                    to_check += [
-                        clean[(self._integrity_cursor + step) % len(clean)]
-                        for step in range(count)
-                    ]
-                    self._integrity_cursor = (
-                        self._integrity_cursor + count
-                    ) % len(clean)
-                for record_id in to_check:
-                    if self._check_record_chain(record_id):
-                        dirty_records.discard(record_id)
-                    else:
-                        failures.add(record_id)
-                        dirty_records.add(record_id)
-                METRICS.incr("engine_integrity_records_checked", len(to_check))
-                coverage = (
-                    f"{len(dirty)} dirty + {len(to_check) - len(dirty)} "
-                    f"sampled record(s)"
-                )
-            METRICS.incr("engine_integrity_incremental_runs")
-        else:
-            with METRICS.timer("engine_integrity_full_ns"):
-                failures |= self._blamed(self._worm.verify_all())
+        mode = "incremental" if incremental else "full"
+        sample = self._config.integrity_clean_sample if incremental else 0
+        with METRICS.timer(f"engine_integrity_{mode}_ns"):
+            live = self.record_ids()
+            dirty_records = self._dir.dirty
+            if incremental:
+                failures = self._blamed(self._worm.verify_dirty(clean_sample=sample))
+                failures.update(self._cold.verify_dirty(clean_sample=sample))
+            else:
+                failures = self._blamed(self._worm.verify_all())
                 failures.update(self._cold.verify_all())
-                for record_id in self.record_ids():
-                    if not self._check_record_chain(record_id):
-                        failures.add(record_id)
-                METRICS.incr(
-                    "engine_integrity_records_checked", len(self.record_ids())
-                )
-                coverage = (
-                    f"all {len(self.record_ids())} record(s), every worm object"
-                )
-            METRICS.incr("engine_integrity_full_runs")
+                dirty_records.update(live)
+                self._clean_records.reset()
+            dirty = [r for r in live if r in dirty_records]
+            clean = [r for r in live if r not in dirty_records]
+            to_check = dirty + self._clean_records.take(clean, sample)
+            for record_id in to_check:
+                if self._check_record_chain(record_id):
+                    dirty_records.discard(record_id)
+                else:
+                    failures.add(record_id)
+                    dirty_records.add(record_id)
+            METRICS.incr("engine_integrity_records_checked", len(to_check))
+        METRICS.incr(f"engine_integrity_{mode}_runs")
+        if incremental:
+            coverage = (
+                f"{len(dirty)} dirty + {len(to_check) - len(dirty)} sampled record(s)"
+            )
+        else:
             # A clean full pass verified everything; failures stay dirty.
             self._dir.dirty = {r for r in failures if r in self._dir.chains}
-            self._integrity_cursor = 0
+            coverage = f"all {len(live)} record(s), every worm object"
         if self._index.index.verify():
             failures.add("<index>")
         return VerificationReport.from_violations(

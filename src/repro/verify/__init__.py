@@ -30,9 +30,6 @@ from repro.verify.crashpoint import CrashController, surviving_image
 from repro.verify.equivalence import (
     EquivalenceCase,
     EquivalenceReport,
-    run_cluster_detection_equivalence,
-    run_detection_equivalence,
-    run_rebalance_detection_equivalence,
     run_scenario_table,
 )
 from repro.verify.oracle import CrashSweepReport, Violation, run_crash_sweep
@@ -50,11 +47,8 @@ __all__ = [
     "Violation",
     "WorkloadRun",
     "render_conformance",
-    "run_cluster_detection_equivalence",
     "run_conformance",
     "run_crash_sweep",
-    "run_detection_equivalence",
-    "run_rebalance_detection_equivalence",
     "run_scenario_table",
     "run_seeded_workload",
     "surviving_image",

@@ -32,18 +32,15 @@ row that planted nothing detectable (a control, a strike on bytes nobody
 owns) raises any alarm; or when its tamper never landed — a row that
 proved nothing must not read as a pass.
 
-:func:`run_scenario_table` runs every row.  The three historical
-oracles are selections of it under the names they always reported:
-:func:`run_detection_equivalence` (a fresh engine, the E8 bar),
-:func:`run_cluster_detection_equivalence` (each shard of a fresh
-cluster, the E9 bar) and :func:`run_rebalance_detection_equivalence`
-(around an online reshape, the E6b bar).
+:func:`run_scenario_table` runs every row, or the rows it is handed by
+name (``engine/fresh/worm_batch_member_rot``); the E6b, E8 and E9b bars
+are such selections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.audit.checkpoint import CheckpointStore
 from repro.crypto.kdf import derive_key
@@ -592,63 +589,8 @@ def _run(rows: dict[str, tuple[str, str, Tamper]]) -> EquivalenceReport:
     return EquivalenceReport(cases=tuple(cases))
 
 
-def run_scenario_table() -> EquivalenceReport:
-    """Every scenario: deployment x history x tamper."""
-    return _run(scenarios())
-
-
-# The names the three historical oracles have always reported (E6b, E8,
-# E9 and the tests look cases up by them), as rows of the table.
-_PLAIN = [
-    tamper.name
-    for tamper in TAMPERS
-    if tamper.name not in ("refresh_after_rot", "stale_source_rot")
-]
-LEGACY_NAMES = {
-    **{name: f"engine/fresh/{name}" for name in _PLAIN},
-    "migration_source_rot_blocks_refresh": "engine/fresh/refresh_after_rot",
-    "migration_post_refresh_rot": "engine/refreshed/worm_clean_object_rot",
-    "cluster:no_tamper_control": "shard-00/fresh/no_tamper_control",
-    **{
-        f"{shard}:{name}": f"{shard}/fresh/{name}"
-        for shard in DEPLOYMENTS[1:]
-        for name in _PLAIN[1:]
-    },
-    "rebalance:no_tamper_control": "shard-00/grown/no_tamper_control",
-    "rebalance:mid_move_source_rot": "shard-00/crashed_move/worm_clean_object_rot",
-    "rebalance:post_move_dest_rot": "shard-00/grown/worm_clean_object_rot",
-    "rebalance:stale_source_rot": "shard-00/grown/stale_source_rot",
-    "rebalance:mid_move_dest_tamper_aborts": "shard-00/rotted_arrival/worm_clean_object_rot",
-}
-
-
-def _selection(wanted: Callable[[str], bool]) -> EquivalenceReport:
+def run_scenario_table(names: Iterable[str] | None = None) -> EquivalenceReport:
+    """Every scenario (deployment x history x tamper), or just the rows
+    *names* picks out of :func:`scenarios`."""
     table = scenarios()
-    return _run({name: table[row] for name, row in LEGACY_NAMES.items() if wanted(name)})
-
-
-def run_detection_equivalence() -> EquivalenceReport:
-    """Every tamper against a freshly built single engine, plus the two
-    media-refresh rows: the incremental fast path's acceptance bar."""
-    return _selection(lambda name: ":" not in name)
-
-
-def run_cluster_detection_equivalence() -> EquivalenceReport:
-    """Every tamper re-run once per shard of a fresh cluster.
-
-    The adversary writes to one shard's raw devices; the operator only
-    ever calls the cluster's fan-out ``verify_*``.  Zero violations
-    means sharding preserved the single-engine detection guarantees —
-    the cluster acceptance bar for the scaling benchmark."""
-    return _selection(lambda name: name.startswith(("cluster:", "shard-")))
-
-
-def run_rebalance_detection_equivalence() -> EquivalenceReport:
-    """Tamper staged around an online elastic rebalance.
-
-    Zero violations means the move machinery neither loses nor dilutes
-    detection power: mid-move tampering aborts the move or is blamed on
-    the still-authoritative source, post-move tampering is blamed on the
-    new home, and extents the move retired draw no blame at all.  This
-    is the E6b acceptance oracle."""
-    return _selection(lambda name: name.startswith("rebalance:"))
+    return _run(table if names is None else {name: table[name] for name in names})

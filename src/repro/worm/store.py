@@ -40,6 +40,7 @@ from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.clock import Clock, WallClock
 from repro.util.encoding import canonical_bytes, canonical_loads
 from repro.util.metrics import METRICS
+from repro.util.rotation import Rotation
 from repro.worm.retention_lock import RetentionLock, RetentionTerm
 
 
@@ -73,7 +74,7 @@ class WormStore:
         # incremental integrity path re-checks these plus a rotating
         # sample of clean ones (see verify_dirty).
         self._dirty: set[str] = set()
-        self._clean_cursor = 0
+        self._clean = Rotation()
         # Ids tombstoned by expatriation (custody moved away).  Unlike
         # disposal tombstones these may be re-admitted: a migration
         # round-trip brings the same immutable object home again.
@@ -230,20 +231,14 @@ class WormStore:
     def verify_all(self) -> list[str]:
         """Digest-check every live object; returns ids that fail.
 
-        A clean full sweep resets the dirty set — everything has just
-        been read back and checked.  Failing objects stay dirty so the
-        incremental path keeps reporting them.
+        This is :meth:`verify_dirty` with every live object dirty and no
+        clean sample: a clean full sweep empties the dirty set, and
+        failing objects stay dirty so the incremental path keeps
+        reporting them.
         """
-        failures = []
-        for object_id in self.object_ids():
-            try:
-                self.get(object_id)
-            except IntegrityError:
-                failures.append(object_id)
-        METRICS.incr("worm_integrity_objects_checked", len(self))
-        self._dirty = set(failures)
-        self._clean_cursor = 0
-        return failures
+        self._dirty = set(self.object_ids())
+        self._clean.reset()
+        return self.verify_dirty(clean_sample=0)
 
     def verify_dirty(self, clean_sample: int = 8) -> list[str]:
         """Digest-check only dirty objects plus a rotating sample of
@@ -270,17 +265,13 @@ class WormStore:
             except IntegrityError:
                 failures.append(object_id)
         clean = [oid for oid in self.object_ids() if oid not in self._dirty]
-        if clean and clean_sample > 0:
-            count = min(clean_sample, len(clean))
-            for step in range(count):
-                object_id = clean[(self._clean_cursor + step) % len(clean)]
-                checked += 1
-                try:
-                    self.get(object_id)
-                except IntegrityError:
-                    failures.append(object_id)
-                    self._dirty.add(object_id)
-            self._clean_cursor = (self._clean_cursor + count) % len(clean)
+        for object_id in self._clean.take(clean, clean_sample):
+            checked += 1
+            try:
+                self.get(object_id)
+            except IntegrityError:
+                failures.append(object_id)
+                self._dirty.add(object_id)
         METRICS.incr("worm_integrity_objects_checked", checked)
         return sorted(failures)
 

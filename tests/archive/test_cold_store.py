@@ -92,6 +92,21 @@ def test_clean_member_rotation_revisits_silent_rot():
     assert found == [victim]
 
 
+def test_a_zero_sample_reads_only_dirty_segments(monkeypatch):
+    store, _clock = make_store()
+    store.write_segment(store.next_segment_id(), members_for("seg", 3))
+    assert store.verify_all() == []  # nothing left dirty
+    reads = []
+    raw_read = store.device.raw_read
+    monkeypatch.setattr(
+        store.device, "raw_read", lambda *extent: reads.append(extent) or raw_read(*extent)
+    )
+    assert store.verify_dirty(clean_sample=0) == []
+    assert reads == []  # no clean member and no clean manifest
+    assert store.verify_dirty(clean_sample=1) == []
+    assert len(reads) == 2  # one clean manifest, one clean member
+
+
 def test_scrub_record_zeroes_extents_and_keeps_siblings_verifiable():
     store, _clock = make_store()
     members = members_for("seg", 3)

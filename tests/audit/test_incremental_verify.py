@@ -101,12 +101,15 @@ def test_successful_incremental_advances_the_watermark():
     assert log.watermark.incremental_runs == 2
 
 
-def test_deep_forces_a_full_rescan_through_the_incremental_entry():
+def test_a_full_pass_between_incremental_ones_resets_the_cadence():
     log = grown_log(n=10)
     assert log.verify_chain().ok
     append_delta(log, 3)
-    result = log.verify_chain(incremental=True, deep=True)
-    assert result.ok and result.mode == "full"
+    assert log.verify_chain(incremental=True).ok
+    assert log.watermark.incremental_runs == 1
+    append_delta(log, 2)
+    result = log.verify_chain()
+    assert result.ok and result.mode == "full" and not result.escalated
     assert result.events_checked == len(log)
     assert log.watermark.incremental_runs == 0  # full pass resets the cadence
 

@@ -72,6 +72,9 @@ def test_verify_localizes_first_tampered_event():
     verification = log.verify_chain()
     assert not verification.ok
     assert verification.first_bad_sequence == 4
+    # the four frames before it were replayed, and the frame is named
+    assert verification.events_checked == 4
+    assert verification.problem.startswith("event 4 unreadable")
 
 
 def test_verify_detects_truncation_against_memory_head():

@@ -21,6 +21,7 @@ from repro.errors import (
     RecordError,
     RetentionError,
 )
+from repro.verify.crashpoint import surviving_image
 
 from tests.cluster.conftest import make_note
 
@@ -145,6 +146,49 @@ def test_full_history_survives_the_move(config, clock):
         cluster.accounting_of_disclosures(patient_id, actor_id="po-1")
     )
     assert disclosures_after >= disclosures_before > 0
+
+
+def test_a_read_served_mid_move_reaches_the_accounting_after_a_restart(
+    config, clock
+):
+    """A read the source serves between export and cutover is in the
+    cutover tail the destination adopts, so the patient's accounting of
+    disclosures lists it after the move and after the destination
+    restarts from its surviving images."""
+    cluster = build(config, clock)
+    patient_id = next(iter(displaced_by_grow(cluster)))
+    record_id = f"rec-{PATIENTS.index(patient_id):03d}"
+    cluster.register_user(
+        User.make("dr-mid", "Dr Mid", [Role.PHYSICIAN], treating={patient_id})
+    )
+
+    def read_mid_move(stage, moving):
+        if stage == "verify" and moving == patient_id:
+            cluster.read(record_id, actor_id="dr-mid")
+
+    cluster.rebalance(target_shards=4, actor_id="ops", hook=read_mid_move)
+
+    def mid_move_reads(surface):
+        return [
+            event
+            for event in surface.accounting_of_disclosures(patient_id, actor_id="po-1")
+            if event.actor_id == "dr-mid" and event.action.value == "record_read"
+        ]
+
+    assert [event.subject_id for event in mid_move_reads(cluster)] == [record_id]
+    restarted = CuratorCluster.recover_from_devices(
+        config,
+        cluster.manifest,
+        {
+            shard_id: {name: surviving_image(device) for name, device in devices.items()}
+            for shard_id, devices in cluster.device_sets().items()
+        },
+    )
+    # the workforce is process memory: the privacy officer re-enrols
+    restarted.register_user(
+        User.make("po-1", "Privacy Officer", [Role.PRIVACY_OFFICER])
+    )
+    assert [event.subject_id for event in mid_move_reads(restarted)] == [record_id]
 
 
 def test_consent_directives_survive_the_move(config, clock):

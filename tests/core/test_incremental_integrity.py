@@ -147,6 +147,31 @@ def test_zero_clean_sample_checks_only_dirty_records():
     assert METRICS.get("engine_integrity_records_checked") == 1
 
 
+def test_the_configured_sample_reaches_the_cold_tier():
+    """At a sample of 3, a rotten cold member past the first window is
+    missed by the first pass and re-read within ceil(members / 3)."""
+    store, _clock = seeded_store(n=7, clean_sample=3)
+    record_ids = store.record_ids()
+    store.demote_records(record_ids, actor_id="archivist")
+    assert store.verify_integrity().ok
+    victim = record_ids[-1]  # the rotation reaches it last
+    segment = store.cold.segment_of(victim)
+    offset, length = segment.extent_of(segment.manifest.member(victim))
+    middle = offset + length // 2
+    flipped = store.cold.device.raw_read(middle, 1)[0] ^ 0x5A
+    store.cold.device.raw_write(middle, bytes([flipped]))
+    bound = -(-len(record_ids) // 3)
+    caught_at = None
+    for attempt in range(1, bound + 1):
+        before = METRICS.get("tier_cold_members_checked")
+        report = store.verify_integrity(incremental=True)
+        assert METRICS.get("tier_cold_members_checked") - before == 3
+        if victim in report.violations:
+            caught_at = attempt
+            break
+    assert caught_at == bound > 1
+
+
 # -- satellite: verify_audit_trail returns a typed report -----------------
 
 

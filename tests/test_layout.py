@@ -1,9 +1,9 @@
 """Layout ratchets: file sizes under ``src/repro/core/``,
 ``src/repro/cluster/``, ``src/repro/verify/`` and ``src/repro/service/``,
 the size of ``src/repro`` as a whole, the public surfaces of
-``CuratorStore`` and ``CuratorCluster``, the names the detection-
-equivalence oracles report, and the cluster's, the oracles', the wire
-service's and the policy's one-of-each rules.  Parts may move between
+``CuratorStore`` and ``CuratorCluster``, the scenario-table rows callers
+ask for by name, and the cluster's, the oracles', the wire service's,
+the policy's and the verification sweeps' one-of-each rules.  Parts may move between
 modules; neither a size nor a surface may drift without this file
 changing in the same diff."""
 
@@ -25,7 +25,7 @@ SERVICE_LINE_LIMIT = 800
 #: Every ``*.py`` line under ``src/repro`` (ROADMAP item 3's scoreboard:
 #: 26,424 when the round began).  Lower it with each PR that deletes;
 #: never raise it to fit one that adds.
-TREE_LINE_LIMIT = 25_370
+TREE_LINE_LIMIT = 25_187
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
@@ -166,8 +166,9 @@ CURATOR_CLUSTER_PUBLIC_NAMES = [
 ]
 
 
-#: E6b, E8, E9 and the oracle tests look cases up by these names.
-_TAMPER_NAMES = [
+#: E6b, E8, E9b and the oracle tests ask the scenario table for these
+#: rows by name.
+_FRESH_TAMPERS = [
     "audit_chain_field_edit",
     "audit_prefix_rewrite",
     "audit_suffix_rewrite",
@@ -177,28 +178,34 @@ _TAMPER_NAMES = [
     "cold_segment_body_rot",
     "index_chunk_rot",
     "index_tail_rollback",
+    "no_tamper_control",
+    "refresh_after_rot",
     "watermark_destruction",
     "watermark_forgery",
     "worm_batch_member_rot",
     "worm_clean_object_rot",
     "worm_dirty_object_rot",
 ]
-LEGACY_CASE_NAMES = sorted(
+ASKED_FOR_ROWS = sorted(
     [
-        "no_tamper_control",
-        "migration_source_rot_blocks_refresh",
-        "migration_post_refresh_rot",
-        "cluster:no_tamper_control",
-        "rebalance:no_tamper_control",
-        "rebalance:mid_move_source_rot",
-        "rebalance:post_move_dest_rot",
-        "rebalance:stale_source_rot",
-        "rebalance:mid_move_dest_tamper_aborts",
-        *_TAMPER_NAMES,
-        *(f"shard-00:{name}" for name in _TAMPER_NAMES),
-        *(f"shard-01:{name}" for name in _TAMPER_NAMES),
+        *(
+            f"{deployment}/fresh/{tamper}"
+            for deployment in ("engine", "shard-00", "shard-01")
+            for tamper in _FRESH_TAMPERS
+        ),
+        *(
+            f"{deployment}/restored/worm_clean_object_rot"
+            for deployment in ("engine", "shard-00", "shard-01")
+        ),
+        "engine/refreshed/worm_clean_object_rot",
+        "shard-00/grown/no_tamper_control",
+        "shard-00/grown/worm_clean_object_rot",
+        "shard-00/grown/stale_source_rot",
+        "shard-00/crashed_move/worm_clean_object_rot",
+        "shard-00/rotted_arrival/worm_clean_object_rot",
     ]
 )
+SCENARIO_ROWS = 291
 
 
 def _sources(package) -> dict[str, str]:
@@ -327,16 +334,46 @@ def test_no_verify_module_outgrows_the_limit():
 
 
 def test_the_oracles_keep_their_names():
+    """Callers ask the one table for rows by name; there is no second
+    naming scheme and no per-bar runner."""
     from repro.verify import equivalence
 
-    assert len(LEGACY_CASE_NAMES) == 51
-    assert sorted(equivalence.LEGACY_NAMES) == LEGACY_CASE_NAMES
-    for runner in (
+    table = equivalence.scenarios()
+    assert len(ASKED_FOR_ROWS) == 57
+    assert set(ASKED_FOR_ROWS) <= set(table)
+    assert len(table) == SCENARIO_ROWS
+    assert callable(repro.verify.run_scenario_table)
+    for retired in (
+        "LEGACY_NAMES",
         "run_detection_equivalence",
         "run_cluster_detection_equivalence",
         "run_rebalance_detection_equivalence",
     ):
-        assert callable(getattr(repro.verify, runner))
+        assert not hasattr(equivalence, retired)
+        assert not hasattr(repro.verify, retired)
+
+
+def test_each_store_keeps_one_verification_sweep():
+    """A full pass is the incremental pass with nothing trusted: one
+    rotation helper serves every clean sample, no store keeps a cursor of
+    its own, the WORM and cold full passes are their dirty sweeps with no
+    sample, and the audit log has one replay loop and one frame check."""
+    root = Path(repro.__file__).parent
+    sources = {
+        path.relative_to(root).as_posix(): path.read_text()
+        for path in root.rglob("*.py")
+    }
+    rotations = [path for path, text in sources.items() if "class Rotation" in text]
+    assert rotations == ["util/rotation.py"]
+    for path, text in sources.items():
+        if path.startswith(("worm/", "archive/", "core/")):
+            assert not re.search(r"_\w*cursor\b", text), path
+    for path in ("worm/store.py", "archive/cold.py"):
+        assert sources[path].count("return self.verify_dirty(clean_sample=0)") == 1
+    audit = sources["audit/log.py"]
+    assert len(re.findall(r"\bfor sequence in range\(", audit)) == 1
+    assert len(re.findall(r'entry\["prev"\] != head', audit)) == 1
+    assert not re.search(r"\bdeep\b|def _verify_(full|incremental)\b", audit)
 
 
 def test_the_oracles_keep_one_of_each():

@@ -16,6 +16,7 @@ from repro.core import CuratorConfig, CuratorStore
 from repro.errors import RecordNotFoundError
 from repro.records.model import ClinicalNote
 from repro.util.clock import SimulatedClock
+from repro.verify.crashpoint import surviving_image
 
 MASTER = bytes(range(32))
 MARKER = "hereditary-hemochromatosis-finding-zebra7"
@@ -136,3 +137,35 @@ def test_dispose_while_cold_scrubs_every_extent_ever_occupied():
     # the sibling sharing the first segment is untouched and verifiable
     assert store.verify_integrity().ok
     assert store.cold.read_sealed("rec-1")
+
+
+def test_a_disposed_cold_record_stays_gone_across_a_restart():
+    """Restart from the surviving images after disposing a demoted
+    record: its manifest entry is still on the cold device, the key
+    escrow says the record was destroyed, so recovery marks its extents
+    as certified holes — never blamed, never served, never refilled."""
+    store, clock = build()
+    store.demote_records([f"rec-{i}" for i in range(4)], actor_id="archivist")
+    victim, sibling = "rec-1", "rec-2"
+    sealed_before = store.cold.read_sealed(victim)
+    clock.advance_years(8)
+    store.dispose(victim, actor_id="records-manager")
+
+    recovered = CuratorStore.recover_from_devices(
+        CuratorConfig(master_key=MASTER, clock=clock, device_capacity=1 << 20),
+        **{name: surviving_image(device) for name, device in store.device_set().items()},
+        witnesses=[store.witness],
+        signer=store.signer,
+    )
+    assert victim in recovered.recovery_report.disposed
+    assert recovered.cold.segment_of(sibling).scrubbed == {victim}
+    # the scrubbed hole draws no blame from either kind of pass
+    assert recovered.verify_integrity().ok
+    assert recovered.verify_integrity(incremental=True).ok
+    with pytest.raises(RecordNotFoundError):
+        recovered.read(victim, actor_id="system")
+    cold_device = recovered.cold.device
+    image = bytes(cold_device.raw_read(0, cold_device.used))
+    assert sealed_before not in image
+    assert MARKER.encode("utf-8") not in image
+    assert recovered.read(sibling, actor_id="system").body["text"].endswith("2")

@@ -1,29 +1,33 @@
 """The detection-equivalence oracle: the incremental fast path loses no
 detection power against a full rescan."""
 
-from repro.verify.equivalence import (
-    EquivalenceCase,
-    run_detection_equivalence,
-)
+from repro.verify.equivalence import EquivalenceCase, EquivalenceReport
 
-EXPECTED_CASES = {
-    "no_tamper_control",
-    "audit_prefix_rewrite",
-    "audit_suffix_rewrite",
-    "audit_chain_field_edit",
-    "audit_truncation",
-    "watermark_destruction",
-    "watermark_forgery",
-    "worm_dirty_object_rot",
-    "worm_clean_object_rot",
-    "worm_batch_member_rot",
-    "cold_segment_body_rot",
-    "cold_manifest_rot",
-    "cold_recall_truncation",
-    "index_chunk_rot",
-    "index_tail_rollback",
-    "migration_source_rot_blocks_refresh",
-    "migration_post_refresh_rot",
+#: The scenario table's rows for a freshly built single engine: every
+#: tamper, plus the two media-refresh rows.
+ENGINE_ROWS = {
+    *(
+        f"engine/fresh/{name}"
+        for name in (
+            "no_tamper_control",
+            "audit_prefix_rewrite",
+            "audit_suffix_rewrite",
+            "audit_chain_field_edit",
+            "audit_truncation",
+            "watermark_destruction",
+            "watermark_forgery",
+            "worm_dirty_object_rot",
+            "worm_clean_object_rot",
+            "worm_batch_member_rot",
+            "cold_segment_body_rot",
+            "cold_manifest_rot",
+            "cold_recall_truncation",
+            "index_chunk_rot",
+            "index_tail_rollback",
+            "refresh_after_rot",
+        )
+    ),
+    "engine/refreshed/worm_clean_object_rot",
 }
 
 
@@ -92,14 +96,19 @@ def test_exact_blame_required_when_expected_flag_set():
     ).violation
 
 
-def test_suite_runs_clean_end_to_end():
-    report = run_detection_equivalence()
-    assert {case.name for case in report.cases} == EXPECTED_CASES
+def test_suite_runs_clean_end_to_end(scenario_table):
+    cases = {
+        case.name: case
+        for case in scenario_table.cases
+        if case.name.startswith("engine/fresh/") or case.name in ENGINE_ROWS
+    }
+    assert set(cases) == ENGINE_ROWS
+    report = EquivalenceReport(cases=tuple(cases.values()))
     assert report.ok, report.summary()
     assert report.violations == []
     # every tamper behaviour actually landed on a device
     for case in report.cases:
-        if case.name != "no_tamper_control":
+        if case.name != "engine/fresh/no_tamper_control":
             assert case.tampered, f"{case.name} tamper never landed"
             assert case.full_detects, f"{case.name} invisible to a full pass"
             assert case.caught_by in (
@@ -107,22 +116,22 @@ def test_suite_runs_clean_end_to_end():
             )
     # every WORM rot implicated exactly the rotten record, whether
     # store() wrote it alone (dirty, clean) or store_many beside others
-    for name, victim in (
+    for tamper, victim in (
         ("worm_dirty_object_rot", "rec-dirty"),
         ("worm_clean_object_rot", "rec-0"),
         ("worm_batch_member_rot", "rec-batch-2"),
     ):
-        case = next(c for c in report.cases if c.name == name)
+        case = cases[f"engine/fresh/{tamper}"]
         assert case.expected_flag == victim and case.flagged == (victim,)
     # the cold-tier tampers likewise blamed exactly the forged member
-    for name in ("cold_segment_body_rot", "cold_manifest_rot",
-                 "cold_recall_truncation"):
-        case = next(c for c in report.cases if c.name == name)
+    for tamper in ("cold_segment_body_rot", "cold_manifest_rot",
+                   "cold_recall_truncation"):
+        case = cases[f"engine/fresh/{tamper}"]
         assert case.flagged == (case.expected_flag,)
     # index tampers: the first incremental pass and the full pass both
     # blamed the index and nothing else
-    for name in ("index_chunk_rot", "index_tail_rollback"):
-        case = next(c for c in report.cases if c.name == name)
+    for tamper in ("index_chunk_rot", "index_tail_rollback"):
+        case = cases[f"engine/fresh/{tamper}"]
         assert case.caught_by == "incremental" and case.attempts == 1
         assert case.flagged == ("<index>",)
     summary = report.summary()

@@ -10,19 +10,17 @@ from repro.baselines.interface import VerificationReport
 from repro.verify.equivalence import (
     DEPLOYMENTS,
     HISTORIES,
-    LEGACY_NAMES,
     TAMPERS,
     Tamper,
     inapplicable,
     judge,
-    run_scenario_table,
     scenarios,
 )
 from repro.verify.substrate import Deployment
 
 
-def test_the_whole_table_runs_clean():
-    report = run_scenario_table()
+def test_the_whole_table_runs_clean(scenario_table):
+    report = scenario_table
     assert report.ok, report.summary()
     assert report.not_landed == []
     assert [case.name for case in report.cases] == list(scenarios())
@@ -58,8 +56,6 @@ def test_the_table_is_the_full_cross_product_minus_stated_exclusions():
     # every history and every tamper appears in at least one row
     assert {name.split("/")[1] for name in table} == set(HISTORIES)
     assert {name.split("/")[2] for name in table} == {t.name for t in TAMPERS}
-    # and every name the historical oracles report is a row
-    assert set(LEGACY_NAMES.values()) <= set(table)
 
 
 # -- the judge, on fake reports: no deployment needed -----------------------
