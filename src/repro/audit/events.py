@@ -58,7 +58,7 @@ class AuditAction(enum.Enum):
     # system
     ANCHOR_PUBLISHED = "anchor_published"
     INTEGRITY_ALERT = "integrity_alert"
-    # wire service (the asyncio frontend's own hash chain): one event
+    # wire service (the HTTP frontend's own hash chain): one event
     # per API call — including rejections, because probing a network
     # front door is a breach signal just like a local denial
     API_REQUEST = "api_request"

@@ -2,7 +2,7 @@
 
 Commands:
 
-* ``serve`` — run the v1 wire API (asyncio HTTP frontend) over a
+* ``serve`` — run the v1 wire API (threaded HTTP frontend) over a
   sharded cluster; ``--seed-demo`` enrolls demo principals and prints
   their login secrets.
 * ``client`` — talk to a running service over the wire: ``login``,

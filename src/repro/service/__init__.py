@@ -14,7 +14,7 @@ This package is that boundary:
   bounded admission queue, decided by policy;
 * :mod:`repro.service.service` — the transport-independent dispatcher
   (routing, authorization, exception mapping, the service audit chain);
-* :mod:`repro.service.http` — the asyncio HTTP/1.1 glue;
+* :mod:`repro.service.http` — the HTTP/1.1 glue, one thread per connection;
 * :mod:`repro.service.client` — the blocking client the CLI, tests,
   and the E11 load generator use.
 """

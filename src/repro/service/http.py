@@ -1,34 +1,43 @@
-"""The asyncio HTTP/1.1 transport (stdlib only, no frameworks).
+"""The HTTP/1.1 transport (stdlib only, no frameworks): one thread per
+connection.
 
-This layer is deliberately thin: parse bytes into a
-:class:`~repro.service.service.Request`, hand it to
-:meth:`CuratorService.handle_request` on an executor thread (engine
-calls do real crypto and I/O; they must not block the event loop), and
-write the :class:`Response` back.  Policy, auth, admission, and audit
-all live below in the service core — a unit test that never opens a
-socket exercises the identical pipeline.
+This layer is deliberately thin: an accept thread hands each connection
+to a thread of its own, which parses bytes into a
+:class:`~repro.service.service.Request`, calls
+:meth:`CuratorService.handle_request` itself, and writes the
+:class:`Response` back.  Policy, auth, admission, and audit all live
+below in the service core — a unit test that never opens a socket
+exercises the identical pipeline.
 
 Transport behaviors owned here:
 
+* **framing** — a request is cut from the connection's one receive
+  buffer: the head up to the blank line, then ``Content-Length`` bytes
+  of body; bytes past it are the next (pipelined) request.  A request
+  that could be framed two ways — any ``Transfer-Encoding``, a
+  ``Content-Length`` that is not plain digits, or two that disagree —
+  is refused, never guessed at;
 * **keep-alive** with a bounded idle timeout (closed silently — an
   idle connection is not a request, so it is not audited);
 * **slow-client cutoff** — a peer that starts a request but does not
-  finish it within ``slow_client_timeout`` gets a structured 408 and
-  the connection is closed (slowloris containment);
+  finish it within ``slow_client_timeout`` of its first byte (one
+  deadline, however the bytes trickle in; hanging up counts too) gets
+  a structured 408 and the connection is closed (slowloris
+  containment);
 * **graceful drain** — :meth:`ServiceServer.stop` flips the service to
   draining (new work is refused with 503 ``service_draining``), waits
   for in-flight requests to finish up to ``drain_timeout``, then closes
-  the listener.
+  the listener and every connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from urllib.parse import unquote_plus
+from http import HTTPStatus
+from urllib.parse import parse_qsl
 
 from repro.service import api
 from repro.service.service import CuratorService, Request, Response, _Deny
@@ -36,11 +45,10 @@ from repro.service.service import CuratorService, Request, Response, _Deny
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
 IDLE_KEEPALIVE_SECONDS = 30.0
-#: Threads that run ``handle_request`` off the event loop.
-EXECUTOR_WORKERS = 16
 
 #: Why a request could not be read -> the wire code and message it is
-#: rejected with (``"closed"`` is not here: a vanished peer gets nothing).
+#: rejected with (``"closed"`` is not here: a peer gone between requests
+#: gets nothing; one gone mid-request is ``"slow"``).
 _TRANSPORT_FAILURES = {
     "slow": ("slow_client", "client did not complete the request in time"),
     "oversize": ("malformed_request", "request exceeds the size limits"),
@@ -48,20 +56,15 @@ _TRANSPORT_FAILURES = {
 }
 
 
-def _parse_query(raw: str) -> dict[str, str]:
-    query: dict[str, str] = {}
-    for pair in raw.split("&"):
-        if not pair:
-            continue
-        key, _, value = pair.partition("=")
-        query[unquote_plus(key)] = unquote_plus(value)
-    return query
+class _Unread(Exception):
+    """No request could be read; the argument is ``"closed"`` or a key
+    of :data:`_TRANSPORT_FAILURES`."""
 
 
 def _render(response: Response, *, keep_alive: bool) -> bytes:
     body = json.dumps(response.body).encode("utf-8")
     lines = [
-        f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'Status')}",
+        f"HTTP/1.1 {response.status} {HTTPStatus(response.status).phrase}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
@@ -71,246 +74,226 @@ def _render(response: Response, *, keep_alive: bool) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
 
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    409: "Conflict",
-    410: "Gone",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
 class ServiceServer:
-    """One asyncio server over one :class:`CuratorService`.
+    """One listening socket over one :class:`CuratorService`.
 
-    Usable two ways: ``run_forever()`` on the current thread (the CLI's
-    ``repro serve``), or ``start()``/``stop()`` with the loop on a
+    Usable two ways: ``run_forever()`` accepts on the current thread
+    (the CLI's ``repro serve``), or ``start()``/``stop()`` accepts on a
     background thread (tests, benchmarks, the in-process demo).
     """
 
     def __init__(self, service: CuratorService) -> None:
         self.service = service
-        self._executor = ThreadPoolExecutor(
-            max_workers=EXECUTOR_WORKERS, thread_name_prefix="svc"
-        )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
         self.host = service.config.host
         self.port = service.config.port
+        self._listener: socket.socket | None = None
+        self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[Request | None, str]:
-        """Parse one request off the stream.
-
-        Returns ``(request, "")`` on success, ``(None, reason)`` where
-        reason is ``"closed"`` (peer gone / idle timeout — drop
-        silently) or ``"slow"``/``"oversize"``/``"bad"`` (answer 408/400
-        then close).
-        """
+    @staticmethod
+    def _fill(conn: socket.socket, buffer: bytearray, deadline: float, late: str) -> None:
+        """Append the peer's next bytes to *buffer*, or raise
+        :class:`_Unread` with *late* if none came by *deadline* or the
+        peer hung up (between requests *late* is ``"closed"``; inside
+        one, a hang-up is as unfinished as a stall)."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise _Unread(late)
+        conn.settimeout(remaining)
         try:
-            first = await asyncio.wait_for(
-                reader.readline(), timeout=IDLE_KEEPALIVE_SECONDS
-            )
-        except (asyncio.TimeoutError, ConnectionError):
-            return None, "closed"
-        except ValueError:  # a line past the StreamReader's own limit
-            return None, "oversize"
-        if not first:
-            return None, "closed"
+            chunk = conn.recv(65536)
+        except OSError:  # TimeoutError included
+            chunk = b""
+        if not chunk:
+            raise _Unread(late)
+        buffer += chunk
 
+    def _read_request(self, conn: socket.socket, buffer: bytearray) -> Request:
+        """Cut one request off the front of *buffer*, receiving into it
+        as needed; raises :class:`_Unread` when there is none to cut."""
+        if not buffer:
+            self._fill(conn, buffer, time.monotonic() + IDLE_KEEPALIVE_SECONDS, "closed")
         deadline = time.monotonic() + self.service.config.slow_client_timeout
+        while (end := buffer.find(b"\r\n\r\n")) < 0:
+            if len(buffer) > MAX_HEADER_BYTES:
+                raise _Unread("oversize")
+            self._fill(conn, buffer, deadline, "slow")
+        if end + 4 > MAX_HEADER_BYTES:
+            raise _Unread("oversize")
+        request_line, *lines = bytes(buffer[:end]).split(b"\r\n")
+        del buffer[: end + 4]
         try:
-            request_line = first.decode("ascii").strip()
-            method, target, _version = request_line.split(" ", 2)
+            method, target, _version = request_line.decode("ascii").strip().split(" ", 2)
         except ValueError:
-            return None, "bad"
+            raise _Unread("bad") from None
 
         headers: dict[str, str] = {}
-        total = len(first)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None, "slow"
-            try:
-                line = await asyncio.wait_for(reader.readline(), timeout=remaining)
-            except (asyncio.TimeoutError, ConnectionError):
-                return None, "slow"
-            except ValueError:  # a line past the StreamReader's own limit
-                return None, "oversize"
-            if not line:
-                return None, "closed"
-            total += len(line)
-            if total > MAX_HEADER_BYTES:
-                return None, "oversize"
-            text = line.decode("latin-1").rstrip("\r\n")
-            if not text:
-                break
-            name, _, value = text.partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-        body_raw = b""
+        lengths = set()
+        for line in lines:
+            name, _, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = value
+            if name == "content-length":
+                lengths.add(value)
         length = headers.get("content-length", "0")
-        try:
-            content_length = int(length)
-        except ValueError:
-            return None, "bad"
-        if content_length < 0:
-            return None, "bad"
+        if "transfer-encoding" in headers or len(lengths) > 1 or not (
+            length.isascii() and length.isdigit()
+        ):
+            raise _Unread("bad")
+        # int() refuses strings past 4,300 digits; no such length fits anyway
+        if len(length.lstrip("0")) > len(str(MAX_BODY_BYTES)):
+            raise _Unread("oversize")
+        content_length = int(length)
         if content_length > MAX_BODY_BYTES:
-            return None, "oversize"
-        if content_length:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None, "slow"
-            try:
-                body_raw = await asyncio.wait_for(
-                    reader.readexactly(content_length), timeout=remaining
-                )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
-                return None, "slow"
+            raise _Unread("oversize")
+        while len(buffer) < content_length:
+            self._fill(conn, buffer, deadline, "slow")
+        body_raw = bytes(buffer[:content_length])
+        del buffer[:content_length]
 
         body = None
         if body_raw:
             try:
                 body = json.loads(body_raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError, RecursionError):
-                return None, "bad"
+            except (ValueError, RecursionError):
+                raise _Unread("bad") from None
 
         path, _, raw_query = target.partition("?")
         bearer = ""
         authorization = headers.get("authorization", "")
         if authorization.lower().startswith("bearer "):
             bearer = authorization[7:].strip()
-        return (
-            Request(
-                method=method.upper(),
-                path=path,
-                query=_parse_query(raw_query),
-                body=body,
-                bearer=bearer,
-            ),
-            "",
+        return Request(
+            method=method.upper(),
+            path=path,
+            query=dict(parse_qsl(raw_query, keep_blank_values=True)),
+            body=body,
+            bearer=bearer,
         )
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
+    def _serve_connection(self, conn: socket.socket) -> None:
+        buffer = bytearray()  # bytes received past the last request cut
         try:
             while True:
-                request, reason = await self._read_request(reader)
-                if request is None:
-                    if reason != "closed":
-                        code_name, message = _TRANSPORT_FAILURES[reason]
-                        rejection = await loop.run_in_executor(
-                            self._executor,
-                            self.service._reject,
-                            Request(method="?", path="/"),
-                            "",
-                            _Deny(api.SERVICE_CODES[code_name], message),
-                        )
-                        writer.write(_render(rejection, keep_alive=False))
-                        await writer.drain()
-                    return
-                response = await loop.run_in_executor(
-                    self._executor, self.service.handle_request, request
-                )
-                keep_alive = not self.service.admission.draining
-                writer.write(_render(response, keep_alive=keep_alive))
-                await writer.drain()
+                try:
+                    request = self._read_request(conn, buffer)
+                except _Unread as unread:
+                    if unread.args[0] == "closed":
+                        return
+                    code_name, message = _TRANSPORT_FAILURES[unread.args[0]]
+                    response = self.service._reject(
+                        Request(method="?", path="/"),
+                        "",
+                        _Deny(api.SERVICE_CODES[code_name], message),
+                    )
+                    keep_alive = False
+                else:
+                    response = self.service.handle_request(request)
+                    keep_alive = not self.service.admission.draining
+                conn.settimeout(self.service.config.slow_client_timeout)
+                conn.sendall(_render(response, keep_alive=keep_alive))
                 if not keep_alive:
-                    return
-        except (ConnectionError, asyncio.CancelledError):
+                    # lingering close: closing on bytes the peer already sent
+                    # would reset the connection and could lose the reply
+                    conn.shutdown(socket.SHUT_WR)
+                    deadline = time.monotonic() + self.service.config.slow_client_timeout
+                    try:
+                        while True:
+                            self._fill(conn, bytearray(), deadline, "closed")
+                    except _Unread:
+                        return
+        except OSError:
             pass
         finally:
+            with self._lock:
+                del self._connections[conn]
+            conn.close()
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                conn, _peer = listener.accept()
+            except OSError:
+                if self._listener is None:  # stop() closed it
+                    return
+                time.sleep(0.05)  # e.g. out of descriptors: back off, retry
+                continue
+            # no Nagle wait on a delayed ACK for a response's last segment
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve_connection, args=(conn,), daemon=True, name="svc-conn"
+            )
+            with self._lock:
+                self._connections[conn] = thread
+            try:
+                thread.start()
+            except RuntimeError:  # out of threads: drop this one, keep accepting
+                with self._lock:
+                    del self._connections[conn]
+                conn.close()
+                time.sleep(0.05)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
-    async def _serve(self, ready: threading.Event | None = None) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if ready is not None:
-            ready.set()
-        async with self._server:
-            await self._server.serve_forever()
+    def _bind(self) -> socket.socket:
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server((self.host, self.port), family=family)
+        self.port = self._listener.getsockname()[1]
+        return self._listener
 
     def run_forever(self) -> None:
-        """Serve on the calling thread until KeyboardInterrupt."""
+        """Serve on the calling thread until KeyboardInterrupt, then
+        drain as :meth:`stop` does."""
         try:
-            asyncio.run(self._serve())
+            self._accept(self._bind())
         except KeyboardInterrupt:
             pass
+        finally:
+            self.stop()
 
     def start(self) -> "ServiceServer":
         """Serve on a background thread; returns once the socket is
         bound (``self.port`` then holds the real port, so ``port=0``
         works for tests)."""
-        def runner() -> None:
-            self._loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(self._loop)
-            try:
-                self._loop.run_until_complete(self._serve(self._started))
-            except asyncio.CancelledError:
-                pass
-            finally:
-                # let cancelled connection handlers unwind before the
-                # loop closes (else "Task was destroyed but pending")
-                pending = asyncio.all_tasks(self._loop)
-                if pending:
-                    self._loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                self._loop.close()
-
-        self._thread = threading.Thread(target=runner, daemon=True, name="svc-loop")
+        self._thread = threading.Thread(
+            target=self._accept, args=(self._bind(),), daemon=True, name="svc-accept"
+        )
         self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise RuntimeError("service failed to start within 10s")
         return self
 
     def stop(self) -> None:
-        """Graceful drain, then close the listener and join the loop."""
+        """Graceful drain, then close the listener and every connection
+        (an idle keep-alive peer reads EOF)."""
         self.service.start_draining()
         deadline = time.monotonic() + self.service.config.drain_timeout
         while not self.service.admission.idle() and time.monotonic() < deadline:
             time.sleep(0.02)
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None:
-
-            def shutdown() -> None:
-                server.close()
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-
-            loop.call_soon_threadsafe(shutdown)
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
+            except OSError:
+                pass
+            listener.close()
         if self._thread is not None:
             self._thread.join(timeout=10)
-        self._executor.shutdown(wait=False)
+        with self._lock:
+            connections = dict(self._connections)
+            for conn in connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes a blocked recv()
+                except OSError:
+                    pass  # the peer is already gone
+        deadline = time.monotonic() + 1.0
+        for thread in connections.values():
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     @property
     def base_url(self) -> str:

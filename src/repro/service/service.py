@@ -3,8 +3,8 @@
 :class:`CuratorService` owns everything the HTTP layer should not:
 routing, session authentication, admission, authorization, dispatch
 into :class:`~repro.cluster.router.CuratorCluster`, exception → wire
-mapping, and the service's own hash-chained audit log.  The asyncio
-glue in :mod:`repro.service.http` only parses bytes into a
+mapping, and the service's own hash-chained audit log.  The HTTP
+transport in :mod:`repro.service.http` only parses bytes into a
 :class:`Request` and writes a :class:`Response` back — which is what
 makes the whole pipeline testable without a socket.
 
@@ -109,9 +109,9 @@ class _Deny(Exception):
 
 
 class CuratorService:
-    """The v1 API over one cluster.  Thread-safe: handlers may run on
-    any executor thread; shared state (audit chain, broker, admission)
-    is internally locked."""
+    """The v1 API over one cluster.  Thread-safe: each connection's
+    thread runs its own requests; shared state (audit chain, broker,
+    admission) is internally locked."""
 
     def __init__(self, cluster: CuratorCluster, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()

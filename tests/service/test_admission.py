@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -169,20 +170,39 @@ def test_concurrent_burst_all_requests_accounted(cluster):
 
 
 def test_slow_client_gets_408_and_audit_event(cluster):
+    """One deadline from the first byte, not one per ``recv``: a client
+    that stalls and one that trickles a byte every 0.1 s both get their
+    408 well within a second of a 0.3 s timeout."""
     service = CuratorService(cluster, ServiceConfig(port=0, slow_client_timeout=0.3))
     server = ServiceServer(service).start()
+    head = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"  # never finishes
+    stalled = [head]
+    trickled = [bytes([byte]) for byte in head + b"X-Trickle: " + b"a" * 100]
     try:
-        before = len(service.audit_events())
-        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as raw:
-            raw.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n")  # never finishes
-            raw.settimeout(5)
-            data = raw.recv(65536)
-        assert b"408" in data.split(b"\r\n", 1)[0]
-        assert b"slow_client" in data
-        events = service.audit_events()
-        assert len(events) == before + 1
-        assert events[-1].action.value == "api_rejected"
-        assert events[-1].detail["code"] == "slow_client"
+        for segments in (stalled, trickled):
+            before = len(service.audit_events())
+            data = b""
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as raw:
+                raw.settimeout(0.1)
+                start = time.monotonic()
+                for segment in segments:
+                    raw.sendall(segment)
+                    try:
+                        data = raw.recv(65536)
+                        break
+                    except TimeoutError:
+                        pass
+                if not data:
+                    raw.settimeout(5)
+                    data = raw.recv(65536)
+                elapsed = time.monotonic() - start
+            assert b"408" in data.split(b"\r\n", 1)[0]
+            assert b"slow_client" in data
+            assert elapsed < 1.0
+            events = service.audit_events()
+            assert len(events) == before + 1
+            assert events[-1].action.value == "api_rejected"
+            assert events[-1].detail["code"] == "slow_client"
     finally:
         server.stop()
 

@@ -1,5 +1,6 @@
-"""Hostile request framing: every unparseable request gets the structured
-400 and exactly one audit event — none kills the connection task."""
+"""Hostile request framing: every unparseable or ambiguously framed
+request gets the structured 400 and exactly one audit event — none kills
+the connection's thread, and none is read as two requests."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ _NOTE = (
     b'{"record_id": "rec-h", "patient_id": "pat-h", "record_type": "clinical_note", '
     b'"created_at": %s, "body": %s}'
 )
+_BODY = b'{"user_id": "x"}'  # 16 bytes
 
 
 def _store(body: bytes) -> bytes:
@@ -37,6 +39,8 @@ HOSTILE = {
     ) + b"\r\n",
     "bad_json": _POST + b"Content-Length: 7\r\n\r\n{\"user_",
     "content_length_5MB": _POST + b"Content-Length: 5242880\r\n\r\n",
+    # past the 4,300 digits int() converts: refused before it is tried
+    "content_length_5000_digits": _POST + b"Content-Length: " + b"9" * 5000 + b"\r\n\r\n",
     "non_ascii_request_line": "GET /v1/récords HTTP/1.1\r\n\r\n".encode("utf-8"),
     "json_nested_3000_deep": _POST + b"Content-Length: 6000\r\n\r\n"
     + b"[" * 3000 + b"]" * 3000,
@@ -44,6 +48,13 @@ HOSTILE = {
         _NOTE % (b"1.17e9", b'{"x": ' + b"[" * 600 + b"]" * 600 + b"}")
     ),
     "created_at_10_pow_400": _store(_NOTE % (b"1" + b"0" * 400, b"{}")),
+    # each of these would otherwise frame _BODY as a valid 16-byte challenge
+    "content_length_underscore": _POST + b"Content-Length: 1_6\r\n\r\n" + _BODY,
+    "content_length_plus_sign": _POST + b"Content-Length: +16\r\n\r\n" + _BODY,
+    "content_length_repeated": _POST
+    + b"Content-Length: 5\r\nContent-Length: 16\r\n\r\n" + _BODY,
+    "transfer_encoding_chunked": _POST
+    + b"Transfer-Encoding: chunked\r\n\r\n10\r\n" + _BODY + b"\r\n0\r\n\r\n",
 }
 
 #: A body nested past ``MAX_BODY_DEPTH`` parses but fails record
