@@ -13,7 +13,6 @@ import time
 
 from benchmarks.common import new_clock, print_table
 from repro.index.inverted import InvertedIndex
-from repro.index.secure_deletion import SecureDeletionIndex
 from repro.index.trustworthy import TrustworthyIndex
 from repro.workload.generator import WorkloadGenerator
 
@@ -37,7 +36,7 @@ def test_e4_index_latency_and_leakage(benchmark):
     terms = sorted({term for _, _, term in docs})
 
     plain = InvertedIndex()
-    trust = SecureDeletionIndex(TrustworthyIndex(MASTER))
+    trust = TrustworthyIndex(MASTER)
     for doc_id, text, _ in docs:
         plain.add_document(doc_id, text)
         trust.add_document(doc_id, text)
@@ -67,7 +66,7 @@ def test_e4_index_latency_and_leakage(benchmark):
         term.encode() in plain.device.raw_dump() for term in terms
     )
     trust_leaks = sum(
-        term.encode() in trust.index.device.raw_dump() for term in terms
+        term.encode() in trust.device.raw_dump() for term in terms
     )
 
     print_table(

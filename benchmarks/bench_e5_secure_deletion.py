@@ -112,7 +112,7 @@ def test_e5_ablation_shred_vs_overwrite_cost(benchmark):
     import time
 
     from repro.crypto.keys import KeyStore
-    from repro.storage.block import MemoryDevice
+    from repro.storage.block import SCRUB_PASSES, MemoryDevice
     from repro.util.clock import SimulatedClock
 
     MASTER = bytes(range(32))
@@ -129,8 +129,7 @@ def test_e5_ablation_shred_vs_overwrite_cost(benchmark):
         shred_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        for _ in range(3):
-            device.raw_write(0, bytes(size))
+        device.scrub(0, size)
         overwrite_seconds = time.perf_counter() - start
         rows.append(
             [f"{size_kb} KiB", f"{shred_seconds * 1e6:8.1f}",
@@ -145,7 +144,7 @@ def test_e5_ablation_shred_vs_overwrite_cost(benchmark):
 
     benchmark.pedantic(shred_one, rounds=10, iterations=1)
     print_table(
-        "E5 ablation: key shred (O(1)) vs 3-pass overwrite (O(n))",
+        f"E5 ablation: key shred (O(1)) vs {SCRUB_PASSES}-pass overwrite (O(n))",
         ["record size", "shred us", "overwrite us", "ratio"],
         rows,
     )

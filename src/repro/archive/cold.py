@@ -248,7 +248,7 @@ class ColdStore:
             self._segments[segment_id].scrubbed.add(record_id)
         self._cache.pop(record_id, None)
 
-    def scrub_record(self, record_id: str, passes: int = 3) -> list[tuple[int, int]]:
+    def scrub_record(self, record_id: str) -> list[tuple[int, int]]:
         """Zero every extent the record's sealed member ever occupied,
         reseal the affected frames, and forget the member.  Returns the
         scrubbed ``(offset, length)`` extents (for the audit detail).
@@ -260,8 +260,7 @@ class ColdStore:
         resealed: set[str] = set()
         scrubbed: list[tuple[int, int]] = []
         for segment_id, offset, length in extents:
-            for _ in range(max(1, passes)):
-                self.device.raw_write(offset, bytes(length))
+            self.device.scrub(offset, length)
             scrubbed.append((offset, length))
             segment = self._segments[segment_id]
             segment.live.discard(record_id)

@@ -230,17 +230,17 @@ class AnchorSchedule:
         # the witness attesting to events storage never saw, and an
         # honest recovery would read as truncation.
         self._log.flush_batch()
-        if self._quorum is not None:
-            anchor = self._quorum.publish(self._log, self._signer, self._clock.now())
-        else:
-            anchor = self.publish()
+        anchor = self.publish()
         self._log.append(
             AuditAction.ANCHOR_PUBLISHED, "system", "audit-log",
             {"size": anchor.log_size, "witnesses": len(self.witnesses)},
         )
 
     def publish(self) -> AuditAnchor:
-        """Publish a fresh anchor to the first witness."""
+        """Publish a fresh anchor to the witness, or through the quorum
+        when there are several."""
+        if self._quorum is not None:
+            return self._quorum.publish(self._log, self._signer, self._clock.now())
         anchor = publish_anchor(self._log, self._signer, self._clock.now())
         self.witness.receive(anchor, self._log)
         return anchor

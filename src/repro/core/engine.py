@@ -75,7 +75,6 @@ from repro.crypto.kdf import derive_key
 from repro.crypto.keys import KeyHandle, KeyStore
 from repro.crypto.signatures import Signer, TrustStore, purge_signature_memo
 from repro.errors import AccessDeniedError, RecordError
-from repro.index.secure_deletion import SecureDeletionIndex
 from repro.index.trustworthy import TrustworthyIndex
 from repro.migration.bundle import PatientBundle
 from repro.policy import Decision, PolicyContext, PolicyEngine, PolicyEnv
@@ -95,7 +94,6 @@ from repro.util.rotation import Rotation
 from repro.worm.store import WormStore
 
 SIGNATURE_BITS = 768  # simulation-scale; see crypto.rsa docs
-SHREDDER_PASSES = 3   # zero-overwrites behind every key shredding
 
 
 class Sealer:
@@ -169,8 +167,8 @@ class CuratorStore(StorageModel):
         # index — derived data: a recovered engine re-posts it from the
         # decrypted current versions
         index_key = derive_key(config.master_key, "curator/index")
-        self._index = SecureDeletionIndex(
-            TrustworthyIndex(index_key, device=MemoryDevice("curator-idx", config.device_capacity))
+        self._index = TrustworthyIndex(
+            index_key, device=MemoryDevice("curator-idx", config.device_capacity)
         )
         # audit — the checkpoint store persists verified watermarks on
         # its own device, MAC-sealed under a key derived from the HSM-
@@ -225,7 +223,7 @@ class CuratorStore(StorageModel):
         # retention / disposal — destruction decisions purge the policy
         # decision cache (a shredded record's cached allows must die
         # with it)
-        self._shredder = SecureShredder(self._keystore, SHREDDER_PASSES)
+        self._shredder = SecureShredder(self._keystore)
         self._shredder.bind_policy(self._policy)
         # Derived-material memos die with every shred too: the verifier's
         # aggregated-signature root memo, the ed25519 key-expansion memo
@@ -650,7 +648,7 @@ class CuratorStore(StorageModel):
         # log persists to a device, and a cleartext term there would be
         # exactly the "Cancer" leak the trustworthy index closes.  The
         # privacy officer can recompute the trapdoor to match queries.
-        commitment = self._index.index.trapdoor(term)[:16]
+        commitment = self._index.trapdoor(term)[:16]
         subject = f"{SEARCH}{commitment}"
         self._authorize(
             actor_id, Permission.SEARCH_RECORDS, "", Purpose.TREATMENT, subject
@@ -695,7 +693,7 @@ class CuratorStore(StorageModel):
         # cold residue: the key shredding above already killed any
         # sealed member cryptographically; zero the extents too (and the
         # bind_cache hook purged the decrypted member cache with it)
-        cold_extents = self._cold.scrub_record(record_id, passes=SHREDDER_PASSES)
+        cold_extents = self._cold.scrub_record(record_id)
         # ... and so must the read cache: a disposed record served from
         # memory would defeat the key shredding above.
         self._dir.mark_disposed(record_id)
@@ -738,7 +736,7 @@ class CuratorStore(StorageModel):
     # ------------------------------------------------------------------
 
     def devices(self) -> list[BlockDevice]:
-        devices = [self._worm.device, self._index.index.device, self._audit.device]
+        devices = [self._worm.device, self._index.device, self._audit.device]
         if self._keystore.device is not None:
             devices.append(self._keystore.device)
         devices.append(self._checkpoints.device)
@@ -820,7 +818,7 @@ class CuratorStore(StorageModel):
             # A clean full pass verified everything; failures stay dirty.
             self._dir.dirty = {r for r in failures if r in self._dir.chains}
             coverage = f"all {len(live)} record(s), every worm object"
-        if self._index.index.verify():
+        if self._index.verify():
             failures.add("<index>")
         return VerificationReport.from_violations(
             sorted(failures),
@@ -1186,7 +1184,7 @@ class CuratorStore(StorageModel):
         return self._home.worm
 
     @property
-    def index(self) -> SecureDeletionIndex:
+    def index(self) -> TrustworthyIndex:
         return self._index
 
     @property

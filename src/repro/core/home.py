@@ -31,7 +31,7 @@ from repro.core.directory import RecordDirectory
 from repro.crypto.keys import KeyHandle
 from repro.crypto.signatures import Signer
 from repro.errors import RecordNotFoundError
-from repro.index.secure_deletion import SecureDeletionIndex
+from repro.index.trustworthy import TrustworthyIndex
 from repro.provenance.chain import CustodyRegistry
 from repro.provenance.graph import ProvenanceGraph
 from repro.records.attachments import (
@@ -69,7 +69,7 @@ class RecordHome:
     custody: CustodyRegistry
     provenance: ProvenanceGraph
     shredder: SecureShredder
-    index: SecureDeletionIndex
+    index: TrustworthyIndex
     directory: RecordDirectory
     worm: WormStore
     medium: Medium

@@ -227,8 +227,7 @@ class KeyStore:
             # tombstone so the shred itself survives a restart.
             extent = self._escrow_extents.pop(handle.key_id, None)
             if extent is not None:
-                offset, size = extent
-                self._escrow.device.raw_write(offset, bytes(size))
+                self._escrow.device.scrub(*extent)
             # The tombstone carries the label: the wrapped-key frame it
             # refers to is now zeroed, and recovery still needs to map
             # the destroyed key back to its record.

@@ -17,8 +17,8 @@ Two indexes are provided:
   bounded AEAD-encrypted chunks padded to bucket sizes (so list
   *lengths* leak little and an add re-encrypts one tail chunk, not the
   list), and every chunk is MACed to its trapdoor, position and version
-  (tamper-evident).
-* :mod:`repro.index.secure_deletion` — removal of a document from
+  (tamper-evident).  Its ``delete_document`` removes a document from
   posting lists with *verifiable* absence afterwards (Mitra & Winslett,
-  StorageSS'06 motivated), via re-encryption of the affected chunks.
+  StorageSS'06 motivated): the affected chunks are re-encrypted and
+  their superseded versions scrubbed.
 """

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.crypto.kdf import derive_key
 from repro.errors import IndexError_
-from repro.index.secure_deletion import SecureDeletionIndex
 from repro.index.trustworthy import TrustworthyIndex
 from repro.storage.block import BlockDevice, MemoryDevice
 
@@ -57,7 +56,7 @@ class EpochedIndex:
         self._master_key = master_key
         self._epoch_seconds = float(epoch_seconds)
         self._segment_capacity = segment_capacity
-        self._segments: dict[int, SecureDeletionIndex] = {}
+        self._segments: dict[int, TrustworthyIndex] = {}
         self._dropped: set[int] = set()
         self._doc_epoch: dict[str, int] = {}
 
@@ -66,17 +65,14 @@ class EpochedIndex:
     def epoch_of(self, timestamp: float) -> int:
         return int(timestamp // self._epoch_seconds)
 
-    def _segment_for(self, epoch: int) -> SecureDeletionIndex:
+    def _segment_for(self, epoch: int) -> TrustworthyIndex:
         if epoch in self._dropped:
             raise IndexError_(f"epoch {epoch} was dropped; it cannot be reused")
         segment = self._segments.get(epoch)
         if segment is None:
             key = derive_key(self._master_key, f"epoch/{epoch}")
-            segment = SecureDeletionIndex(
-                TrustworthyIndex(
-                    key,
-                    device=MemoryDevice(f"eidx-{epoch}", self._segment_capacity),
-                )
+            segment = TrustworthyIndex(
+                key, device=MemoryDevice(f"eidx-{epoch}", self._segment_capacity)
             )
             self._segments[epoch] = segment
         return segment
@@ -86,7 +82,7 @@ class EpochedIndex:
         return sorted(set(self._segments) - self._dropped)
 
     def devices(self) -> list[BlockDevice]:
-        return [self._segments[e].index.device for e in sorted(self._segments)]
+        return [self._segments[e].device for e in sorted(self._segments)]
 
     # -- document operations ----------------------------------------------------
 
@@ -145,8 +141,7 @@ class EpochedIndex:
         segment = self._segments.get(epoch)
         if segment is None or epoch in self._dropped:
             raise IndexError_(f"epoch {epoch} has no live segment")
-        device = segment.index.device
-        device.raw_write(0, bytes(device.used))
+        segment.device.scrub(0, segment.device.used)
         dropped_docs = [
             doc for doc, doc_epoch in self._doc_epoch.items() if doc_epoch == epoch
         ]
@@ -174,8 +169,8 @@ class EpochedIndex:
                 rows.append(
                     EpochStats(
                         epoch,
-                        len(segment.index),
-                        segment.index.vocabulary_size,
+                        len(segment),
+                        segment.vocabulary_size,
                         dropped=False,
                     )
                 )

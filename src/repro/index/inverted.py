@@ -94,7 +94,8 @@ class InvertedIndex:
         never indexed (or already removed) are no-ops — retry-safe, and
         only actual removals are journaled.  NOTE: the cleartext journal
         retains the historical (term, doc) pairs — deletion here is not
-        secure, which is exactly what :mod:`repro.index.secure_deletion`
+        secure, which is exactly what
+        :meth:`repro.index.trustworthy.TrustworthyIndex.delete_document`
         fixes."""
         if document_id not in self._documents:
             return

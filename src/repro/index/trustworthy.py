@@ -35,6 +35,13 @@ re-expressed over this library's substrate):
   frequency side channel (list length ≈ term rarity) to log-granularity
   buckets within a chunk.  The number of chunks, ⌈n / capacity⌉, is
   visible to an observer of the device (see DESIGN.md §15).
+* **Secure deletion** (after Mitra & Winslett, StorageSS'06).  A record
+  destroyed after retention must leave no posting-list copy of its
+  vocabulary behind.  :meth:`TrustworthyIndex.delete_document` rewrites
+  every chunk holding the id without it, then scrubs every superseded
+  version of the affected lists, so even an adversary who later holds
+  the index key cannot decrypt a stale chunk;
+  :meth:`TrustworthyIndex.forensic_residue` is the auditor's check.
 
 Queries decrypt one list; tampering anywhere in any of its chunks
 surfaces as an :class:`~repro.errors.IntegrityError`-family failure at
@@ -96,6 +103,16 @@ class ChunkExtent:
     chunk: int
     version: int
     fill: int
+
+
+@dataclass(frozen=True)
+class DeletionCertificate:
+    """Evidence of a completed secure deletion."""
+
+    document_id: str
+    lists_rewritten: int
+    versions_scrubbed: int
+    bytes_scrubbed: int
 
 
 class TrustworthyIndex:
@@ -330,7 +347,80 @@ class TrustworthyIndex:
                 failures.append(trapdoor)
         return failures
 
-    # -- hooks used by secure deletion ----------------------------------------------
+    # -- secure deletion ----------------------------------------------------------
+
+    def delete_document(self, document_id: str) -> DeletionCertificate:
+        """Forget a document: rewrite the chunks holding it, then scrub
+        every superseded version of the affected lists."""
+        if not document_id:
+            raise IndexError_("document id must not be empty")
+        affected = self._rewrite_lists_without(document_id)
+        scrubbed = self._scrub_superseded(affected)
+        return DeletionCertificate(
+            document_id=document_id,
+            lists_rewritten=len(affected),
+            versions_scrubbed=len(scrubbed),
+            bytes_scrubbed=sum(extent.size for extent in scrubbed),
+        )
+
+    def scrub_all_superseded(self) -> int:
+        """Scrub every superseded chunk version (e.g. after bulk adds),
+        returning bytes overwritten: no decryptable stale chunk stays on
+        the device even outside deletions."""
+        scrubbed = self._scrub_superseded(list(self._superseded))
+        return sum(extent.size for extent in scrubbed)
+
+    def forensic_residue(self, document_id: str) -> list[str]:
+        """Worst-case forensic check: with the index keys in hand,
+        decrypt every current and every unscrubbed superseded chunk
+        version and report the trapdoors still naming the document.
+        Empty list == the index has verifiably forgotten it."""
+        residue = {  # current chunks must verify: a failure here raises
+            trapdoor
+            for trapdoor, chain in self._chunks.items()
+            for documents in self._open([(trapdoor, extent) for extent in chain])
+            if document_id in documents
+        }
+        for trapdoor, extents in self._superseded.items():
+            for extent in extents:
+                try:
+                    documents = self.open_extent(trapdoor, extent)
+                except CuratorError:
+                    continue  # scrubbed or undecodable: no posting info left
+                if document_id in documents:
+                    residue.add(trapdoor)
+        return sorted(residue)
+
+    def _rewrite_lists_without(self, document_id: str) -> list[str]:
+        """Rewrite every chunk that contains *document_id*, omitting it;
+        chunks that do not hold it are not touched.  Returns the
+        affected trapdoors.  The superseded (still-decryptable) old
+        versions are recorded for scrubbing."""
+        rewrites: list[tuple[str, int, list[str]]] = []
+        for trapdoor in sorted(self._chunks):
+            chain = self._chunks[trapdoor]
+            opened = self._open([(trapdoor, extent) for extent in chain])
+            for extent, documents in zip(chain, opened):
+                if document_id in documents:
+                    documents.remove(document_id)
+                    rewrites.append((trapdoor, extent.chunk, documents))
+        self._write_chunks(rewrites)
+        self._documents.discard(document_id)
+        return [trapdoor for trapdoor, _, _ in rewrites]
+
+    def _scrub_superseded(self, trapdoors: list[str]) -> list[ChunkExtent]:
+        """Pop the superseded versions of *trapdoors* and scrub their
+        device bytes; returns the scrubbed extents."""
+        extents = [
+            extent
+            for trapdoor in trapdoors
+            for extent in self._superseded.pop(trapdoor, [])
+        ]
+        for extent in extents:
+            self.device.scrub(extent.device_offset, extent.size)
+        return extents
+
+    # -- inspection (tests, oracles, the forensic check) ------------------------
 
     def current_versions(self) -> dict[str, ChunkExtent]:
         """The tail chunk's extent per trapdoor (the frame the next add
@@ -349,27 +439,3 @@ class TrustworthyIndex:
         still yields to a holder of the index keys; raises like a query
         if the frame no longer verifies (scrubbed, tampered, replaced)."""
         return self._open([(trapdoor, extent)])[0]
-
-    def rewrite_lists_without(self, document_id: str) -> list[str]:
-        """Rewrite every chunk that contains *document_id*, omitting it;
-        chunks that do not hold it are not touched.  Returns the
-        affected trapdoors.  The superseded (still-decryptable) old
-        versions are recorded for scrubbing."""
-        rewrites: list[tuple[str, int, list[str]]] = []
-        for trapdoor in sorted(self._chunks):
-            chain = self._chunks[trapdoor]
-            opened = self._open([(trapdoor, extent) for extent in chain])
-            for extent, documents in zip(chain, opened):
-                if document_id in documents:
-                    documents.remove(document_id)
-                    rewrites.append((trapdoor, extent.chunk, documents))
-        self._write_chunks(rewrites)
-        self._documents.discard(document_id)
-        return [trapdoor for trapdoor, _, _ in rewrites]
-
-    def clear_superseded(self, trapdoors: list[str]) -> list[ChunkExtent]:
-        """Pop and return superseded extents for *trapdoors*."""
-        popped: list[ChunkExtent] = []
-        for trapdoor in trapdoors:
-            popped.extend(self._superseded.pop(trapdoor, []))
-        return popped

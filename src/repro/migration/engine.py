@@ -105,12 +105,12 @@ class MigrationEngine:
             unexpected=tuple(unexpected),
         )
         if verified and self._custody is not None:
-            for object_id in manifest.object_ids():
+            for object_id, digest in manifest.entries:
                 self._custody.record_transfer(
                     object_id=object_id,
                     releasing=source_signer,
                     receiving_id=destination_id,
-                    object_digest=manifest.digest_for(object_id),
+                    object_digest=digest,
                     timestamp=self._clock.now(),
                     reason="migration",
                 )
@@ -124,15 +124,15 @@ class MigrationEngine:
         missing: list[str] = []
         corrupted: list[str] = []
         present = set(destination.object_ids())
-        expected = set(manifest.object_ids())
-        for object_id in manifest.object_ids():
+        expected = dict(manifest.entries)  # one pass: lookups stay O(1)
+        for object_id, digest in expected.items():
             if object_id not in present:
                 missing.append(object_id)
                 continue
             data = destination.get(object_id)  # digest-checked read
-            if sha256(data) != manifest.digest_for(object_id):
+            if sha256(data) != digest:
                 corrupted.append(object_id)
-        unexpected = sorted(present - expected)
+        unexpected = sorted(present - expected.keys())
         return missing, corrupted, unexpected
 
     def chained_migration(

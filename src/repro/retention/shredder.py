@@ -8,7 +8,7 @@ Two independent mechanisms, applied together:
    including backups the shredder cannot reach (their wrapped key is
    what got destroyed).
 2. **Extent overwrite** — the record's bytes on the primary device are
-   overwritten with zeros (configurable passes).  Defense in depth:
+   scrubbed (:meth:`~repro.storage.block.BlockDevice.scrub`).  Defense in depth:
    even the ciphertext disappears, so future cryptanalytic surprises or
    key-escrow compromises cannot resurrect the record from this medium.
 
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.crypto.keys import KeyHandle, KeyStore
-from repro.errors import DispositionError
 from repro.policy.model import Decision, ensure_destruction_authorized
-from repro.storage.block import BlockDevice
+from repro.storage.block import SCRUB_PASSES, BlockDevice
 
 
 @dataclass(frozen=True)
@@ -40,17 +39,14 @@ class ShredReport:
     key_shredded_at: float | None
     extents_overwritten: int
     bytes_overwritten: int
-    overwrite_passes: int
+    overwrite_passes: int = SCRUB_PASSES  # fixed: every scrub is the same
 
 
 class SecureShredder:
     """Destroys record data under disposition authority."""
 
-    def __init__(self, keystore: KeyStore, overwrite_passes: int = 3) -> None:
-        if overwrite_passes < 1:
-            raise DispositionError("at least one overwrite pass is required")
+    def __init__(self, keystore: KeyStore) -> None:
         self._keystore = keystore
-        self._passes = overwrite_passes
         self._policies: list[Any] = []
         self._cache_purges: list[Callable[[], Any]] = []
 
@@ -96,12 +92,9 @@ class SecureShredder:
             # but destruction must never depend on one call site
             # remembering to — invalidate explicitly.
             self._keystore.invalidate_cached(key_handle)
-        bytes_overwritten = 0
-        for device, offset, size in extents:
-            zeros = bytes(size)
-            for _ in range(self._passes):
-                device.raw_write(offset, zeros)
-            bytes_overwritten += size
+        bytes_overwritten = sum(
+            device.scrub(offset, size) for device, offset, size in extents
+        )
         for engine in self._policies:
             engine.purge_decisions()
         for purge in self._cache_purges:
@@ -112,7 +105,6 @@ class SecureShredder:
             key_shredded_at=shredded_at,
             extents_overwritten=len(extents),
             bytes_overwritten=bytes_overwritten,
-            overwrite_passes=self._passes,
         )
 
     def verify_destroyed(

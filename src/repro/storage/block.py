@@ -24,6 +24,9 @@ from dataclasses import dataclass
 
 from repro.errors import CrashError, DeviceError
 
+#: Zero-overwrite passes behind every destruction (:meth:`BlockDevice.scrub`).
+SCRUB_PASSES = 3
+
 
 @dataclass
 class DeviceStats:
@@ -232,6 +235,17 @@ class BlockDevice:
         self._check_bounds(offset, len(data))
         self._commit(offset, data)
         self.stats.raw_writes += 1
+
+    def scrub(self, offset: int, size: int) -> int:
+        """Destroy ``size`` bytes at *offset* — the one zero-fill behind
+        every shred, scrub, sanitization and epoch drop.
+        :data:`SCRUB_PASSES` overwrites through :meth:`raw_write`, so
+        retired (write-protected) media are reached and every pass is a
+        commit the write hook sees.  Returns the bytes destroyed."""
+        zeros = bytes(size)
+        for _ in range(SCRUB_PASSES):
+            self.raw_write(offset, zeros)
+        return size
 
     def raw_dump(self) -> bytes:
         """The full allocated region — what a forensic scan of the medium sees."""

@@ -12,8 +12,8 @@ those rules:
                           └──────dispose──────────┴──▶ DISPOSED (terminal)
 
 * Writing is only allowed in ``ACTIVE``.
-* ``sanitize()`` overwrites the allocated region with zero bytes
-  (configurable pass count) and resets the allocator; re-use without
+* ``sanitize()`` scrubs the allocated region
+  (:meth:`~repro.storage.block.BlockDevice.scrub`); re-use without
   sanitization is a :class:`MediaLifecycleError`.
 * ``dispose()`` detaches the device.  A *negligent* disposal (skipping
   sanitization) is possible via ``dispose(sanitize_first=False)`` so
@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import MediaLifecycleError
-from repro.storage.block import BlockDevice, MemoryDevice
+from repro.storage.block import SCRUB_PASSES, BlockDevice, MemoryDevice
 from repro.util.clock import Clock, SECONDS_PER_YEAR, WallClock
 
 
@@ -116,8 +116,8 @@ class Medium:
         self.device.set_write_protected(True)
         self._record("retired", reason)
 
-    def sanitize(self, passes: int = 1) -> int:
-        """Overwrite all allocated bytes; returns bytes wiped per pass.
+    def sanitize(self) -> int:
+        """Scrub all allocated bytes; returns the bytes wiped.
 
         Only retired media can be sanitized (sanitizing active media
         would destroy live records).
@@ -126,18 +126,9 @@ class Medium:
             raise MediaLifecycleError(
                 f"cannot sanitize medium {self.medium_id} in state {self._state.value}"
             )
-        if passes < 1:
-            raise MediaLifecycleError("sanitization needs at least one pass")
-        wiped = self.device.used
-        zeros = bytes(min(wiped, 1 << 16))
-        for _ in range(passes):
-            offset = 0
-            while offset < wiped:
-                chunk = min(len(zeros), wiped - offset)
-                self.device.raw_write(offset, zeros[:chunk])
-                offset += chunk
+        wiped = self.device.scrub(0, self.device.used)
         self._state = MediaState.SANITIZED
-        self._record("sanitized", f"passes={passes} bytes={wiped}")
+        self._record("sanitized", f"passes={SCRUB_PASSES} bytes={wiped}")
         return wiped
 
     def recommission(self) -> None:

@@ -400,7 +400,7 @@ def _index_chunk_rot(dep: Deployment) -> str | None:
         [seed_note(f"rec-chunk-{n}", patient_id, dep.clock, n) for n in range(CHUNK_CAPACITY)],
         ACTOR,
     )
-    index = dep.target.index.index
+    index = dep.target.index
     chain = index.chunk_extents()[index.trapdoor("distinctive")]
     if len(chain) < 2:
         return None  # nothing sealed: the tamper below would hit the tail
@@ -417,7 +417,7 @@ def _index_tail_rollback(dep: Deployment) -> str | None:
     re-indexes the same record id, so the list advances two versions
     (entry removed, entry re-added) to a frame of identical length —
     the stale copy fits exactly, checksum and MAC intact."""
-    index = dep.target.index.index
+    index = dep.target.index
     trapdoor = index.trapdoor("distinctive")  # every seeded note has it
     stale = index.current_versions()[trapdoor]
     copy = index.device.raw_read(

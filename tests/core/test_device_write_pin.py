@@ -40,7 +40,7 @@ def writes(store):
     devices = store.device_set()
     return {
         "worm": devices["worm_device"].stats.writes,
-        "index": store.index.index.device.stats.writes,
+        "index": store.index.device.stats.writes,
         "audit": devices["audit_device"].stats.writes,
         "keys": devices["key_device"].stats.writes,
         "checkpoints": devices["checkpoint_device"].stats.writes,

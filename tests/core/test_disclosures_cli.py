@@ -13,9 +13,9 @@ from repro.util.clock import SimulatedClock
 MASTER = bytes(range(32))
 
 
-def make_store():
+def make_store(**config):
     clock = SimulatedClock(start=1.17e9)
-    store = CuratorStore(CuratorConfig(master_key=MASTER, clock=clock))
+    store = CuratorStore(CuratorConfig(master_key=MASTER, clock=clock, **config))
     for i, patient in enumerate(("pat-1", "pat-1", "pat-2")):
         note = ClinicalNote.create(
             record_id=f"rec-{i}",
@@ -64,6 +64,16 @@ def test_prove_audit_event_to_third_party():
     # The verifier trusts only the witnessed anchor.
     verify_event_proof(event, chain_prev, proof, anchor.merkle_root)
     assert anchor.log_size >= 3
+
+
+def test_prove_audit_event_anchors_through_the_whole_quorum():
+    # The anchor a third party is handed must be held by every witness,
+    # not by the first of three (one witness is below the majority).
+    store, _ = make_store(witness_count=3, anchor_every_events=1000)
+    *_, anchor = store.prove_audit_event(2)
+    witnesses = store._witnesses  # noqa: SLF001
+    assert len(witnesses) == 3
+    assert [witness.latest() for witness in witnesses] == [anchor] * 3
 
 
 def test_prove_audit_event_forged_disclosure_rejected():

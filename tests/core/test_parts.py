@@ -20,7 +20,6 @@ from repro.core.transfer import PatientTransfer
 from repro.crypto.keys import KeyStore
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import Signer, TrustStore
-from repro.index.secure_deletion import SecureDeletionIndex
 from repro.index.trustworthy import TrustworthyIndex
 from repro.migration.manifest import verify_manifest
 from repro.provenance.chain import CustodyRegistry
@@ -64,9 +63,9 @@ def build_parts(site_id, clock, keypair):
         signer=signer,
         custody=CustodyRegistry(trust),
         provenance=provenance,
-        shredder=SecureShredder(keystore, 1),
-        index=SecureDeletionIndex(
-            TrustworthyIndex(bytes(32), device=MemoryDevice(f"{site_id}-idx", CAPACITY))
+        shredder=SecureShredder(keystore),
+        index=TrustworthyIndex(
+            bytes(32), device=MemoryDevice(f"{site_id}-idx", CAPACITY)
         ),
         directory=RecordDirectory(read_cache_size=4),
         worm=WormStore(device=medium.device, clock=clock),

@@ -96,8 +96,8 @@ def test_store_many_matches_looped_index_state():
         assert looped.search(term, actor_id="dr-batch") == batched.search(
             term, actor_id="dr-batch"
         ), term
-    assert batched._index.index.verify() == []  # noqa: SLF001
-    assert len(batched._index.index) == len(records)  # noqa: SLF001
+    assert batched._index.verify() == []  # noqa: SLF001
+    assert len(batched._index) == len(records)  # noqa: SLF001
 
 
 def test_store_many_security_properties_hold():
@@ -121,11 +121,11 @@ def test_store_many_amortizes_journal_flushes():
     batched.store_many(records, "dr-batch")
     looped_flushes = (
         looped.audit_log._journal.flush_count  # noqa: SLF001
-        + looped._index.index._journal.flush_count  # noqa: SLF001
+        + looped._index._journal.flush_count  # noqa: SLF001
     )
     batched_flushes = (
         batched.audit_log._journal.flush_count  # noqa: SLF001
-        + batched._index.index._journal.flush_count  # noqa: SLF001
+        + batched._index._journal.flush_count  # noqa: SLF001
     )
     assert batched_flushes < looped_flushes / 3
 
@@ -184,7 +184,7 @@ def test_store_and_store_many_of_one_are_the_same_write():
         {
             trapdoor: [(e.journal_sequence, e.device_offset, e.size, e.chunk,
                         e.version, e.fill) for e in chain]
-            for trapdoor, chain in store.index.index.chunk_extents().items()
+            for trapdoor, chain in store.index.chunk_extents().items()
         }
         for store in (single, batched)
     ]
@@ -208,7 +208,7 @@ def test_every_store_is_exactly_four_device_writes():
     store, _ = make_store()
     expected = {
         store.worm.device.device_id: 1,
-        store.index.index.device.device_id: 1,
+        store.index.device.device_id: 1,
         store.audit_log.device.device_id: 1,
         store._keystore.device.device_id: 1,  # noqa: SLF001
     }

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.errors import IndexError_
-from repro.index.secure_deletion import SecureDeletionIndex
 from repro.index.trustworthy import CHUNK_CAPACITY, TrustworthyIndex
 
 MASTER = bytes(range(32))
 
 
 def make_index():
-    return SecureDeletionIndex(TrustworthyIndex(MASTER))
+    return TrustworthyIndex(MASTER)
 
 
 def test_delete_removes_from_search():
@@ -35,12 +34,11 @@ def test_delete_scrubs_stale_ciphertext():
 
 def test_without_scrub_stale_versions_are_recoverable():
     # Ablation: rewriting alone leaves decryptable history.
-    raw = TrustworthyIndex(MASTER)
-    raw.add_document("doc-1", "cancer")
-    raw.add_document("doc-2", "cancer")  # supersedes the v0 list
-    wrapper = SecureDeletionIndex(raw)
-    raw.rewrite_lists_without("doc-1")  # rewrite but DON'T scrub
-    assert wrapper.forensic_residue("doc-1") != []
+    index = make_index()
+    index.add_document("doc-1", "cancer")
+    index.add_document("doc-2", "cancer")  # supersedes the v0 list
+    index._rewrite_lists_without("doc-1")  # rewrite but DON'T scrub
+    assert index.forensic_residue("doc-1") != []
 
 
 def test_scrub_all_superseded_clears_history():
@@ -87,13 +85,12 @@ def test_deleted_doc_unrecoverable_even_with_keys():
 
 def test_delete_from_sealed_chunk_scrubs_only_that_chunk():
     index = make_index()
-    raw = index.index
     total = 3 * CHUNK_CAPACITY + 5
     index.add_documents([(f"doc-{i:04d}", "cancer") for i in range(total)])
-    trapdoor = raw.trapdoor("cancer")
-    before = raw.chunk_extents()[trapdoor]
-    victim = raw.open_extent(trapdoor, before[1])[7]  # lives in sealed chunk 1
-    stale = raw.superseded_versions().get(trapdoor, []) + [before[1]]
+    trapdoor = index.trapdoor("cancer")
+    before = index.chunk_extents()[trapdoor]
+    victim = index.open_extent(trapdoor, before[1])[7]  # lives in sealed chunk 1
+    stale = index.superseded_versions().get(trapdoor, []) + [before[1]]
 
     certificate = index.delete_document(victim)
 
@@ -101,10 +98,10 @@ def test_delete_from_sealed_chunk_scrubs_only_that_chunk():
     assert certificate.versions_scrubbed == len(stale)
     assert index.forensic_residue(victim) == []
     for extent in stale:
-        assert not any(raw.device.raw_read(extent.device_offset, extent.size))
-    after = raw.chunk_extents()[trapdoor]
+        assert not any(index.device.raw_read(extent.device_offset, extent.size))
+    after = index.chunk_extents()[trapdoor]
     assert after[0] == before[0] and after[2:] == before[2:]  # untouched chunks
     assert (after[1].version, after[1].fill) == (1, CHUNK_CAPACITY - 1)
     expected = [f"doc-{i:04d}" for i in range(total) if f"doc-{i:04d}" != victim]
     assert index.search("cancer") == expected  # the chunk's neighbours survive
-    assert raw.verify() == []
+    assert index.verify() == []

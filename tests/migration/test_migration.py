@@ -181,3 +181,40 @@ def test_chained_migration_stops_at_failed_hop():
     assert len(results) == 2
     assert results[0].ok
     assert not results[1].ok
+
+
+def test_migration_visits_each_manifest_entry_a_bounded_number_of_times(monkeypatch):
+    """Verification and the custody loop look digests up in one mapping:
+    a migration of n objects visits O(n) manifest entries, not O(n^2)."""
+    import dataclasses
+
+    from repro.migration import engine as migration_engine
+
+    n = 2_000
+    clock, source, destination, signer, trust, _ = make_world(n)
+    registry = CustodyRegistry(trust)
+    registry.register_custodian(signer)
+    for object_id in source.object_ids():
+        registry.record_origin(
+            object_id, signer, source.metadata(object_id).content_digest, 0.0
+        )
+    engine = MigrationEngine(trust, clock=clock, custody=registry)
+    visits = 0
+
+    class CountedEntries(tuple):
+        def __iter__(self):
+            nonlocal visits
+            for entry in super().__iter__():
+                visits += 1
+                yield entry
+
+    build = migration_engine.build_manifest
+
+    def counted_manifest(*args):
+        manifest = build(*args)
+        entries = CountedEntries(manifest.entries)
+        return dataclasses.replace(manifest, entries=entries)
+
+    monkeypatch.setattr(migration_engine, "build_manifest", counted_manifest)
+    assert engine.migrate(source, destination, signer, "site-B").ok
+    assert visits <= 8 * n

@@ -8,7 +8,6 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.index import trustworthy
-from repro.index.secure_deletion import SecureDeletionIndex
 from repro.index.trustworthy import TrustworthyIndex
 
 SETTINGS = settings(
@@ -29,9 +28,8 @@ operations = st.lists(
 
 
 def check(index, postings, live):
-    raw = index.index
-    assert len(raw) == len(live)
-    assert raw.vocabulary_size == len(postings)  # emptied lists keep their trapdoor
+    assert len(index) == len(live)
+    assert index.vocabulary_size == len(postings)  # emptied lists keep their trapdoor
     for term in TERMS:
         assert index.search(term) == sorted(postings.get(term, ()))
     for first, second in zip(TERMS, TERMS[1:]):
@@ -43,7 +41,7 @@ def check(index, postings, live):
 @given(operations)
 def test_index_agrees_with_model(ops):
     with mock.patch.object(trustworthy, "CHUNK_CAPACITY", 4):
-        index = SecureDeletionIndex(TrustworthyIndex(bytes(range(32))))
+        index = TrustworthyIndex(bytes(range(32)))
         postings: dict[str, set[str]] = {}
         live: list[str] = []
         minted = 0
@@ -71,6 +69,6 @@ def test_index_agrees_with_model(ops):
                     counts = index.add_documents(batch)
                     assert counts == [len(terms) for terms in argument]
             check(index, postings, live)
-        assert index.index.verify() == []
-        for chain in index.index.chunk_extents().values():
+        assert index.verify() == []
+        for chain in index.chunk_extents().values():
             assert all(extent.fill <= 4 for extent in chain)

@@ -8,7 +8,7 @@ from repro.policy.engine import PolicyEngine
 from repro.policy.model import DESTRUCTION_ACTION, Effect, PolicyRule, Tier
 from repro.retention.disposition import DispositionWorkflow
 from repro.retention.shredder import SecureShredder
-from repro.storage.block import MemoryDevice
+from repro.storage.block import SCRUB_PASSES, MemoryDevice
 from repro.util.clock import SimulatedClock
 from repro.worm.retention_lock import RetentionTerm
 from repro.worm.store import WormStore
@@ -20,7 +20,7 @@ def make_world(retention_seconds=100.0):
     clock = SimulatedClock(start=0.0)
     keystore = KeyStore(MASTER, clock=clock)
     store = WormStore(device=MemoryDevice("worm", 1 << 20), clock=clock)
-    shredder = SecureShredder(keystore, overwrite_passes=2)
+    shredder = SecureShredder(keystore)
     workflow = DispositionWorkflow(store, shredder, clock=clock)
     handle = keystore.create_key()
     cipher = keystore.cipher_for(handle)
@@ -87,7 +87,7 @@ def test_shredder_destroys_key_and_bytes():
     )
     assert report.key_shredded
     assert report.bytes_overwritten == size
-    assert report.overwrite_passes == 2
+    assert report.overwrite_passes == SCRUB_PASSES
     assert keystore.is_shredded(handle)
     assert store.device.raw_read(offset, size) == bytes(size)
     assert shredder.verify_destroyed(handle, [(store.device, offset, size)])
@@ -103,11 +103,6 @@ def test_verify_destroyed_detects_surviving_bytes():
     keystore.shred(handle)
     offset, size = store.physical_extent("rec-1")
     assert not shredder.verify_destroyed(handle, [(store.device, offset, size)])
-
-
-def test_zero_passes_rejected():
-    with pytest.raises(DispositionError):
-        SecureShredder(KeyStore(MASTER), overwrite_passes=0)
 
 
 def test_workflow_identify_respects_retention():

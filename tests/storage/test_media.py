@@ -47,13 +47,6 @@ def test_sanitize_requires_retired_state():
         medium.sanitize()
 
 
-def test_sanitize_zero_passes_rejected():
-    medium = make_medium()
-    medium.retire()
-    with pytest.raises(MediaLifecycleError):
-        medium.sanitize(passes=0)
-
-
 def test_reuse_requires_sanitization():
     medium = make_medium()
     write_secret(medium)

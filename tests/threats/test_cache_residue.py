@@ -80,7 +80,7 @@ def test_no_cipher_memo_holds_the_destroyed_key_after_dispose():
     # The attack: scrape every cipher memo in the process for the
     # destroyed key's derived encryption and MAC keys.
     assert handle.key_id not in store._keystore._cipher_cache
-    memos = [store._keystore._cipher_cache, store.index.index._cipher_cache]
+    memos = [store._keystore._cipher_cache, store.index._cipher_cache]
     assert all(len(memo) > 0 for memo in memos)  # warm, so the scrape means something
     for memo in memos:
         for cipher in memo.values():
