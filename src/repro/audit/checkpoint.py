@@ -25,7 +25,7 @@ HMAC-SHA256 tag under a key derived from the HSM-held master key:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.crypto.hmac_utils import constant_time_equal, hmac_sha256
 from repro.storage.block import BlockDevice, MemoryDevice
@@ -53,23 +53,11 @@ class VerifiedWatermark:
     incremental_runs: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "head": self.head,
-            "merkle_root": self.merkle_root,
-            "verified_at": self.verified_at,
-            "incremental_runs": self.incremental_runs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerifiedWatermark":
-        return cls(
-            size=data["size"],
-            head=data["head"],
-            merkle_root=data["merkle_root"],
-            verified_at=data["verified_at"],
-            incremental_runs=data.get("incremental_runs", 0),
-        )
+        return cls(**data)
 
     def bumped(self) -> "VerifiedWatermark":
         """The same watermark after one more incremental run."""
@@ -139,8 +127,6 @@ class CheckpointStore:
         the log falls back to the previous watermark, or to a full
         rescan when none survives.
         """
-        store = cls.__new__(cls)
+        store = cls(device, key, clock)
         store._journal = Journal.recover(device)
-        store._key = key
-        store._clock = clock or WallClock()
         return store

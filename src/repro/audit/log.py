@@ -1,14 +1,27 @@
 """The hash-chained audit log.
 
-Every appended event is serialized canonically, journaled to a block
-device (so the adversary sees exactly what persists), and folded into a
-running hash chain::
+Every appended event is encoded once, by
+:func:`~repro.audit.events.encode_leaf`, into a compact binary *leaf*;
+the leaf goes into a running hash chain and a Merkle tree, and its
+frame is journaled to a block device (so the adversary sees exactly
+what persists)::
 
-    chain[i] = H(0x01 || chain[i-1] || canonical(event_i || chain_prev))
+    chain[i]  = chain_digest(chain[i-1], leaf[i])     chain[-1] = genesis (zeros)
+    mleaf[i]  = leaf_hash(chain[i-1] || leaf[i])
+    leaf      = head | actor | subject | decision digest (0 or 32 B) | detail
+    head      = sequence u64 | timestamp f64 | action code u8 | has decision u8
+                | len(actor) u16 | len(subject) u16 | len(detail) u32   (big-endian)
+    frame     = leaf | decision text (first use only) | chain[i] (32 B)
 
-The chain digest after each event is stored *with* the event, which
-lets verification pinpoint the first altered entry rather than only
-saying "something is wrong".
+``detail`` is canonical JSON of the event's detail without its decision
+(``rule``, ``rule_id`` and ``trace``, when it has a ``trace``).  The
+decision is written as the SHA-256 of its canonical JSON text; the
+first frame of the log to use a digest also carries the text, which
+replay accepts only if it hashes to the digest.  So the leaf is a pure
+function of the event, whether or not the text rode inline.  Each frame
+stores its raw ``chain[i]``, which lets verification pinpoint the
+first altered entry; ``chain[i-1]`` is not stored, it is the previous
+frame's.
 
 Verification modes:
 
@@ -32,14 +45,14 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.audit.checkpoint import CheckpointStore, VerifiedWatermark
-from repro.audit.events import AuditAction, AuditEvent
-from repro.crypto.hashing import GENESIS_DIGEST, chain_digest
+from repro.audit.events import AuditAction, AuditEvent, decode_frame, encode_leaf
+from repro.crypto.hashing import DIGEST_SIZE, GENESIS_DIGEST, chain_digest
 from repro.crypto.merkle import MerkleTree, leaf_hash, verify_consistency
 from repro.errors import AuditError
 from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.journal import Journal
 from repro.util.clock import Clock, WallClock
-from repro.util.encoding import canonical_bytes, canonical_dumps, canonical_loads
+from repro.util.encoding import canonical_loads
 from repro.util.metrics import METRICS
 
 
@@ -84,15 +97,14 @@ class AuditLog:
         self._head = GENESIS_DIGEST
         self._events: list[AuditEvent] = []
         self._tree = MerkleTree()
+        # Decision digest -> (sequence of the frame carrying its text, decision).
+        self._decisions: dict[bytes, tuple[int, dict]] = {}
         # Open batch: buffered journal payloads, or None outside a batch.
         self._pending: list[bytes] | None = None
         # Incremental-verification state.  The in-memory watermark is
         # authoritative within a process (process memory is trusted);
         # the checkpoint store is its MAC-sealed persistent mirror.
-        self._checkpoints = checkpoints
-        self._watermark: VerifiedWatermark | None = (
-            checkpoints.latest() if checkpoints is not None else None
-        )
+        self.adopt_checkpoints(checkpoints)
         self._spot_checks = spot_checks
         self._full_rescan_every = full_rescan_every
         # Unpredictable by default (the adversary must not know which
@@ -143,24 +155,18 @@ class AuditLog:
             subject_id=subject_id,
             detail=detail or {},
         )
-        # The chain input and the persisted entry share the event and
-        # prev encodings; splicing pre-encoded fragments (keys in sorted
-        # order: chain < event < prev) halves the canonical-JSON work
-        # while producing bytes identical to canonical_bytes() of the
-        # equivalent dicts — verify_chain recomputes and must agree.
-        event_json = canonical_dumps(event.to_dict())
-        prev_json = canonical_dumps(self._head)
-        encoded = f'{{"event":{event_json},"prev":{prev_json}}}'.encode("utf-8")
-        new_head = chain_digest(self._head, encoded)
-        chain_json = canonical_dumps(new_head)
-        persisted = (
-            f'{{"chain":{chain_json},"event":{event_json},"prev":{prev_json}}}'
-        ).encode("utf-8")
+        leaf, digest, text = encode_leaf(event)
+        if digest and digest not in self._decisions:
+            self._decisions[digest] = (event.sequence, canonical_loads(text))
+        else:
+            text = b""
+        new_head = chain_digest(self._head, leaf)
+        persisted = b"".join((leaf, text, new_head))
         if self._pending is not None:
             self._pending.append(persisted)
         else:
             self._journal.append(persisted)
-        self._tree.append(encoded)
+        self._tree.append(self._head + leaf)
         self._head = new_head
         self._events.append(event)
         return event
@@ -184,11 +190,9 @@ class AuditLog:
         """Flush buffered events in ONE journal device write; returns
         how many were flushed.  No-op (returns 0) when no batch is open.
         """
-        pending, self._pending = self._pending, None
-        if not pending:
-            return 0
-        self._journal.append_many(pending)
-        return len(pending)
+        flushed = self.flush_batch()
+        self._pending = None
+        return flushed
 
     def flush_batch(self) -> int:
         """Journal everything buffered so far WITHOUT closing the batch;
@@ -293,29 +297,40 @@ class AuditLog:
             self._seal_watermark(incremental_runs=incremental_runs)
         return result
 
-    def _replay(self, start: int, head: bytes, end: int) -> ChainVerification:
+    def _replay(
+        self, start: int, head: bytes, end: int, adopt: bool = False
+    ) -> ChainVerification:
         """The one replay: read frames ``start..end-1`` back from the
         device, chain each onto *head*, and require the result to be the
-        in-memory head.  ``events_checked`` counts the frames replayed
-        before any failure."""
+        in-memory head — or, to *adopt* a recovered device, make it the
+        head, appending each event to the log as it checks out.
+        ``events_checked`` counts the frames replayed before any
+        failure."""
 
         def bad(sequence: int, problem: str) -> ChainVerification:
-            return ChainVerification(
-                ok=False,
-                events_checked=sequence - start,
-                first_bad_sequence=sequence,
-                problem=problem,
-            )
+            return ChainVerification(False, sequence - start, sequence, problem)
 
+        decisions = self._decisions if adopt else self._decisions_before(start)
         for sequence in range(start, end):
             try:
                 payload = self._journal.read(sequence)
             except Exception as exc:  # noqa: BLE001 — checksum/torn tail
                 return bad(sequence, f"event {sequence} unreadable: {exc}")
             try:
-                _, _, head = self._check_frame(sequence, payload, head)
+                event, leaf, chain = decode_frame(payload, decisions)
             except AuditError as exc:
-                return bad(sequence, str(exc))
+                return bad(sequence, f"event {sequence} undecodable: {exc}")
+            if event.sequence != sequence:
+                return bad(sequence, f"event {sequence} carries sequence {event.sequence}")
+            new_head = chain_digest(head, leaf)
+            if chain != new_head:
+                return bad(sequence, f"stored chain digest wrong at event {sequence}")
+            if adopt:
+                self._tree.append(head + leaf)
+                self._events.append(event)
+            head = new_head
+        if adopt:
+            self._head = head
         if head != self._head:
             return bad(
                 end,
@@ -324,27 +339,9 @@ class AuditLog:
             )
         return ChainVerification(ok=True, events_checked=end - start)
 
-    @staticmethod
-    def _check_frame(
-        sequence: int, payload: bytes, head: bytes
-    ) -> tuple[AuditEvent, bytes, bytes]:
-        """Verify one journaled frame given the chain head before it;
-        returns ``(event, chain input, new head)`` or raises
-        :class:`AuditError` naming what is wrong."""
-        try:
-            entry = canonical_loads(payload)
-            event = AuditEvent.from_dict(entry["event"])
-        except Exception as exc:  # noqa: BLE001 — any decode failure is a finding
-            raise AuditError(f"event {sequence} undecodable: {exc}") from exc
-        if event.sequence != sequence:
-            raise AuditError(f"event {sequence} carries sequence {event.sequence}")
-        if entry["prev"] != head:
-            raise AuditError(f"chain link broken before event {sequence}")
-        encoded = canonical_bytes({"event": entry["event"], "prev": head})
-        new_head = chain_digest(head, encoded)
-        if entry["chain"] != new_head:
-            raise AuditError(f"stored chain digest wrong at event {sequence}")
-        return event, encoded, new_head
+    def _decisions_before(self, sequence: int) -> dict[bytes, tuple[int, dict]]:
+        """The decisions whose text a frame before *sequence* carries."""
+        return {key: value for key, value in self._decisions.items() if value[0] < sequence}
 
     def _verify_past(self, watermark: VerifiedWatermark) -> ChainVerification:
         """The incremental pass: :meth:`_replay` from the watermark,
@@ -355,13 +352,9 @@ class AuditLog:
         # proof) — any in-memory fork from the sealed history fails.
         try:
             if self._tree.root_at(watermark.size) != watermark.merkle_root:
-                return ChainVerification(
-                    ok=False,
-                    events_checked=0,
-                    first_bad_sequence=None,
-                    problem="in-memory Merkle tree does not reproduce the "
-                    "sealed watermark root (history fork)",
-                    mode="incremental",
+                raise AuditError(
+                    "in-memory Merkle tree does not reproduce the sealed "
+                    "watermark root (history fork)"
                 )
             verify_consistency(
                 watermark.merkle_root,
@@ -374,7 +367,6 @@ class AuditLog:
             return ChainVerification(
                 ok=False,
                 events_checked=0,
-                first_bad_sequence=None,
                 problem=f"consistency with the sealed prefix fails: {exc}",
                 mode="incremental",
             )
@@ -387,8 +379,8 @@ class AuditLog:
             return result
         # 3. Randomized spot-check of the sealed prefix: each sampled
         # frame is re-read from the device and must reproduce both the
-        # trusted in-memory leaf digest (pins event + prev bytes) and
-        # its stored chain digest (pinned by those bytes in turn) — a
+        # trusted in-memory leaf digest (pins its leaf and the previous
+        # frame's chain digest) and its own stored chain digest — a
         # complete per-frame check without replaying the whole prefix.
         sample_size = min(self._spot_checks, watermark.size)
         result = replace(result, spot_checked=sample_size)
@@ -402,27 +394,28 @@ class AuditLog:
         METRICS.incr("audit_verify_spot_checks", sample_size)
         return result
 
-    def _pinned_frame(self, sequence: int) -> dict:
+    def _pinned_frame(self, sequence: int) -> bytes:
         """Re-read one journaled frame in isolation and pin it to the
-        trusted in-memory leaf digest (which fixes its event + prev
-        bytes) and to its stored chain digest; returns the decoded
-        frame, or raises :class:`AuditError` naming what is wrong."""
+        trusted in-memory leaf digest (which fixes its leaf and the
+        previous frame's stored chain digest) and to its own stored
+        chain digest; returns the chain head before it, or raises
+        :class:`AuditError` naming what is wrong."""
         try:
+            prev = GENESIS_DIGEST
+            if sequence:
+                prev = self._journal.read(sequence - 1)[-DIGEST_SIZE:]
             payload = self._journal.read(sequence)
-            entry = canonical_loads(payload)
-            encoded = canonical_bytes(
-                {"event": entry["event"], "prev": entry["prev"]}
-            )
+            _, leaf, chain = decode_frame(payload, self._decisions_before(sequence))
         except Exception as exc:  # noqa: BLE001
             raise AuditError(f"sealed event {sequence} unreadable: {exc}") from exc
-        if leaf_hash(encoded) != self._tree.leaf_digest(sequence):
+        if leaf_hash(prev + leaf) != self._tree.leaf_digest(sequence):
             raise AuditError(
                 f"sealed event {sequence} does not match its trusted "
                 "Merkle leaf (prefix tampering)"
             )
-        if entry["chain"] != chain_digest(entry["prev"], encoded):
+        if chain != chain_digest(prev, leaf):
             raise AuditError(f"stored chain digest wrong at sealed event {sequence}")
-        return entry
+        return prev
 
     def _seal_watermark(self, incremental_runs: int) -> None:
         """Record (and persist, when a checkpoint store is attached)
@@ -455,27 +448,11 @@ class AuditLog:
         inconsistency raises :class:`AuditError` — a log that does not
         verify must not be silently adopted as the system of record.
         """
-        log = cls.__new__(cls)
+        log = cls(device, clock, spot_checks=spot_checks, full_rescan_every=full_rescan_every)
         log._journal = Journal.recover(device)
-        log._clock = clock or WallClock()
-        log._head = GENESIS_DIGEST
-        log._events = []
-        log._tree = MerkleTree()
-        log._pending = None
-        log._checkpoints = None  # adopt_checkpoints() re-attaches one
-        log._watermark = None
-        log._spot_checks = spot_checks
-        log._full_rescan_every = full_rescan_every
-        log._rng = random.Random()
-        for sequence, payload in enumerate(log._journal.read_all()):
-            try:
-                event, encoded, log._head = cls._check_frame(
-                    sequence, payload, log._head
-                )
-            except AuditError as exc:
-                raise AuditError(f"recovery failed: {exc}") from exc
-            log._tree.append(encoded)
-            log._events.append(event)
+        result = log._replay(0, GENESIS_DIGEST, len(log._journal), adopt=True)
+        if not result.ok:
+            raise AuditError(f"recovery failed: {result.problem}")
         return log
 
     # -- third-party event proofs -------------------------------------------
@@ -490,10 +467,10 @@ class AuditLog:
         *at_size* selects the anchored log size the proof must match
         (default: the current size).  Returns ``(event, chain_prev,
         proof)``; verify with :func:`verify_event_proof`.  *chain_prev*
-        comes from the event's own journaled frame, pinned to the
-        trusted Merkle leaf first — one frame read, not a replay of
-        every earlier event; a frame tampered with on the device raises
-        :class:`AuditError`.
+        is the previous frame's stored chain digest, pinned with the
+        event's own frame to the trusted Merkle leaf first — one frame
+        decoded, not a replay of every earlier event; a frame tampered
+        with on the device raises :class:`AuditError`.
         """
         event = self.event(sequence)
         size = at_size if at_size is not None else len(self._events)
@@ -502,7 +479,7 @@ class AuditLog:
                 f"event {sequence} is not covered by an anchor at size {size}"
             )
         self.flush_batch()  # the frame must be on the device to be re-read
-        chain_prev = self._pinned_frame(sequence)["prev"]
+        chain_prev = self._pinned_frame(sequence)
         return event, chain_prev, self._tree.prove_inclusion_at(sequence, size)
 
     def expected_head_for(self, events: list[AuditEvent]) -> bytes:
@@ -513,8 +490,7 @@ class AuditLog:
         """
         head = GENESIS_DIGEST
         for event in events:
-            encoded = canonical_bytes({"event": event.to_dict(), "prev": head})
-            head = chain_digest(head, encoded)
+            head = chain_digest(head, encode_leaf(event)[0])
         return head
 
 
@@ -534,5 +510,4 @@ def verify_event_proof(
     """
     from repro.crypto.merkle import verify_inclusion
 
-    encoded = canonical_bytes({"event": event.to_dict(), "prev": chain_prev})
-    verify_inclusion(encoded, proof, anchored_root)
+    verify_inclusion(chain_prev + encode_leaf(event)[0], proof, anchored_root)

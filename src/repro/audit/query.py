@@ -20,7 +20,7 @@ proof.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog, ChainVerification
@@ -101,9 +101,7 @@ class AuditQuery:
     def accesses_to(self, subject_id: str) -> list[AuditEvent]:
         """Every access-class event touching *subject_id* (HIPAA
         accounting-of-disclosures)."""
-        return self.filter(
-            lambda e: e.subject_id == subject_id and e.action in _ACCESS_ACTIONS
-        )
+        return self.disclosure_accounting([subject_id])
 
     def actions_by(self, actor_id: str) -> list[AuditEvent]:
         """Everything a workforce member did."""
@@ -122,10 +120,7 @@ class AuditQuery:
 
     def denial_counts(self) -> dict[str, int]:
         """Denied-access counts per actor; repeated denials signal probing."""
-        counts = Counter(
-            event.actor_id for event in self.by_action(AuditAction.ACCESS_DENIED)
-        )
-        return dict(counts)
+        return dict(Counter(e.actor_id for e in self.by_action(AuditAction.ACCESS_DENIED)))
 
     def suspicious_actors(self, denial_threshold: int = 5) -> list[str]:
         """Actors whose denial count reaches the threshold."""
@@ -138,8 +133,10 @@ class AuditQuery:
     def disclosure_accounting(self, patient_record_ids: list[str]) -> list[AuditEvent]:
         """All access events over a patient's record set, time-ordered —
         the report HIPAA lets individuals request."""
-        wanted = set(patient_record_ids)
-        events = self.filter(
-            lambda e: e.subject_id in wanted and e.action in _ACCESS_ACTIONS
-        )
-        return sorted(events, key=lambda e: e.sequence)
+        return disclosures(self._events(), patient_record_ids)
+
+
+def disclosures(events: Iterable[AuditEvent], record_ids: Iterable[str]) -> list[AuditEvent]:
+    """The access-class events among *events* over *record_ids*."""
+    wanted = set(record_ids)
+    return [e for e in events if e.subject_id in wanted and e.action in _ACCESS_ACTIONS]

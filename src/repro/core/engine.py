@@ -57,7 +57,7 @@ from repro.audit.anchors import AnchorSchedule, AnchorWitness
 from repro.audit.checkpoint import CheckpointStore
 from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog
-from repro.audit.query import _ACCESS_ACTIONS, AuditQuery
+from repro.audit.query import AuditQuery, disclosures
 from repro.backup.manager import BackupManager, RestoreReport
 from repro.backup.vault import BackupVault
 from repro.baselines.interface import StorageModel, VerificationReport
@@ -337,25 +337,18 @@ class CuratorStore(StorageModel):
                 own_record=(user.user_id == patient_id),
             ),
         )
-        if decision.allowed and decision.emergency:
-            self._audit.append(
-                AuditAction.EMERGENCY_ACCESS, actor_id, subject_id,
-                {"permission": permission.value, "rule_id": decision.rule_id,
-                 "trace": decision.trace_dicts()},
-            )
-            return user
         if not decision.allowed:
-            self._audit.append(
-                AuditAction.ACCESS_DENIED, actor_id, subject_id,
-                {"reason": decision.reason, "permission": permission.value,
-                 "rule_id": decision.rule_id, "trace": decision.trace_dicts()},
-            )
-            raise decision.exception()
+            action = AuditAction.ACCESS_DENIED
+        elif decision.emergency:
+            action = AuditAction.EMERGENCY_ACCESS
+        else:
+            action = AuditAction.ACCESS_GRANTED
         self._audit.append(
-            AuditAction.ACCESS_GRANTED, actor_id, subject_id,
-            {"rule": decision.reason, "permission": permission.value,
-             "rule_id": decision.rule_id, "trace": decision.trace_dicts()},
+            action, actor_id, subject_id,
+            {"permission": permission.value, **decision.to_audit_detail()},
         )
+        if not decision.allowed:
+            raise decision.exception()
         return user
 
     def _authorize_record(
@@ -941,14 +934,9 @@ class CuratorStore(StorageModel):
         # if the patient migrated here, access events that predate this
         # shard's log arrived as the imported audit-chain segment and
         # belong in the same accounting
-        wanted = set(record_ids)
-        imported = [
-            event
-            for event in map(
-                AuditEvent.from_dict, self._transfer.imported_events(patient_id)
-            )
-            if event.subject_id in wanted and event.action in _ACCESS_ACTIONS
-        ]
+        imported = disclosures(
+            map(AuditEvent.from_dict, self._transfer.imported_events(patient_id)), record_ids
+        )
         if not imported:
             return local
         return sorted(

@@ -168,17 +168,22 @@ class KeyStore:
             self._cipher_cache.popitem(last=False)
         return [KeyHandle(key_id=key_id) for key_id in key_ids]
 
+    def _entry(self, handle: KeyHandle, live: bool = False) -> _KeyEntry:
+        """The entry behind *handle*; a *live* one must not be shredded."""
+        entry = self._entries.get(handle.key_id)
+        if entry is None:
+            raise KeyManagementError(f"unknown key {handle.key_id}")
+        if live and entry.wrapped is None:
+            raise ShreddedKeyError(f"key {handle.key_id} was shredded")
+        return entry
+
     def cipher_for(self, handle: KeyHandle) -> AeadCipher:
         """Unwrap the data key and return an AEAD cipher bound to it.
 
         Raises :class:`ShreddedKeyError` if the key was destroyed and
         :class:`KeyManagementError` if the handle is unknown.
         """
-        entry = self._entries.get(handle.key_id)
-        if entry is None:
-            raise KeyManagementError(f"unknown key {handle.key_id}")
-        if entry.wrapped is None:
-            raise ShreddedKeyError(f"key {handle.key_id} was shredded")
+        entry = self._entry(handle, live=True)
         cached = self._cipher_cache.get(handle.key_id)
         if cached is not None:
             METRICS.incr("kdf_cache_hits")
@@ -211,9 +216,7 @@ class KeyStore:
         key whose escrowed blob no longer authenticates (altered on the
         device) is destroyed like any other.
         """
-        entry = self._entries.get(handle.key_id)
-        if entry is None:
-            raise KeyManagementError(f"unknown key {handle.key_id}")
+        entry = self._entry(handle)
         if entry.wrapped is None:
             assert entry.shredded_at is not None
             return entry.shredded_at
@@ -245,18 +248,11 @@ class KeyStore:
 
     def is_shredded(self, handle: KeyHandle) -> bool:
         """Whether the key has been destroyed."""
-        entry = self._entries.get(handle.key_id)
-        if entry is None:
-            raise KeyManagementError(f"unknown key {handle.key_id}")
-        return entry.wrapped is None
+        return self._entry(handle).wrapped is None
 
     def export_wrapped(self, handle: KeyHandle) -> bytes:
         """Export the wrapped (still-encrypted) key for backup transport."""
-        entry = self._entries.get(handle.key_id)
-        if entry is None:
-            raise KeyManagementError(f"unknown key {handle.key_id}")
-        if entry.wrapped is None:
-            raise ShreddedKeyError(f"key {handle.key_id} was shredded")
+        entry = self._entry(handle, live=True)
         return entry.wrapped.to_bytes()
 
     def import_wrapped(self, key_id: str, blob: bytes, label: str = "") -> KeyHandle:

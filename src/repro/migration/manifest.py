@@ -52,25 +52,10 @@ def build_manifest(
     store: WormStore, signer: Signer, timestamp: float
 ) -> MigrationManifest:
     """Enumerate the store's live objects and sign the manifest."""
-    entries = sorted(
-        (object_id, store.metadata(object_id).content_digest)
-        for object_id in store.object_ids()
-    )
-    root = _entries_root(entries)
-    signed = signer.sign(
-        {
-            "source_id": signer.signer_id,
-            "created_at": timestamp,
-            "entries": [[object_id, digest] for object_id, digest in entries],
-            "merkle_root": root,
-        }
-    )
-    return MigrationManifest(
-        source_id=signer.signer_id,
-        created_at=timestamp,
-        entries=tuple(entries),
-        merkle_root=root,
-        signed=signed,
+    return build_entries_manifest(
+        [(object_id, store.metadata(object_id).content_digest) for object_id in store.object_ids()],
+        signer,
+        timestamp,
     )
 
 

@@ -279,18 +279,12 @@ class Decision:
         return [entry.to_dict() for entry in self.trace]
 
     def to_audit_detail(self) -> dict[str, Any]:
-        """The structured detail the audit chain records for this
-        decision — rule id, outcome, reason, and the full trace."""
-        detail: dict[str, Any] = {
-            "rule": self.rule_id,
-            "effect": "allow" if self.allowed else "deny",
-            "reason": self.reason,
-            "trace": self.trace_dicts(),
-        }
-        if self.role_used is not None:
-            detail["role"] = getattr(self.role_used, "value", str(self.role_used))
-        if self.emergency:
-            detail["emergency"] = True
+        """The decision as the audit chain records it: the deciding rule
+        id, the full trace, and the reason sentence, under ``rule`` on a
+        grant and ``reason`` on a denial (a break-glass grant has none)."""
+        detail: dict[str, Any] = {"rule_id": self.rule_id, "trace": self.trace_dicts()}
+        if not (self.allowed and self.emergency):
+            detail["rule" if self.allowed else "reason"] = self.reason
         return detail
 
     def explain(self) -> str:

@@ -42,13 +42,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from repro.access.rbac import Purpose
 from repro.audit.checkpoint import CheckpointStore
+from repro.audit.events import decode_frame, encode_leaf
 from repro.crypto.kdf import derive_key
 from repro.errors import IntegrityError
 from repro.index.trustworthy import CHUNK_CAPACITY
 from repro.records.ids import version_id
 from repro.storage.journal import HEADER_SIZE, Journal
-from repro.util.encoding import canonical_bytes, canonical_loads
+from repro.util.encoding import canonical_bytes
 from repro.verify import substrate
 from repro.verify.substrate import (
     ACTOR,
@@ -156,10 +158,14 @@ def _rewrite_actor(payload: bytes) -> bytes | None:
 
 
 def _flip_chain_digest(payload: bytes) -> bytes | None:
-    entry = canonical_loads(payload)
-    chain = entry["chain"]
-    entry["chain"] = chain[:-1] + bytes([chain[-1] ^ 0x01])
-    return canonical_bytes(entry)
+    """The low bit of the stored chain digest: the frame's last byte."""
+    return payload[:-1] + bytes([payload[-1] ^ 0x01])
+
+
+def _edit_trace_text(payload: bytes) -> bytes | None:
+    """One byte of a decision text: only the frame carrying it has one."""
+    at = payload.find(b'"trace":[')
+    return None if at < 0 else payload[: at + 1] + b"T" + payload[at + 2 :]
 
 
 def _sealed(dep: Deployment) -> range:
@@ -178,6 +184,22 @@ def _tamper_sealed(mutate, then=_append_delta) -> Strike:
         return blame
 
     return strike
+
+
+def _repoint_decision(dep: Deployment) -> str | None:
+    """A read for another purpose adds a second decision to the log; the
+    adversary points a later access frame at it instead of its own."""
+    dep.surface.read(dep.residents()[0], actor_id=ACTOR, purpose=Purpose.PAYMENT)
+    _append_delta(dep)
+    device, decisions = dep.target.audit_log.device, {}
+    for offset, payload, _ok in Journal.walk_frames(device):
+        defined = set(decisions)
+        digest = encode_leaf(decode_frame(payload, decisions)[0])[1]
+        other = next((key for key in defined if key != digest), None)
+        if digest in defined and other is not None:
+            Journal.forge_frame(device, offset, payload.replace(digest, other, 1))
+            return "audit-chain"
+    return None
 
 
 def _tamper_suffix(dep: Deployment) -> str | None:
@@ -450,6 +472,8 @@ TAMPERS = (
     Tamper("audit_suffix_rewrite", _AUDIT, _tamper_suffix),
     Tamper("audit_chain_field_edit", _AUDIT, _tamper_sealed(_flip_chain_digest)),
     Tamper("audit_truncation", _AUDIT, _truncate_tail),
+    Tamper("audit_trace_text_edit", _AUDIT, _tamper_sealed(_edit_trace_text)),
+    Tamper("audit_trace_repoint", _AUDIT, _repoint_decision),
     Tamper("watermark_destruction", _AUDIT, _tamper_sealed(_rewrite_actor, _destroy_watermarks)),
     Tamper("watermark_forgery", _AUDIT, _tamper_sealed(_rewrite_actor, _forge_watermark)),
     Tamper("worm_dirty_object_rot", _INTEGRITY, _rot_dirty_object),

@@ -26,7 +26,7 @@ format::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.crypto.hashing import sha256
 from repro.errors import (
@@ -296,16 +296,7 @@ class WormStore:
 
             ensure_destruction_authorized(authorization, object_id)
         self.retention.check_deletable(object_id, self._clock.now())
-        tombstoned = StoredObject(
-            object_id=meta.object_id,
-            size=meta.size,
-            content_digest=meta.content_digest,
-            written_at=meta.written_at,
-            journal_sequence=meta.journal_sequence,
-            payload_offset=meta.payload_offset,
-            data_start=meta.data_start,
-            deleted=True,
-        )
+        tombstoned = replace(meta, deleted=True)
         self._objects[object_id] = tombstoned
         return tombstoned
 
@@ -322,16 +313,7 @@ class WormStore:
         meta = self._meta(object_id)
         if meta.deleted:
             return meta
-        tombstoned = StoredObject(
-            object_id=meta.object_id,
-            size=meta.size,
-            content_digest=meta.content_digest,
-            written_at=meta.written_at,
-            journal_sequence=meta.journal_sequence,
-            payload_offset=meta.payload_offset,
-            data_start=meta.data_start,
-            deleted=True,
-        )
+        tombstoned = replace(meta, deleted=True)
         self._objects[object_id] = tombstoned
         self._dirty.discard(object_id)
         self._expatriated.add(object_id)

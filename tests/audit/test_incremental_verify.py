@@ -13,7 +13,6 @@ from repro.audit.query import AuditQuery
 from repro.storage.block import MemoryDevice
 from repro.storage.journal import Journal
 from repro.util.clock import SimulatedClock
-from repro.util.encoding import canonical_bytes, canonical_loads
 from repro.util.metrics import METRICS
 
 KEY = b"\x42" * 32
@@ -62,10 +61,8 @@ def rewrite_actor(payload):
 
 
 def flip_chain(payload):
-    entry = canonical_loads(payload)
-    chain = entry["chain"]
-    entry["chain"] = chain[:-1] + bytes([chain[-1] ^ 0x01])
-    return canonical_bytes(entry)
+    """Flip the low bit of the stored chain digest (the frame's last byte)."""
+    return payload[:-1] + bytes([payload[-1] ^ 0x01])
 
 
 def test_incremental_without_a_watermark_escalates_to_full():

@@ -96,18 +96,18 @@ def test_event_proof_reads_one_frame_however_long_the_log(monkeypatch):
     clock, log = grown_log(2000)
     signer = Signer("hospital-A", keypair=KEYPAIR)
     anchor = publish_anchor(log, signer, clock.now())
-    encodes = [0]
-    real = audit_log.canonical_bytes
+    decodes = [0]
+    real = audit_log.decode_frame
 
-    def counting(value):
-        encodes[0] += 1
-        return real(value)
+    def counting(frame, decisions):
+        decodes[0] += 1
+        return real(frame, decisions)
 
-    monkeypatch.setattr(audit_log, "canonical_bytes", counting)
+    monkeypatch.setattr(audit_log, "decode_frame", counting)
     for sequence in (0, 1, 1000, 1999):
-        encodes[0] = 0
+        decodes[0] = 0
         event, chain_prev, proof = log.prove_event(sequence, at_size=anchor.log_size)
-        assert encodes[0] == 1  # the event's own frame, not every earlier event
+        assert decodes[0] == 1  # the event's own frame, not every earlier event
         assert chain_prev == log.expected_head_for(log.events()[:sequence])
         verify_event_proof(event, chain_prev, proof, anchor.merkle_root)
 

@@ -1,6 +1,8 @@
 """The declarative policy vocabulary: rules, decisions, destruction
 authorization."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import (
@@ -102,13 +104,17 @@ def test_decision_audit_detail_carries_the_trace():
         ),
     )
     detail = decision.to_audit_detail()
-    assert detail["rule"] == "deny:consent"
-    assert detail["effect"] == "deny"
-    assert detail["reason"] == "blocked"
+    assert detail["rule_id"] == "deny:consent"
+    assert detail["reason"] == "blocked" and "rule" not in detail
     assert detail["trace"] == [
         {"rule": "allow:x", "effect": "allow", "matched": False, "detail": "nope"},
         {"rule": "deny:consent", "effect": "deny", "matched": True, "detail": "blocked"},
     ]
+    # a grant records its reason as the rule sentence, break-glass none
+    granted = dataclasses.replace(decision, allowed=True, reason="ok")
+    assert granted.to_audit_detail()["rule"] == "ok"
+    emergency = dataclasses.replace(granted, emergency=True)
+    assert set(emergency.to_audit_detail()) == {"rule_id", "trace"}
 
 
 def test_explain_renders_verdict_and_consulted_rules():

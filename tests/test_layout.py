@@ -30,7 +30,7 @@ SERVICE_LINE_LIMIT = 800
 #: Every ``*.py`` line under ``src/repro`` (ROADMAP item 3's scoreboard:
 #: 26,424 when the round began).  Lower it with each PR that deletes;
 #: never raise it to fit one that adds.
-TREE_LINE_LIMIT = 25_112
+TREE_LINE_LIMIT = 25_110
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
@@ -210,7 +210,7 @@ ASKED_FOR_ROWS = sorted(
         "shard-00/rotted_arrival/worm_clean_object_rot",
     ]
 )
-SCENARIO_ROWS = 291
+SCENARIO_ROWS = 327
 
 
 def _sources(package) -> dict[str, str]:
@@ -381,7 +381,7 @@ def test_each_store_keeps_one_verification_sweep():
         assert sources[path].count("return self.verify_dirty(clean_sample=0)") == 1
     audit = sources["audit/log.py"]
     assert len(re.findall(r"\bfor sequence in range\(", audit)) == 1
-    assert len(re.findall(r'entry\["prev"\] != head', audit)) == 1
+    assert len(re.findall(r"\bif chain != new_head\b", audit)) == 1
     assert not re.search(r"\bdeep\b|def _verify_(full|incremental)\b", audit)
 
 

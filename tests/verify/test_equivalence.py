@@ -14,6 +14,8 @@ ENGINE_ROWS = {
             "audit_suffix_rewrite",
             "audit_chain_field_edit",
             "audit_truncation",
+            "audit_trace_text_edit",
+            "audit_trace_repoint",
             "watermark_destruction",
             "watermark_forgery",
             "worm_dirty_object_rot",
@@ -135,4 +137,4 @@ def test_suite_runs_clean_end_to_end(scenario_table):
         assert case.caught_by == "incremental" and case.attempts == 1
         assert case.flagged == ("<index>",)
     summary = report.summary()
-    assert "17 cases, 0 violations" in summary
+    assert "19 cases, 0 violations" in summary
