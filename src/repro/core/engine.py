@@ -220,12 +220,9 @@ class CuratorStore(StorageModel):
             device=MemoryDevice("curator-cold", config.cold_device_capacity),
             clock=self._clock,
         )
-        # retention / disposal — destruction decisions purge the policy
-        # decision cache (a shredded record's cached allows must die
-        # with it)
+        # retention / disposal
         self._shredder = SecureShredder(self._keystore)
-        self._shredder.bind_policy(self._policy)
-        # Derived-material memos die with every shred too: the verifier's
+        # Derived-material memos die with every shred: the verifier's
         # aggregated-signature root memo, the ed25519 key-expansion memo
         # (both regenerate from material a destruction may cover) and
         # the cold store's decrypted member plaintexts.

@@ -10,10 +10,10 @@ root) keeps the sign count per ingest batch at one.
 
 Key expansion (seed -> clamped scalar + prefix + public key) costs a
 SHA-512 and a base-point multiplication, so expansions are memoized per
-seed in an LRU.  The memo holds key-equivalent material and is
-registered with the shredder purge path
-(:func:`purge_ed25519_memo` / ``purge_decisions``), the same contract
-the keystore's cipher memo honours.
+seed in an LRU.  The memo holds key-equivalent material, so
+:func:`purge_ed25519_memo` is registered with the shredder's
+``bind_cache`` purges, the same contract the keystore's cipher memo
+honours.
 """
 
 from __future__ import annotations

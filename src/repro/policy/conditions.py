@@ -2,14 +2,10 @@
 
 Each factory returns a :class:`~repro.policy.model.Condition` whose
 ``check`` inspects the actor, the bound role, the request context, and
-the engine environment, and answers three things at once: does the
-condition hold, why (the detail becomes the denial reason when an ALLOW
-rule fails it, or the deny reason when a DENY rule matches on it), and
-whether the answer is cacheable — a pure function of the decision-cache
-key.  Anything that consulted per-actor or mutable-registry state
-(treating sets, consent directives, break-glass grants, call-scoped
-facts) reports ``cacheable=False`` so the decision cache never serves a
-stale answer for it.
+the engine environment, and answers two things: does the condition
+hold, and why (the detail becomes the denial reason when an ALLOW rule
+fails it, or the deny reason when a DENY rule matches on it).  Every
+check reads the live registries on every call; nothing is remembered.
 
 The predicates deliberately avoid importing the RBAC vocabulary:
 purposes are compared by their ``.value`` strings so this module stays
@@ -38,7 +34,7 @@ def actor_is_system() -> Condition:
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
         actor_id = getattr(actor, "user_id", None) or str(actor)
-        return CheckResult(actor_id == "system", "system principal", True)
+        return CheckResult(actor_id == "system", "system principal")
 
     return Condition("actor_is_system", check)
 
@@ -51,13 +47,12 @@ def purpose_in(allowed: frozenset) -> Condition:
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
         if context.purpose in allowed:
-            return CheckResult(True, "", True)
+            return CheckResult(True, "")
         role_value = getattr(role, "value", str(role))
         return CheckResult(
             False,
             f"role {role_value} may use {action} only for "
             f"{sorted_values}, not {_purpose_value(context)}",
-            True,
         )
 
     return Condition("purpose_in", check)
@@ -68,8 +63,8 @@ def own_record_only() -> Condition:
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
         if context.own_record:
-            return CheckResult(True, "", True)
-        return CheckResult(False, "patients may only read their own records", True)
+            return CheckResult(True, "")
+        return CheckResult(False, "patients may only read their own records")
 
     return Condition("own_record_only", check)
 
@@ -80,19 +75,18 @@ def treating_relationship() -> Condition:
     (the in-band emergency path; break-glass is the out-of-band one)."""
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
-        if not context.patient_id:
-            return CheckResult(True, "", True)
-        if _purpose_value(context) == _EMERGENCY:
-            return CheckResult(True, "", True)
         is_treating = getattr(actor, "is_treating", None)
-        if is_treating is not None and is_treating(context.patient_id):
-            return CheckResult(True, "", False)
+        if (
+            not context.patient_id
+            or _purpose_value(context) == _EMERGENCY
+            or (is_treating is not None and is_treating(context.patient_id))
+        ):
+            return CheckResult(True, "")
         actor_id = getattr(actor, "user_id", None) or str(actor)
         return CheckResult(
             False,
             f"{actor_id} has no treating relationship with "
             f"patient {context.patient_id}",
-            False,
         )
 
     return Condition("treating_relationship", check)
@@ -112,12 +106,12 @@ def consent_blocks() -> Condition:
             or role is None
             or context.purpose is None
         ):
-            return CheckResult(False, "", consent is None or not context.patient_id)
+            return CheckResult(False, "")
         try:
             consent.check_disclosure(context.patient_id, role, context.purpose)
         except ConsentError as exc:
-            return CheckResult(True, str(exc), False)
-        return CheckResult(False, "", False)
+            return CheckResult(True, str(exc))
+        return CheckResult(False, "")
 
     return Condition("consent_blocks", check)
 
@@ -131,16 +125,15 @@ def break_glass_active() -> Condition:
     def check(actor, role, action, resource, context, env) -> CheckResult:
         controller = getattr(env, "breakglass", None)
         if controller is None or not context.patient_id:
-            return CheckResult(False, "", controller is None or not context.patient_id)
+            return CheckResult(False, "")
         actor_id = getattr(actor, "user_id", None) or str(actor)
         if controller.has_active_grant(actor_id, context.patient_id):
             return CheckResult(
                 True,
                 f"active break-glass grant for {actor_id} "
                 f"on patient {context.patient_id}",
-                False,
             )
-        return CheckResult(False, "", False)
+        return CheckResult(False, "")
 
     return Condition("break_glass_active", check)
 
@@ -154,12 +147,12 @@ def retention_blocked() -> Condition:
         retention = getattr(env, "retention", None)
         clock = getattr(env, "clock", None)
         if retention is None or clock is None:
-            return CheckResult(False, "", False)
+            return CheckResult(False, "")
         try:
             retention.check_deletable(resource, clock.now())
         except RetentionError as exc:
-            return CheckResult(True, str(exc), False)
-        return CheckResult(False, "", False)
+            return CheckResult(True, str(exc))
+        return CheckResult(False, "")
 
     return Condition("retention_blocked", check)
 
@@ -180,7 +173,7 @@ def fact_true(name: str, detail: str = "") -> Condition:
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
         ok = bool(context.fact(name))
-        return CheckResult(ok, _render_fact_detail(detail, actor, resource, context), False)
+        return CheckResult(ok, _render_fact_detail(detail, actor, resource, context))
 
     return Condition(f"fact_true:{name}", check)
 
@@ -190,6 +183,6 @@ def fact_false(name: str, detail: str = "") -> Condition:
 
     def check(actor, role, action, resource, context, env) -> CheckResult:
         ok = not context.fact(name)
-        return CheckResult(ok, _render_fact_detail(detail, actor, resource, context), False)
+        return CheckResult(ok, _render_fact_detail(detail, actor, resource, context))
 
     return Condition(f"fact_false:{name}", check)

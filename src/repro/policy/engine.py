@@ -20,20 +20,16 @@ every tuple of the shipped rulesets' decision space):
 5. **FALLBACK allows** — break-glass: consulted only when no role won
    and no global/binding deny fired.
 
-Decisions are cached per (system-flag, role set, action, resource
-class, purpose, patient-present, own-record) — but only when every
-condition consulted reported itself cacheable, so anything touching
-mutable registries (treating sets, consent, break-glass grants) or
-call-scoped facts is always re-evaluated.  :meth:`PolicyEngine.
-purge_decisions` drops the cache; the secure shredder calls it after
-every destruction (a purged record must not keep answering from
-memory), and it is safe to call on any registry mutation.
+Nothing is cached: every request is decided from the rules and the
+live registries its conditions consult, so a decision can never
+outlive the state it was made from and there is nothing to purge.  The
+only memo is the (role, action) -> rules index, which depends on the
+rules alone.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
@@ -46,10 +42,6 @@ from repro.policy.model import (
     Tier,
     resource_class,
 )
-from repro.util.metrics import METRICS
-
-#: Cached decisions per engine; the least recently used is evicted first.
-CACHE_SIZE = 1024
 
 
 @dataclass
@@ -90,27 +82,12 @@ class PolicyEngine:
         # first (deny-overrides within a role), memoized on first use —
         # the vocabulary of (role, action) pairs is small and fixed.
         self._role_index: dict[tuple[str, str], tuple[PolicyRule, ...]] = {}
-        self._cache_size = CACHE_SIZE
-        self._cache: OrderedDict[tuple, Decision] = OrderedDict()
 
     # -- introspection -----------------------------------------------------
 
     @property
     def env(self) -> PolicyEnv:
         return self._env
-
-    def cache_info(self) -> dict[str, int]:
-        return {"entries": len(self._cache), "capacity": self._cache_size}
-
-    def purge_decisions(self) -> int:
-        """Drop every cached decision; returns how many were dropped.
-        Wired to the secure shredder (decisions about purged state must
-        not outlive it) and safe to call on any registry mutation."""
-        dropped = len(self._cache)
-        self._cache.clear()
-        if dropped:
-            METRICS.incr("policy_cache_purged", dropped)
-        return dropped
 
     # -- evaluation --------------------------------------------------------
 
@@ -130,108 +107,63 @@ class PolicyEngine:
             getattr(actor, "roles", ()) or (), key=lambda r: getattr(r, "value", str(r))
         )
         rcls = resource_class(resource)
-
-        cache_key = None
-        if self._cache_size and not ctx.facts:
-            cache_key = (
-                actor_id == "system",
-                frozenset(getattr(r, "value", str(r)) for r in roles),
-                action_value,
-                rcls,
-                ctx.purpose,
-                bool(ctx.patient_id),
-                ctx.own_record,
-            )
-            hit = self._cache.get(cache_key)
-            if hit is not None:
-                self._cache.move_to_end(cache_key)
-                METRICS.incr("policy_cache_hits")
-                return replace(hit, resource=resource)
-        METRICS.incr("policy_cache_misses")
-
+        purpose_value = (
+            getattr(ctx.purpose, "value", str(ctx.purpose)) if ctx.purpose else ""
+        )
         trace: list[RuleTrace] = []
-        cacheable = True
 
         def consult(rule: PolicyRule, role: Any) -> tuple[bool, str]:
-            nonlocal cacheable
             ok, detail = True, ""
             for condition in rule.conditions:
-                result = condition(actor, role, action_value, resource, ctx, self._env)
-                cacheable = cacheable and result.cacheable
-                detail = result.detail
-                if not result.ok:
-                    ok = False
+                ok, detail = condition(actor, role, action_value, resource, ctx, self._env)
+                if not ok:
                     break
             trace.append(RuleTrace(rule.rule_id, rule.effect.value, ok, detail))
             return ok, detail
 
-        def finish(decision: Decision) -> Decision:
-            decision = replace(
-                decision,
+        def reason(rule: PolicyRule, detail: str, role: Any) -> str:
+            return detail or rule.render_reason(
+                role=getattr(role, "value", str(role)) if role is not None else "",
+                action=action_value,
+                purpose=purpose_value,
+                actor=actor_id,
+            )
+
+        def decided(rule: PolicyRule, detail: str, role: Any = None) -> Decision:
+            """The decision *rule* makes, bound to *role* if one won."""
+            return Decision(
+                allowed=rule.effect is Effect.ALLOW,
+                rule_id=rule.rule_id,
+                reason=reason(rule, detail, role),
+                role_used=role,
                 trace=tuple(trace),
+                emergency=rule.emergency,
+                error=rule.error,
                 action=action_value,
                 resource=resource,
             )
-            if cache_key is not None and cacheable:
-                self._cache[cache_key] = decision
-                if len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-            return decision
 
-        purpose_value = (
-            getattr(ctx.purpose, "value", str(ctx.purpose)) if ctx.purpose else ""
-        )
-
-        # 1. override allows (the system principal)
-        for rule in self._applicable(self._overrides, action_value, rcls, resource):
+        # 1. override allows (the system principal), 2. global denies
+        for rule in (
+            *self._applicable(self._overrides, action_value, rcls, resource),
+            *self._applicable(self._global_denies, action_value, rcls, resource),
+        ):
             ok, detail = consult(rule, None)
             if ok:
-                return finish(
-                    Decision(
-                        allowed=True,
-                        rule_id=rule.rule_id,
-                        reason=detail
-                        or rule.render_reason(
-                            action=action_value, purpose=purpose_value, actor=actor_id
-                        ),
-                        emergency=rule.emergency,
-                    )
-                )
-
-        # 2. global denies
-        for rule in self._applicable(self._global_denies, action_value, rcls, resource):
-            ok, detail = consult(rule, None)
-            if ok:
-                return finish(
-                    Decision(
-                        allowed=False,
-                        rule_id=rule.rule_id,
-                        reason=detail
-                        or rule.render_reason(
-                            action=action_value, purpose=purpose_value, actor=actor_id
-                        ),
-                        error=rule.error,
-                    )
-                )
+                return decided(rule, detail)
 
         # 3. the role pass
         winner: tuple[Any, PolicyRule, str] | None = None
         bound_denials: list[tuple[Any, str]] = []
         for role in roles:
-            role_value = getattr(role, "value", str(role))
             denial_detail = ""
-            for rule in self._rules_for(role_value, action_value):
+            for rule in self._rules_for(getattr(role, "value", str(role)), action_value):
                 if not rule.matches_resource(rcls, resource):
                     continue
                 ok, detail = consult(rule, role)
                 if rule.effect is Effect.DENY:
                     if ok:
-                        denial_detail = detail or rule.render_reason(
-                            role=role_value,
-                            action=action_value,
-                            purpose=purpose_value,
-                            actor=actor_id,
-                        )
+                        denial_detail = reason(rule, detail, role)
                         break
                 elif ok:
                     winner = (role, rule, detail)
@@ -245,91 +177,33 @@ class PolicyEngine:
 
         if winner is not None:
             role, rule, detail = winner
-            role_value = getattr(role, "value", str(role))
             # 4. binding denies, evaluated against the winning role
-            for brule in self._applicable(
-                self._binding_denies, action_value, rcls, resource
-            ):
+            for brule in self._applicable(self._binding_denies, action_value, rcls, resource):
                 ok, bdetail = consult(brule, role)
                 if ok:
-                    return finish(
-                        Decision(
-                            allowed=False,
-                            rule_id=brule.rule_id,
-                            reason=bdetail
-                            or brule.render_reason(
-                                role=role_value,
-                                action=action_value,
-                                purpose=purpose_value,
-                                actor=actor_id,
-                            ),
-                            role_used=role,
-                            error=brule.error,
-                        )
-                    )
-            return finish(
-                Decision(
-                    allowed=True,
-                    rule_id=rule.rule_id,
-                    reason=detail
-                    or rule.render_reason(
-                        role=role_value,
-                        action=action_value,
-                        purpose=purpose_value,
-                        actor=actor_id,
-                    ),
-                    role_used=role,
-                    emergency=rule.emergency,
-                )
-            )
+                    return decided(brule, bdetail, role)
+            return decided(rule, detail, role)
 
         # 5. fallback allows (break-glass)
         for rule in self._applicable(self._fallback_allows, action_value, rcls, resource):
             ok, detail = consult(rule, None)
             if ok:
-                return finish(
-                    Decision(
-                        allowed=True,
-                        rule_id=rule.rule_id,
-                        reason=detail
-                        or rule.render_reason(
-                            action=action_value, purpose=purpose_value, actor=actor_id
-                        ),
-                        emergency=rule.emergency,
-                    )
-                )
+                return decided(rule, detail)
 
         # default deny: the last *bound* denial is the most specific
-        # reason (mirrors the legacy best-denial selection); the generic
-        # fallback names the actor, so it is never cached.
-        if bound_denials:
-            role, reason = bound_denials[-1]
-            return finish(
-                Decision(
-                    allowed=False,
-                    rule_id="default:deny",
-                    reason=reason,
-                    role_used=role,
-                )
-            )
-        cacheable = False
-        return finish(
-            Decision(
-                allowed=False,
-                rule_id="default:deny",
-                reason=f"no role of {actor_id} grants {action_value}",
-            )
+        # reason (mirrors the legacy best-denial selection)
+        role, denial = bound_denials[-1] if bound_denials else (
+            None, f"no role of {actor_id} grants {action_value}"
         )
-
-    def explain(
-        self,
-        actor: Any,
-        action: Any,
-        resource: str = "",
-        context: PolicyContext | None = None,
-    ) -> str:
-        """Human-readable decision path for one request."""
-        return self.decide(actor, action, resource, context).explain()
+        return Decision(
+            allowed=False,
+            rule_id="default:deny",
+            reason=denial,
+            role_used=role,
+            trace=tuple(trace),
+            action=action_value,
+            resource=resource,
+        )
 
     # -- indexing ----------------------------------------------------------
 

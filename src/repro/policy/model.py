@@ -108,8 +108,7 @@ class PolicyContext:
     ``purpose``/``patient_id``/``own_record`` are what the role-tier
     rules read; ``facts`` carries caller-computed booleans/values for
     domains where the mechanism layer measures and the policy layer
-    decides (session token validity, disposition ticket state, ...).  Decisions made under a
-    non-empty ``facts`` mapping are never cached.
+    decides (session token validity, disposition ticket state, ...).
     """
 
     purpose: Any = None
@@ -122,13 +121,10 @@ class PolicyContext:
 
 
 class CheckResult(NamedTuple):
-    """One condition evaluation: did it hold, why, and is the answer a
-    pure function of the decision-cache key (role set, action, resource
-    class, purpose, own-record flag, patient-present flag)?"""
+    """One condition evaluation: did it hold, and why."""
 
     ok: bool
     detail: str
-    cacheable: bool
 
 
 @dataclass(frozen=True)
@@ -310,9 +306,8 @@ class Decision:
 
 
 def resource_class(resource: str) -> str:
-    """The coarse class of a resource id, used for rule matching and as
-    the decision-cache key component (record ids vary per call; their
-    class does not)."""
+    """The coarse class of a resource id (``record``, ``session``, ...),
+    which rule resource patterns match besides the full id."""
     return policy_class(resource) if resource else WILDCARD
 
 

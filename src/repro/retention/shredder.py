@@ -47,24 +47,18 @@ class SecureShredder:
 
     def __init__(self, keystore: KeyStore) -> None:
         self._keystore = keystore
-        self._policies: list[Any] = []
         self._cache_purges: list[Callable[[], Any]] = []
-
-    def bind_policy(self, engine: Any) -> None:
-        """Register a policy engine whose decision cache is purged after
-        every successful shred (a destroyed record's cached allows must
-        not outlive it)."""
-        self._policies.append(engine)
 
     def bind_cache(self, purge: Callable[[], Any]) -> None:
         """Register a derived-material cache to purge after every
         successful shred.
 
         Every memo that holds (or can regenerate) material derived from
-        destroyed data — aggregated-signature root memos, ed25519 key
-        expansions — must be registered here, so a shred empties them
-        all without any call site having to remember each cache
-        individually."""
+        destroyed data — the aggregated-signature root memo, ed25519 key
+        expansions, the cold store's decrypted members — is registered
+        here, so a shred empties them all without any call site having
+        to remember each cache.  Policy decisions need no entry: the
+        policy engine remembers none."""
         self._cache_purges.append(purge)
 
     def shred(
@@ -95,8 +89,6 @@ class SecureShredder:
         bytes_overwritten = sum(
             device.scrub(offset, size) for device, offset, size in extents
         )
-        for engine in self._policies:
-            engine.purge_decisions()
         for purge in self._cache_purges:
             purge()
         return ShredReport(

@@ -114,21 +114,20 @@ def test_litigation_holds_survive_the_swap(swap):
     assert store.dispose("rec-0", actor_id="admin")
 
 
-def test_dispose_on_a_recovered_engine_empties_the_policy_decision_cache():
+def test_dispose_on_a_recovered_engine_empties_the_cold_member_cache():
     """One construction wiring: the recovered engine's shredder is bound
-    to its policy engine, so a shredded record's cached allows die with
-    it."""
+    to its own cold store, so the decrypted member plaintexts recovery
+    cached die with the next destruction."""
     store, clock, config = make_store()
     store.store(note("rec-0", "pat-1", clock), "dr-a")
     store.store(note("rec-1", "pat-1", clock), "dr-a")
+    store.demote_records(["rec-1"])
     recovered = recover(store, config)
     recovered.register_user(User.make("admin", "Admin", [Role.SYSTEM_ADMIN]))
-    recovered.register_user(User.make("dr-a", "A", [Role.PHYSICIAN]))
-    recovered.search("followup", actor_id="dr-a")  # a cacheable allow
-    assert recovered.policy.cache_info()["entries"] > 0
+    assert recovered.cold.cached_plaintext("rec-1") is not None  # recovery opened it
     clock.advance_years(40)
     recovered.dispose("rec-0", actor_id="admin")
-    assert recovered.policy.cache_info()["entries"] == 0
+    assert recovered.cold.cached_plaintext("rec-1") is None
 
 
 def test_a_record_recovered_from_the_cold_tier_alone_can_be_corrected():

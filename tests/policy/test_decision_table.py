@@ -4,10 +4,9 @@ decision space (:func:`repro.policy.lint.domain`) decides exactly as
 role, error class, emergency flag and the full trace — and every
 declared invariant holds on every tuple.
 
-The golden is written from cold engines (each tuple decided on an
-emptied cache) and compared here with the table warm engines decide, so
-the one comparison is also the decision cache's transparency check: an
-answer served stale from the cache fails on the first tuple it reaches.
+One engine per registry state decides every tuple of that state in
+turn, so an answer that carried over from an earlier request would
+fail on the first tuple it reaches.
 """
 
 import collections

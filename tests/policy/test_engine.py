@@ -1,11 +1,11 @@
-"""The policy engine: tier ordering, deny-overrides, the decision
-cache, and purge-on-shred invalidation."""
+"""The policy engine: tier ordering, deny-overrides, and decisions made
+afresh from the rules on every request."""
 
 import pytest
 
 from repro.access.principals import Role, User
 from repro.errors import ConfigurationError
-from repro.policy.engine import CACHE_SIZE, PolicyEngine, PolicyEnv
+from repro.policy.engine import PolicyEngine, PolicyEnv
 from repro.policy.model import (
     CheckResult,
     Condition,
@@ -14,15 +14,12 @@ from repro.policy.model import (
     PolicyRule,
     Tier,
 )
-from repro.util.metrics import METRICS
 
 
-def always(ok=True, detail="", cacheable=True):
+def always(ok=True, detail=""):
     return Condition(
         name="always",
-        check=lambda actor, role, action, resource, ctx, env: CheckResult(
-            ok, detail, cacheable
-        ),
+        check=lambda actor, role, action, resource, ctx, env: CheckResult(ok, detail),
     )
 
 
@@ -162,67 +159,29 @@ def test_trace_records_every_rule_consulted():
     assert consulted == ["deny:b", "allow:a"]  # deny-first within the role
 
 
-def test_decisions_are_cached_and_metered():
-    engine = PolicyEngine([allow("allow:read", roles=frozenset({"physician"}))])
-    before_miss = METRICS.get("policy_cache_misses")
-    before_hit = METRICS.get("policy_cache_hits")
+@pytest.mark.parametrize(
+    "rule, requests",
+    [
+        (
+            allow("allow:read", roles={"physician"}, reason="{role} {actor} may {action}"),
+            [(physician("dr-a"), "rec-1"), (physician("dr-b"), "rec-1")],
+        ),
+        (
+            allow("allow:rec-1", roles={"physician"}, resources=("rec-1",)),
+            [(physician("dr-a"), "rec-1"), (physician("dr-a"), "rec-2")],
+        ),
+    ],
+    ids=["reason-names-the-actor", "rule-names-the-resource"],
+)
+def test_a_long_lived_engine_decides_each_request_like_a_fresh_one(rule, requests):
+    """No answer carries over from an earlier request: the second
+    request gets its own actor in the reason, and a rule scoped to
+    ``rec-1`` does not let ``rec-2`` through."""
+    engine = PolicyEngine([rule])
     ctx = PolicyContext(purpose="treatment")
-    first = engine.decide(physician(), "read_record", "rec-1", ctx)
-    second = engine.decide(physician(), "read_record", "rec-2", ctx)
-    assert METRICS.get("policy_cache_misses") == before_miss + 1
-    assert METRICS.get("policy_cache_hits") == before_hit + 1
-    assert first.allowed and second.allowed
-    # The cached decision is re-bound to the caller's resource.
-    assert second.resource == "rec-2"
-    assert engine.cache_info()["entries"] == 1
-
-
-def test_facts_are_never_cached():
-    engine = PolicyEngine([allow("allow:anything")])
-    ctx = PolicyContext(facts={"measured": True})
-    assert engine.decide(physician(), "act", context=ctx).allowed
-    engine.decide(physician(), "act", context=ctx)
-    assert engine.cache_info()["entries"] == 0
-
-
-def test_non_cacheable_conditions_disable_caching():
-    engine = PolicyEngine(
-        [allow("allow:guarded", conditions=(always(ok=True, cacheable=False),))]
-    )
-    engine.decide(physician(), "read_record")
-    assert engine.cache_info()["entries"] == 0
-
-
-def test_generic_default_deny_is_not_cached():
-    engine = PolicyEngine([allow("allow:read", roles=frozenset({"physician"}))])
-    stranger = User.make("amy", "amy", [Role.NURSE])
-    decision = engine.decide(stranger, "read_record")
-    assert "no role of amy" in decision.reason
-    assert engine.cache_info()["entries"] == 0
-
-
-def test_purge_decisions_empties_the_cache():
-    engine = PolicyEngine([allow("allow:read", roles=frozenset({"physician"}))])
-    engine.decide(physician(), "read_record")
-    assert engine.cache_info()["entries"] == 1
-    before = METRICS.get("policy_cache_purged")
-    assert engine.purge_decisions() == 1
-    assert engine.cache_info()["entries"] == 0
-    assert METRICS.get("policy_cache_purged") == before + 1
-
-
-def test_cache_evicts_least_recently_used():
-    engine = PolicyEngine([allow("allow:anything")])
-    for n in range(CACHE_SIZE):  # fill the cache: action-0 is the oldest
-        engine.decide(physician("dr-a"), f"action-{n}")
-    engine.decide(physician("dr-a"), "action-0")  # refresh action-0
-    engine.decide(physician("dr-a"), "one-more")  # evicts action-1
-    assert engine.cache_info() == {"entries": CACHE_SIZE, "capacity": CACHE_SIZE}
-    before = METRICS.get("policy_cache_misses")
-    engine.decide(physician("dr-a"), "action-0")
-    assert METRICS.get("policy_cache_misses") == before
-    engine.decide(physician("dr-a"), "action-1")
-    assert METRICS.get("policy_cache_misses") == before + 1
+    for actor, resource in requests:
+        decided = engine.decide(actor, "read_record", resource, ctx)
+        assert decided == PolicyEngine([rule]).decide(actor, "read_record", resource, ctx)
 
 
 def test_env_is_exposed_to_conditions():
@@ -230,7 +189,7 @@ def test_env_is_exposed_to_conditions():
 
     def check(actor, role, action, resource, ctx, env):
         seen["env"] = env
-        return CheckResult(True, "", True)
+        return CheckResult(True, "")
 
     env = PolicyEnv(consent="the-registry")
     engine = PolicyEngine(
@@ -243,6 +202,6 @@ def test_env_is_exposed_to_conditions():
 
 def test_explain_is_decide_plus_rendering():
     engine = PolicyEngine([allow("allow:read", roles=frozenset({"physician"}))])
-    text = engine.explain(physician(), "read_record")
+    text = engine.decide(physician(), "read_record").explain()
     assert text.startswith("ALLOW")
     assert "allow:read" in text

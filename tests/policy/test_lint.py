@@ -134,7 +134,7 @@ def test_errors_sort_before_warnings():
 
 
 def test_an_unlisted_condition_is_probed_along_every_dimension():
-    custom = Condition("custom", lambda *args: CheckResult(True, "", True))
+    custom = Condition("custom", lambda *args: CheckResult(True, ""))
     rules = [allow("allow:custom", actions=frozenset({"read"}), conditions=(custom,))]
     # 36 role sets x 1 action x 7 purposes x 3 patients x own x 3
     # consents x grant x hold, plus the system principal's one tuple.

@@ -7,12 +7,10 @@ and the full trace.  Each distinct decision is written once; a block
 line (one role set and action, or one fact-ruleset action) holds a
 two-character code per tuple.
 
-Every tuple is decided on an emptied cache, so the golden holds cold
-decisions, while :func:`repro.policy.lint.decision_table` decides on
-warm engines: the test comparing the two is also the decision cache's
-transparency check.  Regenerate the golden only when a ruleset change is
-meant to move decisions, then read the diff: each changed line names the
-block whose decisions moved.  From the repo root::
+The decisions are :func:`repro.policy.lint.decision_table`'s.
+Regenerate the golden only when a ruleset change is meant to move
+decisions, then read the diff: each changed line names the block whose
+decisions moved.  From the repo root::
 
     PYTHONPATH=src python tests/policy/write_decision_table.py
 """
@@ -23,27 +21,15 @@ import json
 from pathlib import Path
 from typing import Iterator
 
-from repro.policy.lint import Probe, Row, domain, engine_for
+from repro.policy.lint import Row, decision_table, domain
 from repro.policy.rules import RULESETS
 
 GOLDEN = Path(__file__).with_name("decision_table.json")
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def cold_decisions(rules: tuple) -> list[tuple[Probe, Row]]:
-    """Every tuple of *rules*' decision space, each decided on an
-    emptied cache."""
-    engines: dict = {}
-    decided = []
-    for probe in domain(rules):
-        engine = engine_for(rules, probe, engines)
-        engine.purge_decisions()
-        decided.append((probe, Row.of(engine.decide(*probe.request()))))
-    return decided
-
-
 def encode(rules: tuple) -> dict:
-    decided = cold_decisions(rules)
+    decided = list(zip(domain(rules), decision_table(rules)))
     rows = list(dict.fromkeys(row for _, row in decided))
     assert len(rows) <= len(DIGITS) ** 2, "two-character codes no longer suffice"
     codes = {row: DIGITS[n // len(DIGITS)] + DIGITS[n % len(DIGITS)] for n, row in enumerate(rows)}
