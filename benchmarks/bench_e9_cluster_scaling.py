@@ -11,23 +11,27 @@ it must not give up:
   ``store_many`` ingests, issued by several client threads — runs
   through a 1-shard cluster and a 4-shard cluster via the identical
   router harness.  The scaling lever is *per-request work proportional
-  to local state*, not CPU parallelism (CPython threads share the
-  GIL): each shard's decrypted-read cache is node memory, so a working
-  set that thrashes one node's cache is served from four nodes'
-  aggregate, and every audited op appends to (and periodically
-  Merkle-anchors) an audit log a quarter of the monolith's length;
-  likewise a HIPAA accounting-of-disclosures verifies the chain it
-  answers from, so the monolith re-verifies the whole site's log per
-  query while the cluster touches only the owning shard's.
-* **Process-pool workers.**  A third arm runs the same workload
-  against an 8-shard cluster whose engines live in worker *processes*
-  (``workers=8``): per-shard state shrinks to an eighth — every read
-  is a cache hit, every disclosure accounting verifies an eighth of
-  the site-wide log — at the price of a pickled pipe round-trip per
-  op.  It carries a ratio bar over the single engine and an absolute
-  ops/s floor (the ratio was 5x while the single engine paid an
-  interpreted cipher on every cache miss; see the ``worker_speedup`` row
-  of ``benchmarks/bars.py`` for the re-derivation).
+  to local state*, not CPU parallelism (CPython threads share the GIL,
+  so a cross-shard search or ``store_many`` over in-process shards runs
+  in the calling thread, shard after shard): each shard's decrypted-read
+  cache is node memory, so a working set that thrashes one node's cache
+  is served from four nodes' aggregate, and every audited op appends to
+  (and periodically Merkle-anchors) an audit log a quarter of the
+  monolith's length; likewise a HIPAA accounting-of-disclosures verifies
+  the chain it answers from, so the monolith re-verifies the whole
+  site's log per query while the cluster touches only the owning
+  shard's.
+* **Process-pool workers.**  A third arm runs the same workload against
+  an 8-shard cluster whose engines live in worker *processes*
+  (``workers=8``): per-shard state shrinks to an eighth — every read is
+  a cache hit, every disclosure accounting verifies an eighth of the
+  site-wide log — at the price of a pickled pipe round-trip per op; its
+  fan-outs overlap on a thread pool, because a thread waiting on the
+  pipe releases the GIL.  It carries a ratio bar over the single engine
+  and an absolute ops/s floor (the ratio was 5x while the single engine
+  paid an interpreted cipher on every cache miss; see the
+  ``worker_speedup`` row of ``benchmarks/bars.py`` for the
+  re-derivation).
 * **Detection.**  The speedup is only admissible with **zero**
   cluster detection-equivalence violations: every raw-device tamper
   planted on any single shard must surface through the cluster's

@@ -9,8 +9,9 @@
   ``record -> patient`` table, and the manifest sealed over them;
 * :mod:`repro.cluster.dispatch` — running a call on the right shard:
   per-shard locks, the read path, the move-gated write path, the
-  fan-out pool (:mod:`repro.cluster.workers` hosts a shard in a
-  process behind an explicit call table);
+  fan-out, which runs in the caller's thread for in-process shards and
+  overlaps only process workers (:mod:`repro.cluster.workers` hosts a
+  shard in a process behind an explicit call table);
 * :mod:`repro.cluster.merge` — putting fan-out results back together;
 * :mod:`repro.cluster.router` — :class:`CuratorCluster`, the
   actor-attributed public surface over those parts;

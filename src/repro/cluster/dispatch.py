@@ -1,5 +1,6 @@
 """Running a call on the right shard: per-shard locks, one read path,
-one move-gated write path, and the parallel fan-out.
+one move-gated write path, and the fan-out (in the caller's thread,
+unless the shards are worker processes).
 
 Every delegated call runs under its shard's lock; requests to different
 shards proceed concurrently.  Everything is keyed by *patient*: the
@@ -19,7 +20,7 @@ snapshot, so the check is two lookups, not a second hash), run.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 from typing import Any, Callable, TypeVar
 
@@ -30,7 +31,7 @@ T = TypeVar("T")
 
 
 class Dispatch:
-    """Locks, gates and the fan-out pool over a :class:`Topology`."""
+    """Locks, gates and the fan-out over a :class:`Topology`."""
 
     def __init__(self, topology: Topology, name: str) -> None:
         self._topology = topology
@@ -140,13 +141,24 @@ class Dispatch:
             self._on(topo, shard_id, fn)
 
     def parallel(self, calls: dict[str, Callable[[], T]]) -> dict[str, T]:
-        """Run the keyed *calls* at once on the long-lived pool (a pool
-        per call would cost more in thread start-up than a shard-local
-        query).  Submission happens under the pool lock, so replacing a
-        pool that has become too narrow never strands a submit."""
-        if len(calls) <= 1:
-            return {key: call() for key, call in calls.items()}
-        with self._pool_lock:
+        """Run the keyed *calls*; results keyed alike.  In-process shards
+        share this interpreter's GIL, so their calls run here, in the
+        caller's thread, in key order; only process workers (whose pipe
+        ``recv`` releases the GIL) overlap, on a long-lived pool created
+        on first use.  Either way every call runs to its end before the
+        first failure in key order is raised."""
+        if len(calls) <= 1 or not self._topology.workers:
+            results: dict[str, T] = {}
+            failures = []
+            for key, call in calls.items():
+                try:
+                    results[key] = call()
+                except Exception as exc:
+                    failures.append(exc)
+            if failures:
+                raise failures[0]
+            return results
+        with self._pool_lock:  # a pool too narrow is replaced, never mid-submit
             if self._pool_width < len(calls):
                 if self._pool is not None:
                     self._pool.shutdown(wait=False)
@@ -156,20 +168,21 @@ class Dispatch:
                     thread_name_prefix=f"{self._name}-fanout",
                 )
             futures = {key: self._pool.submit(call) for key, call in calls.items()}
+        wait(futures.values())
         return {key: future.result() for key, future in futures.items()}
 
     def fan_out(self, fn: Callable[[Any], T]) -> dict[str, T]:
-        """Run *fn* on every shard of one topology snapshot in parallel;
-        results keyed by shard id, in slot order.  Mid-transition the
-        snapshot is the union topology, so not-yet-drained shards are
-        still covered."""
+        """Run *fn* on every shard of one topology snapshot through
+        :meth:`parallel`; results keyed by shard id, in slot order.
+        Mid-transition the snapshot is the union topology, so
+        not-yet-drained shards are still covered."""
         topo = self._topology.current
         return self.parallel(
             {sid: partial(self._on, topo, sid, fn) for sid in topo.engines}
         )
 
     def close(self) -> None:
-        """Reap the fan-out pool (a later fan-out starts a new one)."""
+        """Reap the process workers' fan-out pool, if one was started."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)

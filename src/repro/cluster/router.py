@@ -100,9 +100,8 @@ class CuratorCluster(StorageModel):
     ) -> None:
         self._config = config = _cluster_config(config)
         cluster_id = cluster_id or f"{config.site_id}-cluster"
-        self._workers = workers > 0 and _topology is None
         self._topology = _topology or Topology(
-            config, cluster_id, VNodeRing.for_count(shards), workers=self._workers
+            config, cluster_id, VNodeRing.for_count(shards), workers=workers > 0
         )
         self._dispatch = Dispatch(self._topology, cluster_id)
         #: snapshot id -> the shard that took it
@@ -149,7 +148,7 @@ class CuratorCluster(StorageModel):
     @property
     def worker_count(self) -> int:
         """Number of process-backed shard workers (0 = in-process)."""
-        return self.shard_count if self._workers else 0
+        return self.shard_count if self._topology.workers else 0
 
     @property
     def salvage_report(self) -> list[dict[str, Any]]:
@@ -157,12 +156,12 @@ class CuratorCluster(StorageModel):
         return list(self._salvage_report)
 
     def close(self) -> None:
-        """Shut down process-backed shard workers and the fan-out pool.
+        """Shut down process-backed shard workers and their fan-out pool.
 
-        Safe to call on an in-process cluster (only the lazy thread pool
-        is reaped) and idempotent either way.
+        Safe to call on an in-process cluster, whose fan-outs run in the
+        caller's thread (nothing to reap), and idempotent either way.
         """
-        if self._workers:
+        if self._topology.workers:
             for engine in self.shards:
                 engine.close()
         self._dispatch.close()

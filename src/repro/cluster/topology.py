@@ -117,6 +117,11 @@ class Topology:
             for patient_id in engine.patient_ids():
                 self.claim(dict.fromkeys(engine.records_of_patient(patient_id), patient_id))
 
+    @property
+    def workers(self) -> bool:
+        """Whether the shards are worker processes (else in-process engines)."""
+        return self._workers
+
     def build_engine(self, shard_id: str):
         """A fresh shard engine that already knows every principal."""
         config = shard_config(self._config, shard_id)

@@ -1,8 +1,8 @@
 """Process-backed shard workers for the cluster router.
 
-In-process shard engines share one interpreter, so even with the
-router's thread fan-out every cryptographic byte of every shard is
-serialized through a single GIL.  A :class:`ShardWorkerProxy` moves one
+In-process shard engines share one interpreter and its GIL, so a
+fan-out over them runs in the caller's thread, one shard after another;
+only process workers overlap.  A :class:`ShardWorkerProxy` moves one
 whole engine into a dedicated worker process and speaks a compact
 command protocol over a pipe:
 
@@ -147,13 +147,7 @@ class ShardWorkerProxy:
             "run the cluster with workers=0 for device-level harnesses"
         )
 
-    device_set = devices
-
-    def audit_devices(self):
-        raise ClusterError(
-            "raw audit-device access is not available on a process-backed "
-            "shard; run the cluster with workers=0 for device-level harnesses"
-        )
+    device_set = audit_devices = devices
 
     # -- lifecycle -------------------------------------------------------
 

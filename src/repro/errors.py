@@ -18,7 +18,12 @@ class ConfigurationError(CuratorError):
 
 
 class ValidationError(CuratorError):
-    """Input data failed structural or semantic validation."""
+    """Input data failed structural or semantic validation; *field*, when
+    known, names the input at fault (never its value)."""
+
+    def __init__(self, message: str, field: str = "") -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class CryptoError(CuratorError):

@@ -91,15 +91,17 @@ class HealthRecord:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "HealthRecord":
         try:
-            return cls(
-                record_id=data["record_id"],
-                record_type=RecordType(data["record_type"]),
-                patient_id=data["patient_id"],
-                created_at=data["created_at"],
-                body=data["body"],
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"malformed record dict: {exc}") from exc
+            record_type = RecordType(data["record_type"])
+            record_id, patient_id = data["record_id"], data["patient_id"]
+            created_at, body = data["created_at"], data["body"]
+        except KeyError as exc:
+            name, reason = exc.args[0], "is missing"
+        except ValueError:  # only RecordType raises it
+            name, reason = "record_type", "is not a known record type"
+        else:
+            return cls(record_id, record_type, patient_id, created_at, body)
+        # Name the field and the reason, never the value: it may be PHI.
+        raise ValidationError(f"malformed record dict: {name} {reason}", name)
 
     def searchable_text(self) -> str:
         """The free text the keyword index covers."""
@@ -119,22 +121,6 @@ class HealthRecord:
         return " ".join(pieces)
 
 
-def _record(
-    record_id: str,
-    record_type: RecordType,
-    patient_id: str,
-    created_at: float,
-    body: dict[str, Any],
-) -> HealthRecord:
-    return HealthRecord(
-        record_id=record_id,
-        record_type=record_type,
-        patient_id=patient_id,
-        created_at=created_at,
-        body=body,
-    )
-
-
 class Patient:
     """Constructor for patient-demographics records."""
 
@@ -152,7 +138,7 @@ class Patient:
     ) -> HealthRecord:
         require_non_empty(name, "name")
         require_non_empty(birth_date, "birth_date")
-        return _record(
+        return HealthRecord(
             record_id,
             RecordType.PATIENT_DEMOGRAPHICS,
             patient_id,
@@ -184,7 +170,7 @@ class Encounter:
     ) -> HealthRecord:
         require_non_empty(encounter_type, "encounter_type")
         require_non_empty(provider, "provider")
-        return _record(
+        return HealthRecord(
             record_id,
             RecordType.ENCOUNTER,
             patient_id,
@@ -216,7 +202,7 @@ class Observation:
     ) -> HealthRecord:
         require_non_empty(code, "code")
         require_type(value, (int, float), "value")
-        return _record(
+        return HealthRecord(
             record_id,
             RecordType.OBSERVATION,
             patient_id,
@@ -246,7 +232,7 @@ class ClinicalNote:
     ) -> HealthRecord:
         require_non_empty(author, "author")
         require_non_empty(text, "text")
-        return _record(
+        return HealthRecord(
             record_id,
             RecordType.CLINICAL_NOTE,
             patient_id,

@@ -196,18 +196,18 @@ def _take(spec: _Field, value: Any) -> Any:
         try:
             value = float(value)
         except OverflowError:
-            raise WireError(f"field {name!r} is out of range for a float") from None
+            raise WireError(f"field {name!r} is out of range for a float", name) from None
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise WireError(
-            f"field {name!r} must be {kind.__name__}, got {type(value).__name__}"
+            f"field {name!r} must be {kind.__name__}, got {type(value).__name__}", name
         )
     if spec.items is not None:
         if not all(isinstance(item, spec.items) for item in value):
             items = "strings" if spec.items is str else "objects"
-            raise WireError(f"field {name!r} must be a list of {items}")
+            raise WireError(f"field {name!r} must be a list of {items}", name)
         value = tuple(dict(item) if spec.items is Mapping else item for item in value)
     if spec.check is not None and not spec.check[0](value):
-        raise WireError(f"field {name!r} {spec.check[1]}")
+        raise WireError(f"field {name!r} {spec.check[1]}", name)
     return value
 
 
@@ -221,7 +221,7 @@ def _decode(specs: tuple[_Field, ...], payload: Any) -> dict[str, Any]:
         elif spec.default is not MISSING:
             values[spec.attr] = spec.default
         else:
-            raise WireError(f"missing required field {spec.name!r}")
+            raise WireError(f"missing required field {spec.name!r}", spec.name)
     return values
 
 

@@ -261,16 +261,17 @@ class CuratorService:
             rule_id=decision.rule_id if decision is not None else "",
             trace=tuple(decision.trace_dicts()) if decision is not None else (),
         )
+        # The audit detail carries no free text: a message may echo input,
+        # and PHI written to the append-only chain could never be destroyed.
         detail: dict[str, Any] = {
-            "method": request.method,
-            "status": body.status,
-            "code": body.code,
-            "message": body.message,
+            "method": request.method, "status": body.status, "code": body.code
         }
         if body.rule_id:
             detail["rule"] = body.rule_id
         if route is not None:
             detail["handler"] = route.handler_name
+        if getattr(failure, "field", ""):
+            detail["field"] = failure.field
         self._append_audit(
             AuditAction.API_REJECTED, actor_id or "anonymous", request.path or "/", detail
         )

@@ -23,20 +23,15 @@ def require(condition: bool, message: str) -> None:
 def require_type(value: Any, types: type | tuple[type, ...], name: str) -> None:
     """Raise unless *value* is an instance of *types*."""
     if not isinstance(value, types):
-        expected = (
-            types.__name__
-            if isinstance(types, type)
-            else " | ".join(t.__name__ for t in types)
-        )
-        raise ValidationError(
-            f"{name} must be {expected}, got {type(value).__name__}"
-        )
+        kinds = types if isinstance(types, tuple) else (types,)
+        expected = " | ".join(kind.__name__ for kind in kinds)
+        raise ValidationError(f"{name} must be {expected}, got {type(value).__name__}", name)
 
 
 def require_non_empty(value: Sized, name: str) -> None:
     """Raise unless *value* has nonzero length."""
     if len(value) == 0:
-        raise ValidationError(f"{name} must not be empty")
+        raise ValidationError(f"{name} must not be empty", name)
 
 
 def require_range(
@@ -44,13 +39,13 @@ def require_range(
 ) -> None:
     """Raise unless ``low <= value <= high`` (bounds optional)."""
     if low is not None and value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
+        raise ValidationError(f"{name} must be >= {low}, got {value}", name)
     if high is not None and value > high:
-        raise ValidationError(f"{name} must be <= {high}, got {value}")
+        raise ValidationError(f"{name} must be <= {high}, got {value}", name)
 
 
 def require_one_of(value: Any, allowed: Iterable[Any], name: str) -> None:
     """Raise unless *value* is one of *allowed*."""
     allowed = tuple(allowed)
     if value not in allowed:
-        raise ValidationError(f"{name} must be one of {allowed!r}, got {value!r}")
+        raise ValidationError(f"{name} must be one of {allowed!r}, got {value!r}", name)

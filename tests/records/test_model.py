@@ -152,18 +152,21 @@ def test_dict_round_trip():
 
 
 def test_from_dict_malformed_rejected():
-    with pytest.raises(ValidationError):
-        HealthRecord.from_dict({"record_id": "x"})
-    with pytest.raises(ValidationError):
-        HealthRecord.from_dict(
-            {
-                "record_id": "x",
-                "record_type": "not_a_type",
-                "patient_id": "p",
-                "created_at": 0.0,
-                "body": {},
-            }
-        )
+    """The error may reach a wire body or a log: it names the field and
+    the reason, and a value typed into the wrong field (perhaps PHI)
+    stays out of it."""
+    phi = "John Smith SSN 123-45-6789"
+    for changes, field in [
+        ({"record_type": phi}, "record_type"),
+        ({"record_id": phi, "body": None}, "body"),
+        ({"patient_id": None, "record_type": None}, "record_type"),
+    ]:
+        data = {"record_id": "x", "record_type": "clinical_note", "patient_id": "p",
+                "created_at": 0.0, "body": {}, **changes}
+        with pytest.raises(ValidationError) as caught:
+            HealthRecord.from_dict({k: v for k, v in data.items() if v is not None})
+        assert caught.value.field == field
+        assert field in str(caught.value) and phi not in str(caught.value)
 
 
 def test_searchable_text_collects_nested_strings():
