@@ -3,6 +3,7 @@
 Demonstrates the access-control surface of the paper's requirements:
 minimum necessary, patient consent directives, emergency break-glass
 with mandatory review, and the privacy officer's forensic queries.
+Eight years on, the operational audit reports what has drifted.
 
 Run:  python examples/hospital_workflow.py
 """
@@ -11,6 +12,7 @@ import secrets
 
 from repro import CuratorConfig, CuratorStore
 from repro.access import ConsentDirective, Role, User
+from repro.compliance.operations import operational_findings, render_findings
 from repro.errors import AccessDeniedError, ConsentError
 from repro.records import ClinicalNote, Patient
 from repro.util import SimulatedClock
@@ -88,6 +90,10 @@ def main() -> None:
     for event in query.accesses_to("rec-note-1"):
         print(f"  {event.action.value:<18} by {event.actor_id}")
     print("\naudit trail verifies:", store.verify_audit_trail().summary())
+
+    # Eight years on: the media have aged and the note's term has run out.
+    clock.advance_years(8)
+    print("\n" + render_findings(operational_findings(store)))
 
 
 if __name__ == "__main__":

@@ -73,11 +73,14 @@ class ObjectId(NamedTuple):
 def check_id(value: str, what: str) -> None:
     """Refuse an incoming record or attachment id that bears a reserved
     token (it would parse back as some other record's object, or be
-    classed as a policy resource that is not a record)."""
+    classed as a policy resource that is not a record).  The error names
+    the field and the reason, never the value: an id typed into the wrong
+    field may be PHI."""
     if _VERSION in value or _ATTACHMENT in value or value.startswith(_RESERVED_PREFIXES):
         raise ValidationError(
-            f"{what} {value!r} contains a reserved token ({_VERSION!r}, "
-            f"{_ATTACHMENT!r} or a leading {', '.join(map(repr, _RESERVED_PREFIXES))})"
+            f"{what} contains a reserved token ({_VERSION!r}, "
+            f"{_ATTACHMENT!r} or a leading {', '.join(map(repr, _RESERVED_PREFIXES))})",
+            what,
         )
 
 

@@ -14,7 +14,6 @@ from repro.util.validation import (
     require,
     require_type,
     require_non_empty,
-    require_range,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "require",
     "require_type",
     "require_non_empty",
-    "require_range",
 ]

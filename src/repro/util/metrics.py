@@ -17,8 +17,8 @@ Design constraints:
   every layer — crypto, storage, index, engine — can use it without
   import cycles.
 * **Inspectable anywhere.**  ``METRICS`` is the process-wide registry;
-  benchmarks and the CLI dump :meth:`Metrics.snapshot` and tests call
-  :meth:`Metrics.reset` between scenarios.
+  benchmarks and ``examples/metrics.py`` dump :meth:`Metrics.snapshot`
+  and tests call :meth:`Metrics.reset` between scenarios.
 
 Counters are observability, not audit: nothing here persists, and no
 security property may ever depend on a metric value.
@@ -79,11 +79,6 @@ class Metrics:
             yield
         finally:
             self.incr(name, time.perf_counter_ns() - start)
-
-    def ms(self, name: str) -> float:
-        """A ``_ns`` accumulator read back in milliseconds (0.0 if
-        never touched) — for benchmark tables and CLI reporting."""
-        return self._counters.get(name, 0) / 1e6
 
     def snapshot(self) -> dict[str, int]:
         """All counters, sorted by name (a plain, serializable dict)."""

@@ -9,7 +9,7 @@ would be frozen forever.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sized
+from typing import Any, Sized
 
 from repro.errors import ValidationError
 
@@ -32,20 +32,3 @@ def require_non_empty(value: Sized, name: str) -> None:
     """Raise unless *value* has nonzero length."""
     if len(value) == 0:
         raise ValidationError(f"{name} must not be empty", name)
-
-
-def require_range(
-    value: float, name: str, low: float | None = None, high: float | None = None
-) -> None:
-    """Raise unless ``low <= value <= high`` (bounds optional)."""
-    if low is not None and value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}", name)
-    if high is not None and value > high:
-        raise ValidationError(f"{name} must be <= {high}, got {value}", name)
-
-
-def require_one_of(value: Any, allowed: Iterable[Any], name: str) -> None:
-    """Raise unless *value* is one of *allowed*."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ValidationError(f"{name} must be one of {allowed!r}, got {value!r}", name)

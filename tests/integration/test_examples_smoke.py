@@ -18,7 +18,18 @@ FAST_EXAMPLES = [
     "thirty_year_archive.py",
     "breach_forensics.py",
     "ownership_transfer.py",
+    "wire_service.py",
+    "metrics.py",
+    "cluster_rebalance.py",
 ]
+
+#: What an example must print besides running clean.
+SHOWS = {
+    "hospital_workflow.py": ["Operational audit:"],
+    # the whole flow goes over the wire, and the denial is audited too
+    "wire_service.py": ["service audit chain verifies", "api_rejected"],
+    "cluster_rebalance.py": ["0 failures"],
+}
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)
@@ -28,6 +39,8 @@ def test_example_runs_clean(script, capsys):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{script} produced no output"
+    for needle in SHOWS.get(script, ()):
+        assert needle in out, f"{script} did not print {needle!r}"
 
 
 def test_quickstart_demonstrates_the_headline_claims(capsys):
@@ -50,3 +63,4 @@ def test_ownership_transfer_shows_custody(capsys):
     out = capsys.readouterr().out
     assert "acme-steel-clinic -> newco-health" in out
     assert "ok=False corrupted=('exposure-003',)" in out
+

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.util.validation import (
-    require,
-    require_non_empty,
-    require_one_of,
-    require_range,
-    require_type,
-)
+from repro.util.validation import require, require_non_empty, require_type
 
 
 def test_require_passes_and_fails():
@@ -37,16 +31,3 @@ def test_require_non_empty():
     with pytest.raises(ValidationError):
         require_non_empty("", "text")
 
-
-def test_require_range():
-    require_range(5, "n", low=0, high=10)
-    with pytest.raises(ValidationError):
-        require_range(-1, "n", low=0)
-    with pytest.raises(ValidationError):
-        require_range(11, "n", high=10)
-
-
-def test_require_one_of():
-    require_one_of("a", ["a", "b"], "letter")
-    with pytest.raises(ValidationError):
-        require_one_of("c", ["a", "b"], "letter")
