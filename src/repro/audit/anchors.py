@@ -29,8 +29,9 @@ O(anchors x log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from repro.audit.events import AuditAction
+from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog
 from repro.crypto.merkle import verify_consistency
 from repro.crypto.signatures import SignedPayload, Signer, Verifier
@@ -192,7 +193,9 @@ def publish_anchor(log: AuditLog, signer: Signer, timestamp: float) -> AuditAnch
 class AnchorSchedule:
     """One log's anchoring: publishes an anchor every *every* events —
     to the single witness, or to a majority quorum when there are
-    several — and checks the log against what they hold."""
+    several — and checks the log against what they hold.  Events that
+    must hold the cadence reach the log through :meth:`append`, so no
+    path can leave more than *every* of them unanchored."""
 
     def __init__(
         self,
@@ -217,24 +220,34 @@ class AnchorSchedule:
     def witness(self) -> AnchorWitness:
         return self.witnesses[0]
 
-    def maybe_anchor(self) -> None:
-        """Publish an anchor once *every* events have accrued since the
-        last one."""
+    def append(
+        self,
+        action: AuditAction,
+        actor_id: str,
+        subject_id: str,
+        detail: dict[str, Any] | None = None,
+    ) -> AuditEvent:
+        """Append one event, first publishing the anchor that is due
+        once *every* events have accrued since the last one.
+
+        Anchor first, then the event: inside an open audit batch the
+        anchor's flush then finds only events of earlier operations
+        (none, for a batch of one), so an operation that falls on an
+        anchor still costs its batch one audit device write."""
         latest = self.witness.latest()
-        unanchored = len(self._log) - (latest.log_size if latest else 0)
-        if unanchored < self._every:
-            return
-        # The anchor commits every event under its Merkle root to an
-        # external witness, so events buffered in an open audit batch
-        # must hit the device first — otherwise a crash would leave
-        # the witness attesting to events storage never saw, and an
-        # honest recovery would read as truncation.
-        self._log.flush_batch()
-        anchor = self.publish()
-        self._log.append(
-            AuditAction.ANCHOR_PUBLISHED, "system", "audit-log",
-            {"size": anchor.log_size, "witnesses": len(self.witnesses)},
-        )
+        if len(self._log) - (latest.log_size if latest else 0) >= self._every:
+            # The anchor commits every event under its Merkle root to an
+            # external witness, so events buffered in an open audit
+            # batch must hit the device first — otherwise a crash would
+            # leave the witness attesting to events storage never saw,
+            # and an honest recovery would read as truncation.
+            self._log.flush_batch()
+            anchor = self.publish()
+            self._log.append(
+                AuditAction.ANCHOR_PUBLISHED, "system", "audit-log",
+                {"size": anchor.log_size, "witnesses": len(self.witnesses)},
+            )
+        return self._log.append(action, actor_id, subject_id, detail)
 
     def publish(self) -> AuditAnchor:
         """Publish a fresh anchor to the witness, or through the quorum

@@ -21,12 +21,11 @@ richer native API (versions, break-glass, disposition, backup, media
 refresh) the examples and experiments use.
 
 :class:`CuratorStore` itself holds construction (one wiring, shared by
-``__init__`` and device recovery), authorization, and the hot path:
-``store`` / ``store_many``, ``read``, ``read_version``, ``correct``,
-``search``, ``dispose``, attachments, ``verify_integrity``,
-``verify_audit_trail``.  What is *not* in this file any more, and where
-it lives — each part built from the collaborators it uses, none handed
-the store:
+``__init__`` and device recovery) and the write, read and disposal
+paths: ``store`` / ``store_many``, one audited read behind ``read`` and
+``read_version``, ``correct``, ``search``, ``dispose``, attachments,
+holds.  What is *not* in this file any more, and where it lives — each
+part built from the collaborators it uses, none handed the store:
 
 * the shapes of object ids — :mod:`repro.records.ids`;
 * what the engine knows per record (chains, key handles, manifests,
@@ -40,8 +39,12 @@ the store:
   :mod:`repro.core.transfer`;
 * backup / restore / media refresh / device recovery —
   :mod:`repro.core.recovery`;
+* every access decision, break-glass — :mod:`repro.core.access`;
+* integrity and audit-trail verdicts, the accounting of disclosures,
+  audit-event proofs — :mod:`repro.core.verification`;
 * the anchor cadence and witness quorum —
-  :class:`repro.audit.anchors.AnchorSchedule`.
+  :class:`repro.audit.anchors.AnchorSchedule`, whose ``append`` is how
+  every event of this file and the parts above reaches the chain.
 """
 
 from __future__ import annotations
@@ -55,18 +58,20 @@ from repro.access.rbac import Permission, Purpose
 from repro.archive import ColdStore, DemotionPolicy
 from repro.audit.anchors import AnchorSchedule, AnchorWitness
 from repro.audit.checkpoint import CheckpointStore
-from repro.audit.events import AuditAction, AuditEvent
+from repro.audit.events import AuditAction
 from repro.audit.log import AuditLog
-from repro.audit.query import AuditQuery, disclosures
+from repro.audit.query import AuditQuery
 from repro.backup.manager import BackupManager, RestoreReport
 from repro.backup.vault import BackupVault
 from repro.baselines.interface import StorageModel, VerificationReport
+from repro.core.access import Access
 from repro.core.config import CuratorConfig
 from repro.core.directory import RecordDirectory
 from repro.core.home import RecordHome
 from repro.core.recovery import Recovery, RecoveryReport, recover_devices
 from repro.core.tiering import Tiering
 from repro.core.transfer import PatientTransfer
+from repro.core.verification import Verification
 from repro.crypto.aead import AeadCipher, AeadCiphertext
 from repro.crypto.aead import encrypt_many as aead_encrypt_many
 from repro.crypto.ed25519 import purge_ed25519_memo
@@ -74,14 +79,14 @@ from repro.crypto.hmac_utils import hmac_sha256
 from repro.crypto.kdf import derive_key
 from repro.crypto.keys import KeyHandle, KeyStore
 from repro.crypto.signatures import Signer, TrustStore, purge_signature_memo
-from repro.errors import AccessDeniedError, RecordError
+from repro.errors import RecordError
 from repro.index.trustworthy import TrustworthyIndex
 from repro.migration.bundle import PatientBundle
-from repro.policy import Decision, PolicyContext, PolicyEngine, PolicyEnv
-from repro.policy.rules import DEFAULT_RULES, default_purpose_for
+from repro.policy import PolicyEngine, PolicyEnv
+from repro.policy.rules import DEFAULT_RULES
 from repro.provenance.chain import CustodyRegistry
 from repro.provenance.graph import ProvenanceGraph
-from repro.records.ids import DISCLOSURES, SEARCH, attachment_object_id
+from repro.records.ids import SEARCH, attachment_object_id
 from repro.records.model import HealthRecord
 from repro.records.phi import deidentify
 from repro.records.versioning import VersionChain
@@ -90,7 +95,6 @@ from repro.retention.shredder import SecureShredder
 from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.media import MediaPool, Medium
 from repro.util.metrics import METRICS
-from repro.util.rotation import Rotation
 from repro.worm.store import WormStore
 
 SIGNATURE_BITS = 768  # simulation-scale; see crypto.rsa docs
@@ -146,7 +150,9 @@ class CuratorStore(StorageModel):
         every collaborator starts fresh on its own device;
         :meth:`recover_from_devices` passes the ones rebuilt from
         surviving images (and the signer / witnesses that outlive a
-        process crash)."""
+        process crash).  Collaborators are plain attributes, set once
+        here; ``worm``, ``medium`` and ``witness`` are properties, as a
+        swap or the anchor schedule moves them."""
         self._config = config
         self._clock = config.clock
         # crypto / keys — the keystore escrows every wrapped key to its
@@ -157,41 +163,41 @@ class CuratorStore(StorageModel):
             clock=self._clock,
             device=MemoryDevice("curator-keys", config.device_capacity),
         )
-        self._signer = signer if signer is not None else Signer(
+        self.signer = signer if signer is not None else Signer(
             config.site_id,
             keypair=config.signing_keypair,
             bits=SIGNATURE_BITS,
         )
         self._trust = TrustStore()
-        self._trust.add(self._signer.verifier())
+        self._trust.add(self.signer.verifier())
         # index — derived data: a recovered engine re-posts it from the
         # decrypted current versions
         index_key = derive_key(config.master_key, "curator/index")
-        self._index = TrustworthyIndex(
+        self.index = TrustworthyIndex(
             index_key, device=MemoryDevice("curator-idx", config.device_capacity)
         )
         # audit — the checkpoint store persists verified watermarks on
         # its own device, MAC-sealed under a key derived from the HSM-
         # held master key (forge-proof against the raw-device insider)
-        self._checkpoints = checkpoints if checkpoints is not None else CheckpointStore(
+        self.checkpoints = checkpoints if checkpoints is not None else CheckpointStore(
             device=MemoryDevice("curator-ckpt", config.device_capacity),
             key=derive_key(config.master_key, "curator/audit-checkpoint"),
             clock=self._clock,
         )
-        self._audit = audit if audit is not None else AuditLog(
+        self.audit_log = audit if audit is not None else AuditLog(
             device=MemoryDevice("curator-audit", config.device_capacity),
             clock=self._clock,
             spot_checks=config.audit_spot_checks,
             full_rescan_every=config.audit_full_rescan_every,
         )
-        self._audit.adopt_checkpoints(self._checkpoints)
+        self.audit_log.adopt_checkpoints(self.checkpoints)
         self._anchors = AnchorSchedule(
-            self._audit,
-            self._signer,
+            self.audit_log,
+            self.signer,
             self._clock,
             witnesses
             or [
-                AnchorWitness(self._signer.verifier())
+                AnchorWitness(self.signer.verifier())
                 for _ in range(config.witness_count)
             ],
             every=config.anchor_every_events,
@@ -201,22 +207,22 @@ class CuratorStore(StorageModel):
         # glass) with an explainable trace; the registries below only
         # answer facts for its conditions
         self._workforce = Workforce()
-        self._consent = ConsentRegistry()
-        self._breakglass = BreakGlassController(clock=self._clock)
-        self._policy = PolicyEngine(
+        self.consent = ConsentRegistry()
+        self.breakglass = BreakGlassController(clock=self._clock)
+        self.policy = PolicyEngine(
             DEFAULT_RULES,
             env=PolicyEnv(
-                consent=self._consent,
-                breakglass=self._breakglass,
+                consent=self.consent,
+                breakglass=self.breakglass,
                 clock=self._clock,
             ),
         )
         # provenance
-        self._custody = CustodyRegistry(self._trust)
-        self._provenance = ProvenanceGraph()
-        self._provenance.add_custodian(config.site_id)
+        self.custody = CustodyRegistry(self._trust)
+        self.provenance = ProvenanceGraph()
+        self.provenance.add_custodian(config.site_id)
         # cold tier: compacted segments on their own device
-        self._cold = cold if cold is not None else ColdStore(
+        self.cold = cold if cold is not None else ColdStore(
             device=MemoryDevice("curator-cold", config.cold_device_capacity),
             clock=self._clock,
         )
@@ -228,64 +234,71 @@ class CuratorStore(StorageModel):
         # the cold store's decrypted member plaintexts.
         self._shredder.bind_cache(purge_signature_memo)
         self._shredder.bind_cache(purge_ed25519_memo)
-        self._shredder.bind_cache(self._cold.purge_cache)
+        self._shredder.bind_cache(self.cold.purge_cache)
         # backup
-        self._vault = BackupVault(f"{config.site_id}-offsite")
+        self.vault = BackupVault(f"{config.site_id}-offsite")
         # the parts (see the module docstring)
         self._dir = RecordDirectory(config.read_cache_size)
-        self._media_pool = MediaPool(
+        self.media_pool = MediaPool(
             clock=self._clock, default_capacity=config.device_capacity
         )
         if worm is None:
-            medium = self._media_pool.provision()
+            medium = self.media_pool.provision()
             worm = WormStore(device=medium.device, clock=self._clock)
         else:
-            medium = self._media_pool.adopt(worm.device)
+            medium = self.media_pool.adopt(worm.device)
         self._home = RecordHome(
             site_id=config.site_id,
             retention_policy=config.retention_policy,
             clock=self._clock,
             sealer=Sealer(self._keystore),
-            signer=self._signer,
-            custody=self._custody,
-            provenance=self._provenance,
+            signer=self.signer,
+            custody=self.custody,
+            provenance=self.provenance,
             shredder=self._shredder,
-            index=self._index,
+            index=self.index,
             directory=self._dir,
             worm=worm,
             medium=medium,
         )
-        self._tiering = Tiering(
-            home=self._home, cold=self._cold, audit=self._audit, anchors=self._anchors
+        self._tiering = Tiering(home=self._home, cold=self.cold, anchors=self._anchors)
+        self._access = Access(
+            workforce=self._workforce,
+            breakglass=self.breakglass,
+            policy=self.policy,
+            anchors=self._anchors,
+            directory=self._dir,
         )
         self._transfer = PatientTransfer(
             home=self._home,
             tiering=self._tiering,
             keystore=self._keystore,
-            audit=self._audit,
-            consent=self._consent,
-            breakglass=self._breakglass,
+            audit=self.audit_log,
+            consent=self.consent,
+            breakglass=self.breakglass,
             workforce=self._workforce,
+        )
+        self._verification = Verification(
+            home=self._home,
+            tiering=self._tiering,
+            transfer=self._transfer,
+            access=self._access,
+            audit=self.audit_log,
+            anchors=self._anchors,
+            clean_sample=config.integrity_clean_sample,
         )
         self._recovery = Recovery(
             home=self._home,
             tiering=self._tiering,
             transfer=self._transfer,
             keystore=self._keystore,
-            audit=self._audit,
-            media_pool=self._media_pool,
-            backup=BackupManager(self._vault, clock=self._clock),
+            audit=self.audit_log,
+            media_pool=self.media_pool,
+            backup=BackupManager(self.vault, clock=self._clock),
             trust=self._trust,
         )
-        self._clean_records = Rotation()
         # Populated only on engines built by recover_from_devices().
         self.recovery_report: RecoveryReport | None = None
-
-    # The directory's and home's state under the names tests reach for.
-    _keys = property(lambda self: self._dir.keys)
-    _read_cache = property(lambda self: self._dir.read_cache)
-    _worm = property(lambda self: self._home.worm)
-    _witnesses = property(lambda self: self._anchors.witnesses)
 
     # ------------------------------------------------------------------
     # principals
@@ -300,154 +313,17 @@ class CuratorStore(StorageModel):
         unknown here) — lets a frontend replicate enrollment."""
         return self._workforce.resolve(actor_id)
 
-    def _authorize(
-        self,
-        actor_id: str,
-        permission: Permission,
-        patient_id: str,
-        purpose: Purpose,
-        subject_id: str,
-    ) -> User:
-        """Decide + audit.  One call into the declarative policy engine
-        decides the whole composite (system override, RBAC, consent
-        binding, break-glass fallback); the decision trace — every rule
-        consulted and the deciding rule — lands in the audit chain on
-        every outcome.  Denials are breach signals: they are logged as
-        structured ``ACCESS_DENIED`` events *before* the typed
-        exception is raised."""
-        user = self._workforce.resolve(actor_id)
-        if user is None:
-            self._audit.append(
-                AuditAction.ACCESS_DENIED,
-                actor_id,
-                subject_id,
-                {"reason": "unknown principal", "permission": permission.value},
-            )
-            raise AccessDeniedError(f"unknown principal {actor_id!r}")
-        decision = self._policy.decide(
-            user,
-            permission,
-            subject_id,
-            PolicyContext(
-                purpose=purpose,
-                patient_id=patient_id,
-                own_record=(user.user_id == patient_id),
-            ),
-        )
-        if not decision.allowed:
-            action = AuditAction.ACCESS_DENIED
-        elif decision.emergency:
-            action = AuditAction.EMERGENCY_ACCESS
-        else:
-            action = AuditAction.ACCESS_GRANTED
-        self._audit.append(
-            action, actor_id, subject_id,
-            {"permission": permission.value, **decision.to_audit_detail()},
-        )
-        if not decision.allowed:
-            raise decision.exception()
-        return user
-
-    def _authorize_record(
-        self,
-        record_id: str,
-        actor_id: str,
-        permission: Permission,
-        purpose: Purpose | None = None,
-        subject_id: str | None = None,
-    ) -> VersionChain:
-        """The prelude of every per-record operation: the live chain,
-        its patient, and one audited decision (the actor's default
-        purpose unless one is stated; the record as subject unless an
-        attachment is)."""
-        chain = self._dir.chain_for(record_id)
-        self._authorize(
-            actor_id,
-            permission,
-            chain.latest().record.patient_id,
-            purpose or self._default_purpose(actor_id),
-            subject_id or record_id,
-        )
-        return chain
-
-    @property
-    def policy(self) -> PolicyEngine:
-        """The engine's policy evaluator (the single decision path)."""
-        return self._policy
-
-    def explain_access(
-        self,
-        actor_id: str,
-        permission: Permission,
-        record_id: str = "",
-        purpose: Purpose | None = None,
-    ) -> Decision:
-        """Evaluate (without auditing, without raising) what would
-        happen if *actor_id* attempted *permission* — the ops surface
-        behind ``repro policy explain``."""
-        user = self._workforce.resolve(actor_id)
-        if user is None:
-            return Decision(
-                allowed=False,
-                rule_id="default:deny",
-                reason=f"unknown principal {actor_id!r}",
-                action=permission.value,
-                resource=record_id,
-            )
-        patient_id = ""
-        if record_id and record_id in self._dir.chains:
-            patient_id = self._dir.chains[record_id].latest().record.patient_id
-        return self._policy.decide(
-            user,
-            permission,
-            record_id,
-            PolicyContext(
-                purpose=purpose or self._default_purpose(actor_id),
-                patient_id=patient_id,
-                own_record=(user.user_id == patient_id and patient_id != ""),
-            ),
-        )
-
     def break_glass(self, actor_id: str, patient_id: str, justification: str):
         """Emergency access: grant + mandatory audit event."""
-        user = self._workforce.resolve(actor_id)
-        if user is None:
-            raise AccessDeniedError(f"unknown principal {actor_id!r}")
-        grant = self._breakglass.invoke(user, patient_id, justification)
-        self._audit.append(
-            AuditAction.EMERGENCY_ACCESS, actor_id, patient_id,
-            {"grant_id": grant.grant_id, "justification": justification},
-        )
-        return grant
+        return self._access.break_glass(actor_id, patient_id, justification)
 
     def revoke_break_glass(self, grant_id: str):
-        """Revoke an emergency grant and drop any cached plaintext the
-        grantee's reads pinned in memory — after revocation, reaching a
-        record again must run the full decrypt-under-authorization path.
-        """
-        grant = self._breakglass.revoke(grant_id)
-        for record_id in self.records_of_patient(grant.patient_id):
-            self._dir.purge(record_id)
-        self._audit.append(
-            AuditAction.EMERGENCY_ACCESS, grant.user_id, grant.patient_id,
-            {"grant_id": grant.grant_id, "revoked": True},
-        )
-        return grant
-
-    @property
-    def breakglass(self) -> BreakGlassController:
-        return self._breakglass
-
-    @property
-    def consent(self) -> ConsentRegistry:
-        return self._consent
+        """Revoke an emergency grant; purge what its reads cached."""
+        return self._access.revoke_break_glass(grant_id)
 
     # ------------------------------------------------------------------
     # cold tier (see repro.core.tiering)
     # ------------------------------------------------------------------
-
-    def _stored_versions(self, record_id: str):
-        return self._tiering.stored_versions(record_id)
 
     def _recall(self, record_id: str, actor_id: str) -> None:
         """Bring a cold record back to the warm tier before an operation
@@ -464,10 +340,6 @@ class CuratorStore(StorageModel):
         the commit protocol."""
         return self._tiering.demote(record_ids, actor_id=actor_id)
 
-    def demotion_candidates(self, policy: DemotionPolicy) -> list[str]:
-        """Live warm records the policy says belong in the cold tier."""
-        return self._tiering.candidates(policy)
-
     def demotion_sweep(
         self,
         policy: DemotionPolicy | None = None,
@@ -477,10 +349,6 @@ class CuratorStore(StorageModel):
         """Evaluate the demotion policy and compact every eligible
         record into cold segments (one per ``max_segment_records``)."""
         return self._tiering.sweep(policy, actor_id=actor_id)
-
-    @property
-    def cold(self) -> ColdStore:
-        return self._cold
 
     def cold_record_ids(self) -> list[str]:
         return sorted(self._dir.cold)
@@ -518,7 +386,7 @@ class CuratorStore(StorageModel):
             seen.add(record.record_id)
         if not records:
             return 0
-        self._audit.begin_batch()
+        self.audit_log.begin_batch()
         try:
             handles = self._keystore.create_keys(
                 [record.record_id for record in records]
@@ -533,40 +401,38 @@ class CuratorStore(StorageModel):
                 [(chain.latest(), handle) for chain, handle in zip(chains, handles)]
             )
             for record in records:
-                self._anchors.maybe_anchor()
                 self._dir.last_access[record.record_id] = self._clock.now()
-                self._audit.append(
+                self._anchors.append(
                     AuditAction.RECORD_CREATED, author_id, record.record_id,
                     {"type": record.record_type.value, "patient": record.patient_id},
                 )
             self._home.adopt(list(zip(chains, handles)))
         finally:
-            self._audit.commit()
+            self.audit_log.commit()
         METRICS.incr("store_many_batches")
         METRICS.incr("store_many_records", len(records))
         return len(records)
 
-    def _default_purpose(self, actor_id: str) -> Purpose:
-        """Infer the purpose of use from the actor's primary role when
-        the caller does not state one (the table lives beside the
-        declared rules in :mod:`repro.policy.rules`)."""
-        user = self._workforce.resolve(actor_id)
-        if user is None:
-            return Purpose.TREATMENT
-        return default_purpose_for(user)
-
-    def read(
+    def _read(
         self,
         record_id: str,
-        *,
+        version: int | None,
         actor_id: str,
         purpose: Purpose | None = None,
     ) -> HealthRecord:
-        chain = self._authorize_record(
+        """The one audited read: decide first (so a denied actor learns
+        nothing, not even how many versions a record has), then bound
+        the version (``None`` = current), then serve it — from the read
+        cache when it is the cached current version, else from its tier."""
+        chain = self._access.authorize_record(
             record_id, actor_id, Permission.READ_RECORD, purpose
         )
         current = len(chain) - 1
-        record = self._dir.cached(record_id, current)
+        if version is None:
+            version = current
+        elif not 0 <= version <= current:
+            raise RecordError(f"record {record_id} has no version {version}")
+        record = self._dir.cached(record_id, version)
         if record is not None:
             METRICS.incr("read_cache_hits")
             METRICS.incr("tier_hot_hits")
@@ -576,15 +442,23 @@ class CuratorStore(StorageModel):
                 METRICS.incr("tier_cold_reads")
             else:
                 METRICS.incr("tier_warm_reads")
-            record = self._tiering.open_version(record_id, current).record
-            self._dir.cache(record_id, current, record)
+            record = self._tiering.open_version(record_id, version).record
+            if version == current:
+                self._dir.cache(record_id, version, record)
         self._dir.last_access[record_id] = self._clock.now()
-        self._audit.append(
-            AuditAction.RECORD_READ, actor_id, record_id,
-            {"version": current},
+        self._anchors.append(
+            AuditAction.RECORD_READ, actor_id, record_id, {"version": version}
         )
-        self._anchors.maybe_anchor()
         return record
+
+    def read(
+        self,
+        record_id: str,
+        *,
+        actor_id: str,
+        purpose: Purpose | None = None,
+    ) -> HealthRecord:
+        return self._read(record_id, None, actor_id, purpose)
 
     def read_view(self, record_id: str, actor_id: str) -> dict[str, Any]:
         """Read with the minimum-necessary projection for the actor's role."""
@@ -597,23 +471,13 @@ class CuratorStore(StorageModel):
     def read_version(
         self, record_id: str, version: int, *, actor_id: str
     ) -> HealthRecord:
-        """Read one historical version, under the same authorization as
-        :meth:`read` and attributed to the same kind of accountable
-        principal."""
-        chain = self._dir.chain_for(record_id)
-        if version < 0 or version >= len(chain):
-            raise RecordError(f"record {record_id} has no version {version}")
-        self._authorize_record(record_id, actor_id, Permission.READ_RECORD)
-        stored = self._tiering.open_version(record_id, version)
-        self._dir.last_access[record_id] = self._clock.now()
-        self._audit.append(
-            AuditAction.RECORD_READ, actor_id, record_id, {"version": version}
-        )
-        return stored.record
+        """Read one historical version, under the same authorization and
+        audit as :meth:`read`."""
+        return self._read(record_id, version, actor_id)
 
     def correct(self, corrected: HealthRecord, author_id: str, reason: str) -> None:
         record_id = corrected.record_id
-        chain = self._authorize_record(
+        chain = self._access.authorize_record(
             record_id, author_id, Permission.CORRECT_RECORD, Purpose.TREATMENT
         )
         # a correction makes the record active again: recall first, so
@@ -622,12 +486,11 @@ class CuratorStore(StorageModel):
         version = chain.append_correction(corrected, author_id, reason, self._clock.now())
         handle = self._dir.keys[record_id]
         self._home.write([(version, handle)])
-        self._anchors.maybe_anchor()
         self._dir.last_access[record_id] = self._clock.now()
         # Re-adopting purges the superseded version from the read cache
         # and re-indexes the record's current text.
         self._home.adopt([(chain, handle)])
-        self._audit.append(
+        self._anchors.append(
             AuditAction.RECORD_CORRECTED, author_id, record_id,
             {"version": version.version_number, "reason": reason,
              "previous_digest": version.previous_digest},
@@ -638,16 +501,15 @@ class CuratorStore(StorageModel):
         # log persists to a device, and a cleartext term there would be
         # exactly the "Cancer" leak the trustworthy index closes.  The
         # privacy officer can recompute the trapdoor to match queries.
-        commitment = self._index.trapdoor(term)[:16]
+        commitment = self.index.trapdoor(term)[:16]
         subject = f"{SEARCH}{commitment}"
-        self._authorize(
+        self._access.authorize(
             actor_id, Permission.SEARCH_RECORDS, "", Purpose.TREATMENT, subject
         )
-        hits = self._index.search(term)
-        self._audit.append(
+        hits = self.index.search(term)
+        self._anchors.append(
             AuditAction.RECORD_SEARCHED, actor_id, subject, {"hits": len(hits)}
         )
-        self._anchors.maybe_anchor()
         return [record_id for record_id in hits if record_id not in self._dir.disposed]
 
     def dispose(
@@ -667,7 +529,7 @@ class CuratorStore(StorageModel):
         object_ids = self._dir.objects_of(record_id)
         # every version and chunk must be past retention and hold-free
         for object_id in object_ids:
-            self._worm.retention.check_deletable(object_id, now)
+            self.worm.retention.check_deletable(object_id, now)
         disposition = self._home.disposition
         disposition.identify()
         certificates = []
@@ -676,18 +538,18 @@ class CuratorStore(StorageModel):
                 disposition.approve(object_id, actor_id)
                 certificates.append(disposition.execute(object_id))
         # index must forget the record, verifiably
-        self._index.delete_document(record_id)
+        self.index.delete_document(record_id)
         # coordinated cryptographic deletion in backups
-        if not self._vault.destroyed:
-            self._vault.shred_key(self._dir.keys[record_id].key_id)
+        if not self.vault.destroyed:
+            self.vault.shred_key(self._dir.keys[record_id].key_id)
         # cold residue: the key shredding above already killed any
         # sealed member cryptographically; zero the extents too (and the
         # bind_cache hook purged the decrypted member cache with it)
-        cold_extents = self._cold.scrub_record(record_id)
+        cold_extents = self.cold.scrub_record(record_id)
         # ... and so must the read cache: a disposed record served from
         # memory would defeat the key shredding above.
         self._dir.mark_disposed(record_id)
-        self._audit.append(
+        self._anchors.append(
             AuditAction.RECORD_DISPOSED, actor_id, record_id,
             {
                 "versions": len(object_ids),
@@ -705,14 +567,14 @@ class CuratorStore(StorageModel):
         derived from the master key — stable across processes, wide
         enough not to collide, and not dictionary-matchable from a
         low-entropy patient id."""
-        chain = self._authorize_record(
+        chain = self._access.authorize_record(
             record_id, actor_id, Permission.EXPORT_DEIDENTIFIED, Purpose.RESEARCH
         )
         record = self._tiering.open_version(record_id, len(chain) - 1).record
         key = derive_key(self._config.master_key, "curator/pseudonym")
         tag = hmac_sha256(key, record.patient_id.encode("utf-8"))[:8]
         deid = deidentify(record, pseudonym=f"case-{tag.hex()}")
-        self._audit.append(AuditAction.RECORD_EXPORTED, actor_id, record_id, {})
+        self._anchors.append(AuditAction.RECORD_EXPORTED, actor_id, record_id, {})
         return deid
 
     def record_ids(self) -> list[str]:
@@ -726,11 +588,11 @@ class CuratorStore(StorageModel):
     # ------------------------------------------------------------------
 
     def devices(self) -> list[BlockDevice]:
-        devices = [self._worm.device, self._index.device, self._audit.device]
+        devices = [self.worm.device, self.index.device, self.audit_log.device]
         if self._keystore.device is not None:
             devices.append(self._keystore.device)
-        devices.append(self._checkpoints.device)
-        devices.append(self._cold.device)
+        devices.append(self.checkpoints.device)
+        devices.append(self.cold.device)
         return devices
 
     def device_set(self) -> dict[str, BlockDevice]:
@@ -738,109 +600,29 @@ class CuratorStore(StorageModel):
         :meth:`recover_from_devices` takes (the index is derived data,
         rebuilt on a fresh device)."""
         return {
-            "worm_device": self._worm.device,
+            "worm_device": self.worm.device,
             "key_device": self._keystore.device,
-            "audit_device": self._audit.device,
-            "checkpoint_device": self._checkpoints.device,
-            "cold_device": self._cold.device,
+            "audit_device": self.audit_log.device,
+            "checkpoint_device": self.checkpoints.device,
+            "cold_device": self.cold.device,
         }
 
-    def _check_record_chain(self, record_id: str) -> bool:
-        """Decrypt + re-chain every version of one record, from whichever
-        tier holds it (cold members are checked in place, not recalled)."""
-        try:
-            VersionChain.from_versions(
-                record_id, self._tiering.stored_versions(record_id)
-            )
-            return True
-        except Exception:  # noqa: BLE001 — any failure implicates the record
-            return False
-
-    def _blamed(self, object_ids: list[str]) -> set[str]:
-        """The records that own failing WORM objects (an object no
-        record owns — a segment archive — is blamed under its own id)."""
-        return {self._dir.owner_of(oid) or oid for oid in object_ids}
-
     def verify_integrity(self, incremental: bool = False) -> VerificationReport:
-        """Integrity verdict; ``report.violations`` carries the record
-        ids implicated by any failure (plus ``"<index>"`` when the
-        posting lists fail authentication).
-
-        ``incremental=True`` checks only the WORM objects, cold segments
-        and records touched since the last full pass, plus a rotating
-        sample of clean ones (``config.integrity_clean_sample`` per pass
-        in each of the three) so silent bit-rot in already-verified data
-        is still revisited on a bounded cycle.  The full pass is the same
-        sweep with nothing trusted: every live entry dirty and no clean
-        sample, so it digest-checks every version object and cold
-        member, re-chains every record, and authenticates every posting
-        list.
-        """
-        mode = "incremental" if incremental else "full"
-        sample = self._config.integrity_clean_sample if incremental else 0
-        with METRICS.timer(f"engine_integrity_{mode}_ns"):
-            live = self.record_ids()
-            dirty_records = self._dir.dirty
-            if incremental:
-                failures = self._blamed(self._worm.verify_dirty(clean_sample=sample))
-                failures.update(self._cold.verify_dirty(clean_sample=sample))
-            else:
-                failures = self._blamed(self._worm.verify_all())
-                failures.update(self._cold.verify_all())
-                dirty_records.update(live)
-                self._clean_records.reset()
-            dirty = [r for r in live if r in dirty_records]
-            clean = [r for r in live if r not in dirty_records]
-            to_check = dirty + self._clean_records.take(clean, sample)
-            for record_id in to_check:
-                if self._check_record_chain(record_id):
-                    dirty_records.discard(record_id)
-                else:
-                    failures.add(record_id)
-                    dirty_records.add(record_id)
-            METRICS.incr("engine_integrity_records_checked", len(to_check))
-        METRICS.incr(f"engine_integrity_{mode}_runs")
-        if incremental:
-            coverage = (
-                f"{len(dirty)} dirty + {len(to_check) - len(dirty)} sampled record(s)"
-            )
-        else:
-            # A clean full pass verified everything; failures stay dirty.
-            self._dir.dirty = {r for r in failures if r in self._dir.chains}
-            coverage = f"all {len(live)} record(s), every worm object"
-        if self._index.verify():
-            failures.add("<index>")
-        return VerificationReport.from_violations(
-            sorted(failures),
-            mode="incremental" if incremental else "full",
-            coverage=coverage,
-        )
+        """Integrity verdict (see :class:`repro.core.verification.Verification`)."""
+        return self._verification.verify_integrity(incremental)
 
     def audit_events(self) -> list[dict[str, Any]]:
-        return [event.to_dict() for event in self._audit.events()]
+        return [event.to_dict() for event in self.audit_log.events()]
 
     def audit_devices(self) -> list[BlockDevice]:
-        return [self._audit.device]
+        return [self.audit_log.device]
 
     def verify_audit_trail(self, incremental: bool = False) -> VerificationReport:
-        violations: list[str] = []
-        chain = self._audit.verify_chain(incremental=incremental)
-        if not chain:
-            violations.append("audit-chain")
-        try:
-            self._anchors.check_log()
-        except Exception:
-            violations.append("audit-anchors")
-        return VerificationReport.from_violations(
-            violations,
-            mode=chain.mode if incremental else "full",
-            coverage=f"{len(self._audit)} event(s), "
-            f"{len(self._witnesses)} witness(es)",
-        )
+        return self._verification.verify_audit_trail(incremental)
 
     def audit_query(self) -> AuditQuery:
         """Forensic query interface (verifies the chain first)."""
-        return AuditQuery(self._audit)
+        return AuditQuery(self.audit_log)
 
     # ------------------------------------------------------------------
     # binary attachments (imaging, scanned documents)
@@ -874,7 +656,7 @@ class CuratorStore(StorageModel):
         self._home.write([], chunks)
         self._dir.attachments.setdefault(record_id, {})[attachment_id] = manifest
         self._home.adopt([(chain, handle)], index=False)
-        self._audit.append(
+        self._anchors.append(
             AuditAction.RECORD_CREATED,
             actor_id,
             attachment_object_id(record_id, attachment_id),
@@ -888,11 +670,11 @@ class CuratorStore(StorageModel):
     ) -> bytes:
         """Read an attachment with full authorization + verification."""
         subject_id = attachment_object_id(record_id, attachment_id)
-        self._authorize_record(
+        self._access.authorize_record(
             record_id, actor_id, Permission.READ_RECORD, subject_id=subject_id
         )
         data = self._home.read_attachment(record_id, attachment_id)
-        self._audit.append(AuditAction.RECORD_READ, actor_id, subject_id, {})
+        self._anchors.append(AuditAction.RECORD_READ, actor_id, subject_id, {})
         return data
 
     def attachments_of(self, record_id: str) -> list[str]:
@@ -913,48 +695,15 @@ class CuratorStore(StorageModel):
             if start <= self._dir.chains[record_id].version(0).record.created_at < end
         )
 
-    def accounting_of_disclosures(
-        self, patient_id: str, *, actor_id: str
-    ):
-        """The HIPAA accounting-of-disclosures report for one patient:
-        every access-class event over their record set, from a verified
-        audit trail.  The request itself is authorized and audited."""
-        self._authorize(
-            actor_id,
-            Permission.READ_AUDIT_TRAIL,
-            patient_id,
-            self._default_purpose(actor_id),
-            f"{DISCLOSURES}{patient_id}",
-        )
-        record_ids = self.records_of_patient(patient_id)
-        local = self.audit_query().disclosure_accounting(record_ids)
-        # if the patient migrated here, access events that predate this
-        # shard's log arrived as the imported audit-chain segment and
-        # belong in the same accounting
-        imported = disclosures(
-            map(AuditEvent.from_dict, self._transfer.imported_events(patient_id)), record_ids
-        )
-        if not imported:
-            return local
-        return sorted(
-            [*local, *imported], key=lambda e: (e.timestamp, e.sequence)
-        )
+    def accounting_of_disclosures(self, patient_id: str, *, actor_id: str):
+        """The HIPAA accounting of disclosures for one patient, imported
+        segments included; the request itself is authorized and audited."""
+        return self._verification.accounting_of_disclosures(patient_id, actor_id=actor_id)
 
     def prove_audit_event(self, sequence: int):
-        """Third-party-verifiable disclosure of one audit event.
-
-        Publishes a fresh anchor if the event is not yet covered by one,
-        then returns ``(event, chain_prev, proof, anchor)``; a verifier
-        needs only the witnessed anchor (see
-        :func:`repro.audit.log.verify_event_proof`).
-        """
-        latest = self.witness.latest()
-        if latest is None or latest.log_size <= sequence:
-            latest = self._anchors.publish()
-        event, chain_prev, proof = self._audit.prove_event(
-            sequence, at_size=latest.log_size
-        )
-        return event, chain_prev, proof, latest
+        """``(event, chain_prev, proof, anchor)`` for one audit event,
+        anchoring first if no anchor covers it yet."""
+        return self._verification.prove_audit_event(sequence)
 
     # ------------------------------------------------------------------
     # patient migration (online cluster rebalancing; see
@@ -1047,11 +796,6 @@ class CuratorStore(StorageModel):
             }
         )
 
-    def insider_keys(self) -> dict[str, bytes]:
-        """Key material lives in the keystore under the HSM-held master
-        key; nothing is available from the software configuration."""
-        return {}
-
     # ------------------------------------------------------------------
     # operations: backup, media refresh, recovery (see
     # repro.core.recovery), retention sweeps
@@ -1129,10 +873,6 @@ class CuratorStore(StorageModel):
         store.recovery_report = store._recovery.replay()
         return store
 
-    @property
-    def vault(self) -> BackupVault:
-        return self._vault
-
     def refresh_media(self) -> Medium:
         """Migrate the archive to a fresh medium (aging hardware), with
         manifest verification, then sanitize and retire the old one."""
@@ -1147,10 +887,10 @@ class CuratorStore(StorageModel):
                 # the manifest carries the latest expiry across the
                 # member's versions; holds cannot exist on cold records
                 # (place_hold recalls first, demotion skips held ones)
-                if self._cold.member(record_id).expires_at <= now:
+                if self.cold.member(record_id).expires_at <= now:
                     due.append(record_id)
             elif all(
-                self._worm.retention.is_deletable(object_id, now)
+                self.worm.retention.is_deletable(object_id, now)
                 for object_id in self._version_ids(record_id)
             ):
                 due.append(record_id)
@@ -1161,46 +901,12 @@ class CuratorStore(StorageModel):
         return self._home.medium
 
     @property
-    def media_pool(self) -> MediaPool:
-        return self._media_pool
-
-    @property
     def worm(self) -> WormStore:
         return self._home.worm
 
     @property
-    def index(self) -> TrustworthyIndex:
-        return self._index
-
-    @property
-    def custody(self) -> CustodyRegistry:
-        return self._custody
-
-    @property
-    def provenance(self) -> ProvenanceGraph:
-        return self._provenance
-
-    @property
-    def audit_log(self) -> AuditLog:
-        return self._audit
-
-    @property
-    def checkpoints(self) -> CheckpointStore:
-        """The MAC-sealed watermark store backing incremental verify."""
-        return self._checkpoints
-
-    def dirty_record_ids(self) -> list[str]:
-        """Records awaiting re-verification by the incremental
-        integrity path."""
-        return sorted(self._dir.dirty)
-
-    @property
     def witness(self) -> AnchorWitness:
         return self._anchors.witness
-
-    @property
-    def signer(self) -> Signer:
-        return self._signer
 
     def _version_ids(self, record_id: str) -> list[str]:
         """The WORM object ids of a live record's versions, in order."""
@@ -1217,8 +923,8 @@ class CuratorStore(StorageModel):
         object_ids = self._version_ids(record_id)
         self._recall(record_id, actor_id)
         for object_id in object_ids:
-            self._worm.retention.place_hold(object_id, hold_id)
-        self._audit.append(
+            self.worm.retention.place_hold(object_id, hold_id)
+        self._anchors.append(
             AuditAction.RETENTION_HOLD_PLACED, actor_id, record_id, {"hold": hold_id}
         )
 
@@ -1226,7 +932,7 @@ class CuratorStore(StorageModel):
         self, record_id: str, hold_id: str, *, actor_id: str
     ) -> None:
         for object_id in self._version_ids(record_id):
-            self._worm.retention.release_hold(object_id, hold_id)
-        self._audit.append(
+            self.worm.retention.release_hold(object_id, hold_id)
+        self._anchors.append(
             AuditAction.RETENTION_HOLD_RELEASED, actor_id, record_id, {"hold": hold_id}
         )

@@ -24,7 +24,6 @@ from repro.archive import (
 )
 from repro.audit.anchors import AnchorSchedule
 from repro.audit.events import AuditAction
-from repro.audit.log import AuditLog
 from repro.core.home import RecordHome
 from repro.errors import IntegrityError
 from repro.records.ids import version_id
@@ -39,7 +38,6 @@ class Tiering:
 
     home: RecordHome
     cold: ColdStore
-    audit: AuditLog
     anchors: AnchorSchedule
 
     # -- reading stored versions ---------------------------------------------
@@ -132,11 +130,10 @@ class Tiering:
             # fresh device bytes: re-adopted dirty, so the next
             # incremental pass re-verifies them
             self.home.adopt([(self.home.directory.chains[record_id], handle)], index=False)
-            self.audit.append(
+            self.anchors.append(
                 AuditAction.RECORD_RECALLED, actor_id, record_id,
                 {"segment": segment_id, "versions": len(versions)},
             )
-            self.anchors.maybe_anchor()
         METRICS.incr("tier_cold_recalls")
         METRICS.incr("tier_recalled_versions", len(versions))
 
@@ -214,7 +211,7 @@ class Tiering:
             # marker first (the commit point), then tombstone the warm
             # extents — a crash in between is healed by recovery's
             # marker replay re-expatriating them
-            self.audit.append(
+            self.anchors.append(
                 AuditAction.RECORD_DEMOTED, actor_id, record_id,
                 {
                     "segment": segment_id,
@@ -225,7 +222,6 @@ class Tiering:
             for n in range(version_count):
                 self.home.worm.expatriate(version_id(record_id, n))
             self.home.directory.set_cold(record_id, True)
-        self.anchors.maybe_anchor()
         METRICS.incr("tier_demotions", len(staged))
         return [record_id for record_id, *_ in staged]
 

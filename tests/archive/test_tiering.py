@@ -80,7 +80,7 @@ def test_demote_then_recall_round_trips_every_version():
     }
     warm_digests = {
         rid: [
-            store._worm.metadata(version_id(rid, n)).content_digest
+            store.worm.metadata(version_id(rid, n)).content_digest
             for n in range(store.version_count(rid))
         ]
         for rid in IDS
@@ -134,15 +134,15 @@ def test_demotion_skips_held_disposed_and_already_cold_records():
 def test_demotion_policy_gates_on_age_and_idleness():
     store, clock = seeded()
     policy = DemotionPolicy(min_age_years=2.0, min_idle_years=1.0)
-    assert store.demotion_candidates(policy) == []  # everything too young
+    assert store._tiering.candidates(policy) == []  # everything too young
 
     clock.advance_years(3.0)
-    candidates = store.demotion_candidates(policy)
+    candidates = store._tiering.candidates(policy)
     assert sorted(candidates) == sorted(IDS)
 
     # a fresh read resets idleness and shields the record
     store.read(IDS[0], actor_id="system")
-    assert IDS[0] not in store.demotion_candidates(policy)
+    assert IDS[0] not in store._tiering.candidates(policy)
 
     demoted = store.demotion_sweep(policy, actor_id="archivist")
     assert sorted(demoted) == sorted(set(IDS) - {IDS[0]})
@@ -154,7 +154,7 @@ def test_recovery_preserves_the_tier_split():
     cold_ids = [IDS[0], IDS[1]]
     store.demote_records(cold_ids, actor_id="archivist")
     texts = {
-        rid: store._stored_versions(rid)[-1].record.body["text"] for rid in IDS
+        rid: store._tiering.stored_versions(rid)[-1].record.body["text"] for rid in IDS
     }
 
     recovered = recover(store)

@@ -72,7 +72,7 @@ def test_prove_audit_event_anchors_through_the_whole_quorum():
     # not by the first of three (one witness is below the majority).
     store, _ = make_store(witness_count=3, anchor_every_events=1000)
     *_, anchor = store.prove_audit_event(2)
-    witnesses = store._witnesses  # noqa: SLF001
+    witnesses = store._anchors.witnesses  # noqa: SLF001
     assert len(witnesses) == 3
     assert [witness.latest() for witness in witnesses] == [anchor] * 3
 

@@ -79,6 +79,17 @@ def test_registered_non_treating_physician_denied():
     store.register_user(User.make("dr-b", "Dr. B", [Role.PHYSICIAN]))
     with pytest.raises(AccessDeniedError, match="treating"):
         store.read("rec-1", actor_id="dr-b")
+    # A historical read is decided first: a version that does not exist
+    # is refused exactly like one that does, so the refusal reveals
+    # nothing about the record's history, and it is audited.
+    for version in (0, 1, 5):
+        before = len(store.audit_events())
+        with pytest.raises(AccessDeniedError, match="treating"):
+            store.read_version("rec-1", version, actor_id="dr-b")
+        events = store.audit_events()[before:]
+        assert [(e["action"], e["actor_id"]) for e in events] == [
+            ("access_denied", "dr-b")
+        ]
 
 
 def test_break_glass_enables_emergency_read():
@@ -207,13 +218,49 @@ def test_verify_integrity_clean_then_tampered():
     assert "rec-1" in store.verify_integrity().violations
 
 
+def _denied_read(store, i):
+    with pytest.raises(AccessDeniedError):
+        store.read("rec-1", actor_id="dr-b")
+
+
+def _attach_and_read(store, i):
+    store.attach("rec-1", f"scan-{i}", b"dicom", actor_id="dr-a")
+    assert store.read_attachment("rec-1", f"scan-{i}", actor_id="dr-a") == b"dicom"
+
+
+ANCHORED_PATHS = {
+    "store": lambda store, i: store.store(
+        make_note(f"rec-{i + 2}", text="routine followup visit"), "dr-a"
+    ),
+    "denied_read": _denied_read,
+    "read_version": lambda store, i: store.read_version("rec-1", 0, actor_id="dr-a"),
+    "break_glass": lambda store, i: store.break_glass("dr-er", "pat-1", "unconscious"),
+    "place_hold": lambda store, i: store.place_hold("rec-1", f"case-{i}", actor_id="legal"),
+    "attach_read_attachment": _attach_and_read,
+    "export_deidentified": lambda store, i: store.export_deidentified(
+        "rec-1", actor_id="res-1"
+    ),
+}
+
+
 def test_audit_trail_verifies_and_anchors():
-    store, _ = make_store()
-    config_every = store._config.anchor_every_events
-    for i in range(config_every + 5):
-        store.store(make_note(f"rec-{i}", text="routine followup visit"), "dr-a")
-    assert store.verify_audit_trail().ok
-    assert len(store.witness.anchors) >= 1
+    """Every path's events hold the anchor cadence: after five cadences'
+    worth of operations, no more than one cadence of events is left
+    beyond the latest anchor.  A tail the witness has not seen is one a
+    raw-device insider can cut unnoticed — denials included."""
+    for path, operation in ANCHORED_PATHS.items():
+        store, _ = make_store()
+        store.store(make_note(), author_id="dr-a")
+        store.register_user(User.make("dr-b", "Dr. B", [Role.PHYSICIAN]))
+        store.register_user(User.make("dr-er", "ER", [Role.PHYSICIAN]))
+        store.register_user(User.make("res-1", "R", [Role.RESEARCHER]))
+        every = store._config.anchor_every_events
+        for i in range(5 * every):
+            operation(store, i)
+        assert store.verify_audit_trail().ok, path
+        latest = store.witness.latest()
+        anchored = latest.log_size if latest is not None else 0
+        assert len(store.audit_log) - anchored <= every, path
 
 
 def test_audit_truncation_detected_via_witness():
@@ -222,11 +269,11 @@ def test_audit_truncation_detected_via_witness():
         store.store(make_note(f"rec-{i}", text="routine followup visit"), "dr-a")
     assert store.witness.anchors, "anchor should have been published"
     # Simulate history loss beneath the last anchor.
-    store._audit._events = store._audit._events[:10]
-    full, short = store._audit.merkle_tree(), MerkleTree()
+    store.audit_log._events = store.audit_log._events[:10]
+    full, short = store.audit_log.merkle_tree(), MerkleTree()
     for index in range(10):
         short.append_hash(full.leaf_digest(index))
-    store._audit._tree = short
+    store.audit_log._tree = short
     assert not store.verify_audit_trail().ok
 
 

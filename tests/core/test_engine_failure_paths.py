@@ -161,7 +161,7 @@ def test_record_whose_escrowed_key_was_altered_can_still_be_disposed():
     from tests.crypto.test_keys import alter_escrowed_key
 
     store, clock = make_store()
-    handle = store._keys["rec-1"]  # noqa: SLF001
+    handle = store._dir.keys["rec-1"]  # noqa: SLF001
     key_device = store._keystore.device  # noqa: SLF001
     escrow_extent = store._keystore._escrow_extents[handle.key_id]  # noqa: SLF001
     worm_extent = store.worm.physical_extent("rec-1@v0")

@@ -64,11 +64,11 @@ def rot_object(store, object_id):
 
 def test_fresh_writes_are_dirty_until_a_full_pass():
     store, clock = seeded_store(n=3)
-    assert store.dirty_record_ids() == ["rec-0", "rec-1", "rec-2"]
+    assert sorted(store._dir.dirty) == ["rec-0", "rec-1", "rec-2"]
     assert store.verify_integrity().ok
-    assert store.dirty_record_ids() == []
+    assert sorted(store._dir.dirty) == []
     store.store(make_note("rec-3", clock), author_id="dr-a")
-    assert store.dirty_record_ids() == ["rec-3"]
+    assert sorted(store._dir.dirty) == ["rec-3"]
 
 
 def test_incremental_pass_clears_verified_dirty_records():
@@ -76,7 +76,7 @@ def test_incremental_pass_clears_verified_dirty_records():
     assert store.verify_integrity().ok
     store.store(make_note("rec-3", clock), author_id="dr-a")
     assert store.verify_integrity(incremental=True).ok
-    assert store.dirty_record_ids() == []
+    assert sorted(store._dir.dirty) == []
 
 
 def test_incremental_checks_fewer_records_than_full():
@@ -101,7 +101,7 @@ def test_dirty_object_rot_is_caught_on_the_first_incremental_pass():
     report = store.verify_integrity(incremental=True)
     assert "rec-dirty" in report.violations and report.mode == "incremental"
     # a failed record stays dirty: the next pass re-checks it
-    assert "rec-dirty" in store.dirty_record_ids()
+    assert "rec-dirty" in sorted(store._dir.dirty)
 
 
 def test_clean_object_rot_is_caught_within_the_rotation_bound():
@@ -135,7 +135,7 @@ def test_corrections_re_dirty_a_record():
         author_id="dr-a",
         reason="transcription error",
     )
-    assert "rec-0" in store.dirty_record_ids()
+    assert "rec-0" in sorted(store._dir.dirty)
 
 
 def test_zero_clean_sample_checks_only_dirty_records():

@@ -7,21 +7,27 @@ import pytest
 
 from repro.access.breakglass import BreakGlassController
 from repro.access.policies import ConsentRegistry
-from repro.access.principals import Workforce
+from repro.access.principals import Role, User, Workforce
+from repro.access.rbac import Permission
 from repro.archive import ColdStore
 from repro.audit.anchors import AnchorSchedule, AnchorWitness
 from repro.audit.events import AuditAction
 from repro.audit.log import AuditLog
+from repro.core.access import Access
 from repro.core.directory import RecordDirectory
 from repro.core.engine import Sealer
 from repro.core.home import RecordHome
 from repro.core.tiering import Tiering
 from repro.core.transfer import PatientTransfer
+from repro.core.verification import Verification
 from repro.crypto.keys import KeyStore
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import Signer, TrustStore
+from repro.errors import AccessDeniedError
 from repro.index.trustworthy import TrustworthyIndex
 from repro.migration.manifest import verify_manifest
+from repro.policy import PolicyEngine, PolicyEnv
+from repro.policy.rules import DEFAULT_RULES
 from repro.provenance.chain import CustodyRegistry
 from repro.provenance.graph import ProvenanceGraph
 from repro.records.ids import version_id
@@ -71,26 +77,49 @@ def build_parts(site_id, clock, keypair):
         worm=WormStore(device=medium.device, clock=clock),
         medium=medium,
     )
+    anchors = AnchorSchedule(
+        audit, signer, clock, [AnchorWitness(signer.verifier())], every=4
+    )
     tiering = Tiering(
         home=home,
         cold=ColdStore(device=MemoryDevice(f"{site_id}-cold", CAPACITY), clock=clock),
-        audit=audit,
-        anchors=AnchorSchedule(
-            audit, signer, clock, [AnchorWitness(signer.verifier())], every=4
+        anchors=anchors,
+    )
+    workforce = Workforce()
+    consent = ConsentRegistry()
+    breakglass = BreakGlassController(clock=clock)
+    access = Access(
+        workforce=workforce,
+        breakglass=breakglass,
+        policy=PolicyEngine(
+            DEFAULT_RULES,
+            env=PolicyEnv(consent=consent, breakglass=breakglass, clock=clock),
         ),
+        anchors=anchors,
+        directory=home.directory,
     )
     transfer = PatientTransfer(
         home=home,
         tiering=tiering,
         keystore=keystore,
         audit=audit,
-        consent=ConsentRegistry(),
-        breakglass=BreakGlassController(clock=clock),
-        workforce=Workforce(),
+        consent=consent,
+        breakglass=breakglass,
+        workforce=workforce,
+    )
+    verification = Verification(
+        home=home,
+        tiering=tiering,
+        transfer=transfer,
+        access=access,
+        audit=audit,
+        anchors=anchors,
+        clean_sample=1,
     )
     return SimpleNamespace(
         home=home, tiering=tiering, transfer=transfer, keystore=keystore,
         audit=audit, trust=trust, pool=pool, directory=home.directory,
+        access=access, verification=verification, workforce=workforce,
     )
 
 
@@ -235,3 +264,74 @@ def test_transfer_export_import_between_two_hand_built_part_sets(keypair):
     assert source.directory.owner_of(version_id("rec-1", 0)) is None
     assert version_id("rec-1", 0) not in source.home.worm
     assert source.home.index.search("third") == []
+
+
+def test_access_audits_a_denial_before_it_raises(keypair):
+    clock = SimulatedClock(start=1.17e9)
+    parts = build_parts("site-a", clock, keypair)
+    write_record(parts, clock, "rec-1", "pat-1", ["first"])
+    parts.workforce.register(User.make("dr-b", "Dr. B", [Role.PHYSICIAN]))
+    for actor_id in ("dr-b", "stranger"):
+        before = len(parts.audit)
+        with pytest.raises(AccessDeniedError):
+            parts.access.authorize_record("rec-1", actor_id, Permission.READ_RECORD)
+        (event,) = parts.audit.events()[before:]
+        assert (event.action, event.actor_id, event.subject_id) == (
+            AuditAction.ACCESS_DENIED, actor_id, "rec-1",
+        )
+
+
+def test_access_revoking_break_glass_purges_the_read_cache(keypair):
+    clock = SimulatedClock(start=1.17e9)
+    parts = build_parts("site-a", clock, keypair)
+    write_record(parts, clock, "rec-1", "pat-1", ["first"])
+    write_record(parts, clock, "rec-2", "pat-2", ["other patient"])
+    parts.workforce.register(User.make("dr-er", "ER", [Role.PHYSICIAN]))
+    grant = parts.access.break_glass("dr-er", "pat-1", "unconscious on arrival")
+    parts.access.authorize_record("rec-1", "dr-er", Permission.READ_RECORD)
+    for record_id in ("rec-1", "rec-2"):
+        parts.directory.cache(record_id, 0, parts.home.open(record_id, 0).record)
+
+    parts.access.revoke_break_glass(grant.grant_id)
+    assert set(parts.directory.read_cache) == {"rec-2"}  # only pat-1's purged
+    with pytest.raises(AccessDeniedError):
+        parts.access.authorize_record("rec-1", "dr-er", Permission.READ_RECORD)
+    actions = [event.action for event in parts.audit.events()]
+    # grant, the emergency read, revocation
+    assert actions.count(AuditAction.EMERGENCY_ACCESS) == 3
+
+
+def test_verification_blames_a_rotted_worm_object_on_its_owner(keypair):
+    clock = SimulatedClock(start=1.17e9)
+    parts = build_parts("site-a", clock, keypair)
+    write_record(parts, clock, "rec-1", "pat-1", ["first", "second"])
+    write_record(parts, clock, "rec-2", "pat-2", ["untouched"])
+    assert parts.verification.verify_integrity().ok
+    assert parts.directory.dirty == set()
+
+    worm = parts.home.worm
+    offset, size = worm.physical_extent(version_id("rec-1", 1))
+    worm.device.raw_write(offset + size // 2, b"\xff\xff")
+    report = parts.verification.verify_integrity()
+    assert report.violations == ["rec-1"]
+    assert parts.directory.dirty == {"rec-1"}
+
+
+def test_verification_accounting_includes_an_imported_segment(keypair):
+    clock = SimulatedClock(start=1.17e9)
+    source = build_parts("site-a", clock, keypair)
+    destination = build_parts("site-b", clock, keypair)
+    write_record(source, clock, "rec-1", "pat-1", ["first"])
+    source.audit.append(AuditAction.RECORD_READ, "dr-a", "rec-1", {"version": 0})
+    destination.transfer.import_patient_history(
+        source.transfer.export_patient_history("pat-1")
+    )
+    destination.workforce.register(User.make("po", "PO", [Role.PRIVACY_OFFICER]))
+
+    report = destination.verification.accounting_of_disclosures("pat-1", actor_id="po")
+    assert [(e.action, e.actor_id, e.subject_id) for e in report] == [
+        (AuditAction.RECORD_READ, "dr-a", "rec-1"),
+    ]
+    # the request itself was decided and audited on the destination
+    last = destination.audit.events()[-1]
+    assert (last.action, last.actor_id) == (AuditAction.ACCESS_GRANTED, "po")

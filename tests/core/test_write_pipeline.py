@@ -96,8 +96,8 @@ def test_store_many_matches_looped_index_state():
         assert looped.search(term, actor_id="dr-batch") == batched.search(
             term, actor_id="dr-batch"
         ), term
-    assert batched._index.verify() == []  # noqa: SLF001
-    assert len(batched._index) == len(records)  # noqa: SLF001
+    assert batched.index.verify() == []
+    assert len(batched.index) == len(records)
 
 
 def test_store_many_security_properties_hold():
@@ -121,11 +121,11 @@ def test_store_many_amortizes_journal_flushes():
     batched.store_many(records, "dr-batch")
     looped_flushes = (
         looped.audit_log._journal.flush_count  # noqa: SLF001
-        + looped._index._journal.flush_count  # noqa: SLF001
+        + looped.index._journal.flush_count  # noqa: SLF001
     )
     batched_flushes = (
         batched.audit_log._journal.flush_count  # noqa: SLF001
-        + batched._index._journal.flush_count  # noqa: SLF001
+        + batched.index._journal.flush_count  # noqa: SLF001
     )
     assert batched_flushes < looped_flushes / 3
 
@@ -297,7 +297,7 @@ def test_read_cache_never_serves_disposed_record():
     # shredding — the read path must refuse, and the cache must be empty
     with pytest.raises(RecordNotFoundError):
         store.read("rec-1", actor_id="dr-a")
-    assert "rec-1" not in store._read_cache  # noqa: SLF001
+    assert "rec-1" not in store._dir.read_cache  # noqa: SLF001
 
 
 def test_read_cache_disabled_by_config():
@@ -308,7 +308,7 @@ def test_read_cache_disabled_by_config():
     store.read("rec-1", actor_id="dr-a")
     store.read("rec-1", actor_id="dr-a")
     assert METRICS.get("read_cache_hits") == 0
-    assert len(store._read_cache) == 0  # noqa: SLF001
+    assert len(store._dir.read_cache) == 0  # noqa: SLF001
 
 
 def test_read_cache_evicts_least_recent():
@@ -316,8 +316,8 @@ def test_read_cache_evicts_least_recent():
     for i in range(3):
         store.store(make_note(f"rec-{i}"), author_id="dr-a")
         store.read(f"rec-{i}", actor_id="dr-a")
-    assert "rec-0" not in store._read_cache  # noqa: SLF001
-    assert {"rec-1", "rec-2"} <= set(store._read_cache)  # noqa: SLF001
+    assert "rec-0" not in store._dir.read_cache  # noqa: SLF001
+    assert {"rec-1", "rec-2"} <= set(store._dir.read_cache)  # noqa: SLF001
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +335,10 @@ def test_break_glass_revocation_cuts_access_and_purges_cache():
         store.read("rec-1", actor_id="dr-er")
     grant = store.break_glass("dr-er", "pat-1", "unconscious patient in ER")
     store.read("rec-1", actor_id="dr-er")  # emergency read caches plaintext
-    assert "rec-1" in store._read_cache  # noqa: SLF001
+    assert "rec-1" in store._dir.read_cache  # noqa: SLF001
 
     store.revoke_break_glass(grant.grant_id)
-    assert "rec-1" not in store._read_cache  # noqa: SLF001
+    assert "rec-1" not in store._dir.read_cache  # noqa: SLF001
     with pytest.raises(AccessDeniedError):
         store.read("rec-1", actor_id="dr-er")
     # revocation is itself audited
@@ -357,7 +357,7 @@ def test_break_glass_revocation_cuts_access_and_purges_cache():
 def test_disposal_leaves_no_cached_key_material():
     store, clock = make_store()
     store.store(make_note(), author_id="dr-a")
-    handle = store._keys["rec-1"]  # noqa: SLF001
+    handle = store._dir.keys["rec-1"]  # noqa: SLF001
     # warm the cipher memo
     store._keystore.cipher_for(handle)  # noqa: SLF001
     store.read("rec-1", actor_id="dr-a")

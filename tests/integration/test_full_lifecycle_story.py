@@ -93,7 +93,7 @@ def test_record_lifetime_story():
     # force enough events for anchors; three witnesses hold them
     for _ in range(20):
         store.read("rec-1", actor_id="dr-house")
-    assert any(w.anchors for w in store._witnesses)
+    assert any(w.anchors for w in store._anchors.witnesses)
     assert store.verify_audit_trail().ok
 
     # Act 5 — litigation hold trumps expiry; release restores schedule.
@@ -147,14 +147,14 @@ def test_quorum_store_detects_truncation_with_one_wiped_witness(world):
             text="routine visit note",
         )
         store.store(note, author_id="dr-a")
-    assert any(w.anchors for w in store._witnesses)
+    assert any(w.anchors for w in store._anchors.witnesses)
     # compromise one witness
-    store._witnesses[0]._anchors.clear()
+    store._anchors.witnesses[0]._anchors.clear()
     assert store.verify_audit_trail().ok  # majority still vouches
     # truncate beneath the anchors
-    store._audit._events = store._audit._events[:5]
-    full, short = store._audit.merkle_tree(), MerkleTree()
+    store.audit_log._events = store.audit_log._events[:5]
+    full, short = store.audit_log.merkle_tree(), MerkleTree()
     for index in range(5):
         short.append_hash(full.leaf_digest(index))
-    store._audit._tree = short
+    store.audit_log._tree = short
     assert not store.verify_audit_trail().ok

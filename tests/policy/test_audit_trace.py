@@ -4,7 +4,6 @@ emergency — records which rule decided and every rule consulted."""
 import pytest
 
 from repro.access.principals import Role, User
-from repro.access.rbac import Permission
 from repro.core import CuratorConfig, CuratorStore
 from repro.errors import AccessDeniedError
 from repro.records.model import ClinicalNote
@@ -82,17 +81,3 @@ def test_unknown_principal_denial_keeps_the_legacy_shape():
         store.read("rec-1", actor_id="stranger")
     detail = last_event(store, "access_denied")["detail"]
     assert detail == {"reason": "unknown principal", "permission": "read_record"}
-
-
-def test_explain_access_reports_without_auditing():
-    store = make_store()
-    store.register_user(User.make("dr-b", "Dr. B", [Role.PHYSICIAN]))
-    before = len(store.audit_events())
-    decision = store.explain_access("dr-b", Permission.READ_RECORD, "rec-1")
-    assert not decision.allowed
-    assert "no treating relationship" in decision.reason
-    assert "DENY" in decision.explain()
-    assert len(store.audit_events()) == before
-    unknown = store.explain_access("nobody", Permission.READ_RECORD, "rec-1")
-    assert not unknown.allowed
-    assert "unknown principal" in unknown.reason

@@ -75,12 +75,12 @@ def test_demote_recall_is_the_identity_on_version_chains(history):
     store, clock = build_store()
     record_ids = populate(store, clock, history)
     before = {
-        rid: [v.to_dict() for v in store._stored_versions(rid)]
+        rid: [v.to_dict() for v in store._tiering.stored_versions(rid)]
         for rid in record_ids
     }
     warm_digests = {
         rid: [
-            store._worm.metadata(version_id(rid, n)).content_digest
+            store.worm.metadata(version_id(rid, n)).content_digest
             for n in range(store.version_count(rid))
         ]
         for rid in record_ids
@@ -103,7 +103,7 @@ def test_demote_recall_is_the_identity_on_version_chains(history):
         store.read(rid, actor_id="system")
     assert store.cold_record_ids() == []
     for rid in record_ids:
-        after = [v.to_dict() for v in store._stored_versions(rid)]
+        after = [v.to_dict() for v in store._tiering.stored_versions(rid)]
         assert after == before[rid]
     assert store.verify_integrity().ok
     assert store.verify_audit_trail().ok

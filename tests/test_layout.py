@@ -2,9 +2,9 @@
 ``src/repro/cluster/``, ``src/repro/verify/`` and ``src/repro/service/``,
 the size of ``src/repro/cli.py`` and of ``src/repro`` as a whole, the public surfaces of
 ``CuratorStore`` and ``CuratorCluster``, the scenario-table rows callers
-ask for by name, and the cluster's, the oracles', the wire service's,
-the policy's, the verification sweeps' and destruction's one-of-each
-rules.  Parts may move between
+ask for by name, and the engine's, the cluster's, the oracles', the wire
+service's, the policy's, the verification sweeps' and destruction's
+one-of-each rules.  Parts may move between
 modules; neither a size nor a surface may drift without this file
 changing in the same diff."""
 
@@ -20,12 +20,13 @@ import repro.verify
 from repro.cluster.router import CuratorCluster
 from repro.cluster.workers import ENGINE_CALLS
 from repro.archive.cold import ColdStore
+from repro.core.config import CuratorConfig
 from repro.core.engine import CuratorStore
 from repro.policy.model import CheckResult
 from repro.retention.shredder import SecureShredder
 from repro.storage.media import Medium
 
-CORE_LINE_LIMIT = 1_300
+CORE_LINE_LIMIT = 938
 CLUSTER_LINE_LIMIT = 800
 VERIFY_LINE_LIMIT = 800
 SERVICE_LINE_LIMIT = 800
@@ -35,10 +36,11 @@ CLI_LINE_LIMIT = 450
 #: Every ``*.py`` line under ``src/repro`` (ROADMAP item 3's scoreboard:
 #: 26,424 when the round began).  Lower it with each PR that deletes;
 #: never raise it to fit one that adds.
-TREE_LINE_LIMIT = 24_455
+TREE_LINE_LIMIT = 24_441
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
+#: Read on an instance: the collaborators are attributes set in ``_wire``.
 CURATOR_STORE_PUBLIC_NAMES = [
     "accounting_of_disclosures",
     "adopt_access_state",
@@ -60,13 +62,10 @@ CURATOR_STORE_PUBLIC_NAMES = [
     "custody",
     "declared_features",
     "demote_records",
-    "demotion_candidates",
     "demotion_sweep",
     "device_set",
     "devices",
-    "dirty_record_ids",
     "dispose",
-    "explain_access",
     "export_access_state",
     "export_audit_delta",
     "export_deidentified",
@@ -94,6 +93,7 @@ CURATOR_STORE_PUBLIC_NAMES = [
     "records_in_window",
     "records_of_patient",
     "recover_from_devices",
+    "recovery_report",
     "refresh_media",
     "register_user",
     "release_hold",
@@ -262,8 +262,26 @@ def test_the_source_tree_only_shrinks():
 
 
 def test_curator_store_public_surface_is_the_literal_list():
-    names = sorted(name for name in dir(CuratorStore) if not name.startswith("_"))
+    store = CuratorStore(CuratorConfig(master_key=bytes(32)))
+    names = sorted(name for name in dir(store) if not name.startswith("_"))
     assert names == CURATOR_STORE_PUBLIC_NAMES
+
+
+def test_the_engine_keeps_one_of_each():
+    """One decision path: ``PolicyEngine.decide`` is called under
+    ``core/`` only by ``Access``.  One anchored append: no
+    ``maybe_anchor`` anywhere, and the engine and the parts it routes
+    events through reach the audit chain only by
+    ``AnchorSchedule.append``, never by an audit log's own ``append``."""
+    core = _sources(repro.core)
+    assert [name for name, text in core.items() if ".decide(" in text] == ["access.py"]
+    everything = "\n".join(
+        path.read_text() for path in Path(repro.__file__).parent.rglob("*.py")
+    )
+    assert "maybe_anchor" not in everything
+    for name in ("engine.py", "access.py", "verification.py", "tiering.py"):
+        direct = re.findall(r"\b(?:audit|audit_log|_audit|log)\.append\(", core[name])
+        assert not direct, (name, direct)
 
 
 def test_curator_cluster_public_surface_is_the_literal_list():

@@ -67,7 +67,7 @@ def test_dispose_purges_every_derived_material_cache():
 def test_no_cipher_memo_holds_the_destroyed_key_after_dispose():
     store, clock = make_ed25519_store()
     store.store_many([make_note(f"rec-{i}") for i in range(2)], author_id="dr-a")
-    handle = store._keys["rec-0"]
+    handle = store._dir.keys["rec-0"]
     # The data key's derived cipher is memoized from create_keys.
     destroyed = store._keystore.cipher_for(handle)
     key_material = {destroyed._enc_key, destroyed._mac_key}
