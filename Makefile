@@ -54,10 +54,11 @@ profile:
 
 # Elastic resharding: the ring's pinned cases and property suite, the
 # rebalancer's functional, crash-sweep and writers-under-reshape tests,
+# the worker pipe that carries the move protocol (`transfer.*` calls),
 # and the E6b online-rebalance arm (p99-under-fire + proof
 # re-verification + the rebalance rows of the scenario table).
 verify-rebalance:
-	$(PY) -m pytest tests/cluster/test_ring.py tests/cluster/test_vnode_ring.py tests/cluster/test_rebalancer.py tests/cluster/test_rebalance_crash.py tests/cluster/test_rebalance_concurrency.py -q
+	$(PY) -m pytest tests/cluster/test_ring.py tests/cluster/test_vnode_ring.py tests/cluster/test_rebalancer.py tests/cluster/test_rebalance_crash.py tests/cluster/test_rebalance_concurrency.py tests/cluster/test_workers.py -q
 	$(PY) -m pytest benchmarks/bench_e6_migration.py::test_e6b_online_rebalance -q
 
 # Tiered archive: the segment/cold-store/tiering suites (incl. the

@@ -8,7 +8,7 @@ Each displaced patient moves through a fixed stage machine::
     export -> import -> verify -> cutover -> retire -> proof
 
 * **export** — the source packages the patient's full history
-  (:meth:`~repro.core.engine.CuratorStore.export_patient_history`):
+  (:meth:`~repro.core.transfer.PatientTransfer.export_patient_history`):
   version plaintexts checked against their chain digests, attachments,
   retention terms and litigation holds, the patient's audit-chain
   segment, a signed Merkle manifest over the plaintext digests, and a
@@ -31,6 +31,10 @@ Each displaced patient moves through a fixed stage machine::
   manifest, per-entry Merkle inclusion proofs, the destination's
   re-derived digests, and the chain-continuity attestation, checked
   end-to-end against the live destination before the move counts.
+
+Every stage calls the shard's
+:class:`~repro.core.transfer.PatientTransfer` part as
+``engine.transfer.<name>``, in-process or through the worker pipe.
 
 Writes to the moving patient block on the ticket for the duration of
 the move; writes to every other patient, and reads of everything
@@ -136,9 +140,10 @@ class MigrationProof:
 
 
 def verify_migration_proof(
-    proof: MigrationProof, trust: TrustStore, destination
+    proof: MigrationProof, trust: TrustStore, transfer
 ) -> None:
-    """Check a move's proof end-to-end against the live destination.
+    """Check a move's proof end-to-end against the live destination,
+    read through its *transfer* part (``engine.transfer``).
 
     Raises :class:`~repro.errors.MigrationError` (or
     :class:`~repro.errors.IntegrityError` from a broken inclusion
@@ -175,8 +180,9 @@ def verify_migration_proof(
         raise MigrationError(
             f"attestation does not cover patient {proof.patient_id}"
         )
-    snapshot = destination.imported_segment_snapshot(proof.patient_id)
-    if sha256(canonical_bytes(list(snapshot))) != payload["segment_digest"]:
+    segment = transfer.imported_segment(proof.patient_id)
+    snapshot = [] if segment is None else segment.events
+    if sha256(canonical_bytes(snapshot)) != payload["segment_digest"]:
         raise MigrationError(
             f"imported audit segment for {proof.patient_id} does not "
             "match the source's chain-continuity attestation"
@@ -186,7 +192,7 @@ def verify_migration_proof(
             f"imported segment has {len(snapshot)} events, attestation "
             f"signed {payload['events']}"
         )
-    live = tuple(destination.patient_history_digests(proof.patient_id))
+    live = tuple(transfer.patient_history_digests(proof.patient_id))
     if live != proof.manifest.entries:
         raise MigrationError(
             f"destination live contents for {proof.patient_id} do not "
@@ -214,8 +220,6 @@ class RebalanceReport:
         return len(self.proofs)
 
 
-
-
 def resolve_move(dispatch: "Dispatch", ticket: MoveTicket, actor_id: str) -> dict:
     """Settle a move that will not finish (its verify failed, or its
     mover died): whichever side is not authoritative retires its copy —
@@ -231,7 +235,7 @@ def resolve_move(dispatch: "Dispatch", ticket: MoveTicket, actor_id: str) -> dic
         try:
             dispatch.on(
                 stale,
-                lambda engine: engine.retire_patient(
+                lambda engine: engine.transfer.retire_patient(
                     ticket.patient_id, actor_id=actor_id, destination_id=keeper
                 ),
             )
@@ -291,11 +295,11 @@ class Rebalancer:
     def _move(
         self, patient_id: str, source: str, dest: str
     ) -> MigrationProof | None:
-        on = self.dispatch.on
         actor_id = self.actor_id
         checkpoint = self.hook or (lambda stage, patient_id: None)
         if self.pace_s:
             time.sleep(self.pace_s)
+        on = self.dispatch.on
         ticket = MoveTicket(patient_id, source, dest)
         try:
             # The ticket is published already held, so no writer slips
@@ -309,7 +313,7 @@ class Rebalancer:
                 try:
                     bundle = on(
                         source,
-                        lambda engine: engine.export_patient_history(
+                        lambda engine: engine.transfer.export_patient_history(
                             patient_id, actor_id=actor_id
                         ),
                     )
@@ -322,7 +326,7 @@ class Rebalancer:
                 checkpoint("import", patient_id)
                 dest_entries = on(
                     dest,
-                    lambda engine: engine.import_patient_history(
+                    lambda engine: engine.transfer.import_patient_history(
                         bundle, actor_id=actor_id
                     ),
                 )
@@ -336,7 +340,7 @@ class Rebalancer:
                         "do not match the signed manifest"
                     )
                 recheck = on(
-                    dest, lambda engine: engine.patient_history_digests(patient_id)
+                    dest, lambda engine: engine.transfer.patient_history_digests(patient_id)
                 )
                 if tuple(recheck) != bundle.manifest.entries:
                     raise MigrationError(
@@ -348,21 +352,27 @@ class Rebalancer:
                 since = bundle.attestation.payload["log_size"]
                 delta = on(
                     source,
-                    lambda engine: engine.export_audit_delta(patient_id, since=since),
+                    lambda engine: engine.transfer.export_audit_delta(patient_id, since=since),
                 )
                 if delta:
-                    on(dest, lambda engine: engine.adopt_audit_delta(patient_id, delta))
+                    on(
+                        dest,
+                        lambda engine: engine.transfer.adopt_audit_delta(patient_id, delta),
+                    )
                 access = on(
-                    source, lambda engine: engine.export_access_state(patient_id)
+                    source, lambda engine: engine.transfer.export_access_state(patient_id)
                 )
                 if any(access):
-                    on(dest, lambda engine: engine.adopt_access_state(patient_id, access))
+                    on(
+                        dest,
+                        lambda engine: engine.transfer.adopt_access_state(patient_id, access),
+                    )
                 self.topology.place(patient_id, dest)
                 ticket.stage = "cutover"
                 checkpoint("retire", patient_id)
                 on(
                     source,
-                    lambda engine: engine.retire_patient(
+                    lambda engine: engine.transfer.retire_patient(
                         patient_id, actor_id=actor_id, destination_id=dest
                     ),
                 )
@@ -378,7 +388,7 @@ class Rebalancer:
                     inclusion_proofs=entry_inclusion_proofs(bundle.manifest),
                     attestation=bundle.attestation,
                 )
-                on(dest, lambda engine: verify_migration_proof(proof, trust, engine))
+                on(dest, lambda engine: verify_migration_proof(proof, trust, engine.transfer))
                 ticket.stage = "done"
         except (MigrationError, IntegrityError):
             resolve_move(self.dispatch, ticket, actor_id)
@@ -405,9 +415,10 @@ def salvage_dual_homes(topology: "Topology", dispatch: "Dispatch") -> list[dict]
     for patient_id, shard_ids in sorted(claims.items()):
 
         def attestation(shard_id: str):
-            return dispatch.on(
-                shard_id, lambda engine: engine.segment_attestation(patient_id)
+            segment = dispatch.on(
+                shard_id, lambda engine: engine.transfer.imported_segment(patient_id)
             )
+            return None if segment is None else segment.attestation
 
         def imported_at(shard_id: str) -> tuple[float, bool]:
             signed = attestation(shard_id)
@@ -425,13 +436,15 @@ def salvage_dual_homes(topology: "Topology", dispatch: "Dispatch") -> list[dict]
                 since = int(signed.payload.get("log_size", 0))
                 delta = dispatch.on(
                     loser,
-                    lambda engine: engine.export_audit_delta(patient_id, since=since),
+                    lambda engine: engine.transfer.export_audit_delta(patient_id, since=since),
                 )
                 if delta:
                     try:
                         dispatch.on(
                             winner,
-                            lambda engine: engine.adopt_audit_delta(patient_id, delta),
+                            lambda engine: engine.transfer.adopt_audit_delta(
+                                patient_id, delta
+                            ),
                         )
                     except MigrationError:
                         pass

@@ -536,7 +536,7 @@ class CuratorCluster(StorageModel):
         )
         self._dispatch.on(
             proof.destination_shard,
-            lambda engine: verify_migration_proof(proof, trust, engine),
+            lambda engine: verify_migration_proof(proof, trust, engine.transfer),
         )
 
     def recover_interrupted_moves(self, *, actor_id: str = "system") -> list[dict]:

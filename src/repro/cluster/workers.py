@@ -6,10 +6,13 @@ only process workers overlap.  A :class:`ShardWorkerProxy` moves one
 whole engine into a dedicated worker process and speaks a compact
 command protocol over a pipe:
 
-* **request** — ``(method_name, args, kwargs)``, pickled once; the
-  worker invokes ``method_name`` — which must be one of
-  :data:`ENGINE_CALLS` — on its private
-  :class:`~repro.core.engine.CuratorStore`.
+* **request** — ``(call, args, kwargs)``, pickled once; *call* must
+  be one of :data:`ENGINE_CALLS`, checked before it is resolved, and
+  names either an engine method (``"read"``) or a method of one of the
+  engine's parts by path (``"transfer.retire_patient"``: the move
+  protocol lives on :class:`~repro.core.transfer.PatientTransfer`); the
+  worker resolves it on its private
+  :class:`~repro.core.engine.CuratorStore` and invokes it.
 * **response** — ``(True, result)`` on success or ``(False, exception)``
   on failure; the proxy re-raises the exception in the caller, so error
   semantics match the in-process engine call for every picklable error
@@ -17,11 +20,13 @@ command protocol over a pipe:
 
 The proxy carries exactly the engine calls the cluster makes
 (:data:`ENGINE_CALLS`) — the routing/locking code does not know whether
-a shard is local or a process; anything else is an ``AttributeError``
-at the call site.  Raw **device access** (``devices``/``device_set``/
-``audit_devices``/attribute reads like ``_clock``) deliberately fails
-fast instead of pretending: a :class:`~repro.storage.block.BlockDevice`
-proxy would be a copy, and tampering with a copy proves nothing.
+a shard is local or a process.  A part path becomes an attribute of one
+namespace per part (``proxy.transfer.retire_patient``); anything else
+is an ``AttributeError`` at the call site.  Raw **device access**
+(``devices``/``device_set``/``audit_devices``/attribute reads like
+``_clock``) deliberately fails fast instead of pretending: a
+:class:`~repro.storage.block.BlockDevice` proxy would be a copy, and
+tampering with a copy proves nothing.
 Harnesses that need raw media (the detection-equivalence oracle, crash
 sweeps) must run the cluster with ``workers=0``.
 
@@ -34,6 +39,8 @@ from __future__ import annotations
 
 import multiprocessing
 from functools import partial
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any
 
 from repro.core.config import CuratorConfig
@@ -43,21 +50,23 @@ _SHUTDOWN = "__shutdown__"
 
 #: The engine calls that cross the pipe: what the router, the rebalancer
 #: and migration-proof verification invoke on a shard, and nothing else.
+#: A dotted entry is a part's method, called as ``engine.<part>.<name>``.
 ENGINE_CALLS = frozenset({
-    "accounting_of_disclosures", "adopt_access_state", "adopt_audit_delta",
-    "attach", "attachments_of", "audit_events", "break_glass",
-    "cold_record_ids", "correct", "create_backup", "declared_features",
-    "demote_records", "demotion_sweep", "dispose", "export_access_state",
-    "export_audit_delta", "export_patient_history",
-    "import_patient_history", "imported_segment_snapshot",
-    "patient_history_digests", "patient_ids", "place_hold", "principal",
-    "read", "read_attachment", "read_version", "read_view", "record_ids",
-    "records_in_window",
-    "records_of_patient", "register_user", "release_hold",
-    "restore_from_backup", "retention_sweep", "retire_patient",
-    "revoke_break_glass", "search", "segment_attestation", "store",
+    "accounting_of_disclosures", "attach", "attachments_of",
+    "audit_events", "break_glass", "cold_record_ids", "correct",
+    "create_backup", "declared_features", "demote_records",
+    "demotion_sweep", "dispose", "patient_ids", "place_hold",
+    "principal", "read", "read_attachment", "read_version", "read_view",
+    "record_ids", "records_in_window", "records_of_patient",
+    "register_user", "release_hold", "restore_from_backup",
+    "retention_sweep", "revoke_break_glass", "search", "store",
     "store_many", "tier_stats", "verify_audit_trail", "verify_integrity",
     "version_count",
+    "transfer.adopt_access_state", "transfer.adopt_audit_delta",
+    "transfer.export_access_state", "transfer.export_audit_delta",
+    "transfer.export_patient_history", "transfer.import_patient_history",
+    "transfer.imported_segment", "transfer.patient_history_digests",
+    "transfer.retire_patient",
 })
 
 
@@ -78,7 +87,7 @@ def _serve(conn, config: CuratorConfig) -> None:
         try:
             if method not in ENGINE_CALLS:
                 raise ClusterError(f"{method!r} is not a call a shard worker serves")
-            result = getattr(engine, method)(*args, **kwargs)
+            result = attrgetter(method)(engine)(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 — every error crosses the pipe
             try:
                 conn.send((False, exc))
@@ -120,8 +129,15 @@ class ShardWorkerProxy:
         child.close()
         self._shard_id = shard_id
         self._closed = False
+        parts: dict[str, dict[str, Any]] = {}
         for name in ENGINE_CALLS:
-            setattr(self, name, partial(self._call, name))
+            part, _, leaf = name.rpartition(".")
+            if part:
+                parts.setdefault(part, {})[leaf] = partial(self._call, name)
+            else:
+                setattr(self, name, partial(self._call, name))
+        for part, calls in parts.items():
+            setattr(self, part, SimpleNamespace(**calls))
 
     # -- command protocol ------------------------------------------------
 

@@ -36,7 +36,7 @@ part built from the collaborators it uses, none handed the store:
 * demote / recall / candidates / sweep and the tier-aware version
   reads — :mod:`repro.core.tiering`;
 * patient export / import / retire and imported audit segments —
-  :mod:`repro.core.transfer`;
+  :mod:`repro.core.transfer`, which the cluster calls as ``transfer``;
 * backup / restore / media refresh / device recovery —
   :mod:`repro.core.recovery`;
 * every access decision, break-glass — :mod:`repro.core.access`;
@@ -81,7 +81,6 @@ from repro.crypto.keys import KeyHandle, KeyStore
 from repro.crypto.signatures import Signer, TrustStore, purge_signature_memo
 from repro.errors import RecordError
 from repro.index.trustworthy import TrustworthyIndex
-from repro.migration.bundle import PatientBundle
 from repro.policy import PolicyEngine, PolicyEnv
 from repro.policy.rules import DEFAULT_RULES
 from repro.provenance.chain import CustodyRegistry
@@ -269,11 +268,12 @@ class CuratorStore(StorageModel):
             anchors=self._anchors,
             directory=self._dir,
         )
-        self._transfer = PatientTransfer(
+        self.transfer = PatientTransfer(
             home=self._home,
             tiering=self._tiering,
             keystore=self._keystore,
             audit=self.audit_log,
+            anchors=self._anchors,
             consent=self.consent,
             breakglass=self.breakglass,
             workforce=self._workforce,
@@ -281,7 +281,7 @@ class CuratorStore(StorageModel):
         self._verification = Verification(
             home=self._home,
             tiering=self._tiering,
-            transfer=self._transfer,
+            transfer=self.transfer,
             access=self._access,
             audit=self.audit_log,
             anchors=self._anchors,
@@ -290,9 +290,10 @@ class CuratorStore(StorageModel):
         self._recovery = Recovery(
             home=self._home,
             tiering=self._tiering,
-            transfer=self._transfer,
+            transfer=self.transfer,
             keystore=self._keystore,
             audit=self.audit_log,
+            anchors=self._anchors,
             media_pool=self.media_pool,
             backup=BackupManager(self.vault, clock=self._clock),
             trust=self._trust,
@@ -705,79 +706,10 @@ class CuratorStore(StorageModel):
         anchoring first if no anchor covers it yet."""
         return self._verification.prove_audit_event(sequence)
 
-    # ------------------------------------------------------------------
-    # patient migration (online cluster rebalancing; see
-    # repro.core.transfer — the router and rebalancer call these by
-    # name, across the worker pipe when shards are processes)
-    # ------------------------------------------------------------------
-
     def patient_ids(self) -> list[str]:
-        """Every patient with at least one live record on this engine."""
+        """Every patient with at least one live record on this engine
+        (the cluster's census; moves go through :attr:`transfer`)."""
         return self._dir.patient_ids()
-
-    def export_patient_history(
-        self, patient_id: str, *, actor_id: str = "system"
-    ) -> PatientBundle:
-        """Package one patient's full history for migration to another
-        shard (read-only apart from the ``MIGRATION_STARTED`` event)."""
-        return self._transfer.export_patient_history(patient_id, actor_id=actor_id)
-
-    def import_patient_history(
-        self, bundle: PatientBundle, *, actor_id: str = "system"
-    ) -> tuple[tuple[str, bytes], ...]:
-        """Adopt a migrated patient in ONE WORM frame; returns the
-        freshly recomputed plaintext digests."""
-        return self._transfer.import_patient_history(bundle, actor_id=actor_id)
-
-    def patient_history_digests(
-        self, patient_id: str
-    ) -> tuple[tuple[str, bytes], ...]:
-        """Plaintext digests of every extent of one patient's history,
-        decrypted straight off the WORM store."""
-        return self._transfer.patient_history_digests(patient_id)
-
-    def export_audit_delta(self, patient_id: str, *, since: int) -> list[dict]:
-        """Audit events about the patient's records appended after log
-        size *since* (the cutover tail)."""
-        return self._transfer.export_audit_delta(patient_id, since=since)
-
-    def adopt_audit_delta(self, patient_id: str, events: list[dict]) -> int:
-        """Append cutover-tail events to an imported segment."""
-        return self._transfer.adopt_audit_delta(patient_id, events)
-
-    def imported_segment_snapshot(self, patient_id: str) -> tuple[dict, ...]:
-        """Just the export-time snapshot of the imported segment — the
-        portion the source's chain-continuity attestation signs."""
-        segment = self._transfer.segments.get(patient_id)
-        return () if segment is None else tuple(segment.events)
-
-    def segment_attestation(self, patient_id: str):
-        """The source-signed chain-continuity attestation that arrived
-        with *patient_id*'s segment (``None`` if never migrated here)."""
-        segment = self._transfer.segments.get(patient_id)
-        return None if segment is None else segment.attestation
-
-    def export_access_state(self, patient_id: str) -> tuple[tuple, tuple]:
-        """The patient's consent directives and live break-glass grants,
-        for transfer at cutover."""
-        return self._transfer.export_access_state(patient_id)
-
-    def adopt_access_state(self, patient_id: str, state: tuple[tuple, tuple]) -> None:
-        """Adopt the access state migrated in with a patient."""
-        self._transfer.adopt_access_state(patient_id, state)
-
-    def retire_patient(
-        self,
-        patient_id: str,
-        *,
-        actor_id: str = "system",
-        destination_id: str = "",
-    ) -> tuple[str, ...]:
-        """Drop this shard's copy of a patient whose custody moved away
-        (expatriated behind a durable ``CUSTODY_TRANSFERRED`` marker)."""
-        return self._transfer.retire_patient(
-            patient_id, actor_id=actor_id, destination_id=destination_id
-        )
 
     def declared_features(self) -> frozenset[str]:
         return frozenset(

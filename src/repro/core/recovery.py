@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.archive import ColdStore
+from repro.audit.anchors import AnchorSchedule
 from repro.audit.checkpoint import CheckpointStore
 from repro.audit.events import AuditAction
 from repro.audit.log import AuditLog
@@ -179,6 +180,7 @@ class Recovery:
     transfer: PatientTransfer
     keystore: KeyStore
     audit: AuditLog
+    anchors: AnchorSchedule
     media_pool: MediaPool
     backup: BackupManager
     trust: TrustStore
@@ -197,7 +199,7 @@ class Recovery:
         for object_id, record_id in archive.member_ids().items():
             handles[object_id] = self.home.directory.keys[record_id]
         snapshot = create(archive, self.keystore, handles)
-        self.audit.append(
+        self.anchors.append(
             AuditAction.BACKUP_CREATED, actor_id, snapshot.snapshot_id,
             {"objects": len(snapshot.objects), "kind": snapshot.kind},
         )
@@ -232,7 +234,7 @@ class Recovery:
                 self.tiering.recall(
                     record_id, actor_id=actor_id, member=(cold_segment, sealed)
                 )
-        self.audit.append(
+        self.anchors.append(
             AuditAction.BACKUP_RESTORED, actor_id, snapshot_id,
             {"objects": report.objects_restored},
         )
@@ -249,7 +251,7 @@ class Recovery:
             self.home.worm, destination, self.home.signer, self.home.site_id
         )
         if not result.ok:
-            self.audit.append(
+            self.anchors.append(
                 AuditAction.MIGRATION_FAILED, "system", new_medium.medium_id,
                 {"missing": list(result.missing), "corrupted": list(result.corrupted)},
             )
@@ -259,11 +261,11 @@ class Recovery:
             )
         self.home.install(destination, new_medium)
         old_medium.dispose(sanitize_first=True)
-        self.audit.append(
+        self.anchors.append(
             AuditAction.MIGRATION_COMPLETED, "system", new_medium.medium_id,
             {"from": old_medium.medium_id, "objects": result.copied},
         )
-        self.audit.append(
+        self.anchors.append(
             AuditAction.MEDIA_DISPOSED, "system", old_medium.medium_id, {}
         )
         return new_medium

@@ -8,6 +8,11 @@ the same :meth:`~repro.core.home.RecordHome.write` /
 retires the source copy.  It owns the audit-chain segments that arrive
 with imported patients (and their cutover-tail deltas), which is what
 lets the accounting of disclosures follow a patient across moves.
+
+Its public methods are the move protocol: the cluster's rebalancer
+calls them as ``engine.transfer.<name>``, through the worker pipe when
+a shard is a process.  Its markers reach the chain through the engine's
+:class:`~repro.audit.anchors.AnchorSchedule`, like every other event.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Iterator
 from repro.access.breakglass import BreakGlassController
 from repro.access.policies import ConsentRegistry
 from repro.access.principals import Workforce
+from repro.audit.anchors import AnchorSchedule
 from repro.audit.events import AuditAction
 from repro.audit.log import AuditLog
 from repro.core.home import RecordHome
@@ -65,6 +71,7 @@ class PatientTransfer:
     tiering: Tiering
     keystore: KeyStore
     audit: AuditLog
+    anchors: AnchorSchedule
     consent: ConsentRegistry
     breakglass: BreakGlassController
     workforce: Workforce
@@ -127,6 +134,12 @@ class PatientTransfer:
             for event in self.audit.events()[since:]
             if subject_record(event.subject_id) in wanted
         ]
+
+    def imported_segment(self, patient_id: str) -> ImportedSegment | None:
+        """The segment that migrated in with *patient_id* (``None`` if
+        the patient never moved here): ``events`` is the export-time
+        snapshot the source's ``attestation`` signs."""
+        return self.segments.get(patient_id)
 
     def imported_events(self, patient_id: str) -> list[dict]:
         """The audit segment (snapshot + cutover delta) that migrated in
@@ -212,7 +225,7 @@ class PatientTransfer:
                 "exported_at": now,
             }
         )
-        self.audit.append(
+        self.anchors.append(
             AuditAction.MIGRATION_STARTED,
             actor_id,
             patient_id,
@@ -346,7 +359,7 @@ class PatientTransfer:
                     for hold_id in hold_ids:
                         self.home.worm.retention.place_hold(object_id, hold_id)
             self.segments[patient_id] = segment
-            self.audit.append(
+            self.anchors.append(
                 AuditAction.MIGRATION_COMPLETED,
                 actor_id,
                 patient_id,
@@ -425,7 +438,7 @@ class PatientTransfer:
         record_ids = self.home.directory.records_of_patient(patient_id)
         if not record_ids:
             raise RecordNotFoundError(f"no live records for patient {patient_id}")
-        self.audit.append(
+        self.anchors.append(
             AuditAction.CUSTODY_TRANSFERRED,
             actor_id,
             patient_id,

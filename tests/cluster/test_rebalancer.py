@@ -79,6 +79,41 @@ def test_every_move_proof_reverifies_from_the_report(config, clock):
         cluster.verify_move_proof(proof)
 
 
+def test_a_worker_cluster_moves_patients_through_the_pipe(config, clock):
+    """The move protocol crosses the worker pipe as part paths
+    (``transfer.*``): a 2 -> 3 grow over process shards re-verifies."""
+    cluster = CuratorCluster(config, shards=2, workers=2)
+    try:
+        for n, patient_id in enumerate(PATIENTS):
+            cluster.store(make_note(f"rec-{n:03d}", patient_id, clock.now()), "dr-cluster")
+        report = cluster.rebalance(target_shards=3, actor_id="ops")
+        assert report.proofs
+        for proof in report.proofs:
+            cluster.verify_move_proof(proof)
+        assert cluster.verify_integrity().ok
+        assert cluster.verify_audit_trail().ok
+    finally:
+        cluster.close()
+
+
+def test_a_rebalance_leaves_every_shard_within_one_anchor_cadence(config, clock):
+    """Export, import and retire markers reach each chain through its
+    anchor schedule: after a 2 -> 4 grow that moves about half of 400
+    patients, no shard holds more than one cadence of events beyond its
+    witness's latest anchor (a tail a raw-device insider could cut
+    unnoticed, ``CUSTODY_TRANSFERRED`` markers included)."""
+    cluster = CuratorCluster(config, shards=2)
+    cluster.store_many(
+        [make_note(f"rec-{n:03d}", f"pat-{n:03d}", clock.now()) for n in range(400)],
+        "dr-cluster",
+    )
+    cluster.rebalance(target_shards=4, actor_id="ops")
+    every = config.anchor_every_events
+    for engine in cluster.shards:
+        assert len(engine.audit_log) - engine.witness.latest().log_size <= every
+    assert cluster.verify_audit_trail().ok
+
+
 def test_a_forged_proof_is_rejected(config, clock):
     cluster = build(config, clock)
     report = cluster.rebalance(target_shards=4, actor_id="ops")

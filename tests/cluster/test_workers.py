@@ -2,6 +2,7 @@
 deliberately unsupported device surface."""
 
 import os
+import re
 import signal
 import time
 
@@ -105,7 +106,15 @@ def test_a_name_outside_the_call_table_is_refused_on_both_sides(worker_cluster):
         proxy.insider_keys  # a real engine name the cluster never calls
     with pytest.raises(ClusterError, match="insider_keys"):
         proxy._call("insider_keys")
+    # a part path is checked against the table before it is resolved:
+    # neither a part's state nor a path through it is served
+    for path in ("transfer.segments", "_dir.chains", "transfer.home.worm.put"):
+        with pytest.raises(ClusterError, match=re.escape(path)):
+            proxy._call(path)
+    with pytest.raises(AttributeError):
+        proxy.transfer.segments
     assert proxy.record_ids() == []  # the pipe is still in step
+    assert proxy.transfer.imported_segment("pat-1") is None
 
 
 def test_a_killed_worker_is_a_typed_error_not_a_hang(worker_cluster):

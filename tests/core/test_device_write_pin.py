@@ -135,7 +135,7 @@ def test_import_patient_history_is_one_worm_frame_for_the_whole_patient():
     source, clock = make_store()
     source.correct(corrected(source, clock, "rec-0"), "dr-a", "amend")
     source.attach("rec-1", "scan", b"q" * 200_000, actor_id="dr-a")
-    bundle = source.export_patient_history("pat-1")
+    bundle = source.transfer.export_patient_history("pat-1")
     destination = CuratorStore(
         CuratorConfig(
             master_key=bytes(32), clock=clock, site_id="hospital-B",
@@ -144,6 +144,6 @@ def test_import_patient_history_is_one_worm_frame_for_the_whole_patient():
     )
     # 4 versions + 4 chunks + the segment archive: ONE frame; one escrow
     # flush for 3 keys, one index flush for 3 documents, one audit flush
-    cost = delta(destination, lambda: destination.import_patient_history(bundle))
+    cost = delta(destination, lambda: destination.transfer.import_patient_history(bundle))
     assert cost == {"worm": 1, "keys": 1, "index": 1, "audit": 1}
     assert len(destination.worm.object_ids()) == 4 + 4 + 1

@@ -22,9 +22,9 @@ from repro.util.clock import SimulatedClock
 MASTER = bytes(range(32))
 
 
-def make_store():
+def make_store(**config):
     clock = SimulatedClock(start=1.17e9)
-    store = CuratorStore(CuratorConfig(master_key=MASTER, clock=clock))
+    store = CuratorStore(CuratorConfig(master_key=MASTER, clock=clock, **config))
     return store, clock
 
 
@@ -228,6 +228,12 @@ def _attach_and_read(store, i):
     assert store.read_attachment("rec-1", f"scan-{i}", actor_id="dr-a") == b"dicom"
 
 
+def _restore(store, i):
+    if not len(store.vault):
+        store.create_backup(actor_id="backup-operator")
+    store.restore_from_backup(store.vault.latest().snapshot_id, actor_id="backup-operator")
+
+
 ANCHORED_PATHS = {
     "store": lambda store, i: store.store(
         make_note(f"rec-{i + 2}", text="routine followup visit"), "dr-a"
@@ -240,6 +246,11 @@ ANCHORED_PATHS = {
     "export_deidentified": lambda store, i: store.export_deidentified(
         "rec-1", actor_id="res-1"
     ),
+    "create_backup": lambda store, i: store.create_backup(
+        incremental=i > 0, actor_id="backup-operator"
+    ),
+    "restore_from_backup": _restore,
+    "refresh_media": lambda store, i: store.refresh_media(),
 }
 
 
@@ -247,9 +258,11 @@ def test_audit_trail_verifies_and_anchors():
     """Every path's events hold the anchor cadence: after five cadences'
     worth of operations, no more than one cadence of events is left
     beyond the latest anchor.  A tail the witness has not seen is one a
-    raw-device insider can cut unnoticed — denials included."""
+    raw-device insider can cut unnoticed — denials included.  The
+    cadence and the devices are small because a restore or a refresh
+    provisions a fresh medium every time."""
     for path, operation in ANCHORED_PATHS.items():
-        store, _ = make_store()
+        store, _ = make_store(anchor_every_events=16, device_capacity=1 << 20)
         store.store(make_note(), author_id="dr-a")
         store.register_user(User.make("dr-b", "Dr. B", [Role.PHYSICIAN]))
         store.register_user(User.make("dr-er", "ER", [Role.PHYSICIAN]))

@@ -103,6 +103,7 @@ def build_parts(site_id, clock, keypair):
         tiering=tiering,
         keystore=keystore,
         audit=audit,
+        anchors=anchors,
         consent=consent,
         breakglass=breakglass,
         workforce=workforce,

@@ -54,7 +54,9 @@ def test_backup_of_an_engine_that_imported_a_patient():
     )
     destination.register_user(User.make("admin", "Admin", [Role.SYSTEM_ADMIN]))
     source.store(note("rec-1", "pat-1", clock), "dr-a")
-    destination.import_patient_history(source.export_patient_history("pat-1"))
+    destination.transfer.import_patient_history(
+        source.transfer.export_patient_history("pat-1")
+    )
     snapshot = destination.create_backup(actor_id="admin")
     assert sorted(snapshot.objects) == sorted(destination.worm.object_ids())
     assert any(object_id.startswith("~segment/") for object_id in snapshot.objects)
