@@ -116,10 +116,13 @@ def test_e5_ablation_shred_vs_overwrite_cost(benchmark):
     from repro.util.clock import SimulatedClock
 
     MASTER = bytes(range(32))
+    ESCROW = 1 << 16  # every keystore escrows its wrapped keys to a device
     rows = []
     for size_kb in (16, 256, 2048):
         size = size_kb * 1024
-        keystore = KeyStore(MASTER, clock=SimulatedClock())
+        keystore = KeyStore(
+            MASTER, clock=SimulatedClock(), device=MemoryDevice("keys", ESCROW)
+        )
         handle = keystore.create_key()
         device = MemoryDevice("d", size + 1024)
         device.allocate(size)
@@ -138,7 +141,9 @@ def test_e5_ablation_shred_vs_overwrite_cost(benchmark):
         )
 
     def shred_one():
-        keystore = KeyStore(MASTER, clock=SimulatedClock())
+        keystore = KeyStore(
+            MASTER, clock=SimulatedClock(), device=MemoryDevice("keys", ESCROW)
+        )
         handle = keystore.create_key()
         keystore.shred(handle)
 
@@ -162,10 +167,11 @@ def test_e5_ablation_backup_coordination(benchmark):
     from repro.worm.store import WormStore
 
     MASTER = bytes(range(32))
+    ESCROW = 1 << 16  # every keystore escrows its wrapped keys to a device
 
     def build():
         clock = SimulatedClock(start=0.0)
-        keystore = KeyStore(MASTER, clock=clock)
+        keystore = KeyStore(MASTER, clock=clock, device=MemoryDevice("k", ESCROW))
         store = WormStore(device=MemoryDevice("p", 1 << 20), clock=clock)
         vault = BackupVault("offsite")
         manager = BackupManager(vault, clock=clock)
@@ -180,7 +186,7 @@ def test_e5_ablation_backup_coordination(benchmark):
     # Uncoordinated: shred at primary only.
     clock, keystore, vault, manager, handle, snapshot = build()
     keystore.shred(handle)
-    restored_keys = KeyStore(MASTER, clock=clock)
+    restored_keys = KeyStore(MASTER, clock=clock, device=MemoryDevice("k", ESCROW))
     target = WormStore(device=MemoryDevice("r1", 1 << 20), clock=clock)
     manager.restore(snapshot.snapshot_id, target, restored_keys)
     cipher = restored_keys.cipher_for(handle)  # key survived in backup
@@ -191,7 +197,7 @@ def test_e5_ablation_backup_coordination(benchmark):
     clock, keystore, vault, manager, handle, snapshot = build()
     keystore.shred(handle)
     vault.shred_key(handle.key_id)
-    restored_keys = KeyStore(MASTER, clock=clock)
+    restored_keys = KeyStore(MASTER, clock=clock, device=MemoryDevice("k", ESCROW))
     target = WormStore(device=MemoryDevice("r2", 1 << 20), clock=clock)
     report = manager.restore(snapshot.snapshot_id, target, restored_keys)
     coordinated_readable = report.keys_restored > 0

@@ -83,6 +83,17 @@ class ColdStore:
         device: BlockDevice | None = None,
         clock: Clock | None = None,
     ) -> None:
+        """Open the store on *device* (a blank one by default),
+        rebuilding the directory from the segments already on it.
+
+        The journal drops a torn tail frame whole — a segment write
+        interrupted by a crash simply never happened, and the records it
+        carried keep their warm copies (the demotion audit marker, the
+        real commit point, was never written).  Manifests found on the
+        device are *adopted* as the trust root and every such segment is
+        dirty until re-verified; which members are authoritative (vs
+        repatriated or scrubbed) is the engine's call, replayed from the
+        audit trail's demotion/recall markers and the key escrow."""
         self._journal = Journal(device or MemoryDevice("curator-cold", 1 << 24))
         self._clock = clock or WallClock()
         self._segments: dict[str, ColdSegment] = {}
@@ -99,6 +110,28 @@ class ColdStore:
         # by the shredder's bind_cache hook: a disposed record's
         # decrypted cold bytes must not survive it in memory.
         self._cache: OrderedDict[str, bytes] = OrderedDict()
+        for sequence in range(len(self._journal)):
+            try:
+                payload = self._journal.read(sequence)
+                manifest, member_area_offset = parse_segment(payload)
+            except IntegrityError:
+                # A resealed scrub hole keeps the frame checksum valid;
+                # anything else unreadable is honestly skipped — its
+                # members will surface as damaged when the engine tries
+                # to place them.
+                continue
+            frame_offset = self._journal.offset_of(sequence)
+            self._index_segment(
+                ColdSegment(
+                    segment_id=manifest.segment_id,
+                    sequence=sequence,
+                    frame_offset=frame_offset,
+                    payload_length=len(payload),
+                    member_area=frame_offset + HEADER_SIZE + member_area_offset,
+                    manifest=manifest,
+                    live={member.record_id for member in manifest.members},
+                )
+            )
 
     @property
     def device(self) -> BlockDevice:
@@ -153,27 +186,35 @@ class ColdStore:
         member_area = (
             entry.offset + HEADER_SIZE + len(chunks[0]) + len(chunks[1])
         )
-        segment = ColdSegment(
-            segment_id=segment_id,
-            sequence=entry.sequence,
-            frame_offset=entry.offset,
-            payload_length=entry.length,
-            member_area=member_area,
-            manifest=manifest,
-            live={member.record_id for member in manifest.members},
-        )
-        self._segments[segment_id] = segment
-        self._order.append(segment_id)
-        for member in manifest.members:
-            self._live[member.record_id] = segment_id
-            self._extents.setdefault(member.record_id, []).append(
-                (segment_id, *segment.extent_of(member))
+        segment = self._index_segment(
+            ColdSegment(
+                segment_id=segment_id,
+                sequence=entry.sequence,
+                frame_offset=entry.offset,
+                payload_length=entry.length,
+                member_area=member_area,
+                manifest=manifest,
+                live={member.record_id for member in manifest.members},
             )
-        # Fresh device bytes are untrusted until a verify pass reads
-        # them back (same posture as WormStore's dirty set).
-        self._dirty.add(segment_id)
+        )
         METRICS.incr("tier_cold_segments_written")
         METRICS.incr("tier_cold_members_written", len(manifest.members))
+        return segment
+
+    def _index_segment(self, segment: ColdSegment) -> ColdSegment:
+        """Enter a segment on the device into the directory.  Last
+        segment wins: a record demoted, recalled, and demoted again
+        lives in its newest segment.  Device bytes are untrusted until a
+        verify pass reads them back (same posture as WormStore's dirty
+        set)."""
+        self._segments[segment.segment_id] = segment
+        self._order.append(segment.segment_id)
+        for member in segment.manifest.members:
+            self._live[member.record_id] = segment.segment_id
+            self._extents.setdefault(member.record_id, []).append(
+                (segment.segment_id, *segment.extent_of(member))
+            )
+        self._dirty.add(segment.segment_id)
         return segment
 
     # -- read / recall ---------------------------------------------------------
@@ -363,65 +404,3 @@ class ColdStore:
 
     def dirty_segment_ids(self) -> list[str]:
         return sorted(self._dirty)
-
-    # -- recovery -------------------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        device: BlockDevice,
-        clock: Clock | None = None,
-    ) -> "ColdStore":
-        """Rebuild the directory from a surviving cold device.
-
-        The journal recovery drops a torn tail frame whole — a segment
-        write interrupted by a crash simply never happened, and the
-        records it carried keep their warm copies (the demotion audit
-        marker, the real commit point, was never written).  Recovered
-        manifests are *adopted* as the trust root and every segment is
-        dirty until re-verified; which members are authoritative (vs
-        repatriated or scrubbed) is the engine's call, replayed from
-        the audit trail's demotion/recall markers and the key escrow.
-        """
-        store = cls.__new__(cls)
-        store._journal = Journal.recover(device)
-        store._clock = clock or WallClock()
-        store._segments = {}
-        store._order = []
-        store._live = {}
-        store._extents = {}
-        store._dirty = set()
-        store._clean_members = Rotation()
-        store._clean_segments = Rotation()
-        store._cache = OrderedDict()
-        for sequence in range(len(store._journal)):
-            try:
-                payload = store._journal.read(sequence)
-                manifest, member_area_offset = parse_segment(payload)
-            except IntegrityError:
-                # A resealed scrub hole keeps the frame checksum valid;
-                # anything else unreadable is honestly skipped — its
-                # members will surface as damaged when the engine tries
-                # to place them.
-                continue
-            frame_offset = store._journal.offset_of(sequence)
-            segment = ColdSegment(
-                segment_id=manifest.segment_id,
-                sequence=sequence,
-                frame_offset=frame_offset,
-                payload_length=len(payload),
-                member_area=frame_offset + HEADER_SIZE + member_area_offset,
-                manifest=manifest,
-                live={member.record_id for member in manifest.members},
-            )
-            store._segments[manifest.segment_id] = segment
-            store._order.append(manifest.segment_id)
-            for member in manifest.members:
-                # last segment wins: a record demoted, recalled, and
-                # demoted again lives in its newest segment
-                store._live[member.record_id] = manifest.segment_id
-                store._extents.setdefault(member.record_id, []).append(
-                    (manifest.segment_id, *segment.extent_of(member))
-                )
-            store._dirty.add(manifest.segment_id)
-        return store

@@ -80,6 +80,11 @@ class CheckpointStore:
         key: bytes = b"",
         clock: Clock | None = None,
     ) -> None:
+        """Open the store on *device* (a blank one by default).  The
+        journal drops a crash-torn tail frame whole, so a seal
+        interrupted mid-write simply does not exist afterwards — the log
+        falls back to the previous watermark, or to a full rescan when
+        none survives."""
         if not key:
             raise ValueError(
                 "CheckpointStore needs a MAC key: an unkeyed watermark on an "
@@ -115,18 +120,3 @@ class CheckpointStore:
             except Exception:  # noqa: BLE001
                 continue
         return None
-
-    @classmethod
-    def recover(
-        cls, device: BlockDevice, key: bytes, clock: Clock | None = None
-    ) -> "CheckpointStore":
-        """Rebuild from a surviving device image.
-
-        :meth:`Journal.recover` drops a crash-torn tail frame whole, so
-        a seal interrupted mid-write simply does not exist afterwards —
-        the log falls back to the previous watermark, or to a full
-        rescan when none survives.
-        """
-        store = cls(device, key, clock)
-        store._journal = Journal.recover(device)
-        return store

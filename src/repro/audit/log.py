@@ -92,6 +92,12 @@ class AuditLog:
         full_rescan_every: int = 64,
         rng: random.Random | None = None,
     ) -> None:
+        """Open the log on *device* (a blank one by default), replaying
+        the journal and re-deriving the hash chain and the Merkle tree.
+        A crash-truncated tail (incomplete final frame) is dropped by
+        the journal's frame validation; any *mid-log* inconsistency
+        raises :class:`AuditError` — a log that does not verify must not
+        be silently adopted as the system of record."""
         self._journal = Journal(device or MemoryDevice("audit-dev", 1 << 24))
         self._clock = clock or WallClock()
         self._head = GENESIS_DIGEST
@@ -111,6 +117,9 @@ class AuditLog:
         # sealed frames the next spot-check will sample); tests inject
         # a seeded Random for reproducibility.
         self._rng = rng or random.Random()
+        result = self._replay(0, GENESIS_DIGEST, len(self._journal), adopt=True)
+        if not result.ok:
+            raise AuditError(f"recovery failed: {result.problem}")
 
     def __len__(self) -> int:
         return len(self._events)
@@ -237,15 +246,12 @@ class AuditLog:
         return self._checkpoints
 
     def adopt_checkpoints(self, checkpoints: CheckpointStore | None) -> None:
-        """Attach a (possibly recovered) checkpoint store after the fact.
-
-        Used by engine recovery: the audit log is replayed from its own
-        device first, then the checkpoint store recovered from *its*
-        device is adopted.  The persisted watermark is loaded but not
+        """Attach a checkpoint store (opening it is how a restart gets
+        its watermark back).  The persisted watermark is loaded but not
         trusted blindly — :meth:`verify_chain` validates it against the
         in-memory state and falls back to a full rescan on any mismatch
-        (including the torn-seal case, where recovery already dropped
-        the torn frame and ``latest()`` returns an older seal or None).
+        (including the torn-seal case, where opening already dropped the
+        torn frame and ``latest()`` returns an older seal or None).
         """
         self._checkpoints = checkpoints
         self._watermark = checkpoints.latest() if checkpoints is not None else None
@@ -429,31 +435,6 @@ class AuditLog:
         )
         if self._checkpoints is not None:
             self._checkpoints.seal(self._watermark)
-
-    # -- recovery ----------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        device: BlockDevice,
-        clock: Clock | None = None,
-        spot_checks: int = 16,
-        full_rescan_every: int = 64,
-    ) -> "AuditLog":
-        """Rebuild an audit log from its device after a restart/crash.
-
-        Replays the journal, re-deriving the hash chain and the Merkle
-        tree.  A crash-truncated tail (incomplete final frame) is
-        dropped by the journal's frame validation; any *mid-log*
-        inconsistency raises :class:`AuditError` — a log that does not
-        verify must not be silently adopted as the system of record.
-        """
-        log = cls(device, clock, spot_checks=spot_checks, full_rescan_every=full_rescan_every)
-        log._journal = Journal.recover(device)
-        result = log._replay(0, GENESIS_DIGEST, len(log._journal), adopt=True)
-        if not result.ok:
-            raise AuditError(f"recovery failed: {result.problem}")
-        return log
 
     # -- third-party event proofs -------------------------------------------
 

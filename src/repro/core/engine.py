@@ -21,11 +21,12 @@ richer native API (versions, break-glass, disposition, backup, media
 refresh) the examples and experiments use.
 
 :class:`CuratorStore` itself holds construction (one wiring, shared by
-``__init__`` and device recovery) and the write, read and disposal
-paths: ``store`` / ``store_many``, one audited read behind ``read`` and
-``read_version``, ``correct``, ``search``, ``dispose``, attachments,
-holds.  What is *not* in this file any more, and where it lives — each
-part built from the collaborators it uses, none handed the store:
+``__init__`` and device recovery: every store opens its device, blank
+or surviving) and the write, read and disposal paths: ``store`` /
+``store_many``, one audited read behind ``read`` and ``read_version``,
+``correct``, ``search``, ``dispose``, attachments, holds.  What is *not*
+in this file any more, and where it lives — each part built from the
+collaborators it uses, none handed the store:
 
 * the shapes of object ids — :mod:`repro.records.ids`;
 * what the engine knows per record (chains, key handles, manifests,
@@ -68,7 +69,7 @@ from repro.core.access import Access
 from repro.core.config import CuratorConfig
 from repro.core.directory import RecordDirectory
 from repro.core.home import RecordHome
-from repro.core.recovery import Recovery, RecoveryReport, recover_devices
+from repro.core.recovery import Recovery, RecoveryReport, certified_hole
 from repro.core.tiering import Tiering
 from repro.core.transfer import PatientTransfer
 from repro.core.verification import Verification
@@ -137,32 +138,33 @@ class CuratorStore(StorageModel):
         self,
         config: CuratorConfig,
         *,
-        keystore: KeyStore | None = None,
-        worm: WormStore | None = None,
-        audit: AuditLog | None = None,
-        checkpoints: CheckpointStore | None = None,
-        cold: ColdStore | None = None,
+        worm_device: BlockDevice | None = None,
+        key_device: BlockDevice | None = None,
+        audit_device: BlockDevice | None = None,
+        checkpoint_device: BlockDevice | None = None,
+        cold_device: BlockDevice | None = None,
         signer: Signer | None = None,
         witnesses: list[AnchorWitness] | None = None,
     ) -> None:
-        """The one construction wiring.  ``__init__`` passes nothing and
-        every collaborator starts fresh on its own device;
-        :meth:`recover_from_devices` passes the ones rebuilt from
-        surviving images (and the signer / witnesses that outlive a
-        process crash).  Collaborators are plain attributes, set once
-        here; ``worm``, ``medium`` and ``witness`` are properties, as a
-        swap or the anchor schedule moves them."""
+        """The one construction wiring: every device-backed store opens
+        its device.  ``__init__`` passes none, so each opens a blank
+        device (and the WORM store a freshly provisioned medium);
+        :meth:`recover_from_devices` passes the surviving images under
+        the :meth:`device_set` names, plus the signer and witnesses that
+        outlive a process crash.  Collaborators are plain attributes,
+        set once here; ``worm``, ``medium`` and ``witness`` are
+        properties, as a swap or the anchor schedule moves them."""
         self._config = config
         self._clock = config.clock
+        capacity = config.device_capacity
         # crypto / keys — the keystore escrows every wrapped key to its
-        # own device so a restarted engine can rebuild the key hierarchy
-        # from devices + the HSM-held master key (see recover_from_devices)
-        self._keystore = keystore if keystore is not None else KeyStore(
+        # own device, replayed on open under the HSM-held master key
+        self._keystore = KeyStore(
             config.master_key,
             clock=self._clock,
-            device=MemoryDevice("curator-keys", config.device_capacity),
+            device=key_device or MemoryDevice("curator-keys", capacity),
         )
-        self.signer = signer if signer is not None else Signer(
+        self.signer = signer or Signer(
             config.site_id,
             keypair=config.signing_keypair,
             bits=SIGNATURE_BITS,
@@ -173,23 +175,24 @@ class CuratorStore(StorageModel):
         # decrypted current versions
         index_key = derive_key(config.master_key, "curator/index")
         self.index = TrustworthyIndex(
-            index_key, device=MemoryDevice("curator-idx", config.device_capacity)
+            index_key, device=MemoryDevice("curator-idx", capacity)
         )
         # audit — the checkpoint store persists verified watermarks on
         # its own device, MAC-sealed under a key derived from the HSM-
-        # held master key (forge-proof against the raw-device insider)
-        self.checkpoints = checkpoints if checkpoints is not None else CheckpointStore(
-            device=MemoryDevice("curator-ckpt", config.device_capacity),
+        # held master key (forge-proof against the raw-device insider);
+        # the log replays and verifies its chain on open
+        self.checkpoints = CheckpointStore(
+            device=checkpoint_device or MemoryDevice("curator-ckpt", capacity),
             key=derive_key(config.master_key, "curator/audit-checkpoint"),
             clock=self._clock,
         )
-        self.audit_log = audit if audit is not None else AuditLog(
-            device=MemoryDevice("curator-audit", config.device_capacity),
+        self.audit_log = AuditLog(
+            device=audit_device or MemoryDevice("curator-audit", capacity),
             clock=self._clock,
+            checkpoints=self.checkpoints,
             spot_checks=config.audit_spot_checks,
             full_rescan_every=config.audit_full_rescan_every,
         )
-        self.audit_log.adopt_checkpoints(self.checkpoints)
         self._anchors = AnchorSchedule(
             self.audit_log,
             self.signer,
@@ -221,8 +224,9 @@ class CuratorStore(StorageModel):
         self.provenance = ProvenanceGraph()
         self.provenance.add_custodian(config.site_id)
         # cold tier: compacted segments on their own device
-        self.cold = cold if cold is not None else ColdStore(
-            device=MemoryDevice("curator-cold", config.cold_device_capacity),
+        self.cold = ColdStore(
+            device=cold_device
+            or MemoryDevice("curator-cold", config.cold_device_capacity),
             clock=self._clock,
         )
         # retention / disposal
@@ -241,11 +245,11 @@ class CuratorStore(StorageModel):
         self.media_pool = MediaPool(
             clock=self._clock, default_capacity=config.device_capacity
         )
-        if worm is None:
-            medium = self.media_pool.provision()
-            worm = WormStore(device=medium.device, clock=self._clock)
-        else:
-            medium = self.media_pool.adopt(worm.device)
+        medium = (
+            self.media_pool.adopt(worm_device)
+            if worm_device is not None
+            else self.media_pool.provision()
+        )
         self._home = RecordHome(
             site_id=config.site_id,
             retention_policy=config.retention_policy,
@@ -257,7 +261,11 @@ class CuratorStore(StorageModel):
             shredder=self._shredder,
             index=self.index,
             directory=self._dir,
-            worm=worm,
+            worm=WormStore(
+                device=medium.device,
+                clock=self._clock,
+                salvage_check=certified_hole(self._keystore),
+            ),
             medium=medium,
         )
         self._tiering = Tiering(home=self._home, cold=self.cold, anchors=self._anchors)
@@ -589,17 +597,19 @@ class CuratorStore(StorageModel):
     # ------------------------------------------------------------------
 
     def devices(self) -> list[BlockDevice]:
-        devices = [self.worm.device, self.index.device, self.audit_log.device]
-        if self._keystore.device is not None:
-            devices.append(self._keystore.device)
-        devices.append(self.checkpoints.device)
-        devices.append(self.cold.device)
-        return devices
+        return [
+            self.worm.device,
+            self.index.device,
+            self.audit_log.device,
+            self._keystore.device,
+            self.checkpoints.device,
+            self.cold.device,
+        ]
 
     def device_set(self) -> dict[str, BlockDevice]:
-        """The devices a restart recovers from, under the keyword names
-        :meth:`recover_from_devices` takes (the index is derived data,
-        rebuilt on a fresh device)."""
+        """The devices a restart opens, under the keyword names
+        :meth:`_wire` and :meth:`recover_from_devices` take (the index
+        is derived data, rebuilt on a fresh device)."""
         return {
             "worm_device": self.worm.device,
             "key_device": self._keystore.device,
@@ -712,21 +722,10 @@ class CuratorStore(StorageModel):
         return self._dir.patient_ids()
 
     def declared_features(self) -> frozenset[str]:
-        return frozenset(
-            {
-                "correct",
-                "dispose",
-                "search",
-                "audit",
-                "access_control",
-                "integrity",
-                "retention",
-                "encryption",
-                "migration_verifiable",
-                "provenance",
-                "backup",
-            }
-        )
+        return frozenset({
+            "correct", "dispose", "search", "audit", "access_control", "integrity",
+            "retention", "encryption", "migration_verifiable", "provenance", "backup",
+        })
 
     # ------------------------------------------------------------------
     # operations: backup, media refresh, recovery (see
@@ -759,14 +758,20 @@ class CuratorStore(StorageModel):
         witnesses: list[AnchorWitness] | None = None,
         signer: Signer | None = None,
     ) -> "CuratorStore":
-        """Restart the engine from surviving device images after a crash.
+        """Restart the engine from surviving device images after a crash:
+        :meth:`_wire` on the images (named as in :meth:`device_set`),
+        then :meth:`Recovery.replay <repro.core.recovery.Recovery.replay>`.
+        Only the checkpoint and cold images may be left out (they open
+        blank): a blank WORM, key or audit device would silently lose
+        every record, key or custody marker.
 
         Trust model of the restart: devices survive (that is what they
         are for); the HSM-held material — master key and, optionally,
         the anchor-signing key — survives; external anchor witnesses
         survive.  Everything in process memory is gone.
 
-        What is rebuilt, and from where:
+        What is rebuilt, and from where (the first three are the checks
+        every store runs when it opens its device, blank or not):
 
         * **keys** — replayed from the escrow journal (wrapped under the
           master key); physically-destroyed frames recover as shredded;
@@ -790,17 +795,9 @@ class CuratorStore(StorageModel):
         """
         store = cls.__new__(cls)
         store._wire(
-            config,
-            signer=signer,
-            witnesses=witnesses,
-            **recover_devices(
-                config,
-                worm_device=worm_device,
-                key_device=key_device,
-                audit_device=audit_device,
-                checkpoint_device=checkpoint_device,
-                cold_device=cold_device,
-            ),
+            config, worm_device=worm_device, key_device=key_device,
+            audit_device=audit_device, checkpoint_device=checkpoint_device,
+            cold_device=cold_device, signer=signer, witnesses=witnesses,
         )
         store.recovery_report = store._recovery.replay()
         return store

@@ -1,8 +1,9 @@
 """Recovery: everything that rebuilds or replaces the WORM archive.
 
-* :func:`recover_devices` turns surviving device images back into the
-  collaborators an engine is wired from (key escrow, WORM store, audit
-  log, checkpoints, cold store);
+* every device-backed store *opens* its device — a blank one for a new
+  engine, a surviving image for a restart — so the engine has one
+  wiring; :func:`certified_hole` is the one check the WORM store's open
+  borrows from the opened key escrow;
 * :meth:`Recovery.replay` rebuilds the record directory from them;
 * :meth:`Recovery.create_backup` / :meth:`Recovery.restore_from_backup`
   / :meth:`Recovery.refresh_media` snapshot the archive, rebuild it from
@@ -13,32 +14,34 @@ recovered) store becomes home through
 :meth:`~repro.core.home.RecordHome.install` /
 :meth:`~repro.core.home.RecordHome.adopt` — one swap, one adopt path —
 so they cannot disagree about key handles, retention terms, the cold
-tier's verdict or the read cache.
+tier's verdict or the read cache.  Restore and refresh share one more
+step, :meth:`Recovery._release`: the medium a swap replaces is
+sanitized, disposed of through the pool and logged once the new home
+holds every live object it held (or it is already lost), so neither
+leaves an ACTIVE medium with PHI-bearing frames behind.  A restore from
+a snapshot older than the medium's last write leaves objects the new
+home lacks; that medium is retired with its bytes and the left-behind
+object ids are logged, never scrubbed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.archive import ColdStore
 from repro.audit.anchors import AnchorSchedule
-from repro.audit.checkpoint import CheckpointStore
 from repro.audit.events import AuditAction
 from repro.audit.log import AuditLog
 from repro.backup.manager import BackupManager, RestoreReport
-from repro.core.config import CuratorConfig
 from repro.core.home import RecordHome
 from repro.core.tiering import Tiering
 from repro.core.transfer import PatientTransfer
-from repro.crypto.kdf import derive_key
 from repro.crypto.keys import KeyHandle, KeyStore
 from repro.crypto.signatures import TrustStore
 from repro.errors import IntegrityError, ValidationError
 from repro.migration.engine import MigrationEngine
 from repro.records.ids import Kind, cold_member, cold_member_id, parse, version_id
 from repro.records.versioning import VersionChain
-from repro.storage.block import BlockDevice
 from repro.storage.media import MediaPool, Medium
 from repro.util.encoding import canonical_loads
 from repro.worm.store import WormStore
@@ -72,29 +75,17 @@ class RecoveryReport:
     cold_records: tuple[str, ...] = ()
 
 
-def recover_devices(
-    config: CuratorConfig,
-    *,
-    worm_device: BlockDevice,
-    key_device: BlockDevice,
-    audit_device: BlockDevice,
-    checkpoint_device: BlockDevice | None,
-    cold_device: BlockDevice | None,
-) -> dict[str, Any]:
-    """The device-backed collaborators, rebuilt from surviving images
-    (``None`` for one whose image did not survive: the engine wiring
-    starts that one fresh)."""
-    clock = config.clock
-    # keys: replay the escrow under the HSM-held master key
-    keystore = KeyStore.recover(config.master_key, key_device, clock=clock)
-    # The key escrow knows which records were lawfully destroyed; a
-    # broken WORM frame containing one of their objects is a shred
-    # interrupted before its reseal (a certified hole), not a torn
-    # write — worm recovery completes the reseal and keeps the
-    # frame's surviving neighbours instead of dropping the batch.
+def certified_hole(keystore: KeyStore):
+    """The WORM store's salvage check, built from the opened key escrow.
+
+    The escrow knows which records were lawfully destroyed; a broken
+    WORM frame containing one of their objects is a shred interrupted
+    before its reseal (a certified hole), not a torn write — opening the
+    WORM device completes the reseal and keeps the frame's surviving
+    neighbours instead of dropping the batch."""
     labels = keystore.labelled_handles()
 
-    def certified_hole(object_ids: list[str]) -> bool:
+    def check(object_ids: list[str]) -> bool:
         for object_id in object_ids:
             try:
                 handle = labels.get(parse(object_id).owner)
@@ -104,33 +95,7 @@ def recover_devices(
                 return True
         return False
 
-    return {
-        "keystore": keystore,
-        "worm": WormStore.recover(
-            worm_device, clock=clock, salvage_check=certified_hole
-        ),
-        # audit: replay + verify the hash chain
-        "audit": AuditLog.recover(
-            audit_device,
-            clock=clock,
-            spot_checks=config.audit_spot_checks,
-            full_rescan_every=config.audit_full_rescan_every,
-        ),
-        # verified watermarks: recover the MAC-sealed checkpoint journal
-        # (a seal torn by the crash is dropped whole, so verification
-        # falls back to an older watermark or a full rescan — never a
-        # torn one)
-        "checkpoints": None
-        if checkpoint_device is None
-        else CheckpointStore.recover(
-            checkpoint_device,
-            key=derive_key(config.master_key, "curator/audit-checkpoint"),
-            clock=clock,
-        ),
-        "cold": None
-        if cold_device is None
-        else ColdStore.recover(cold_device, clock=clock),
-    }
+    return check
 
 
 @dataclass(eq=False, repr=False)
@@ -223,6 +188,7 @@ class Recovery:
             raise IntegrityError(
                 f"restore failed verification: {report.mismatched}"
             )
+        replaced, old_medium = self.home.worm, self.home.medium
         self.home.install(archive.worm, medium)
         live = set(self.home.directory.record_ids())
         for object_id, sealed in archive.members.items():
@@ -238,12 +204,13 @@ class Recovery:
             AuditAction.BACKUP_RESTORED, actor_id, snapshot_id,
             {"objects": report.objects_restored},
         )
+        self._release(replaced, old_medium)
         return report
 
     def refresh_media(self) -> Medium:
         """Migrate the archive to a fresh medium (aging hardware), with
         manifest verification, then sanitize and retire the old one."""
-        old_medium = self.home.medium
+        replaced, old_medium = self.home.worm, self.home.medium
         new_medium = self.media_pool.provision()
         destination = WormStore(device=new_medium.device, clock=self.home.clock)
         engine = MigrationEngine(self.trust, clock=self.home.clock, custody=None)
@@ -259,16 +226,38 @@ class Recovery:
                 f"media refresh failed verification: missing={result.missing} "
                 f"corrupted={result.corrupted}"
             )
-        self.home.install(destination, new_medium)
-        old_medium.dispose(sanitize_first=True)
         self.anchors.append(
             AuditAction.MIGRATION_COMPLETED, "system", new_medium.medium_id,
             {"from": old_medium.medium_id, "objects": result.copied},
         )
-        self.anchors.append(
-            AuditAction.MEDIA_DISPOSED, "system", old_medium.medium_id, {}
-        )
+        self.home.install(destination, new_medium)
+        self._release(replaced, old_medium)
         return new_medium
+
+    def _release(self, replaced: WormStore, medium: Medium) -> None:
+        """The one end of a move to fresh media, once the new store is
+        home: the *medium* under the *replaced* store is sanitized,
+        disposed of through the pool (which lets go of its bytes) and
+        logged — if the new home holds every live object it held, or the
+        device is already lost.  Otherwise (a restore from a snapshot
+        older than the medium's last write) the medium is only retired:
+        its bytes are the one copy of the objects left behind, which the
+        event names, and a disposal would destroy them uncertified."""
+        left_behind = sorted(
+            set(replaced.object_ids()) - set(self.home.worm.object_ids())
+        )
+        if left_behind and not medium.device.detached:
+            medium.retire("restore left live objects behind")
+            self.anchors.append(
+                AuditAction.MEDIA_RETIRED, "system", medium.medium_id,
+                {"left_behind": left_behind},
+            )
+            return
+        self.media_pool.dispose(medium)
+        self.anchors.append(
+            AuditAction.MEDIA_DISPOSED, "system", medium.medium_id,
+            {"lost": left_behind} if left_behind else {},
+        )
 
     # -- device recovery ---------------------------------------------------------
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.crypto.aead import AeadCipher, AeadCiphertext, encrypt_many
 from repro.crypto.chacha20 import KEY_SIZE
 from repro.errors import KeyManagementError
-from repro.storage.block import BlockDevice
+from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.clock import Clock, WallClock
 from repro.util.encoding import canonical_bytes, canonical_loads
@@ -75,30 +75,80 @@ class KeyStore:
         clock: Clock | None = None,
         device: BlockDevice | None = None,
     ) -> None:
+        """Open the keystore on its escrow *device* (a blank one by
+        default), replaying the wrapped keys and shred tombstones
+        already on it under the HSM-held master key.
+
+        Every wrapped key (and every shred tombstone) is escrowed, so a
+        restarted store rebuilds its key hierarchy from the device + the
+        master key.  The frames hold only AEAD ciphertext wrapped under
+        the master key, so the insider with the device learns nothing —
+        and shredding physically zeroes the wrapped bytes, keeping
+        cryptographic deletion honest even if the master key later
+        leaks.
+
+        The replay uses the journal's *lenient* frame walk: frames whose
+        payload no longer checksums (physically destroyed wrapped keys,
+        or a torn crash tail) are skipped, frames that parse are
+        replayed.  A key whose frame is destroyed but whose tombstone
+        survived is a recorded shred; a destroyed frame with no
+        tombstone (crash between zeroing and the tombstone append)
+        opens as an anonymous shredded entry all the same — the data
+        key is gone either way.
+        """
         if len(master_key) != KEY_SIZE:
             raise KeyManagementError(f"master key must be {KEY_SIZE} bytes")
         self._wrapper = AeadCipher(master_key)
         self._clock = clock or WallClock()
         self._entries: dict[str, _KeyEntry] = {}
-        self._counter = 0
-        # Optional escrow journal: every wrapped key (and every shred
-        # tombstone) is persisted so a restarted store can rebuild its
-        # key hierarchy from the device + the HSM-held master key.  The
-        # frames hold only AEAD ciphertext wrapped under the master key,
-        # so the insider with the device learns nothing — and shredding
-        # physically zeroes the wrapped bytes, keeping cryptographic
-        # deletion honest even if the master key later leaks.
-        self._escrow = Journal(device) if device is not None else None
         self._escrow_extents: dict[str, tuple[int, int]] = {}
         # Unwrap + HKDF memo: key_id -> ready AeadCipher.  Shredding
         # MUST invalidate (see shred/invalidate_cached) — a hit after a
         # shred would resurrect a destroyed key.
         self._cipher_cache: OrderedDict[str, AeadCipher] = OrderedDict()
+        device = device or MemoryDevice("keys", 1 << 22)
+        extents: list[tuple[int, int]] = []
+        highest = 0
+        for offset, payload, checksum_ok in Journal.walk_frames(device):
+            extents.append((offset, len(payload)))
+            if not checksum_ok:
+                continue
+            try:
+                frame = canonical_loads(payload)
+                kind = frame["kind"]
+            except Exception:
+                continue  # residue of a destroyed frame; carries no key
+            if kind == "key":
+                key_id = frame["key_id"]
+                self._entries[key_id] = _KeyEntry(
+                    wrapped=AeadCiphertext.from_bytes(frame["wrapped"]),
+                    created_at=frame["created_at"],
+                    label=frame["label"],
+                )
+                self._escrow_extents[key_id] = (offset + HEADER_SIZE, len(payload))
+            elif kind == "shred":
+                key_id = frame["key_id"]
+                entry = self._entries.get(key_id)
+                if entry is None:
+                    entry = _KeyEntry(wrapped=None, created_at=frame["at"])
+                    self._entries[key_id] = entry
+                entry.wrapped = None
+                entry.shredded_at = frame["at"]
+                entry.label = frame.get("label", entry.label)
+                self._escrow_extents.pop(key_id, None)
+            try:
+                highest = max(highest, int(frame["key_id"].rsplit("-", 1)[1]))
+            except (ValueError, IndexError, KeyError):
+                pass
+        self._counter = highest
+        # Future appends continue after the last intact frame; the torn
+        # tail (if any) is dead space the allocator reclaims.
+        self._escrow = Journal.adopt(device, extents)
 
     @property
-    def device(self) -> BlockDevice | None:
-        """The escrow device, if this keystore persists wrapped keys."""
-        return self._escrow.device if self._escrow is not None else None
+    def device(self) -> BlockDevice:
+        """The escrow device."""
+        return self._escrow.device
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -106,9 +156,9 @@ class KeyStore:
     def create_key(self, label: str = "") -> KeyHandle:
         """Mint a fresh random data key and return its handle.
 
-        With an escrow device, the wrapped key is journaled *before* the
-        in-memory entry exists: a crash mid-escrow loses an unused key,
-        never a used-but-unrecoverable one.
+        The wrapped key is journaled *before* the in-memory entry
+        exists: a crash mid-escrow loses an unused key, never a
+        used-but-unrecoverable one.
         """
         return self.create_keys([label])[0]
 
@@ -137,24 +187,20 @@ class KeyStore:
                 for key_id, data_key in zip(key_ids, data_keys)
             ]
         )
-        if self._escrow is not None:
-            payloads = [
-                canonical_bytes(
-                    {
-                        "kind": "key",
-                        "key_id": key_id,
-                        "label": label,
-                        "created_at": created_at,
-                        "wrapped": wrapped.to_bytes(),
-                    }
-                )
-                for key_id, label, wrapped in zip(key_ids, labels, wrapped_boxes)
-            ]
-            for key_id, entry in zip(key_ids, self._escrow.append_many(payloads)):
-                self._escrow_extents[key_id] = (
-                    entry.offset + HEADER_SIZE,
-                    entry.length,
-                )
+        payloads = [
+            canonical_bytes(
+                {
+                    "kind": "key",
+                    "key_id": key_id,
+                    "label": label,
+                    "created_at": created_at,
+                    "wrapped": wrapped.to_bytes(),
+                }
+            )
+            for key_id, label, wrapped in zip(key_ids, labels, wrapped_boxes)
+        ]
+        for key_id, entry in zip(key_ids, self._escrow.append_many(payloads)):
+            self._escrow_extents[key_id] = (entry.offset + HEADER_SIZE, entry.length)
         for key_id, label, wrapped in zip(key_ids, labels, wrapped_boxes):
             self._entries[key_id] = _KeyEntry(
                 wrapped=wrapped, created_at=created_at, label=label
@@ -223,27 +269,26 @@ class KeyStore:
         self.invalidate_cached(handle)
         entry.wrapped = None
         entry.shredded_at = self._clock.now()
-        if self._escrow is not None:
-            # Physically destroy the escrowed wrapped key (zeroing the
-            # payload breaks its frame checksum — recovery's lenient
-            # walk treats the hole as a destroyed key), then journal a
-            # tombstone so the shred itself survives a restart.
-            extent = self._escrow_extents.pop(handle.key_id, None)
-            if extent is not None:
-                self._escrow.device.scrub(*extent)
-            # The tombstone carries the label: the wrapped-key frame it
-            # refers to is now zeroed, and recovery still needs to map
-            # the destroyed key back to its record.
-            self._escrow.append(
-                canonical_bytes(
-                    {
-                        "kind": "shred",
-                        "key_id": handle.key_id,
-                        "label": entry.label,
-                        "at": entry.shredded_at,
-                    }
-                )
+        # Physically destroy the escrowed wrapped key (zeroing the
+        # payload breaks its frame checksum — the lenient walk on open
+        # treats the hole as a destroyed key), then journal a tombstone
+        # so the shred itself survives a restart.
+        extent = self._escrow_extents.pop(handle.key_id, None)
+        if extent is not None:
+            self._escrow.device.scrub(*extent)
+        # The tombstone carries the label: the wrapped-key frame it
+        # refers to is now zeroed, and a restart still needs to map the
+        # destroyed key back to its record.
+        self._escrow.append(
+            canonical_bytes(
+                {
+                    "kind": "shred",
+                    "key_id": handle.key_id,
+                    "label": entry.label,
+                    "at": entry.shredded_at,
+                }
             )
+        )
         return entry.shredded_at
 
     def is_shredded(self, handle: KeyHandle) -> bool:
@@ -281,69 +326,6 @@ class KeyStore:
             if label:
                 out[label] = KeyHandle(key_id=key_id)
         return out
-
-    # -- recovery ----------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        master_key: bytes,
-        device: BlockDevice,
-        clock: Clock | None = None,
-    ) -> "KeyStore":
-        """Rebuild a keystore from its escrow device after a restart.
-
-        Uses the journal's *lenient* frame walk: frames whose payload no
-        longer checksums (physically destroyed wrapped keys, or a torn
-        crash tail) are skipped, frames that parse are replayed.  A key
-        whose frame is destroyed but whose tombstone survived is a
-        recorded shred; a destroyed frame with no tombstone (crash
-        between zeroing and the tombstone append) recovers as an
-        anonymous shredded entry all the same — the data key is gone
-        either way.
-        """
-        store = cls(master_key, clock=clock)
-        extents: list[tuple[int, int]] = []
-        highest = 0
-        for offset, payload, checksum_ok in Journal.walk_frames(device):
-            extents.append((offset, len(payload)))
-            if not checksum_ok:
-                continue
-            try:
-                frame = canonical_loads(payload)
-                kind = frame["kind"]
-            except Exception:
-                continue  # residue of a destroyed frame; carries no key
-            if kind == "key":
-                key_id = frame["key_id"]
-                store._entries[key_id] = _KeyEntry(
-                    wrapped=AeadCiphertext.from_bytes(frame["wrapped"]),
-                    created_at=frame["created_at"],
-                    label=frame["label"],
-                )
-                store._escrow_extents[key_id] = (
-                    offset + HEADER_SIZE,
-                    len(payload),
-                )
-            elif kind == "shred":
-                key_id = frame["key_id"]
-                entry = store._entries.get(key_id)
-                if entry is None:
-                    entry = _KeyEntry(wrapped=None, created_at=frame["at"])
-                    store._entries[key_id] = entry
-                entry.wrapped = None
-                entry.shredded_at = frame["at"]
-                entry.label = frame.get("label", entry.label)
-                store._escrow_extents.pop(key_id, None)
-            try:
-                highest = max(highest, int(frame["key_id"].rsplit("-", 1)[1]))
-            except (ValueError, IndexError, KeyError):
-                pass
-        store._counter = highest
-        # Future appends continue after the last intact frame; the torn
-        # tail (if any) is dead space the allocator reclaims.
-        store._escrow = Journal.adopt(device, extents)
-        return store
 
     def shredded_handles(self) -> list[KeyHandle]:
         """Handles whose keys have been destroyed."""

@@ -17,9 +17,10 @@ the device in one ``writev``.  ``append``, ``append_many`` and
 frames of one chunk, one frame of N chunks — and there is one parser
 (:meth:`Journal.walk_frames`).
 
-Recovery: :meth:`Journal.recover` rescans the device from offset 0 and
-stops at the first entry whose magic/length/checksum is invalid — a
-crash-truncated tail is dropped cleanly, entries before it survive.
+Opening is recovery: the constructor scans the device from offset 0
+and stops at the first entry whose magic/length/checksum is invalid — a
+crash-truncated tail is dropped cleanly, entries before it survive.  On
+a blank device there is nothing to scan.
 """
 
 from __future__ import annotations
@@ -55,9 +56,25 @@ class Journal:
     """Length-prefixed checksummed append-only log on a device."""
 
     def __init__(self, device: BlockDevice) -> None:
+        """Open the journal on *device*: its entries are the strict
+        prefix of frames that checksum, and appends continue after the
+        last of them."""
+        extents = []
+        for offset, payload, checksum_ok in self.walk_frames(device):
+            if not checksum_ok:
+                break
+            extents.append((offset, len(payload)))
+        self._adopt(device, extents)
+
+    def _adopt(self, device: BlockDevice, extents: list[tuple[int, int]]) -> None:
         self._device = device
-        self._entries: list[tuple[int, int]] = []  # (offset, payload_len)
+        self._entries = list(extents)  # (offset, payload_len)
         self._flush_count = 0  # device writes issued (batches count once)
+        end = 0
+        if extents:
+            offset, length = extents[-1]
+            end = offset + _HEADER.size + length
+        device.truncate_to(end)
 
     @property
     def device(self) -> BlockDevice:
@@ -213,7 +230,7 @@ class Journal:
         unparseable header — a crash-torn tail or the unwritten region.
 
         Every reader of the on-disk format is a policy over this walk:
-        :meth:`recover` stops at the first false flag (strict prefix);
+        the constructor stops at the first false flag (strict prefix);
         the WORM and key-escrow recoveries skip or salvage flagged
         frames, because a shred legitimately leaves destroyed frames
         mid-log; the adversary's scan ignores the flag altogether.
@@ -250,28 +267,10 @@ class Journal:
     ) -> "Journal":
         """A journal over *device* whose entry table is *extents* —
         ``(frame offset, payload length)`` per surviving frame, in log
-        order, as a recovery walk selected them.  The device's allocator
-        is reset to the end of the last one, so appends continue there
-        and whatever lay beyond (a torn tail) is dead space."""
-        journal = cls(device)
-        journal._entries = list(extents)
-        end = 0
-        if extents:
-            offset, length = extents[-1]
-            end = offset + _HEADER.size + length
-        device.truncate_to(end)
+        order, as a store's own walk selected them.  The device's
+        allocator is reset to the end of the last one, so appends
+        continue there and whatever lay beyond (a torn tail) is dead
+        space."""
+        journal = cls.__new__(cls)
+        journal._adopt(device, extents)
         return journal
-
-    @classmethod
-    def recover(cls, device: BlockDevice) -> "Journal":
-        """Rebuild the entry table by scanning the device from offset 0.
-
-        Stops at the first frame that fails validation (crash tail);
-        subsequent appends continue from the end of the last valid one.
-        """
-        extents = []
-        for offset, payload, checksum_ok in cls.walk_frames(device):
-            if not checksum_ok:
-                break
-            extents.append((offset, len(payload)))
-        return cls.adopt(device, extents)

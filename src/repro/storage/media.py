@@ -190,14 +190,19 @@ class MediaPool:
         self._media_type = media_type
         self._service_life_years = service_life_years
         self._media: dict[str, Medium] = {}
+        # Lifecycle events of media the pool has disposed of, by id: the
+        # report keeps them, the pool lets go of the media and their bytes.
+        self._disposed: dict[str, list[MediaEvent]] = {}
         self._counter = 0
 
     def provision(self, capacity: int | None = None) -> Medium:
-        """Manufacture and commission a new medium."""
-        self._counter += 1
-        device = MemoryDevice(
-            f"med-{self._counter:04d}", capacity or self._default_capacity
-        )
+        """Manufacture and commission a new medium, under an id no
+        medium of the pool has carried (an adopted image keeps its own)."""
+        medium_id = ""
+        while not medium_id or medium_id in self._media or medium_id in self._disposed:
+            self._counter += 1
+            medium_id = f"med-{self._counter:04d}"
+        device = MemoryDevice(medium_id, capacity or self._default_capacity)
         medium = Medium(
             device,
             clock=self._clock,
@@ -224,6 +229,13 @@ class MediaPool:
         self._media[medium.medium_id] = medium
         return medium
 
+    def dispose(self, medium: Medium) -> None:
+        """Sanitize and dispose of *medium*, then drop it from the pool:
+        its lifecycle events stay in :meth:`accountability_report`, its
+        device is no longer held."""
+        medium.dispose(sanitize_first=True)
+        self._disposed[medium.medium_id] = self._media.pop(medium.medium_id).history
+
     def get(self, medium_id: str) -> Medium:
         if medium_id not in self._media:
             raise MediaLifecycleError(f"unknown medium {medium_id}")
@@ -239,7 +251,8 @@ class MediaPool:
     def accountability_report(self) -> list[MediaEvent]:
         """All lifecycle events across the fleet, time-ordered —
         the §164.310(d)(2)(iii) record of hardware movements."""
-        events = [event for medium in self._media.values() for event in medium.history]
+        histories = [*self._disposed.values(), *(m.history for m in self._media.values())]
+        events = [event for history in histories for event in history]
         return sorted(events, key=lambda e: (e.timestamp, e.medium_id))
 
     def __len__(self) -> int:

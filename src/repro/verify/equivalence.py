@@ -222,7 +222,7 @@ def _readopt_checkpoints(dep: Deployment) -> None:
     target = dep.target
     key = derive_key(target._config.master_key, "curator/audit-checkpoint")  # noqa: SLF001
     target.audit_log.adopt_checkpoints(
-        CheckpointStore.recover(target.checkpoints.device, key=key)
+        CheckpointStore(target.checkpoints.device, key=key)
     )
 
 
@@ -255,7 +255,7 @@ def _forge_watermark(dep: Deployment) -> None:
             "incremental_runs": 0,
         }
     )
-    journal = Journal.recover(dep.target.checkpoints.device)
+    journal = Journal(dep.target.checkpoints.device)
     journal.append(b"\x11" * 32 + forged)  # tag the adversary cannot compute
     _readopt_checkpoints(dep)
 

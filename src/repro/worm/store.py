@@ -65,20 +65,79 @@ class WormStore:
         self,
         device: BlockDevice | None = None,
         clock: Clock | None = None,
+        salvage_check=None,
     ) -> None:
-        self._journal = Journal(device or MemoryDevice("worm-dev", 1 << 24))
+        """Open the store on *device* (a blank one by default), rebuilding
+        the object table from the frames already on it.
+
+        A frame that fails its checksum is dropped *whole* — and because
+        a ``put_many`` batch is one frame, a crash-torn batch write
+        drops the batch whole: there is never a surviving prefix of an
+        acknowledged-atomic batch.
+
+        One legitimate exception: authorized destruction zeroes an
+        object's extent inside a frame and then re-seals the frame's
+        checksum (:meth:`reseal_shredded`).  A crash *between* the zero
+        passes and the reseal leaves a broken frame that is a certified
+        hole, not a torn write — dropping it would take the shredded
+        object's innocent batch neighbours with it.  ``salvage_check``
+        (object_ids → bool), wired by the engine to the key escrow's
+        shred tombstones, identifies those frames; opening completes
+        the interrupted reseal and keeps the frame.  Without a
+        ``salvage_check``, every broken frame is treated as torn.
+
+        Retention terms are opened as zero-duration terms anchored at
+        the recorded write time; the layer that granted longer terms
+        re-extends them (see ``Recovery.replay``).
+        """
+        device = device or MemoryDevice("worm-dev", 1 << 24)
         self._clock = clock or WallClock()
         self._objects: dict[str, StoredObject] = {}
         self.retention = RetentionLock()
-        # Objects written since the last full digest sweep — the
-        # incremental integrity path re-checks these plus a rotating
-        # sample of clean ones (see verify_dirty).
-        self._dirty: set[str] = set()
         self._clean = Rotation()
         # Ids tombstoned by expatriation (custody moved away).  Unlike
         # disposal tombstones these may be re-admitted: a migration
         # round-trip brings the same immutable object home again.
         self._expatriated: set[str] = set()
+        extents: list[tuple[int, int]] = []
+        for frame_offset, payload, checksum_ok, members in self.walk_frames(device):
+            if not checksum_ok:
+                if salvage_check is None or not salvage_check(
+                    [object_id for object_id, *_ in members]
+                ):
+                    continue  # torn write: drop the frame whole
+                # A shred was interrupted before its reseal — finish it,
+                # so the frame's surviving neighbours stay readable.
+                Journal.forge_frame(device, frame_offset, payload)
+            sequence = len(extents)
+            extents.append((frame_offset, len(payload)))
+            for object_id, data_start, size, item in members:
+                meta = StoredObject(
+                    object_id=object_id,
+                    size=size,
+                    content_digest=item["digest"],
+                    written_at=item.get("written_at", 0.0),
+                    journal_sequence=sequence,
+                    payload_offset=frame_offset + HEADER_SIZE + data_start,
+                    data_start=data_start,
+                )
+                if meta.object_id in self._objects:
+                    # A later frame re-using an id is a WORM re-admission
+                    # (migration round trip re-imported an expatriated
+                    # object): last frame wins, placeholder term included.
+                    self.retention.clear_term(meta.object_id)
+                self._objects[meta.object_id] = meta
+                self.retention.set_term(
+                    meta.object_id,
+                    RetentionTerm(start=meta.written_at, duration_seconds=0.0),
+                )
+        self._journal = Journal.adopt(device, extents)
+        # Objects written since the last full digest sweep — the
+        # incremental integrity path re-checks these plus a rotating
+        # sample of clean ones (see verify_dirty).  Whatever was already
+        # on the device is untrusted: dirty until a digest check clears
+        # it.
+        self._dirty: set[str] = set(self._objects)
 
     @property
     def device(self) -> BlockDevice:
@@ -344,7 +403,7 @@ class WormStore:
         meta = self._meta(object_id)
         self._journal.reseal(meta.journal_sequence)
 
-    # -- recovery ----------------------------------------------------------
+    # -- the on-device format ----------------------------------------------
 
     @staticmethod
     def walk_frames(device: BlockDevice):
@@ -365,74 +424,6 @@ class WormStore:
             except Exception:  # noqa: BLE001 — torn, damaged or foreign frame
                 continue
             yield frame_offset, payload, checksum_ok, members
-
-    @classmethod
-    def recover(
-        cls,
-        device: BlockDevice,
-        clock: Clock | None = None,
-        salvage_check=None,
-    ) -> "WormStore":
-        """Rebuild the object table from a surviving device image.
-
-        A frame that fails its checksum is dropped *whole* — and because
-        a ``put_many`` batch is one frame, a crash-torn batch write
-        drops the batch whole: there is never a surviving prefix of an
-        acknowledged-atomic batch.
-
-        One legitimate exception: authorized destruction zeroes an
-        object's extent inside a frame and then re-seals the frame's
-        checksum (:meth:`reseal_shredded`).  A crash *between* the zero
-        passes and the reseal leaves a broken frame that is a certified
-        hole, not a torn write — dropping it would take the shredded
-        object's innocent batch neighbours with it.  ``salvage_check``
-        (object_ids → bool), wired by the engine to the key escrow's
-        shred tombstones, identifies those frames; recovery completes
-        the interrupted reseal and keeps the frame.  Without a
-        ``salvage_check``, every broken frame is treated as torn.
-
-        Retention terms are restored as zero-duration terms anchored at
-        the recorded write time; the layer that granted longer terms
-        re-extends them (see ``CuratorStore.recover_from_devices``).
-        """
-        store = cls(device, clock)
-        extents: list[tuple[int, int]] = []
-        for frame_offset, payload, checksum_ok, members in cls.walk_frames(device):
-            if not checksum_ok:
-                if salvage_check is None or not salvage_check(
-                    [object_id for object_id, *_ in members]
-                ):
-                    continue  # torn write: drop the frame whole
-                # A shred was interrupted before its reseal — finish it,
-                # so the frame's surviving neighbours stay readable.
-                Journal.forge_frame(device, frame_offset, payload)
-            sequence = len(extents)
-            extents.append((frame_offset, len(payload)))
-            for object_id, data_start, size, item in members:
-                meta = StoredObject(
-                    object_id=object_id,
-                    size=size,
-                    content_digest=item["digest"],
-                    written_at=item.get("written_at", 0.0),
-                    journal_sequence=sequence,
-                    payload_offset=frame_offset + HEADER_SIZE + data_start,
-                    data_start=data_start,
-                )
-                if meta.object_id in store._objects:
-                    # A later frame re-using an id is a WORM re-admission
-                    # (migration round trip re-imported an expatriated
-                    # object): last frame wins, placeholder term included.
-                    store.retention.clear_term(meta.object_id)
-                store._objects[meta.object_id] = meta
-                store.retention.set_term(
-                    meta.object_id,
-                    RetentionTerm(start=meta.written_at, duration_seconds=0.0),
-                )
-        store._journal = Journal.adopt(device, extents)
-        # Post-crash the device is maximally untrusted: every recovered
-        # object is dirty until a digest check clears it.
-        store._dirty = set(store._objects)
-        return store
 
     def attempt_overwrite(self, object_id: str, data: bytes) -> None:
         """Explicitly attempt an in-place overwrite; always raises.

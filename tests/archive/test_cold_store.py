@@ -155,7 +155,7 @@ def test_recover_rebuilds_directory_and_stays_verifiable():
     second = store.write_segment(store.next_segment_id(), members_for("b", 3))
     assert store.verify_dirty() == []
 
-    recovered = ColdStore.recover(store.device, clock)
+    recovered = ColdStore(store.device, clock)
     assert recovered.segment_count == 2
     assert recovered.record_ids() == store.record_ids()
     assert recovered.segment_ids() == [first.segment_id, second.segment_id]
@@ -177,7 +177,7 @@ def test_recover_drops_a_torn_tail_segment_whole():
     # crash mid-write: the tail frame loses its last bytes
     device.truncate_to(device.used - 7)
 
-    recovered = ColdStore.recover(device, clock)
+    recovered = ColdStore(device, clock)
     assert recovered.segment_ids() == [kept.segment_id]
     for record_id, *_ in members_for("b", 2):
         assert record_id not in recovered

@@ -62,8 +62,8 @@ def test_forged_seal_without_the_key_is_skipped():
     from repro.util.encoding import canonical_bytes
 
     forged = canonical_bytes(make_watermark(size=99).to_dict())
-    Journal.recover(store.device).append(b"\x00" * 32 + forged)
-    recovered = CheckpointStore.recover(store.device, key=KEY)
+    Journal(store.device).append(b"\x00" * 32 + forged)
+    recovered = CheckpointStore(store.device, key=KEY)
     assert recovered.latest().size == 5  # fell back to the genuine seal
 
 
@@ -83,7 +83,7 @@ def test_wiped_device_means_no_watermark():
     store = make_store()
     store.seal(make_watermark())
     store.device.raw_write(0, b"\x00" * store.device.capacity)
-    recovered = CheckpointStore.recover(store.device, key=KEY)
+    recovered = CheckpointStore(store.device, key=KEY)
     assert recovered.latest() is None
 
 
@@ -108,7 +108,7 @@ def test_crash_mid_seal_drops_the_torn_frame_whole(torn):
     controller.arm(controller.writes_observed + 1, torn=torn)
     with pytest.raises(CrashError):
         store.seal(make_watermark(size=9))
-    recovered = CheckpointStore.recover(surviving_image(device), key=KEY)
+    recovered = CheckpointStore(surviving_image(device), key=KEY)
     assert recovered.latest().size == 5  # the interrupted seal never existed
 
 
@@ -132,9 +132,9 @@ def grown_log(n=12):
 def restart(log, ckpt_device):
     """Process restart: replay the audit journal, adopt the surviving
     checkpoint image (in-memory watermark died with the process)."""
-    recovered = AuditLog.recover(surviving_image(log.device))
+    recovered = AuditLog(surviving_image(log.device))
     recovered.adopt_checkpoints(
-        CheckpointStore.recover(surviving_image(ckpt_device), key=KEY)
+        CheckpointStore(surviving_image(ckpt_device), key=KEY)
     )
     return recovered
 

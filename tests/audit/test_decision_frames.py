@@ -84,12 +84,12 @@ def test_restart_rebuilds_traces_defined_under_a_sealed_watermark():
         log.append(AuditAction.ACCESS_DENIED, "dr-b", f"rec-{n}", decision("default:deny"))
     assert log.verify_chain(incremental=True).ok
 
-    recovered = AuditLog.recover(device, clock=clock)
+    recovered = AuditLog(device, clock=clock)
     assert recovered.events() == log.events()
     assert [e.detail for e in recovered.events()] == [e.detail for e in log.events()]
     assert recovered.head_digest == log.head_digest
     assert recovered.merkle_root() == log.merkle_root()
-    recovered.adopt_checkpoints(CheckpointStore.recover(ckpt_device, key=KEY))
+    recovered.adopt_checkpoints(CheckpointStore(ckpt_device, key=KEY))
     result = recovered.verify_chain(incremental=True)
     assert result.ok and result.mode == "incremental"
 
@@ -100,4 +100,4 @@ def test_restart_rebuilds_traces_defined_under_a_sealed_watermark():
     assert b"allow:system" not in device.raw_read(used, device.used - used)
     assert event.detail["trace"] == decision()["trace"]
     assert recovered.verify_chain().ok
-    assert AuditLog.recover(device).events() == recovered.events()
+    assert AuditLog(device).events() == recovered.events()

@@ -27,7 +27,7 @@ def grown_log(n=20):
 
 def test_recover_reproduces_state():
     clock, log = grown_log(15)
-    recovered = AuditLog.recover(log.device, clock=clock)
+    recovered = AuditLog(log.device, clock=clock)
     assert len(recovered) == 15
     assert recovered.head_digest == log.head_digest
     assert recovered.merkle_root() == log.merkle_root()
@@ -36,7 +36,7 @@ def test_recover_reproduces_state():
 
 def test_recover_then_append_continues_chain():
     clock, log = grown_log(5)
-    recovered = AuditLog.recover(log.device, clock=clock)
+    recovered = AuditLog(log.device, clock=clock)
     recovered.append(AuditAction.RECORD_READ, "actor-x", "rec-new")
     assert recovered.verify_chain().ok
     assert len(recovered) == 6
@@ -45,7 +45,7 @@ def test_recover_then_append_continues_chain():
 def test_recover_drops_crash_tail():
     clock, log = grown_log(10)
     FaultInjector(DeterministicRng(3)).truncate_tail(log.device, lost_bytes=15)
-    recovered = AuditLog.recover(log.device, clock=clock)
+    recovered = AuditLog(log.device, clock=clock)
     assert len(recovered) == 9
     assert recovered.verify_chain().ok
 
@@ -58,11 +58,11 @@ def test_recover_rejects_midlog_tampering():
     offset, payload, _ok = frames[4]
     Journal.forge_frame(log.device, offset, payload[:-6] + b"FORGED")
     with pytest.raises(AuditError, match="recovery failed"):
-        AuditLog.recover(log.device, clock=clock)
+        AuditLog(log.device, clock=clock)
 
 
 def test_recover_empty_device():
-    recovered = AuditLog.recover(MemoryDevice("empty", 1 << 16))
+    recovered = AuditLog(MemoryDevice("empty", 1 << 16))
     assert len(recovered) == 0
     assert recovered.verify_chain().ok
 

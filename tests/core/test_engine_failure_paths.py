@@ -166,7 +166,7 @@ def test_record_whose_escrowed_key_was_altered_can_still_be_disposed():
     escrow_extent = store._keystore._escrow_extents[handle.key_id]  # noqa: SLF001
     worm_extent = store.worm.physical_extent("rec-1@v0")
     alter_escrowed_key(key_device, handle.key_id)
-    restarted = KeyStore.recover(MASTER, key_device, clock=clock)
+    restarted = KeyStore(MASTER, device=key_device, clock=clock)
     store._keystore = store._shredder._keystore = restarted  # noqa: SLF001
 
     clock.advance_years(8)

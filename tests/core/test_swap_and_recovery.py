@@ -2,15 +2,21 @@
 adopt path; these are the cases where the three hand-written copies
 used to disagree."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.access.principals import Role, User
+from repro.audit.events import AuditAction
 from repro.core import CuratorConfig, CuratorStore
 from repro.errors import RecordNotFoundError
 from repro.records.model import ClinicalNote, HealthRecord
 from repro.storage.block import MemoryDevice
+from repro.storage.media import MediaState
 from repro.util.clock import SimulatedClock
 from repro.verify.crashpoint import surviving_image
+from repro.worm.store import WormStore
 
 MASTER = bytes(range(32))
 
@@ -158,3 +164,107 @@ def test_a_record_recovered_from_the_cold_tier_alone_can_be_corrected():
     assert recovered.version_count("rec-0") == 2
     assert recovered.provenance.ancestry("rec-0@v1") == ["rec-0@v0"]
     assert recovered.verify_integrity().ok
+
+
+def test_a_restore_disposes_of_the_medium_it_replaces():
+    """Restore ends like a media refresh: the replaced medium is
+    sanitized and disposed of, so a forensic scan of it finds nothing."""
+    store, clock, _ = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    replaced = store.medium
+    assert b"rec-1" in replaced.forensic_scan()
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    assert replaced.state is MediaState.DISPOSED
+    assert b"rec-1" not in replaced.forensic_scan()
+    assert store.read("rec-1", actor_id="dr-a").body["text"] == "routine followup"
+
+
+def test_a_restore_from_an_older_snapshot_keeps_the_objects_it_left_behind():
+    """A record stored (and held) after the snapshot has its one copy on
+    the replaced medium: the restore retires that medium with its bytes
+    and names the object, rather than scrubbing it uncertified."""
+    store, clock, _ = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    store.store(note("rec-2", "pat-1", clock, "after the snapshot"), "dr-a")
+    store.place_hold("rec-2", "case-7", actor_id="admin")
+    replaced = store.medium
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    assert replaced.state is MediaState.RETIRED
+    assert store.media_pool.get(replaced.medium_id) is replaced
+    kept = WormStore(device=surviving_image(replaced.device), clock=clock)
+    assert "rec-2@v0" in kept.object_ids() and kept.get("rec-2@v0")
+    (event,) = [
+        e for e in store.audit_log.events() if e.action is AuditAction.MEDIA_RETIRED
+    ]
+    assert event.subject_id == replaced.medium_id
+    assert event.detail == {"left_behind": ["rec-2@v0"]}
+    assert not any(
+        e.action is AuditAction.MEDIA_DISPOSED for e in store.audit_log.events()
+    )
+    assert store.read("rec-1", actor_id="dr-a").body["text"] == "routine followup"
+
+
+def test_a_restore_disposes_of_a_lost_medium_and_names_what_was_lost():
+    store, clock, _ = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    store.store(note("rec-2", "pat-1", clock), "dr-a")
+    replaced = store.medium
+    replaced.device.detach()  # the site burned down with the medium
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    assert replaced.state is MediaState.DISPOSED
+    (event,) = [
+        e for e in store.audit_log.events() if e.action is AuditAction.MEDIA_DISPOSED
+    ]
+    assert event.detail == {"lost": ["rec-2@v0"]}
+
+
+def test_a_restart_needs_the_worm_key_and_audit_images():
+    """Only the checkpoint and cold images may be left out: a restart
+    that opened a blank audit device would lose every custody marker."""
+    store, clock, config = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    images = {
+        name: surviving_image(device) for name, device in store.device_set().items()
+    }
+    for name in ("worm_device", "key_device", "audit_device"):
+        partial = {k: v for k, v in images.items() if k != name}
+        with pytest.raises(TypeError, match=name):
+            CuratorStore.recover_from_devices(config, **partial)
+    del images["checkpoint_device"], images["cold_device"]
+    recovered = CuratorStore.recover_from_devices(
+        config, **images, witnesses=[store.witness], signer=store.signer
+    )
+    assert recovered.record_ids() == ["rec-1"]
+
+
+def test_the_pool_lets_go_of_a_disposed_medium():
+    """The pool keeps a disposed medium's lifecycle events, not its bytes."""
+    store, clock, _ = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    medium_id = store.medium.medium_id
+    device = weakref.ref(store.medium.device)
+    store.refresh_media()
+    gc.collect()
+    assert device() is None
+    events = store.media_pool.accountability_report()
+    assert (medium_id, "disposed") in {(e.medium_id, e.transition) for e in events}
+
+
+def test_media_refreshed_after_a_restart_keep_distinct_ids():
+    """A restarted pool adopts the WORM image under its old id; the
+    media it provisions next must not reuse that id, or disposing of
+    the adopted medium would drop the live one from the pool."""
+    store, clock, config = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    store = recover(store, config)
+    adopted = store.medium.medium_id
+    for _ in range(2):
+        store.refresh_media()
+    assert store.media_pool.active_media() == [store.medium]
+    events = store.media_pool.accountability_report()
+    disposed = [e.medium_id for e in events if e.transition == "disposed"]
+    assert len(disposed) == len(set(disposed)) == 2 and adopted in disposed
+    assert store.record_ids() == ["rec-1"] and store.verify_integrity().ok

@@ -145,7 +145,7 @@ def test_create_key_and_create_keys_of_one_leave_the_same_escrow_and_table():
     assert METRICS.get("kdf_cache_hits") == hits + 2  # never unwrapped
     # both recover to the same table from their own devices
     for store in (single, batched):
-        recovered = KeyStore.recover(MASTER, store.device)
+        recovered = KeyStore(MASTER, device=store.device)
         assert recovered.labelled_handles() == {"rec-1": handle}
         assert recovered.create_key().key_id == "key-00000002"
 
@@ -182,7 +182,7 @@ def test_key_altered_on_the_device_can_still_be_shredded():
     offset, size = store._escrow_extents[victim.key_id]
     alter_escrowed_key(device, victim.key_id)
 
-    recovered = KeyStore.recover(MASTER, device, clock=SimulatedClock(start=2000.0))
+    recovered = KeyStore(MASTER, device=device, clock=SimulatedClock(start=2000.0))
     with pytest.raises(AuthenticationError):
         recovered.cipher_for(victim)  # the altered blob no longer unwraps
 
@@ -198,7 +198,7 @@ def test_key_altered_on_the_device_can_still_be_shredded():
         "kind": "shred", "key_id": victim.key_id, "label": "rec-1", "at": 2000.0,
     }
     # the tombstone survives the next restart; the other key is untouched
-    again = KeyStore.recover(MASTER, device)
+    again = KeyStore(MASTER, device=device)
     assert again.is_shredded(victim) and not again.is_shredded(bystander)
     cipher = again.cipher_for(bystander)
     assert cipher.decrypt(cipher.encrypt(b"phi")) == b"phi"

@@ -80,7 +80,7 @@ def test_audit_log_always_verifies_and_recovers(events):
     for action, actor, subject in events:
         log.append(action, actor, subject)
     assert log.verify_chain().ok
-    recovered = AuditLog.recover(log.device, clock=clock)
+    recovered = AuditLog(log.device, clock=clock)
     assert recovered.head_digest == log.head_digest
     assert recovered.events() == log.events()
 

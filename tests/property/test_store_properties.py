@@ -37,7 +37,7 @@ def test_journal_recovery_after_truncation_keeps_a_prefix(items, lost):
     start = device.used - lost
     device.raw_write(start, bytes(lost))
     device.truncate_to(start)
-    recovered = Journal.recover(device)
+    recovered = Journal(device)
     assert len(recovered) <= len(items)
     assert recovered.read_all() == items[: len(recovered)]
 

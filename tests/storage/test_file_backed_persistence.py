@@ -29,7 +29,7 @@ def test_journal_survives_reopen(tmp_path):
 
     reopened = FileBackedDevice("fj", CAPACITY, path)
     reopened.reset_allocation(device.used)  # simulate superblock bookkeeping
-    recovered = Journal.recover(reopened)
+    recovered = Journal(reopened)
     assert recovered.read_all() == [f"entry-{i}".encode() for i in range(6)]
 
 
@@ -44,7 +44,7 @@ def test_audit_log_survives_reopen(tmp_path):
 
     reopened = FileBackedDevice("fa", CAPACITY, path)
     reopened.reset_allocation(device.used)
-    recovered = AuditLog.recover(reopened, clock=clock)
+    recovered = AuditLog(reopened, clock=clock)
     assert recovered.head_digest == head
     assert len(recovered) == 8
     assert recovered.verify_chain().ok

@@ -57,7 +57,7 @@ def test_a_refused_write_leaves_no_gap_for_recovery_to_stop_at():
     assert device.used == used and len(journal) == 1
     device.set_write_protected(False)
     journal.append(b"after")
-    assert Journal.recover(device).read_all() == [b"before", b"after"]
+    assert Journal(device).read_all() == [b"before", b"after"]
 
 
 def test_append_many_is_one_device_flush():
@@ -76,7 +76,7 @@ def test_append_many_entries_readable_and_recoverable():
     journal.append_many(PAYLOADS)
     assert journal.read_all() == [b"pre-existing"] + PAYLOADS
     # A recovery scan over the device walks the same frames.
-    recovered = Journal.recover(device)
+    recovered = Journal(device)
     assert recovered.read_all() == [b"pre-existing"] + PAYLOADS
     assert recovered.flush_count == 0  # fresh counter after recovery
 

@@ -63,7 +63,7 @@ def test_recover_rebuilds_entry_table():
     journal = make_journal()
     for i in range(7):
         journal.append(f"entry-{i}".encode())
-    recovered = Journal.recover(journal.device)
+    recovered = Journal(journal.device)
     assert recovered.read_all() == journal.read_all()
 
 
@@ -74,7 +74,7 @@ def test_recover_drops_crash_tail():
     for i in range(5):
         journal.append(f"entry-{i}".encode())
     injector.truncate_tail(journal.device, lost_bytes=10)
-    recovered = Journal.recover(journal.device)
+    recovered = Journal(journal.device)
     assert len(recovered) == 4
     assert recovered.read_all() == [f"entry-{i}".encode() for i in range(4)]
 
@@ -82,7 +82,7 @@ def test_recover_drops_crash_tail():
 def test_recover_then_append_continues():
     journal = make_journal()
     journal.append(b"one")
-    recovered = Journal.recover(journal.device)
+    recovered = Journal(journal.device)
     recovered.append(b"two")
     assert recovered.read_all() == [b"one", b"two"]
 

@@ -23,7 +23,7 @@ def test_walk_frames_round_trips_every_payload(items):
     assert [payload for _off, payload, _ok in frames] == items
     assert [offset for offset, _payload, _ok in frames] == expected_offsets
     assert all(checksum_ok for _off, _payload, checksum_ok in frames)
-    assert Journal.recover(journal.device).read_all() == items
+    assert Journal(journal.device).read_all() == items
 
 
 @SETTINGS
@@ -64,5 +64,5 @@ def test_tail_truncation_loses_only_frames_past_the_cut(items, data):
     survivors = sum(
         1 for entry in entries if entry.offset + HEADER_SIZE + entry.length <= cut
     )
-    recovered = Journal.recover(device)
+    recovered = Journal(device)
     assert recovered.read_all() == items[:survivors]

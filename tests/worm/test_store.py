@@ -172,11 +172,11 @@ def test_recovery_skips_a_frame_that_does_not_parse():
     store.put("obj-1", b"first")
     # frames no put_many wrote: no NUL, not JSON, and a header without
     # a batch manifest
-    journal = Journal.recover(store.device)
+    journal = Journal(store.device)
     journal.append(b"no separator here")
     journal.append(b"not json\x00payload")
     journal.append(b'{"object_id":"obj-x","size":1}\x00x')
-    recovered = WormStore.recover(store.device, clock=clock)
+    recovered = WormStore(store.device, clock=clock)
     assert recovered.object_ids() == ["obj-1"]
     recovered.put("obj-2", b"second")
     assert recovered.get("obj-1") == b"first"
