@@ -27,7 +27,7 @@ Secure deletion              disposition workflow -> key shredding + extent
                              overwrite + index forgetting + coordinated
                              backup-key shredding
 Verifiable migration         signed Merkle manifests, media refresh workflow
-Provenance                   signed custody chains + provenance DAG
+Provenance                   signed custody chains + hash-linked versions
 Backup                       encrypted off-site snapshots, verified restore
 ===========================  =================================================
 """

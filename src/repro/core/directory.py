@@ -108,6 +108,11 @@ class RecordDirectory:
         record owns, e.g. imported audit-segment archives)."""
         return self._owner.get(object_id)
 
+    def key_for(self, object_id: str) -> KeyHandle | None:
+        """The data key of the record that owns a WORM object (``None``
+        for objects no record owns)."""
+        return self.keys.get(self._owner.get(object_id))
+
     # -- transitions -------------------------------------------------------
 
     def own(self, chain: VersionChain, handle: KeyHandle) -> bool:
@@ -129,13 +134,9 @@ class RecordDirectory:
         self.purge(record_id)
         return known
 
-    def claim(self, record_id: str, object_ids: list[str]) -> set[str]:
-        """Record that *record_id* owns these WORM objects; returns the
-        ones this engine was not already home to."""
-        fresh = {oid for oid in object_ids if oid not in self._owner}
-        for object_id in fresh:
-            self._owner[object_id] = record_id
-        return fresh
+    def claim(self, record_id: str, object_ids: list[str]) -> None:
+        """Record that *record_id* owns these WORM objects."""
+        self._owner.update(dict.fromkeys(object_ids, record_id))
 
     def set_cold(self, record_id: str, cold: bool) -> None:
         """Move a record's authoritative copy between tiers."""

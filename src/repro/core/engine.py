@@ -85,7 +85,6 @@ from repro.index.trustworthy import TrustworthyIndex
 from repro.policy import PolicyEngine, PolicyEnv
 from repro.policy.rules import DEFAULT_RULES
 from repro.provenance.chain import CustodyRegistry
-from repro.provenance.graph import ProvenanceGraph
 from repro.records.ids import SEARCH, attachment_object_id
 from repro.records.model import HealthRecord
 from repro.records.phi import deidentify
@@ -219,10 +218,8 @@ class CuratorStore(StorageModel):
                 clock=self._clock,
             ),
         )
-        # provenance
+        # provenance: the signed custody chains
         self.custody = CustodyRegistry(self._trust)
-        self.provenance = ProvenanceGraph()
-        self.provenance.add_custodian(config.site_id)
         # cold tier: compacted segments on their own device
         self.cold = ColdStore(
             device=cold_device
@@ -257,7 +254,6 @@ class CuratorStore(StorageModel):
             sealer=Sealer(self._keystore),
             signer=self.signer,
             custody=self.custody,
-            provenance=self.provenance,
             shredder=self._shredder,
             index=self.index,
             directory=self._dir,
@@ -786,11 +782,13 @@ class CuratorStore(StorageModel):
           versions, so it is consistent with surviving records by
           construction;
         * **retention** — terms re-derived from each version's record
-          type and creation time under the configured policy.
+          type and creation time under the configured policy;
+        * **media age** — the WORM medium keeps the date the audit chain
+          says it entered service, so a restart never makes it young.
 
         In-memory-only state is honestly lost: attachment manifests
-        (chunks become ``orphaned`` in the report), the provenance/
-        custody narrative, enrolled users, break-glass grants, consent
+        (chunks become ``orphaned`` in the report), the custody chains,
+        enrolled users, break-glass grants, consent
         directives, and the off-site vault binding.
         """
         store = cls.__new__(cls)

@@ -11,13 +11,13 @@ objects goes through:
 * :meth:`write` — the one frame assembly: seal versions, ONE WORM
   frame (with any attachment chunks and keyless archives riding in
   it), ONE custody signature per distinct reason;
-* :meth:`adopt` — "these records' objects now live here": the data key
-  registered with the disposition workflow for every object the record
-  owns, provenance object + custody, retention terms (the originals
-  given at :meth:`write`, or re-derived extend-only when they were
-  lost), the directory entry and dirty mark, the index document.  Used
-  by the store/correct write path, recall, patient import, device
-  recovery (warm and cold) and :meth:`install`;
+* :meth:`adopt` — "these records' objects now live here": the
+  directory entry, ownership of every object the record owns (which is
+  how the disposition workflow finds an object's data key), retention
+  terms (the originals given at :meth:`write`, or re-derived
+  extend-only when they were lost), the dirty mark, the index
+  document.  Used by the store/correct write path, recall, patient
+  import, device recovery (warm and cold) and :meth:`install`;
 * :meth:`install` — the one swap of store + medium + workflow, for
   restore, media refresh and recovery.
 """
@@ -33,7 +33,6 @@ from repro.crypto.signatures import Signer
 from repro.errors import RecordNotFoundError
 from repro.index.trustworthy import TrustworthyIndex
 from repro.provenance.chain import CustodyRegistry
-from repro.provenance.graph import ProvenanceGraph
 from repro.records.attachments import (
     AttachmentManifest,
     load_attachment,
@@ -67,7 +66,6 @@ class RecordHome:
     sealer: Any
     signer: Signer
     custody: CustodyRegistry
-    provenance: ProvenanceGraph
     shredder: SecureShredder
     index: TrustworthyIndex
     directory: RecordDirectory
@@ -92,7 +90,9 @@ class RecordHome:
                 worm.retention.place_hold(object_id, hold_id)
         self.worm = worm
         self.medium = medium
-        self.disposition = DispositionWorkflow(worm, self.shredder, clock=self.clock)
+        self.disposition = DispositionWorkflow(
+            worm, self.shredder, self.directory.key_for, clock=self.clock
+        )
         self.adopt(
             [(chain, self.directory.keys[rid]) for rid, chain in self.directory.chains.items()],
             index=False,
@@ -194,18 +194,15 @@ class RecordHome:
     ) -> None:
         """These records' objects now live here.
 
-        Per record: every object it owns that the WORM store holds gets
-        the record's key handle registered for disposal; version objects
-        new to this home get their provenance node and custody interval
-        (and, for a correction landing on a predecessor already here,
-        the derivation edge); with *rederive* the retention term is
-        rebuilt from the chain — a version's from its own type and
-        creation time, a chunk's from the chain head — and applied
-        extend-only (restore and recovery write placeholder terms); a
-        cold-authoritative record's warm copies stay expatriated.  Then
-        the directory entry and dirty mark, and with *index* the current
-        text is (re-)posted — one index flush for the whole batch."""
-        now = self.clock.now()
+        Per record: the directory entry and dirty mark; every object it
+        owns that the WORM store holds is claimed in the directory
+        (where the disposition workflow looks its key up); with
+        *rederive* the retention term is rebuilt from the chain — a
+        version's from its own type and creation time, a chunk's from
+        the chain head — and applied extend-only (restore and recovery
+        write placeholder terms); a cold-authoritative record's warm
+        copies stay expatriated.  With *index* the current text is
+        (re-)posted — one index flush for the whole batch."""
         documents: list[tuple[str, str]] = []
         for chain, handle in entries:
             record_id = chain.record_id
@@ -219,23 +216,10 @@ class RecordHome:
             present = [
                 (n, oid) for n, oid in enumerate(object_ids) if oid in self.worm
             ]
-            fresh = self.directory.claim(record_id, [oid for _, oid in present])
-            for n, object_id in present:
-                is_version = n < versions
-                reference = chain.version(n) if is_version else chain.latest()
-                self.disposition.register_key_handle(object_id, handle)
-                if is_version and object_id in fresh:
-                    self.provenance.add_object(object_id)
-                    self.provenance.record_custody(
-                        object_id, self.site_id, start=now
-                    )
-                    if n > 0 and version_id(record_id, n - 1) not in fresh:
-                        self.provenance.record_derivation(
-                            object_id,
-                            version_id(record_id, n - 1),
-                            reason=reference.reason,
-                        )
-                if rederive:
+            self.directory.claim(record_id, [oid for _, oid in present])
+            if rederive:
+                for n, object_id in present:
+                    reference = chain.version(n) if n < versions else chain.latest()
                     term = self.term_for(
                         reference.record.record_type, reference.created_at
                     )
@@ -297,7 +281,7 @@ class RecordHome:
         """``object id -> key handle`` for every live WORM object a
         record owns (keyless archives have no entry)."""
         return {
-            object_id: self.directory.keys[owner]
+            object_id: handle
             for object_id in self.worm.object_ids()
-            if (owner := self.directory.owner_of(object_id)) is not None
+            if (handle := self.directory.key_for(object_id)) is not None
         }

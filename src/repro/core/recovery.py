@@ -17,11 +17,10 @@ so they cannot disagree about key handles, retention terms, the cold
 tier's verdict or the read cache.  Restore and refresh share one more
 step, :meth:`Recovery._release`: the medium a swap replaces is
 sanitized, disposed of through the pool and logged once the new home
-holds every live object it held (or it is already lost), so neither
-leaves an ACTIVE medium with PHI-bearing frames behind.  A restore from
-a snapshot older than the medium's last write leaves objects the new
-home lacks; that medium is retired with its bytes and the left-behind
-object ids are logged, never scrubbed.
+holds every live object it held (a restore first carries forward what
+the snapshot lacks), or it is already lost.  An object that no longer
+reads off it stays behind: that medium is retired with its bytes and
+the ids are logged, never scrubbed.
 """
 
 from __future__ import annotations
@@ -174,11 +173,12 @@ class Recovery:
         """Rebuild the WORM store from the vault onto a fresh medium and
         make it home.  Restore writes zero-duration terms; the install
         rebuilds the real ones (extend-only) from the surviving
-        controller metadata.  A record the snapshot found cold comes
-        back warm, repatriated from its snapshot member — the cold
-        device may have been lost with the medium — unless it has since
-        been destroyed, moved away, or recalled onto objects the
-        snapshot lineage also holds."""
+        controller metadata; objects written since the snapshot are
+        carried over from the replaced store first.  A record the
+        snapshot found cold comes back warm, repatriated from its
+        snapshot member — the cold device may have been lost with the
+        medium — unless it has since been destroyed, moved away, or
+        recalled onto objects the snapshot lineage also holds."""
         medium = self.media_pool.provision()
         archive = _Archive(
             WormStore(device=medium.device, clock=self.home.clock), self.tiering.cold
@@ -189,6 +189,8 @@ class Recovery:
                 f"restore failed verification: {report.mismatched}"
             )
         replaced, old_medium = self.home.worm, self.home.medium
+        if not old_medium.device.detached:
+            self._carry_forward(replaced, archive.worm)
         self.home.install(archive.worm, medium)
         live = set(self.home.directory.record_ids())
         for object_id, sealed in archive.members.items():
@@ -202,10 +204,28 @@ class Recovery:
                 )
         self.anchors.append(
             AuditAction.BACKUP_RESTORED, actor_id, snapshot_id,
-            {"objects": report.objects_restored},
+            {"objects": report.objects_restored, "medium": medium.medium_id},
         )
         self._release(replaced, old_medium)
         return report
+
+    @staticmethod
+    def _carry_forward(replaced: WormStore, restored: WormStore) -> None:
+        """Copy onto the *restored* store every live object the
+        *replaced* one holds and the snapshot lacked (written after it),
+        digest-checked on the way and under its retention term, in ONE
+        frame.  An object that no longer reads stays behind for
+        :meth:`_release` to name."""
+        items = []
+        for object_id in replaced.object_ids():
+            if object_id in restored:
+                continue
+            try:
+                data = replaced.get(object_id)
+            except IntegrityError:
+                continue
+            items.append((object_id, data, replaced.retention.term_for(object_id)))
+        restored.put_many(items)
 
     def refresh_media(self) -> Medium:
         """Migrate the archive to a fresh medium (aging hardware), with
@@ -239,8 +259,8 @@ class Recovery:
         home: the *medium* under the *replaced* store is sanitized,
         disposed of through the pool (which lets go of its bytes) and
         logged — if the new home holds every live object it held, or the
-        device is already lost.  Otherwise (a restore from a snapshot
-        older than the medium's last write) the medium is only retired:
+        device is already lost.  Otherwise (an object that no longer
+        reads could not be carried forward) the medium is only retired:
         its bytes are the one copy of the objects left behind, which the
         event names, and a disposal would destroy them uncertified."""
         left_behind = sorted(
@@ -261,8 +281,9 @@ class Recovery:
 
     # -- device recovery ---------------------------------------------------------
 
-    def _replay_markers(self) -> tuple[set[str], set[str], set[str]]:
-        """What the recovered audit log says about custody and tier.
+    def _replay_markers(self) -> tuple[set[str], set[str], set[str], float | None]:
+        """What the recovered audit log says about custody, tier and
+        the WORM medium's age.
 
         Migration markers, replayed in sequence order, yield the records
         (and patients) this shard no longer owns — a CUSTODY_TRANSFERRED
@@ -271,13 +292,23 @@ class Recovery:
         are process memory and a naive replay would resurrect a second
         home for every migrated patient.  Demotion markers replay the
         same way: a RECORD_DEMOTED with no later RECORD_RECALLED means
-        the cold member is authoritative."""
+        the cold member is authoritative.  The adopted medium entered
+        service at the last refresh or restore onto it, else when the
+        chain began: its age, and its due replacement, survive."""
         moved_records: set[str] = set()
         moved_patients: set[str] = set()
         demoted: set[str] = set()
+        medium_id = self.home.medium.medium_id
+        in_service: float | None = None
         for event in self.audit.events():
             detail = event.detail or {}
             migration = detail.get("migration")
+            onto = {
+                AuditAction.MIGRATION_COMPLETED: event.subject_id,
+                AuditAction.BACKUP_RESTORED: detail.get("medium"),
+            }.get(event.action)
+            if in_service is None or onto == medium_id:
+                in_service = event.timestamp
             if event.action is AuditAction.CUSTODY_TRANSFERRED and migration == "export":
                 moved_records.update(detail.get("records") or [])
                 moved_patients.add(detail.get("patient") or event.subject_id)
@@ -288,7 +319,7 @@ class Recovery:
                 demoted.add(event.subject_id)
             elif event.action is AuditAction.RECORD_RECALLED:
                 demoted.discard(event.subject_id)
-        return moved_records, moved_patients, demoted
+        return moved_records, moved_patients, demoted, in_service
 
     def replay(self) -> RecoveryReport:
         """Rebuild the record directory from recovered devices: versions
@@ -299,7 +330,9 @@ class Recovery:
         device, so it is dirty until the next integrity pass."""
         directory, home, worm = self.home.directory, self.home, self.home.worm
         labels = self.keystore.labelled_handles()
-        moved_records, moved_patients, demoted = self._replay_markers()
+        moved_records, moved_patients, demoted, in_service = self._replay_markers()
+        if in_service is not None:
+            self.home.medium.manufactured_at = in_service
         versions: dict[str, dict[int, str]] = {}
         segments: list[str] = []
         orphaned: list[str] = []

@@ -59,6 +59,22 @@ class _KeyEntry:
     label: str = ""
 
 
+def _escrow_frame(
+    key_id: str, label: str, created_at: float, wrapped: AeadCiphertext
+) -> bytes:
+    """The one escrow frame of a wrapped key, minted or imported."""
+    return canonical_bytes({
+        "kind": "key", "key_id": key_id, "label": label,
+        "created_at": created_at, "wrapped": wrapped.to_bytes(),
+    })
+
+
+def _serial(key_id: str) -> int:
+    """The mint counter a key id was minted at (0 for a foreign id)."""
+    serial = key_id.rpartition("-")[2]
+    return int(serial) if serial.isdecimal() else 0
+
+
 class KeyStore:
     """Per-record data keys wrapped under a master key, with shredding.
 
@@ -136,10 +152,8 @@ class KeyStore:
                 entry.shredded_at = frame["at"]
                 entry.label = frame.get("label", entry.label)
                 self._escrow_extents.pop(key_id, None)
-            try:
-                highest = max(highest, int(frame["key_id"].rsplit("-", 1)[1]))
-            except (ValueError, IndexError, KeyError):
-                pass
+            if "key_id" in frame:
+                highest = max(highest, _serial(frame["key_id"]))
         self._counter = highest
         # Future appends continue after the last intact frame; the torn
         # tail (if any) is dead space the allocator reclaims.
@@ -188,15 +202,7 @@ class KeyStore:
             ]
         )
         payloads = [
-            canonical_bytes(
-                {
-                    "kind": "key",
-                    "key_id": key_id,
-                    "label": label,
-                    "created_at": created_at,
-                    "wrapped": wrapped.to_bytes(),
-                }
-            )
+            _escrow_frame(key_id, label, created_at, wrapped)
             for key_id, label, wrapped in zip(key_ids, labels, wrapped_boxes)
         ]
         for key_id, entry in zip(key_ids, self._escrow.append_many(payloads)):
@@ -302,15 +308,21 @@ class KeyStore:
 
     def import_wrapped(self, key_id: str, blob: bytes, label: str = "") -> KeyHandle:
         """Import a wrapped key previously exported from a store sharing
-        the same master key (restore path)."""
-        if key_id in self._entries and self._entries[key_id].wrapped is not None:
+        the same master key (restore path).  It is escrowed like a minted
+        key, so a reopen keeps it, and no later mint reuses its id."""
+        if key_id in self._entries:
+            # a live key is never overwritten, a shredded one never revived
             raise KeyManagementError(f"key {key_id} already present")
         wrapped = AeadCiphertext.from_bytes(blob)
         # Verify the blob unwraps under our master key before accepting it.
         self._wrapper.decrypt(wrapped, associated_data=key_id.encode())
+        created_at = self._clock.now()
+        entry = self._escrow.append(_escrow_frame(key_id, label, created_at, wrapped))
+        self._escrow_extents[key_id] = (entry.offset + HEADER_SIZE, entry.length)
         self._entries[key_id] = _KeyEntry(
-            wrapped=wrapped, created_at=self._clock.now(), label=label
+            wrapped=wrapped, created_at=created_at, label=label
         )
+        self._counter = max(self._counter, _serial(key_id))
         return KeyHandle(key_id=key_id)
 
     def handles(self) -> list[KeyHandle]:

@@ -148,12 +148,7 @@ class CustodyChain:
 
     def custodians(self) -> list[str]:
         """Every party that ever held the object, in order."""
-        if not self._events:
-            return []
-        holders = [self._events[0].to_custodian]
-        for event in self._events[1:]:
-            holders.append(event.to_custodian)
-        return holders
+        return [event.to_custodian for event in self._events]
 
 
 class CustodyRegistry:

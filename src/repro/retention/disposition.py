@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.crypto.keys import KeyHandle
 from repro.errors import DispositionError
@@ -71,13 +72,15 @@ class DispositionWorkflow:
         self,
         store: WormStore,
         shredder: SecureShredder,
+        key_handle_for: Callable[[str], KeyHandle | None],
         clock: Clock | None = None,
-        key_handle_for: dict[str, KeyHandle] | None = None,
     ) -> None:
+        """*key_handle_for* answers an object's data key (``None`` for
+        an object no record owns) at the moment it is destroyed."""
         self._store = store
         self._shredder = shredder
         self._clock = clock or WallClock()
-        self._key_handles = key_handle_for if key_handle_for is not None else {}
+        self._key_handle_for = key_handle_for
         self._tickets: dict[str, _Ticket] = {}
         self._certificates: dict[str, DispositionCertificate] = {}
         self._policy = PolicyEngine(
@@ -91,10 +94,6 @@ class DispositionWorkflow:
         return self._policy.decide(
             actor, action, object_id, PolicyContext(facts=facts)
         ).require()
-
-    def register_key_handle(self, object_id: str, handle: KeyHandle) -> None:
-        """Associate a data key with an object (done at write time)."""
-        self._key_handles[object_id] = handle
 
     # -- step 1: identify ----------------------------------------------------
 
@@ -166,7 +165,7 @@ class DispositionWorkflow:
         self._store.delete(object_id, authorization=authorization)
         report = self._shredder.shred(
             object_id=object_id,
-            key_handle=self._key_handles.get(object_id),
+            key_handle=self._key_handle_for(object_id),
             extents=[(self._store.device, offset, size)],
             authorization=authorization,
         )

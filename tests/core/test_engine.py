@@ -353,7 +353,7 @@ def test_provenance_and_custody_recorded():
     assert store.custody.verify_all() == {}
     chain = store.custody.chain_for("rec-1@v0")
     assert chain.current_custodian() == "hospital-A"
-    assert store.provenance.custodians_of("rec-1@v0") == ["hospital-A"]
+    assert chain.custodians() == ["hospital-A"]
 
 
 def test_correction_links_provenance_derivation():
@@ -368,7 +368,14 @@ def test_correction_links_provenance_derivation():
         body=dict(note.body),
     )
     store.correct(corrected, author_id="dr-a", reason="amendment")
-    assert store.provenance.ancestry("rec-1@v1") == ["rec-1@v0"]
+    # the correction derives from its predecessor by a verified hash link,
+    # and carries its own signed origin
+    chain = store._dir.chain_for("rec-1")
+    chain.verify()
+    assert chain.version(1).previous_digest == chain.version(0).digest()
+    assert chain.version(1).reason == "amendment"
+    assert store.custody.chain_for("rec-1@v1").custodians() == ["hospital-A"]
+    assert store.custody.verify_all() == {}
 
 
 def test_observation_value_correction_flow():

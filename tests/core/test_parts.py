@@ -29,7 +29,6 @@ from repro.migration.manifest import verify_manifest
 from repro.policy import PolicyEngine, PolicyEnv
 from repro.policy.rules import DEFAULT_RULES
 from repro.provenance.chain import CustodyRegistry
-from repro.provenance.graph import ProvenanceGraph
 from repro.records.ids import version_id
 from repro.records.model import ClinicalNote
 from repro.records.versioning import VersionChain
@@ -56,8 +55,6 @@ def build_parts(site_id, clock, keypair):
     signer = Signer(site_id, keypair=keypair)
     trust = TrustStore()
     trust.add(signer.verifier())
-    provenance = ProvenanceGraph()
-    provenance.add_custodian(site_id)
     pool = MediaPool(clock=clock, default_capacity=CAPACITY)
     medium = pool.provision()
     audit = AuditLog(device=MemoryDevice(f"{site_id}-audit", CAPACITY), clock=clock)
@@ -68,7 +65,6 @@ def build_parts(site_id, clock, keypair):
         sealer=Sealer(keystore),
         signer=signer,
         custody=CustodyRegistry(trust),
-        provenance=provenance,
         shredder=SecureShredder(keystore),
         index=TrustworthyIndex(
             bytes(32), device=MemoryDevice(f"{site_id}-idx", CAPACITY)
@@ -155,11 +151,12 @@ def test_home_write_then_adopt_makes_the_record_served_and_disposable(keypair):
     assert directory.records_of_patient("pat-1") == ["rec-1"]
     assert directory.owner_of(version_id("rec-1", 1)) == "rec-1"
     assert directory.dirty == {"rec-1"}
-    # one frame, one origin signature per write; the correction's
-    # derivation edge hangs from its predecessor
+    # one frame, one origin signature per write; the correction links to
+    # its predecessor by digest
     assert home.worm.device.stats.writes == 2
     assert home.custody.object_ids() == [version_id("rec-1", 0), version_id("rec-1", 1)]
-    assert home.provenance.ancestry(version_id("rec-1", 1)) == [version_id("rec-1", 0)]
+    assert home.custody.verify_all() == {}
+    assert home.open("rec-1", 1).previous_digest == home.open("rec-1", 0).digest()
     # the index follows the current text only
     assert home.index.search("second") == ["rec-1"]
     assert home.index.search("first") == []

@@ -16,7 +16,6 @@ from repro.storage.block import MemoryDevice
 from repro.storage.media import MediaState
 from repro.util.clock import SimulatedClock
 from repro.verify.crashpoint import surviving_image
-from repro.worm.store import WormStore
 
 MASTER = bytes(range(32))
 
@@ -139,9 +138,8 @@ def test_dispose_on_a_recovered_engine_empties_the_cold_member_cache():
 
 
 def test_a_record_recovered_from_the_cold_tier_alone_can_be_corrected():
-    """Recall after a cold-only recovery enters the warm objects into
-    the provenance graph, so the correction's derivation edge has a
-    parent to hang from."""
+    """A record recovered from its cold member alone takes a correction
+    that links to the recovered head and carries a signed origin."""
     store, clock, config = make_store()
     store.store(note("rec-0", "pat-1", clock), "dr-a")
     store.demote_records(["rec-0"])
@@ -162,7 +160,11 @@ def test_a_record_recovered_from_the_cold_tier_alone_can_be_corrected():
         reason="amendment",
     )
     assert recovered.version_count("rec-0") == 2
-    assert recovered.provenance.ancestry("rec-0@v1") == ["rec-0@v0"]
+    chain = recovered._dir.chain_for("rec-0")
+    chain.verify()
+    assert chain.version(1).previous_digest == chain.version(0).digest()
+    assert recovered.custody.chain_for("rec-0@v1").custodians() == ["hospital-A"]
+    assert recovered.read("rec-0", actor_id="system").body["text"] == "amended"
     assert recovered.verify_integrity().ok
 
 
@@ -180,10 +182,10 @@ def test_a_restore_disposes_of_the_medium_it_replaces():
     assert store.read("rec-1", actor_id="dr-a").body["text"] == "routine followup"
 
 
-def test_a_restore_from_an_older_snapshot_keeps_the_objects_it_left_behind():
+def test_a_restore_from_an_older_snapshot_carries_the_newer_objects_forward():
     """A record stored (and held) after the snapshot has its one copy on
-    the replaced medium: the restore retires that medium with its bytes
-    and names the object, rather than scrubbing it uncertified."""
+    the replaced medium: the restore copies it onto the restored store,
+    hold and all, and only then disposes of the old medium."""
     store, clock, _ = make_store()
     store.store(note("rec-1", "pat-1", clock), "dr-a")
     snapshot = store.create_backup(actor_id="admin")
@@ -191,10 +193,49 @@ def test_a_restore_from_an_older_snapshot_keeps_the_objects_it_left_behind():
     store.place_hold("rec-2", "case-7", actor_id="admin")
     replaced = store.medium
     store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    assert replaced.state is MediaState.DISPOSED
+    assert store.record_ids() == ["rec-1", "rec-2"]
+    assert store.read("rec-2", actor_id="dr-a").body["text"] == "after the snapshot"
+    assert store.worm.retention.holds_on("rec-2@v0") == {"case-7"}
+    assert store.verify_integrity().ok
+    assert not any(
+        e.action is AuditAction.MEDIA_RETIRED for e in store.audit_log.events()
+    )
+
+
+def test_a_restore_carries_what_the_snapshot_lacks_in_one_frame():
+    """The restore writes one frame per snapshot object, plus ONE frame
+    for everything written since, and none when nothing was."""
+    store, clock, _ = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    assert store.worm.device.stats.writes == len(snapshot.objects)
+    store.store(note("rec-2", "pat-1", clock), "dr-a")
+    store.store(note("rec-3", "pat-1", clock), "dr-a")
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    assert store.worm.device.stats.writes == len(snapshot.objects) + 1
+    assert store.read("rec-3", actor_id="dr-a").record_id == "rec-3"
+
+
+def test_a_restore_from_an_older_snapshot_keeps_the_objects_it_left_behind():
+    """An object written after the snapshot that has rotted on the
+    replaced medium cannot be carried forward: the restore retires that
+    medium with its bytes and names the object, rather than scrubbing
+    it uncertified."""
+    store, clock, _ = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    store.store(note("rec-2", "pat-1", clock, "after the snapshot"), "dr-a")
+    store.place_hold("rec-2", "case-7", actor_id="admin")
+    replaced = store.medium
+    offset, size = store.worm.physical_extent("rec-2@v0")
+    replaced.device.raw_write(offset + 2, b"\x00\x00\x00")
+    rotted = replaced.device.raw_read(offset, size)
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
     assert replaced.state is MediaState.RETIRED
     assert store.media_pool.get(replaced.medium_id) is replaced
-    kept = WormStore(device=surviving_image(replaced.device), clock=clock)
-    assert "rec-2@v0" in kept.object_ids() and kept.get("rec-2@v0")
+    assert replaced.device.raw_read(offset, size) == rotted  # not scrubbed
     (event,) = [
         e for e in store.audit_log.events() if e.action is AuditAction.MEDIA_RETIRED
     ]
@@ -219,6 +260,37 @@ def test_a_restore_disposes_of_a_lost_medium_and_names_what_was_lost():
         e for e in store.audit_log.events() if e.action is AuditAction.MEDIA_DISPOSED
     ]
     assert event.detail == {"lost": ["rec-2@v0"]}
+
+
+def test_a_restart_keeps_the_age_of_the_medium():
+    """The medium's age is read back from the audit chain: a restart
+    does not make a medium past its service life young again."""
+    store, clock, config = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    clock.advance_years(6)
+    assert store.media_pool.due_for_replacement() == [store.medium]
+    recovered = recover(store, config)
+    assert recovered.medium.age_years() == pytest.approx(6.0)
+    assert recovered.media_pool.due_for_replacement() == [recovered.medium]
+    # a refresh in year 6 puts a new medium in service; a restart in
+    # year 7 finds it one year old
+    recovered.refresh_media()
+    clock.advance_years(1)
+    again = recover(recovered, config)
+    assert again.medium.medium_id == recovered.medium.medium_id
+    assert again.medium.age_years() == pytest.approx(1.0)
+    assert again.media_pool.due_for_replacement() == []
+
+
+def test_a_restart_after_a_restore_dates_the_medium_from_the_restore():
+    store, clock, config = make_store()
+    store.store(note("rec-1", "pat-1", clock), "dr-a")
+    snapshot = store.create_backup(actor_id="admin")
+    clock.advance_years(3)
+    store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
+    clock.advance_years(2)
+    recovered = recover(store, config)
+    assert recovered.medium.age_years() == pytest.approx(2.0)
 
 
 def test_a_restart_needs_the_worm_key_and_audit_images():

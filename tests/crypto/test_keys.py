@@ -98,6 +98,43 @@ def test_import_duplicate_rejected():
         store.import_wrapped(handle.key_id, blob)
 
 
+def test_an_imported_key_survives_a_reopen():
+    source = make_store()
+    handle = source.create_key(label="rec-1")
+    box = source.cipher_for(handle).encrypt(b"data")
+    replica = KeyStore(MASTER, device=MemoryDevice("escrow", 1 << 16))
+    replica.import_wrapped(handle.key_id, source.export_wrapped(handle), label="rec-1")
+    reopened = KeyStore(MASTER, device=replica.device)
+    assert reopened.labelled_handles() == {"rec-1": handle}
+    assert reopened.cipher_for(handle).decrypt(box) == b"data"
+    # the escrowed import shreds like a minted key
+    reopened.shred(handle)
+    assert KeyStore(MASTER, device=reopened.device).is_shredded(handle)
+
+
+def test_an_import_never_revives_a_shredded_key():
+    store = KeyStore(MASTER, device=MemoryDevice("escrow", 1 << 16))
+    handle = store.create_key(label="rec-1")
+    blob = store.export_wrapped(handle)  # e.g. a backup taken before the shred
+    store.shred(handle)
+    with pytest.raises(KeyManagementError):
+        store.import_wrapped(handle.key_id, blob, label="rec-1")
+    assert store.is_shredded(handle)
+    assert KeyStore(MASTER, device=store.device).is_shredded(handle)
+
+
+def test_minting_after_an_import_never_reuses_its_id():
+    source = make_store()
+    imported = source.create_keys(["a", "b", "c"])[-1]
+    assert imported.key_id == "key-00000003"
+    replica = make_store()
+    replica.import_wrapped(imported.key_id, source.export_wrapped(imported), label="c")
+    minted = replica.create_keys(["x", "y", "z"])
+    assert imported not in minted
+    assert len(replica) == 4
+    assert replica.labelled_handles()["c"] == imported
+
+
 def test_shredded_handles_listed():
     store = make_store()
     keep = store.create_key()

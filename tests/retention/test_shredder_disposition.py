@@ -21,12 +21,11 @@ def make_world(retention_seconds=100.0):
     keystore = KeyStore(MASTER, clock=clock)
     store = WormStore(device=MemoryDevice("worm", 1 << 20), clock=clock)
     shredder = SecureShredder(keystore)
-    workflow = DispositionWorkflow(store, shredder, clock=clock)
     handle = keystore.create_key()
+    workflow = DispositionWorkflow(store, shredder, {"rec-1": handle}.get, clock=clock)
     cipher = keystore.cipher_for(handle)
     ciphertext = cipher.encrypt(b"PHI DATA").to_bytes()
     store.put("rec-1", ciphertext, retention=RetentionTerm(0.0, retention_seconds))
-    workflow.register_key_handle("rec-1", handle)
     return clock, keystore, store, shredder, workflow, handle
 
 
