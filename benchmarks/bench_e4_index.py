@@ -96,8 +96,8 @@ def test_e4_posting_list_tamper_detection(benchmark):
     benchmark.pedantic(verify, rounds=3, iterations=1)
     assert index.verify() == []
     # flip a byte inside one current posting list
-    some_trapdoor = sorted(index.current_versions())[0]
-    meta = index.current_versions()[some_trapdoor]
+    some_trapdoor = sorted(index.delta_extents())[0]
+    meta = index.delta_extents()[some_trapdoor][0]
     index.device.raw_write(meta.device_offset + meta.size // 2, b"\xff")
     failures = index.verify()
     assert failures, "tampered posting list must be detected"

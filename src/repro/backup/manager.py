@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from repro.backup.vault import BackupSnapshot, BackupVault
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyHandle, KeyStore, ShreddedKeyError
-from repro.crypto.merkle import MerkleTree
 from repro.errors import BackupError, KeyManagementError
+from repro.migration.manifest import entries_tree
 from repro.util.clock import Clock, WallClock
-from repro.util.encoding import canonical_bytes
 from repro.worm.retention_lock import RetentionTerm
 from repro.worm.store import WormStore
 
@@ -57,16 +56,22 @@ class BackupManager:
         self._counter += 1
         return f"{self._vault.site_id}/snap-{kind}-{self._counter:05d}"
 
-    def _collect(
+    def _snapshot(
         self,
+        kind: str,
         store: WormStore,
         keystore: KeyStore | None,
         key_handles: dict[str, KeyHandle] | None,
         object_ids: list[str],
-    ) -> tuple[dict[str, bytes], dict[str, bytes], dict[str, bytes]]:
+    ) -> BackupSnapshot:
+        """Copy *object_ids* and their wrapped keys, each beside its
+        label, into one snapshot on the vault.  An incremental snapshot
+        rests on the previous one; a full one on nothing."""
         objects: dict[str, bytes] = {}
         digests: dict[str, bytes] = {}
-        wrapped: dict[str, bytes] = {}
+        wrapped: dict[str, tuple[str, bytes]] = {}
+        labelled = keystore.labelled_handles().items() if keystore else ()
+        labels = {handle.key_id: label for label, handle in labelled}
         for object_id in object_ids:
             data = store.get(object_id)
             objects[object_id] = data
@@ -74,17 +79,27 @@ class BackupManager:
             if keystore is not None and key_handles and object_id in key_handles:
                 handle = key_handles[object_id]
                 try:
-                    wrapped[handle.key_id] = keystore.export_wrapped(handle)
+                    blob = keystore.export_wrapped(handle)
+                    wrapped[handle.key_id] = (labels.get(handle.key_id, ""), blob)
                 except ShreddedKeyError:
                     pass  # disposed records stay disposed in new backups
-        return objects, digests, wrapped
-
-    @staticmethod
-    def _root(digests: dict[str, bytes]) -> bytes:
-        tree = MerkleTree()
-        for object_id in sorted(digests):
-            tree.append(canonical_bytes({"id": object_id, "digest": digests[object_id]}))
-        return tree.root()
+        full = kind == "full"
+        snapshot = BackupSnapshot(
+            snapshot_id=self._next_id("full" if full else "incr"),
+            created_at=self._clock.now(),
+            kind=kind,
+            base_snapshot_id=None if full else self._last_snapshot_id,
+            objects=objects,
+            digests=digests,
+            merkle_root=entries_tree(sorted(digests.items())).root(),
+            wrapped_keys=wrapped,
+        )
+        self._vault.store(snapshot)
+        if full:
+            self._last_snapshot_objects = set()
+        self._last_snapshot_objects.update(object_ids)
+        self._last_snapshot_id = snapshot.snapshot_id
+        return snapshot
 
     def create_full(
         self,
@@ -93,22 +108,7 @@ class BackupManager:
         key_handles: dict[str, KeyHandle] | None = None,
     ) -> BackupSnapshot:
         """Snapshot every live object."""
-        object_ids = store.object_ids()
-        objects, digests, wrapped = self._collect(store, keystore, key_handles, object_ids)
-        snapshot = BackupSnapshot(
-            snapshot_id=self._next_id("full"),
-            created_at=self._clock.now(),
-            kind="full",
-            base_snapshot_id=None,
-            objects=objects,
-            digests=digests,
-            merkle_root=self._root(digests),
-            wrapped_keys=wrapped,
-        )
-        self._vault.store(snapshot)
-        self._last_snapshot_objects = set(object_ids)
-        self._last_snapshot_id = snapshot.snapshot_id
-        return snapshot
+        return self._snapshot("full", store, keystore, key_handles, store.object_ids())
 
     def create_incremental(
         self,
@@ -128,21 +128,7 @@ class BackupManager:
             for object_id in store.object_ids()
             if object_id not in self._last_snapshot_objects
         ]
-        objects, digests, wrapped = self._collect(store, keystore, key_handles, new_ids)
-        snapshot = BackupSnapshot(
-            snapshot_id=self._next_id("incr"),
-            created_at=self._clock.now(),
-            kind="incremental",
-            base_snapshot_id=self._last_snapshot_id,
-            objects=objects,
-            digests=digests,
-            merkle_root=self._root(digests),
-            wrapped_keys=wrapped,
-        )
-        self._vault.store(snapshot)
-        self._last_snapshot_objects.update(new_ids)
-        self._last_snapshot_id = snapshot.snapshot_id
-        return snapshot
+        return self._snapshot("incremental", store, keystore, key_handles, new_ids)
 
     def restore(
         self,
@@ -158,7 +144,7 @@ class BackupManager:
         mismatched: list[str] = []
         merged: dict[str, bytes] = {}
         merged_digests: dict[str, bytes] = {}
-        merged_keys: dict[str, bytes] = {}
+        merged_keys: dict[str, tuple[str, bytes]] = {}
         for snapshot in chain:  # full first, increments layered on top
             merged.update(snapshot.objects)
             merged_digests.update(snapshot.digests)
@@ -174,9 +160,9 @@ class BackupManager:
                 continue
             restored += 1
         if target_keystore is not None:
-            for key_id, blob in sorted(merged_keys.items()):
+            for key_id, (label, blob) in sorted(merged_keys.items()):
                 try:
-                    target_keystore.import_wrapped(key_id, blob)
+                    target_keystore.import_wrapped(key_id, blob, label=label)
                     keys_restored += 1
                 except KeyManagementError:
                     pass  # already present (e.g. partial prior restore)

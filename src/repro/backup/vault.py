@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import sha256
-from repro.crypto.merkle import MerkleTree
 from repro.errors import BackupError
-from repro.util.encoding import canonical_bytes
+from repro.migration.manifest import entries_tree
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,8 @@ class BackupSnapshot:
     objects: dict[str, bytes]  # object_id -> raw stored bytes (ciphertext)
     digests: dict[str, bytes]
     merkle_root: bytes
-    wrapped_keys: dict[str, bytes] = field(default_factory=dict)
+    # key id -> (the key's label, its wrapped blob)
+    wrapped_keys: dict[str, tuple[str, bytes]] = field(default_factory=dict)
 
     def verify(self) -> list[str]:
         """Digest-check every object; returns the ids that fail."""
@@ -37,12 +37,7 @@ class BackupSnapshot:
             for object_id, data in self.objects.items()
             if sha256(data) != self.digests.get(object_id)
         ]
-        tree = MerkleTree()
-        for object_id in sorted(self.digests):
-            tree.append(
-                canonical_bytes({"id": object_id, "digest": self.digests[object_id]})
-            )
-        if tree.root() != self.merkle_root:
+        if entries_tree(sorted(self.digests.items())).root() != self.merkle_root:
             failures.append("<merkle-root>")
         return sorted(set(failures))
 

@@ -375,7 +375,7 @@ class CuratorStore(StorageModel):
 
         A batch costs four device writes however many records it holds:
         one escrow flush (a frame per wrapped key), one WORM frame, one
-        index flush (a frame per touched posting-list chunk) and one
+        index frame (plus a sealed chunk per list it fills) and one
         audit flush (``begin_batch`` / ``commit``, a frame per event).
         Per record the chain digest, Merkle leaf and anchor cadence are
         computed one event at a time, so N batches of one and one batch

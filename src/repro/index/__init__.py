@@ -13,12 +13,12 @@ Two indexes are provided:
   its device.
 * :class:`~repro.index.trustworthy.TrustworthyIndex` — the compliant
   index: terms are replaced by HMAC trapdoors (keyed, so the adversary
-  cannot enumerate the dictionary), posting lists are chains of
-  bounded AEAD-encrypted chunks padded to bucket sizes (so list
-  *lengths* leak little and an add re-encrypts one tail chunk, not the
-  list), and every chunk is MACed to its trapdoor, position and version
+  cannot enumerate the dictionary), an add is one frame of per-list
+  AEAD deltas that fold into sealed chunks, every box padded to a
+  bucket size (so list *lengths* leak little and an add rewrites
+  nothing), and every box is bound to its trapdoor and position
   (tamper-evident).  Its ``delete_document`` removes a document from
   posting lists with *verifiable* absence afterwards (Mitra & Winslett,
-  StorageSS'06 motivated): the affected chunks are re-encrypted and
-  their superseded versions scrubbed.
+  StorageSS'06 motivated): the affected boxes are rewritten and the
+  old ones scrubbed.
 """

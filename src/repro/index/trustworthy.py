@@ -1,51 +1,32 @@
-"""The trustworthy keyword index.
+"""The trustworthy keyword index (after Mitra, Hsu & Winslett's
+trustworthy-index line of work; DESIGN.md §15 has the layout, what each
+binding stops and what leaks).
 
-Design (after Mitra, Hsu & Winslett's trustworthy-index line of work,
-re-expressed over this library's substrate):
+* **Trapdoors, not terms.**  A term's on-disk identity is
+  ``HMAC(index_key, term)``: without the key the stored vocabulary is
+  random strings, so the "Cancer" inference is impossible from a stolen
+  medium.
+* **One frame per write, folded into sealed chunks.**  An add journals
+  ONE frame: an AEAD box per touched posting list (a *delta*, holding
+  this write's new ids for that list).  Nothing is read or re-encrypted.
+  When a list's pending ids reach :data:`CHUNK_CAPACITY`, the first
+  ``CHUNK_CAPACITY`` go, in the same device write, into a full *sealed*
+  chunk that no later add reads or rewrites.
+* **Checked against trusted state on every use.**  Boxes are sealed
+  under the list's key and bound to their trapdoor and position.  A
+  chunk must carry the header the in-memory table expects, then pass its
+  MAC; a delta's bytes must hash to the SHA-256 taken at write, and its
+  ids come from memory, so no query decrypts a delta.
+* **Padding.**  A box's ids are sorted and padded with empty entries to
+  the next power-of-two count (list length ≈ term rarity leaks only as
+  log-granularity buckets).
+* **Secure deletion** (after Mitra & Winslett, StorageSS'06).
+  :meth:`TrustworthyIndex.delete_document` rewrites every box holding
+  the id without it and scrubs every superseded box of the affected
+  lists; :meth:`TrustworthyIndex.forensic_residue` is the auditor's check.
 
-* **Trapdoors, not terms.**  A term never touches the device.  Its
-  on-disk identity is ``HMAC(index_key, term)`` — without the key, the
-  stored vocabulary is indistinguishable from random strings, so the
-  "Cancer" inference is impossible from a stolen medium.
-* **Append-only chunked posting lists.**  A trapdoor's posting list is
-  a chain of chunks of at most :data:`CHUNK_CAPACITY` document ids.  A
-  full chunk is *sealed*: no later add reads or rewrites it.  Only the
-  last chunk (the *tail*) is read, extended and re-encrypted by an add,
-  so the bytes an add writes are bounded by the chunk capacity, not by
-  the list length.  A list is read back as all of its chunks through
-  one batched AEAD pass.
-* **One AEAD box per chunk.**  Every chunk is encrypted under a key
-  derived from the index master key and the trapdoor.  The frame on the
-  device is ``trapdoor(32) | chunk number(4) | chunk version(4)``
-  followed by the raw box (``nonce | tag | ciphertext``), and that same
-  40-byte header is the box's associated data.
-* **Versioned updates.**  Each rewrite of a chunk — an add extending
-  the tail, a deletion rewriting whichever chunks held the document —
-  journals a new frame with the chunk's version bumped.  The in-memory
-  table ``trapdoor -> [chunk extent]`` holds the journal position,
-  version and fill count of every chunk's current frame; a frame is
-  accepted only if its header equals the one the table expects, and the
-  MAC then binds the ciphertext to that header.  So a chunk moved to
-  another position in its list (reorder, swap), copied from another
-  trapdoor, or replaced by one of its own superseded versions
-  (rollback) fails exactly as a flipped byte does, and a zeroed or
-  missing chunk fails the journal checksum before that.
-* **Padding.**  A chunk's ids are sorted and padded with empty entries
-  to the next power-of-two entry count before encryption, blunting the
-  frequency side channel (list length ≈ term rarity) to log-granularity
-  buckets within a chunk.  The number of chunks, ⌈n / capacity⌉, is
-  visible to an observer of the device (see DESIGN.md §15).
-* **Secure deletion** (after Mitra & Winslett, StorageSS'06).  A record
-  destroyed after retention must leave no posting-list copy of its
-  vocabulary behind.  :meth:`TrustworthyIndex.delete_document` rewrites
-  every chunk holding the id without it, then scrubs every superseded
-  version of the affected lists, so even an adversary who later holds
-  the index key cannot decrypt a stale chunk;
-  :meth:`TrustworthyIndex.forensic_residue` is the auditor's check.
-
-Queries decrypt one list; tampering anywhere in any of its chunks
-surfaces as an :class:`~repro.errors.IntegrityError`-family failure at
-query time.
+The index is derived data: a restarted engine re-posts it on a blank
+device, so no frame is ever read back from an older device image.
 """
 
 from __future__ import annotations
@@ -55,6 +36,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.crypto.aead import AeadCipher, AeadCiphertext, decrypt_many, encrypt_many
+from repro.crypto.hashing import sha256
 from repro.crypto.hmac_utils import hmac_sha256
 from repro.crypto.kdf import derive_key
 from repro.errors import CuratorError, IndexError_, IntegrityError
@@ -68,21 +50,17 @@ _CIPHER_CACHE_CAPACITY = 4096
 
 _PAD_DOC = ""  # padding entries are empty strings, dropped on decrypt
 
-#: Document ids per posting-list chunk.  An add re-encrypts at most this
-#: many ids per term; a search pays one more frame (journal checksum,
-#: header check, MAC: ~12 us warm) per chunk.  Measured on the committed
-#: benchmark (``bench/``), whole-list layout -> capacity 8 / 16 / 32 /
-#: 64, medians at reference speed: ``ingest_single`` ops_per_s 126 ->
-#: 339 / 292 / 262 / 260 and stored bytes per user byte 38.8 -> 9.9 /
-#: 11.6 / 14.1 / 16.9 (3 seeds); ``read_tiered`` query_p50_ms 1.68 ->
-#: 2.02 / 1.79 / 1.66 / 1.62 (8 seeds; 3 at capacity 8) against a 25 %
-#: bound, verify_s 5.9 -> 5.7 / 5.5 / 5.8 / 5.7.  32 is the smallest
-#: capacity whose search cost cannot be told from the whole-list
-#: layout's; 16 would buy 11 % more ingest for 7 % on search p50.
+#: Document ids per sealed chunk, and the pending ids at which a list's
+#: deltas fold into one.  A search pays one frame (checksum, header, MAC:
+#: ~12 us warm) per sealed chunk; capacity 8 / 16 / 32 / 64 read
+#: ``read_tiered`` query_p50_ms 2.02 / 1.79 / 1.66 / 1.62 against 1.68
+#: for whole lists (8 seeds): 32 is the smallest that searched as fast.
 CHUNK_CAPACITY = 32
 
 # trapdoor (raw HMAC) | chunk number | chunk version
 _FRAME_HEADER = struct.Struct(">32sII")
+# a delta's associated data: trapdoor (raw HMAC) | the write's journal sequence
+_DELTA_AD = struct.Struct(">32sI")
 
 
 def _padded_length(count: int) -> int:
@@ -93,9 +71,15 @@ def _padded_length(count: int) -> int:
     return length
 
 
+def _padded(documents: list[str]) -> bytes:
+    """A box's plaintext: the ids sorted, padded to a power of two."""
+    pad = [_PAD_DOC] * (_padded_length(len(documents)) - len(documents))
+    return canonical_bytes(sorted(documents) + pad)
+
+
 @dataclass(frozen=True)
 class ChunkExtent:
-    """Where one version of one posting-list chunk lives on the device."""
+    """Where one version of one sealed posting-list chunk lives on the device."""
 
     journal_sequence: int
     device_offset: int
@@ -103,6 +87,18 @@ class ChunkExtent:
     chunk: int
     version: int
     fill: int
+
+
+@dataclass(frozen=True)
+class DeltaExtent:
+    """One write's box for one list: its place in the write's frame, the
+    SHA-256 of the bytes written there, and its ids."""
+
+    journal_sequence: int
+    device_offset: int
+    size: int
+    digest: bytes
+    documents: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -118,20 +114,19 @@ class DeletionCertificate:
 class TrustworthyIndex:
     """Encrypted, tamper-evident, low-leakage keyword index."""
 
-    def __init__(
-        self,
-        master_key: bytes,
-        device: BlockDevice | None = None,
-    ) -> None:
+    def __init__(self, master_key: bytes, device: BlockDevice | None = None) -> None:
         if len(master_key) != 32:
             raise IndexError_("index master key must be 32 bytes")
         self._trapdoor_key = derive_key(master_key, "index/trapdoor")
         self._list_key_root = derive_key(master_key, "index/lists")
         self._journal = Journal(device or MemoryDevice("tidx-dev", 1 << 23))
-        # trapdoor(hex) -> current extent of every chunk, in chunk order
+        # trapdoor(hex) -> current extent of every sealed chunk, in chunk order
         self._chunks: dict[str, list[ChunkExtent]] = {}
-        # trapdoor(hex) -> superseded extents (secure deletion scrubs these)
-        self._superseded: dict[str, list[ChunkExtent]] = {}
+        # trapdoor(hex) -> pending deltas, fewer than CHUNK_CAPACITY ids
+        # in all (an emptied list keeps its entry)
+        self._pending: dict[str, list[DeltaExtent]] = {}
+        # trapdoor(hex) -> superseded boxes (secure deletion scrubs these)
+        self._superseded: dict[str, list[ChunkExtent | DeltaExtent]] = {}
         self._documents: set[str] = set()
         # trapdoor(hex) -> AeadCipher memo.  Per-list keys are a pure
         # KDF of the master key and the trapdoor, so caching is safe;
@@ -148,7 +143,7 @@ class TrustworthyIndex:
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self._chunks)
+        return len(self._chunks.keys() | self._pending.keys())
 
     # -- crypto plumbing -----------------------------------------------------
 
@@ -170,10 +165,10 @@ class TrustworthyIndex:
             self._cipher_cache.popitem(last=False)
         return cipher
 
-    # -- chunk persistence: one read path, one write path --------------------
+    # -- persistence: one read path, one write path --------------------------
 
     def _open(self, items: list[tuple[str, ChunkExtent]]) -> list[list[str]]:
-        """Read ``(trapdoor, extent)`` chunks back as document-id lists.
+        """Read ``(trapdoor, extent)`` sealed chunks back as document-id lists.
 
         Per chunk: journal checksum, then the frame header must be the
         one the extent expects (trapdoor, chunk number, version), then
@@ -183,83 +178,83 @@ class TrustworthyIndex:
         boxes = []
         for trapdoor, extent in items:
             frame = self._journal.read(extent.journal_sequence)
-            header = _FRAME_HEADER.pack(
-                bytes.fromhex(trapdoor), extent.chunk, extent.version
-            )
+            header = _FRAME_HEADER.pack(bytes.fromhex(trapdoor), extent.chunk, extent.version)
             if frame[: _FRAME_HEADER.size] != header:
                 raise IntegrityError(
-                    "posting chunk substitution detected "
-                    "(trapdoor/chunk/version mismatch)"
+                    "posting chunk substitution detected (trapdoor/chunk/version mismatch)"
                 )
-            boxes.append(
-                (
-                    self._cipher_for(trapdoor),
-                    AeadCiphertext.from_bytes(frame[_FRAME_HEADER.size :]),
-                    header,
-                )
-            )
-        METRICS.incr("index_chunks_read", len(boxes))
+            box = AeadCiphertext.from_bytes(frame[_FRAME_HEADER.size :])
+            boxes.append((self._cipher_for(trapdoor), box, header))
         return [
             [doc for doc in canonical_loads(plaintext) if doc != _PAD_DOC]
             for plaintext in decrypt_many(boxes)
         ]
 
     def _postings(self, trapdoors: list[str]) -> list[list[str]]:
-        """Whole posting lists: every chunk of every trapdoor through one
-        :meth:`_open` pass.  Absent trapdoors yield empty lists."""
+        """Whole posting lists: every sealed chunk of every trapdoor
+        through one :meth:`_open` pass, then every pending delta re-read
+        and re-hashed, its ids taken from memory.  Absent trapdoors
+        yield empty lists."""
         chains = [self._chunks.get(trapdoor, ()) for trapdoor in trapdoors]
         opened = iter(
-            self._open(
-                [
-                    (trapdoor, extent)
-                    for trapdoor, chain in zip(trapdoors, chains)
-                    for extent in chain
-                ]
-            )
+            self._open([(td, extent) for td, chain in zip(trapdoors, chains) for extent in chain])
         )
-        return [[doc for _ in chain for doc in next(opened)] for chain in chains]
+        lists = [[doc for _ in chain for doc in next(opened)] for chain in chains]
+        for trapdoor, documents in zip(trapdoors, lists):
+            for delta in self._pending.get(trapdoor, ()):
+                if sha256(self.device.read(delta.device_offset, delta.size)) != delta.digest:
+                    raise IntegrityError("posting delta altered on the device")
+                documents.extend(delta.documents)
+        return lists
 
-    def _write_chunks(self, chunks: list[tuple[str, int, list[str]]]) -> None:
-        """Encrypt ``(trapdoor, chunk number, document ids)`` chunks in ONE
-        vectorized AEAD pass, journal them under ONE device write, and
-        point the table at the new frames.  A chunk number the list
-        already has is a new version of that chunk (the old extent is
-        kept for scrubbing); the next number up starts a new chunk.  At
-        most one write per (trapdoor, chunk) in a call."""
+    def _write(
+        self,
+        chunks: list[tuple[str, int, list[str]]],
+        deltas: dict[str, list[str]],
+        retired: list[tuple[str, DeltaExtent]],
+    ) -> None:
+        """Seal ``(trapdoor, chunk number, document ids)`` chunks and the
+        ``trapdoor -> ids`` deltas in ONE vectorized AEAD pass, journal
+        one delta frame and a frame per chunk under ONE device write,
+        then update the table: *retired* deltas and replaced chunk
+        versions are kept for scrubbing, the new boxes take their
+        place.  A chunk number the list already has is a new version of
+        that chunk; the next number up starts a new chunk."""
+        sequence = len(self._journal)  # the delta frame goes first
+        items = [
+            (self._cipher_for(td), _padded(ids), _DELTA_AD.pack(bytes.fromhex(td), sequence))
+            for td, ids in deltas.items()
+        ]
         staged: list[tuple[str, int, int, int, bytes]] = []
-        items: list[tuple[AeadCipher, bytes, bytes]] = []
         for trapdoor, number, documents in chunks:
             chain = self._chunks.get(trapdoor, ())
             version = chain[number].version + 1 if number < len(chain) else 0
             header = _FRAME_HEADER.pack(bytes.fromhex(trapdoor), number, version)
-            padded = sorted(documents) + [_PAD_DOC] * (
-                _padded_length(len(documents)) - len(documents)
-            )
             staged.append((trapdoor, number, version, len(documents), header))
-            items.append((self._cipher_for(trapdoor), canonical_bytes(padded), header))
-        frames = [
-            header + box.to_bytes()
-            for (*_, header), box in zip(staged, encrypt_many(items))
-        ]
-        entries = self._journal.append_many(frames)
+            items.append((self._cipher_for(trapdoor), _padded(documents), header))
+        boxes = [box.to_bytes() for box in encrypt_many(items)]
+        frames = [header + box for (*_, header), box in zip(staged, boxes[len(deltas) :])]
+        write = [b"".join(boxes[: len(deltas)])] if deltas else []
+        entries = self._journal.append_many(write + frames)
+        for trapdoor, delta in retired:
+            self._pending[trapdoor].remove(delta)
+            self._superseded.setdefault(trapdoor, []).append(delta)
+        offset = entries[0].offset + HEADER_SIZE if deltas else 0
+        for (trapdoor, ids), box in zip(deltas.items(), boxes):
+            delta = DeltaExtent(sequence, offset, len(box), sha256(box), tuple(ids))
+            self._pending.setdefault(trapdoor, []).append(delta)
+            offset += len(box)
         for (trapdoor, number, version, fill, _), frame, entry in zip(
-            staged, frames, entries
+            staged, frames, entries[len(entries) - len(frames) :]
         ):
-            extent = ChunkExtent(
-                journal_sequence=entry.sequence,
-                device_offset=entry.offset + HEADER_SIZE,
-                size=len(frame),
-                chunk=number,
-                version=version,
-                fill=fill,
-            )
+            offset = entry.offset + HEADER_SIZE
+            extent = ChunkExtent(entry.sequence, offset, len(frame), number, version, fill)
             chain = self._chunks.setdefault(trapdoor, [])
             if number < len(chain):
                 self._superseded.setdefault(trapdoor, []).append(chain[number])
                 chain[number] = extent
             else:
                 chain.append(extent)
-        METRICS.incr("index_chunks_written", len(frames))
 
     # -- public API ---------------------------------------------------------------
 
@@ -270,11 +265,11 @@ class TrustworthyIndex:
     def add_documents(self, documents: list[tuple[str, str]]) -> list[int]:
         """Index a batch of ``(document_id, text)`` pairs.
 
-        Each affected posting list has its tail chunk read and
-        re-encrypted ONCE for the whole batch (a full tail is not read
-        at all: the new ids start the next chunk), and all new chunk
-        versions land in a single journal device write.  Returns the
-        per-document distinct-term counts, in input order.
+        The batch is one delta per touched list, all in ONE journal
+        frame, and nothing on the device is read.  A list whose pending
+        ids reach :data:`CHUNK_CAPACITY` folds them into full sealed
+        chunks in the same device write.  Returns the per-document
+        distinct-term counts, in input order.
 
         Validation is all-or-nothing up front; the batch is rejected
         before any state changes if any id is empty, already indexed,
@@ -297,30 +292,22 @@ class TrustworthyIndex:
             term_counts.append(len(terms))
             for term in terms:
                 additions.setdefault(self.trapdoor(term), []).append(document_id)
-        open_tails = [
-            (trapdoor, chain[-1])
-            for trapdoor in additions
-            if (chain := self._chunks.get(trapdoor))
-            and chain[-1].fill < CHUNK_CAPACITY
-        ]
-        tail_documents = dict(
-            zip((trapdoor for trapdoor, _ in open_tails), self._open(open_tails))
-        )
         chunks: list[tuple[str, int, list[str]]] = []
+        deltas: dict[str, list[str]] = {}
+        folded: list[tuple[str, DeltaExtent]] = []
         for trapdoor, added in additions.items():
+            pending = self._pending.get(trapdoor, [])
+            held = [doc for delta in pending for doc in delta.documents]
+            ids = held + added
+            full = len(ids) - len(ids) % CHUNK_CAPACITY
             first = len(self._chunks.get(trapdoor, ()))
-            if trapdoor in tail_documents:
-                first -= 1
-                added = tail_documents[trapdoor] + added
-            for start in range(0, len(added), CHUNK_CAPACITY):
-                chunks.append(
-                    (
-                        trapdoor,
-                        first + start // CHUNK_CAPACITY,
-                        added[start : start + CHUNK_CAPACITY],
-                    )
-                )
-        self._write_chunks(chunks)
+            for start in range(0, full, CHUNK_CAPACITY):
+                chunk = ids[start : start + CHUNK_CAPACITY]
+                chunks.append((trapdoor, first + start // CHUNK_CAPACITY, chunk))
+            folded += [(trapdoor, delta) for delta in pending] if full else []
+            if rest := ids[max(full, len(held)) :]:
+                deltas[trapdoor] = rest
+        self._write(chunks, deltas, folded)
         self._documents.update(seen)
         return term_counts
 
@@ -336,11 +323,12 @@ class TrustworthyIndex:
         return sorted(set(lists[0]).intersection(*lists[1:]))
 
     def verify(self) -> list[str]:
-        """Decrypt every current chunk of every posting list; returns the
-        trapdoors that fail authentication (a tampered, substituted,
-        reordered, rolled-back or missing chunk anywhere in the list)."""
+        """Check every box once — each sealed chunk opened, each pending
+        delta re-read and re-hashed — and return the trapdoors whose
+        boxes fail (tampered, substituted, reordered, rolled back,
+        replayed or missing)."""
         failures = []
-        for trapdoor in sorted(self._chunks):
+        for trapdoor in sorted(self._chunks.keys() | self._pending.keys()):
             try:
                 self._postings([trapdoor])
             except CuratorError:
@@ -350,8 +338,8 @@ class TrustworthyIndex:
     # -- secure deletion ----------------------------------------------------------
 
     def delete_document(self, document_id: str) -> DeletionCertificate:
-        """Forget a document: rewrite the chunks holding it, then scrub
-        every superseded version of the affected lists."""
+        """Forget a document: rewrite the chunks and deltas holding it,
+        then scrub every superseded box of the affected lists."""
         if not document_id:
             raise IndexError_("document id must not be empty")
         affected = self._rewrite_lists_without(document_id)
@@ -363,39 +351,30 @@ class TrustworthyIndex:
             bytes_scrubbed=sum(extent.size for extent in scrubbed),
         )
 
-    def scrub_all_superseded(self) -> int:
-        """Scrub every superseded chunk version (e.g. after bulk adds),
-        returning bytes overwritten: no decryptable stale chunk stays on
-        the device even outside deletions."""
-        scrubbed = self._scrub_superseded(list(self._superseded))
-        return sum(extent.size for extent in scrubbed)
-
     def forensic_residue(self, document_id: str) -> list[str]:
         """Worst-case forensic check: with the index keys in hand,
-        decrypt every current and every unscrubbed superseded chunk
-        version and report the trapdoors still naming the document.
-        Empty list == the index has verifiably forgotten it."""
-        residue = {  # current chunks must verify: a failure here raises
-            trapdoor
-            for trapdoor, chain in self._chunks.items()
-            for documents in self._open([(trapdoor, extent) for extent in chain])
-            if document_id in documents
-        }
-        for trapdoor, extents in self._superseded.items():
-            for extent in extents:
-                try:
-                    documents = self.open_extent(trapdoor, extent)
-                except CuratorError:
-                    continue  # scrubbed or undecodable: no posting info left
-                if document_id in documents:
-                    residue.add(trapdoor)
+        decrypt every current chunk, every pending delta and every
+        unscrubbed superseded box, and report the trapdoors still naming
+        the document.  Empty list == the index has verifiably forgotten it."""
+        residue = set()
+        for table in (self._chunks, self._pending, self._superseded):
+            for trapdoor, extents in table.items():
+                for extent in extents:
+                    try:
+                        documents = self.open_extent(trapdoor, extent)
+                    except CuratorError:
+                        if table is not self._superseded:
+                            raise  # current boxes must verify
+                        continue  # scrubbed or undecodable: no posting info left
+                    if document_id in documents:
+                        residue.add(trapdoor)
         return sorted(residue)
 
     def _rewrite_lists_without(self, document_id: str) -> list[str]:
-        """Rewrite every chunk that contains *document_id*, omitting it;
-        chunks that do not hold it are not touched.  Returns the
-        affected trapdoors.  The superseded (still-decryptable) old
-        versions are recorded for scrubbing."""
+        """Rewrite every chunk and delta that holds *document_id* without
+        it, in one write; boxes that do not hold it are not touched.
+        Returns the affected trapdoors.  The replaced (still-decryptable)
+        boxes are recorded for scrubbing."""
         rewrites: list[tuple[str, int, list[str]]] = []
         for trapdoor in sorted(self._chunks):
             chain = self._chunks[trapdoor]
@@ -404,38 +383,49 @@ class TrustworthyIndex:
                 if document_id in documents:
                     documents.remove(document_id)
                     rewrites.append((trapdoor, extent.chunk, documents))
-        self._write_chunks(rewrites)
-        self._documents.discard(document_id)
-        return [trapdoor for trapdoor, _, _ in rewrites]
-
-    def _scrub_superseded(self, trapdoors: list[str]) -> list[ChunkExtent]:
-        """Pop the superseded versions of *trapdoors* and scrub their
-        device bytes; returns the scrubbed extents."""
-        extents = [
-            extent
-            for trapdoor in trapdoors
-            for extent in self._superseded.pop(trapdoor, [])
+        retired = [
+            (trapdoor, delta)
+            for trapdoor, pending in self._pending.items()
+            for delta in pending
+            if document_id in delta.documents
         ]
+        survivors = {
+            trapdoor: kept
+            for trapdoor, delta in retired
+            if (kept := [doc for doc in delta.documents if doc != document_id])
+        }
+        self._write(rewrites, survivors, retired)
+        self._documents.discard(document_id)
+        return [trapdoor for trapdoor, _, _ in rewrites] + [td for td, _ in retired]
+
+    def _scrub_superseded(self, trapdoors: list[str]) -> list[ChunkExtent | DeltaExtent]:
+        """Pop the superseded boxes of *trapdoors* and scrub their
+        device bytes; returns the scrubbed extents."""
+        extents = [e for trapdoor in trapdoors for e in self._superseded.pop(trapdoor, [])]
         for extent in extents:
             self.device.scrub(extent.device_offset, extent.size)
         return extents
 
     # -- inspection (tests, oracles, the forensic check) ------------------------
 
-    def current_versions(self) -> dict[str, ChunkExtent]:
-        """The tail chunk's extent per trapdoor (the frame the next add
-        to that list reads)."""
-        return {trapdoor: chain[-1] for trapdoor, chain in self._chunks.items()}
-
     def chunk_extents(self) -> dict[str, list[ChunkExtent]]:
-        """Every current chunk extent per trapdoor, in chunk order."""
+        """Every current sealed chunk extent per trapdoor, in chunk order."""
         return {trapdoor: list(chain) for trapdoor, chain in self._chunks.items()}
 
-    def superseded_versions(self) -> dict[str, list[ChunkExtent]]:
+    def delta_extents(self) -> dict[str, list[DeltaExtent]]:
+        """Every pending delta per trapdoor, oldest first."""
+        return {trapdoor: list(pending) for trapdoor, pending in self._pending.items()}
+
+    def superseded_versions(self) -> dict[str, list[ChunkExtent | DeltaExtent]]:
         return {trapdoor: list(metas) for trapdoor, metas in self._superseded.items()}
 
-    def open_extent(self, trapdoor: str, extent: ChunkExtent) -> list[str]:
-        """The document ids one chunk extent (current or superseded)
-        still yields to a holder of the index keys; raises like a query
-        if the frame no longer verifies (scrubbed, tampered, replaced)."""
-        return self._open([(trapdoor, extent)])[0]
+    def open_extent(self, trapdoor: str, extent: ChunkExtent | DeltaExtent) -> list[str]:
+        """The document ids one box (chunk or delta, current or
+        superseded) still yields to a holder of the index keys; raises
+        like a query if it no longer verifies (scrubbed, tampered)."""
+        if isinstance(extent, ChunkExtent):
+            return self._open([(trapdoor, extent)])[0]
+        box = AeadCiphertext.from_bytes(self.device.read(extent.device_offset, extent.size))
+        associated = _DELTA_AD.pack(bytes.fromhex(trapdoor), extent.journal_sequence)
+        plaintext = self._cipher_for(trapdoor).decrypt(box, associated)
+        return [doc for doc in canonical_loads(plaintext) if doc != _PAD_DOC]

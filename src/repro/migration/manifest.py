@@ -41,11 +41,13 @@ class MigrationManifest:
         return [entry_id for entry_id, _ in self.entries]
 
 
-def _entries_root(entries: list[tuple[str, bytes]]) -> bytes:
+def entries_tree(entries: list[tuple[str, bytes]]) -> MerkleTree:
+    """The Merkle tree over ``(object_id, digest)`` entries, in order
+    (a manifest's, and a backup snapshot's over its sorted digests)."""
     tree = MerkleTree()
     for object_id, digest in entries:
-        tree.append(canonical_bytes({"id": object_id, "digest": digest}))
-    return tree.root()
+        tree.append(entry_leaf(object_id, digest))
+    return tree
 
 
 def build_manifest(
@@ -69,7 +71,7 @@ def build_entries_manifest(
     *plaintext* content (version dicts, attachment bytes) so the claim
     survives re-encryption under the destination shard's keys."""
     entries = sorted(entries)
-    root = _entries_root(entries)
+    root = entries_tree(entries).root()
     signed = signer.sign(
         {
             "source_id": signer.signer_id,
@@ -95,13 +97,8 @@ def entry_leaf(object_id: str, digest: bytes) -> bytes:
 
 def entry_inclusion_proofs(manifest: MigrationManifest) -> dict[str, object]:
     """``object_id -> MerkleProof`` of membership in the manifest root."""
-    tree = MerkleTree()
-    for object_id, digest in manifest.entries:
-        tree.append(entry_leaf(object_id, digest))
-    return {
-        object_id: proof
-        for (object_id, _), proof in zip(manifest.entries, tree.prove_inclusion_all())
-    }
+    proofs = entries_tree(manifest.entries).prove_inclusion_all()
+    return {object_id: proof for (object_id, _), proof in zip(manifest.entries, proofs)}
 
 
 def verify_manifest(manifest: MigrationManifest, trust: TrustStore) -> None:
@@ -114,5 +111,5 @@ def verify_manifest(manifest: MigrationManifest, trust: TrustStore) -> None:
         raise MigrationError("manifest root does not match the signed payload")
     if payload["source_id"] != manifest.source_id:
         raise MigrationError("manifest source does not match the signed payload")
-    if _entries_root(list(manifest.entries)) != manifest.merkle_root:
+    if entries_tree(manifest.entries).root() != manifest.merkle_root:
         raise MigrationError("manifest root does not match its entries")

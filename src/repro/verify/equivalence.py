@@ -47,7 +47,7 @@ from repro.audit.checkpoint import CheckpointStore
 from repro.audit.events import decode_frame, encode_leaf
 from repro.crypto.kdf import derive_key
 from repro.errors import IntegrityError
-from repro.index.trustworthy import CHUNK_CAPACITY
+from repro.index.trustworthy import CHUNK_CAPACITY, DeltaExtent
 from repro.records.ids import version_id
 from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.encoding import canonical_bytes
@@ -407,50 +407,79 @@ def _cold_manifest_rot(dep: Deployment) -> str | None:
     return _forge_cold_segment(dep, reforge)
 
 
-# The trustworthy index keeps a posting list as a chain of encrypted
-# chunks on its own device.  Two attacks only a chunked layout admits:
-# rot inside a *sealed* chunk that no later add will ever rewrite, and
-# replaying a superseded version of the tail chunk so the list silently
-# loses its newest entries.
+# The trustworthy index keeps a posting list as sealed chunks plus the
+# pending deltas of recent writes, each write ONE frame on the index's
+# device (a box per list it touched).  The strikes rot a sealed chunk no
+# later add rewrites; drop a write; replay a list's older box, or one a
+# correction superseded and scrubbed, over a newer one; swap two lists'.
+
+
+def _index_note(dep: Deployment, record_id: str) -> DeltaExtent:
+    """Store one seed note on a fresh patient (one index write); its box
+    in the list every seed note shares."""
+    dep.surface.store(seed_note(record_id, dep.fresh_patient(), dep.clock, 0), ACTOR)
+    index = dep.target.index
+    return index.delta_extents()[index.trapdoor("distinctive")][-1]
 
 
 def _index_chunk_rot(dep: Deployment) -> str | None:
-    """Grow one posting list past a chunk boundary, then flip a
-    ciphertext byte in its sealed first chunk (checksum recomputed)."""
+    """Fold one posting list into a sealed chunk, then flip a
+    ciphertext byte in it (checksum recomputed)."""
     patient_id = dep.fresh_patient()
     dep.surface.store_many(
         [seed_note(f"rec-chunk-{n}", patient_id, dep.clock, n) for n in range(CHUNK_CAPACITY)],
         ACTOR,
     )
     index = dep.target.index
-    chain = index.chunk_extents()[index.trapdoor("distinctive")]
-    if len(chain) < 2:
-        return None  # nothing sealed: the tamper below would hit the tail
-    sealed = chain[0]
+    sealed = index.chunk_extents()[index.trapdoor("distinctive")][0]
     payload = bytearray(index.device.raw_read(sealed.device_offset, sealed.size))
     payload[-1] ^= 0x5A
     Journal.forge_frame(index.device, sealed.device_offset - HEADER_SIZE, bytes(payload))
     return "<index>"
 
 
+def _index_delta_drop(dep: Deployment) -> str | None:
+    """A note's write — its one index frame — erased whole, header too."""
+    device = dep.target.index.device
+    start = device.used
+    _index_note(dep, "rec-drop")
+    device.raw_write(start, bytes(device.used - start))
+    return "<index>"
+
+
+def _index_delta_replay(dep: Deployment) -> str | None:
+    """Two notes in turn; the first's box of the shared list written
+    over the second's (one id each: the same size)."""
+    older, newer = _index_note(dep, "rec-replay-0"), _index_note(dep, "rec-replay-1")
+    device = dep.target.index.device
+    device.raw_write(newer.device_offset, device.raw_read(older.device_offset, older.size))
+    return "<index>"
+
+
+def _index_delta_swap(dep: Deployment) -> str | None:
+    """Two lists' boxes in one note's frame exchanged (each holds the
+    note's id: the same size)."""
+    one, index = _index_note(dep, "rec-swap"), dep.target.index
+    other = index.delta_extents()[index.trapdoor("equivalence")][-1]
+    a, b = (index.device.raw_read(d.device_offset, d.size) for d in (one, other))
+    index.device.raw_write(one.device_offset, b)
+    index.device.raw_write(other.device_offset, a)
+    return "<index>"
+
+
 def _index_tail_rollback(dep: Deployment) -> str | None:
-    """Keep a copy of a tail-chunk frame, let the list move on, then
-    write the copy back over the current tail frame.  A correction
-    re-indexes the same record id, so the list advances two versions
-    (entry removed, entry re-added) to a frame of identical length —
-    the stale copy fits exactly, checksum and MAC intact."""
+    """Keep the box holding a record's id in the shared list; correct the
+    record, which supersedes and scrubs that box and writes the id in a
+    new one; write the kept bytes over the new box, cut or zero-padded
+    to its size (on a fresh engine both hold the one id: an exact fit)."""
     index = dep.target.index
-    trapdoor = index.trapdoor("distinctive")  # every seeded note has it
-    stale = index.current_versions()[trapdoor]
-    copy = index.device.raw_read(
-        stale.device_offset - HEADER_SIZE, HEADER_SIZE + stale.size
-    )
-    record = dep.surface.read(dep.residents()[0], actor_id=ACTOR)
-    dep.surface.correct(record, ACTOR, "re-index")
-    current = index.current_versions()[trapdoor]
-    if current.size != stale.size or current.version != stale.version + 2:
-        return None
-    index.device.raw_write(current.device_offset - HEADER_SIZE, copy)
+    trapdoor = index.trapdoor("distinctive")
+    victim = dep.residents()[0]
+    held = next(d for d in index.delta_extents()[trapdoor] if victim in d.documents)
+    kept = index.device.raw_read(held.device_offset, held.size)
+    dep.surface.correct(dep.surface.read(victim, actor_id=ACTOR), ACTOR, "re-index")
+    current = index.delta_extents()[trapdoor][-1]
+    index.device.raw_write(current.device_offset, (kept + bytes(current.size))[: current.size])
     return "<index>"
 
 
@@ -485,6 +514,9 @@ TAMPERS = (
     # the index is verified whole by every integrity pass
     Tamper("index_chunk_rot", _INTEGRITY, _index_chunk_rot),
     Tamper("index_tail_rollback", _INTEGRITY, _index_tail_rollback),
+    Tamper("index_delta_drop", _INTEGRITY, _index_delta_drop),
+    Tamper("index_delta_replay", _INTEGRITY, _index_delta_replay),
+    Tamper("index_delta_swap", _INTEGRITY, _index_delta_swap),
     Tamper("refresh_after_rot", _INTEGRITY, _rot_then_refresh),
     Tamper("stale_source_rot", _INTEGRITY, _rot_stale_copy),
 )

@@ -169,3 +169,17 @@ def test_new_backups_exclude_shredded_keys():
     keystore.shred(handle)
     snapshot = manager.create_full(store, keystore, {"rec-0": handle})
     assert snapshot.wrapped_keys == {}
+
+
+def test_restore_keeps_each_key_label_across_a_reopen():
+    clock, store, keystore, _, manager = make_world()
+    handle = keystore.create_key(label="rec-0")
+    store.put("rec-0", keystore.cipher_for(handle).encrypt(b"x").to_bytes())
+    snapshot = manager.create_full(store, keystore, {"rec-0": handle})
+    device = MemoryDevice("target-keys", 1 << 16)
+    target = WormStore(device=MemoryDevice("target", 1 << 20), clock=clock)
+    target_keys = KeyStore(MASTER, clock=clock, device=device)
+    manager.restore(snapshot.snapshot_id, target, target_keys)
+    assert target_keys.labelled_handles() == {"rec-0": handle}
+    reopened = KeyStore(MASTER, clock=clock, device=device)
+    assert reopened.labelled_handles() == {"rec-0": handle}

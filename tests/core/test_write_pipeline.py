@@ -189,6 +189,15 @@ def test_store_and_store_many_of_one_are_the_same_write():
         for store in (single, batched)
     ]
     assert extents[0] == extents[1]
+    deltas = [
+        {
+            trapdoor: [(d.journal_sequence, d.device_offset, d.size, d.documents)
+                       for d in pending]
+            for trapdoor, pending in store.index.delta_extents().items()
+        }
+        for store in (single, batched)
+    ]
+    assert deltas[0] == deltas[1] and deltas[0]
     object_id = "rec-1@v0"
     assert single.worm.physical_extent(object_id) == batched.worm.physical_extent(
         object_id

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import CuratorError, IndexError_
 from repro.index.trustworthy import CHUNK_CAPACITY, TrustworthyIndex
 
 MASTER = bytes(range(32))
@@ -39,17 +39,6 @@ def test_without_scrub_stale_versions_are_recoverable():
     index.add_document("doc-2", "cancer")  # supersedes the v0 list
     index._rewrite_lists_without("doc-1")  # rewrite but DON'T scrub
     assert index.forensic_residue("doc-1") != []
-
-
-def test_scrub_all_superseded_clears_history():
-    index = make_index()
-    for i in range(5):
-        index.add_document(f"doc-{i}", "cancer")
-    scrubbed = index.scrub_all_superseded()
-    assert scrubbed > 0
-    # Current list still queryable; history not decryptable.
-    assert len(index.search("cancer")) == 5
-    assert index.forensic_residue("doc-ghost") == []
 
 
 def test_delete_nonexistent_doc_is_noop_certificate():
@@ -105,3 +94,61 @@ def test_delete_from_sealed_chunk_scrubs_only_that_chunk():
     expected = [f"doc-{i:04d}" for i in range(total) if f"doc-{i:04d}" != victim]
     assert index.search("cancer") == expected  # the chunk's neighbours survive
     assert index.verify() == []
+
+
+# -- deletion over pending deltas ----------------------------------------------
+
+
+def boxes_naming(index, document_id):
+    """``(offset, size)`` of every box on the device, live or superseded,
+    that still decrypts to a list naming the document."""
+    named = []
+    for table in (index.chunk_extents(), index.delta_extents(), index.superseded_versions()):
+        for trapdoor, extents in table.items():
+            for extent in extents:
+                try:
+                    if document_id in index.open_extent(trapdoor, extent):
+                        named.append((extent.device_offset, extent.size))
+                except CuratorError:
+                    pass  # scrubbed
+    return named
+
+
+def assert_forgotten(index, document_id, held):
+    assert index.forensic_residue(document_id) == []
+    assert boxes_naming(index, document_id) == []
+    for offset, size in held:
+        assert not any(index.device.raw_read(offset, size))
+    assert index.verify() == []
+
+
+def test_delete_while_pending_rewrites_the_survivors_and_scrubs_the_delta():
+    index = make_index()
+    index.add_documents([(f"doc-{i}", "cancer") for i in range(5)])
+    index.add_document("doc-9", "cancer remission")
+    held = boxes_naming(index, "doc-2")
+    assert len(held) == 1
+
+    certificate = index.delete_document("doc-2")
+
+    assert (certificate.lists_rewritten, certificate.versions_scrubbed) == (1, 1)
+    assert_forgotten(index, "doc-2", held)
+    deltas = index.delta_extents()[index.trapdoor("cancer")]
+    assert [d.documents for d in deltas] == [("doc-9",), ("doc-0", "doc-1", "doc-3", "doc-4")]
+    assert index.search("cancer") == ["doc-0", "doc-1", "doc-3", "doc-4", "doc-9"]
+
+
+def test_delete_after_its_delta_folded_scrubs_the_chunk_and_the_folded_delta():
+    index = make_index()
+    for i in range(CHUNK_CAPACITY + 3):
+        index.add_document(f"doc-{i:04d}", "cancer")
+    trapdoor = index.trapdoor("cancer")
+    (sealed,) = index.chunk_extents()[trapdoor]
+    held = boxes_naming(index, "doc-0007")  # sealed chunk 0 and its folded delta
+    assert len(held) == 2 and (sealed.device_offset, sealed.size) in held
+
+    index.delete_document("doc-0007")
+
+    assert_forgotten(index, "doc-0007", held)
+    assert index.superseded_versions() == {}
+    assert len(index.search("cancer")) == CHUNK_CAPACITY + 2

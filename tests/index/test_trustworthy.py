@@ -10,6 +10,8 @@ from repro.index.trustworthy import (
     _padded_length,
 )
 from repro.storage.journal import HEADER_SIZE, Journal
+from repro.util.clock import SimulatedClock
+from repro.workload.generator import WorkloadGenerator
 
 MASTER = bytes(range(32))
 
@@ -86,7 +88,7 @@ def test_queries_still_work_after_many_updates():
 def test_tamper_detected_at_query_time():
     index = make_index()
     index.add_document("doc-1", "cancer")
-    meta = index.current_versions()[index.trapdoor("cancer")]
+    meta = index.delta_extents()[index.trapdoor("cancer")][-1]
     index.device.raw_write(meta.device_offset + meta.size // 2, b"\xff\xff")
     with pytest.raises(Exception):
         index.search("cancer")
@@ -98,7 +100,7 @@ def test_verify_localizes_tampered_lists():
     index.add_document("doc-2", "beta")
     good = index.trapdoor("alpha")
     bad = index.trapdoor("beta")
-    meta = index.current_versions()[bad]
+    meta = index.delta_extents()[bad][-1]
     index.device.raw_write(meta.device_offset + 10, b"\x00\x00\x00")
     failures = index.verify()
     assert bad in failures and good not in failures
@@ -122,7 +124,7 @@ def test_vocabulary_size_counts_trapdoors():
 
 # -- chunked posting lists ---------------------------------------------------
 
-LONG = 3 * CHUNK_CAPACITY + 5  # three sealed chunks and a part-filled tail
+LONG = 3 * CHUNK_CAPACITY + 5  # three sealed chunks and five pending ids
 
 
 def make_long_index(text="cancer"):
@@ -150,9 +152,10 @@ def assert_only_cancer_fails(index, error):
 def test_long_list_is_a_chain_of_bounded_chunks():
     index = make_long_index()
     chain = index.chunk_extents()[index.trapdoor("cancer")]
-    assert [extent.chunk for extent in chain] == [0, 1, 2, 3]
-    assert [extent.fill for extent in chain] == [CHUNK_CAPACITY] * 3 + [5]
-    assert index.current_versions()[index.trapdoor("cancer")] == chain[-1]
+    assert [extent.chunk for extent in chain] == [0, 1, 2]
+    assert [extent.fill for extent in chain] == [CHUNK_CAPACITY] * 3
+    (pending,) = index.delta_extents()[index.trapdoor("cancer")]
+    assert len(pending.documents) == 5
     assert index.search("cancer") == [f"doc-{i:04d}" for i in range(LONG)]
     assert index.verify() == []
 
@@ -161,11 +164,12 @@ def test_add_touches_only_the_tail_chunk():
     index = make_long_index()
     trapdoor = index.trapdoor("cancer")
     before = index.chunk_extents()[trapdoor]
+    pending = index.delta_extents()[trapdoor]
     index.add_document("doc-new", "cancer")
-    after = index.chunk_extents()[trapdoor]
-    assert after[:-1] == before[:-1]  # sealed chunks: same frames, same versions
-    assert after[-1].version == before[-1].version + 1
-    assert after[-1].fill == before[-1].fill + 1
+    assert index.chunk_extents()[trapdoor] == before  # same frames, same versions
+    after = index.delta_extents()[trapdoor]
+    assert after[:-1] == pending  # earlier deltas are not rewritten either
+    assert after[-1].documents == ("doc-new",)
 
 
 def test_full_tail_is_sealed_not_reread():
@@ -175,9 +179,25 @@ def test_full_tail_is_sealed_not_reread():
     (sealed,) = index.chunk_extents()[trapdoor]
     index.device.raw_write(sealed.device_offset, bytes(sealed.size))  # destroy it
     index.add_document("doc-next", "cancer")  # must not need the sealed chunk
-    chain = index.chunk_extents()[trapdoor]
-    assert chain[0] == sealed and (chain[1].chunk, chain[1].fill) == (1, 1)
+    assert index.chunk_extents()[trapdoor] == [sealed]
+    assert [d.documents for d in index.delta_extents()[trapdoor]] == [("doc-next",)]
     assert index.verify() == [trapdoor]
+
+
+def layout(index):
+    """Where every box of *index* lives and what it holds; a delta's
+    digest is left out, since nonces are random."""
+    return (
+        index.chunk_extents(),
+        {
+            trapdoor: [(d.journal_sequence, d.device_offset, d.size, d.documents) for d in deltas]
+            for trapdoor, deltas in index.delta_extents().items()
+        },
+        {
+            trapdoor: [(e.device_offset, e.size) for e in extents]
+            for trapdoor, extents in index.superseded_versions().items()
+        },
+    )
 
 
 def test_single_add_is_a_batch_of_one():
@@ -189,8 +209,7 @@ def test_single_add_is_a_batch_of_one():
     for document_id, text in documents:
         assert looped.add_document(document_id, text) == 3
         assert batched.add_documents([(document_id, text)]) == [3]
-    assert looped.chunk_extents() == batched.chunk_extents()
-    assert looped.superseded_versions() == batched.superseded_versions()
+    assert layout(looped) == layout(batched)
     frames = [
         len(list(Journal.walk_frames(index.device)))
         for index in (looped, batched)
@@ -251,11 +270,14 @@ def test_swapped_chunks_with_relabelled_headers_detected():
 def test_replayed_older_tail_version_detected():
     index = make_long_index()
     trapdoor = index.trapdoor("cancer")
-    _, snapshot = frame_of(index, index.current_versions()[trapdoor])
-    # two more versions of the tail with the same content and length
-    index.delete_document(f"doc-{LONG - 1:04d}")
-    index.add_document(f"doc-{LONG - 1:04d}", "cancer")
-    current = index.current_versions()[trapdoor]
+    newest = f"doc-{LONG - 1:04d}"
+    index.delete_document(newest)
+    index.add_document(newest, "cancer")
+    _, snapshot = frame_of(index, index.delta_extents()[trapdoor][-1])
+    # a later write of the same content and length
+    index.delete_document(newest)
+    index.add_document(newest, "cancer")
+    current = index.delta_extents()[trapdoor][-1]
     offset, frame = frame_of(index, current)
     assert len(frame) == len(snapshot) and frame != snapshot
     index.device.raw_write(offset, snapshot)
@@ -276,6 +298,93 @@ def test_chunk_copied_from_another_trapdoor_detected():
 
 def test_zeroed_last_chunk_detected():
     index = make_long_index()
-    tail = index.current_versions()[index.trapdoor("cancer")]
+    tail = index.delta_extents()[index.trapdoor("cancer")][-1]
     index.device.raw_write(tail.device_offset, bytes(tail.size))
+    assert_only_cancer_fails(index, IntegrityError)
+
+
+# -- one frame per write ------------------------------------------------------
+
+
+def frames(index):
+    return len(list(Journal.walk_frames(index.device)))
+
+
+def test_an_add_is_one_frame_in_one_device_write():
+    index = make_index()
+    for i in range(CHUNK_CAPACITY - 1):
+        writes = index.device.stats.writes
+        index.add_document(f"doc-{i:04d}", "cancer biopsy stage")
+        assert (frames(index), index.device.stats.writes) == (i + 1, writes + 1)
+    assert index.chunk_extents() == {}
+    for term in ("cancer", "biopsy", "stage"):
+        assert len(index.delta_extents()[index.trapdoor(term)]) == CHUNK_CAPACITY - 1
+
+
+def test_pending_ids_fold_into_a_sealed_chunk_in_the_same_write():
+    index = make_index()
+    trapdoor = index.trapdoor("cancer")
+    for i in range(CHUNK_CAPACITY - 1):
+        index.add_document(f"doc-{i:04d}", "cancer")
+    pending = index.delta_extents()[trapdoor]
+    writes = index.device.stats.writes
+    index.add_document("doc-last", "cancer")
+    assert index.device.stats.writes == writes + 1
+    (sealed,) = index.chunk_extents()[trapdoor]
+    assert (sealed.chunk, sealed.version, sealed.fill) == (0, 0, CHUNK_CAPACITY)
+    assert index.delta_extents()[trapdoor] == []
+    assert index.superseded_versions()[trapdoor] == pending
+    assert index.search("cancer") == sorted([f"doc-{i:04d}" for i in range(31)] + ["doc-last"])
+    assert index.verify() == []
+
+
+def test_single_adds_of_generated_records_write_under_1100_bytes_each():
+    # The layout that rewrote each touched list's tail wrote ~2,600 B
+    # per record here; one delta frame per write writes ~510.
+    generator = WorkloadGenerator(3, SimulatedClock(start=1.17e9))
+    generator.create_population(200)
+    records = [generated.record for generated in generator.mixed_stream(1600)]
+    index = make_index()
+    for record in records:
+        index.add_document(record.record_id, record.searchable_text())
+    assert index.device.stats.bytes_written <= 1_100 * len(records)
+    assert frames(index) <= len(records) + sum(
+        len(chain) for chain in index.chunk_extents().values()
+    )
+
+
+def test_verify_reads_each_box_once_and_blames_only_altered_ones():
+    index = make_index()
+    index.add_documents([(f"doc-{i:04d}", "alpha") for i in range(CHUNK_CAPACITY)])
+    for i in range(10):
+        index.add_document(f"doc-{i}", "alpha beta gamma")
+    reads = index.device.stats.reads
+    assert index.verify() == []
+    assert index.device.stats.reads == reads + 1 + 3 * 10  # a sealed chunk, 30 deltas
+    altered = index.delta_extents()[index.trapdoor("beta")][3]
+    (byte,) = index.device.raw_read(altered.device_offset, 1)
+    index.device.raw_write(altered.device_offset, bytes([byte ^ 1]))
+    assert index.verify() == [index.trapdoor("beta")]
+    assert index.search("gamma") == [f"doc-{i}" for i in range(10)]
+
+
+def test_swapped_deltas_of_one_write_detected():
+    index = make_index()
+    index.add_document("doc-1", "cancer biopsy")
+    index.add_document("doc-other", "bystander")
+    a, b = (index.delta_extents()[index.trapdoor(term)][0] for term in ("cancer", "biopsy"))
+    assert a.journal_sequence == b.journal_sequence and a.size == b.size
+    box_a, box_b = (index.device.raw_read(d.device_offset, d.size) for d in (a, b))
+    index.device.raw_write(a.device_offset, box_b)
+    index.device.raw_write(b.device_offset, box_a)
+    with pytest.raises(IntegrityError):
+        index.search("biopsy")
+    assert index.verify() == sorted([index.trapdoor("cancer"), index.trapdoor("biopsy")])
+    assert index.search("bystander") == ["doc-other"]
+
+
+def test_dropped_delta_frame_detected():
+    index = make_long_index()
+    newest = index.delta_extents()[index.trapdoor("cancer")][-1]
+    index.device.raw_write(newest.device_offset - HEADER_SIZE, bytes(HEADER_SIZE + newest.size))
     assert_only_cancer_fails(index, IntegrityError)

@@ -57,9 +57,10 @@ def cold_scrub():
 def index_delete():
     index = TrustworthyIndex(MASTER)
     index.add_document("doc-1", "cancer")
-    index.add_document("doc-2", "cancer")  # supersedes the list's v0 chunk
+    index.add_document("doc-2", "cancer")
     trapdoor = index.trapdoor("cancer")
-    stale = index.superseded_versions()[trapdoor] + index.chunk_extents()[trapdoor]
+    # doc-1's delta: the deletion writes no survivors and scrubs it
+    stale = [d for d in index.delta_extents()[trapdoor] if "doc-1" in d.documents]
     extents = [(extent.device_offset, extent.size) for extent in stale]
     return index.device, lambda: index.delete_document("doc-1"), extents
 

@@ -182,6 +182,9 @@ _FRESH_TAMPERS = [
     "cold_recall_truncation",
     "cold_segment_body_rot",
     "index_chunk_rot",
+    "index_delta_drop",
+    "index_delta_replay",
+    "index_delta_swap",
     "index_tail_rollback",
     "no_tamper_control",
     "refresh_after_rot",
@@ -210,7 +213,7 @@ ASKED_FOR_ROWS = sorted(
         "shard-00/rotted_arrival/worm_clean_object_rot",
     ]
 )
-SCENARIO_ROWS = 327
+SCENARIO_ROWS = 381
 
 
 def _sources(package) -> dict[str, str]:
@@ -430,7 +433,7 @@ def test_the_oracles_keep_their_names():
     from repro.verify import equivalence
 
     table = equivalence.scenarios()
-    assert len(ASKED_FOR_ROWS) == 57
+    assert len(ASKED_FOR_ROWS) == 66
     assert set(ASKED_FOR_ROWS) <= set(table)
     assert len(table) == SCENARIO_ROWS
     assert callable(repro.verify.run_scenario_table)

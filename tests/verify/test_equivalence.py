@@ -26,6 +26,9 @@ ENGINE_ROWS = {
             "cold_recall_truncation",
             "index_chunk_rot",
             "index_tail_rollback",
+            "index_delta_drop",
+            "index_delta_replay",
+            "index_delta_swap",
             "refresh_after_rot",
         )
     ),
@@ -132,9 +135,10 @@ def test_suite_runs_clean_end_to_end(scenario_table):
         assert case.flagged == (case.expected_flag,)
     # index tampers: the first incremental pass and the full pass both
     # blamed the index and nothing else
-    for tamper in ("index_chunk_rot", "index_tail_rollback"):
+    for tamper in ("index_chunk_rot", "index_tail_rollback", "index_delta_drop",
+                   "index_delta_replay", "index_delta_swap"):
         case = cases[f"engine/fresh/{tamper}"]
         assert case.caught_by == "incremental" and case.attempts == 1
         assert case.flagged == ("<index>",)
     summary = report.summary()
-    assert "19 cases, 0 violations" in summary
+    assert "22 cases, 0 violations" in summary
