@@ -41,15 +41,8 @@ class BreakGlassGrant:
 class BreakGlassController:
     """Issues, checks, and reviews emergency grants."""
 
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        grant_duration: float = 4 * 3600.0,
-        review_window: float = 72 * 3600.0,
-    ) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self._clock = clock or WallClock()
-        self._grant_duration = grant_duration
-        self._review_window = review_window
         self._grants: dict[str, BreakGlassGrant] = {}
         self._reviewed: dict[str, str] = {}  # grant_id -> reviewer
         self._counter = 0
@@ -89,8 +82,8 @@ class BreakGlassController:
             patient_id=patient_id,
             justification=justification.strip(),
             granted_at=now,
-            expires_at=now + self._grant_duration,
-            review_deadline=now + self._review_window,
+            expires_at=now + 4 * 3600.0,  # a grant lasts four hours
+            review_deadline=now + 72 * 3600.0,  # and is reviewed within three days
         )
         self._grants[grant.grant_id] = grant
         return grant

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.compliance.regulations import REGULATIONS, Regulation
+from repro.compliance.regulations import REGULATIONS
 from repro.compliance.requirements import Requirement
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -58,9 +58,6 @@ class ModelEvaluation:
 class ComplianceChecker:
     """Evaluates storage models against the requirement taxonomy."""
 
-    def __init__(self, regulations: tuple[Regulation, ...] = REGULATIONS) -> None:
-        self._regulations = regulations
-
     def evaluate_model(
         self, model_name: str, factory: "ModelFactory", seed: int = 1234
     ) -> ModelEvaluation:
@@ -69,7 +66,7 @@ class ComplianceChecker:
 
         verdicts = ThreatHarness(factory, seed=seed).evaluate()
         evaluation = ModelEvaluation(model_name=model_name, verdicts=verdicts)
-        for regulation in self._regulations:
+        for regulation in REGULATIONS:
             failed, passed = [], []
             for clause in regulation.clauses:
                 clause_ok = all(

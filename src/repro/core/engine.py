@@ -375,8 +375,8 @@ class CuratorStore(StorageModel):
 
         A batch costs four device writes however many records it holds:
         one escrow flush (a frame per wrapped key), one WORM frame, one
-        index frame (plus a sealed chunk per list it fills) and one
-        audit flush (``begin_batch`` / ``commit``, a frame per event).
+        index frame (a box per touched list, and one per chunk it seals)
+        and one audit flush (``begin_batch`` / ``commit``, a frame per event).
         Per record the chain digest, Merkle leaf and anchor cadence are
         computed one event at a time, so N batches of one and one batch
         of N leave byte-identical audit chains.  Validation is

@@ -13,12 +13,13 @@ Two indexes are provided:
   its device.
 * :class:`~repro.index.trustworthy.TrustworthyIndex` — the compliant
   index: terms are replaced by HMAC trapdoors (keyed, so the adversary
-  cannot enumerate the dictionary), an add is one frame of per-list
-  AEAD deltas that fold into sealed chunks, every box padded to a
-  bucket size (so list *lengths* leak little and an add rewrites
-  nothing), and every box is bound to its trapdoor and position
+  cannot enumerate the dictionary, and no trapdoor is on the device),
+  every write is one frame of per-list AEAD boxes (deltas that fold
+  into sealed chunks), every box padded to a bucket size (so list
+  *lengths* leak little and an add rewrites nothing), and every box
+  re-hashed against the digest taken at write before use
   (tamper-evident).  Its ``delete_document`` removes a document from
-  posting lists with *verifiable* absence afterwards (Mitra & Winslett,
-  StorageSS'06 motivated): the affected boxes are rewritten and the
-  old ones scrubbed.
+  the lists it was posted to with *verifiable* absence afterwards
+  (Mitra & Winslett, StorageSS'06 motivated): the affected boxes are
+  rewritten and the old ones scrubbed.
 """

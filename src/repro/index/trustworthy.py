@@ -2,28 +2,29 @@
 trustworthy-index line of work; DESIGN.md §15 has the layout, what each
 binding stops and what leaks).
 
-* **Trapdoors, not terms.**  A term's on-disk identity is
-  ``HMAC(index_key, term)``: without the key the stored vocabulary is
-  random strings, so the "Cancer" inference is impossible from a stolen
-  medium.
-* **One frame per write, folded into sealed chunks.**  An add journals
-  ONE frame: an AEAD box per touched posting list (a *delta*, holding
-  this write's new ids for that list).  Nothing is read or re-encrypted.
-  When a list's pending ids reach :data:`CHUNK_CAPACITY`, the first
-  ``CHUNK_CAPACITY`` go, in the same device write, into a full *sealed*
-  chunk that no later add reads or rewrites.
-* **Checked against trusted state on every use.**  Boxes are sealed
-  under the list's key and bound to their trapdoor and position.  A
-  chunk must carry the header the in-memory table expects, then pass its
-  MAC; a delta's bytes must hash to the SHA-256 taken at write, and its
-  ids come from memory, so no query decrypts a delta.
+* **Trapdoors, not terms.**  A term's identity is
+  ``HMAC(index_key, term)``, and it is held only in memory: on the
+  device a posting list is AEAD boxes with no clear header, so a stolen
+  medium shows neither the vocabulary nor which boxes form one list.
+* **One frame per write.**  Every write journals ONE frame of boxes: a
+  *delta* per touched list (this write's new ids for it) plus every
+  chunk the write seals.  Nothing is read or re-encrypted.  When a
+  list's pending ids reach :data:`CHUNK_CAPACITY`, the first
+  ``CHUNK_CAPACITY`` fold into a full *sealed* chunk in the same frame,
+  and no later add reads or rewrites it.
+* **One check, then crypto.**  Every box is sealed under its list's key
+  with trapdoor ‖ the write's journal sequence as associated data, and
+  the table keeps the SHA-256 of the bytes written.  Every use re-reads
+  and re-hashes the box against that digest first.  A pending delta's
+  ids then come from memory; only sealed chunks are decrypted.
 * **Padding.**  A box's ids are sorted and padded with empty entries to
   the next power-of-two count (list length ≈ term rarity leaks only as
   log-granularity buckets).
 * **Secure deletion** (after Mitra & Winslett, StorageSS'06).
-  :meth:`TrustworthyIndex.delete_document` rewrites every box holding
-  the id without it and scrubs every superseded box of the affected
-  lists; :meth:`TrustworthyIndex.forensic_residue` is the auditor's check.
+  :meth:`TrustworthyIndex.delete_document` rewrites the boxes holding
+  the id without it, in one frame, and scrubs every superseded box of
+  the lists it was posted to; :meth:`TrustworthyIndex.forensic_residue`
+  is the auditor's check.
 
 The index is derived data: a restarted engine re-posts it on a blank
 device, so no frame is ever read back from an older device image.
@@ -32,6 +33,7 @@ device, so no frame is ever read back from an older device image.
 from __future__ import annotations
 
 import struct
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -51,16 +53,14 @@ _CIPHER_CACHE_CAPACITY = 4096
 _PAD_DOC = ""  # padding entries are empty strings, dropped on decrypt
 
 #: Document ids per sealed chunk, and the pending ids at which a list's
-#: deltas fold into one.  A search pays one frame (checksum, header, MAC:
-#: ~12 us warm) per sealed chunk; capacity 8 / 16 / 32 / 64 read
-#: ``read_tiered`` query_p50_ms 2.02 / 1.79 / 1.66 / 1.62 against 1.68
-#: for whole lists (8 seeds): 32 is the smallest that searched as fast.
+#: deltas fold into one.  A search pays one re-hash and one MAC per
+#: sealed chunk; capacity 8 / 16 / 32 / 64 read ``read_tiered``
+#: query_p50_ms 2.02 / 1.79 / 1.66 / 1.62 against 1.68 for whole lists
+#: (8 seeds): 32 is the smallest that searched as fast.
 CHUNK_CAPACITY = 32
 
-# trapdoor (raw HMAC) | chunk number | chunk version
-_FRAME_HEADER = struct.Struct(">32sII")
-# a delta's associated data: trapdoor (raw HMAC) | the write's journal sequence
-_DELTA_AD = struct.Struct(">32sI")
+# every box's associated data: trapdoor (raw HMAC) | the write's journal sequence
+_BOX_AD = struct.Struct(">32sI")
 
 
 def _padded_length(count: int) -> int:
@@ -78,27 +78,16 @@ def _padded(documents: list[str]) -> bytes:
 
 
 @dataclass(frozen=True)
-class ChunkExtent:
-    """Where one version of one sealed posting-list chunk lives on the device."""
-
-    journal_sequence: int
-    device_offset: int
-    size: int
-    chunk: int
-    version: int
-    fill: int
-
-
-@dataclass(frozen=True)
-class DeltaExtent:
-    """One write's box for one list: its place in the write's frame, the
-    SHA-256 of the bytes written there, and its ids."""
+class BoxExtent:
+    """One posting box: the write (journal sequence) that put it on the
+    device, where it lies, the SHA-256 of the bytes written there, and
+    its ids while pending (``None`` once sealed in a chunk)."""
 
     journal_sequence: int
     device_offset: int
     size: int
     digest: bytes
-    documents: tuple[str, ...]
+    documents: tuple[str, ...] | None
 
 
 @dataclass(frozen=True)
@@ -120,14 +109,16 @@ class TrustworthyIndex:
         self._trapdoor_key = derive_key(master_key, "index/trapdoor")
         self._list_key_root = derive_key(master_key, "index/lists")
         self._journal = Journal(device or MemoryDevice("tidx-dev", 1 << 23))
-        # trapdoor(hex) -> current extent of every sealed chunk, in chunk order
-        self._chunks: dict[str, list[ChunkExtent]] = {}
+        # trapdoor(hex) -> sealed chunks, in order
+        self._chunks: dict[str, list[BoxExtent]] = {}
         # trapdoor(hex) -> pending deltas, fewer than CHUNK_CAPACITY ids
         # in all (an emptied list keeps its entry)
-        self._pending: dict[str, list[DeltaExtent]] = {}
+        self._pending: dict[str, list[BoxExtent]] = {}
         # trapdoor(hex) -> superseded boxes (secure deletion scrubs these)
-        self._superseded: dict[str, list[ChunkExtent | DeltaExtent]] = {}
-        self._documents: set[str] = set()
+        self._superseded: dict[str, list[BoxExtent]] = {}
+        # document id -> the trapdoors it was posted to (interned: one
+        # string per list).  Derived: a re-posted index rebuilds it.
+        self._documents: dict[str, tuple[str, ...]] = {}
         # trapdoor(hex) -> AeadCipher memo.  Per-list keys are a pure
         # KDF of the master key and the trapdoor, so caching is safe;
         # it turns the dominant ingest cost (one KDF + cipher setup per
@@ -148,7 +139,7 @@ class TrustworthyIndex:
     # -- crypto plumbing -----------------------------------------------------
 
     def trapdoor(self, term: str) -> str:
-        """The keyed on-disk identity of a term."""
+        """The keyed identity of a term."""
         return hmac_sha256(self._trapdoor_key, term.lower().encode("utf-8")).hex()
 
     def _cipher_for(self, trapdoor: str) -> AeadCipher:
@@ -165,26 +156,27 @@ class TrustworthyIndex:
             self._cipher_cache.popitem(last=False)
         return cipher
 
-    # -- persistence: one read path, one write path --------------------------
+    # -- persistence: one check, one read path, one write path ----------------
 
-    def _open(self, items: list[tuple[str, ChunkExtent]]) -> list[list[str]]:
-        """Read ``(trapdoor, extent)`` sealed chunks back as document-id lists.
+    def _box(self, extent: BoxExtent) -> bytes:
+        """Re-read one box; it must hash to the digest taken at write."""
+        data = self.device.read(extent.device_offset, extent.size)
+        if sha256(data) != extent.digest:
+            raise IntegrityError("posting box altered on the device")
+        return data
 
-        Per chunk: journal checksum, then the frame header must be the
-        one the extent expects (trapdoor, chunk number, version), then
-        the MAC over that header and the ciphertext.  Every MAC is
-        verified before anything is decrypted (one ``decrypt_many``).
-        """
-        boxes = []
-        for trapdoor, extent in items:
-            frame = self._journal.read(extent.journal_sequence)
-            header = _FRAME_HEADER.pack(bytes.fromhex(trapdoor), extent.chunk, extent.version)
-            if frame[: _FRAME_HEADER.size] != header:
-                raise IntegrityError(
-                    "posting chunk substitution detected (trapdoor/chunk/version mismatch)"
-                )
-            box = AeadCiphertext.from_bytes(frame[_FRAME_HEADER.size :])
-            boxes.append((self._cipher_for(trapdoor), box, header))
+    def _open(self, items: list[tuple[str, BoxExtent]]) -> list[list[str]]:
+        """Read ``(trapdoor, extent)`` boxes back as document-id lists:
+        each re-read and re-hashed, then every MAC verified before
+        anything is decrypted (one ``decrypt_many``)."""
+        boxes = [
+            (
+                self._cipher_for(trapdoor),
+                AeadCiphertext.from_bytes(self._box(extent)),
+                _BOX_AD.pack(bytes.fromhex(trapdoor), extent.journal_sequence),
+            )
+            for trapdoor, extent in items
+        ]
         return [
             [doc for doc in canonical_loads(plaintext) if doc != _PAD_DOC]
             for plaintext in decrypt_many(boxes)
@@ -202,8 +194,7 @@ class TrustworthyIndex:
         lists = [[doc for _ in chain for doc in next(opened)] for chain in chains]
         for trapdoor, documents in zip(trapdoors, lists):
             for delta in self._pending.get(trapdoor, ()):
-                if sha256(self.device.read(delta.device_offset, delta.size)) != delta.digest:
-                    raise IntegrityError("posting delta altered on the device")
+                self._box(delta)
                 documents.extend(delta.documents)
         return lists
 
@@ -211,48 +202,40 @@ class TrustworthyIndex:
         self,
         chunks: list[tuple[str, int, list[str]]],
         deltas: dict[str, list[str]],
-        retired: list[tuple[str, DeltaExtent]],
+        retired: list[tuple[str, BoxExtent]],
     ) -> None:
-        """Seal ``(trapdoor, chunk number, document ids)`` chunks and the
-        ``trapdoor -> ids`` deltas in ONE vectorized AEAD pass, journal
-        one delta frame and a frame per chunk under ONE device write,
-        then update the table: *retired* deltas and replaced chunk
-        versions are kept for scrubbing, the new boxes take their
-        place.  A chunk number the list already has is a new version of
-        that chunk; the next number up starts a new chunk."""
-        sequence = len(self._journal)  # the delta frame goes first
-        items = [
-            (self._cipher_for(td), _padded(ids), _DELTA_AD.pack(bytes.fromhex(td), sequence))
-            for td, ids in deltas.items()
+        """Seal the ``trapdoor -> ids`` deltas and the ``(trapdoor, slot,
+        ids)`` chunks in ONE vectorized AEAD pass, journal them as ONE
+        frame (one device write), then update the table: *retired*
+        deltas and replaced chunks are kept for scrubbing, the new boxes
+        take their place.  A slot the list already has is replaced; the
+        next slot up appends a chunk."""
+        staged = [(td, None, ids) for td, ids in deltas.items()] + chunks
+        sequence = len(self._journal)
+        boxes = [
+            box.to_bytes()
+            for box in encrypt_many(
+                [
+                    (self._cipher_for(td), _padded(ids), _BOX_AD.pack(bytes.fromhex(td), sequence))
+                    for td, _, ids in staged
+                ]
+            )
         ]
-        staged: list[tuple[str, int, int, int, bytes]] = []
-        for trapdoor, number, documents in chunks:
-            chain = self._chunks.get(trapdoor, ())
-            version = chain[number].version + 1 if number < len(chain) else 0
-            header = _FRAME_HEADER.pack(bytes.fromhex(trapdoor), number, version)
-            staged.append((trapdoor, number, version, len(documents), header))
-            items.append((self._cipher_for(trapdoor), _padded(documents), header))
-        boxes = [box.to_bytes() for box in encrypt_many(items)]
-        frames = [header + box for (*_, header), box in zip(staged, boxes[len(deltas) :])]
-        write = [b"".join(boxes[: len(deltas)])] if deltas else []
-        entries = self._journal.append_many(write + frames)
+        offset = self._journal.append_scattered(boxes).offset + HEADER_SIZE if boxes else 0
         for trapdoor, delta in retired:
             self._pending[trapdoor].remove(delta)
             self._superseded.setdefault(trapdoor, []).append(delta)
-        offset = entries[0].offset + HEADER_SIZE if deltas else 0
-        for (trapdoor, ids), box in zip(deltas.items(), boxes):
-            delta = DeltaExtent(sequence, offset, len(box), sha256(box), tuple(ids))
-            self._pending.setdefault(trapdoor, []).append(delta)
+        for (trapdoor, slot, ids), box in zip(staged, boxes):
+            pending = tuple(ids) if slot is None else None
+            extent = BoxExtent(sequence, offset, len(box), sha256(box), pending)
             offset += len(box)
-        for (trapdoor, number, version, fill, _), frame, entry in zip(
-            staged, frames, entries[len(entries) - len(frames) :]
-        ):
-            offset = entry.offset + HEADER_SIZE
-            extent = ChunkExtent(entry.sequence, offset, len(frame), number, version, fill)
+            if slot is None:
+                self._pending.setdefault(trapdoor, []).append(extent)
+                continue
             chain = self._chunks.setdefault(trapdoor, [])
-            if number < len(chain):
-                self._superseded.setdefault(trapdoor, []).append(chain[number])
-                chain[number] = extent
+            if slot < len(chain):
+                self._superseded.setdefault(trapdoor, []).append(chain[slot])
+                chain[slot] = extent
             else:
                 chain.append(extent)
 
@@ -268,33 +251,30 @@ class TrustworthyIndex:
         The batch is one delta per touched list, all in ONE journal
         frame, and nothing on the device is read.  A list whose pending
         ids reach :data:`CHUNK_CAPACITY` folds them into full sealed
-        chunks in the same device write.  Returns the per-document
+        chunks in the same frame.  Returns the per-document
         distinct-term counts, in input order.
 
         Validation is all-or-nothing up front; the batch is rejected
         before any state changes if any id is empty, already indexed,
         or duplicated within the batch.
         """
-        seen: set[str] = set()
-        for document_id, _ in documents:
+        posted: dict[str, tuple[str, ...]] = {}
+        # trapdoor -> new document ids, preserving batch order
+        additions: dict[str, list[str]] = {}
+        for document_id, text in documents:
             if not document_id:
                 raise IndexError_("document id must not be empty")
             if document_id in self._documents:
                 raise IndexError_(f"document {document_id} already indexed")
-            if document_id in seen:
+            if document_id in posted:
                 raise IndexError_(f"document {document_id} duplicated in batch")
-            seen.add(document_id)
-        # trapdoor -> new document ids, preserving batch order
-        additions: dict[str, list[str]] = {}
-        term_counts: list[int] = []
-        for document_id, text in documents:
-            terms = unique_terms(text)
-            term_counts.append(len(terms))
-            for term in terms:
-                additions.setdefault(self.trapdoor(term), []).append(document_id)
+            trapdoors = tuple([sys.intern(self.trapdoor(term)) for term in unique_terms(text)])
+            posted[document_id] = trapdoors
+            for trapdoor in trapdoors:
+                additions.setdefault(trapdoor, []).append(document_id)
         chunks: list[tuple[str, int, list[str]]] = []
         deltas: dict[str, list[str]] = {}
-        folded: list[tuple[str, DeltaExtent]] = []
+        folded: list[tuple[str, BoxExtent]] = []
         for trapdoor, added in additions.items():
             pending = self._pending.get(trapdoor, [])
             held = [doc for delta in pending for doc in delta.documents]
@@ -308,8 +288,8 @@ class TrustworthyIndex:
             if rest := ids[max(full, len(held)) :]:
                 deltas[trapdoor] = rest
         self._write(chunks, deltas, folded)
-        self._documents.update(seen)
-        return term_counts
+        self._documents.update(posted)
+        return [len(trapdoors) for trapdoors in posted.values()]
 
     def search(self, term: str) -> list[str]:
         """Documents containing *term*; requires the index key by construction."""
@@ -323,14 +303,14 @@ class TrustworthyIndex:
         return sorted(set(lists[0]).intersection(*lists[1:]))
 
     def verify(self) -> list[str]:
-        """Check every box once — each sealed chunk opened, each pending
-        delta re-read and re-hashed — and return the trapdoors whose
-        boxes fail (tampered, substituted, reordered, rolled back,
-        replayed or missing)."""
+        """Re-read and re-hash every box once, decrypting nothing, and
+        return the trapdoors whose boxes fail (tampered, substituted,
+        reordered, rolled back, replayed or missing)."""
         failures = []
         for trapdoor in sorted(self._chunks.keys() | self._pending.keys()):
             try:
-                self._postings([trapdoor])
+                for extent in self._chunks.get(trapdoor, []) + self._pending.get(trapdoor, []):
+                    self._box(extent)
             except CuratorError:
                 failures.append(trapdoor)
         return failures
@@ -371,22 +351,26 @@ class TrustworthyIndex:
         return sorted(residue)
 
     def _rewrite_lists_without(self, document_id: str) -> list[str]:
-        """Rewrite every chunk and delta that holds *document_id* without
-        it, in one write; boxes that do not hold it are not touched.
-        Returns the affected trapdoors.  The replaced (still-decryptable)
-        boxes are recorded for scrubbing."""
+        """Rewrite every box that holds *document_id* without it, in one
+        write; only the sealed chunks of the lists it was posted to are
+        read.  Returns the affected trapdoors.  The replaced
+        (still-decryptable) boxes are recorded for scrubbing."""
+        trapdoors = self._documents.get(document_id, ())
+        slots = [
+            (trapdoor, slot, extent)
+            for trapdoor in trapdoors
+            for slot, extent in enumerate(self._chunks.get(trapdoor, ()))
+        ]
         rewrites: list[tuple[str, int, list[str]]] = []
-        for trapdoor in sorted(self._chunks):
-            chain = self._chunks[trapdoor]
-            opened = self._open([(trapdoor, extent) for extent in chain])
-            for extent, documents in zip(chain, opened):
-                if document_id in documents:
-                    documents.remove(document_id)
-                    rewrites.append((trapdoor, extent.chunk, documents))
+        opened = self._open([(trapdoor, extent) for trapdoor, _, extent in slots])
+        for (trapdoor, slot, _), documents in zip(slots, opened):
+            if document_id in documents:
+                documents.remove(document_id)
+                rewrites.append((trapdoor, slot, documents))
         retired = [
             (trapdoor, delta)
-            for trapdoor, pending in self._pending.items()
-            for delta in pending
+            for trapdoor in trapdoors
+            for delta in self._pending.get(trapdoor, ())
             if document_id in delta.documents
         ]
         survivors = {
@@ -395,10 +379,10 @@ class TrustworthyIndex:
             if (kept := [doc for doc in delta.documents if doc != document_id])
         }
         self._write(rewrites, survivors, retired)
-        self._documents.discard(document_id)
+        self._documents.pop(document_id, None)
         return [trapdoor for trapdoor, _, _ in rewrites] + [td for td, _ in retired]
 
-    def _scrub_superseded(self, trapdoors: list[str]) -> list[ChunkExtent | DeltaExtent]:
+    def _scrub_superseded(self, trapdoors: list[str]) -> list[BoxExtent]:
         """Pop the superseded boxes of *trapdoors* and scrub their
         device bytes; returns the scrubbed extents."""
         extents = [e for trapdoor in trapdoors for e in self._superseded.pop(trapdoor, [])]
@@ -408,24 +392,19 @@ class TrustworthyIndex:
 
     # -- inspection (tests, oracles, the forensic check) ------------------------
 
-    def chunk_extents(self) -> dict[str, list[ChunkExtent]]:
-        """Every current sealed chunk extent per trapdoor, in chunk order."""
+    def chunk_extents(self) -> dict[str, list[BoxExtent]]:
+        """Every current sealed chunk per trapdoor, in order."""
         return {trapdoor: list(chain) for trapdoor, chain in self._chunks.items()}
 
-    def delta_extents(self) -> dict[str, list[DeltaExtent]]:
+    def delta_extents(self) -> dict[str, list[BoxExtent]]:
         """Every pending delta per trapdoor, oldest first."""
         return {trapdoor: list(pending) for trapdoor, pending in self._pending.items()}
 
-    def superseded_versions(self) -> dict[str, list[ChunkExtent | DeltaExtent]]:
+    def superseded_versions(self) -> dict[str, list[BoxExtent]]:
         return {trapdoor: list(metas) for trapdoor, metas in self._superseded.items()}
 
-    def open_extent(self, trapdoor: str, extent: ChunkExtent | DeltaExtent) -> list[str]:
+    def open_extent(self, trapdoor: str, extent: BoxExtent) -> list[str]:
         """The document ids one box (chunk or delta, current or
         superseded) still yields to a holder of the index keys; raises
         like a query if it no longer verifies (scrubbed, tampered)."""
-        if isinstance(extent, ChunkExtent):
-            return self._open([(trapdoor, extent)])[0]
-        box = AeadCiphertext.from_bytes(self.device.read(extent.device_offset, extent.size))
-        associated = _DELTA_AD.pack(bytes.fromhex(trapdoor), extent.journal_sequence)
-        plaintext = self._cipher_for(trapdoor).decrypt(box, associated)
-        return [doc for doc in canonical_loads(plaintext) if doc != _PAD_DOC]
+        return self._open([(trapdoor, extent)])[0]

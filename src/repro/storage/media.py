@@ -60,12 +60,10 @@ class Medium:
         self,
         device: BlockDevice,
         clock: Clock | None = None,
-        media_type: str = "magnetic",
         manufactured_at: float | None = None,
         service_life_years: float = 5.0,
     ) -> None:
         self.device = device
-        self.media_type = media_type
         self._clock = clock or WallClock()
         self.manufactured_at = (
             manufactured_at if manufactured_at is not None else self._clock.now()
@@ -182,12 +180,10 @@ class MediaPool:
         self,
         clock: Clock | None = None,
         default_capacity: int = 1 << 22,
-        media_type: str = "magnetic",
         service_life_years: float = 5.0,
     ) -> None:
         self._clock = clock or WallClock()
         self._default_capacity = default_capacity
-        self._media_type = media_type
         self._service_life_years = service_life_years
         self._media: dict[str, Medium] = {}
         # Lifecycle events of media the pool has disposed of, by id: the
@@ -203,12 +199,7 @@ class MediaPool:
             self._counter += 1
             medium_id = f"med-{self._counter:04d}"
         device = MemoryDevice(medium_id, capacity or self._default_capacity)
-        medium = Medium(
-            device,
-            clock=self._clock,
-            media_type=self._media_type,
-            service_life_years=self._service_life_years,
-        )
+        medium = Medium(device, self._clock, service_life_years=self._service_life_years)
         self._media[medium.medium_id] = medium
         return medium
 
@@ -220,12 +211,7 @@ class MediaPool:
             raise MediaLifecycleError(
                 f"medium {device.device_id} is already in the pool"
             )
-        medium = Medium(
-            device,
-            clock=self._clock,
-            media_type=self._media_type,
-            service_life_years=self._service_life_years,
-        )
+        medium = Medium(device, self._clock, service_life_years=self._service_life_years)
         self._media[medium.medium_id] = medium
         return medium
 

@@ -47,7 +47,7 @@ from repro.audit.checkpoint import CheckpointStore
 from repro.audit.events import decode_frame, encode_leaf
 from repro.crypto.kdf import derive_key
 from repro.errors import IntegrityError
-from repro.index.trustworthy import CHUNK_CAPACITY, DeltaExtent
+from repro.index.trustworthy import CHUNK_CAPACITY, BoxExtent
 from repro.records.ids import version_id
 from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.encoding import canonical_bytes
@@ -408,13 +408,15 @@ def _cold_manifest_rot(dep: Deployment) -> str | None:
 
 
 # The trustworthy index keeps a posting list as sealed chunks plus the
-# pending deltas of recent writes, each write ONE frame on the index's
-# device (a box per list it touched).  The strikes rot a sealed chunk no
-# later add rewrites; drop a write; replay a list's older box, or one a
-# correction superseded and scrubbed, over a newer one; swap two lists'.
+# pending deltas of recent writes, each write ONE frame of boxes on the
+# index's device, each box checked against the digest taken at write.
+# The strikes rot a sealed chunk no later add rewrites; swap two lists'
+# chunks of one fold; drop a write; replay a list's older box, or one a
+# correction superseded and scrubbed, over a newer one; swap two lists'
+# deltas.
 
 
-def _index_note(dep: Deployment, record_id: str) -> DeltaExtent:
+def _index_note(dep: Deployment, record_id: str) -> BoxExtent:
     """Store one seed note on a fresh patient (one index write); its box
     in the list every seed note shares."""
     dep.surface.store(seed_note(record_id, dep.fresh_patient(), dep.clock, 0), ACTOR)
@@ -422,19 +424,39 @@ def _index_note(dep: Deployment, record_id: str) -> DeltaExtent:
     return index.delta_extents()[index.trapdoor("distinctive")][-1]
 
 
-def _index_chunk_rot(dep: Deployment) -> str | None:
-    """Fold one posting list into a sealed chunk, then flip a
-    ciphertext byte in it (checksum recomputed)."""
+def _index_fold(dep: Deployment) -> tuple[BoxExtent, BoxExtent]:
+    """One ``store_many`` of CHUNK_CAPACITY seed notes on a fresh
+    patient: the lists every seed note shares fold, and the newest
+    sealed chunks of two of them are boxes of that one frame."""
     patient_id = dep.fresh_patient()
     dep.surface.store_many(
         [seed_note(f"rec-chunk-{n}", patient_id, dep.clock, n) for n in range(CHUNK_CAPACITY)],
         ACTOR,
     )
     index = dep.target.index
-    sealed = index.chunk_extents()[index.trapdoor("distinctive")][0]
-    payload = bytearray(index.device.raw_read(sealed.device_offset, sealed.size))
-    payload[-1] ^= 0x5A
-    Journal.forge_frame(index.device, sealed.device_offset - HEADER_SIZE, bytes(payload))
+    one, other = (index.chunk_extents()[index.trapdoor(t)][-1] for t in ("distinctive", "seed"))
+    assert one.journal_sequence == other.journal_sequence
+    return one, other
+
+
+def _index_chunk_rot(dep: Deployment) -> str | None:
+    """Fold one posting list into a sealed chunk, then flip a
+    ciphertext byte of it in place."""
+    sealed, _ = _index_fold(dep)
+    device = dep.target.index.device
+    (byte,) = device.raw_read(sealed.device_offset + sealed.size - 1, 1)
+    device.raw_write(sealed.device_offset + sealed.size - 1, bytes([byte ^ 0x5A]))
+    return "<index>"
+
+
+def _index_chunk_swap(dep: Deployment) -> str | None:
+    """Two lists' chunks sealed by one fold exchanged, each cut or
+    zero-padded to the other's size."""
+    one, other = _index_fold(dep)
+    device = dep.target.index.device
+    a, b = (device.raw_read(box.device_offset, box.size) for box in (one, other))
+    device.raw_write(one.device_offset, (b + bytes(one.size))[: one.size])
+    device.raw_write(other.device_offset, (a + bytes(other.size))[: other.size])
     return "<index>"
 
 
@@ -513,6 +535,7 @@ TAMPERS = (
     Tamper("cold_recall_truncation", _INTEGRITY, _cold_recall_truncation),
     # the index is verified whole by every integrity pass
     Tamper("index_chunk_rot", _INTEGRITY, _index_chunk_rot),
+    Tamper("index_chunk_swap", _INTEGRITY, _index_chunk_swap),
     Tamper("index_tail_rollback", _INTEGRITY, _index_tail_rollback),
     Tamper("index_delta_drop", _INTEGRITY, _index_delta_drop),
     Tamper("index_delta_replay", _INTEGRITY, _index_delta_replay),

@@ -60,12 +60,12 @@ class PatientProfile:
 class WorkloadGenerator:
     """Seeded generator of patients and record streams."""
 
-    def __init__(self, seed: int | str, clock: Clock, n_providers: int = 8) -> None:
+    def __init__(self, seed: int | str, clock: Clock) -> None:
         self._rng = DeterministicRng(seed)
         self._ids = IdGenerator(seed=str(seed))
         self._clock = clock
         self._patients: list[PatientProfile] = []
-        self._providers = [f"dr-{i:02d}" for i in range(max(1, n_providers))]
+        self._providers = [f"dr-{i:02d}" for i in range(8)]
         self._emitted: list[GeneratedRecord] = []
 
     # -- population --------------------------------------------------------

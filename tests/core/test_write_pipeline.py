@@ -182,8 +182,7 @@ def test_store_and_store_many_of_one_are_the_same_write():
     # nonces are random, so index and WORM bytes differ — their shape may not
     extents = [
         {
-            trapdoor: [(e.journal_sequence, e.device_offset, e.size, e.chunk,
-                        e.version, e.fill) for e in chain]
+            trapdoor: [(e.journal_sequence, e.device_offset, e.size) for e in chain]
             for trapdoor, chain in store.index.chunk_extents().items()
         }
         for store in (single, batched)

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.errors import AuthenticationError, IndexError_, IntegrityError
-from repro.index.trustworthy import (
-    _FRAME_HEADER,
-    CHUNK_CAPACITY,
-    TrustworthyIndex,
-    _padded_length,
-)
+from repro.errors import IndexError_, IntegrityError
+from repro.index.trustworthy import CHUNK_CAPACITY, TrustworthyIndex, _padded_length
 from repro.storage.journal import HEADER_SIZE, Journal
 from repro.util.clock import SimulatedClock
 from repro.workload.generator import WorkloadGenerator
@@ -136,10 +131,9 @@ def make_long_index(text="cancer"):
     return index
 
 
-def frame_of(index, extent):
-    """(frame offset, whole journal frame) of one chunk extent."""
-    offset = extent.device_offset - HEADER_SIZE
-    return offset, index.device.raw_read(offset, HEADER_SIZE + extent.size)
+def box_of(index, extent):
+    """The bytes of one box as they are on the device."""
+    return index.device.raw_read(extent.device_offset, extent.size)
 
 
 def assert_only_cancer_fails(index, error):
@@ -151,9 +145,10 @@ def assert_only_cancer_fails(index, error):
 
 def test_long_list_is_a_chain_of_bounded_chunks():
     index = make_long_index()
-    chain = index.chunk_extents()[index.trapdoor("cancer")]
-    assert [extent.chunk for extent in chain] == [0, 1, 2]
-    assert [extent.fill for extent in chain] == [CHUNK_CAPACITY] * 3
+    trapdoor = index.trapdoor("cancer")
+    chain = index.chunk_extents()[trapdoor]
+    assert [len(index.open_extent(trapdoor, extent)) for extent in chain] == [CHUNK_CAPACITY] * 3
+    assert [extent.documents for extent in chain] == [None] * 3
     (pending,) = index.delta_extents()[index.trapdoor("cancer")]
     assert len(pending.documents) == 5
     assert index.search("cancer") == [f"doc-{i:04d}" for i in range(LONG)]
@@ -166,7 +161,7 @@ def test_add_touches_only_the_tail_chunk():
     before = index.chunk_extents()[trapdoor]
     pending = index.delta_extents()[trapdoor]
     index.add_document("doc-new", "cancer")
-    assert index.chunk_extents()[trapdoor] == before  # same frames, same versions
+    assert index.chunk_extents()[trapdoor] == before  # same boxes, same digests
     after = index.delta_extents()[trapdoor]
     assert after[:-1] == pending  # earlier deltas are not rewritten either
     assert after[-1].documents == ("doc-new",)
@@ -185,19 +180,15 @@ def test_full_tail_is_sealed_not_reread():
 
 
 def layout(index):
-    """Where every box of *index* lives and what it holds; a delta's
-    digest is left out, since nonces are random."""
-    return (
-        index.chunk_extents(),
+    """Where every box of *index* lives and what it holds; digests are
+    left out, since nonces are random."""
+    return [
         {
-            trapdoor: [(d.journal_sequence, d.device_offset, d.size, d.documents) for d in deltas]
-            for trapdoor, deltas in index.delta_extents().items()
-        },
-        {
-            trapdoor: [(e.device_offset, e.size) for e in extents]
-            for trapdoor, extents in index.superseded_versions().items()
-        },
-    )
+            trapdoor: [(e.journal_sequence, e.device_offset, e.size, e.documents) for e in extents]
+            for trapdoor, extents in table.items()
+        }
+        for table in (index.chunk_extents(), index.delta_extents(), index.superseded_versions())
+    ]
 
 
 def test_single_add_is_a_batch_of_one():
@@ -236,35 +227,20 @@ def test_add_cost_does_not_grow_with_list_length():
 def test_byte_flip_in_sealed_chunk_detected():
     index = make_long_index()
     sealed = index.chunk_extents()[index.trapdoor("cancer")][1]
-    offset, frame = frame_of(index, sealed)
-    payload = bytearray(frame[HEADER_SIZE:])
-    payload[-3] ^= 0x40  # inside the ciphertext
-    Journal.forge_frame(index.device, offset, bytes(payload))  # checksum fixed up
-    assert_only_cancer_fails(index, AuthenticationError)
+    box = bytearray(box_of(index, sealed))
+    box[-3] ^= 0x40  # inside the ciphertext
+    index.device.raw_write(sealed.device_offset, bytes(box))
+    assert_only_cancer_fails(index, IntegrityError)
 
 
 def test_swapped_sealed_chunks_detected():
     index = make_long_index()
-    chain = index.chunk_extents()[index.trapdoor("cancer")]
-    (offset_a, frame_a), (offset_b, frame_b) = frame_of(index, chain[0]), frame_of(index, chain[2])
-    assert len(frame_a) == len(frame_b)
-    index.device.raw_write(offset_a, frame_b)
-    index.device.raw_write(offset_b, frame_a)
+    a, b = (index.chunk_extents()[index.trapdoor("cancer")][i] for i in (0, 2))
+    assert a.size == b.size
+    box_a, box_b = box_of(index, a), box_of(index, b)
+    index.device.raw_write(a.device_offset, box_b)
+    index.device.raw_write(b.device_offset, box_a)
     assert_only_cancer_fails(index, IntegrityError)
-
-
-def test_swapped_chunks_with_relabelled_headers_detected():
-    # The smarter swap: also exchange the clear chunk numbers, so each
-    # frame claims the position it was moved to.  The MAC binds the
-    # ciphertext to the header it was sealed under.
-    index = make_long_index()
-    chain = index.chunk_extents()[index.trapdoor("cancer")]
-    (offset_a, frame_a), (offset_b, frame_b) = frame_of(index, chain[0]), frame_of(index, chain[2])
-    header = _FRAME_HEADER.size  # trapdoor | chunk | version
-    payload_a, payload_b = frame_a[HEADER_SIZE:], frame_b[HEADER_SIZE:]
-    Journal.forge_frame(index.device, offset_a, payload_a[:header] + payload_b[header:])
-    Journal.forge_frame(index.device, offset_b, payload_b[:header] + payload_a[header:])
-    assert_only_cancer_fails(index, AuthenticationError)
 
 
 def test_replayed_older_tail_version_detected():
@@ -273,14 +249,28 @@ def test_replayed_older_tail_version_detected():
     newest = f"doc-{LONG - 1:04d}"
     index.delete_document(newest)
     index.add_document(newest, "cancer")
-    _, snapshot = frame_of(index, index.delta_extents()[trapdoor][-1])
+    snapshot = box_of(index, index.delta_extents()[trapdoor][-1])
     # a later write of the same content and length
     index.delete_document(newest)
     index.add_document(newest, "cancer")
     current = index.delta_extents()[trapdoor][-1]
-    offset, frame = frame_of(index, current)
-    assert len(frame) == len(snapshot) and frame != snapshot
-    index.device.raw_write(offset, snapshot)
+    box = box_of(index, current)
+    assert len(box) == len(snapshot) and box != snapshot
+    index.device.raw_write(current.device_offset, snapshot)
+    assert_only_cancer_fails(index, IntegrityError)
+
+
+def test_rewritten_chunk_rolled_back_detected():
+    # A deletion rewrites the chunk and scrubs the old box; bytes kept
+    # from before it, written back over the new box, must not verify.
+    index = make_long_index()
+    trapdoor = index.trapdoor("cancer")
+    old = index.chunk_extents()[trapdoor][1]
+    kept = box_of(index, old)
+    index.delete_document(index.open_extent(trapdoor, old)[0])
+    new = index.chunk_extents()[trapdoor][1]
+    assert new != old
+    index.device.raw_write(new.device_offset, (kept + bytes(new.size))[: new.size])
     assert_only_cancer_fails(index, IntegrityError)
 
 
@@ -288,10 +278,8 @@ def test_chunk_copied_from_another_trapdoor_detected():
     index = make_long_index("cancer biopsy")
     donor = index.chunk_extents()[index.trapdoor("biopsy")][0]
     victim = index.chunk_extents()[index.trapdoor("cancer")][0]
-    _, frame = frame_of(index, donor)
-    offset, original = frame_of(index, victim)
-    assert len(frame) == len(original)
-    index.device.raw_write(offset, frame)
+    assert donor.size == victim.size
+    index.device.raw_write(victim.device_offset, box_of(index, donor))
     assert_only_cancer_fails(index, IntegrityError)
     assert len(index.search("biopsy")) == LONG
 
@@ -329,9 +317,10 @@ def test_pending_ids_fold_into_a_sealed_chunk_in_the_same_write():
     pending = index.delta_extents()[trapdoor]
     writes = index.device.stats.writes
     index.add_document("doc-last", "cancer")
-    assert index.device.stats.writes == writes + 1
+    assert (frames(index), index.device.stats.writes) == (CHUNK_CAPACITY, writes + 1)
     (sealed,) = index.chunk_extents()[trapdoor]
-    assert (sealed.chunk, sealed.version, sealed.fill) == (0, 0, CHUNK_CAPACITY)
+    assert sealed.journal_sequence == CHUNK_CAPACITY - 1  # a box of the add's one frame
+    assert len(index.open_extent(trapdoor, sealed)) == CHUNK_CAPACITY
     assert index.delta_extents()[trapdoor] == []
     assert index.superseded_versions()[trapdoor] == pending
     assert index.search("cancer") == sorted([f"doc-{i:04d}" for i in range(31)] + ["doc-last"])
@@ -348,9 +337,7 @@ def test_single_adds_of_generated_records_write_under_1100_bytes_each():
     for record in records:
         index.add_document(record.record_id, record.searchable_text())
     assert index.device.stats.bytes_written <= 1_100 * len(records)
-    assert frames(index) <= len(records) + sum(
-        len(chain) for chain in index.chunk_extents().values()
-    )
+    assert frames(index) == len(records)
 
 
 def test_verify_reads_each_box_once_and_blames_only_altered_ones():
@@ -388,3 +375,58 @@ def test_dropped_delta_frame_detected():
     newest = index.delta_extents()[index.trapdoor("cancer")][-1]
     index.device.raw_write(newest.device_offset - HEADER_SIZE, bytes(HEADER_SIZE + newest.size))
     assert_only_cancer_fails(index, IntegrityError)
+
+
+# -- one kind of box ------------------------------------------------------------
+
+
+def test_no_trapdoor_is_on_the_device():
+    # Every list here seals chunks, and a deletion rewrites one of each;
+    # no box may carry its list's raw trapdoor in the clear.
+    index = make_index()
+    terms = ("cancer", "biopsy", "stage")
+    index.add_documents([(f"doc-{i:04d}", " ".join(terms)) for i in range(2 * CHUNK_CAPACITY + 3)])
+    for i in range(CHUNK_CAPACITY):
+        index.add_document(f"one-{i:02d}", "cancer")
+    index.delete_document("doc-0005")
+    assert len(index.chunk_extents()[index.trapdoor("cancer")]) == 3
+    dump = index.device.raw_dump()
+    for term in terms:
+        assert bytes.fromhex(index.trapdoor(term)) not in dump
+
+
+def test_every_write_is_one_frame_in_one_device_write():
+    index = make_index()
+
+    def one_frame(write):
+        before, writes = frames(index), index.device.stats.writes
+        write()
+        assert (frames(index), index.device.stats.writes) == (before + 1, writes + 1)
+
+    batch = [(f"doc-{i:04d}", "cancer biopsy") for i in range(2 * CHUNK_CAPACITY + 3)]
+    one_frame(lambda: index.add_documents(batch))  # two chunks and a delta per list
+    one_frame(lambda: index.add_document("doc-late", "cancer"))
+    one_frame(lambda: index.delete_document("doc-0040"))  # a chunk of each list rewritten
+    one_frame(lambda: index.delete_document("doc-0065"))  # a delta of each list rewritten
+    assert index.verify() == []
+    assert len(index.search("cancer")) == len(batch) - 1
+
+
+def test_a_deletion_reads_only_the_boxes_of_its_own_lists():
+    index = make_index()
+    index.add_documents(
+        [(f"doc-{i:04d}", f"common{i % 4} filler") for i in range(8 * CHUNK_CAPACITY)]
+    )
+    index.add_documents([(f"vic-{i:02d}", "cancer biopsy") for i in range(CHUNK_CAPACITY + 1)])
+    own = [index.trapdoor(term) for term in ("cancer", "biopsy")]
+    boxes = sum(
+        len(table.get(trapdoor, ()))
+        for table in (index.chunk_extents(), index.delta_extents())
+        for trapdoor in own
+    )
+    reads = index.device.stats.reads
+    certificate = index.delete_document("vic-03")
+    assert index.device.stats.reads - reads <= boxes
+    assert certificate.lists_rewritten == 2
+    assert index.search("cancer") == [f"vic-{i:02d}" for i in range(CHUNK_CAPACITY + 1) if i != 3]
+    assert len(index.search("filler")) == 8 * CHUNK_CAPACITY

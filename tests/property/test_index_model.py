@@ -70,5 +70,5 @@ def test_index_agrees_with_model(ops):
                     assert counts == [len(terms) for terms in argument]
             check(index, postings, live)
         assert index.verify() == []
-        for chain in index.chunk_extents().values():
-            assert all(extent.fill <= 4 for extent in chain)
+        for trapdoor, chain in index.chunk_extents().items():
+            assert all(len(index.open_extent(trapdoor, extent)) <= 4 for extent in chain)

@@ -41,7 +41,7 @@ CLI_LINE_LIMIT = 450
 #: Every ``*.py`` line under ``src/repro`` (ROADMAP item 3's scoreboard:
 #: 26,424 when the round began).  Lower it with each PR that deletes;
 #: never raise it to fit one that adds.
-TREE_LINE_LIMIT = 24_186
+TREE_LINE_LIMIT = 24_165
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
@@ -182,6 +182,7 @@ _FRESH_TAMPERS = [
     "cold_recall_truncation",
     "cold_segment_body_rot",
     "index_chunk_rot",
+    "index_chunk_swap",
     "index_delta_drop",
     "index_delta_replay",
     "index_delta_swap",
@@ -213,7 +214,7 @@ ASKED_FOR_ROWS = sorted(
         "shard-00/rotted_arrival/worm_clean_object_rot",
     ]
 )
-SCENARIO_ROWS = 381
+SCENARIO_ROWS = 399
 
 
 def _sources(package) -> dict[str, str]:
@@ -433,7 +434,7 @@ def test_the_oracles_keep_their_names():
     from repro.verify import equivalence
 
     table = equivalence.scenarios()
-    assert len(ASKED_FOR_ROWS) == 66
+    assert len(ASKED_FOR_ROWS) == 69
     assert set(ASKED_FOR_ROWS) <= set(table)
     assert len(table) == SCENARIO_ROWS
     assert callable(repro.verify.run_scenario_table)

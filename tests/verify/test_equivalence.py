@@ -25,6 +25,7 @@ ENGINE_ROWS = {
             "cold_manifest_rot",
             "cold_recall_truncation",
             "index_chunk_rot",
+            "index_chunk_swap",
             "index_tail_rollback",
             "index_delta_drop",
             "index_delta_replay",
@@ -135,10 +136,10 @@ def test_suite_runs_clean_end_to_end(scenario_table):
         assert case.flagged == (case.expected_flag,)
     # index tampers: the first incremental pass and the full pass both
     # blamed the index and nothing else
-    for tamper in ("index_chunk_rot", "index_tail_rollback", "index_delta_drop",
-                   "index_delta_replay", "index_delta_swap"):
+    for tamper in ("index_chunk_rot", "index_chunk_swap", "index_tail_rollback",
+                   "index_delta_drop", "index_delta_replay", "index_delta_swap"):
         case = cases[f"engine/fresh/{tamper}"]
         assert case.caught_by == "incremental" and case.attempts == 1
         assert case.flagged == ("<index>",)
     summary = report.summary()
-    assert "22 cases, 0 violations" in summary
+    assert "23 cases, 0 violations" in summary
