@@ -26,8 +26,9 @@ Verification granularity matches the blame the oracle demands:
 
 Scrubbing (disposal's residue pass) zeroes every extent a record's
 member ever occupied — including copies already repatriated by recall —
-then reseals the frame checksums so crash recovery reads the holes as
-intentional, exactly like the warm shredder's certified holes.
+then reseals the frame checksums: unlike the WORM store the cold tier
+has no salvage, so an unresealed hole in the last segment would be
+dropped at open as a torn write, innocent members and all.
 """
 
 from __future__ import annotations
@@ -86,15 +87,17 @@ class ColdStore:
         """Open the store on *device* (a blank one by default),
         rebuilding the directory from the segments already on it.
 
-        The journal drops a torn tail frame whole — a segment write
-        interrupted by a crash simply never happened, and the records it
-        carried keep their warm copies (the demotion audit marker, the
-        real commit point, was never written).  Manifests found on the
-        device are *adopted* as the trust root and every such segment is
+        The one open rule (:meth:`Journal.open_frames`) drops only a torn
+        last frame — a segment write interrupted by a crash never
+        happened, and its records keep their warm copies (the demotion
+        audit marker, the real commit point, was never written).  Every
+        other segment is parsed from its raw bytes: decay in a member
+        fails that member's leaf digest, not the segment.  Manifests
+        found are *adopted* as the trust root and every such segment is
         dirty until re-verified; which members are authoritative (vs
         repatriated or scrubbed) is the engine's call, replayed from the
         audit trail's demotion/recall markers and the key escrow."""
-        self._journal = Journal(device or MemoryDevice("curator-cold", 1 << 24))
+        device = device or MemoryDevice("curator-cold", 1 << 24)
         self._clock = clock or WallClock()
         self._segments: dict[str, ColdSegment] = {}
         self._order: list[str] = []  # segment ids, write order
@@ -110,21 +113,21 @@ class ColdStore:
         # by the shredder's bind_cache hook: a disposed record's
         # decrypted cold bytes must not survive it in memory.
         self._cache: OrderedDict[str, bytes] = OrderedDict()
-        for sequence in range(len(self._journal)):
+        extents: list[tuple[int, int]] = []
+        for frame_offset, payload, torn in Journal.open_frames(device):
+            if torn:
+                continue
+            extents.append((frame_offset, len(payload)))
             try:
-                payload = self._journal.read(sequence)
                 manifest, member_area_offset = parse_segment(payload)
             except IntegrityError:
-                # A resealed scrub hole keeps the frame checksum valid;
-                # anything else unreadable is honestly skipped — its
-                # members will surface as damaged when the engine tries
-                # to place them.
+                # An undecodable manifest names nothing: its members
+                # surface as damaged when the engine tries to place them.
                 continue
-            frame_offset = self._journal.offset_of(sequence)
             self._index_segment(
                 ColdSegment(
                     segment_id=manifest.segment_id,
-                    sequence=sequence,
+                    sequence=len(extents) - 1,
                     frame_offset=frame_offset,
                     payload_length=len(payload),
                     member_area=frame_offset + HEADER_SIZE + member_area_offset,
@@ -132,6 +135,7 @@ class ColdStore:
                     live={member.record_id for member in manifest.members},
                 )
             )
+        self._journal = Journal.adopt(device, extents)
 
     @property
     def device(self) -> BlockDevice:

@@ -21,7 +21,6 @@ from repro.crypto.keys import KeyHandle, KeyStore, ShreddedKeyError
 from repro.errors import BackupError, KeyManagementError
 from repro.migration.manifest import entries_tree
 from repro.util.clock import Clock, WallClock
-from repro.worm.retention_lock import RetentionTerm
 from repro.worm.store import WormStore
 
 
@@ -135,9 +134,10 @@ class BackupManager:
         snapshot_id: str,
         target_store: WormStore,
         target_keystore: KeyStore | None = None,
-        retention_for: RetentionTerm | None = None,
     ) -> RestoreReport:
-        """Rebuild a store from a snapshot chain and verify every object."""
+        """Rebuild a store from a snapshot chain, writing every object
+        that matches its snapshot digest in ONE frame, and read each
+        back to verify it."""
         chain = self._vault.chain_to_full(snapshot_id)
         restored = 0
         keys_restored = 0
@@ -149,12 +149,15 @@ class BackupManager:
             merged.update(snapshot.objects)
             merged_digests.update(snapshot.digests)
             merged_keys.update(snapshot.wrapped_keys)
+        items = []
         for object_id in sorted(merged):
             data = merged[object_id]
             if sha256(data) != merged_digests[object_id]:
                 mismatched.append(object_id)
                 continue
-            target_store.put(object_id, data, retention=retention_for)
+            items.append((object_id, data, None))
+        target_store.put_many(items)
+        for object_id, data, _ in items:
             if target_store.get(object_id) != data:
                 mismatched.append(object_id)
                 continue

@@ -77,11 +77,11 @@ class RecoveryReport:
 def certified_hole(keystore: KeyStore):
     """The WORM store's salvage check, built from the opened key escrow.
 
-    The escrow knows which records were lawfully destroyed; a broken
-    WORM frame containing one of their objects is a shred interrupted
-    before its reseal (a certified hole), not a torn write — opening the
-    WORM device completes the reseal and keeps the frame's surviving
-    neighbours instead of dropping the batch."""
+    The escrow knows which records were lawfully destroyed.  A broken
+    last WORM frame holding one of their objects was broken by the
+    shred (a certified hole), not torn by a crash, so opening the WORM
+    device keeps it and its surviving neighbours instead of dropping
+    the batch.  Earlier frames need no check: they are always kept."""
     labels = keystore.labelled_handles()
 
     def check(object_ids: list[str]) -> bool:
@@ -128,11 +128,12 @@ class _Archive:
         # launders a rotten member
         return self.members.get(object_id) or self.cold.read_sealed(member[1])
 
-    def put(self, object_id: str, data: bytes, retention=None) -> None:
-        if cold_member(object_id) is None:
-            self.worm.put(object_id, data, retention=retention)
-        else:
-            self.members[object_id] = data
+    def put_many(self, items: list[tuple]) -> None:
+        """WORM objects in one frame; cold members kept aside."""
+        self.worm.put_many([item for item in items if cold_member(item[0]) is None])
+        for object_id, data, _ in items:
+            if cold_member(object_id) is not None:
+                self.members[object_id] = data
 
 
 @dataclass(eq=False, repr=False, kw_only=True)

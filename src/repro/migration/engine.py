@@ -17,7 +17,6 @@ from repro.errors import MigrationError
 from repro.migration.manifest import MigrationManifest, build_manifest, verify_manifest
 from repro.provenance.chain import CustodyRegistry
 from repro.util.clock import Clock, WallClock
-from repro.worm.retention_lock import RetentionTerm
 from repro.worm.store import WormStore
 
 TransitHook = Callable[[str, bytes], bytes | None]
@@ -63,9 +62,9 @@ class MigrationEngine:
         source_signer: Signer,
         destination_id: str,
         transit_hook: TransitHook | None = None,
-        preserve_retention: bool = True,
     ) -> MigrationResult:
-        """Migrate all live objects; verification is never optional.
+        """Migrate all live objects, each under its retention term, in
+        ONE destination frame; verification is never optional.
 
         On verification failure the result reports exactly which objects
         were lost, altered, or injected; custody does NOT transfer.
@@ -73,7 +72,7 @@ class MigrationEngine:
         manifest = build_manifest(source, source_signer, self._clock.now())
         verify_manifest(manifest, self._trust)
 
-        copied = 0
+        items = []
         for object_id in manifest.object_ids():
             data = source.get(object_id)
             if transit_hook is not None:
@@ -81,14 +80,8 @@ class MigrationEngine:
                 if delivered is None:
                     continue  # dropped in transit
                 data = delivered
-            retention = None
-            if preserve_retention:
-                term = source.retention.term_for(object_id)
-                retention = RetentionTerm(
-                    start=term.start, duration_seconds=term.duration_seconds
-                )
-            destination.put(object_id, data, retention=retention)
-            copied += 1
+            items.append((object_id, data, source.retention.term_for(object_id)))
+        destination.put_many(items)
 
         missing, corrupted, unexpected = self.verify_against_manifest(
             destination, manifest
@@ -98,7 +91,7 @@ class MigrationEngine:
             source_id=manifest.source_id,
             destination_id=destination_id,
             manifest=manifest,
-            copied=copied,
+            copied=len(items),
             verified=verified,
             missing=tuple(missing),
             corrupted=tuple(corrupted),

@@ -144,7 +144,12 @@ class DispositionWorkflow:
     # -- step 3: execute ---------------------------------------------------------
 
     def execute(self, object_id: str) -> DispositionCertificate:
-        """Destroy the record and certify it."""
+        """Destroy the record and certify it.
+
+        The zeroed extent leaves its WORM frame's checksum broken, and
+        nothing reseals it: reads check only each object's own digest,
+        and the WORM open keeps a broken last frame that holds a
+        shredded object (the engine's ``certified_hole``)."""
         ticket = self._tickets.get(object_id)
         # One decision covers the whole execution: ticket lifecycle
         # facts plus the live retention re-check (a hold may have
@@ -169,10 +174,6 @@ class DispositionWorkflow:
             extents=[(self._store.device, offset, size)],
             authorization=authorization,
         )
-        # Certified destruction re-seals the containing journal frame so
-        # crash recovery reads the zeroed extent as an intentional hole,
-        # not a torn write (which would discard batch neighbours).
-        self._store.reseal_shredded(object_id)
         ticket.state = DispositionState.DESTROYED
         certificate = DispositionCertificate(
             object_id=object_id,

@@ -17,10 +17,10 @@ the device in one ``writev``.  ``append``, ``append_many`` and
 frames of one chunk, one frame of N chunks — and there is one parser
 (:meth:`Journal.walk_frames`).
 
-Opening is recovery: the constructor scans the device from offset 0
-and stops at the first entry whose magic/length/checksum is invalid — a
-crash-truncated tail is dropped cleanly, entries before it survive.  On
-a blank device there is nothing to scan.
+Opening is recovery, and every store opens under one rule
+(:meth:`Journal.open_frames`): the checksum finds the torn tail, and
+each object's own trusted check judges the rest.  On a blank device
+there is nothing to scan.
 """
 
 from __future__ import annotations
@@ -56,15 +56,10 @@ class Journal:
     """Length-prefixed checksummed append-only log on a device."""
 
     def __init__(self, device: BlockDevice) -> None:
-        """Open the journal on *device*: its entries are the strict
-        prefix of frames that checksum, and appends continue after the
-        last of them."""
-        extents = []
-        for offset, payload, checksum_ok in self.walk_frames(device):
-            if not checksum_ok:
-                break
-            extents.append((offset, len(payload)))
-        self._adopt(device, extents)
+        """Open the journal on *device*: its entries are every frame
+        :meth:`open_frames` adopts, and appends continue after them."""
+        frames = self.open_frames(device)
+        self._adopt(device, [(offset, len(data)) for offset, data, torn in frames if not torn])
 
     def _adopt(self, device: BlockDevice, extents: list[tuple[int, int]]) -> None:
         self._device = device
@@ -152,26 +147,17 @@ class Journal:
         offset, payload_len = self._entries[sequence]
         return self._read_at(offset, payload_len)
 
-    def offset_of(self, sequence: int) -> int:
-        """Device offset of entry *sequence*'s frame header (layers above
-        compute payload extents from it, e.g. for shredding)."""
-        if sequence < 0 or sequence >= len(self._entries):
-            raise StorageError(f"journal entry {sequence} does not exist")
-        return self._entries[sequence][0]
-
     def reseal(self, sequence: int) -> None:
         """Recompute entry *sequence*'s stored checksum over its CURRENT
         device bytes.
 
-        For exactly one caller: authorized physical destruction.  The
-        shredder zeroes an object's extent inside a frame; without a
-        reseal, crash recovery would read the hole as accidental damage
-        — and since the frame checksum covers the whole payload, a
-        strict prefix scan would also drop every innocent neighbour in
-        a batch frame plus everything appended later.  Resealing marks
-        the hole as intentional so recovery keeps walking.  (The
-        checksum guards against accidents, not adversaries — tamper
-        detection lives in the keyed/off-device layers above.)
+        For exactly one caller: the cold tier's scrub.  It zeroes a
+        member's extent inside a segment frame, and the cold tier has no
+        salvage, so if that frame is the last one an unresealed hole
+        would read as a torn write and drop the segment's innocent
+        members with it.  (The checksum guards against accidents, not
+        adversaries — tamper detection lives in the keyed/off-device
+        layers above.)
         """
         if sequence < 0 or sequence >= len(self._entries):
             raise StorageError(f"journal entry {sequence} does not exist")
@@ -230,10 +216,9 @@ class Journal:
         unparseable header — a crash-torn tail or the unwritten region.
 
         Every reader of the on-disk format is a policy over this walk:
-        the constructor stops at the first false flag (strict prefix);
-        the WORM and key-escrow recoveries skip or salvage flagged
-        frames, because a shred legitimately leaves destroyed frames
-        mid-log; the adversary's scan ignores the flag altogether.
+        every store's open drops only a flagged last frame
+        (:meth:`open_frames`); the key escrow's lenient walk skips each
+        flagged frame's key; the adversary's scan ignores the flag.
         """
         offset = 0
         limit = device.used
@@ -245,6 +230,23 @@ class Journal:
             payload = device.raw_read(offset + _HEADER.size, length)
             yield offset, payload, sha256(payload)[:8] == checksum
             offset += _HEADER.size + length
+
+    @classmethod
+    def open_frames(cls, device: BlockDevice):
+        """The one open rule: ``(offset, payload, torn)`` for every frame
+        :meth:`walk_frames` finds, *torn* only for a last frame that
+        fails its checksum — the one write a crash can tear.  Every
+        other frame is adopted whatever its checksum says: decay in it
+        is left to each object's own check (a content digest, a leaf
+        digest, a MAC or a hash chain), which blames exactly what
+        decayed."""
+        previous = None
+        for frame in cls.walk_frames(device):
+            if previous is not None:
+                yield previous[0], previous[1], False
+            previous = frame
+        if previous is not None:
+            yield previous[0], previous[1], not previous[2]
 
     @staticmethod
     def forge_frame(device: BlockDevice, offset: int, payload: bytes) -> None:

@@ -128,7 +128,8 @@ class EquivalenceReport:
 # -- tampers ---------------------------------------------------------------
 #
 # Each strikes the attacked engine's raw devices the way a smart insider
-# would — knows the layouts, recomputes frame checksums — and returns what
+# would — knows the layouts, recomputes frame checksums (media decay, in
+# ``worm_batch_member_decay``, leaves them broken) — and returns what
 # verification must blame for it: a record id, ``"audit-chain"``,
 # ``"<index>"``, ``""`` when the bytes struck are nobody's (silence is
 # the right answer), or ``None`` when the strike did not land.
@@ -260,18 +261,24 @@ def _forge_watermark(dep: Deployment) -> None:
     _readopt_checkpoints(dep)
 
 
-def _rot_extent(engine, record_id: str) -> str | None:
+def _rot_extent(engine, record_id: str, decay: bool = False) -> str | None:
     """Flip one byte inside the record's first version, in every WORM
     frame that carries it (a recall or a migration round trip leaves
     several; recovery is last-frame-wins, so only rotting all of them
-    guarantees the live extent is hit)."""
-    landed = None
-    for offset, payload, _ok, members in WormStore.walk_frames(engine.worm.device):
-        for object_id, start, size, _item in members:
+    guarantees the live extent is hit).  The insider recomputes the
+    frame checksum; *decay* flips the byte in place and leaves it
+    broken, as media decay would."""
+    landed, device = None, engine.worm.device
+    for offset, payload, _ok in Journal.walk_frames(device):
+        for object_id, start, size, _item in WormStore.members(payload) or ():
             if object_id == version_id(record_id, 0):
+                at = start + size // 2
                 forged = bytearray(payload)
-                forged[start + size // 2] ^= 0x5A
-                Journal.forge_frame(engine.worm.device, offset, bytes(forged))
+                forged[at] ^= 0x5A
+                if decay:
+                    device.raw_write(offset + HEADER_SIZE + at, forged[at : at + 1])
+                else:
+                    Journal.forge_frame(device, offset, bytes(forged))
                 landed = record_id
     return landed
 
@@ -291,20 +298,23 @@ _BATCH_SIZE = 5
 _BATCH_VICTIM = 2
 
 
-def _rot_batch_member(dep: Deployment) -> str | None:
-    """Rot exactly one member of a ``store_many`` batch.
+def _rot_batch_member(dep: Deployment, decay: bool = False) -> str | None:
+    """Rot exactly one member of a ``store_many`` batch (or let it
+    *decay*: the frame checksum stays broken).
 
     The batched ingest path writes all of a batch's WORM objects through
     one scattered flush and covers them with a single aggregated custody
     signature — a shared fate the per-record paths never had.  Detection
     must still localize: blame the tampered record and *only* it, or the
-    batch's siblings are collateral damage in every forensic follow-up."""
+    batch's siblings are collateral damage in every forensic follow-up.
+    A read checks only each object's own digest, so decay that leaves
+    the frame checksum broken must be blamed just as exactly."""
     patient_id = dep.fresh_patient()
     dep.surface.store_many(
         [seed_note(f"rec-batch-{n}", patient_id, dep.clock, n) for n in range(_BATCH_SIZE)],
         ACTOR,
     )
-    return _rot_extent(dep.target, f"rec-batch-{_BATCH_VICTIM}")
+    return _rot_extent(dep.target, f"rec-batch-{_BATCH_VICTIM}", decay)
 
 
 def _rot_then_refresh(dep: Deployment) -> str | None:
@@ -530,6 +540,7 @@ TAMPERS = (
     Tamper("worm_dirty_object_rot", _INTEGRITY, _rot_dirty_object),
     Tamper("worm_clean_object_rot", _INTEGRITY, _rot_clean_object),
     Tamper("worm_batch_member_rot", _INTEGRITY, _rot_batch_member),
+    Tamper("worm_batch_member_decay", _INTEGRITY, lambda dep: _rot_batch_member(dep, True)),
     Tamper("cold_segment_body_rot", _INTEGRITY, _cold_body_rot),
     Tamper("cold_manifest_rot", _INTEGRITY, _cold_manifest_rot),
     Tamper("cold_recall_truncation", _INTEGRITY, _cold_recall_truncation),

@@ -5,8 +5,8 @@ total device-write count bounded so the sweep can afford to crash at
 *every* write boundary, while still exercising every durability-
 relevant path — single store, atomic ``store_many`` batch, a reads/
 search stretch (audit + anchor traffic), a correction (re-index +
-version chain), a certified disposal (escrow tombstone, extent zeroing,
-frame reseal), and a post-disposal store.
+version chain), a certified disposal (escrow tombstone, extent
+zeroing), and a post-disposal store.
 
 :func:`run_seeded_workload` records which operations were
 *acknowledged* (the call returned) and the expected observable state

@@ -7,7 +7,10 @@ Objects are opaque byte strings keyed by caller-chosen ids.  Semantics:
   (real WORM controllers behave this way; idempotent rewrites would
   mask replay bugs upstream);
 * each object carries the SHA-256 of its content, checked on every
-  ``get`` — a bit-rotted or tampered object is reported, not returned;
+  ``get`` — a bit-rotted or tampered object is reported, not returned.
+  That digest is the only check a read makes: ``get`` reads the
+  object's own extent, never its whole frame, so decay in one member of
+  a batch blames that member alone;
 * ``delete`` is gated by the object's retention term and holds (see
   :mod:`repro.worm.retention_lock`), and performs *logical* deletion:
   the slot is tombstoned.  Physical destruction of the bytes is the
@@ -52,9 +55,7 @@ class StoredObject:
     size: int
     content_digest: bytes
     written_at: float
-    journal_sequence: int
-    payload_offset: int  # device offset of the object bytes (for shredding)
-    data_start: int  # offset of the object bytes within the frame payload
+    payload_offset: int  # device offset of the object bytes
     deleted: bool = False
 
 
@@ -70,21 +71,21 @@ class WormStore:
         """Open the store on *device* (a blank one by default), rebuilding
         the object table from the frames already on it.
 
-        A frame that fails its checksum is dropped *whole* — and because
-        a ``put_many`` batch is one frame, a crash-torn batch write
-        drops the batch whole: there is never a surviving prefix of an
-        acknowledged-atomic batch.
+        The journal's one open rule (:meth:`Journal.open_frames`)
+        decides which frames survive: only a last frame that fails its
+        checksum is a torn write, and because a ``put_many`` batch is
+        one frame, a crash-torn batch drops whole — there is never a
+        surviving prefix of an acknowledged-atomic batch.  Every earlier
+        frame is adopted, and a decayed object in it fails its own
+        digest check on read, blaming it alone.
 
-        One legitimate exception: authorized destruction zeroes an
-        object's extent inside a frame and then re-seals the frame's
-        checksum (:meth:`reseal_shredded`).  A crash *between* the zero
-        passes and the reseal leaves a broken frame that is a certified
-        hole, not a torn write — dropping it would take the shredded
-        object's innocent batch neighbours with it.  ``salvage_check``
-        (object_ids → bool), wired by the engine to the key escrow's
-        shred tombstones, identifies those frames; opening completes
-        the interrupted reseal and keeps the frame.  Without a
-        ``salvage_check``, every broken frame is treated as torn.
+        One exception keeps a broken last frame: authorized destruction
+        zeroes an object's extent inside its frame and leaves the
+        checksum broken.  ``salvage_check`` (object_ids → bool), wired
+        by the engine to the key escrow's shred tombstones, says whether
+        a frame holds such a certified hole; if so it is kept, with its
+        innocent batch neighbours.  Without a ``salvage_check``, a
+        broken last frame is torn.
 
         Retention terms are opened as zero-duration terms anchored at
         the recorded write time; the layer that granted longer terms
@@ -100,16 +101,12 @@ class WormStore:
         # round-trip brings the same immutable object home again.
         self._expatriated: set[str] = set()
         extents: list[tuple[int, int]] = []
-        for frame_offset, payload, checksum_ok, members in self.walk_frames(device):
-            if not checksum_ok:
-                if salvage_check is None or not salvage_check(
-                    [object_id for object_id, *_ in members]
-                ):
-                    continue  # torn write: drop the frame whole
-                # A shred was interrupted before its reseal — finish it,
-                # so the frame's surviving neighbours stay readable.
-                Journal.forge_frame(device, frame_offset, payload)
-            sequence = len(extents)
+        for frame_offset, payload, torn in Journal.open_frames(device):
+            members = self.members(payload)
+            if members is None:
+                continue  # a damaged or foreign manifest names nothing
+            if torn and not (salvage_check and salvage_check([m[0] for m in members])):
+                continue  # the torn write: drop the batch whole
             extents.append((frame_offset, len(payload)))
             for object_id, data_start, size, item in members:
                 meta = StoredObject(
@@ -117,9 +114,7 @@ class WormStore:
                     size=size,
                     content_digest=item["digest"],
                     written_at=item.get("written_at", 0.0),
-                    journal_sequence=sequence,
                     payload_offset=frame_offset + HEADER_SIZE + data_start,
-                    data_start=data_start,
                 )
                 if meta.object_id in self._objects:
                     # A later frame re-using an id is a WORM re-admission
@@ -232,9 +227,7 @@ class WormStore:
                 size=len(data),
                 content_digest=digest,
                 written_at=written_at,
-                journal_sequence=entry.sequence,
                 payload_offset=entry.offset + HEADER_SIZE + data_start,
-                data_start=data_start,
             )
             self._objects[object_id] = meta
             self._dirty.add(object_id)
@@ -256,26 +249,15 @@ class WormStore:
         return self._meta(object_id)
 
     def get(self, object_id: str) -> bytes:
-        """Read an object, verifying its content digest."""
+        """Read the object's own extent, never its frame, and check it
+        against its trusted content digest: the one check a read makes."""
         meta = self._meta(object_id)
         if meta.deleted:
             raise RecordNotFoundError(f"object {object_id} was deleted")
-        payload = self._journal.read(meta.journal_sequence)
-        data = self._extract_data(payload, meta)
+        data = self.device.read(meta.payload_offset, meta.size)
         if sha256(data) != meta.content_digest:
             raise IntegrityError(
                 f"object {object_id} failed its content digest check"
-            )
-        return data
-
-    @staticmethod
-    def _extract_data(payload: bytes, meta: StoredObject) -> bytes:
-        # Objects are sliced by recorded extent: a frame holds a whole
-        # batch, and the members' bytes may themselves contain NULs.
-        data = payload[meta.data_start : meta.data_start + meta.size]
-        if len(data) != meta.size:
-            raise IntegrityError(
-                f"object {meta.object_id}: stored size {len(data)} != {meta.size}"
             )
         return data
 
@@ -394,36 +376,25 @@ class WormStore:
         meta = self._meta(object_id)
         return meta.payload_offset, meta.size
 
-    def reseal_shredded(self, object_id: str) -> None:
-        """Recompute the containing frame's checksum after the shredder
-        zeroed *object_id*'s extent.  Certified destruction punches an
-        intentional hole; resealing keeps crash recovery from reading it
-        as a torn write and discarding the frame's surviving neighbours
-        (batch frames hold many objects) and the journal tail."""
-        meta = self._meta(object_id)
-        self._journal.reseal(meta.journal_sequence)
-
     # -- the on-device format ----------------------------------------------
 
     @staticmethod
-    def walk_frames(device: BlockDevice):
-        """Every WORM frame on *device*, parsed the one way the format
-        is parsed: ``(frame offset, payload, checksum ok, members)``,
-        each member ``(object id, start of its bytes within the payload,
-        size, manifest entry)``.  Torn, damaged and foreign frames are
-        skipped."""
-        for frame_offset, payload, checksum_ok in Journal.walk_frames(device):
-            separator = payload.find(b"\x00")
-            try:
-                manifest = canonical_loads(payload[:separator])["batch"]
-                data_start = separator + 1
-                members = []
-                for item in manifest:
-                    members.append((item["object_id"], data_start, item["size"], item))
-                    data_start += item["size"]
-            except Exception:  # noqa: BLE001 — torn, damaged or foreign frame
-                continue
-            yield frame_offset, payload, checksum_ok, members
+    def members(payload: bytes) -> list[tuple[str, int, int, dict]] | None:
+        """A WORM frame's payload parsed the one way the format is
+        parsed: its members, each ``(object id, start of its bytes
+        within the payload, size, manifest entry)``, or ``None`` for a
+        torn, damaged or foreign manifest."""
+        separator = payload.find(b"\x00")
+        try:
+            manifest = canonical_loads(payload[:separator])["batch"]
+            data_start = separator + 1
+            members = []
+            for item in manifest:
+                members.append((item["object_id"], data_start, item["size"], item))
+                data_start += item["size"]
+        except Exception:  # noqa: BLE001 — torn, damaged or foreign frame
+            return None
+        return members
 
     def attempt_overwrite(self, object_id: str, data: bytes) -> None:
         """Explicitly attempt an in-place overwrite; always raises.

@@ -26,6 +26,7 @@ def test_cluster_detection_equivalence_holds(scenario_table):
         "worm_dirty_object_rot",  # written alone by store()
         "worm_clean_object_rot",  # likewise, and already swept clean
         "worm_batch_member_rot",
+        "worm_batch_member_decay",  # frame checksum left broken
         "cold_segment_body_rot",
         "cold_manifest_rot",
         "cold_recall_truncation",

@@ -204,18 +204,30 @@ def test_a_restore_from_an_older_snapshot_carries_the_newer_objects_forward():
 
 
 def test_a_restore_carries_what_the_snapshot_lacks_in_one_frame():
-    """The restore writes one frame per snapshot object, plus ONE frame
+    """The restore writes ONE frame for the snapshot, plus ONE frame
     for everything written since, and none when nothing was."""
     store, clock, _ = make_store()
+    store.store_many([note(f"rec-1{n}", "pat-1", clock) for n in range(4)], "dr-a")
     store.store(note("rec-1", "pat-1", clock), "dr-a")
     snapshot = store.create_backup(actor_id="admin")
+    assert len(snapshot.objects) == 5
     store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
-    assert store.worm.device.stats.writes == len(snapshot.objects)
+    assert store.worm.device.stats.writes == 1
     store.store(note("rec-2", "pat-1", clock), "dr-a")
     store.store(note("rec-3", "pat-1", clock), "dr-a")
     store.restore_from_backup(snapshot.snapshot_id, actor_id="admin")
-    assert store.worm.device.stats.writes == len(snapshot.objects) + 1
+    assert store.worm.device.stats.writes == 2
     assert store.read("rec-3", actor_id="dr-a").record_id == "rec-3"
+
+
+def test_a_media_refresh_writes_the_archive_in_one_frame():
+    store, clock, _ = make_store()
+    store.store_many([note(f"rec-{n}", "pat-1", clock) for n in range(6)], "dr-a")
+    store.store(note("rec-6", "pat-2", clock), "dr-a")
+    new_medium = store.refresh_media()
+    assert new_medium.device.stats.writes == 1
+    assert len(store.worm.object_ids()) == 7
+    assert store.verify_integrity().ok
 
 
 def test_a_restore_from_an_older_snapshot_keeps_the_objects_it_left_behind():

@@ -79,6 +79,25 @@ def test_recover_drops_crash_tail():
     assert recovered.read_all() == [f"entry-{i}".encode() for i in range(4)]
 
 
+def test_open_adopts_a_decayed_frame_unless_it_is_the_last():
+    """The one open rule: only the last frame may be a torn write.  A
+    frame that fails its checksum mid-log is adopted (its own read
+    still fails) and appends continue after the last frame; the same
+    damage in the last frame drops that frame alone."""
+    journal = make_journal()
+    for i in range(4):
+        journal.append(f"entry-{i}".encode())
+    offset, _ = journal._entries[1]
+    journal.device.raw_write(offset + 20, b"\xff")
+    recovered = Journal(journal.device)
+    assert len(recovered) == 4
+    assert recovered.scan_corruption() == [1]
+    assert recovered.device.used == journal.device.used
+    last, _ = journal._entries[3]
+    journal.device.raw_write(last + 20, b"\xff")
+    assert len(Journal(journal.device)) == 3
+
+
 def test_recover_then_append_continues():
     journal = make_journal()
     journal.append(b"one")

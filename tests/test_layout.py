@@ -41,7 +41,7 @@ CLI_LINE_LIMIT = 450
 #: Every ``*.py`` line under ``src/repro`` (ROADMAP item 3's scoreboard:
 #: 26,424 when the round began).  Lower it with each PR that deletes;
 #: never raise it to fit one that adds.
-TREE_LINE_LIMIT = 24_165
+TREE_LINE_LIMIT = 24_151
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
@@ -191,6 +191,7 @@ _FRESH_TAMPERS = [
     "refresh_after_rot",
     "watermark_destruction",
     "watermark_forgery",
+    "worm_batch_member_decay",
     "worm_batch_member_rot",
     "worm_clean_object_rot",
     "worm_dirty_object_rot",
@@ -214,7 +215,7 @@ ASKED_FOR_ROWS = sorted(
         "shard-00/rotted_arrival/worm_clean_object_rot",
     ]
 )
-SCENARIO_ROWS = 399
+SCENARIO_ROWS = 417
 
 
 def _sources(package) -> dict[str, str]:
@@ -434,7 +435,7 @@ def test_the_oracles_keep_their_names():
     from repro.verify import equivalence
 
     table = equivalence.scenarios()
-    assert len(ASKED_FOR_ROWS) == 69
+    assert len(ASKED_FOR_ROWS) == 72
     assert set(ASKED_FOR_ROWS) <= set(table)
     assert len(table) == SCENARIO_ROWS
     assert callable(repro.verify.run_scenario_table)

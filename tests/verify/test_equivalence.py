@@ -21,6 +21,7 @@ ENGINE_ROWS = {
             "worm_dirty_object_rot",
             "worm_clean_object_rot",
             "worm_batch_member_rot",
+            "worm_batch_member_decay",
             "cold_segment_body_rot",
             "cold_manifest_rot",
             "cold_recall_truncation",
@@ -121,11 +122,13 @@ def test_suite_runs_clean_end_to_end(scenario_table):
                 "incremental", "escalation", "migration-verify"
             )
     # every WORM rot implicated exactly the rotten record, whether
-    # store() wrote it alone (dirty, clean) or store_many beside others
+    # store() wrote it alone (dirty, clean) or store_many beside others,
+    # and whether the frame checksum was forged or left broken by decay
     for tamper, victim in (
         ("worm_dirty_object_rot", "rec-dirty"),
         ("worm_clean_object_rot", "rec-0"),
         ("worm_batch_member_rot", "rec-batch-2"),
+        ("worm_batch_member_decay", "rec-batch-2"),
     ):
         case = cases[f"engine/fresh/{tamper}"]
         assert case.expected_flag == victim and case.flagged == (victim,)
@@ -142,4 +145,4 @@ def test_suite_runs_clean_end_to_end(scenario_table):
         assert case.caught_by == "incremental" and case.attempts == 1
         assert case.flagged == ("<index>",)
     summary = report.summary()
-    assert "23 cases, 0 violations" in summary
+    assert "24 cases, 0 violations" in summary

@@ -73,6 +73,32 @@ def test_raw_tamper_detected_on_get():
         store.get("obj-1")
 
 
+def test_get_reads_only_the_object_extent_of_a_batch_frame():
+    """A read of one member of a 64-object frame reads that member's
+    bytes and nothing else: the digest is its one check."""
+    store, _ = make_store()
+    store.put_many([(f"obj-{n}", bytes([n]) * (100 + n), None) for n in range(64)])
+    before = store.device.stats.bytes_read
+    assert store.get("obj-17") == bytes([17]) * 117
+    assert store.device.stats.bytes_read - before == store.metadata("obj-17").size
+
+
+def test_a_decayed_batch_member_fails_alone_on_read_and_after_a_reopen():
+    """Media decay (a byte flipped in place, frame checksum left broken)
+    in one member of a mid-log batch frame: its neighbours still read,
+    before and after a reopen, and the decayed member alone fails."""
+    store, clock = make_store()
+    store.put_many([(f"obj-{n}", b"member %d" % n * 8, None) for n in range(5)])
+    store.put("obj-later", b"written after the batch")
+    offset, size = store.physical_extent("obj-2")
+    (byte,) = store.device.raw_read(offset + size // 2, 1)
+    store.device.raw_write(offset + size // 2, bytes([byte ^ 0x5A]))
+    for reopened in (store, WormStore(store.device, clock=clock)):
+        assert reopened.verify_all() == ["obj-2"]
+        assert reopened.get("obj-4") == b"member 4" * 8
+        assert reopened.get("obj-later") == b"written after the batch"
+
+
 def test_physical_extent_points_at_payload():
     store, _ = make_store()
     store.put("obj-1", b"PAYLOAD-BYTES")
