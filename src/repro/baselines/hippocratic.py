@@ -14,22 +14,25 @@ disk access."  Concretely:
   with the device reads everything and can rewrite both data *and* the
   audit evidence (the log is an ordinary table, not a hash chain);
 * policy enforcement exists only in the query path.
+
+The rows themselves are :class:`~repro.baselines.relational.RelationalStore`'s:
+the policy rewrite and the audit table sit on top of the same tablespace.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.baselines.interface import StorageModel, VerificationReport
-from repro.errors import AccessDeniedError, RecordNotFoundError
-from repro.index.inverted import InvertedIndex
+from repro.baselines.interface import VerificationReport
+from repro.baselines.relational import RelationalStore
+from repro.errors import AccessDeniedError
 from repro.records.model import HealthRecord, RecordType
 from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.journal import Journal
 from repro.util.encoding import canonical_bytes, canonical_loads
 
 
-class HippocraticStore(StorageModel):
+class HippocraticStore(RelationalStore):
     """Query-rewriting access control + table-based compliance audit."""
 
     model_name = "hippocratic"
@@ -42,10 +45,8 @@ class HippocraticStore(StorageModel):
     }
 
     def __init__(self, capacity: int = 1 << 24) -> None:
-        self._row_directory: dict[str, int] = {}  # record_id -> journal sequence
-        self._journal = Journal(MemoryDevice("hippo-dev", capacity))
-        self._audit_journal = Journal(MemoryDevice("hippo-audit", capacity))
-        self._index = InvertedIndex(MemoryDevice("hippo-idx", capacity))
+        super().__init__(capacity)
+        self._audit_journal = Journal(MemoryDevice("hippocratic-audit", capacity))
         self._policies = dict(self.DEFAULT_POLICIES)
         self._actor_roles: dict[str, str] = {}
         self._opted_out_patients: set[str] = set()
@@ -83,18 +84,10 @@ class HippocraticStore(StorageModel):
         }
         self._audit_journal.append(canonical_bytes(row))
 
-    def _load_row(self, sequence: int) -> HealthRecord:
-        payload = canonical_loads(self._journal.read(sequence))
-        return HealthRecord.from_dict(payload["row"])
-
     # -- core operations ----------------------------------------------------------
 
     def store(self, record: HealthRecord, author_id: str) -> None:
-        entry = self._journal.append(
-            canonical_bytes({"op": "insert", "row": record.to_dict(), "by": author_id})
-        )
-        self._row_directory[record.record_id] = entry.sequence
-        self._index.add_document(record.record_id, record.searchable_text())
+        super().store(record, author_id)
         self._log(author_id, "insert", record.record_id)
 
     def store_many(self, records: list[HealthRecord], author_id: str) -> int:
@@ -137,10 +130,7 @@ class HippocraticStore(StorageModel):
         return len(records)
 
     def read(self, record_id: str, actor_id: str = "system") -> HealthRecord:
-        sequence = self._row_directory.get(record_id)
-        if sequence is None:
-            raise RecordNotFoundError(f"no row {record_id}")
-        record = self._load_row(sequence)
+        record = self._row(record_id)
         if not self._visible(record, actor_id):
             self._log(actor_id, "denied", record_id)
             raise AccessDeniedError(
@@ -150,15 +140,8 @@ class HippocraticStore(StorageModel):
         return record
 
     def correct(self, corrected: HealthRecord, author_id: str, reason: str) -> None:
-        old = self.read(corrected.record_id, actor_id=author_id)
-        self._index.remove_document(old.record_id, old.searchable_text())
-        entry = self._journal.append(
-            canonical_bytes(
-                {"op": "update", "row": corrected.to_dict(), "by": author_id, "why": reason}
-            )
-        )
-        self._row_directory[corrected.record_id] = entry.sequence
-        self._index.add_document(corrected.record_id, corrected.searchable_text())
+        self.read(corrected.record_id, actor_id=author_id)
+        super().correct(corrected, author_id, reason)
         self._log(author_id, "update", corrected.record_id)
 
     def search(self, term: str, actor_id: str = "system") -> list[str]:
@@ -174,32 +157,13 @@ class HippocraticStore(StorageModel):
         return visible
 
     def dispose(self, record_id: str, *, actor_id: str = "system") -> None:
-        sequence = self._row_directory.get(record_id)
-        if sequence is None:
-            raise RecordNotFoundError(f"no row {record_id}")
-        record = self._load_row(sequence)
-        self._index.remove_document(record_id, record.searchable_text())
-        del self._row_directory[record_id]
+        super().dispose(record_id, actor_id=actor_id)
         self._log(actor_id, "delete", record_id)
-
-    def record_ids(self) -> list[str]:
-        return sorted(self._row_directory)
 
     # -- harness surfaces --------------------------------------------------------------
 
     def devices(self) -> list[BlockDevice]:
         return [self._journal.device, self._audit_journal.device, self._index.device]
-
-    def verify_integrity(self) -> VerificationReport:
-        failures = []
-        for record_id, sequence in sorted(self._row_directory.items()):
-            try:
-                self._load_row(sequence)
-            except Exception:
-                failures.append(record_id)
-        return VerificationReport.from_violations(
-            failures, mode="none", coverage="rows parse; no integrity evidence"
-        )
 
     def audit_events(self) -> list[dict[str, Any]]:
         """Read back from the audit table on disk — which is exactly

@@ -34,12 +34,18 @@ class RelationalStore(StorageModel):
 
     def __init__(self, capacity: int = 1 << 24) -> None:
         self._row_directory: dict[str, int] = {}  # record_id -> journal sequence
-        self._journal = Journal(MemoryDevice("relational-dev", capacity))
-        self._index = InvertedIndex(MemoryDevice("relational-idx", capacity))
+        self._journal = Journal(MemoryDevice(f"{self.model_name}-dev", capacity))
+        self._index = InvertedIndex(MemoryDevice(f"{self.model_name}-idx", capacity))
 
     def _load_row(self, sequence: int) -> HealthRecord:
         payload = canonical_loads(self._journal.read(sequence))
         return HealthRecord.from_dict(payload["row"])
+
+    def _row(self, record_id: str) -> HealthRecord:
+        sequence = self._row_directory.get(record_id)
+        if sequence is None:
+            raise RecordNotFoundError(f"no row {record_id}")
+        return self._load_row(sequence)
 
     # -- core operations ---------------------------------------------------
 
@@ -51,15 +57,12 @@ class RelationalStore(StorageModel):
         self._index.add_document(record.record_id, record.searchable_text())
 
     def read(self, record_id: str, actor_id: str = "system") -> HealthRecord:
-        sequence = self._row_directory.get(record_id)
-        if sequence is None:
-            raise RecordNotFoundError(f"no row {record_id}")
-        return self._load_row(sequence)
+        return self._row(record_id)
 
     def correct(self, corrected: HealthRecord, author_id: str, reason: str) -> None:
         """UPDATE — the row directory moves to the new value; the old
         journal frame is garbage awaiting vacuum."""
-        old = self.read(corrected.record_id)
+        old = self._row(corrected.record_id)
         self._index.remove_document(old.record_id, old.searchable_text())
         entry = self._journal.append(
             canonical_bytes(
@@ -75,7 +78,7 @@ class RelationalStore(StorageModel):
     def dispose(self, record_id: str, *, actor_id: str = "system") -> None:
         """DELETE — unconditional, no retention check, bytes remain in
         the journal history."""
-        record = self.read(record_id)
+        record = self._row(record_id)
         self._index.remove_document(record_id, record.searchable_text())
         del self._row_directory[record_id]
         self._journal.append(canonical_bytes({"op": "delete", "id": record_id}))

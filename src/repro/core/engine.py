@@ -429,32 +429,30 @@ class CuratorStore(StorageModel):
         nothing, not even how many versions a record has), then bound
         the version (``None`` = current), then serve it — from the read
         cache when it is the cached current version, else from its tier."""
-        chain = self._access.authorize_record(
-            record_id, actor_id, Permission.READ_RECORD, purpose
-        )
-        current = len(chain) - 1
-        if version is None:
-            version = current
-        elif not 0 <= version <= current:
-            raise RecordError(f"record {record_id} has no version {version}")
-        record = self._dir.cached(record_id, version)
-        if record is not None:
-            METRICS.incr("read_cache_hits")
-            METRICS.incr("tier_hot_hits")
-        else:
-            METRICS.incr("read_cache_misses")
-            if record_id in self._dir.cold:
-                METRICS.incr("tier_cold_reads")
+        with self._access.audited_record(
+            AuditAction.RECORD_READ, record_id, actor_id, Permission.READ_RECORD, purpose
+        ) as (chain, detail):
+            current = len(chain) - 1
+            if version is None:
+                version = current
+            elif not 0 <= version <= current:
+                raise RecordError(f"record {record_id} has no version {version}")
+            record = self._dir.cached(record_id, version)
+            if record is not None:
+                METRICS.incr("read_cache_hits")
+                METRICS.incr("tier_hot_hits")
             else:
-                METRICS.incr("tier_warm_reads")
-            record = self._tiering.open_version(record_id, version).record
-            if version == current:
-                self._dir.cache(record_id, version, record)
-        self._dir.last_access[record_id] = self._clock.now()
-        self._anchors.append(
-            AuditAction.RECORD_READ, actor_id, record_id, {"version": version}
-        )
-        return record
+                METRICS.incr("read_cache_misses")
+                if record_id in self._dir.cold:
+                    METRICS.incr("tier_cold_reads")
+                else:
+                    METRICS.incr("tier_warm_reads")
+                record = self._tiering.open_version(record_id, version).record
+                if version == current:
+                    self._dir.cache(record_id, version, record)
+            self._dir.last_access[record_id] = self._clock.now()
+            detail["version"] = version
+            return record
 
     def read(
         self,
@@ -482,24 +480,22 @@ class CuratorStore(StorageModel):
 
     def correct(self, corrected: HealthRecord, author_id: str, reason: str) -> None:
         record_id = corrected.record_id
-        chain = self._access.authorize_record(
-            record_id, author_id, Permission.CORRECT_RECORD, Purpose.TREATMENT
-        )
-        # a correction makes the record active again: recall first, so
-        # every version lives in one tier
-        self._recall(record_id, "system")
-        version = chain.append_correction(corrected, author_id, reason, self._clock.now())
-        handle = self._dir.keys[record_id]
-        self._home.write([(version, handle)])
-        self._dir.last_access[record_id] = self._clock.now()
-        # Re-adopting purges the superseded version from the read cache
-        # and re-indexes the record's current text.
-        self._home.adopt([(chain, handle)])
-        self._anchors.append(
-            AuditAction.RECORD_CORRECTED, author_id, record_id,
-            {"version": version.version_number, "reason": reason,
-             "previous_digest": version.previous_digest},
-        )
+        with self._access.audited_record(
+            AuditAction.RECORD_CORRECTED, record_id, author_id,
+            Permission.CORRECT_RECORD, Purpose.TREATMENT,
+        ) as (chain, detail):
+            # a correction makes the record active again: recall first,
+            # so every version lives in one tier
+            self._recall(record_id, "system")
+            version = chain.append_correction(corrected, author_id, reason, self._clock.now())
+            handle = self._dir.keys[record_id]
+            self._home.write([(version, handle)])
+            self._dir.last_access[record_id] = self._clock.now()
+            # Re-adopting purges the superseded version from the read
+            # cache and re-indexes the record's current text.
+            self._home.adopt([(chain, handle)])
+            detail.update(version=version.version_number, reason=reason,
+                          previous_digest=version.previous_digest)
 
     def search(self, term: str, *, actor_id: str) -> list[str]:
         # Audit the keyed trapdoor, never the plaintext term: the audit
@@ -508,13 +504,12 @@ class CuratorStore(StorageModel):
         # privacy officer can recompute the trapdoor to match queries.
         commitment = self.index.trapdoor(term)[:16]
         subject = f"{SEARCH}{commitment}"
-        self._access.authorize(
-            actor_id, Permission.SEARCH_RECORDS, "", Purpose.TREATMENT, subject
-        )
-        hits = self.index.search(term)
-        self._anchors.append(
-            AuditAction.RECORD_SEARCHED, actor_id, subject, {"hits": len(hits)}
-        )
+        with self._access.audited(
+            AuditAction.RECORD_SEARCHED, actor_id, Permission.SEARCH_RECORDS, "",
+            Purpose.TREATMENT, subject,
+        ) as detail:
+            hits = self.index.search(term)
+            detail["hits"] = len(hits)
         return [record_id for record_id in hits if record_id not in self._dir.disposed]
 
     def dispose(
@@ -572,15 +567,14 @@ class CuratorStore(StorageModel):
         derived from the master key — stable across processes, wide
         enough not to collide, and not dictionary-matchable from a
         low-entropy patient id."""
-        chain = self._access.authorize_record(
-            record_id, actor_id, Permission.EXPORT_DEIDENTIFIED, Purpose.RESEARCH
-        )
-        record = self._tiering.open_version(record_id, len(chain) - 1).record
+        with self._access.audited_record(
+            AuditAction.RECORD_EXPORTED, record_id, actor_id,
+            Permission.EXPORT_DEIDENTIFIED, Purpose.RESEARCH,
+        ) as (chain, _):
+            record = self._tiering.open_version(record_id, len(chain) - 1).record
         key = derive_key(self._config.master_key, "curator/pseudonym")
         tag = hmac_sha256(key, record.patient_id.encode("utf-8"))[:8]
-        deid = deidentify(record, pseudonym=f"case-{tag.hex()}")
-        self._anchors.append(AuditAction.RECORD_EXPORTED, actor_id, record_id, {})
-        return deid
+        return deidentify(record, pseudonym=f"case-{tag.hex()}")
 
     def record_ids(self) -> list[str]:
         return self._dir.record_ids()
@@ -677,12 +671,11 @@ class CuratorStore(StorageModel):
     ) -> bytes:
         """Read an attachment with full authorization + verification."""
         subject_id = attachment_object_id(record_id, attachment_id)
-        self._access.authorize_record(
-            record_id, actor_id, Permission.READ_RECORD, subject_id=subject_id
-        )
-        data = self._home.read_attachment(record_id, attachment_id)
-        self._anchors.append(AuditAction.RECORD_READ, actor_id, subject_id, {})
-        return data
+        with self._access.audited_record(
+            AuditAction.RECORD_READ, record_id, actor_id, Permission.READ_RECORD,
+            subject_id=subject_id,
+        ):
+            return self._home.read_attachment(record_id, attachment_id)
 
     def attachments_of(self, record_id: str) -> list[str]:
         """Attachment ids carried by a record."""

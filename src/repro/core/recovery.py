@@ -39,7 +39,9 @@ from repro.crypto.keys import KeyHandle, KeyStore
 from repro.crypto.signatures import TrustStore
 from repro.errors import IntegrityError, ValidationError
 from repro.migration.engine import MigrationEngine
-from repro.records.ids import Kind, cold_member, cold_member_id, parse, version_id
+from repro.records.ids import (
+    Kind, cold_member, cold_member_id, parse, subject_record, version_id,
+)
 from repro.records.versioning import VersionChain
 from repro.storage.media import MediaPool, Medium
 from repro.util.encoding import canonical_loads
@@ -282,7 +284,7 @@ class Recovery:
 
     # -- device recovery ---------------------------------------------------------
 
-    def _replay_markers(self) -> tuple[set[str], set[str], set[str], float | None]:
+    def _replay_markers(self) -> tuple[set[str], set[str], set[str], set[str], float | None]:
         """What the recovered audit log says about custody, tier and
         the WORM medium's age.
 
@@ -295,10 +297,13 @@ class Recovery:
         same way: a RECORD_DEMOTED with no later RECORD_RECALLED means
         the cold member is authoritative.  The adopted medium entered
         service at the last refresh or restore onto it, else when the
-        chain began: its age, and its due replacement, survive."""
+        chain began: its age, and its due replacement, survive.  The
+        records created here and not since disposed are the ones the
+        recovered objects must account for."""
         moved_records: set[str] = set()
         moved_patients: set[str] = set()
         demoted: set[str] = set()
+        created: set[str] = set()
         medium_id = self.home.medium.medium_id
         in_service: float | None = None
         for event in self.audit.events():
@@ -320,7 +325,11 @@ class Recovery:
                 demoted.add(event.subject_id)
             elif event.action is AuditAction.RECORD_RECALLED:
                 demoted.discard(event.subject_id)
-        return moved_records, moved_patients, demoted, in_service
+            elif event.action is AuditAction.RECORD_CREATED:
+                created.add(subject_record(event.subject_id))
+            elif event.action is AuditAction.RECORD_DISPOSED:
+                created.discard(event.subject_id)
+        return moved_records, moved_patients, demoted, created, in_service
 
     def replay(self) -> RecoveryReport:
         """Rebuild the record directory from recovered devices: versions
@@ -331,7 +340,7 @@ class Recovery:
         device, so it is dirty until the next integrity pass."""
         directory, home, worm = self.home.directory, self.home, self.home.worm
         labels = self.keystore.labelled_handles()
-        moved_records, moved_patients, demoted, in_service = self._replay_markers()
+        moved_records, moved_patients, demoted, created, in_service = self._replay_markers()
         if in_service is not None:
             self.home.medium.manufactured_at = in_service
         versions: dict[str, dict[int, str]] = {}
@@ -446,6 +455,11 @@ class Recovery:
                 if record_id in damaged:
                     damaged.remove(record_id)
         home.adopt(cold_only)
+        # a record the chain saw created that nothing above accounts for
+        # lost its objects (a decayed WORM manifest names none)
+        damaged.extend(sorted(
+            created - set(directory.chains) - directory.disposed - moved_records - set(damaged)
+        ))
         return RecoveryReport(
             records_recovered=len(directory.chains),
             versions_recovered=sum(len(chain) for chain in directory.chains.values()),

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from repro.access.rbac import Permission
 from repro.audit.anchors import AnchorSchedule
-from repro.audit.events import AuditEvent
+from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog
 from repro.audit.query import AuditQuery, disclosures
 from repro.baselines.interface import VerificationReport
@@ -16,7 +16,7 @@ from repro.core.access import Access
 from repro.core.home import RecordHome
 from repro.core.tiering import Tiering
 from repro.core.transfer import PatientTransfer
-from repro.records.ids import DISCLOSURES
+from repro.records.ids import DISCLOSURES, parse
 from repro.records.versioning import VersionChain
 from repro.util.metrics import METRICS
 from repro.util.rotation import Rotation
@@ -49,9 +49,12 @@ class Verification:
             return False
 
     def _blamed(self, object_ids: list[str]) -> set[str]:
-        """The records that own failing WORM objects (an object no
-        record owns — a segment archive — is blamed under its own id)."""
-        return {self.home.directory.owner_of(oid) or oid for oid in object_ids}
+        """The records that own failing WORM objects: the directory's
+        owner, else (a record that did not open on a restart) the record
+        the id names.  An object no record owns — a segment archive — is
+        blamed under its own id."""
+        owner = self.home.directory.owner_of
+        return {owner(oid) or parse(oid).owner or oid for oid in object_ids}
 
     def verify_integrity(self, incremental: bool = False) -> VerificationReport:
         """Integrity verdict; ``report.violations`` carries the record
@@ -129,19 +132,19 @@ class Verification:
         """The HIPAA accounting-of-disclosures report for one patient:
         every access-class event over their record set, from a verified
         audit trail.  The request itself is authorized and audited."""
-        self.access.authorize(
-            actor_id, Permission.READ_AUDIT_TRAIL, patient_id, None,
-            f"{DISCLOSURES}{patient_id}",
-        )
-        record_ids = self.home.directory.records_of_patient(patient_id)
-        local = AuditQuery(self.audit).disclosure_accounting(record_ids)
-        # if the patient migrated here, access events that predate this
-        # shard's log arrived as the imported audit-chain segment and
-        # belong in the same accounting
-        imported = disclosures(
-            map(AuditEvent.from_dict, self.transfer.imported_events(patient_id)),
-            record_ids,
-        )
+        with self.access.audited(
+            AuditAction.ACCESS_GRANTED, actor_id, Permission.READ_AUDIT_TRAIL,
+            patient_id, None, f"{DISCLOSURES}{patient_id}",
+        ):
+            record_ids = self.home.directory.records_of_patient(patient_id)
+            local = AuditQuery(self.audit).disclosure_accounting(record_ids)
+            # if the patient migrated here, access events that predate
+            # this shard's log arrived as the imported audit-chain
+            # segment and belong in the same accounting
+            imported = disclosures(
+                map(AuditEvent.from_dict, self.transfer.imported_events(patient_id)),
+                record_ids,
+            )
         if not imported:
             return local
         return sorted([*local, *imported], key=lambda e: (e.timestamp, e.sequence))

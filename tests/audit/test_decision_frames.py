@@ -47,9 +47,9 @@ def test_a_third_party_checks_one_exported_access_event():
     for _ in range(3):
         store.read("rec-1", actor_id="dr-a")
     exported = store.audit_events()
-    # the last grant references a decision whose text an earlier frame carries
+    # the last read references a decision whose text an earlier frame carries
     sequence = max(
-        n for n, e in enumerate(exported) if e["action"] == "access_granted"
+        n for n, e in enumerate(exported) if e["action"] == "record_read"
     )
     _event, chain_prev, proof, anchor = store.prove_audit_event(sequence)
     # the verifier holds the anchored root, the exported event, chain_prev

@@ -1,4 +1,4 @@
-"""What a read costs the audit device: two compact frames, the decision
+"""What a read costs the audit device: one compact frame, the decision
 trace written once per log and referenced by digest afterwards."""
 
 from repro.core import CuratorConfig, CuratorStore
@@ -6,12 +6,13 @@ from repro.records.model import ClinicalNote
 from repro.util.clock import SimulatedClock
 from repro.util.metrics import METRICS
 
-#: Bytes one cache-hit read may append to the audit device (both frames,
-#: journal framing included).  The JSON frame this replaced took ~1,000.
-READ_AUDIT_BYTES = 450
+#: Bytes one cache-hit read may append to the audit device (its one
+#: frame, journal framing included; ~128 measured).  The two JSON frames
+#: this replaced took ~1,000, two binary frames ~240.
+READ_AUDIT_BYTES = 160
 
 
-def test_a_cache_hit_read_appends_at_most_450_audit_bytes():
+def test_a_cache_hit_read_appends_at_most_160_audit_bytes():
     store = CuratorStore(
         CuratorConfig(master_key=bytes(range(32)), clock=SimulatedClock(start=1.17e9))
     )
@@ -33,5 +34,5 @@ def test_a_cache_hit_read_appends_at_most_450_audit_bytes():
     )
     assert store.read("rec-1", actor_id="dr-a") == note
     assert METRICS.get("read_cache_hits") == hits + 1
-    assert len(store.audit_log) == events + 2  # the grant and the read
+    assert len(store.audit_log) == events + 1  # the read, carrying its decision
     assert device.stats.bytes_written - written <= READ_AUDIT_BYTES

@@ -26,12 +26,29 @@ def test_a_restart_blames_only_the_decayed_member_of_a_mid_log_batch():
     offset, size = store.worm.physical_extent(version_id("rec-2", 0))
     flip(store.worm.device, offset + size // 2)
     store.store_many([note(f"rec-late-{n}", "pat-2", clock) for n in range(3)], "dr-a")
+    before = store.verify_integrity().violations
     recovered = recover(store, config)
     assert recovered.recovery_report.damaged == ("rec-2",)
     assert recovered.recovery_report.records_recovered == 7
     assert recovered.read("rec-4", actor_id="system").body["text"] == "entry 4"
-    # the record did not open, so its one object is what is blamed
-    assert recovered.verify_integrity().violations == ["rec-2@v0"]
+    # the record did not open, yet its object is blamed under the record
+    # id, the same name the engine that wrote it uses
+    assert recovered.verify_integrity().violations == ["rec-2"]
+    assert before == ["rec-2"]
+
+
+def test_a_restart_reports_every_record_of_a_frame_whose_manifest_decayed():
+    store, clock, config = make_store()
+    store.store_many([note(f"rec-{n}", "pat-1", clock, f"entry {n}") for n in range(3)], "dr-a")
+    store.store(note("rec-late", "pat-2", clock), "dr-a")
+    offset, _size = store.worm.physical_extent(version_id("rec-0", 0))
+    frame = max(at for at, *_ in Journal.walk_frames(store.worm.device) if at <= offset)
+    flip(store.worm.device, frame + HEADER_SIZE + 3)
+    recovered = recover(store, config)
+    # the frame names no object any more, but the verified chain saw the
+    # three records created
+    assert recovered.recovery_report.damaged == ("rec-0", "rec-1", "rec-2")
+    assert recovered.record_ids() == ["rec-late"]
 
 
 def test_a_restart_refuses_an_audit_log_decayed_mid_log_and_rewinds_nothing():

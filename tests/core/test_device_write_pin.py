@@ -64,18 +64,18 @@ def corrected(store, clock, record_id):
     )
 
 
-def test_correct_is_one_frame_an_index_rewrite_and_two_audit_events():
+def test_correct_is_one_frame_an_index_rewrite_and_one_audit_event():
     store, clock = make_store()
     amendment = corrected(store, clock, "rec-0")
     # WORM: the new version.  Index: scrub the old postings, post the
-    # new text.  Audit: ACCESS_GRANTED + RECORD_CORRECTED.
+    # new text.  Audit: RECORD_CORRECTED, carrying the decision.
     scrubs = store.index.device.stats.raw_writes
     cost = delta(store, lambda: store.correct(amendment, "dr-a", "amend"))
     # rec-0's old deltas held only rec-0: no survivor to write again, so
     # the new text's frame is the one write and the old boxes are scrubbed
     assert cost.pop("index") == 1
     assert store.index.device.stats.raw_writes > scrubs
-    assert cost == {"worm": 1, "audit": 2}
+    assert cost == {"worm": 1, "audit": 1}
 
 
 @pytest.mark.parametrize("size", [10, 200_000])
@@ -117,10 +117,18 @@ def test_read_through_recall_is_one_worm_frame():
     store, clock = make_store()
     store.correct(corrected(store, clock, "rec-0"), "dr-a", "amend")
     store.demote_records(["rec-0"])
-    # both versions ride ONE frame; audit: ACCESS_GRANTED,
-    # RECORD_RECALLED, RECORD_READ
+    # both versions ride ONE frame; audit: RECORD_RECALLED, then
+    # RECORD_READ carrying the decision
     cost = delta(store, lambda: store.read("rec-0", actor_id="dr-a"))
-    assert cost == {"worm": 1, "audit": 3}
+    assert cost == {"worm": 1, "audit": 2}
+
+
+def test_a_warm_read_is_one_audit_event():
+    store, _ = make_store()
+    store._dir.purge("rec-1")
+    # a read writes nothing but its RECORD_READ, carrying the decision
+    cost = delta(store, lambda: store.read("rec-1", actor_id="dr-a"))
+    assert cost == {"audit": 1}
 
 
 def test_dispose_writes_only_the_shred_the_index_scrub_and_one_event():

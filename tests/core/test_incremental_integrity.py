@@ -241,7 +241,11 @@ def test_read_version_attributes_the_audit_event_to_the_actor():
     event = store.audit_events()[-1]
     assert event["action"] == "record_read"
     assert event["actor_id"] == "dr-a"
-    assert event["detail"] == {"version": 0}
+    assert event["detail"]["version"] == 0
+    # the read's own event carries the decision that allowed it
+    assert event["detail"]["rule_id"] == "allow:physician:read_record"
+    # ... and no second copy of the permission its action names
+    assert set(event["detail"]) == {"version", "rule", "rule_id", "trace"}
 
 
 def test_read_version_denies_an_unknown_actor():

@@ -272,7 +272,10 @@ def test_access_audits_a_denial_before_it_raises(keypair):
     for actor_id in ("dr-b", "stranger"):
         before = len(parts.audit)
         with pytest.raises(AccessDeniedError):
-            parts.access.authorize_record("rec-1", actor_id, Permission.READ_RECORD)
+            with parts.access.audited_record(
+                AuditAction.RECORD_READ, "rec-1", actor_id, Permission.READ_RECORD
+            ):
+                pytest.fail("a denied operation ran")
         (event,) = parts.audit.events()[before:]
         assert (event.action, event.actor_id, event.subject_id) == (
             AuditAction.ACCESS_DENIED, actor_id, "rec-1",
@@ -286,14 +289,17 @@ def test_access_revoking_break_glass_purges_the_read_cache(keypair):
     write_record(parts, clock, "rec-2", "pat-2", ["other patient"])
     parts.workforce.register(User.make("dr-er", "ER", [Role.PHYSICIAN]))
     grant = parts.access.break_glass("dr-er", "pat-1", "unconscious on arrival")
-    parts.access.authorize_record("rec-1", "dr-er", Permission.READ_RECORD)
+    read = (AuditAction.RECORD_READ, "rec-1", "dr-er", Permission.READ_RECORD)
+    with parts.access.audited_record(*read):
+        pass
     for record_id in ("rec-1", "rec-2"):
         parts.directory.cache(record_id, 0, parts.home.open(record_id, 0).record)
 
     parts.access.revoke_break_glass(grant.grant_id)
     assert set(parts.directory.read_cache) == {"rec-2"}  # only pat-1's purged
     with pytest.raises(AccessDeniedError):
-        parts.access.authorize_record("rec-1", "dr-er", Permission.READ_RECORD)
+        with parts.access.audited_record(*read):
+            pytest.fail("a revoked grant still allowed the read")
     actions = [event.action for event in parts.audit.events()]
     # grant, the emergency read, revocation
     assert actions.count(AuditAction.EMERGENCY_ACCESS) == 3
@@ -330,6 +336,9 @@ def test_verification_accounting_includes_an_imported_segment(keypair):
     assert [(e.action, e.actor_id, e.subject_id) for e in report] == [
         (AuditAction.RECORD_READ, "dr-a", "rec-1"),
     ]
-    # the request itself was decided and audited on the destination
+    # the request itself was decided and audited on the destination: the
+    # accounting writes no event of its own, so its one event is the
+    # grant, carrying the decision
     last = destination.audit.events()[-1]
     assert (last.action, last.actor_id) == (AuditAction.ACCESS_GRANTED, "po")
+    assert last.detail["rule_id"] == "allow:privacy_officer:read_audit_trail"

@@ -57,7 +57,7 @@ def test_denied_access_logs_the_decision_trace():
 def test_granted_access_logs_rule_id_and_trace():
     store = make_store()
     store.read("rec-1", actor_id="dr-a")
-    event = last_event(store, "access_granted")
+    event = last_event(store, "record_read")
     detail = event["detail"]
     assert detail["rule_id"] == "allow:physician:read_record"
     assert detail["rule"] == "role physician grants read_record for purpose treatment"

@@ -31,7 +31,7 @@ from repro.policy.model import CheckResult
 from repro.retention.shredder import SecureShredder
 from repro.storage.media import Medium
 
-CORE_LINE_LIMIT = 865
+CORE_LINE_LIMIT = 858
 CLUSTER_LINE_LIMIT = 800
 VERIFY_LINE_LIMIT = 800
 SERVICE_LINE_LIMIT = 800
@@ -41,7 +41,7 @@ CLI_LINE_LIMIT = 450
 #: Every ``*.py`` line under ``src/repro`` (ROADMAP item 3's scoreboard:
 #: 26,424 when the round began).  Lower it with each PR that deletes;
 #: never raise it to fit one that adds.
-TREE_LINE_LIMIT = 24_151
+TREE_LINE_LIMIT = 24_144
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
