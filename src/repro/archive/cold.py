@@ -44,7 +44,7 @@ from repro.archive.segment import (
     build_segment,
     parse_segment,
 )
-from repro.crypto.merkle import MerkleProof, leaf_hash, verify_inclusion
+from repro.crypto.merkle import leaf_hash, verify_inclusion
 from repro.errors import IntegrityError, RecordNotFoundError
 from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.journal import HEADER_SIZE, Journal
@@ -211,6 +211,7 @@ class ColdStore:
         lives in its newest segment.  Device bytes are untrusted until a
         verify pass reads them back (same posture as WormStore's dirty
         set)."""
+        segment.manifest.tree  # noqa: B018 — its proof tree, derived once
         self._segments[segment.segment_id] = segment
         self._order.append(segment.segment_id)
         for member in segment.manifest.members:
@@ -237,19 +238,13 @@ class ColdStore:
             )
         return data
 
-    def prove(self, record_id: str) -> tuple[MerkleProof, bytes]:
-        """Inclusion proof for the member's sealed-bytes leaf against
-        the trusted segment root."""
-        segment = self.segment_of(record_id)
-        manifest = segment.manifest
-        index = manifest.index_of(record_id)
-        return manifest.tree().prove_inclusion(index), manifest.merkle_root
-
     def verify_sealed(self, record_id: str, sealed: bytes) -> None:
-        """Check sealed member bytes against their leaf digest and
-        inclusion proof; raises :class:`IntegrityError` on failure."""
-        proof, root = self.prove(record_id)
-        verify_inclusion(sealed, proof, root)
+        """Check sealed member bytes against their leaf digest and an
+        inclusion proof against the trusted segment root, read off the
+        manifest's tree; raises :class:`IntegrityError` on failure."""
+        manifest = self.segment_of(record_id).manifest
+        proof = manifest.tree.prove_inclusion(manifest.positions[record_id])
+        verify_inclusion(sealed, proof, manifest.merkle_root)
 
     # -- plaintext cache -------------------------------------------------------
 
@@ -336,10 +331,9 @@ class ColdStore:
                 segment.frame_offset + HEADER_SIZE, segment.payload_length
             )
             device_manifest, _ = parse_segment(payload)
-            trusted = {m.record_id: m for m in segment.manifest.members}
             on_device = {m.record_id: m for m in device_manifest.members}
             for record_id in segment.live:
-                if on_device.get(record_id) != trusted.get(record_id):
+                if on_device.get(record_id) != segment.manifest.member(record_id):
                     failures.add(record_id)
             if (
                 not failures

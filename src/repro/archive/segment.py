@@ -35,6 +35,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 from repro.crypto.merkle import MerkleTree, leaf_hash
@@ -216,24 +217,24 @@ class SegmentManifest:
         except KeyError as exc:
             raise ValidationError(f"malformed segment manifest: missing {exc}") from exc
 
+    @cached_property
     def tree(self) -> MerkleTree:
-        """The Merkle tree over the members' (pre-hashed) leaves."""
+        """The Merkle tree over the members' leaves, derived once (a
+        manifest is frozen): each proof reads off it in O(log^2 n)."""
         tree = MerkleTree()
         for member in self.members:
             tree.append_hash(member.leaf_digest)
         return tree
 
-    def member(self, record_id: str) -> MemberManifest:
-        for member in self.members:
-            if member.record_id == record_id:
-                return member
-        raise ValidationError(f"segment {self.segment_id} has no member {record_id}")
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Record id -> index of its member (and of its leaf)."""
+        return {member.record_id: n for n, member in enumerate(self.members)}
 
-    def index_of(self, record_id: str) -> int:
-        for index, member in enumerate(self.members):
-            if member.record_id == record_id:
-                return index
-        raise ValidationError(f"segment {self.segment_id} has no member {record_id}")
+    def member(self, record_id: str) -> MemberManifest:
+        if record_id not in self.positions:
+            raise ValidationError(f"segment {self.segment_id} has no member {record_id}")
+        return self.members[self.positions[record_id]]
 
 
 def _compress_manifest(manifest: SegmentManifest) -> bytes:
@@ -266,11 +267,7 @@ def build_segment(
     tree = MerkleTree()
     entries: list[MemberManifest] = []
     offset = 0
-    seen: set[str] = set()
     for record_id, blob, versions, expires_at, provenance in members:
-        if record_id in seen:
-            raise ValidationError(f"record {record_id} duplicated in segment")
-        seen.add(record_id)
         digest = leaf_hash(blob)
         tree.append_hash(digest)
         entries.append(
@@ -291,6 +288,9 @@ def build_segment(
         merkle_root=tree.root(),
         members=tuple(entries),
     )
+    if len(manifest.positions) < len(entries):
+        raise ValidationError(f"segment {segment_id} holds a record twice")
+    manifest.__dict__["tree"] = tree  # seeds the cached tree with this one
     zmanifest = _compress_manifest(manifest)
     chunks = [_PREFIX.pack(SEGMENT_MAGIC, len(zmanifest)), zmanifest]
     chunks += [blob for _, blob, _, _, _ in members]

@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 from repro.audit.events import AuditAction, AuditEvent
 from repro.audit.log import AuditLog, ChainVerification
 from repro.errors import AuditError
+from repro.records.ids import subject_record
 
 _ACCESS_ACTIONS = frozenset(
     {
@@ -137,6 +138,7 @@ class AuditQuery:
 
 
 def disclosures(events: Iterable[AuditEvent], record_ids: Iterable[str]) -> list[AuditEvent]:
-    """The access-class events among *events* over *record_ids*."""
+    """Access-class events among *events* over *record_ids* or their attachments."""
     wanted = set(record_ids)
-    return [e for e in events if e.subject_id in wanted and e.action in _ACCESS_ACTIONS]
+    return [e for e in events
+            if subject_record(e.subject_id) in wanted and e.action in _ACCESS_ACTIONS]

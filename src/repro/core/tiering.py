@@ -90,10 +90,11 @@ class Tiering:
     def open_version(self, record_id: str, version: int) -> RecordVersion:
         """One version, decrypted.  A cold record is recalled first
         (read-through): the cold member is verified, its versions
-        repatriated to warm WORM extents, and the read proceeds against
-        the warm tier."""
+        repatriated to warm WORM extents, and the read is served from
+        the versions the recall verified — the fresh warm copy stays
+        dirty for the next verification pass."""
         if record_id in self.home.directory.cold:
-            self.recall(record_id)
+            return self.recall(record_id)[version]
         return self.home.open(record_id, version)
 
     # -- recall ----------------------------------------------------------------
@@ -104,7 +105,7 @@ class Tiering:
         *,
         actor_id: str = "system",
         member: tuple[str, bytes] | None = None,
-    ) -> None:
+    ) -> list[RecordVersion]:
         """Repatriate a cold record to the warm tier: verified member
         read (sealed digest + inclusion proof + chain re-link), then
         every version re-sealed into ONE WORM frame under its original
@@ -113,7 +114,8 @@ class Tiering:
         between leaves the cold member authoritative and recovery
         simply re-expatriates the warm copy.  A restore passes the
         snapshot's digest-checked *member* (see
-        :meth:`open_cold_versions`): the cold device may be gone."""
+        :meth:`open_cold_versions`): the cold device may be gone.
+        Returns the verified versions, indexed by version number."""
         with METRICS.timer("tier_recall_ns"):
             segment_id = member[0] if member else self.cold.segment_of(record_id).segment_id
             # never recall from the plaintext cache: what repatriates to
@@ -122,7 +124,7 @@ class Tiering:
             versions = self.open_cold_versions(
                 record_id, use_cache=False, member=member
             )
-            VersionChain.from_versions(record_id, versions)
+            versions = list(VersionChain.from_versions(record_id, versions))
             handle = self.home.directory.keys[record_id]
             self.home.write([(v, handle) for v in versions], origin=None)
             self.home.directory.set_cold(record_id, False)
@@ -136,6 +138,7 @@ class Tiering:
             )
         METRICS.incr("tier_cold_recalls")
         METRICS.incr("tier_recalled_versions", len(versions))
+        return versions
 
     # -- demotion ----------------------------------------------------------------
 

@@ -52,7 +52,7 @@ def test_build_parse_round_trip_preserves_every_member():
 def test_merkle_root_proves_each_sealed_member():
     members = make_members(5)
     manifest, _chunks = build_segment("seg-0001", 1.17e9, members)
-    tree = manifest.tree()
+    tree = manifest.tree
     assert tree.root() == manifest.merkle_root
     for index, (_, blob, *_rest) in enumerate(members):
         proof = tree.prove_inclusion(index)

@@ -123,6 +123,21 @@ def test_read_through_recall_is_one_worm_frame():
     assert cost == {"worm": 1, "audit": 2}
 
 
+def test_read_through_recall_reads_the_cold_member_once_and_no_worm_object():
+    store, clock = make_store()
+    store.correct(corrected(store, clock, "rec-0"), "dr-a", "amend")
+    store.demote_records(["rec-0"])
+    devices = store.device_set()
+    worm, cold = devices["worm_device"].stats, devices["cold_device"].stats
+    reads_before = (worm.reads, worm.raw_reads, cold.reads, cold.raw_reads)
+    cost = delta(store, lambda: store.read("rec-0", actor_id="dr-a"))
+    assert cost == {"worm": 1, "audit": 2}
+    # the read is served from the versions the recall verified, not read
+    # back off the WORM frame it just wrote
+    reads = (worm.reads, worm.raw_reads, cold.reads, cold.raw_reads)
+    assert [after - before for after, before in zip(reads, reads_before)] == [0, 0, 0, 1]
+
+
 def test_a_warm_read_is_one_audit_event():
     store, _ = make_store()
     store._dir.purge("rec-1")

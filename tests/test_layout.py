@@ -41,7 +41,7 @@ CLI_LINE_LIMIT = 450
 #: Every ``*.py`` line under ``src/repro`` (ROADMAP item 3's scoreboard:
 #: 26,424 when the round began).  Lower it with each PR that deletes;
 #: never raise it to fit one that adds.
-TREE_LINE_LIMIT = 24_144
+TREE_LINE_LIMIT = 24_143
 
 #: ``StorageModel``, ``repro.cluster.workers.ENGINE_CALLS``, the router
 #: and rebalancer lambdas, and ``bench/layers.py`` all bind these by name.
