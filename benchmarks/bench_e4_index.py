@@ -13,7 +13,7 @@ import time
 
 from benchmarks.common import new_clock, print_table
 from repro.index.inverted import InvertedIndex
-from repro.index.trustworthy import TrustworthyIndex
+from repro.index.trustworthy import CHUNK_CAPACITY, TrustworthyIndex
 from repro.workload.generator import WorkloadGenerator
 
 MASTER = bytes(range(32))
@@ -89,16 +89,21 @@ def test_e4_posting_list_tamper_detection(benchmark):
     index = TrustworthyIndex(MASTER)
     for doc_id, text, _ in docs[:20]:
         index.add_document(doc_id, text)
+    # enough documents sharing a term that its list seals a chunk: only
+    # sealed chunks are on the device to strike
+    for n in range(CHUNK_CAPACITY):
+        index.add_document(f"shared-{n:02d}", "followup visit")
 
     def verify():
         return index.verify()
 
     benchmark.pedantic(verify, rounds=3, iterations=1)
     assert index.verify() == []
-    # flip a byte inside one current posting list
-    some_trapdoor = sorted(index.delta_extents())[0]
-    meta = index.delta_extents()[some_trapdoor][0]
-    index.device.raw_write(meta.device_offset + meta.size // 2, b"\xff")
+    # flip a byte inside one sealed chunk of a posting list
+    some_trapdoor = sorted(index.chunk_extents())[0]
+    meta = index.chunk_extents()[some_trapdoor][0]
+    (byte,) = index.device.raw_read(meta.device_offset + meta.size // 2, 1)
+    index.device.raw_write(meta.device_offset + meta.size // 2, bytes([byte ^ 0xFF]))
     failures = index.verify()
     assert failures, "tampered posting list must be detected"
     print(f"\nE4b: tampering detected in {len(failures)} posting list(s)")

@@ -54,8 +54,10 @@ class RecoveryReport:
 
     ``disposed`` are records whose data key was shredded before the
     crash — cryptographically deleted, correctly unrecoverable.
-    ``damaged`` are records whose key survives but whose versions no
-    longer decrypt/verify (torn or tampered data).  ``orphaned`` are
+    ``damaged`` are records whose key survives but a copy of which no
+    longer decrypts/verifies (torn or tampered data): versions lost
+    outright, or a cold member that failed its check while an intact
+    warm copy still serves the record.  ``orphaned`` are
     WORM objects the directory cannot serve: version objects with no
     escrowed key, and attachment chunks whose in-memory manifest died
     with the process (their bytes stay disposition-managed)."""
@@ -439,7 +441,7 @@ class Recovery:
                     record_id, self.tiering.open_cold_versions(record_id)
                 )
             except Exception:  # noqa: BLE001 — torn/tampered cold member
-                if record_id not in directory.chains and record_id not in damaged:
+                if record_id not in damaged:
                     damaged.append(record_id)
                 # with an intact warm copy the record falls back warm
                 self.tiering.cold.mark_repatriated(record_id)

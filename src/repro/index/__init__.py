@@ -14,12 +14,12 @@ Two indexes are provided:
 * :class:`~repro.index.trustworthy.TrustworthyIndex` — the compliant
   index: terms are replaced by HMAC trapdoors (keyed, so the adversary
   cannot enumerate the dictionary, and no trapdoor is on the device),
-  every write is one frame of per-list AEAD boxes (deltas that fold
-  into sealed chunks), every box padded to a bucket size (so list
-  *lengths* leak little and an add rewrites nothing), and every box
-  re-hashed against the digest taken at write before use
+  a list's pending ids held in memory until 32 fold into a sealed AEAD
+  chunk (one frame per write that folds; an add rewrites nothing), every
+  chunk padded to a bucket size (so list *lengths* leak little), and
+  every chunk re-hashed against the digest taken at write before use
   (tamper-evident).  Its ``delete_document`` removes a document from
   the lists it was posted to with *verifiable* absence afterwards
-  (Mitra & Winslett, StorageSS'06 motivated): the affected boxes are
-  rewritten and the old ones scrubbed.
+  (Mitra & Winslett, StorageSS'06 motivated): the chunk holding it in
+  each list is rewritten and the old one scrubbed.
 """

@@ -6,25 +6,25 @@ binding stops and what leaks).
   ``HMAC(index_key, term)``, and it is held only in memory: on the
   device a posting list is AEAD boxes with no clear header, so a stolen
   medium shows neither the vocabulary nor which boxes form one list.
-* **One frame per write.**  Every write journals ONE frame of boxes: a
-  *delta* per touched list (this write's new ids for it) plus every
-  chunk the write seals.  Nothing is read or re-encrypted.  When a
-  list's pending ids reach :data:`CHUNK_CAPACITY`, the first
-  ``CHUNK_CAPACITY`` fold into a full *sealed* chunk in the same frame,
-  and no later add reads or rewrites it.
-* **One check, then crypto.**  Every box is sealed under its list's key
-  with trapdoor ‖ the write's journal sequence as associated data, and
-  the table keeps the SHA-256 of the bytes written.  Every use re-reads
-  and re-hashes the box against that digest first.  A pending delta's
-  ids then come from memory; only sealed chunks are decrypted.
-* **Padding.**  A box's ids are sorted and padded with empty entries to
-  the next power-of-two count (list length ≈ term rarity leaks only as
-  log-granularity buckets).
+* **Only full chunks reach the device.**  A list's pending ids (fewer
+  than :data:`CHUNK_CAPACITY`) are held in memory.  When they reach
+  ``CHUNK_CAPACITY``, the write that filled them *folds* them into a
+  sealed chunk; all the chunks one write seals are ONE journal frame,
+  and no later add reads or rewrites them.  A write that folds nothing
+  writes nothing.
+* **One check, then crypto.**  Every chunk is sealed under its list's
+  key with trapdoor ‖ the write's journal sequence as associated data,
+  and the table keeps the SHA-256 of the bytes written.  Every use
+  re-reads and re-hashes the chunk against that digest before it is
+  decrypted.
+* **Padding.**  A chunk's ids are sorted and padded with empty entries
+  to the next power-of-two count, so a chunk a deletion shrank keeps a
+  full chunk's entry count until it holds half as many ids.
 * **Secure deletion** (after Mitra & Winslett, StorageSS'06).
-  :meth:`TrustworthyIndex.delete_document` rewrites the boxes holding
-  the id without it, in one frame, and scrubs every superseded box of
-  the lists it was posted to; :meth:`TrustworthyIndex.forensic_residue`
-  is the auditor's check.
+  :meth:`TrustworthyIndex.delete_document` drops a pending id from
+  memory, and rewrites each sealed chunk holding the id without it, in
+  one frame, then scrubs the replaced chunks;
+  :meth:`TrustworthyIndex.forensic_residue` is the auditor's check.
 
 The index is derived data: a restarted engine re-posts it on a blank
 device, so no frame is ever read back from an older device image.
@@ -52,14 +52,14 @@ _CIPHER_CACHE_CAPACITY = 4096
 
 _PAD_DOC = ""  # padding entries are empty strings, dropped on decrypt
 
-#: Document ids per sealed chunk, and the pending ids at which a list's
-#: deltas fold into one.  A search pays one re-hash and one MAC per
+#: Document ids per sealed chunk, and the pending ids at which a list
+#: folds them into one.  A search pays one re-hash and one MAC per
 #: sealed chunk; capacity 8 / 16 / 32 / 64 read ``read_tiered``
 #: query_p50_ms 2.02 / 1.79 / 1.66 / 1.62 against 1.68 for whole lists
 #: (8 seeds): 32 is the smallest that searched as fast.
 CHUNK_CAPACITY = 32
 
-# every box's associated data: trapdoor (raw HMAC) | the write's journal sequence
+# every chunk's associated data: trapdoor (raw HMAC) | the write's journal sequence
 _BOX_AD = struct.Struct(">32sI")
 
 
@@ -72,22 +72,20 @@ def _padded_length(count: int) -> int:
 
 
 def _padded(documents: list[str]) -> bytes:
-    """A box's plaintext: the ids sorted, padded to a power of two."""
+    """A chunk's plaintext: the ids sorted, padded to a power of two."""
     pad = [_PAD_DOC] * (_padded_length(len(documents)) - len(documents))
     return canonical_bytes(sorted(documents) + pad)
 
 
 @dataclass(frozen=True)
 class BoxExtent:
-    """One posting box: the write (journal sequence) that put it on the
-    device, where it lies, the SHA-256 of the bytes written there, and
-    its ids while pending (``None`` once sealed in a chunk)."""
+    """One sealed chunk: the write (journal sequence) that put it on the
+    device, where it lies, and the SHA-256 of the bytes written there."""
 
     journal_sequence: int
     device_offset: int
     size: int
     digest: bytes
-    documents: tuple[str, ...] | None
 
 
 @dataclass(frozen=True)
@@ -111,18 +109,19 @@ class TrustworthyIndex:
         self._journal = Journal(device or MemoryDevice("tidx-dev", 1 << 23))
         # trapdoor(hex) -> sealed chunks, in order
         self._chunks: dict[str, list[BoxExtent]] = {}
-        # trapdoor(hex) -> pending deltas, fewer than CHUNK_CAPACITY ids
-        # in all (an emptied list keeps its entry)
-        self._pending: dict[str, list[BoxExtent]] = {}
-        # trapdoor(hex) -> superseded boxes (secure deletion scrubs these)
+        # trapdoor(hex) -> pending ids, fewer than CHUNK_CAPACITY, held
+        # only here; every list ever posted to has an entry, emptied or not
+        self._pending: dict[str, list[str]] = {}
+        # trapdoor(hex) -> replaced chunks (secure deletion scrubs these)
         self._superseded: dict[str, list[BoxExtent]] = {}
-        # document id -> the trapdoors it was posted to (interned: one
-        # string per list).  Derived: a re-posted index rebuilds it.
-        self._documents: dict[str, tuple[str, ...]] = {}
+        # document id -> {trapdoor (interned: one string per list) -> the
+        # slot of the chunk holding it, None while pending}.  Derived: a
+        # re-posted index rebuilds it.
+        self._documents: dict[str, dict[str, int | None]] = {}
         # trapdoor(hex) -> AeadCipher memo.  Per-list keys are a pure
         # KDF of the master key and the trapdoor, so caching is safe;
-        # it turns the dominant ingest cost (one KDF + cipher setup per
-        # touched list) into a dictionary hit.
+        # it turns one KDF + cipher setup per list a fold or a search
+        # touches into a dictionary hit.
         self._cipher_cache: OrderedDict[str, AeadCipher] = OrderedDict()
 
     @property
@@ -134,7 +133,7 @@ class TrustworthyIndex:
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self._chunks.keys() | self._pending.keys())
+        return len(self._pending)
 
     # -- crypto plumbing -----------------------------------------------------
 
@@ -159,14 +158,14 @@ class TrustworthyIndex:
     # -- persistence: one check, one read path, one write path ----------------
 
     def _box(self, extent: BoxExtent) -> bytes:
-        """Re-read one box; it must hash to the digest taken at write."""
+        """Re-read one chunk; it must hash to the digest taken at write."""
         data = self.device.read(extent.device_offset, extent.size)
         if sha256(data) != extent.digest:
             raise IntegrityError("posting box altered on the device")
         return data
 
     def _open(self, items: list[tuple[str, BoxExtent]]) -> list[list[str]]:
-        """Read ``(trapdoor, extent)`` boxes back as document-id lists:
+        """Read ``(trapdoor, extent)`` chunks back as document-id lists:
         each re-read and re-hashed, then every MAC verified before
         anything is decrypted (one ``decrypt_many``)."""
         boxes = [
@@ -184,54 +183,39 @@ class TrustworthyIndex:
 
     def _postings(self, trapdoors: list[str]) -> list[list[str]]:
         """Whole posting lists: every sealed chunk of every trapdoor
-        through one :meth:`_open` pass, then every pending delta re-read
-        and re-hashed, its ids taken from memory.  Absent trapdoors
-        yield empty lists."""
+        through one :meth:`_open` pass, then the pending ids from
+        memory.  Absent trapdoors yield empty lists."""
         chains = [self._chunks.get(trapdoor, ()) for trapdoor in trapdoors]
         opened = iter(
             self._open([(td, extent) for td, chain in zip(trapdoors, chains) for extent in chain])
         )
-        lists = [[doc for _ in chain for doc in next(opened)] for chain in chains]
-        for trapdoor, documents in zip(trapdoors, lists):
-            for delta in self._pending.get(trapdoor, ()):
-                self._box(delta)
-                documents.extend(delta.documents)
-        return lists
+        return [
+            [doc for _ in chain for doc in next(opened)] + self._pending.get(trapdoor, [])
+            for trapdoor, chain in zip(trapdoors, chains)
+        ]
 
-    def _write(
-        self,
-        chunks: list[tuple[str, int, list[str]]],
-        deltas: dict[str, list[str]],
-        retired: list[tuple[str, BoxExtent]],
-    ) -> None:
-        """Seal the ``trapdoor -> ids`` deltas and the ``(trapdoor, slot,
-        ids)`` chunks in ONE vectorized AEAD pass, journal them as ONE
-        frame (one device write), then update the table: *retired*
-        deltas and replaced chunks are kept for scrubbing, the new boxes
-        take their place.  A slot the list already has is replaced; the
-        next slot up appends a chunk."""
-        staged = [(td, None, ids) for td, ids in deltas.items()] + chunks
+    def _seal(self, chunks: list[tuple[str, int, list[str]]]) -> None:
+        """Seal the ``(trapdoor, slot, ids)`` chunks in ONE vectorized
+        AEAD pass, journal them as ONE frame (one device write), then
+        put each in its list's slot: a slot the list already has is
+        replaced (the old chunk kept for scrubbing); the next slot up
+        appends.  No chunks, no write."""
+        if not chunks:
+            return
         sequence = len(self._journal)
         boxes = [
             box.to_bytes()
             for box in encrypt_many(
                 [
                     (self._cipher_for(td), _padded(ids), _BOX_AD.pack(bytes.fromhex(td), sequence))
-                    for td, _, ids in staged
+                    for td, _, ids in chunks
                 ]
             )
         ]
-        offset = self._journal.append_scattered(boxes).offset + HEADER_SIZE if boxes else 0
-        for trapdoor, delta in retired:
-            self._pending[trapdoor].remove(delta)
-            self._superseded.setdefault(trapdoor, []).append(delta)
-        for (trapdoor, slot, ids), box in zip(staged, boxes):
-            pending = tuple(ids) if slot is None else None
-            extent = BoxExtent(sequence, offset, len(box), sha256(box), pending)
+        offset = self._journal.append_scattered(boxes).offset + HEADER_SIZE
+        for (trapdoor, slot, _), box in zip(chunks, boxes):
+            extent = BoxExtent(sequence, offset, len(box), sha256(box))
             offset += len(box)
-            if slot is None:
-                self._pending.setdefault(trapdoor, []).append(extent)
-                continue
             chain = self._chunks.setdefault(trapdoor, [])
             if slot < len(chain):
                 self._superseded.setdefault(trapdoor, []).append(chain[slot])
@@ -248,17 +232,17 @@ class TrustworthyIndex:
     def add_documents(self, documents: list[tuple[str, str]]) -> list[int]:
         """Index a batch of ``(document_id, text)`` pairs.
 
-        The batch is one delta per touched list, all in ONE journal
-        frame, and nothing on the device is read.  A list whose pending
-        ids reach :data:`CHUNK_CAPACITY` folds them into full sealed
-        chunks in the same frame.  Returns the per-document
-        distinct-term counts, in input order.
+        Each document's ids join the pending ids of its lists in memory.
+        A list whose pending ids reach :data:`CHUNK_CAPACITY` folds them
+        into full sealed chunks, and all the batch's folds are ONE
+        journal frame; nothing on the device is read.  Returns the
+        per-document distinct-term counts, in input order.
 
         Validation is all-or-nothing up front; the batch is rejected
         before any state changes if any id is empty, already indexed,
         or duplicated within the batch.
         """
-        posted: dict[str, tuple[str, ...]] = {}
+        posted: dict[str, dict[str, int | None]] = {}
         # trapdoor -> new document ids, preserving batch order
         additions: dict[str, list[str]] = {}
         for document_id, text in documents:
@@ -268,28 +252,27 @@ class TrustworthyIndex:
                 raise IndexError_(f"document {document_id} already indexed")
             if document_id in posted:
                 raise IndexError_(f"document {document_id} duplicated in batch")
-            trapdoors = tuple([sys.intern(self.trapdoor(term)) for term in unique_terms(text)])
-            posted[document_id] = trapdoors
+            trapdoors = [sys.intern(self.trapdoor(term)) for term in unique_terms(text)]
+            posted[document_id] = dict.fromkeys(trapdoors)
             for trapdoor in trapdoors:
                 additions.setdefault(trapdoor, []).append(document_id)
         chunks: list[tuple[str, int, list[str]]] = []
-        deltas: dict[str, list[str]] = {}
-        folded: list[tuple[str, BoxExtent]] = []
+        pending: dict[str, list[str]] = {}
         for trapdoor, added in additions.items():
-            pending = self._pending.get(trapdoor, [])
-            held = [doc for delta in pending for doc in delta.documents]
-            ids = held + added
+            ids = self._pending.get(trapdoor, []) + added
             full = len(ids) - len(ids) % CHUNK_CAPACITY
             first = len(self._chunks.get(trapdoor, ()))
             for start in range(0, full, CHUNK_CAPACITY):
                 chunk = ids[start : start + CHUNK_CAPACITY]
                 chunks.append((trapdoor, first + start // CHUNK_CAPACITY, chunk))
-            folded += [(trapdoor, delta) for delta in pending] if full else []
-            if rest := ids[max(full, len(held)) :]:
-                deltas[trapdoor] = rest
-        self._write(chunks, deltas, folded)
+            pending[trapdoor] = ids[full:]
+        self._seal(chunks)
+        self._pending.update(pending)
         self._documents.update(posted)
-        return [len(trapdoors) for trapdoors in posted.values()]
+        for trapdoor, slot, chunk in chunks:
+            for document_id in chunk:
+                self._documents[document_id][trapdoor] = slot
+        return [len(slots) for slots in posted.values()]
 
     def search(self, term: str) -> list[str]:
         """Documents containing *term*; requires the index key by construction."""
@@ -303,13 +286,13 @@ class TrustworthyIndex:
         return sorted(set(lists[0]).intersection(*lists[1:]))
 
     def verify(self) -> list[str]:
-        """Re-read and re-hash every box once, decrypting nothing, and
-        return the trapdoors whose boxes fail (tampered, substituted,
-        reordered, rolled back, replayed or missing)."""
+        """Re-read and re-hash every sealed chunk once, decrypting
+        nothing, and return the trapdoors whose chunks fail (tampered,
+        substituted, reordered, rolled back, replayed or missing)."""
         failures = []
-        for trapdoor in sorted(self._chunks.keys() | self._pending.keys()):
+        for trapdoor, chain in sorted(self._chunks.items()):
             try:
-                for extent in self._chunks.get(trapdoor, []) + self._pending.get(trapdoor, []):
+                for extent in chain:
                     self._box(extent)
             except CuratorError:
                 failures.append(trapdoor)
@@ -318,8 +301,8 @@ class TrustworthyIndex:
     # -- secure deletion ----------------------------------------------------------
 
     def delete_document(self, document_id: str) -> DeletionCertificate:
-        """Forget a document: rewrite the chunks and deltas holding it,
-        then scrub every superseded box of the affected lists."""
+        """Forget a document: drop its pending ids, rewrite the sealed
+        chunks holding it, then scrub the chunks those replaced."""
         if not document_id:
             raise IndexError_("document id must not be empty")
         affected = self._rewrite_lists_without(document_id)
@@ -333,57 +316,46 @@ class TrustworthyIndex:
 
     def forensic_residue(self, document_id: str) -> list[str]:
         """Worst-case forensic check: with the index keys in hand,
-        decrypt every current chunk, every pending delta and every
-        unscrubbed superseded box, and report the trapdoors still naming
-        the document.  Empty list == the index has verifiably forgotten it."""
+        decrypt every current chunk and every unscrubbed superseded
+        one, and report the trapdoors still naming the document.  Empty
+        list == the index has verifiably forgotten it."""
         residue = set()
-        for table in (self._chunks, self._pending, self._superseded):
+        for table in (self._chunks, self._superseded):
             for trapdoor, extents in table.items():
                 for extent in extents:
                     try:
                         documents = self.open_extent(trapdoor, extent)
                     except CuratorError:
-                        if table is not self._superseded:
-                            raise  # current boxes must verify
+                        if table is self._chunks:
+                            raise  # current chunks must verify
                         continue  # scrubbed or undecodable: no posting info left
                     if document_id in documents:
                         residue.add(trapdoor)
         return sorted(residue)
 
     def _rewrite_lists_without(self, document_id: str) -> list[str]:
-        """Rewrite every box that holds *document_id* without it, in one
-        write; only the sealed chunks of the lists it was posted to are
-        read.  Returns the affected trapdoors.  The replaced
-        (still-decryptable) boxes are recorded for scrubbing."""
-        trapdoors = self._documents.get(document_id, ())
-        slots = [
-            (trapdoor, slot, extent)
-            for trapdoor in trapdoors
-            for slot, extent in enumerate(self._chunks.get(trapdoor, ()))
-        ]
-        rewrites: list[tuple[str, int, list[str]]] = []
-        opened = self._open([(trapdoor, extent) for trapdoor, _, extent in slots])
-        for (trapdoor, slot, _), documents in zip(slots, opened):
-            if document_id in documents:
-                documents.remove(document_id)
-                rewrites.append((trapdoor, slot, documents))
-        retired = [
-            (trapdoor, delta)
-            for trapdoor in trapdoors
-            for delta in self._pending.get(trapdoor, ())
-            if document_id in delta.documents
-        ]
-        survivors = {
-            trapdoor: kept
-            for trapdoor, delta in retired
-            if (kept := [doc for doc in delta.documents if doc != document_id])
-        }
-        self._write(rewrites, survivors, retired)
+        """Drop *document_id* from its lists' pending ids, and rewrite
+        the one sealed chunk holding it in each other list without it,
+        in one write; only those chunks are read.  Returns the trapdoors
+        whose chunk was rewritten.  The replaced (still-decryptable)
+        chunks are recorded for scrubbing."""
+        slots = self._documents.get(document_id, {})
+        sealed = [(trapdoor, slot) for trapdoor, slot in slots.items() if slot is not None]
+        opened = self._open([(trapdoor, self._chunks[trapdoor][slot]) for trapdoor, slot in sealed])
+        self._seal(
+            [
+                (trapdoor, slot, [doc for doc in documents if doc != document_id])
+                for (trapdoor, slot), documents in zip(sealed, opened)
+            ]
+        )
+        for trapdoor, slot in slots.items():
+            if slot is None:
+                self._pending[trapdoor].remove(document_id)
         self._documents.pop(document_id, None)
-        return [trapdoor for trapdoor, _, _ in rewrites] + [td for td, _ in retired]
+        return [trapdoor for trapdoor, _ in sealed]
 
     def _scrub_superseded(self, trapdoors: list[str]) -> list[BoxExtent]:
-        """Pop the superseded boxes of *trapdoors* and scrub their
+        """Pop the superseded chunks of *trapdoors* and scrub their
         device bytes; returns the scrubbed extents."""
         extents = [e for trapdoor in trapdoors for e in self._superseded.pop(trapdoor, [])]
         for extent in extents:
@@ -396,15 +368,11 @@ class TrustworthyIndex:
         """Every current sealed chunk per trapdoor, in order."""
         return {trapdoor: list(chain) for trapdoor, chain in self._chunks.items()}
 
-    def delta_extents(self) -> dict[str, list[BoxExtent]]:
-        """Every pending delta per trapdoor, oldest first."""
-        return {trapdoor: list(pending) for trapdoor, pending in self._pending.items()}
-
     def superseded_versions(self) -> dict[str, list[BoxExtent]]:
         return {trapdoor: list(metas) for trapdoor, metas in self._superseded.items()}
 
     def open_extent(self, trapdoor: str, extent: BoxExtent) -> list[str]:
-        """The document ids one box (chunk or delta, current or
-        superseded) still yields to a holder of the index keys; raises
-        like a query if it no longer verifies (scrubbed, tampered)."""
+        """The document ids one chunk (current or superseded) still
+        yields to a holder of the index keys; raises like a query if it
+        no longer verifies (scrubbed, tampered)."""
         return self._open([(trapdoor, extent)])[0]

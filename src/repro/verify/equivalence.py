@@ -417,42 +417,51 @@ def _cold_manifest_rot(dep: Deployment) -> str | None:
     return _forge_cold_segment(dep, reforge)
 
 
-# The trustworthy index keeps a posting list as sealed chunks plus the
-# pending deltas of recent writes, each write ONE frame of boxes on the
-# index's device, each box checked against the digest taken at write.
-# The strikes rot a sealed chunk no later add rewrites; swap two lists'
-# chunks of one fold; drop a write; replay a list's older box, or one a
-# correction superseded and scrubbed, over a newer one; swap two lists'
-# deltas.
+# The trustworthy index keeps a posting list as sealed chunks; pending
+# ids never leave memory.  Each fold is ONE frame of chunks on the
+# index's device, each chunk checked against the digest taken at write.
+# The strikes rot a chunk no later add rewrites; swap two lists' chunks
+# of one fold; drop a fold; replay a list's earlier chunk over a later
+# one; exchange two chunks of one list; restore a chunk a correction
+# rewrote.
 
 
-def _index_note(dep: Deployment, record_id: str) -> BoxExtent:
-    """Store one seed note on a fresh patient (one index write); its box
-    in the list every seed note shares."""
-    dep.surface.store(seed_note(record_id, dep.fresh_patient(), dep.clock, 0), ACTOR)
-    index = dep.target.index
-    return index.delta_extents()[index.trapdoor("distinctive")][-1]
-
-
-def _index_fold(dep: Deployment) -> tuple[BoxExtent, BoxExtent]:
-    """One ``store_many`` of CHUNK_CAPACITY seed notes on a fresh
-    patient: the lists every seed note shares fold, and the newest
-    sealed chunks of two of them are boxes of that one frame."""
+def _index_fold(
+    dep: Deployment, prefix: str = "rec-chunk", notes: int = CHUNK_CAPACITY
+) -> tuple[list[BoxExtent], ...]:
+    """One ``store_many`` of *notes* seed notes on a fresh patient: the
+    lists every seed note shares fold.  Returns the sealed chunks of two
+    of them, ``distinctive`` and ``seed``, in order."""
     patient_id = dep.fresh_patient()
     dep.surface.store_many(
-        [seed_note(f"rec-chunk-{n}", patient_id, dep.clock, n) for n in range(CHUNK_CAPACITY)],
-        ACTOR,
+        [seed_note(f"{prefix}-{n}", patient_id, dep.clock, n) for n in range(notes)], ACTOR
     )
     index = dep.target.index
-    one, other = (index.chunk_extents()[index.trapdoor(t)][-1] for t in ("distinctive", "seed"))
-    assert one.journal_sequence == other.journal_sequence
-    return one, other
+    chunks = index.chunk_extents()
+    return tuple(chunks[index.trapdoor(term)] for term in ("distinctive", "seed"))
+
+
+def _overwrite(dep: Deployment, box: BoxExtent, data: bytes) -> str:
+    """Write *data* over *box*, cut or zero-padded to its size."""
+    dep.target.index.device.raw_write(box.device_offset, (data + bytes(box.size))[: box.size])
+    return "<index>"
+
+
+def _box_bytes(dep: Deployment, box: BoxExtent) -> bytes:
+    return dep.target.index.device.raw_read(box.device_offset, box.size)
+
+
+def _exchange(dep: Deployment, one: BoxExtent, other: BoxExtent) -> str:
+    """Each of two chunks written over the other."""
+    a, b = _box_bytes(dep, one), _box_bytes(dep, other)
+    _overwrite(dep, one, b)
+    return _overwrite(dep, other, a)
 
 
 def _index_chunk_rot(dep: Deployment) -> str | None:
     """Fold one posting list into a sealed chunk, then flip a
     ciphertext byte of it in place."""
-    sealed, _ = _index_fold(dep)
+    sealed = _index_fold(dep)[0][-1]
     device = dep.target.index.device
     (byte,) = device.raw_read(sealed.device_offset + sealed.size - 1, 1)
     device.raw_write(sealed.device_offset + sealed.size - 1, bytes([byte ^ 0x5A]))
@@ -460,59 +469,48 @@ def _index_chunk_rot(dep: Deployment) -> str | None:
 
 
 def _index_chunk_swap(dep: Deployment) -> str | None:
-    """Two lists' chunks sealed by one fold exchanged, each cut or
-    zero-padded to the other's size."""
-    one, other = _index_fold(dep)
-    device = dep.target.index.device
-    a, b = (device.raw_read(box.device_offset, box.size) for box in (one, other))
-    device.raw_write(one.device_offset, (b + bytes(one.size))[: one.size])
-    device.raw_write(other.device_offset, (a + bytes(other.size))[: other.size])
-    return "<index>"
+    """Two lists' chunks sealed by one fold exchanged."""
+    one, other = (chain[-1] for chain in _index_fold(dep))
+    assert one.journal_sequence == other.journal_sequence
+    return _exchange(dep, one, other)
 
 
-def _index_delta_drop(dep: Deployment) -> str | None:
-    """A note's write — its one index frame — erased whole, header too."""
+def _index_fold_drop(dep: Deployment) -> str | None:
+    """A fold's frame — every chunk it sealed — erased whole, header too."""
     device = dep.target.index.device
     start = device.used
-    _index_note(dep, "rec-drop")
+    _index_fold(dep)
     device.raw_write(start, bytes(device.used - start))
     return "<index>"
 
 
-def _index_delta_replay(dep: Deployment) -> str | None:
-    """Two notes in turn; the first's box of the shared list written
-    over the second's (one id each: the same size)."""
-    older, newer = _index_note(dep, "rec-replay-0"), _index_note(dep, "rec-replay-1")
-    device = dep.target.index.device
-    device.raw_write(newer.device_offset, device.raw_read(older.device_offset, older.size))
-    return "<index>"
+def _index_chunk_replay(dep: Deployment) -> str | None:
+    """Two folds in turn; the shared list's chunk from the first
+    written over its chunk from the second."""
+    _index_fold(dep, "rec-replay-a")
+    older, newer = _index_fold(dep, "rec-replay-b")[0][-2:]
+    assert older.journal_sequence < newer.journal_sequence
+    return _overwrite(dep, newer, _box_bytes(dep, older))
 
 
-def _index_delta_swap(dep: Deployment) -> str | None:
-    """Two lists' boxes in one note's frame exchanged (each holds the
-    note's id: the same size)."""
-    one, index = _index_note(dep, "rec-swap"), dep.target.index
-    other = index.delta_extents()[index.trapdoor("equivalence")][-1]
-    a, b = (index.device.raw_read(d.device_offset, d.size) for d in (one, other))
-    index.device.raw_write(one.device_offset, b)
-    index.device.raw_write(other.device_offset, a)
-    return "<index>"
+def _index_chunk_reorder(dep: Deployment) -> str | None:
+    """One fold seals two chunks of the shared list; they are exchanged."""
+    return _exchange(dep, *_index_fold(dep, "rec-reorder", 2 * CHUNK_CAPACITY)[0][-2:])
 
 
 def _index_tail_rollback(dep: Deployment) -> str | None:
-    """Keep the box holding a record's id in the shared list; correct the
-    record, which supersedes and scrubs that box and writes the id in a
-    new one; write the kept bytes over the new box, cut or zero-padded
-    to its size (on a fresh engine both hold the one id: an exact fit)."""
-    index = dep.target.index
-    trapdoor = index.trapdoor("distinctive")
-    victim = dep.residents()[0]
-    held = next(d for d in index.delta_extents()[trapdoor] if victim in d.documents)
-    kept = index.device.raw_read(held.device_offset, held.size)
+    """Fold the shared list and keep its newest chunk's bytes; correct a
+    resident that chunk holds, which rewrites the chunk without it and
+    scrubs the old bytes; write the kept bytes over the rewritten chunk."""
+    chain = _index_fold(dep, "rec-rollback")[0]
+    index, old = dep.target.index, chain[-1]
+    kept = _box_bytes(dep, old)
+    held = index.open_extent(index.trapdoor("distinctive"), old)
+    victim = next(record_id for record_id in dep.residents() if record_id in held)
     dep.surface.correct(dep.surface.read(victim, actor_id=ACTOR), ACTOR, "re-index")
-    current = index.delta_extents()[trapdoor][-1]
-    index.device.raw_write(current.device_offset, (kept + bytes(current.size))[: current.size])
-    return "<index>"
+    rewritten = index.chunk_extents()[index.trapdoor("distinctive")][len(chain) - 1]
+    assert rewritten != old
+    return _overwrite(dep, rewritten, kept)
 
 
 # -- the table -------------------------------------------------------------
@@ -548,9 +546,9 @@ TAMPERS = (
     Tamper("index_chunk_rot", _INTEGRITY, _index_chunk_rot),
     Tamper("index_chunk_swap", _INTEGRITY, _index_chunk_swap),
     Tamper("index_tail_rollback", _INTEGRITY, _index_tail_rollback),
-    Tamper("index_delta_drop", _INTEGRITY, _index_delta_drop),
-    Tamper("index_delta_replay", _INTEGRITY, _index_delta_replay),
-    Tamper("index_delta_swap", _INTEGRITY, _index_delta_swap),
+    Tamper("index_fold_drop", _INTEGRITY, _index_fold_drop),
+    Tamper("index_chunk_replay", _INTEGRITY, _index_chunk_replay),
+    Tamper("index_chunk_reorder", _INTEGRITY, _index_chunk_reorder),
     Tamper("refresh_after_rot", _INTEGRITY, _rot_then_refresh),
     Tamper("stale_source_rot", _INTEGRITY, _rot_stale_copy),
 )

@@ -85,3 +85,21 @@ def test_a_restart_adopts_every_cold_segment_past_a_decayed_member():
     assert recovered.recovery_report.cold_records == ("rec-0", "rec-2", "rec-3", "rec-4")
     assert recovered.read("rec-1", actor_id="system").body["text"] == "entry 1"
 
+
+
+def test_a_restart_names_a_decayed_cold_member_though_its_warm_copy_serves():
+    store, clock, config = make_store()
+    for n in range(5):
+        store.store(note(f"rec-{n}", "pat-1", clock, f"entry {n}"), "dr-a")
+    served = store.read("rec-1", actor_id="system")
+    store.demote_records(["rec-0", "rec-1", "rec-2"])
+    store.demote_records(["rec-3", "rec-4"])
+    segment = store.cold.segment_of("rec-1")
+    offset, length = segment.extent_of(segment.manifest.member("rec-1"))
+    flip(store.cold.device, offset + length // 2)
+    assert store.verify_integrity().violations == ["rec-1"]
+    recovered = recover(store, config)
+    # a copy of the record no longer verifies: the restart says so, and
+    # still serves the intact warm copy, byte-equal
+    assert recovered.recovery_report.damaged == ("rec-1",)
+    assert recovered.read("rec-1", actor_id="system") == served

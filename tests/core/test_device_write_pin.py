@@ -1,6 +1,6 @@
 """How many device writes each engine operation costs — counts, not
-timings.  ``store()`` = exactly four is pinned in
-``test_write_pipeline.py``; these rows pin the rest of the write
+timings.  ``store()`` = three, plus one when a posting list folds, is
+pinned in ``test_write_pipeline.py``; these rows pin the rest of the write
 surface, so a part that starts writing twice (or stops writing at all)
 fails here rather than in a benchmark."""
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro.access.principals import Role, User
 from repro.core import CuratorConfig, CuratorStore
+from repro.index.trustworthy import CHUNK_CAPACITY
 from repro.records.model import ClinicalNote, HealthRecord
 from repro.util.clock import SimulatedClock
 
@@ -34,6 +35,22 @@ def make_store(site_id="hospital-A"):
             "dr-a",
         )
     return store, clock
+
+
+def fold(store, clock):
+    """Store enough notes like rec-0 that every list it is posted to
+    folds (even with one of rec-1..2 gone): its ids are then in sealed
+    chunks."""
+    store.store_many(
+        [
+            ClinicalNote.create(
+                record_id=f"rec-{i}", patient_id="pat-1", created_at=clock.now(),
+                author="dr-a", specialty="cardiology", text=f"entry {i} followup",
+            )
+            for i in range(3, CHUNK_CAPACITY + 1)
+        ],
+        "dr-a",
+    )
 
 
 def writes(store):
@@ -66,16 +83,21 @@ def corrected(store, clock, record_id):
 
 def test_correct_is_one_frame_an_index_rewrite_and_one_audit_event():
     store, clock = make_store()
+    # WORM: the new version.  Audit: RECORD_CORRECTED, carrying the
+    # decision.  Index: rec-1's old and new postings are pending, in
+    # memory, so the index writes nothing
+    amendment = corrected(store, clock, "rec-1")
+    cost = delta(store, lambda: store.correct(amendment, "dr-a", "amend"))
+    assert cost == {"worm": 1, "audit": 1}
+    # once rec-0's postings are sealed, the correction rewrites the
+    # chunks holding them without it (one frame) and scrubs the old
+    # ones; the new text is pending again
+    fold(store, clock)
     amendment = corrected(store, clock, "rec-0")
-    # WORM: the new version.  Index: scrub the old postings, post the
-    # new text.  Audit: RECORD_CORRECTED, carrying the decision.
     scrubs = store.index.device.stats.raw_writes
     cost = delta(store, lambda: store.correct(amendment, "dr-a", "amend"))
-    # rec-0's old deltas held only rec-0: no survivor to write again, so
-    # the new text's frame is the one write and the old boxes are scrubbed
-    assert cost.pop("index") == 1
+    assert cost == {"worm": 1, "index": 1, "audit": 1}
     assert store.index.device.stats.raw_writes > scrubs
-    assert cost == {"worm": 1, "audit": 1}
 
 
 @pytest.mark.parametrize("size", [10, 200_000])
@@ -150,15 +172,20 @@ def test_dispose_writes_only_the_shred_the_index_scrub_and_one_event():
     store, clock = make_store()
     clock.advance_years(40)
     scrubs = store.index.device.stats.raw_writes
-    cost = delta(store, lambda: store.dispose("rec-0", actor_id="admin"))
-    # rec-0's postings are scrubbed in place; its deltas held no other
-    # id, so the index appends nothing
-    assert store.index.device.stats.raw_writes > scrubs
-    # the key escrow journals a shred tombstone; nothing is *appended*
-    # to the WORM device — destruction there is raw overwrites of the
-    # object's extent, not a journal write
+    cost = delta(store, lambda: store.dispose("rec-1", actor_id="admin"))
+    # rec-1's postings were pending, in memory: the index neither
+    # appends nor scrubs.  The key escrow journals a shred tombstone;
+    # nothing is *appended* to the WORM device — destruction there is
+    # raw overwrites of the object's extent, not a journal write
     assert cost == {"keys": 1, "audit": 1}
+    assert store.index.device.stats.raw_writes == scrubs
     assert store.worm.device.stats.raw_writes > 0
+    # once rec-0's postings are sealed, its chunks are rewritten
+    # without it (one frame) and the old ones scrubbed in place
+    fold(store, clock)
+    cost = delta(store, lambda: store.dispose("rec-0", actor_id="admin"))
+    assert cost == {"keys": 1, "index": 1, "audit": 1}
+    assert store.index.device.stats.raw_writes > scrubs
 
 
 def test_import_patient_history_is_one_worm_frame_for_the_whole_patient():
@@ -173,7 +200,8 @@ def test_import_patient_history_is_one_worm_frame_for_the_whole_patient():
         )
     )
     # 4 versions + 4 chunks + the segment archive: ONE frame; one escrow
-    # flush for 3 keys, one index flush for 3 documents, one audit flush
+    # flush for 3 keys, one audit flush; the 3 documents' postings are
+    # pending, in memory
     cost = delta(destination, lambda: destination.transfer.import_patient_history(bundle))
-    assert cost == {"worm": 1, "keys": 1, "index": 1, "audit": 1}
+    assert cost == {"worm": 1, "keys": 1, "audit": 1}
     assert len(destination.worm.object_ids()) == 4 + 4 + 1

@@ -8,6 +8,8 @@ version, and no cache may outlive a shredded key.  These tests attack
 exactly those seams.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.audit.events import AuditAction
@@ -18,6 +20,8 @@ from repro.errors import (
     RecordError,
     RecordNotFoundError,
 )
+from repro.index.tokenizer import unique_terms
+from repro.index.trustworthy import CHUNK_CAPACITY
 from repro.records.model import ClinicalNote, HealthRecord
 from repro.util.clock import SimulatedClock
 from repro.util.metrics import METRICS
@@ -161,7 +165,8 @@ def test_audit_batch_cannot_nest():
 
 
 # ---------------------------------------------------------------------------
-# store(r) IS store_many([r]): one write path, four device writes
+# store(r) IS store_many([r]): one write path, three device writes plus
+# one when a posting list folds
 # ---------------------------------------------------------------------------
 
 
@@ -188,15 +193,9 @@ def test_store_and_store_many_of_one_are_the_same_write():
         for store in (single, batched)
     ]
     assert extents[0] == extents[1]
-    deltas = [
-        {
-            trapdoor: [(d.journal_sequence, d.device_offset, d.size, d.documents)
-                       for d in pending]
-            for trapdoor, pending in store.index.delta_extents().items()
-        }
-        for store in (single, batched)
-    ]
-    assert deltas[0] == deltas[1] and deltas[0]
+    # one note folds no list: its postings are pending, in memory
+    assert single.index.device.used == batched.index.device.used == 0
+    assert single.index.search("carcinoma") == batched.index.search("carcinoma") == ["rec-1"]
     object_id = "rec-1@v0"
     assert single.worm.physical_extent(object_id) == batched.worm.physical_extent(
         object_id
@@ -208,24 +207,34 @@ def test_store_and_store_many_of_one_are_the_same_write():
         assert store.verify_integrity().ok and store.verify_audit_trail().ok
 
 
-def test_every_store_is_exactly_four_device_writes():
-    """Escrow, WORM, index, audit — a count, not a timing.  Even a store
-    that falls on an anchor: nothing is pending when the anchor is cut
-    (every earlier event is already durable), and its ANCHOR_PUBLISHED
-    frame rides the same audit flush as the RECORD_CREATED behind it."""
+def test_every_store_is_three_device_writes_plus_one_per_fold():
+    """Escrow, WORM, audit — and the index only when one of the
+    record's posting lists reaches a multiple of CHUNK_CAPACITY ids and
+    folds: a count, not a timing.  Even a store that falls on an anchor:
+    nothing is pending when the anchor is cut (every earlier event is
+    already durable), and its ANCHOR_PUBLISHED frame rides the same
+    audit flush as the RECORD_CREATED behind it."""
     store, _ = make_store()
     expected = {
         store.worm.device.device_id: 1,
-        store.index.device.device_id: 1,
         store.audit_log.device.device_id: 1,
         store._keystore.device.device_id: 1,  # noqa: SLF001
     }
+    posted: Counter[str] = Counter()
+    folds = 0
     for record in _workload(200):
+        terms = unique_terms(record.searchable_text())
+        posted.update(terms)
+        fold = any(posted[term] % CHUNK_CAPACITY == 0 for term in terms)
+        folds += fold
         before = _device_writes(store)
         store.store(record, "dr-batch")
         after = _device_writes(store)
         delta = {name: after[name] - before[name] for name in after}
-        assert {name: n for name, n in delta.items() if n} == expected, record.record_id
+        assert {name: n for name, n in delta.items() if n} == (
+            {**expected, store.index.device.device_id: 1} if fold else expected
+        ), record.record_id
+    assert 0 < folds < 200 / 4
     anchors = sum(
         e.action == AuditAction.ANCHOR_PUBLISHED for e in store.audit_log.events()
     )

@@ -39,4 +39,4 @@ def test_on_the_reference_backend(reference_backend, case):
 def test_the_rerun_covers_both_suites():
     ids = [param.id for param in CASES]
     assert sum(i.startswith("test_aead::") for i in ids) >= 12
-    assert sum(i.startswith("test_trustworthy::") for i in ids) >= 8
+    assert sum(i.startswith("test_trustworthy::") for i in ids) >= 10

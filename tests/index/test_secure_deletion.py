@@ -19,13 +19,13 @@ def test_delete_removes_from_search():
     certificate = index.delete_document("doc-1")
     assert index.search("cancer") == ["doc-2"]
     assert index.search("remission") == []
-    assert certificate.lists_rewritten == 2
+    # both lists held doc-1 pending, in memory: nothing to rewrite
+    assert certificate.lists_rewritten == 0
 
 
 def test_delete_scrubs_stale_ciphertext():
     index = make_index()
-    index.add_document("doc-1", "cancer")
-    index.add_document("doc-2", "cancer")
+    index.add_documents([(f"doc-{i}", "cancer") for i in range(CHUNK_CAPACITY)])
     certificate = index.delete_document("doc-1")
     assert certificate.versions_scrubbed >= 1
     assert certificate.bytes_scrubbed > 0
@@ -35,8 +35,7 @@ def test_delete_scrubs_stale_ciphertext():
 def test_without_scrub_stale_versions_are_recoverable():
     # Ablation: rewriting alone leaves decryptable history.
     index = make_index()
-    index.add_document("doc-1", "cancer")
-    index.add_document("doc-2", "cancer")  # supersedes the v0 list
+    index.add_documents([(f"doc-{i}", "cancer") for i in range(CHUNK_CAPACITY)])
     index._rewrite_lists_without("doc-1")  # rewrite but DON'T scrub
     assert index.forensic_residue("doc-1") != []
 
@@ -67,7 +66,7 @@ def test_deleted_doc_unrecoverable_even_with_keys():
     # the device. forensic_residue simulates exactly that.
     index = make_index()
     index.add_document("doc-secret", "cancer hiv biopsy")
-    index.add_document("doc-other", "cancer")
+    index.add_documents([(f"doc-{i}", "cancer biopsy") for i in range(CHUNK_CAPACITY)])
     index.delete_document("doc-secret")
     assert index.forensic_residue("doc-secret") == []
 
@@ -96,14 +95,14 @@ def test_delete_from_sealed_chunk_scrubs_only_that_chunk():
     assert index.verify() == []
 
 
-# -- deletion over pending deltas ----------------------------------------------
+# -- deletion over pending ids and sealed chunks --------------------------------
 
 
 def boxes_naming(index, document_id):
-    """``(offset, size)`` of every box on the device, live or superseded,
-    that still decrypts to a list naming the document."""
+    """``(offset, size)`` of every chunk on the device, live or
+    superseded, that still decrypts to a list naming the document."""
     named = []
-    for table in (index.chunk_extents(), index.delta_extents(), index.superseded_versions()):
+    for table in (index.chunk_extents(), index.superseded_versions()):
         for trapdoor, extents in table.items():
             for extent in extents:
                 try:
@@ -122,33 +121,37 @@ def assert_forgotten(index, document_id, held):
     assert index.verify() == []
 
 
-def test_delete_while_pending_rewrites_the_survivors_and_scrubs_the_delta():
+def test_delete_while_pending_is_a_memory_edit():
     index = make_index()
     index.add_documents([(f"doc-{i}", "cancer") for i in range(5)])
     index.add_document("doc-9", "cancer remission")
-    held = boxes_naming(index, "doc-2")
-    assert len(held) == 1
+    stats = index.device.stats
+    before = (stats.reads, stats.writes, stats.raw_writes)
 
     certificate = index.delete_document("doc-2")
 
-    assert (certificate.lists_rewritten, certificate.versions_scrubbed) == (1, 1)
-    assert_forgotten(index, "doc-2", held)
-    deltas = index.delta_extents()[index.trapdoor("cancer")]
-    assert [d.documents for d in deltas] == [("doc-9",), ("doc-0", "doc-1", "doc-3", "doc-4")]
+    assert (certificate.lists_rewritten, certificate.versions_scrubbed) == (0, 0)
+    assert (stats.reads, stats.writes, stats.raw_writes) == before
+    assert index.device.used == 0  # no box ever named it
+    assert_forgotten(index, "doc-2", [])
     assert index.search("cancer") == ["doc-0", "doc-1", "doc-3", "doc-4", "doc-9"]
+    index.add_documents([(f"late-{i:02d}", "cancer") for i in range(CHUNK_CAPACITY - 5)])
+    (sealed,) = index.chunk_extents()[index.trapdoor("cancer")]
+    assert "doc-2" not in index.open_extent(index.trapdoor("cancer"), sealed)
 
 
-def test_delete_after_its_delta_folded_scrubs_the_chunk_and_the_folded_delta():
+def test_delete_after_its_fold_scrubs_the_chunk_it_was_sealed_in():
     index = make_index()
     for i in range(CHUNK_CAPACITY + 3):
         index.add_document(f"doc-{i:04d}", "cancer")
     trapdoor = index.trapdoor("cancer")
     (sealed,) = index.chunk_extents()[trapdoor]
-    held = boxes_naming(index, "doc-0007")  # sealed chunk 0 and its folded delta
-    assert len(held) == 2 and (sealed.device_offset, sealed.size) in held
+    held = boxes_naming(index, "doc-0007")
+    assert held == [(sealed.device_offset, sealed.size)]
 
-    index.delete_document("doc-0007")
+    certificate = index.delete_document("doc-0007")
 
+    assert (certificate.lists_rewritten, certificate.versions_scrubbed) == (1, 1)
     assert_forgotten(index, "doc-0007", held)
     assert index.superseded_versions() == {}
     assert len(index.search("cancer")) == CHUNK_CAPACITY + 2

@@ -82,8 +82,8 @@ def test_queries_still_work_after_many_updates():
 
 def test_tamper_detected_at_query_time():
     index = make_index()
-    index.add_document("doc-1", "cancer")
-    meta = index.delta_extents()[index.trapdoor("cancer")][-1]
+    index.add_documents([(f"doc-{i}", "cancer") for i in range(CHUNK_CAPACITY)])
+    meta = index.chunk_extents()[index.trapdoor("cancer")][-1]
     index.device.raw_write(meta.device_offset + meta.size // 2, b"\xff\xff")
     with pytest.raises(Exception):
         index.search("cancer")
@@ -91,11 +91,11 @@ def test_tamper_detected_at_query_time():
 
 def test_verify_localizes_tampered_lists():
     index = make_index()
-    index.add_document("doc-1", "alpha")
-    index.add_document("doc-2", "beta")
+    for term in ("alpha", "beta"):
+        index.add_documents([(f"{term}-{i}", term) for i in range(CHUNK_CAPACITY)])
     good = index.trapdoor("alpha")
     bad = index.trapdoor("beta")
-    meta = index.delta_extents()[bad][-1]
+    meta = index.chunk_extents()[bad][-1]
     index.device.raw_write(meta.device_offset + 10, b"\x00\x00\x00")
     failures = index.verify()
     assert bad in failures and good not in failures
@@ -148,23 +148,24 @@ def test_long_list_is_a_chain_of_bounded_chunks():
     trapdoor = index.trapdoor("cancer")
     chain = index.chunk_extents()[trapdoor]
     assert [len(index.open_extent(trapdoor, extent)) for extent in chain] == [CHUNK_CAPACITY] * 3
-    assert [extent.documents for extent in chain] == [None] * 3
-    (pending,) = index.delta_extents()[index.trapdoor("cancer")]
-    assert len(pending.documents) == 5
+    # one frame of three chunks; the five pending ids (and the
+    # bystander's) are held in memory only
+    assert index.device.used == HEADER_SIZE + sum(extent.size for extent in chain)
     assert index.search("cancer") == [f"doc-{i:04d}" for i in range(LONG)]
     assert index.verify() == []
 
 
 def test_add_touches_only_the_tail_chunk():
+    # the tail is the pending ids, in memory: an add that folds nothing
+    # reads and writes nothing on the device
     index = make_long_index()
     trapdoor = index.trapdoor("cancer")
     before = index.chunk_extents()[trapdoor]
-    pending = index.delta_extents()[trapdoor]
+    stats = (index.device.stats.reads, index.device.stats.writes, index.device.used)
     index.add_document("doc-new", "cancer")
     assert index.chunk_extents()[trapdoor] == before  # same boxes, same digests
-    after = index.delta_extents()[trapdoor]
-    assert after[:-1] == pending  # earlier deltas are not rewritten either
-    assert after[-1].documents == ("doc-new",)
+    assert (index.device.stats.reads, index.device.stats.writes, index.device.used) == stats
+    assert "doc-new" in index.search("cancer")
 
 
 def test_full_tail_is_sealed_not_reread():
@@ -173,22 +174,24 @@ def test_full_tail_is_sealed_not_reread():
     trapdoor = index.trapdoor("cancer")
     (sealed,) = index.chunk_extents()[trapdoor]
     index.device.raw_write(sealed.device_offset, bytes(sealed.size))  # destroy it
+    reads = index.device.stats.reads
     index.add_document("doc-next", "cancer")  # must not need the sealed chunk
     assert index.chunk_extents()[trapdoor] == [sealed]
-    assert [d.documents for d in index.delta_extents()[trapdoor]] == [("doc-next",)]
+    assert index.device.stats.reads == reads
     assert index.verify() == [trapdoor]
 
 
 def layout(index):
-    """Where every box of *index* lives and what it holds; digests are
-    left out, since nonces are random."""
-    return [
+    """Where every box of *index* lives, and what each list holds;
+    digests are left out, since nonces are random."""
+    boxes = [
         {
-            trapdoor: [(e.journal_sequence, e.device_offset, e.size, e.documents) for e in extents]
+            trapdoor: [(e.journal_sequence, e.device_offset, e.size) for e in extents]
             for trapdoor, extents in table.items()
         }
-        for table in (index.chunk_extents(), index.delta_extents(), index.superseded_versions())
+        for table in (index.chunk_extents(), index.superseded_versions())
     ]
+    return boxes, {term: index.search(term) for term in ("cancer", "stage0", "cohort6")}
 
 
 def test_single_add_is_a_batch_of_one():
@@ -244,19 +247,16 @@ def test_swapped_sealed_chunks_detected():
 
 
 def test_replayed_older_tail_version_detected():
+    # Two deletions rewrite the last chunk in turn; the first rewrite's
+    # bytes, replayed over the second's, must not verify.
     index = make_long_index()
     trapdoor = index.trapdoor("cancer")
-    newest = f"doc-{LONG - 1:04d}"
-    index.delete_document(newest)
-    index.add_document(newest, "cancer")
-    snapshot = box_of(index, index.delta_extents()[trapdoor][-1])
-    # a later write of the same content and length
-    index.delete_document(newest)
-    index.add_document(newest, "cancer")
-    current = index.delta_extents()[trapdoor][-1]
-    box = box_of(index, current)
-    assert len(box) == len(snapshot) and box != snapshot
-    index.device.raw_write(current.device_offset, snapshot)
+    index.delete_document(f"doc-{2 * CHUNK_CAPACITY:04d}")
+    snapshot = box_of(index, index.chunk_extents()[trapdoor][-1])
+    index.delete_document(f"doc-{2 * CHUNK_CAPACITY + 1:04d}")
+    current = index.chunk_extents()[trapdoor][-1]
+    assert box_of(index, current) != snapshot
+    index.device.raw_write(current.device_offset, (snapshot + bytes(current.size))[: current.size])
     assert_only_cancer_fails(index, IntegrityError)
 
 
@@ -286,7 +286,7 @@ def test_chunk_copied_from_another_trapdoor_detected():
 
 def test_zeroed_last_chunk_detected():
     index = make_long_index()
-    tail = index.delta_extents()[index.trapdoor("cancer")][-1]
+    tail = index.chunk_extents()[index.trapdoor("cancer")][-1]
     index.device.raw_write(tail.device_offset, bytes(tail.size))
     assert_only_cancer_fails(index, IntegrityError)
 
@@ -299,14 +299,17 @@ def frames(index):
 
 
 def test_an_add_is_one_frame_in_one_device_write():
+    # at most: an add that folds nothing writes nothing at all
     index = make_index()
     for i in range(CHUNK_CAPACITY - 1):
-        writes = index.device.stats.writes
         index.add_document(f"doc-{i:04d}", "cancer biopsy stage")
-        assert (frames(index), index.device.stats.writes) == (i + 1, writes + 1)
+    assert (frames(index), index.device.stats.writes, index.device.used) == (0, 0, 0)
     assert index.chunk_extents() == {}
     for term in ("cancer", "biopsy", "stage"):
-        assert len(index.delta_extents()[index.trapdoor(term)]) == CHUNK_CAPACITY - 1
+        assert len(index.search(term)) == CHUNK_CAPACITY - 1
+    index.add_document("doc-last", "cancer biopsy stage")  # three lists fold
+    assert (frames(index), index.device.stats.writes) == (1, 1)
+    assert [len(chain) for chain in index.chunk_extents().values()] == [1, 1, 1]
 
 
 def test_pending_ids_fold_into_a_sealed_chunk_in_the_same_write():
@@ -314,52 +317,60 @@ def test_pending_ids_fold_into_a_sealed_chunk_in_the_same_write():
     trapdoor = index.trapdoor("cancer")
     for i in range(CHUNK_CAPACITY - 1):
         index.add_document(f"doc-{i:04d}", "cancer")
-    pending = index.delta_extents()[trapdoor]
-    writes = index.device.stats.writes
-    index.add_document("doc-last", "cancer")
-    assert (frames(index), index.device.stats.writes) == (CHUNK_CAPACITY, writes + 1)
+    index.add_document("doc-last", "cancer biopsy")
+    # a fold is exactly one frame in one device write, and holds only
+    # the chunk it sealed
+    assert (frames(index), index.device.stats.writes) == (1, 1)
     (sealed,) = index.chunk_extents()[trapdoor]
-    assert sealed.journal_sequence == CHUNK_CAPACITY - 1  # a box of the add's one frame
+    assert sealed.journal_sequence == 0  # a box of the add's one frame
+    assert index.device.used == HEADER_SIZE + sealed.size
     assert len(index.open_extent(trapdoor, sealed)) == CHUNK_CAPACITY
-    assert index.delta_extents()[trapdoor] == []
-    assert index.superseded_versions()[trapdoor] == pending
+    assert index.superseded_versions() == {}
     assert index.search("cancer") == sorted([f"doc-{i:04d}" for i in range(31)] + ["doc-last"])
     assert index.verify() == []
 
 
 def test_single_adds_of_generated_records_write_under_1100_bytes_each():
     # The layout that rewrote each touched list's tail wrote ~2,600 B
-    # per record here; one delta frame per write writes ~510.
+    # per record here, and one delta frame per write ~510; writing only
+    # the chunks a fold seals writes ~110.  The device then holds only
+    # live chunks: nothing is superseded, and every byte is a current
+    # chunk or its frame's header.
     generator = WorkloadGenerator(3, SimulatedClock(start=1.17e9))
     generator.create_population(200)
     records = [generated.record for generated in generator.mixed_stream(1600)]
     index = make_index()
     for record in records:
         index.add_document(record.record_id, record.searchable_text())
-    assert index.device.stats.bytes_written <= 1_100 * len(records)
-    assert frames(index) == len(records)
+    assert index.device.stats.bytes_written <= 150 * len(records)
+    assert index.superseded_versions() == {}
+    chunks = [extent for chain in index.chunk_extents().values() for extent in chain]
+    sealing = {extent.journal_sequence for extent in chunks}
+    assert len(sealing) == frames(index) < len(records) / 5
+    assert index.device.used == HEADER_SIZE * frames(index) + sum(e.size for e in chunks)
 
 
 def test_verify_reads_each_box_once_and_blames_only_altered_ones():
     index = make_index()
     index.add_documents([(f"doc-{i:04d}", "alpha") for i in range(CHUNK_CAPACITY)])
-    for i in range(10):
-        index.add_document(f"doc-{i}", "alpha beta gamma")
+    index.add_documents([(f"doc-{i}", "alpha beta gamma") for i in range(CHUNK_CAPACITY + 10)])
     reads = index.device.stats.reads
     assert index.verify() == []
-    assert index.device.stats.reads == reads + 1 + 3 * 10  # a sealed chunk, 30 deltas
-    altered = index.delta_extents()[index.trapdoor("beta")][3]
+    # two chunks of alpha, one each of beta and gamma; pending ids are
+    # never read
+    assert index.device.stats.reads == reads + 4
+    altered = index.chunk_extents()[index.trapdoor("beta")][0]
     (byte,) = index.device.raw_read(altered.device_offset, 1)
     index.device.raw_write(altered.device_offset, bytes([byte ^ 1]))
     assert index.verify() == [index.trapdoor("beta")]
-    assert index.search("gamma") == [f"doc-{i}" for i in range(10)]
+    assert len(index.search("gamma")) == CHUNK_CAPACITY + 10
 
 
-def test_swapped_deltas_of_one_write_detected():
+def test_swapped_chunks_of_one_fold_detected():
     index = make_index()
-    index.add_document("doc-1", "cancer biopsy")
+    index.add_documents([(f"doc-{i}", "cancer biopsy") for i in range(CHUNK_CAPACITY)])
     index.add_document("doc-other", "bystander")
-    a, b = (index.delta_extents()[index.trapdoor(term)][0] for term in ("cancer", "biopsy"))
+    a, b = (index.chunk_extents()[index.trapdoor(term)][0] for term in ("cancer", "biopsy"))
     assert a.journal_sequence == b.journal_sequence and a.size == b.size
     box_a, box_b = (index.device.raw_read(d.device_offset, d.size) for d in (a, b))
     index.device.raw_write(a.device_offset, box_b)
@@ -370,11 +381,22 @@ def test_swapped_deltas_of_one_write_detected():
     assert index.search("bystander") == ["doc-other"]
 
 
-def test_dropped_delta_frame_detected():
+def test_dropped_fold_frame_detected():
     index = make_long_index()
-    newest = index.delta_extents()[index.trapdoor("cancer")][-1]
+    index.add_documents([(f"late-{i:02d}", "cancer") for i in range(CHUNK_CAPACITY)])
+    newest = index.chunk_extents()[index.trapdoor("cancer")][-1]
     index.device.raw_write(newest.device_offset - HEADER_SIZE, bytes(HEADER_SIZE + newest.size))
     assert_only_cancer_fails(index, IntegrityError)
+
+
+def test_a_search_reads_nothing_for_a_list_with_no_sealed_chunk():
+    index = make_long_index()
+    reads = index.device.stats.reads
+    assert index.search("bystander") == ["doc-other"]
+    assert index.search_all(["bystander", "absent"]) == []
+    assert index.device.stats.reads == reads
+    assert len(index.search("cancer")) == LONG
+    assert index.device.stats.reads == reads + 3  # the three sealed chunks
 
 
 # -- one kind of box ------------------------------------------------------------
@@ -398,16 +420,19 @@ def test_no_trapdoor_is_on_the_device():
 def test_every_write_is_one_frame_in_one_device_write():
     index = make_index()
 
-    def one_frame(write):
+    def writes(frames_written, write):
         before, writes = frames(index), index.device.stats.writes
         write()
-        assert (frames(index), index.device.stats.writes) == (before + 1, writes + 1)
+        assert (frames(index), index.device.stats.writes) == (
+            before + frames_written,
+            writes + frames_written,
+        )
 
     batch = [(f"doc-{i:04d}", "cancer biopsy") for i in range(2 * CHUNK_CAPACITY + 3)]
-    one_frame(lambda: index.add_documents(batch))  # two chunks and a delta per list
-    one_frame(lambda: index.add_document("doc-late", "cancer"))
-    one_frame(lambda: index.delete_document("doc-0040"))  # a chunk of each list rewritten
-    one_frame(lambda: index.delete_document("doc-0065"))  # a delta of each list rewritten
+    writes(1, lambda: index.add_documents(batch))  # two chunks per list, three pending
+    writes(0, lambda: index.add_document("doc-late", "cancer"))  # pending
+    writes(1, lambda: index.delete_document("doc-0040"))  # a chunk of each list rewritten
+    writes(0, lambda: index.delete_document("doc-0065"))  # pending: a memory edit
     assert index.verify() == []
     assert len(index.search("cancer")) == len(batch) - 1
 
@@ -418,15 +443,32 @@ def test_a_deletion_reads_only_the_boxes_of_its_own_lists():
         [(f"doc-{i:04d}", f"common{i % 4} filler") for i in range(8 * CHUNK_CAPACITY)]
     )
     index.add_documents([(f"vic-{i:02d}", "cancer biopsy") for i in range(CHUNK_CAPACITY + 1)])
-    own = [index.trapdoor(term) for term in ("cancer", "biopsy")]
-    boxes = sum(
-        len(table.get(trapdoor, ()))
-        for table in (index.chunk_extents(), index.delta_extents())
-        for trapdoor in own
-    )
     reads = index.device.stats.reads
     certificate = index.delete_document("vic-03")
-    assert index.device.stats.reads - reads <= boxes
+    assert index.device.stats.reads - reads == 2  # the one chunk holding it, per list
     assert certificate.lists_rewritten == 2
     assert index.search("cancer") == [f"vic-{i:02d}" for i in range(CHUNK_CAPACITY + 1) if i != 3]
     assert len(index.search("filler")) == 8 * CHUNK_CAPACITY
+
+
+@pytest.mark.parametrize("size", [400, 1_600, 6_400])
+def test_a_deletion_opens_one_chunk_per_list(size):
+    # The chunk slot each id was sealed in is held in memory, so a
+    # deletion opens only that chunk of each list (a chain of a
+    # thousand chunks reads one), and none of a list it is pending in.
+    generator = WorkloadGenerator(3, SimulatedClock(start=1.17e9))
+    generator.create_population(200)
+    records = [generated.record for generated in generator.mixed_stream(size)]
+    index = make_index()
+    lists = dict(
+        zip(
+            [record.record_id for record in records],
+            index.add_documents([(r.record_id, r.searchable_text()) for r in records]),
+        )
+    )
+    for record in records[:: size // 20]:
+        reads = index.device.stats.reads
+        certificate = index.delete_document(record.record_id)
+        assert index.device.stats.reads - reads == certificate.lists_rewritten
+        assert certificate.lists_rewritten <= lists[record.record_id]
+        assert index.forensic_residue(record.record_id) == []

@@ -9,7 +9,7 @@ import pytest
 from repro.archive.cold import ColdStore
 from repro.crypto.keys import KeyStore
 from repro.index.epochs import EpochedIndex
-from repro.index.trustworthy import TrustworthyIndex
+from repro.index.trustworthy import CHUNK_CAPACITY, TrustworthyIndex
 from repro.retention.shredder import SecureShredder
 from repro.storage.block import SCRUB_PASSES, MemoryDevice
 from repro.storage.media import Medium
@@ -56,12 +56,10 @@ def cold_scrub():
 
 def index_delete():
     index = TrustworthyIndex(MASTER)
-    index.add_document("doc-1", "cancer")
-    index.add_document("doc-2", "cancer")
-    trapdoor = index.trapdoor("cancer")
-    # doc-1's delta: the deletion writes no survivors and scrubs it
-    stale = [d for d in index.delta_extents()[trapdoor] if "doc-1" in d.documents]
-    extents = [(extent.device_offset, extent.size) for extent in stale]
+    index.add_documents([(f"doc-{i}", "cancer") for i in range(CHUNK_CAPACITY)])
+    # doc-1's sealed chunk: the deletion rewrites it and scrubs the old one
+    (sealed,) = index.chunk_extents()[index.trapdoor("cancer")]
+    extents = [(sealed.device_offset, sealed.size)]
     return index.device, lambda: index.delete_document("doc-1"), extents
 
 
@@ -82,7 +80,8 @@ def media_sanitize():
 
 def epoch_drop():
     index = EpochedIndex(MASTER, epoch_seconds=10.0, segment_capacity=1 << 16)
-    index.add_document("doc-1", "cancer biopsy", timestamp=1.0)
+    for i in range(CHUNK_CAPACITY):  # enough to fold: a segment device with a chunk on it
+        index.add_document(f"doc-{i}", "cancer biopsy", timestamp=1.0)
     (device,) = index.devices()
     return device, lambda: index.drop_epoch(0), [(0, device.used)]
 

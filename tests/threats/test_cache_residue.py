@@ -14,6 +14,7 @@ to retire.
 from repro.core import CuratorConfig, CuratorStore
 from repro.crypto.ed25519 import _KEY_MEMO, generate_ed25519_keypair
 from repro.crypto.signatures import _ROOT_MEMO
+from repro.index.trustworthy import CHUNK_CAPACITY
 from repro.records.model import ClinicalNote
 from repro.util.clock import SimulatedClock
 
@@ -66,7 +67,9 @@ def test_dispose_purges_every_derived_material_cache():
 
 def test_no_cipher_memo_holds_the_destroyed_key_after_dispose():
     store, clock = make_ed25519_store()
-    store.store_many([make_note(f"rec-{i}") for i in range(2)], author_id="dr-a")
+    # enough notes that their shared lists fold: the index seals chunks
+    # (and a search opens them) under its list ciphers
+    store.store_many([make_note(f"rec-{i}") for i in range(CHUNK_CAPACITY)], author_id="dr-a")
     handle = store._dir.keys["rec-0"]
     # The data key's derived cipher is memoized from create_keys.
     destroyed = store._keystore.cipher_for(handle)

@@ -28,9 +28,9 @@ ENGINE_ROWS = {
             "index_chunk_rot",
             "index_chunk_swap",
             "index_tail_rollback",
-            "index_delta_drop",
-            "index_delta_replay",
-            "index_delta_swap",
+            "index_fold_drop",
+            "index_chunk_replay",
+            "index_chunk_reorder",
             "refresh_after_rot",
         )
     ),
@@ -140,7 +140,7 @@ def test_suite_runs_clean_end_to_end(scenario_table):
     # index tampers: the first incremental pass and the full pass both
     # blamed the index and nothing else
     for tamper in ("index_chunk_rot", "index_chunk_swap", "index_tail_rollback",
-                   "index_delta_drop", "index_delta_replay", "index_delta_swap"):
+                   "index_fold_drop", "index_chunk_replay", "index_chunk_reorder"):
         case = cases[f"engine/fresh/{tamper}"]
         assert case.caught_by == "incremental" and case.attempts == 1
         assert case.flagged == ("<index>",)
